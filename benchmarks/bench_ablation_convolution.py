@@ -62,7 +62,7 @@ def json_payload():
 
     Sweeps the ``conv_span`` cutover (operands longer than the span go
     through the FFT) and reports the per-span timings plus the measured
-    best span, supporting the planner's default.  The headline
+    best span, supporting the knob's default.  The headline
     ``fft_speedup`` is measured *at the resolved default span*, so a
     default the measurements do not support (speedup < 1, the old span-64
     regression) shows up directly in the trajectory.

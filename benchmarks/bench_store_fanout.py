@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import subprocess
 import sys
 import tempfile
@@ -94,10 +95,10 @@ def _result_signature(result) -> list:
     ]
 
 
-def _payload_bytes(shard_views, fanout: str) -> int:
+def _payload_bytes(shard_views) -> int:
     from repro.core.parallel import ParallelExecutor
 
-    executor = ParallelExecutor(2, shard_views=shard_views, fanout=fanout)
+    executor = ParallelExecutor(2, shard_views=shard_views)
     try:
         return executor.dispatch_payload_nbytes()
     finally:
@@ -135,9 +136,10 @@ def collect() -> Dict[str, Any]:
         inram_shards = ColumnarPartition(inram_view, n_shards).shards
         mapped_shards = ColumnarPartition(mapped_view, n_shards).shards
 
-        pickle_bytes = _payload_bytes(inram_shards, "pickle")
-        shm_bytes = _payload_bytes(inram_shards, "shm")
-        mapped_bytes = _payload_bytes(mapped_shards, "auto")
+        # Baseline: the bytes of shipping the in-RAM shard views whole.
+        pickle_bytes = len(pickle.dumps(inram_shards))
+        shm_bytes = _payload_bytes(inram_shards)
+        mapped_bytes = _payload_bytes(mapped_shards)
         shm_reduction = pickle_bytes / shm_bytes
         mapped_reduction = pickle_bytes / mapped_bytes
         assert shm_reduction >= 100.0, (
@@ -269,10 +271,11 @@ def _capped_child_main() -> int:
 
     # Out-of-core discipline: the derived-array caches are heap residents,
     # so a capped run pins them small (recomputation traded for memory).
-    os.environ.setdefault("REPRO_DENSE_CACHE_BYTES", str(4 << 20))
-    os.environ.setdefault("REPRO_PREFIX_CACHE_BYTES", str(8 << 20))
-    os.environ.setdefault("REPRO_BITMAP_CACHE_BYTES", str(4 << 20))
-    os.environ.setdefault("REPRO_MAPPED_CACHE_BYTES", str(8 << 20))
+    os.environ.setdefault(
+        "REPRO_PLAN",
+        "dense_cache_bytes=4m,prefix_cache_bytes=8m,"
+        "bitmap_cache_bytes=4m,mapped_cache_bytes=8m",
+    )
 
     import numpy as np
 

@@ -55,10 +55,7 @@ def environment_stamp() -> Dict[str, Any]:
         "python": platform.python_version(),
         "platform": platform.platform(),
         "scale": os.environ.get("REPRO_SCALE", "0.002"),
-        "backend": os.environ.get("REPRO_BACKEND", "") or "columnar",
-        "bitset": os.environ.get("REPRO_BITSET", "") or "on",
-        "workers": os.environ.get("REPRO_WORKERS", "") or "1",
-        "shards": os.environ.get("REPRO_SHARDS", "") or "",
+        "plan": os.environ.get("REPRO_PLAN", ""),
     }
 
 

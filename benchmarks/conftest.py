@@ -23,21 +23,15 @@ from pathlib import Path
 import pytest
 
 from repro.datasets import registry as dataset_registry
-from repro.db.database import UncertainDatabase, resolve_backend
+from repro.db.database import resolve_backend
 from repro.eval import reporting
 
 #: default dataset scale for benchmark runs (fraction of the published size)
 SCALE = float(os.environ.get("REPRO_SCALE", "0.002"))
 
 #: probability-evaluation backend for the whole benchmark run; set
-#: ``REPRO_BACKEND=rows`` to time the historical per-transaction path.
-_BACKEND_ENV = os.environ.get("REPRO_BACKEND")
-BACKEND = resolve_backend(_BACKEND_ENV or None)
-if _BACKEND_ENV:
-    # Explicit opt-in only: the override is process-wide, so it would also
-    # apply to a co-collected test suite.  Without the env var the class
-    # default (columnar) is left untouched.
-    UncertainDatabase.default_backend = BACKEND
+#: ``REPRO_PLAN=backend=rows`` to time the historical per-transaction path.
+BACKEND = resolve_backend(None)
 
 RESULTS_DIR = Path(__file__).parent / "results"
 

@@ -10,7 +10,7 @@ Usage::
 
     PYTHONPATH=src python benchmarks/run_all.py            # quick set
     PYTHONPATH=src python benchmarks/run_all.py --all      # every benchmark
-    PYTHONPATH=src python benchmarks/run_all.py --only bitset_cascade topk
+    PYTHONPATH=src python benchmarks/run_all.py --only backend_columnar topk
     PYTHONPATH=src python benchmarks/run_all.py --aggregate-only
 
 The quick set covers the micro-benchmarks with asserted floors (seconds
@@ -33,7 +33,6 @@ BENCH_DIR = Path(__file__).resolve().parent
 
 #: module stem -> BENCH_<name>.json stem
 BENCHES = {
-    "bench_bitset_cascade": "bitset_cascade",
     "bench_backend_columnar": "backend_columnar",
     "bench_parallel_scaling": "parallel_scaling",
     "bench_stream_window": "stream_window",
@@ -41,7 +40,6 @@ BENCHES = {
     "bench_service": "service",
     "bench_resilience": "resilience",
     "bench_topk": "topk",
-    "bench_planner": "planner",
     "bench_table4_probability_methods": "table4_probability_methods",
     "bench_ablation_convolution": "ablation_convolution",
     "bench_definition_unification": "definition_unification",
@@ -64,7 +62,6 @@ BENCHES = {
 
 #: fast modules with asserted floors or sub-minute runtimes
 QUICK = [
-    "bench_bitset_cascade",
     "bench_backend_columnar",
     "bench_store_fanout",
     "bench_service",
@@ -72,7 +69,6 @@ QUICK = [
     "bench_table4_probability_methods",
     "bench_ablation_convolution",
     "bench_definition_unification",
-    "bench_planner",
 ]
 
 

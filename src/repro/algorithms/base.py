@@ -27,11 +27,7 @@ from typing import Any, Mapping, Optional, Union
 from ..core.parallel import ParallelExecutor, resolve_shards, resolve_workers
 from ..core.results import MiningResult, MiningStatistics
 from ..core.search import LevelwiseSearch, MinerSpec
-from ..core.thresholds import (
-    ExpectedSupportThreshold,
-    ProbabilisticThreshold,
-    QueryThresholds,
-)
+from ..core.thresholds import ExpectedSupportThreshold, ProbabilisticThreshold
 from ..db.database import UncertainDatabase, resolve_backend
 from ..plan import ExecutionPlan, ensure_plan, materialize_plan, plan_scope
 
@@ -57,11 +53,11 @@ class MinerBase(ABC):
         oracle).  ``None`` resolves to the database default (columnar).
     workers:
         Worker-process count for the partition-parallel engine.  ``None``
-        consults ``REPRO_WORKERS`` (default 1); ``0`` means one worker per
-        available CPU.  Results are byte-identical for every worker count.
+        resolves the plan's ``workers`` knob (default 1); ``0`` means one
+        worker per available CPU.  Results are byte-identical for every worker count.
     shards:
-        Row-shard count for the columnar view.  ``None`` consults
-        ``REPRO_SHARDS`` and falls back to the worker count, so raising
+        Row-shard count for the columnar view.  ``None`` resolves the
+        plan's ``shards`` knob and falls back to the worker count, so raising
         ``workers`` automatically engages the partitioned path.  Only
         meaningful on the columnar backend (the row oracle stays serial).
     plan:
@@ -69,9 +65,7 @@ class MinerBase(ABC):
         mapping — see :func:`repro.plan.ensure_plan`) carrying any subset
         of the tuning knobs.  Explicit ``backend``/``workers``/``shards``
         arguments still win; the plan fills the rest at the scope tier.
-        ``plan="auto"`` defers to the cost-model planner: the plan is
-        materialized from the database's statistics when ``mine`` runs,
-        and the materialized configuration is pinned for the whole run
+        The materialized configuration is pinned for the whole run
         (exposed afterwards as :attr:`plan`).
     """
 
@@ -94,7 +88,7 @@ class MinerBase(ABC):
             "shards": shards,
         }
         # Eager resolution keeps the attributes meaningful before mine();
-        # an auto request re-materializes them per database at mine time.
+        # mine() re-materializes them, so later environment changes apply.
         with plan_scope(self.plan_request):
             self.backend = resolve_backend(backend)
             self.workers = resolve_workers(workers)
@@ -103,30 +97,18 @@ class MinerBase(ABC):
         self.plan: Optional[ExecutionPlan] = None
 
     @contextmanager
-    def _planned(
-        self,
-        database: UncertainDatabase,
-        thresholds: Optional[QueryThresholds] = None,
-    ):
+    def _planned(self):
         """Materialize and pin this run's :class:`ExecutionPlan`.
 
-        Every knob is resolved once, up front, through the four-tier
-        pipeline (explicit constructor arguments > the constructor's plan >
-        environment > planner default, with ``plan="auto"`` consulting the
-        cost model over ``database``'s statistics and — when given — the
-        query ``thresholds``, whose selectivity shapes the planner's
-        search-depth estimate) — then the complete plan is pinned with
-        :func:`~repro.plan.plan_scope` for the duration of the mine, so
-        every downstream consumer (SupportEngine, the columnar kernels, the
-        parallel executor) sees one immutable configuration, immune to
-        concurrent environment changes or other threads' scopes.
+        Every knob is resolved once, up front (explicit constructor
+        arguments > the constructor's plan > ``REPRO_PLAN`` > default) —
+        then the complete plan is pinned with :func:`~repro.plan.plan_scope`
+        for the duration of the mine, so every downstream consumer
+        (SupportEngine, the columnar kernels, the parallel executor) sees
+        one immutable configuration, immune to concurrent environment
+        changes or other threads' scopes.
         """
-        plan = materialize_plan(
-            self.plan_request,
-            database,
-            explicit=self._explicit_knobs,
-            thresholds=thresholds,
-        )
+        plan = materialize_plan(self.plan_request, explicit=self._explicit_knobs)
         self.plan = plan
         self.backend = plan.backend
         self.workers = plan.workers
@@ -140,7 +122,6 @@ class MinerBase(ABC):
         statistics.notes["workers"] = float(self.workers)
         statistics.notes["shards"] = float(self.shards)
         if self.plan is not None:
-            statistics.notes["bitset"] = float(bool(self.plan.bitset))
             statistics.notes["conv_span"] = float(self.plan.conv_span)
         return statistics
 
@@ -160,7 +141,7 @@ class MinerBase(ABC):
 
     def _run_search(self, database: UncertainDatabase, threshold: Any) -> MiningResult:
         """Build this miner's spec and execute it under the pinned plan."""
-        with self._planned(database, thresholds=threshold.query()):
+        with self._planned():
             spec = self.spec(threshold)
             return LevelwiseSearch(spec, miner=self).run(database)
 

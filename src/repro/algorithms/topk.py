@@ -145,7 +145,7 @@ class TopKMiner(MinerBase):
             min_count = threshold.min_count(len(database))
 
         spec = self.spec(threshold)
-        with self._planned(database, thresholds=spec.query_thresholds()):
+        with self._planned():
             return LevelwiseSearch(spec, miner=self).run_topk(database, k, min_count)
 
     def spec(self, threshold) -> MinerSpec:

@@ -1,6 +1,6 @@
 """Command line interface: ``repro-mine``.
 
-Five subcommands cover the common workflows:
+The subcommands cover the common workflows:
 
 ``repro-mine list``
     Show the registered algorithms and datasets.
@@ -33,12 +33,6 @@ Five subcommands cover the common workflows:
     Run the mining service (:mod:`repro.service`): a long-lived JSON-over-
     socket server with a warm dataset registry, a monotonicity-exploiting
     result cache and bounded concurrent admission.
-
-``repro-mine plan-explain``
-    Show the :class:`~repro.plan.ExecutionPlan` a mine of the dataset would
-    run under — dataset features, the chosen value and source of every
-    knob, and (under ``--plan auto``) the planner's rationale and predicted
-    cost.
 """
 
 from __future__ import annotations
@@ -48,9 +42,7 @@ import sys
 from typing import List, Optional
 
 from .core.miner import mine
-from .core.parallel import fanout_scope
 from .core.registry import algorithm_names, get_algorithm
-from .db.columnar import bitset_scope
 from .db.store import ColumnarStore, resolve_store_path
 from .core.topk import (
     mine_topk,
@@ -302,43 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    explain_parser = subparsers.add_parser(
-        "plan-explain",
-        help="show the execution plan a mine of one dataset would run under",
-    )
-    explain_parser.add_argument(
-        "--dataset", "-d", default="accident", help="benchmark dataset name or path to an item:probability file"
-    )
-    explain_parser.add_argument(
-        "--store",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="DIR",
-        help="explain a mine of an out-of-core columnar store instead of --dataset",
-    )
-    explain_parser.add_argument("--scale", type=float, default=0.002, help="benchmark scale factor")
-    explain_parser.add_argument(
-        "--plan",
-        default="auto",
-        metavar="SPEC",
-        help="plan request to explain (default: auto, the cost-model planner)",
-    )
-    explain_parser.add_argument(
-        "--min-sup",
-        type=float,
-        default=None,
-        help=(
-            "query support threshold (ratio or absolute) the planner's "
-            "search-depth estimate should assume"
-        ),
-    )
-    explain_parser.add_argument(
-        "--pft",
-        type=float,
-        default=None,
-        help="probabilistic frequentness threshold for the depth estimate",
-    )
     return parser
 
 
@@ -349,7 +304,7 @@ def _add_parallel_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         help=(
             "worker processes for the partition-parallel engine "
-            "(default: REPRO_WORKERS or 1; 0 = one per CPU)"
+            "(default: the plan's workers knob, 1; 0 = one per CPU)"
         ),
     )
     parser.add_argument(
@@ -358,27 +313,7 @@ def _add_parallel_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         help=(
             "row shards of the columnar view "
-            "(default: REPRO_SHARDS or the worker count)"
-        ),
-    )
-    parser.add_argument(
-        "--bitset",
-        choices=["on", "off"],
-        default=None,
-        help=(
-            "bitset evaluation cascade: packed-bitmap candidate killing, "
-            "cross-level prefix caching and bound-ordered verification "
-            "(default: REPRO_BITSET or on; results are identical either way)"
-        ),
-    )
-    parser.add_argument(
-        "--fanout",
-        choices=["auto", "shm", "pickle"],
-        default=None,
-        help=(
-            "shard dispatch to worker processes: shared-memory/manifest "
-            "descriptors (auto, zero-copy) or legacy whole-view pickles "
-            "(default: REPRO_FANOUT or auto; results are identical either way)"
+            "(default: the plan's shards knob, else the worker count)"
         ),
     )
     parser.add_argument(
@@ -386,12 +321,10 @@ def _add_parallel_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="SPEC",
         help=(
-            "execution plan: 'auto' for the cost-model planner, or a "
-            "comma-separated knob spec such as "
+            "execution plan: a comma-separated knob spec such as "
             "'backend=columnar,workers=4,conv_span=256' "
             "(default: REPRO_PLAN; --backend/--workers/--shards stay the "
-            "strongest tier, but a knob named in --plan beats the same "
-            "knob given via --bitset/--fanout or environment variables)"
+            "strongest tier, and a knob named in --plan beats REPRO_PLAN)"
         ),
     )
 
@@ -710,52 +643,6 @@ def _command_store_verify(args: argparse.Namespace) -> int:
     return 1
 
 
-def _command_plan_explain(args: argparse.Namespace) -> int:
-    from .core.thresholds import QueryThresholds
-    from .plan import (
-        DatasetFeatures,
-        Planner,
-        ensure_plan,
-        materialize_plan,
-        plan_request_is_auto,
-    )
-
-    database = _load_mine_database(args)
-    request = ensure_plan(args.plan)
-    auto = plan_request_is_auto(request)
-    planner = Planner.from_trajectory()
-    features = DatasetFeatures.from_database(database)
-    thresholds = None
-    if args.min_sup is not None or args.pft is not None:
-        thresholds = QueryThresholds(min_support=args.min_sup, pft=args.pft)
-    resolved = materialize_plan(
-        request, database, planner=planner, thresholds=thresholds
-    )
-
-    print(
-        f"plan-explain: {getattr(database, 'name', args.dataset)} -- "
-        f"request {args.plan!r}"
-        + (" (cost-model planner engaged)" if auto else "")
-    )
-    print("features:")
-    for key, value in features.to_dict().items():
-        rendered = f"{value:.4g}" if isinstance(value, float) else f"{value}"
-        print(f"  {key:20s} {rendered}")
-    print("plan:")
-    for name, value in resolved.knob_items():
-        print(f"  {name:20s} {value}")
-    print(
-        "predicted cost: "
-        f"{planner.predict_seconds(features, resolved, thresholds=thresholds):.4f}s"
-    )
-    if auto:
-        decision = planner.plan(features, thresholds=thresholds)
-        print("rationale:")
-        for key, reason in decision.rationale.items():
-            print(f"  {key}: {reason}")
-    return 0
-
-
 def _command_serve(args: argparse.Namespace) -> int:
     import signal
 
@@ -830,19 +717,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _command_store_verify(args)
     if args.command == "serve":
         return _command_serve(args)
-    if args.command == "plan-explain":
-        return _command_plan_explain(args)
-    with bitset_scope(getattr(args, "bitset", None)), fanout_scope(
-        getattr(args, "fanout", None)
-    ):
-        if args.command == "mine":
-            return _command_mine(args)
-        if args.command == "mine-topk":
-            return _command_mine_topk(args)
-        if args.command == "experiment":
-            return _command_experiment(args)
-        if args.command == "stream-mine":
-            return _command_stream_mine(args)
+    if args.command == "mine":
+        return _command_mine(args)
+    if args.command == "mine-topk":
+        return _command_mine_topk(args)
+    if args.command == "experiment":
+        return _command_experiment(args)
+    if args.command == "stream-mine":
+        return _command_stream_mine(args)
     return 1
 
 

@@ -33,9 +33,7 @@ per shard, which each worker resolves locally:
   ``(directory, start, stop)`` store source and is re-mapped on arrival;
 * an in-RAM shard is packed once into a ``multiprocessing.shared_memory``
   segment by the coordinator and workers attach read-only views, so all
-  workers share one physical copy;
-* ``REPRO_FANOUT=pickle`` restores the legacy whole-view pickle for
-  in-RAM shards (mapped shards are *already* descriptors).
+  workers share one physical copy.
 
 Attachment is verified, not assumed: a vanished store directory fails the
 dispatch on the coordinator before the pool spawns, and a vanished
@@ -55,13 +53,12 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from collections import OrderedDict
-from contextlib import contextmanager
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import faults
-from ..plan.spec import ExecutionPlan, plan_scope, resolve_knob
+from ..plan.spec import resolve_knob
 from .support import (
     dc_tail_probabilities,
     frequent_probabilities_dp_batch,
@@ -71,15 +68,10 @@ from .support import (
 
 __all__ = [
     "ParallelExecutor",
-    "WORKERS_ENV",
-    "SHARDS_ENV",
-    "FANOUT_ENV",
     "live_pool_count",
     "pool_restart_count",
     "resolve_workers",
     "resolve_shards",
-    "resolve_fanout",
-    "fanout_scope",
     "even_chunks",
 ]
 
@@ -135,65 +127,13 @@ def _pool_restarted() -> None:
     with _LIVE_POOLS_LOCK:
         _POOL_RESTARTS += 1
 
-#: environment variable supplying the default worker count
-WORKERS_ENV = "REPRO_WORKERS"
-#: environment variable supplying the default shard count
-SHARDS_ENV = "REPRO_SHARDS"
-#: environment variable supplying the default fan-out mode
-FANOUT_ENV = "REPRO_FANOUT"
-
-_FANOUT_MODES = ("auto", "shm", "pickle")
-
-
-def resolve_fanout(value: Optional[str] = None) -> str:
-    """Resolve the shard fan-out mode.
-
-    Args:
-        value: Explicit mode — ``auto`` (shared memory for in-RAM shards,
-            store descriptors for mapped shards), ``shm`` (same as auto
-            today, named for explicitness) or ``pickle`` (legacy whole-view
-            pickling of in-RAM shards) — or ``None`` to consult the
-            ``REPRO_FANOUT`` environment variable (missing/empty means
-            ``auto``).
-
-    >>> resolve_fanout("shm"), resolve_fanout("PICKLE")
-    ('shm', 'pickle')
-    """
-    return resolve_knob("fanout", value)
-
-
-@contextmanager
-def fanout_scope(value: Optional[str]):
-    """Pin the fan-out default for the current context (``None`` = no-op).
-
-    Mirrors :func:`repro.db.columnar.bitset_scope`: a thin wrapper around
-    :func:`repro.plan.spec.plan_scope`, kept for the historical calling
-    convention.  No longer mutates ``os.environ`` — the setting is scoped
-    to this thread/context only.
-    """
-    if value is None:
-        yield
-        return
-    with plan_scope(ExecutionPlan(fanout=resolve_fanout(value))):
-        yield
-
-
-def _available_cpus() -> int:
-    """Number of CPUs the process may actually use (affinity-aware)."""
-    try:
-        return max(1, len(os.sched_getaffinity(0)))
-    except AttributeError:  # pragma: no cover - non-Linux fallback
-        return max(1, os.cpu_count() or 1)
-
-
 def resolve_workers(workers: Optional[int] = None) -> int:
     """Resolve a worker count.
 
     Args:
-        workers: Explicit worker count, or ``None`` to consult the
-            ``REPRO_WORKERS`` environment variable (missing/empty means 1).
-            The value ``0`` (or the env value ``"auto"``) means "one worker
-            per available CPU".
+        workers: Explicit worker count, or ``None`` to resolve the
+            ``workers`` plan knob (default 1).  The value ``0`` (or
+            ``"auto"``) means "one worker per available CPU".
 
     Returns:
         A validated worker count ``>= 1``.
@@ -212,10 +152,10 @@ def resolve_shards(shards: Optional[int] = None, workers: int = 1) -> int:
     """Resolve a shard count.
 
     Args:
-        shards: Explicit shard count, or ``None`` to consult the
-            ``REPRO_SHARDS`` environment variable; when that is also unset
-            the shard count defaults to ``workers`` (so raising the worker
-            count automatically engages the partitioned path).
+        shards: Explicit shard count, or ``None`` to resolve the
+            ``shards`` plan knob; when that is unset the shard count
+            defaults to ``workers`` (so raising the worker count
+            automatically engages the partitioned path).
         workers: The already-resolved worker count.
 
     Returns:
@@ -265,26 +205,16 @@ _WORKER_SHARDS: Optional[Sequence[Any]] = None
 #: the error is surfaced from the first task that needs the shards.
 _WORKER_ATTACH_ERROR: Optional[str] = None
 
-_SHARD_ENTRY_TAGS = ("view", "shm", "store")
-
-
-def _resolve_shard_entry(entry: Any) -> Any:
+def _resolve_shard_entry(entry: Tuple[Any, ...]) -> Any:
     """Materialise one dispatch entry into a queryable shard view."""
-    if isinstance(entry, tuple) and entry and entry[0] in _SHARD_ENTRY_TAGS:
-        tag = entry[0]
-        if tag == "view":
-            return entry[1]
-        if tag == "shm":
-            from ..db.store import attach_shard_segment
+    if entry[0] == "shm":
+        from ..db.store import attach_shard_segment
 
-            return attach_shard_segment(entry[1])
-        from ..db.store import ColumnarStore
+        return attach_shard_segment(entry[1])
+    from ..db.store import ColumnarStore
 
-        _, directory, start, stop = entry
-        return ColumnarStore.open(directory).view(start, stop)
-    # Raw shard views (executors constructed outside the dispatch-payload
-    # path, e.g. in tests) install as-is.
-    return entry
+    _, directory, start, stop = entry
+    return ColumnarStore.open(directory).view(start, stop)
 
 
 def _install_worker_shards(payload: Optional[Sequence[Any]]) -> None:
@@ -362,8 +292,6 @@ class ParallelExecutor:
             interactive session or a re-entrant evaluation); the default is
             kept small so an unlucky workload cannot pin whole levels of
             vectors in memory.
-        fanout: Shard fan-out mode (resolved through :func:`resolve_fanout`
-            at dispatch time; ``None`` consults ``REPRO_FANOUT``).
     """
 
     def __init__(
@@ -371,13 +299,11 @@ class ParallelExecutor:
         workers: Optional[int] = None,
         shard_views: Optional[Sequence[Any]] = None,
         cache_size: int = 4,
-        fanout: Optional[str] = None,
     ) -> None:
         self.workers = resolve_workers(workers)
         self._shard_views: Optional[List[Any]] = (
             list(shard_views) if shard_views is not None else None
         )
-        self._fanout = fanout
         self._pool = None
         self._payload: Optional[List[Any]] = None
         self._segments: List[Any] = []
@@ -473,29 +399,22 @@ class ParallelExecutor:
         by :func:`_resolve_shard_entry` inside each worker):
 
         * ``("store", directory, start, stop)`` — a memory-mapped shard;
-          workers re-open the manifest.  Always used for mapped shards:
-          they are descriptor-sized by construction, and pickling one
-          under ``fanout=pickle`` would still ship no data.
+          workers re-open the manifest.
         * ``("shm", descriptor)`` — an in-RAM shard exported into a
-          shared-memory segment (``auto``/``shm`` fan-out).  The exported
+          shared-memory segment.  The exported
           :class:`~repro.db.store.ShardSegment` handles are retained on
           the executor for unlinking at shutdown.
-        * ``("view", view)`` — the legacy whole-view pickle
-          (``fanout=pickle``).
         """
         if self._payload is not None:
             return self._payload
         if self._shard_views is None:
             return None
-        mode = resolve_fanout(self._fanout)
         payload: List[Any] = []
         for view in self._shard_views:
             source = getattr(view, "store_source", None)
             if source is not None:
                 directory, start, stop = source
                 payload.append(("store", directory, start, stop))
-            elif mode == "pickle":
-                payload.append(("view", view))
             else:
                 from ..db.store import export_shard_segment
 
@@ -519,7 +438,7 @@ class ParallelExecutor:
         detect it here and fail the dispatch once, with a clear error.
         """
         for entry in payload or ():
-            if isinstance(entry, tuple) and entry and entry[0] == "store":
+            if entry[0] == "store":
                 from ..db.store import MANIFEST_NAME
 
                 directory = entry[1]
@@ -580,7 +499,11 @@ class ParallelExecutor:
         processes = getattr(pool, "_processes", None) if pool is not None else None
         if not processes:  # pragma: no cover - workers spawn on first submit
             return
-        os.kill(min(processes), signal.SIGKILL)
+        victim = processes[min(processes)]
+        os.kill(victim.pid, signal.SIGKILL)
+        # Wait for the death to land: a batch that finished on the other
+        # workers first would otherwise race past the degraded-pool check.
+        victim.join(timeout=5.0)
 
     def _pooled_map(self, task, payloads: List[Any]) -> List[Any]:
         """Pooled ordered map with dead-worker detection, rebuild and resubmit.
@@ -701,8 +624,7 @@ class ParallelExecutor:
         bitwise — per-transaction products are row-local and row order is
         preserved.
 
-        With ``min_count > 0`` and the bitset cascade enabled the kill
-        phase is two-step: per-shard occupancy counts are summed into the
+        With ``min_count > 0`` the kill phase is two-step: per-shard occupancy counts are summed into the
         global count first (a shard must never kill against the global
         threshold on local evidence alone), then only the survivors fan out
         for float evaluation — identical kill decisions and survivor
@@ -710,11 +632,10 @@ class ParallelExecutor:
         """
         # Imported lazily — repro.db pulls this module in via its package
         # __init__, so a top-level import would be circular.
-        from ..db.columnar import resolve_bitset
         from ..db.partition import two_phase_kill
 
         candidates = [tuple(candidate) for candidate in candidates]
-        if resolve_bitset(None) and min_count > 0 and candidates:
+        if min_count > 0 and candidates:
             return two_phase_kill(
                 candidates,
                 self.shard_occupancy_counts(candidates),

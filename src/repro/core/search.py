@@ -27,8 +27,8 @@ drive the same loop through :meth:`LevelwiseSearch.drive` and
 
 Everything the engine does is held to the bitwise contract pinned by
 ``tests/test_search_engine.py``: for every miner x backend x (workers,
-shards) x bitset configuration the results are byte-identical to the
-goldens captured at the pre-refactor commit.
+shards) configuration the results are byte-identical to the goldens
+captured at the pre-refactor commit.
 
 A compiled kernel backend (the remaining ROADMAP item) would slot in behind
 :class:`LevelKernel.evaluate`: the driver, the specs and the accounting are
@@ -44,7 +44,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from .itemset import Itemset
 from .results import FrequentItemset, MiningResult, MiningStatistics
 from .support import SupportEngine
-from .thresholds import QueryThresholds
 from .topk import TopKBuffer, run_topk_search
 
 __all__ = [
@@ -110,8 +109,7 @@ class MinerSpec:
         (:class:`~repro.core.thresholds.ExpectedSupportThreshold` or
         :class:`~repro.core.thresholds.ProbabilisticThreshold`); ``None``
         only for ranking (top-k) specs whose support level is resolved by
-        the caller.  Uniformly exposed to the planner through
-        :meth:`query_thresholds`.
+        the caller.
     kernel:
         The score kernel evaluating one candidate level (see
         :class:`LevelKernel`).  ``None`` when an :attr:`expander` owns the
@@ -202,13 +200,6 @@ class MinerSpec:
                 "the exhaustive generator enumerates 1-itemsets itself; "
                 'use seed_mode="none"'
             )
-
-    def query_thresholds(self) -> QueryThresholds:
-        """The query thresholds, in the uniform shape the planner consumes."""
-        if self.threshold is None:
-            return QueryThresholds()
-        return self.threshold.query()
-
 
 @dataclass
 class SearchContext:

@@ -43,7 +43,6 @@ __all__ = [
     "frequent_probability_dynamic_programming",
     "frequent_probabilities_dp_batch",
     "pack_probability_matrix",
-    "DP_BLOCK_BYTES_ENV",
     "resolve_dp_block_bytes",
     "PMF_RENORMALIZE_TOLERANCE",
     "poisson_tail_probability",
@@ -469,14 +468,6 @@ def poisson_lambda_for_threshold(min_count: int, pft: float) -> float:
     return high
 
 
-#: env override for the serial DP's transient padded-matrix budget (bytes)
-DP_BLOCK_BYTES_ENV = "REPRO_DP_BLOCK_BYTES"
-#: default budget of one padded DP block.  128 MiB holds a full level of
-#: every in-RAM workload in one block (identical behaviour to the
-#: pre-blocking code) while capping the transient on out-of-core databases,
-#: whose vector widths scale with the mapped row count.
-DEFAULT_DP_BLOCK_BYTES = 128 << 20
-
 
 def resolve_dp_block_bytes(value: Optional[int] = None) -> int:
     """The serial DP's padded-matrix byte budget (``dp_block_bytes`` knob)."""
@@ -728,7 +719,7 @@ class SupportEngine:
             # is 8 * n_candidates * max_len bytes — on out-of-core
             # databases (``repro.db.store``) max_len scales with the full
             # row count, so the build is additionally blocked over
-            # candidates to bound the transient at REPRO_DP_BLOCK_BYTES.
+            # candidates to bound the transient at the dp_block_bytes knob.
             # Padded columns are Bernoulli(0) identity steps of the
             # recurrence, so per-block evaluation (block-local padding
             # widths included) is bitwise identical to one full batch.

@@ -13,38 +13,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 __all__ = [
     "ExpectedSupportThreshold",
     "ProbabilisticThreshold",
-    "QueryThresholds",
 ]
-
-
-@dataclass(frozen=True)
-class QueryThresholds:
-    """The query's thresholds, in one uniform planner-facing shape.
-
-    Every :class:`~repro.core.search.MinerSpec` exposes its threshold
-    through this type regardless of family, so consumers that reason
-    about query selectivity — the cost-model planner estimating search
-    depth, the service layer's monotonicity cache — need not know the
-    Definition-2 / Definition-4 split.  Both fields stay in the "ratio or
-    absolute count" convention of the underlying threshold classes;
-    :meth:`support_ratio` normalizes the support threshold to a ratio.
-    """
-
-    #: ``min_esup`` (expected family) or ``min_sup`` (probabilistic family)
-    min_support: Optional[float] = None
-    #: the probabilistic frequentness threshold; None for the expected family
-    pft: Optional[float] = None
-
-    def support_ratio(self, n_transactions: int) -> Optional[float]:
-        """The support threshold as a ratio of the database size."""
-        if self.min_support is None or n_transactions <= 0:
-            return None
-        return _absolute_count(self.min_support, n_transactions) / n_transactions
 
 
 def _absolute_count(ratio_or_count: float, n_transactions: int) -> float:
@@ -96,10 +69,6 @@ class ExpectedSupportThreshold:
         """Minimum expected support as an absolute value."""
         return _absolute_count(self.value, n_transactions)
 
-    def query(self) -> QueryThresholds:
-        """This threshold in the uniform planner-facing shape."""
-        return QueryThresholds(min_support=self.value)
-
 
 @dataclass(frozen=True)
 class ProbabilisticThreshold:
@@ -131,7 +100,3 @@ class ProbabilisticThreshold:
         """
         absolute = _absolute_count(self.min_sup, n_transactions)
         return int(math.ceil(absolute - 1e-12))
-
-    def query(self) -> QueryThresholds:
-        """This threshold pair in the uniform planner-facing shape."""
-        return QueryThresholds(min_support=self.min_sup, pft=self.pft)

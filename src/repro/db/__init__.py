@@ -8,12 +8,7 @@ and an out-of-core memory-mapped columnar store (:mod:`repro.db.store`).
 
 from .builder import DatabaseBuilder, paper_example_database
 from .cache import ByteBudgetLRU
-from .columnar import (
-    BITSET_ENV,
-    ColumnarView,
-    bitset_scope,
-    resolve_bitset,
-)
+from .columnar import ColumnarView
 from .database import BACKENDS, DatabaseStats, UncertainDatabase, resolve_backend
 from .partition import ColumnarPartition, shard_bounds
 from .io import read_fimi, read_uncertain, write_fimi, write_uncertain
@@ -38,7 +33,6 @@ from .vocabulary import Vocabulary
 
 __all__ = [
     "BACKENDS",
-    "BITSET_ENV",
     "ByteBudgetLRU",
     "ColumnarPartition",
     "ColumnarStore",
@@ -54,14 +48,12 @@ __all__ = [
     "ValidationIssue",
     "ValidationReport",
     "Vocabulary",
-    "bitset_scope",
     "enumerate_worlds",
     "monte_carlo_support",
     "paper_example_database",
     "read_fimi",
     "read_uncertain",
     "resolve_backend",
-    "resolve_bitset",
     "resolve_store_path",
     "sample_world",
     "sample_worlds",

@@ -10,9 +10,8 @@ least-recently-used order, so one unlucky workload (many distinct items,
 deep levels, huge databases) degrades to recomputation instead of
 unbounded growth.
 
-Budgets are small-by-default and overridable per process through
-environment variables (one knob per cache, documented on the constants
-below).
+Budgets are small-by-default and set per run through the cache-budget
+knobs of the :class:`~repro.plan.spec.ExecutionPlan` (one knob per cache).
 
 >>> cache = ByteBudgetLRU(budget_bytes=64)
 >>> import numpy as np
@@ -35,36 +34,9 @@ import numpy as np
 
 __all__ = [
     "ByteBudgetLRU",
-    "DENSE_CACHE_BYTES_ENV",
-    "PREFIX_CACHE_BYTES_ENV",
-    "BITMAP_CACHE_BYTES_ENV",
-    "DEFAULT_DENSE_CACHE_BYTES",
-    "DEFAULT_PREFIX_CACHE_BYTES",
-    "DEFAULT_BITMAP_CACHE_BYTES",
     "MAPPED_CHARGE_BYTES",
     "resolve_budget",
 ]
-
-#: env override for the dense per-item column memo (bytes)
-DENSE_CACHE_BYTES_ENV = "REPRO_DENSE_CACHE_BYTES"
-#: env override for the cross-level prefix-column cache (bytes)
-PREFIX_CACHE_BYTES_ENV = "REPRO_PREFIX_CACHE_BYTES"
-#: env override for the packed occupancy-bitmap cache (bytes)
-BITMAP_CACHE_BYTES_ENV = "REPRO_BITMAP_CACHE_BYTES"
-
-#: default budget of the dense-column memo.  One dense column is ``8 * N``
-#: bytes, so the default holds ~1000 columns of an N=2000 database — far
-#: more than any level-wise run touches — while capping the worst case
-#: (millions of rows, thousands of items) at a fixed footprint.
-DEFAULT_DENSE_CACHE_BYTES = 16 << 20
-#: default budget of the cross-level prefix cache.  A prefix column costs
-#: ``16 * nnz`` bytes (rows + probabilities); 32 MiB keeps every frequent
-#: level of the benchmark workloads resident across levels.
-DEFAULT_PREFIX_CACHE_BYTES = 32 << 20
-#: default budget of the occupancy-bitmap cache.  A bitmap is ``N / 8``
-#: bytes — 64x smaller than a dense column — so this effectively never
-#: evicts on realistic databases and exists as a hard safety bound only.
-DEFAULT_BITMAP_CACHE_BYTES = 16 << 20
 
 
 def resolve_budget(env_name: str, default: int) -> int:

@@ -25,16 +25,14 @@ Because every per-transaction product is row-local, a view can also be
 shards whose results concatenate back bitwise — the primitive behind the
 partition-parallel engine (:mod:`repro.db.partition`).
 
-Level evaluation additionally runs through the **bitset cascade** (gated by
-``--bitset`` / the ``REPRO_BITSET`` environment variable, default on):
-per-item occupancy is packed into bitmaps (:meth:`ColumnarView.item_bitmap`),
-a whole level's supporting-row counts come from word-wide bitwise AND +
-popcount (:meth:`ColumnarView.level_occupancy_counts`), candidates whose
-count is already below the caller's ``minsup`` are killed before any float
-work, and the survivors resolve their ``k - 1``-prefixes through a
-cross-level byte-budgeted LRU so each costs one gather-and-multiply.  The
-float kernels are untouched, so cascade results are bitwise identical to
-the recursive path.
+Level evaluation runs through the **bitset cascade**: per-item occupancy
+is packed into bitmaps (:meth:`ColumnarView.item_bitmap`), a whole level's
+supporting-row counts come from word-wide bitwise AND + popcount
+(:meth:`ColumnarView.level_occupancy_counts`), candidates whose count is
+already below the caller's ``minsup`` are killed before any float work,
+and the survivors resolve their ``k - 1``-prefixes through a cross-level
+byte-budgeted LRU so each costs one gather-and-multiply.  Every surviving
+column equals the non-zeros of the row backend's ``p_i(X)`` bit for bit.
 
 >>> from repro.db import UncertainDatabase
 >>> db = UncertainDatabase.from_records([{1: 0.5, 2: 0.8}, {1: 1.0}, {2: 0.4}])
@@ -47,13 +45,11 @@ the recursive path.
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from ..plan.spec import ExecutionPlan, plan_scope, resolve_knob
+from ..plan.spec import resolve_knob
 from .cache import ByteBudgetLRU
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -62,11 +58,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "ColumnarView",
     "ItemColumn",
-    "BITSET_ENV",
-    "resolve_bitset",
-    "bitset_scope",
     "DENSE_CROSSOVER_FRACTION",
-    "resolve_dense_crossover",
     "popcount_rows",
 ]
 
@@ -80,37 +72,23 @@ _EMPTY_COLUMN: ItemColumn = (
 _EMPTY_COLUMN[0].flags.writeable = False
 _EMPTY_COLUMN[1].flags.writeable = False
 
-#: environment variable gating the bitset evaluation cascade (default on)
-BITSET_ENV = "REPRO_BITSET"
-
-_BITSET_TRUE = ("", "1", "on", "true", "yes")
-_BITSET_FALSE = ("0", "off", "false", "no")
-
-#: Fraction of the database size above which :meth:`ColumnarView._combine`
-#: switches from the sorted ``searchsorted`` merge to the dense elementwise
-#: product.  Measured on this implementation (see
-#: ``benchmarks/bench_bitset_cascade.py``, which reports the crossover
-#: sweep): with the two operand occupancies summing to ~15-35% of ``N`` the
-#: two kernels are within noise of each other, below that the sparse merge
-#: wins by the ratio of occupancy to ``N``, above it the single O(N)
-#: multiply wins because it avoids the searchsorted log-factor and the mask
-#: gathers.  0.25 sits in the indifference band across N in [2e3, 1e5].
-#: Now the plan default of the ``dense_crossover`` knob; this module-level
-#: constant is kept as the historical name for the same value.
+#: Occupancy fraction of ``N`` at or above which
+#: :meth:`ColumnarView._combine_gather` multiplies against the item's dense
+#: column instead of running the sorted ``searchsorted`` merge.  A sweep of
+#: the two kernels over N in [2e3, 1e5] put them within noise of each other
+#: for occupancies of ~15-35% of ``N``; below that band the sparse merge
+#: wins by the ratio of occupancy to ``N``, above it the dense path wins
+#: because it avoids the searchsorted log-factor and the mask gathers.
+#: 0.25 sits inside the indifference band.
 DENSE_CROSSOVER_FRACTION = 0.25
 
-
-def resolve_dense_crossover(value: Optional[float] = None) -> float:
-    """Resolve the sparse-vs-dense combine crossover fraction (plan knob)."""
-    return resolve_knob("dense_crossover", value)
 
 def popcount_rows(packed: np.ndarray) -> np.ndarray:
     """Per-row population count of a packed ``(rows, width)`` uint8 bitmap.
 
     Rows are zero-padded to a multiple of 8 bytes, reinterpreted as uint64
     words and counted with the branch-free SWAR reduction — ~4x faster
-    than a 256-entry byte lookup table on whole-level bitmaps (measured in
-    ``benchmarks/bench_bitset_cascade.py``).
+    than a 256-entry byte lookup table on whole-level bitmaps.
 
     >>> popcount_rows(np.array([[0b10110000], [0b11111111]], dtype=np.uint8)).tolist()
     [3, 8]
@@ -131,40 +109,6 @@ def popcount_rows(packed: np.ndarray) -> np.ndarray:
     words = (words & m2) + ((words >> np.uint64(2)) & m2)
     words = (words + (words >> np.uint64(4))) & m4
     return ((words * h01) >> np.uint64(56)).sum(axis=1).astype(np.int64)
-
-
-def resolve_bitset(value: Optional[Union[bool, str]] = None) -> bool:
-    """Resolve the bitset-cascade knob.
-
-    Args:
-        value: Explicit setting — a bool, or one of ``on/off/true/false/
-            1/0/yes/no`` — or ``None`` to consult the ``REPRO_BITSET``
-            environment variable (missing/empty means **on**: the cascade
-            is byte-identical to the recursive path, only faster).
-
-    Returns:
-        Whether the bitset evaluation cascade is enabled.
-
-    >>> resolve_bitset(True), resolve_bitset("off"), resolve_bitset("1")
-    (True, False, True)
-    """
-    return resolve_knob("bitset", value)
-
-
-@contextmanager
-def bitset_scope(value: Optional[Union[bool, str]]):
-    """Pin the bitset default for the current context (``None`` = no-op).
-
-    A thin wrapper around :func:`repro.plan.spec.plan_scope` kept for the
-    historical calling convention.  Unlike the pre-plan implementation this
-    no longer mutates ``os.environ``, so concurrent threads (the mining
-    service's request executors) never observe each other's setting.
-    """
-    if value is None:
-        yield
-        return
-    with plan_scope(ExecutionPlan(bitset=resolve_bitset(value))):
-        yield
 
 
 class ColumnarView:
@@ -402,7 +346,7 @@ class ColumnarView:
             )
         rows, probs = self.column(items[0])
         for item in items[1:]:
-            rows, probs = self._combine(rows, probs, item)
+            rows, probs = self._combine_gather(rows, probs, item)
             if len(rows) == 0:
                 break
         return rows, probs
@@ -558,13 +502,11 @@ class ColumnarView:
         self,
         candidates: Sequence[Tuple[int, ...]],
         min_count: float = 0.0,
-        bitset: Optional[Union[bool, str]] = None,
     ) -> List[ItemColumn]:
         """Evaluate one Apriori level of candidates with shared prefix reuse.
 
-        Candidates are canonical sorted tuples.  With the bitset cascade
-        enabled (the default; see :func:`resolve_bitset`), evaluation runs
-        in three stages:
+        Candidates are canonical sorted tuples.  Evaluation runs in three
+        stages:
 
         1. when ``min_count > 0``, the whole level's supporting-row counts
            are computed by bitmap AND + popcount and candidates whose count
@@ -576,17 +518,12 @@ class ColumnarView:
         2. each survivor resolves its ``k - 1``-prefix through the
            cross-level byte-budgeted LRU (the frequent columns of the
            previous level are exactly this level's join prefixes) and pays
-           one :meth:`_combine` gather-and-multiply;
-        3. the float math itself is the unchanged :meth:`_combine` kernel,
-           so survivor columns are bitwise identical to the recursive path.
-
-        With ``bitset`` off, the historical per-call recursion runs instead
-        (every candidate evaluated, no cross-call state) — the comparison
-        baseline of ``benchmarks/bench_bitset_cascade.py``.
+           one :meth:`_combine_gather` gather-and-multiply;
+        3. that kernel multiplies in itemset order and drops exact-zero
+           products, so every survivor column equals the non-zeros of the
+           row backend's ``p_i(X)`` bit for bit.
         """
         candidates = [tuple(candidate) for candidate in candidates]
-        if not resolve_bitset(bitset):
-            return self._batch_columns_recursive(candidates)
         killed = None
         if min_count > 0 and candidates and self._n_transactions:
             killed = self.level_occupancy_counts(candidates) < min_count
@@ -628,29 +565,10 @@ class ColumnarView:
         cache[itemset] = hit
         return hit
 
-    def _batch_columns_recursive(
-        self, candidates: Sequence[Tuple[int, ...]]
-    ) -> List[ItemColumn]:
-        """The pre-cascade evaluation: per-call prefix memo, no cross-call state."""
-        cache: Dict[Tuple[int, ...], ItemColumn] = {}
-
-        def resolve(itemset: Tuple[int, ...]) -> ItemColumn:
-            if len(itemset) == 1:
-                return self.column(itemset[0])
-            hit = cache.get(itemset)
-            if hit is None:
-                prefix_rows, prefix_probs = resolve(itemset[:-1])
-                hit = self._combine(prefix_rows, prefix_probs, itemset[-1])
-                cache[itemset] = hit
-            return hit
-
-        return [resolve(tuple(candidate)) for candidate in candidates]
-
     def batch_vectors(
         self,
         candidates: Sequence[Tuple[int, ...]],
         min_count: float = 0.0,
-        bitset: Optional[Union[bool, str]] = None,
     ) -> List[np.ndarray]:
         """The compressed probability vectors of a whole candidate level.
 
@@ -662,7 +580,6 @@ class ColumnarView:
                 pass a threshold the caller's decision rule already implies
                 (``minsup`` for the level-wise miners); ``0`` disables
                 killing.
-            bitset: Cascade override; ``None`` resolves ``REPRO_BITSET``.
 
         Returns:
             One zeros-omitted ``p_i(X)`` vector per candidate, in candidate
@@ -675,7 +592,7 @@ class ColumnarView:
         [[0.5], [0.8, 1.0], [0.4]]
         """
         return [
-            probs for _, probs in self.batch_columns(candidates, min_count, bitset)
+            probs for _, probs in self.batch_columns(candidates, min_count)
         ]
 
     def batch_probabilities(self, candidates: Sequence[Tuple[int, ...]]) -> np.ndarray:
@@ -701,7 +618,7 @@ class ColumnarView:
     def _dense_column(self, item: int) -> np.ndarray:
         """Dense (N,) probability vector of ``item``, scattered once and memoised.
 
-        The memo is byte-budgeted (``REPRO_DENSE_CACHE_BYTES``): a dense
+        The memo is byte-budgeted (the ``dense_cache_bytes`` knob): a dense
         column costs ``8 * N`` bytes, so an unbounded per-item dictionary
         would pin one full float vector per distinct item forever.  Under
         the LRU, cold items fall out and are rescattered on demand.
@@ -715,68 +632,36 @@ class ColumnarView:
             self._dense_columns.put(item, dense)
         return dense
 
-    def _combine(self, rows: np.ndarray, probs: np.ndarray, item: int) -> ItemColumn:
-        """Intersect a running (rows, probs) pair with the column of ``item``.
-
-        Two kernels, both producing bitwise-identical probabilities: a dense
-        elementwise product when the operands cover a sizeable fraction of
-        the database (one O(N) multiply beats sorting-based set operations on
-        dense data), and a sorted-merge ``searchsorted`` intersection that
-        keeps the cost proportional to the occurrence counts on sparse data.
-        The crossover point is :data:`DENSE_CROSSOVER_FRACTION` of ``N``.
-        """
-        other_rows, other_probs = self.column(item)
-        if len(rows) == 0 or len(other_rows) == 0:
-            return _EMPTY_COLUMN
-        if len(rows) + len(other_rows) >= int(
-            self._n_transactions * resolve_dense_crossover()
-        ):
-            dense = np.zeros(self._n_transactions, dtype=np.float64)
-            dense[rows] = probs
-            product = dense * self._dense_column(item)
-            out_rows = np.nonzero(product)[0]
-            return out_rows, product[out_rows]
-        if len(rows) > len(other_rows):
-            # Probe the smaller operand into the larger; the product order
-            # (running probability times item probability) is preserved.
-            positions = np.searchsorted(rows, other_rows)
-            positions[positions == len(rows)] = 0
-            mask = rows[positions] == other_rows
-            return other_rows[mask], probs[positions[mask]] * other_probs[mask]
-        positions = np.searchsorted(other_rows, rows)
-        positions[positions == len(other_rows)] = 0
-        mask = other_rows[positions] == rows
-        return rows[mask], probs[mask] * other_probs[positions[mask]]
-
     def _combine_gather(self, rows: np.ndarray, probs: np.ndarray, item: int) -> ItemColumn:
-        """Stage-2 kernel: one gather-and-multiply against a cached prefix.
+        """Intersect a running ``(rows, probs)`` pair with the column of ``item``.
 
-        The cascade resolves a candidate from its cached ``k - 1``-prefix
-        column, so the running ``(rows, probs)`` pair is already compressed;
-        against a dense item the product needs only a gather of the item's
-        probabilities *at the prefix rows* — ``O(len(rows))`` instead of the
-        historical dense kernel's scatter + full-width multiply + ``O(N)``
-        non-zero scan.  Sparse items fall back to the same ``searchsorted``
-        merge as :meth:`_combine`.
+        The one combine kernel of the view.  Against a dense item (occupancy
+        at least :data:`DENSE_CROSSOVER_FRACTION` of ``N``) the product is a
+        gather of the item's dense column *at the running rows* —
+        ``O(len(rows))``; sparse items run a sorted-merge ``searchsorted``
+        intersection, probing the smaller operand into the larger.
 
-        Every multiplication is ``running * item`` on exactly the operands
-        the historical kernels use, and exact-zero products are dropped
-        just as the historical dense kernel's non-zero scan drops them, so
-        the resulting columns are bitwise identical.
+        Every multiplication is ``running * item``, the row backend's
+        operand order, and exact-zero products (subnormal underflow) are
+        dropped, so the column equals the non-zeros of the row backend's
+        ``p_i(X)`` bit for bit.
         """
         other_rows, other_probs = self.column(item)
         if len(rows) == 0 or len(other_rows) == 0:
             return _EMPTY_COLUMN
-        if len(other_rows) >= int(self._n_transactions * resolve_dense_crossover()):
-            product = probs * self._dense_column(item)[rows]
-            mask = product != 0.0
-            return rows[mask], product[mask]
-        if len(rows) > len(other_rows):
+        if len(other_rows) >= int(self._n_transactions * DENSE_CROSSOVER_FRACTION):
+            out_rows, product = rows, probs * self._dense_column(item)[rows]
+        elif len(rows) > len(other_rows):
             positions = np.searchsorted(rows, other_rows)
             positions[positions == len(rows)] = 0
             mask = rows[positions] == other_rows
-            return other_rows[mask], probs[positions[mask]] * other_probs[mask]
-        positions = np.searchsorted(other_rows, rows)
-        positions[positions == len(other_rows)] = 0
-        mask = other_rows[positions] == rows
-        return rows[mask], probs[mask] * other_probs[positions[mask]]
+            out_rows, product = other_rows[mask], probs[positions[mask]] * other_probs[mask]
+        else:
+            positions = np.searchsorted(other_rows, rows)
+            positions[positions == len(other_rows)] = 0
+            mask = other_rows[positions] == rows
+            out_rows, product = rows[mask], probs[mask] * other_probs[positions[mask]]
+        if np.count_nonzero(product) != len(product):
+            keep = product != 0.0
+            out_rows, product = out_rows[keep], product[keep]
+        return out_rows, product

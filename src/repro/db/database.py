@@ -27,8 +27,7 @@ def resolve_backend(backend: Optional[str]) -> str:
     """Resolve a backend name through the plan pipeline.
 
     ``None`` walks the remaining tiers — a scoped
-    :func:`~repro.plan.spec.plan_scope` plan, the environment
-    (``REPRO_BACKEND``, then ``REPRO_PLAN``), and finally
+    :func:`~repro.plan.spec.plan_scope` plan, ``REPRO_PLAN``, and finally
     :attr:`UncertainDatabase.default_backend`.
     """
     return resolve_knob("backend", backend)

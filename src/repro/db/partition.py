@@ -32,11 +32,11 @@ the :class:`~repro.core.parallel.ParallelExecutor` initializer).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .columnar import ColumnarView, resolve_bitset
+from .columnar import ColumnarView
 
 __all__ = ["ColumnarPartition", "shard_bounds", "two_phase_kill"]
 
@@ -152,7 +152,6 @@ class ColumnarPartition:
         self,
         candidates: Sequence[Tuple[int, ...]],
         min_count: float = 0.0,
-        bitset: Optional[Union[bool, str]] = None,
     ) -> List[np.ndarray]:
         """Compressed probability vectors of a level, merged across shards.
 
@@ -160,15 +159,14 @@ class ColumnarPartition:
         bitwise identical to the unpartitioned
         :meth:`~repro.db.columnar.ColumnarView.batch_vectors`.
 
-        With ``min_count > 0`` and the bitset cascade enabled, the kill
-        phase runs in two global steps: per-shard occupancy counts are
+        With ``min_count > 0`` the kill phase runs in two global steps: per-shard occupancy counts are
         summed first (a candidate may clear ``min_count`` only across
         shards, so no shard may kill locally), then only the surviving
         candidates are evaluated on every shard — the same kill decisions,
         and the same survivor vectors, as the unpartitioned cascade.
         """
         candidates = [tuple(candidate) for candidate in candidates]
-        if resolve_bitset(bitset) and min_count > 0 and candidates:
+        if min_count > 0 and candidates:
             return two_phase_kill(
                 candidates,
                 self.level_occupancy_counts(candidates),

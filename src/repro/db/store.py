@@ -80,8 +80,6 @@ __all__ = [
     "STORE_ENV",
     "STORE_VERIFY_ENV",
     "MANIFEST_NAME",
-    "MAPPED_CACHE_BYTES_ENV",
-    "DEFAULT_MAPPED_CACHE_BYTES",
 ]
 
 #: environment variable supplying the default store directory (CLI ``--store``)
@@ -90,12 +88,6 @@ STORE_ENV = "REPRO_STORE"
 #: plane files before returning (reads every byte — a startup cost, paid
 #: for integrity; per-process-cached re-opens are not re-verified)
 STORE_VERIFY_ENV = "REPRO_STORE_VERIFY"
-#: env override for the per-view materialised-column cache of mapped views
-MAPPED_CACHE_BYTES_ENV = "REPRO_MAPPED_CACHE_BYTES"
-#: default budget of the mapped-column cache.  Full-range columns are memmap
-#: slices charged at the nominal mapped rate, so the budget effectively
-#: bounds only the re-based row arrays of *sharded* mapped views.
-DEFAULT_MAPPED_CACHE_BYTES = 64 << 20
 
 MANIFEST_NAME = "manifest.json"
 STORE_FORMAT = "repro-columnar-store"

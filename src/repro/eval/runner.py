@@ -9,7 +9,6 @@ and result size, the uniform measures of the paper.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass
@@ -21,29 +20,11 @@ from ..core.registry import get_algorithm
 from ..core.results import MiningResult
 from ..core.topk import mine_topk, truncation_baseline
 from ..datasets.registry import load_dataset
-from ..db.columnar import bitset_scope
 from ..db.database import UncertainDatabase, resolve_backend
 from ..stream import BATCH_EQUIVALENTS, TransactionStream, make_streaming_miner
 from .metrics import compare_results
 from .scenarios import ExperimentSpec, StreamingScenario, TopKScenario
 
-
-def _with_bitset_knob(runner):
-    """Give a runner entry point a keyword-only ``bitset`` knob.
-
-    ``bitset=None`` (the default) leaves the process configuration —
-    ``REPRO_BITSET`` or the default-on cascade — untouched; ``"on"`` /
-    ``"off"`` (or a bool) pins the evaluation path for the duration of the
-    run only.  Results are identical either way; the knob exists so the
-    benchmark harness can time both paths from one process.
-    """
-
-    @functools.wraps(runner)
-    def wrapper(*args, bitset=None, **kwargs):
-        with bitset_scope(bitset):
-            return runner(*args, **kwargs)
-
-    return wrapper
 
 __all__ = [
     "SweepPoint",
@@ -226,7 +207,6 @@ def _mine_point(
     )
 
 
-@_with_bitset_knob
 def run_experiment(
     spec: ExperimentSpec,
     max_points: Optional[int] = None,
@@ -241,8 +221,8 @@ def run_experiment(
     benchmark quick modes).  ``backend`` selects the probability-evaluation
     engine for every mined point (``"rows"`` / ``"columnar"``; ``None``
     uses the database default, columnar).  ``workers`` / ``shards`` engage
-    the partition-parallel engine for every mined point (``None`` consults
-    ``REPRO_WORKERS`` / ``REPRO_SHARDS``); results are byte-identical for
+    the partition-parallel engine for every mined point (``None`` resolves
+    the plan's ``workers`` / ``shards`` knobs); results are byte-identical for
     any setting, only the timings change.
     """
     values = list(spec.values)
@@ -283,7 +263,6 @@ def run_experiment(
     return points
 
 
-@_with_bitset_knob
 def run_streaming_scenario(
     spec: StreamingScenario,
     verify: bool = False,
@@ -351,7 +330,6 @@ def run_streaming_scenario(
     return points
 
 
-@_with_bitset_knob
 def run_topk_scenario(
     spec: TopKScenario,
     verify: bool = False,
@@ -428,7 +406,6 @@ def run_topk_scenario(
     return points
 
 
-@_with_bitset_knob
 def run_accuracy_experiment(
     spec: ExperimentSpec,
     reference_algorithm: str = "dcb",

@@ -1,23 +1,10 @@
-"""Unified execution planning: one plan object, four resolution tiers.
+"""Unified execution planning: one plan object, one resolution pipeline.
 
-:mod:`repro.plan.spec`
-    The :class:`ExecutionPlan` dataclass, the knob registry, and the
-    ``explicit > scope > environment > planner default`` pipeline that
-    replaced the scattered per-knob ``resolve_*``/``*_scope`` machinery.
-
-:mod:`repro.plan.planner`
-    The ``--plan auto`` cost model: dataset features, the analytic
-    :class:`Planner` fit from the benchmark trajectory, and
-    :func:`materialize_plan` — the run-level entry point.
+:mod:`repro.plan.spec` holds the :class:`ExecutionPlan` dataclass, the knob
+registry, the ``explicit > scope > REPRO_PLAN > default`` pipeline and
+:func:`materialize_plan`, the run-level entry point.
 """
 
-from .planner import (
-    DatasetFeatures,
-    PlanDecision,
-    Planner,
-    materialize_plan,
-    plan_request_is_auto,
-)
 from .spec import (
     BACKENDS,
     KNOBS,
@@ -26,9 +13,9 @@ from .spec import (
     Knob,
     active_plan,
     ensure_plan,
+    materialize_plan,
     parse_plan_spec,
     plan_scope,
-    reset_deprecation_warnings,
     resolve_knob,
 )
 
@@ -36,17 +23,12 @@ __all__ = [
     "BACKENDS",
     "KNOBS",
     "PLAN_ENV",
-    "DatasetFeatures",
     "ExecutionPlan",
     "Knob",
-    "PlanDecision",
-    "Planner",
     "active_plan",
     "ensure_plan",
     "materialize_plan",
     "parse_plan_spec",
-    "plan_request_is_auto",
     "plan_scope",
-    "reset_deprecation_warnings",
     "resolve_knob",
 ]

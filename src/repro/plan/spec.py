@@ -1,39 +1,29 @@
-"""The unified :class:`ExecutionPlan` and its four-tier knob resolution.
+"""The unified :class:`ExecutionPlan` and its knob resolution pipeline.
 
-Before this module every tuning knob of the stack had its own ad-hoc
-``resolve_*`` function and environment variable, scattered across
-``db/database.py`` (backend), ``db/columnar.py`` (bitset cascade, cache
-budgets, dense crossover), ``core/parallel.py`` (workers, shards, fanout)
-and ``core/support.py`` (DP block bytes, convolution strategy) — and the
-``bitset_scope``/``fanout_scope`` context managers pinned their defaults by
-*mutating the process environment*, which races under the threaded mining
-service.
+Every tuning knob of the stack lives in one registry and resolves through
+one pipeline of three tiers, falling back to the knob's static default::
 
-This module replaces all of that with one registry of knobs and one
-resolution pipeline.  Every knob resolves through exactly four tiers::
-
-    explicit argument  >  scoped plan  >  environment  >  planner default
+    explicit argument  >  scoped plan  >  environment  >  default
 
 * **explicit argument** — the value handed to a function or constructor
-  (``TopKMiner(workers=4)``, ``resolve_bitset("off")``).
+  (``TopKMiner(workers=4)``, ``resolve_knob("workers", 4)``).
 * **scoped plan** — the innermost :func:`plan_scope` context manager.
   Scopes are backed by :mod:`contextvars`, so concurrent threads (the
   mining service's request executors) never observe each other's plans.
-* **environment** — the knob's own environment variable
-  (``REPRO_WORKERS=4``), falling back to the knob's entry in the composite
-  ``REPRO_PLAN`` spec (``REPRO_PLAN=workers=4,bitset=off``).  The
-  pre-plan per-knob variables keep working as deprecated aliases; reading
-  one emits a single :class:`DeprecationWarning` per variable per process.
-* **planner default** — the static default from the registry below, or the
-  value chosen by the cost-model planner (:mod:`repro.plan.planner`) when
-  the run was materialized with ``plan="auto"``.
+* **environment** — the knob's entry in the composite ``REPRO_PLAN`` spec
+  (``REPRO_PLAN=workers=4,conv_span=256``).  The ``faults`` knob also
+  reads ``REPRO_FAULTS``, the documented chaos switch, which beats its
+  ``REPRO_PLAN`` entry.
+* **default** — the static default from the registry below (``backend``
+  follows ``UncertainDatabase.default_backend``; ``shards`` follows the
+  resolved worker count).
 
 The pipeline is *pure resolution*: no tier ever writes to ``os.environ``.
 
->>> plan = ExecutionPlan(workers=4, bitset=False)
+>>> plan = ExecutionPlan(workers=4, conv_span=64)
 >>> with plan_scope(plan):
-...     resolve_knob("workers"), resolve_knob("bitset")
-(4, False)
+...     resolve_knob("workers"), resolve_knob("conv_span")
+(4, 64)
 >>> resolve_knob("workers", 2)  # explicit beats everything
 2
 """
@@ -41,11 +31,9 @@ The pipeline is *pure resolution*: no tier ever writes to ``os.environ``.
 from __future__ import annotations
 
 import os
-import threading
-import warnings
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Tuple, Union
 
 __all__ = [
@@ -56,22 +44,19 @@ __all__ = [
     "KNOBS",
     "active_plan",
     "ensure_plan",
+    "materialize_plan",
     "parse_plan_spec",
     "plan_scope",
-    "reset_deprecation_warnings",
+    "resolve_all",
     "resolve_knob",
 ]
 
-#: composite plan environment variable: ``auto`` or a ``k=v,k=v`` spec
+#: composite plan environment variable: a ``k=v,k=v`` spec
 PLAN_ENV = "REPRO_PLAN"
 
 #: the probability-evaluation backends (canonical definition; re-exported
 #: by :mod:`repro.db.database` for backwards compatibility)
 BACKENDS = ("rows", "columnar")
-
-_BITSET_TRUE = ("", "1", "on", "true", "yes")
-_BITSET_FALSE = ("0", "off", "false", "no")
-_FANOUT_MODES = ("auto", "shm", "pickle")
 
 _BYTE_SUFFIXES = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30}
 
@@ -86,9 +71,8 @@ def _available_cpus() -> int:
 
 # -- per-knob parsers ------------------------------------------------------------------
 # Each parser normalizes an explicit value (bool/int/float/str, including the
-# raw strings arriving from environment variables and ``k=v`` plan specs) into
-# the knob's canonical representation, raising ``ValueError`` with the same
-# message the historical resolve_* function used.
+# raw strings arriving from ``k=v`` plan specs) into the knob's canonical
+# representation, raising ``ValueError`` on an invalid value.
 
 
 def _parse_backend(value: Any) -> str:
@@ -96,30 +80,6 @@ def _parse_backend(value: Any) -> str:
     if value not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}, got {value!r}")
     return value
-
-
-def _parse_bitset(value: Any) -> bool:
-    if isinstance(value, bool):
-        return value
-    lowered = str(value).strip().lower()
-    if lowered in _BITSET_TRUE:
-        return True
-    if lowered in _BITSET_FALSE:
-        return False
-    raise ValueError(
-        f"bitset must be one of on/off/true/false/1/0/yes/no, got {value!r}"
-    )
-
-
-def _parse_fanout(value: Any) -> str:
-    lowered = str(value).strip().lower()
-    if not lowered:
-        return "auto"
-    if lowered in _FANOUT_MODES:
-        return lowered
-    raise ValueError(
-        f"fanout must be one of {'/'.join(_FANOUT_MODES)}, got {value!r}"
-    )
 
 
 def _parse_workers(value: Any) -> int:
@@ -141,13 +101,6 @@ def _parse_shards(value: Any) -> int:
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
     return shards
-
-
-def _parse_dense_crossover(value: Any) -> float:
-    crossover = float(value)
-    if not 0.0 <= crossover <= 1.0:
-        raise ValueError(f"dense_crossover must be in [0, 1], got {crossover}")
-    return crossover
 
 
 def _parse_conv_span(value: Any) -> int:
@@ -197,127 +150,88 @@ def _parse_faults(value: Any) -> str:
 
 @dataclass(frozen=True)
 class Knob:
-    """One tuning knob: its parser, environment alias and planner default.
+    """One tuning knob: its parser and default.
 
     Attributes
     ----------
     name:
         The :class:`ExecutionPlan` field name.
-    env:
-        The per-knob environment variable consulted at the environment tier.
-    legacy:
-        Whether ``env`` predates the plan pipeline; reading a legacy
-        variable emits a one-shot :class:`DeprecationWarning` (the variable
-        keeps working — it is an alias for the plan knob, not an error).
     default:
-        The static planner default, or ``None`` when the default is
-        computed dynamically (backend follows
-        ``UncertainDatabase.default_backend``; shards follow the resolved
-        worker count).
+        The static default, or ``None`` when the default is computed
+        dynamically (backend follows ``UncertainDatabase.default_backend``;
+        shards follow the resolved worker count).
     parse:
-        Normalizer/validator applied to every explicit, scoped, env and
-        spec value.
+        Normalizer/validator applied to every explicit, scoped and spec
+        value.
+    env:
+        A dedicated environment variable consulted before ``REPRO_PLAN``
+        (only ``faults`` has one: ``REPRO_FAULTS``).
     """
 
     name: str
-    env: str
-    legacy: bool
     default: Any
     parse: Callable[[Any], Any]
     doc: str = ""
+    env: Optional[str] = None
 
 
 KNOBS: Dict[str, Knob] = {
     knob.name: knob
     for knob in (
         Knob(
-            "backend", "REPRO_BACKEND", True, None, _parse_backend,
+            "backend", None, _parse_backend,
             "probability-evaluation backend: columnar (vectorized) or rows (oracle)",
         ),
         Knob(
-            "bitset", "REPRO_BITSET", True, True, _parse_bitset,
-            "bitset evaluation cascade: packed-bitmap kills + prefix caching",
-        ),
-        Knob(
-            "fanout", "REPRO_FANOUT", True, "auto", _parse_fanout,
-            "shard dispatch to workers: auto/shm descriptors or legacy pickle",
-        ),
-        Knob(
-            "workers", "REPRO_WORKERS", True, 1, _parse_workers,
+            "workers", 1, _parse_workers,
             "worker processes for the partition-parallel engine (0/auto = CPUs)",
         ),
         Knob(
-            "shards", "REPRO_SHARDS", True, None, _parse_shards,
+            "shards", None, _parse_shards,
             "row shards of the columnar view (default: the worker count)",
         ),
         Knob(
-            "dense_crossover", "REPRO_DENSE_CROSSOVER", False, 0.25, _parse_dense_crossover,
-            "fraction of N above which itemset columns combine via dense kernels",
-        ),
-        Knob(
-            "conv_span", "REPRO_CONV_SPAN", False, 512, _parse_conv_span,
+            "conv_span", 512, _parse_conv_span,
             "PMF operand length above which convolutions go through the FFT",
         ),
+        # 128 MiB holds a full level of every in-RAM workload in one block
+        # while capping the transient on out-of-core databases, whose
+        # vector widths scale with the mapped row count.
         Knob(
-            "dp_block_bytes", "REPRO_DP_BLOCK_BYTES", True, 128 << 20,
-            _byte_parser(1, "dp_block_bytes"),
+            "dp_block_bytes", 128 << 20, _byte_parser(1, "dp_block_bytes"),
             "padded-matrix byte budget of the batched DP recurrence",
         ),
+        # A dense column is 8N bytes: ~1000 columns of an N=2000 database,
+        # far more than a level-wise run touches, at a fixed worst case.
         Knob(
-            "dense_cache_bytes", "REPRO_DENSE_CACHE_BYTES", True, 16 << 20,
-            _byte_parser(0, "dense_cache_bytes"),
+            "dense_cache_bytes", 16 << 20, _byte_parser(0, "dense_cache_bytes"),
             "byte budget of the dense column cache",
         ),
+        # A bitmap is N/8 bytes, so this is a hard safety bound only.
         Knob(
-            "bitmap_cache_bytes", "REPRO_BITMAP_CACHE_BYTES", True, 16 << 20,
-            _byte_parser(0, "bitmap_cache_bytes"),
+            "bitmap_cache_bytes", 16 << 20, _byte_parser(0, "bitmap_cache_bytes"),
             "byte budget of the packed occupancy-bitmap cache",
         ),
+        # A prefix column costs 16 * nnz bytes; 32 MiB keeps every frequent
+        # level of the benchmark workloads resident across levels.
         Knob(
-            "prefix_cache_bytes", "REPRO_PREFIX_CACHE_BYTES", True, 32 << 20,
-            _byte_parser(0, "prefix_cache_bytes"),
+            "prefix_cache_bytes", 32 << 20, _byte_parser(0, "prefix_cache_bytes"),
             "byte budget of the cross-level prefix-vector cache",
         ),
+        # Full-range mapped columns are memmap slices charged at a nominal
+        # rate, so this bounds only the re-based rows of sharded views.
         Knob(
-            "mapped_cache_bytes", "REPRO_MAPPED_CACHE_BYTES", True, 64 << 20,
-            _byte_parser(0, "mapped_cache_bytes"),
+            "mapped_cache_bytes", 64 << 20, _byte_parser(0, "mapped_cache_bytes"),
             "byte budget of the mapped-store column cache",
         ),
         Knob(
-            "faults", "REPRO_FAULTS", False, "", _parse_faults,
+            "faults", "", _parse_faults,
             "deterministic fault-injection spec ('' = off; ';' separates "
             "sites inside a REPRO_PLAN token)",
+            env="REPRO_FAULTS",
         ),
     )
 }
-
-
-# -- deprecation bookkeeping -----------------------------------------------------------
-
-_WARNED_ENVS: set = set()
-_WARNED_LOCK = threading.Lock()
-
-
-def _warn_legacy_env(knob: Knob) -> None:
-    if knob.env in _WARNED_ENVS:
-        return
-    with _WARNED_LOCK:
-        if knob.env in _WARNED_ENVS:
-            return
-        _WARNED_ENVS.add(knob.env)
-    warnings.warn(
-        f"{knob.env} is deprecated; set the {knob.name!r} knob through "
-        f"--plan / {PLAN_ENV} (e.g. {PLAN_ENV}={knob.name}=...) instead. "
-        "The variable keeps working as an alias.",
-        DeprecationWarning,
-        stacklevel=4,
-    )
-
-
-def reset_deprecation_warnings() -> None:
-    """Forget which legacy variables have warned (test helper)."""
-    with _WARNED_LOCK:
-        _WARNED_ENVS.clear()
 
 
 # -- the plan object -------------------------------------------------------------------
@@ -329,26 +243,18 @@ class ExecutionPlan:
 
     ``None`` fields are *unset*: resolution falls through to the next tier.
     Set fields are normalized at construction time through the knob parsers
-    (so ``ExecutionPlan(bitset="off").bitset is False``).
+    (so ``ExecutionPlan(workers="2").workers == 2``).
 
-    ``auto=True`` marks the plan as a request for the cost-model planner:
-    when such a plan reaches a miner, the planner fills the *default* tier
-    from dataset statistics (explicitly set fields, scoped plans and
-    environment variables still take precedence, in that order).
-
-    >>> plan = ExecutionPlan(workers="auto", bitset="off")
-    >>> plan.bitset, plan.workers >= 1
-    (False, True)
+    >>> plan = ExecutionPlan(workers="auto", conv_span="64")
+    >>> plan.conv_span, plan.workers >= 1
+    (64, True)
     >>> ExecutionPlan.from_dict(plan.to_dict()) == plan
     True
     """
 
     backend: Optional[str] = None
-    bitset: Optional[bool] = None
-    fanout: Optional[str] = None
     workers: Optional[int] = None
     shards: Optional[int] = None
-    dense_crossover: Optional[float] = None
     conv_span: Optional[int] = None
     dp_block_bytes: Optional[int] = None
     dense_cache_bytes: Optional[int] = None
@@ -356,14 +262,12 @@ class ExecutionPlan:
     prefix_cache_bytes: Optional[int] = None
     mapped_cache_bytes: Optional[int] = None
     faults: Optional[str] = None
-    auto: bool = False
 
     def __post_init__(self) -> None:
         for name, knob in KNOBS.items():
             value = getattr(self, name)
             if value is not None:
                 object.__setattr__(self, name, knob.parse(value))
-        object.__setattr__(self, "auto", bool(self.auto))
 
     # -- construction ------------------------------------------------------------------
     @classmethod
@@ -375,25 +279,18 @@ class ExecutionPlan:
         >>> ExecutionPlan.from_dict({"wrokers": 2})
         Traceback (most recent call last):
             ...
-        ValueError: unknown plan knob(s): 'wrokers' (known: auto, backend, ...)
+        ValueError: unknown plan knob(s): 'wrokers' (known: backend, bitmap_cache_bytes, ...)
         """
-        unknown = sorted(set(mapping) - set(KNOBS) - {"auto"})
+        unknown = sorted(set(mapping) - set(KNOBS))
         if unknown:
-            known = ", ".join(sorted(list(KNOBS) + ["auto"])[:2]) + ", ..."
+            known = ", ".join(sorted(KNOBS)[:2]) + ", ..."
             listed = ", ".join(repr(key) for key in unknown)
             raise ValueError(f"unknown plan knob(s): {listed} (known: {known})")
         return cls(**dict(mapping))
 
     def to_dict(self) -> Dict[str, Any]:
         """The set fields as a plain dict (round-trips through from_dict)."""
-        payload: Dict[str, Any] = {
-            name: getattr(self, name)
-            for name in KNOBS
-            if getattr(self, name) is not None
-        }
-        if self.auto:
-            payload["auto"] = True
-        return payload
+        return dict(self.knob_items())
 
     # -- algebra -----------------------------------------------------------------------
     def merged_over(self, base: Optional["ExecutionPlan"]) -> "ExecutionPlan":
@@ -402,7 +299,6 @@ class ExecutionPlan:
             return self
         values = base.to_dict()
         values.update(self.to_dict())
-        values["auto"] = self.auto or base.auto
         return ExecutionPlan(**values)
 
     def is_empty(self) -> bool:
@@ -422,7 +318,7 @@ def ensure_plan(
     """Coerce the common plan spellings into an :class:`ExecutionPlan`.
 
     Accepts ``None`` (no plan), an existing plan, a mapping, or a spec
-    string (``"auto"`` / ``"workers=2,bitset=off"`` / ``"auto,workers=2"``).
+    string (``"workers=2,conv_span=256"``).
     """
     if plan is None or isinstance(plan, ExecutionPlan):
         return plan
@@ -434,14 +330,15 @@ def ensure_plan(
 def parse_plan_spec(spec: str) -> ExecutionPlan:
     """Parse a ``k=v,k=v`` plan spec (the ``--plan`` / ``REPRO_PLAN`` syntax).
 
-    The bare token ``auto`` requests the cost-model planner; it may be
-    combined with explicit pins (``auto,workers=2``).  Byte-budget knobs
-    accept ``k``/``m``/``g`` suffixes (``dense_cache_bytes=64m``).
+    Byte-budget knobs accept ``k``/``m``/``g`` suffixes
+    (``dense_cache_bytes=64m``).
 
-    >>> parse_plan_spec("workers=2,bitset=off").workers
+    >>> parse_plan_spec("workers=2,conv_span=64").workers
     2
-    >>> parse_plan_spec("auto").auto
-    True
+    >>> parse_plan_spec("auto")
+    Traceback (most recent call last):
+        ...
+    ValueError: bad plan spec token 'auto': expected 'knob=value'
     """
     values: Dict[str, Any] = {}
     for token in str(spec).split(","):
@@ -449,12 +346,7 @@ def parse_plan_spec(spec: str) -> ExecutionPlan:
         if not token:
             continue
         if "=" not in token:
-            if token.lower() == "auto":
-                values["auto"] = True
-                continue
-            raise ValueError(
-                f"bad plan spec token {token!r}: expected 'auto' or 'knob=value'"
-            )
+            raise ValueError(f"bad plan spec token {token!r}: expected 'knob=value'")
         name, _, raw = token.partition("=")
         name = name.strip()
         if name not in KNOBS:
@@ -466,7 +358,7 @@ def parse_plan_spec(spec: str) -> ExecutionPlan:
     return ExecutionPlan.from_dict(values)
 
 
-# -- scoped plans (tier 2) -------------------------------------------------------------
+# -- scoped plans ----------------------------------------------------------------------
 
 _ACTIVE_PLAN: ContextVar[Optional[ExecutionPlan]] = ContextVar(
     "repro_active_plan", default=None
@@ -485,11 +377,9 @@ def plan_scope(plan: Union[None, str, Mapping[str, Any], ExecutionPlan]):
     Scopes nest: the inner plan's set fields shadow the outer plan's, unset
     fields inherit.  Backed by a :class:`contextvars.ContextVar`, so the
     scope is visible to the current thread (and tasks it spawns via
-    ``contextvars.copy_context``) but **never** to concurrent threads —
-    unlike the historical env-mutating ``bitset_scope``/``fanout_scope``.
+    ``contextvars.copy_context``) but **never** to concurrent threads.
 
-    ``None`` (or an empty plan) is a no-op, preserving the historical
-    scope-manager calling convention.
+    ``None`` (or an empty plan) is a no-op.
     """
     plan = ensure_plan(plan)
     if plan is None:
@@ -525,28 +415,20 @@ def _env_spec_plan() -> Optional[ExecutionPlan]:
 def _env_value(knob: Knob) -> Optional[Any]:
     """The environment-tier value of ``knob``, or ``None`` when unset.
 
-    The per-knob variable wins over the knob's entry in ``REPRO_PLAN``;
-    empty-string variables count as unset (matching every historical
-    resolver: ``REPRO_WORKERS=""`` meant "use the default").
+    A knob's dedicated variable (``REPRO_FAULTS``) wins over its entry in
+    ``REPRO_PLAN``; an empty variable counts as unset.
     """
-    raw = os.environ.get(knob.env)
-    if raw is not None and raw.strip() != "":
-        if knob.legacy:
-            _warn_legacy_env(knob)
-        return knob.parse(raw)
+    if knob.env is not None:
+        raw = os.environ.get(knob.env)
+        if raw is not None and raw.strip() != "":
+            return knob.parse(raw)
     spec = _env_spec_plan()
     if spec is not None:
         return getattr(spec, knob.name)
     return None
 
 
-def plan_env_requests_auto() -> bool:
-    """Whether ``REPRO_PLAN`` asks for the cost-model planner."""
-    spec = _env_spec_plan()
-    return spec is not None and spec.auto
-
-
-# -- the resolution pipeline (all four tiers) ------------------------------------------
+# -- the resolution pipeline -----------------------------------------------------------
 
 
 def _dynamic_default(name: str, workers: Optional[int]) -> Any:
@@ -562,26 +444,17 @@ def _dynamic_default(name: str, workers: Optional[int]) -> Any:
     raise AssertionError(f"knob {name!r} has no dynamic default")  # pragma: no cover
 
 
-def resolve_knob(
-    name: str,
-    explicit: Any = None,
-    *,
-    workers: Optional[int] = None,
-    planned: Optional[ExecutionPlan] = None,
-) -> Any:
-    """Resolve one knob through the four-tier pipeline.
+def resolve_knob(name: str, explicit: Any = None, *, workers: Optional[int] = None) -> Any:
+    """Resolve one knob: explicit > scoped plan > environment > default.
 
     Args:
         name: A knob name from :data:`KNOBS`.
         explicit: Tier-1 explicit value (``None`` = unset).
         workers: The already-resolved worker count, consulted only for the
             ``shards`` dynamic default.
-        planned: A planner-produced plan consulted at the *default* tier
-            (below the environment — the planner fills gaps, it never
-            overrides a user setting).
 
-    >>> resolve_knob("bitset")
-    True
+    >>> resolve_knob("conv_span")
+    512
     >>> resolve_knob("workers", "auto") >= 1
     True
     """
@@ -596,34 +469,44 @@ def resolve_knob(
     value = _env_value(knob)
     if value is not None:
         return value
-    if planned is not None:
-        value = getattr(planned, name)
-        if value is not None:
-            return value
     if knob.default is not None:
         return knob.default
     return _dynamic_default(name, workers)
 
 
-def resolve_all(
-    explicit: Optional[Mapping[str, Any]] = None,
-    planned: Optional[ExecutionPlan] = None,
-) -> ExecutionPlan:
+def resolve_all(explicit: Optional[Mapping[str, Any]] = None) -> ExecutionPlan:
     """Resolve every knob, returning a fully-specified plan.
 
-    ``explicit`` supplies tier-1 values per knob; ``planned`` supplies
-    default-tier values (the planner's choices).  The result has every
-    field set and ``auto=False`` — it is the *materialized* configuration
-    of a run, suitable for :func:`plan_scope` pinning, cache keys and
-    reporting.
+    ``explicit`` supplies tier-1 values per knob.  The result has every
+    field set — it is the *materialized* configuration of a run, suitable
+    for :func:`plan_scope` pinning, cache keys and reporting.
     """
     explicit = explicit or {}
-    values: Dict[str, Any] = {}
-    values["workers"] = resolve_knob("workers", explicit.get("workers"), planned=planned)
+    values: Dict[str, Any] = {"workers": resolve_knob("workers", explicit.get("workers"))}
     for name in KNOBS:
-        if name == "workers":
-            continue
-        values[name] = resolve_knob(
-            name, explicit.get(name), workers=values["workers"], planned=planned
-        )
+        if name != "workers":
+            values[name] = resolve_knob(
+                name, explicit.get(name), workers=values["workers"]
+            )
     return ExecutionPlan(**values)
+
+
+def materialize_plan(
+    plan: Union[None, str, Mapping[str, Any], ExecutionPlan] = None,
+    explicit: Optional[Mapping[str, Any]] = None,
+) -> ExecutionPlan:
+    """Resolve a plan request into a fully-specified :class:`ExecutionPlan`.
+
+    The run-level entry point of the pipeline: the miners, the streaming
+    miners and the service all funnel through it.  ``explicit`` carries
+    tier-1 per-knob arguments (a miner's ``backend=``/``workers=``
+    constructor parameters); ``plan`` enters at the scope tier; the
+    environment and the defaults fill the rest.  Pinning the result with
+    :func:`plan_scope` freezes the whole configuration for the run, immune
+    to concurrent env changes or other threads' plans.
+
+    >>> materialize_plan("workers=2", {"workers": 3}).workers
+    3
+    """
+    with plan_scope(plan):
+        return resolve_all(explicit)

@@ -106,9 +106,9 @@ def plan_mine(
     :mod:`repro.algorithms.base` exactly — same helpers, same floats — so
     the ``keep`` predicate reproduces the miner's own admission comparison
     bit for bit.  The group carries every bitwise-relevant execution knob
-    (``backend`` and ``conv_span``); the bitwise-neutral ones (bitset,
-    fanout, workers, shards, cache budgets) are deliberately excluded so
-    answers are shared across them.
+    (``backend`` and ``conv_span``); the bitwise-neutral ones (workers,
+    shards, cache budgets) are deliberately excluded so answers are shared
+    across them.
     """
     if conv_span is None:
         from ..plan.spec import resolve_knob

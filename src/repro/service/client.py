@@ -54,7 +54,7 @@ __all__ = ["MiningClient"]
 #: deterministic-result requests whose double execution is observably
 #: identical to a single one
 _IDEMPOTENT_OPS = frozenset(
-    {"ping", "list", "stats", "health", "mine", "mine-topk", "plan"}
+    {"ping", "list", "stats", "health", "mine", "mine-topk"}
 )
 
 
@@ -289,15 +289,6 @@ class MiningClient:
 
     def mine_topk(self, dataset: str, k: int, **params) -> Dict[str, Any]:
         return self.call("mine-topk", {"dataset": dataset, "k": int(k), **params})
-
-    def plan(self, dataset: str, **params) -> Dict[str, Any]:
-        """The execution plan a mine of ``dataset`` would run under.
-
-        Pass ``plan="auto"`` for the cost-model planner's choice (with its
-        rationale), a knob spec string/dict to see it resolved, or nothing
-        for the server's environment defaults.
-        """
-        return self.call("plan", {"dataset": dataset, **params})
 
     def mine_records(self, dataset: str, **params) -> List[FrequentItemset]:
         """``mine`` decoded straight to :class:`FrequentItemset` records."""

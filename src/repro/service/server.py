@@ -47,14 +47,7 @@ from ..core.miner import mine
 from ..core.parallel import live_pool_count, pool_restart_count
 from ..core.registry import get_algorithm
 from ..core.topk import mine_topk, ranking_of, resolve_evaluator
-from ..plan import (
-    DatasetFeatures,
-    ExecutionPlan,
-    Planner,
-    ensure_plan,
-    materialize_plan,
-    plan_request_is_auto,
-)
+from ..plan import ExecutionPlan, materialize_plan
 from .cache import ResultCache, plan_mine, plan_topk
 from .protocol import (
     MAX_LINE_BYTES,
@@ -104,7 +97,7 @@ DEFAULT_TIMEOUT_SECONDS = 30.0
 _POLL_SECONDS = 0.05
 
 #: ops that execute on the worker pool under admission control
-_HEAVY_OPS = frozenset({"mine", "mine-topk", "register", "plan"})
+_HEAVY_OPS = frozenset({"mine", "mine-topk", "register"})
 
 #: the ``retry_after_seconds`` hint attached to ``overloaded`` rejections —
 #: long enough for a worker slot to plausibly free, short enough that a
@@ -282,8 +275,6 @@ class MiningServer:
         self.registry = registry if registry is not None else DatasetRegistry()
         self.result_cache = result_cache if result_cache is not None else ResultCache()
         self.use_cache = bool(use_cache)
-        self._planner: Optional[Planner] = None
-        self._planner_lock = threading.Lock()
 
         self._admission = threading.Semaphore(self.max_workers + self.max_queue)
         self._stopping = threading.Event()
@@ -452,8 +443,6 @@ class MiningServer:
             return self._op_mine(params)
         if op == "mine-topk":
             return self._op_mine_topk(params)
-        if op == "plan":
-            return self._op_plan(params)
         if op == "shutdown":
             self._begin_stop()
             return {"stopping": True}
@@ -560,14 +549,8 @@ class MiningServer:
             options["shards"] = int(params["shards"])
         return options
 
-    def _get_planner(self) -> Planner:
-        with self._planner_lock:
-            if self._planner is None:
-                self._planner = Planner.from_trajectory()
-            return self._planner
-
     def _materialize_request_plan(
-        self, params: Dict[str, Any], database, options: Dict[str, Any]
+        self, params: Dict[str, Any], options: Dict[str, Any]
     ) -> ExecutionPlan:
         """Resolve the request's execution plan to concrete knobs, server-side.
 
@@ -577,40 +560,17 @@ class MiningServer:
         process-global state is touched), and the resolved bitwise-relevant
         knobs are available up front for the cache key.
         """
-        request = params.get("plan")
         try:
-            planner = self._get_planner() if plan_request_is_auto(request) else None
             return materialize_plan(
-                ensure_plan(request),
-                database,
+                params.get("plan"),
                 explicit={
                     "backend": options.get("backend"),
                     "workers": options.get("workers"),
                     "shards": options.get("shards"),
                 },
-                planner=planner,
             )
         except (TypeError, ValueError, KeyError) as error:
             raise ServiceError("bad-params", f"invalid plan: {error}") from None
-
-    def _op_plan(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        """Report the execution plan a mine of ``params.dataset`` would run under."""
-        name = _require_str(params, "dataset")
-        handle, database = self.registry.checkout(name)
-        options = self._mine_options(params)
-        exec_plan = self._materialize_request_plan(params, database, options)
-        planner = self._get_planner()
-        features = DatasetFeatures.from_database(database)
-        reply: Dict[str, Any] = {
-            "dataset": handle.name,
-            "revision": handle.revision,
-            "plan": exec_plan.to_dict(),
-            "features": features.to_dict(),
-            "predicted_seconds": planner.predict_seconds(features, exec_plan),
-        }
-        if plan_request_is_auto(params.get("plan")):
-            reply["rationale"] = dict(planner.plan(features).rationale)
-        return reply
 
     def _op_mine(self, params: Dict[str, Any]) -> Dict[str, Any]:
         name = _require_str(params, "dataset")
@@ -621,7 +581,7 @@ class MiningServer:
             raise ServiceError("unknown-algorithm", str(error)) from None
         handle, database = self.registry.checkout(name)
         options = self._mine_options(params)
-        exec_plan = self._materialize_request_plan(params, database, options)
+        exec_plan = self._materialize_request_plan(params, options)
         use_cache = self.use_cache and bool(params.get("cache", True))
 
         try:
@@ -709,7 +669,7 @@ class MiningServer:
             raise ServiceError("bad-params", f"k must be >= 1, got {k}")
         handle, database = self.registry.checkout(name)
         options = self._mine_options(params)
-        exec_plan = self._materialize_request_plan(params, database, options)
+        exec_plan = self._materialize_request_plan(params, options)
         use_cache = self.use_cache and bool(params.get("cache", True))
 
         min_sup: Optional[float] = None

@@ -46,7 +46,7 @@ from ..core.topk import (
     TopKResult,
     resolve_evaluator,
 )
-from ..plan import ensure_plan, materialize_plan, plan_scope
+from ..plan import materialize_plan, plan_scope
 from .index import IncrementalSupportIndex
 from .window import SlidingWindow, TransactionStream
 
@@ -78,8 +78,7 @@ class StreamingMiner:
         An :class:`~repro.plan.ExecutionPlan` (or plan-spec string /
         mapping) pinned around index construction and every slide, so the
         streaming kernels resolve the same knobs as a batch mine under the
-        same plan.  ``plan="auto"`` materializes from the adopted window's
-        contents when it is non-empty, otherwise from static defaults.
+        same plan.
     """
 
     #: registry name prefix of the emitted statistics
@@ -97,10 +96,7 @@ class StreamingMiner:
             window if isinstance(window, SlidingWindow) else SlidingWindow(int(window))
         )
         #: the materialized execution plan every slide runs under
-        self.plan = materialize_plan(
-            ensure_plan(plan),
-            self.window.contents() if len(self.window) else None,
-        )
+        self.plan = materialize_plan(plan)
         # PMF maintenance is opted into per candidate (StreamingDP ensures
         # PMFs only for candidates surviving its cheap filters).  The index
         # is built under the plan so its conv_span-dependent tree layout

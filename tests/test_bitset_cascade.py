@@ -1,22 +1,23 @@
-"""The bitset evaluation cascade: bitmaps, kills, caches, knobs, sharding.
+"""The bitset evaluation cascade: bitmaps, kills, caches, sharding.
 
-Pins the three stages of the cascade against the pre-cascade recursion:
+Pins the three stages of the cascade against the rows oracle (the
+non-zeros of ``db.itemset_probabilities(c, backend="rows")``, compared
+bitwise):
 
 * stage 1 — packed occupancy bitmaps and popcount kill decisions;
 * stage 2 — cross-level byte-budgeted prefix caching (and its bounding);
 * stage 3 — the bound-ordered Markov → Chernoff filter-verify pipeline.
-
-Everything here is exactness-focused; the speed claims live in
-``benchmarks/bench_bitset_cascade.py``.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.pruning import ChernoffPruner
 from repro.core.parallel import ParallelExecutor
@@ -31,13 +32,7 @@ from repro.core.support import (
 )
 from repro.db import UncertainDatabase
 from repro.db.cache import ByteBudgetLRU
-from repro.db.columnar import (
-    BITSET_ENV,
-    ColumnarView,
-    bitset_scope,
-    popcount_rows,
-    resolve_bitset,
-)
+from repro.db.columnar import ColumnarView, popcount_rows
 
 from helpers import make_random_database
 
@@ -49,13 +44,60 @@ def database():
 
 def _all_levels(view, max_len=3):
     """Every itemset of the database up to ``max_len`` as candidate tuples."""
-    from itertools import combinations
-
     items = view.items()
     candidates = []
     for k in range(1, max_len + 1):
         candidates.extend(combinations(items, k))
     return candidates
+
+
+def _oracle_column(database, itemset):
+    """The rows oracle: the non-zeros of the row backend's ``p_i(X)``."""
+    dense = database.itemset_probabilities(itemset, backend="rows")
+    rows = np.flatnonzero(dense)
+    return rows, dense[rows]
+
+
+def _oracle_vectors(database, candidates):
+    return [_oracle_column(database, candidate)[1] for candidate in candidates]
+
+
+def _assert_oracle_column(column, database, itemset):
+    """``column`` equals the rows oracle of ``itemset`` bit for bit."""
+    rows, probs = _oracle_column(database, itemset)
+    assert np.array_equal(column[0], rows), itemset
+    assert np.asarray(column[1], dtype=np.float64).tobytes() == probs.tobytes(), itemset
+
+
+def _assert_same_vectors(vectors, reference):
+    assert len(vectors) == len(reference)
+    for vector, expected in zip(vectors, reference):
+        assert vector.tobytes() == expected.tobytes()
+
+
+#: boundary probabilities: certain, dyadic, tiny normal and the smallest
+#: subnormal (products of the last two underflow to exact zeros)
+_BOUNDARY_PROBABILITIES = [1.0, 0.5, 0.25, 0.75, 0.125, 0.375, 1e-160, 5e-324]
+
+
+@st.composite
+def boundary_databases(draw):
+    """Small databases whose units take boundary probabilities.
+
+    A drawn ``0.0`` is an absent unit (the transaction model drops zero
+    probabilities on construction).  Transactions are short, so items
+    land on both sides of the dense/sparse kernel crossover.
+    """
+    n_items = draw(st.integers(min_value=1, max_value=5))
+    unit = st.sampled_from([0.0] + _BOUNDARY_PROBABILITIES)
+    records = draw(
+        st.lists(
+            st.dictionaries(st.integers(min_value=0, max_value=n_items - 1), unit),
+            min_size=1,
+            max_size=16,
+        )
+    )
+    return UncertainDatabase.from_records(records)
 
 
 class TestPopcountAndBitmaps:
@@ -76,7 +118,7 @@ class TestPopcountAndBitmaps:
         view = database.columnar()
         candidates = _all_levels(view)
         counts = view.level_occupancy_counts(candidates)
-        vectors = view.batch_vectors(candidates, bitset="off")
+        vectors = _oracle_vectors(database, candidates)
         for candidate, count, vector in zip(candidates, counts, vectors):
             assert count == np.count_nonzero(vector), candidate
 
@@ -102,14 +144,11 @@ class TestPopcountAndBitmaps:
 
 
 class TestCascadeEquivalence:
-    def test_batch_columns_bitwise_identical_to_recursive(self, database):
+    def test_batch_columns_bitwise_identical_to_rows_oracle(self, database):
         view = database.columnar()
         candidates = _all_levels(view)
-        on = view.batch_columns(candidates, bitset="on")
-        off = view.batch_columns(candidates, bitset="off")
-        for (rows_on, probs_on), (rows_off, probs_off) in zip(on, off):
-            assert np.array_equal(rows_on, rows_off)
-            assert np.array_equal(probs_on, probs_off)
+        for candidate, column in zip(candidates, view.batch_columns(candidates)):
+            _assert_oracle_column(column, database, candidate)
 
     def test_kill_threshold_returns_empty_columns_only_below_count(self, database):
         view = database.columnar()
@@ -117,7 +156,7 @@ class TestCascadeEquivalence:
         counts = view.level_occupancy_counts(candidates)
         min_count = int(np.median(counts)) + 1
         killed = view.batch_vectors(candidates, min_count=min_count)
-        reference = view.batch_vectors(candidates, bitset="off")
+        reference = _oracle_vectors(database, candidates)
         for count, vector, full in zip(counts, killed, reference):
             if count < min_count:
                 assert len(vector) == 0
@@ -130,7 +169,7 @@ class TestCascadeEquivalence:
         view = database.columnar()
         candidates = _all_levels(view)
         counts = view.level_occupancy_counts(candidates)
-        vectors = view.batch_vectors(candidates, bitset="off")
+        vectors = _oracle_vectors(database, candidates)
         min_count = int(np.median(counts)) + 1
         for count, vector in zip(counts, vectors):
             if count < min_count:
@@ -146,9 +185,8 @@ class TestCascadeEquivalence:
         hits_before = view._prefix_cache.hits
         second = view.batch_columns(triples)
         assert view._prefix_cache.hits > hits_before  # (0, 1) reused as prefix
-        expected = view.batch_columns(triples, bitset="off")
-        assert np.array_equal(second[0][1], expected[0][1])
-        assert np.array_equal(first[0][1], view.batch_columns(pairs, bitset="off")[0][1])
+        _assert_oracle_column(second[0], database, triples[0])
+        _assert_oracle_column(first[0], database, pairs[0])
 
     def test_killed_candidates_never_poison_the_prefix_cache(self, database):
         # A stage-1 kill returns the empty column; a later, lower-threshold
@@ -159,19 +197,30 @@ class TestCascadeEquivalence:
         min_count = int(counts.max())  # kills almost everything
         view.batch_columns(candidates, min_count=min_count)
         full = view.batch_columns(candidates)  # no threshold: true columns
-        reference = view.batch_columns(candidates, bitset="off")
-        for (rows_a, probs_a), (rows_b, probs_b) in zip(full, reference):
-            assert np.array_equal(rows_a, rows_b)
-            assert np.array_equal(probs_a, probs_b)
+        for candidate, column in zip(candidates, full):
+            _assert_oracle_column(column, database, candidate)
 
-    def test_single_itemset_queries_unchanged(self, database):
+    def test_itemset_column_matches_rows_oracle(self, database):
         view = database.columnar()
-        for itemset in [(0,), (0, 1), (1, 2, 3), ()]:
-            on = view.itemset_column(itemset)
-            with bitset_scope("off"):
-                off = view.itemset_column(itemset)
-            assert np.array_equal(on[0], off[0])
-            assert np.array_equal(on[1], off[1])
+        for itemset in [(0,), (0, 1), (1, 2, 3), ()] + _all_levels(view):
+            _assert_oracle_column(view.itemset_column(itemset), database, itemset)
+
+    @given(boundary_databases())
+    # A sparse-path product that underflows to an exact zero (5e-324 * 0.5)
+    # must be dropped like the row backend drops it.
+    @example(UncertainDatabase.from_records([{0: 5e-324, 1: 0.5}] + [{2: 1.0}] * 7))
+    @settings(max_examples=200, deadline=None)
+    def test_boundary_probabilities_match_rows_oracle(self, database):
+        # Levels go through one view in order, so the cross-level prefix
+        # cache serves every k >= 2 prefix; itemset_column runs uncached.
+        view = ColumnarView(database)
+        items = view.items()
+        for k in range(1, len(items) + 1):
+            level = list(combinations(items, k))
+            for candidate, column in zip(level, view.batch_columns(level)):
+                _assert_oracle_column(column, database, candidate)
+            for candidate in level:
+                _assert_oracle_column(view.itemset_column(candidate), database, candidate)
 
 
 class TestShardedCascade:
@@ -264,67 +313,23 @@ class TestByteBudgetCaches:
     def test_prefix_cache_budget_is_respected_and_only_costs_time(
         self, database, monkeypatch
     ):
-        monkeypatch.setenv("REPRO_PREFIX_CACHE_BYTES", "256")
+        monkeypatch.setenv("REPRO_PLAN", "prefix_cache_bytes=256")
         view = ColumnarView(database)
         candidates = _all_levels(view)
         first = view.batch_vectors(candidates)
         assert view._prefix_cache.nbytes <= 256
         second = view.batch_vectors(candidates)
-        reference = view.batch_vectors(candidates, bitset="off")
-        for a, b, c in zip(first, second, reference):
-            assert np.array_equal(a, c) and np.array_equal(b, c)
+        reference = _oracle_vectors(database, candidates)
+        _assert_same_vectors(first, reference)
+        _assert_same_vectors(second, reference)
 
     def test_dense_memo_is_bounded(self, database, monkeypatch):
-        monkeypatch.setenv("REPRO_DENSE_CACHE_BYTES", str(len(database) * 8 * 2))
+        monkeypatch.setenv("REPRO_PLAN", f"dense_cache_bytes={len(database) * 8 * 2}")
         view = ColumnarView(database)
         for item in view.items():
             view._dense_column(item)
         assert len(view._dense_columns) <= 2
         assert view._dense_columns.nbytes <= len(database) * 8 * 2
-
-
-class TestBitsetKnob:
-    def test_resolve_values(self):
-        assert resolve_bitset(None) is True  # default on
-        assert resolve_bitset(True) and not resolve_bitset(False)
-        for raw in ("on", "1", "true", "YES"):
-            assert resolve_bitset(raw) is True
-        for raw in ("off", "0", "false", "No"):
-            assert resolve_bitset(raw) is False
-        with pytest.raises(ValueError):
-            resolve_bitset("maybe")
-
-    def test_env_variable_and_scope(self, monkeypatch):
-        monkeypatch.setenv(BITSET_ENV, "off")
-        assert resolve_bitset(None) is False
-        with bitset_scope("on"):
-            assert resolve_bitset(None) is True
-        assert resolve_bitset(None) is False
-        monkeypatch.delenv(BITSET_ENV)
-        with bitset_scope("off"):
-            assert resolve_bitset(None) is False
-        assert os.environ.get(BITSET_ENV) is None
-
-    def test_cli_accepts_bitset_flag(self, capsys):
-        from repro.cli import main
-
-        code = main(
-            [
-                "mine",
-                "--dataset",
-                "accident",
-                "--scale",
-                "0.0005",
-                "--algorithm",
-                "uapriori",
-                "--min-esup",
-                "0.3",
-                "--bitset",
-                "off",
-            ]
-        )
-        assert code == 0
-        assert "frequent itemsets" in capsys.readouterr().out
 
 
 class TestBoundOrderedVerify:

@@ -1,30 +1,33 @@
-"""Seeded randomized backend-equivalence fuzz: rows == columnar == cascade.
+"""Seeded randomized backend-equivalence fuzz: rows == columnar cascade.
 
 For a grid of generated uncertain databases (density, size, item count and
-probability-grid variations), every sampled miner is run through:
+probability-grid variations):
 
-* the ``rows`` oracle,
-* the columnar backend with the bitset cascade **off** (the pre-cascade
-  recursion),
-* the columnar backend with the cascade **on**, serial and row-sharded.
+* every candidate column of the cascade (``batch_columns`` and
+  ``itemset_column``) must equal the non-zeros of the ``rows`` oracle's
+  ``p_i(X)`` **bitwise**;
+* every sampled miner runs through the ``rows`` oracle and the columnar
+  cascade, serial and row-sharded.  The two columnar runs must agree
+  **bitwise**; the rows oracle must agree exactly on the frequent sets and
+  to 1e-12 on every score (full-vector reductions may differ in the last
+  ulp between the row loop and the NumPy reductions).
 
-The two columnar paths must agree **bitwise** (same kernels, same floats);
-the rows oracle must agree exactly on the frequent sets and to 1e-12 on
-every score (full-vector reductions may differ in the last ulp between the
-row loop and the NumPy reductions).  Top-k rankings are pinned the same
-way.  Seeds are fixed so every failure replays.
+Top-k rankings are pinned the same way.  Seeds are fixed so every failure
+replays.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
+import numpy as np
 import pytest
 
 from repro.core.miner import mine
 from repro.core.topk import mine_topk
 from repro.db import UncertainDatabase
-from repro.db.columnar import bitset_scope
+from repro.db.columnar import ColumnarView
 
 #: (n_transactions, n_items, density, probability grid, seed)
 FUZZ_CONFIGS = [
@@ -102,26 +105,37 @@ def _assert_close(result, reference, label, tolerance=1e-12):
 
 
 @pytest.mark.parametrize("config", FUZZ_CONFIGS, ids=[str(c[-1]) for c in FUZZ_CONFIGS])
+def test_fuzz_columns_match_rows_oracle(config):
+    database = fuzz_database(*config)
+    view = ColumnarView(database)
+    items = view.items()
+    for k in range(1, 4):
+        level = list(combinations(items, k))
+        for candidate, column in zip(level, view.batch_columns(level)):
+            dense = database.itemset_probabilities(candidate, backend="rows")
+            rows = np.flatnonzero(dense)
+            for got_rows, got_probs in (column, view.itemset_column(candidate)):
+                assert np.array_equal(got_rows, rows), candidate
+                assert got_probs.tobytes() == dense[rows].tobytes(), candidate
+
+
+@pytest.mark.parametrize("config", FUZZ_CONFIGS, ids=[str(c[-1]) for c in FUZZ_CONFIGS])
 @pytest.mark.parametrize("miner,thresholds", MINERS)
 def test_fuzz_miner_equivalence(config, miner, thresholds):
     database = fuzz_database(*config)
     label = (miner, config[-1])
 
     rows = mine(database, algorithm=miner, backend="rows", **thresholds)
-    with bitset_scope("off"):
-        recursive = mine(database, algorithm=miner, backend="columnar", **thresholds)
-    with bitset_scope("on"):
-        cascade = mine(database, algorithm=miner, backend="columnar", **thresholds)
-        sharded = mine(
-            database,
-            algorithm=miner,
-            backend="columnar",
-            shards=3,
-            **thresholds,
-        )
+    cascade = mine(database, algorithm=miner, backend="columnar", **thresholds)
+    sharded = mine(
+        database,
+        algorithm=miner,
+        backend="columnar",
+        shards=3,
+        **thresholds,
+    )
 
-    # cascade == pre-cascade recursion == sharded cascade, bitwise
-    _assert_bitwise(cascade, recursive, label)
+    # serial cascade == sharded cascade, bitwise
     _assert_bitwise(sharded, cascade, label)
     # columnar == rows oracle: exact frequent sets, scores to 1e-12
     _assert_close(cascade, rows, label)
@@ -135,18 +149,12 @@ def test_fuzz_topk_rankings(config, evaluator, min_sup):
     database = fuzz_database(*config)
     k = 8
 
-    with bitset_scope("off"):
-        recursive = mine_topk(database, k, algorithm=evaluator, min_sup=min_sup)
-    with bitset_scope("on"):
-        cascade = mine_topk(database, k, algorithm=evaluator, min_sup=min_sup)
-        sharded = mine_topk(
-            database, k, algorithm=evaluator, min_sup=min_sup, shards=3
-        )
+    cascade = mine_topk(database, k, algorithm=evaluator, min_sup=min_sup)
+    sharded = mine_topk(database, k, algorithm=evaluator, min_sup=min_sup, shards=3)
     rows = mine_topk(database, k, algorithm=evaluator, min_sup=min_sup, backend="rows")
 
-    assert cascade.ranked_keys() == recursive.ranked_keys()
     assert sharded.ranked_keys() == cascade.ranked_keys()
     assert rows.ranked_keys() == cascade.ranked_keys()
-    for ours, theirs in zip(cascade, recursive):
+    for ours, theirs in zip(sharded, cascade):
         assert ours.expected_support == theirs.expected_support
         assert ours.frequent_probability == theirs.frequent_probability

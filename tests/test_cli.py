@@ -98,7 +98,7 @@ class TestStoreCommands:
         assert code == 0
         assert "2 frequent itemsets" in capsys.readouterr().out
 
-    def test_mine_fanout_flag_parses(self, tmp_path, capsys):
+    def test_mine_sharded_across_workers(self, tmp_path, capsys):
         source = tmp_path / "paper.txt"
         write_uncertain(paper_example_database(), source)
         code = main(
@@ -112,8 +112,6 @@ class TestStoreCommands:
                 "2",
                 "--shards",
                 "2",
-                "--fanout",
-                "shm",
             ]
         )
         assert code == 0

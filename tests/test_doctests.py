@@ -19,6 +19,7 @@ import repro.db.cache
 import repro.db.columnar
 import repro.db.partition
 import repro.db.store
+import repro.plan.spec
 import repro.stream.index
 import repro.stream.window
 
@@ -29,6 +30,7 @@ DOCUMENTED_MODULES = [
     repro.db.columnar,
     repro.db.partition,
     repro.db.store,
+    repro.plan.spec,
     repro.stream.index,
     repro.stream.window,
 ]

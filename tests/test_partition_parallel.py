@@ -282,12 +282,12 @@ class TestParallelExecutor:
 
 class TestResolution:
     def test_resolve_workers_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        monkeypatch.delenv("REPRO_PLAN", raising=False)
         assert resolve_workers(None) == 1
-        monkeypatch.setenv("REPRO_WORKERS", "3")
+        monkeypatch.setenv("REPRO_PLAN", "workers=3")
         assert resolve_workers(None) == 3
         assert resolve_workers(2) == 2  # explicit beats env
-        monkeypatch.setenv("REPRO_WORKERS", "auto")
+        monkeypatch.setenv("REPRO_PLAN", "workers=auto")
         assert resolve_workers(None) >= 1
 
     def test_resolve_workers_zero_means_cpu_count(self):
@@ -298,17 +298,16 @@ class TestResolution:
             resolve_workers(-2)
 
     def test_resolve_shards_defaults_to_workers(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHARDS", raising=False)
+        monkeypatch.delenv("REPRO_PLAN", raising=False)
         assert resolve_shards(None, workers=4) == 4
-        monkeypatch.setenv("REPRO_SHARDS", "6")
+        monkeypatch.setenv("REPRO_PLAN", "shards=6")
         assert resolve_shards(None, workers=2) == 6
         assert resolve_shards(3, workers=2) == 3
         with pytest.raises(ValueError):
             resolve_shards(0, workers=2)
 
     def test_env_vars_reach_the_miners(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        monkeypatch.setenv("REPRO_SHARDS", "3")
+        monkeypatch.setenv("REPRO_PLAN", "workers=2,shards=3")
         miner = get_algorithm("uapriori").factory()
         assert miner.workers == 2
         assert miner.shards == 3

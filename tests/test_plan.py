@@ -1,20 +1,19 @@
-"""The unified ExecutionPlan: precedence, serialization, scoping, aliases.
+"""The unified ExecutionPlan: precedence, serialization, scoping.
 
 Pins the contracts of :mod:`repro.plan`:
 
-* the four-tier resolution pipeline resolves **every** knob as
-  ``explicit > scoped plan > environment > planner default`` (the full
-  parametrized matrix, one case per knob per adjacent tier pair),
+* the resolution pipeline resolves **every** knob as
+  ``explicit > scoped plan > REPRO_PLAN > default`` (the full parametrized
+  matrix, one case per knob per adjacent tier pair),
+* the pipeline reads only ``REPRO_PLAN`` and ``REPRO_FAULTS`` — the
+  retired per-knob variables are ignored,
 * ``to_dict``/``from_dict`` round-trip and unknown keys are rejected,
 * ``plan_scope`` is contextvar-backed: concurrent threads never observe
   each other's plans, and no tier writes to ``os.environ``,
-* the pre-plan per-knob environment variables keep working as deprecated
-  aliases, each warning exactly once per process,
-* ``materialize_plan`` is deterministic and auto-planned mines are
-  bitwise identical to the same resolved plan passed explicitly,
-* two concurrent *service* requests with different bitset/fanout plans
-  never observe each other's configuration (the scope-vs-thread bleed
-  regression the plan pipeline exists to fix).
+* ``materialize_plan`` returns a fully specified plan,
+* two concurrent *service* requests with different plans never observe
+  each other's configuration (the scope-vs-thread bleed regression the
+  plan pipeline exists to fix).
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ import os
 import threading
 import time
 import warnings
+from dataclasses import fields
 
 import pytest
 
@@ -35,9 +35,7 @@ from repro.plan import (
     ensure_plan,
     materialize_plan,
     parse_plan_spec,
-    plan_request_is_auto,
     plan_scope,
-    reset_deprecation_warnings,
     resolve_knob,
 )
 from repro.service import (
@@ -49,65 +47,74 @@ from repro.service import (
 
 from helpers import make_random_database
 
+#: the per-knob variables of earlier releases; the pipeline ignores them
+RETIRED_ENV = {
+    "REPRO_BACKEND": "rows",
+    "REPRO_BITSET": "off",
+    "REPRO_FANOUT": "pickle",
+    "REPRO_WORKERS": "3",
+    "REPRO_SHARDS": "2",
+    "REPRO_DENSE_CROSSOVER": "0.5",
+    "REPRO_CONV_SPAN": "99",
+    "REPRO_DP_BLOCK_BYTES": "1048576",
+    "REPRO_DENSE_CACHE_BYTES": "2m",
+    "REPRO_BITMAP_CACHE_BYTES": "2m",
+    "REPRO_PREFIX_CACHE_BYTES": "2m",
+    "REPRO_MAPPED_CACHE_BYTES": "2m",
+}
+
 
 @pytest.fixture(autouse=True)
 def _clean_plan_env(monkeypatch):
-    """Isolate every test from ambient knob variables and warning state."""
-    for knob in KNOBS.values():
-        monkeypatch.delenv(knob.env, raising=False)
-    monkeypatch.delenv(PLAN_ENV, raising=False)
-    reset_deprecation_warnings()
-    yield
-    reset_deprecation_warnings()
+    """Isolate every test from ambient plan variables."""
+    for name in list(RETIRED_ENV) + [PLAN_ENV, "REPRO_FAULTS"]:
+        monkeypatch.delenv(name, raising=False)
+
+
+def _default(name):
+    """The default tier of ``name`` with nothing set anywhere."""
+    if name == "backend":
+        from repro.db.database import UncertainDatabase
+
+        return UncertainDatabase.default_backend
+    if name == "shards":
+        return KNOBS["workers"].default
+    return KNOBS[name].default
 
 
 # -- the precedence matrix -------------------------------------------------------------
-# Per knob: one (value, parsed) pair per tier, adjacent tiers always
-# yielding *different* parsed values so each assertion below can only pass
-# if the intended tier actually won.  Environment values are the raw
-# strings a shell would set.
+# Per knob: one (value, parsed) pair per tier, adjacent tiers (and the
+# default) always yielding *different* parsed values so each assertion
+# below can only pass if the intended tier actually won.  Environment
+# values are the raw strings of a REPRO_PLAN token.
 
 MATRIX = {
-    "backend": (("rows", "rows"), ("columnar", "columnar"),
-                ("rows", "rows"), ("columnar", "columnar")),
-    "bitset": ((False, False), ("on", True), ("off", False), (True, True)),
-    "fanout": (("shm", "shm"), ("pickle", "pickle"),
-               ("shm", "shm"), ("pickle", "pickle")),
-    "workers": ((5, 5), (4, 4), ("3", 3), (2, 2)),
-    "shards": ((6, 6), (5, 5), ("4", 4), (3, 3)),
-    "dense_crossover": ((0.9, 0.9), (0.8, 0.8), ("0.7", 0.7), (0.6, 0.6)),
-    "conv_span": ((96, 96), (128, 128), ("192", 192), (256, 256)),
-    "dp_block_bytes": ((1 << 20, 1 << 20), (2 << 20, 2 << 20),
-                       ("3m", 3 << 20), (4 << 20, 4 << 20)),
-    "dense_cache_bytes": ((1 << 20, 1 << 20), (2 << 20, 2 << 20),
-                          ("3m", 3 << 20), (4 << 20, 4 << 20)),
-    "bitmap_cache_bytes": ((1 << 20, 1 << 20), (2 << 20, 2 << 20),
-                           ("3m", 3 << 20), (4 << 20, 4 << 20)),
-    "prefix_cache_bytes": ((1 << 20, 1 << 20), (2 << 20, 2 << 20),
-                           ("3m", 3 << 20), (4 << 20, 4 << 20)),
-    "mapped_cache_bytes": ((1 << 20, 1 << 20), (2 << 20, 2 << 20),
-                           ("3m", 3 << 20), (4 << 20, 4 << 20)),
-    "faults": (("seed=1", "seed=1"), ("seed=2", "seed=2"),
-               ("seed=3", "seed=3"), ("seed=4", "seed=4")),
+    "backend": (("rows", "rows"), ("columnar", "columnar"), ("rows", "rows")),
+    "workers": ((5, 5), (4, 4), ("3", 3)),
+    "shards": ((6, 6), (5, 5), ("4", 4)),
+    "conv_span": ((96, 96), (128, 128), ("192", 192)),
+    "dp_block_bytes": ((1 << 20, 1 << 20), (2 << 20, 2 << 20), ("3m", 3 << 20)),
+    "dense_cache_bytes": ((1 << 20, 1 << 20), (2 << 20, 2 << 20), ("3m", 3 << 20)),
+    "bitmap_cache_bytes": ((1 << 20, 1 << 20), (2 << 20, 2 << 20), ("3m", 3 << 20)),
+    "prefix_cache_bytes": ((1 << 20, 1 << 20), (2 << 20, 2 << 20), ("3m", 3 << 20)),
+    "mapped_cache_bytes": ((1 << 20, 1 << 20), (2 << 20, 2 << 20), ("3m", 3 << 20)),
+    "faults": (("seed=1", "seed=1"), ("seed=2", "seed=2"), ("seed=3", "seed=3")),
 }
 
 
 class TestPrecedenceMatrix:
     @pytest.mark.parametrize("name", sorted(KNOBS))
-    def test_explicit_beats_scope_beats_env_beats_planned(self, name, monkeypatch):
+    def test_explicit_beats_scope_beats_env_beats_default(self, name, monkeypatch):
         assert name in MATRIX, f"knob {name!r} missing from the precedence matrix"
-        explicit, scope, env, planned = MATRIX[name]
-        planned_plan = ExecutionPlan(**{name: planned[0]})
-        monkeypatch.setenv(KNOBS[name].env, env[0])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with plan_scope(ExecutionPlan(**{name: scope[0]})):
-                got = resolve_knob(name, explicit[0], planned=planned_plan)
-                assert got == explicit[1]
-                assert resolve_knob(name, planned=planned_plan) == scope[1]
-            assert resolve_knob(name, planned=planned_plan) == env[1]
-            monkeypatch.delenv(KNOBS[name].env)
-            assert resolve_knob(name, planned=planned_plan) == planned[1]
+        explicit, scope, env = MATRIX[name]
+        monkeypatch.setenv(PLAN_ENV, f"{name}={env[0]}")
+        with plan_scope(ExecutionPlan(**{name: scope[0]})):
+            assert resolve_knob(name, explicit[0]) == explicit[1]
+            assert resolve_knob(name) == scope[1]
+        assert resolve_knob(name) == env[1]
+        monkeypatch.delenv(PLAN_ENV)
+        assert resolve_knob(name) == _default(name)
+        assert _default(name) != env[1]
 
     @pytest.mark.parametrize(
         "name", [name for name, knob in KNOBS.items() if knob.default is not None]
@@ -124,26 +131,30 @@ class TestPrecedenceMatrix:
             assert resolve_knob("shards") == 3
         assert resolve_knob("shards", workers=5) == 5
 
-    def test_composite_plan_env_and_per_knob_override(self, monkeypatch):
-        monkeypatch.setenv(PLAN_ENV, "workers=4,bitset=off")
-        assert resolve_knob("workers") == 4
-        assert resolve_knob("bitset") is False
+    def test_faults_variable_beats_its_plan_entry(self, monkeypatch):
+        monkeypatch.setenv(PLAN_ENV, "faults=seed=1,workers=2")
+        monkeypatch.setenv("REPRO_FAULTS", "seed=2")
+        assert resolve_knob("faults") == "seed=2"
+        assert resolve_knob("workers") == 2
+        # An *empty* REPRO_FAULTS counts as unset.
+        monkeypatch.setenv("REPRO_FAULTS", "")
+        assert resolve_knob("faults") == "seed=1"
+
+    @pytest.mark.parametrize("variable", sorted(RETIRED_ENV))
+    def test_retired_per_knob_variable_is_ignored(self, variable, monkeypatch):
+        monkeypatch.setenv(variable, RETIRED_ENV[variable])
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            # The per-knob variable wins over the REPRO_PLAN entry...
-            monkeypatch.setenv("REPRO_WORKERS", "2")
-            assert resolve_knob("workers") == 2
-            # ...and an *empty* per-knob variable counts as unset.
-            monkeypatch.setenv("REPRO_WORKERS", "")
-            assert resolve_knob("workers") == 4
+            warnings.simplefilter("error")
+            resolved = materialize_plan()
+        assert resolved == ExecutionPlan(**{name: _default(name) for name in KNOBS})
 
     def test_resolution_never_mutates_environ(self, monkeypatch):
         monkeypatch.setenv(PLAN_ENV, "workers=4")
         before = dict(os.environ)
-        with plan_scope(ExecutionPlan(bitset=False, fanout="pickle")):
+        with plan_scope(ExecutionPlan(conv_span=64, prefix_cache_bytes=0)):
             for name in KNOBS:
                 resolve_knob(name)
-        materialize_plan("workers=2,bitset=off")
+        materialize_plan("workers=2,conv_span=64")
         assert dict(os.environ) == before
 
 
@@ -151,23 +162,30 @@ class TestPrecedenceMatrix:
 
 
 class TestExecutionPlan:
+    def test_ten_knobs(self):
+        assert [field.name for field in fields(ExecutionPlan)] == list(KNOBS)
+        assert len(KNOBS) == 10
+
     def test_construction_normalizes_values(self):
-        plan = ExecutionPlan(bitset="off", workers="auto", dense_cache_bytes="2m")
-        assert plan.bitset is False
+        plan = ExecutionPlan(conv_span="64", workers="auto", dense_cache_bytes="2m")
+        assert plan.conv_span == 64
         assert plan.workers >= 1
         assert plan.dense_cache_bytes == 2 << 20
+        assert parse_plan_spec("workers=auto").workers == plan.workers
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"backend": "bogus"},
-            {"bitset": "maybe"},
-            {"fanout": "carrier-pigeon"},
             {"workers": -1},
             {"shards": 0},
-            {"dense_crossover": 1.5},
             {"conv_span": -1},
             {"dp_block_bytes": 0},
+            {"dense_cache_bytes": -1},
+            {"bitmap_cache_bytes": "-1k"},
+            {"prefix_cache_bytes": "lots"},
+            {"mapped_cache_bytes": "2x"},
+            {"faults": "seed=1,no-such-site=0.5"},
         ],
     )
     def test_invalid_values_raise(self, kwargs):
@@ -176,34 +194,42 @@ class TestExecutionPlan:
 
     def test_round_trip_through_dict(self):
         plan = ExecutionPlan(
-            backend="rows", bitset=False, fanout="pickle", workers=2, shards=4,
-            dense_crossover=0.5, conv_span=128, dp_block_bytes=1 << 20,
-            dense_cache_bytes=1 << 20, bitmap_cache_bytes=1 << 20,
-            prefix_cache_bytes=1 << 20, mapped_cache_bytes=1 << 20, auto=True,
+            backend="rows", workers=2, shards=4, conv_span=128,
+            dp_block_bytes=1 << 20, dense_cache_bytes=1 << 20,
+            bitmap_cache_bytes=1 << 20, prefix_cache_bytes=1 << 20,
+            mapped_cache_bytes=1 << 20, faults="seed=1",
         )
         assert ExecutionPlan.from_dict(plan.to_dict()) == plan
         partial = ExecutionPlan(workers=2)
         assert ExecutionPlan.from_dict(partial.to_dict()) == partial
         assert partial.to_dict() == {"workers": 2}
 
-    def test_from_dict_rejects_unknown_keys(self):
+    @pytest.mark.parametrize(
+        "mapping",
+        [
+            {"workers": 2, "wrokers": 3},
+            {"bitset": False},
+            {"fanout": "shm"},
+            {"dense_crossover": 0.25},
+            {"auto": True},
+        ],
+    )
+    def test_from_dict_rejects_unknown_keys(self, mapping):
         with pytest.raises(ValueError, match="unknown plan knob"):
-            ExecutionPlan.from_dict({"workers": 2, "wrokers": 3})
+            ExecutionPlan.from_dict(mapping)
 
     def test_merged_over_layers_set_fields(self):
-        base = ExecutionPlan(workers=2, bitset=True)
-        over = ExecutionPlan(bitset=False)
+        base = ExecutionPlan(workers=2, conv_span=64)
+        over = ExecutionPlan(conv_span=128)
         merged = over.merged_over(base)
-        assert merged.workers == 2 and merged.bitset is False
+        assert merged.workers == 2 and merged.conv_span == 128
         assert ExecutionPlan().is_empty()
         assert not base.is_empty()
 
     @pytest.mark.parametrize(
         ("spec", "expected"),
         [
-            ("auto", {"auto": True}),
-            ("workers=2,bitset=off", {"workers": 2, "bitset": False}),
-            ("auto,workers=2", {"auto": True, "workers": 2}),
+            ("workers=2,conv_span=64", {"workers": 2, "conv_span": 64}),
             ("dense_cache_bytes=64m", {"dense_cache_bytes": 64 << 20}),
             (" workers = 2 , ", {"workers": 2}),
         ],
@@ -211,9 +237,24 @@ class TestExecutionPlan:
     def test_parse_plan_spec(self, spec, expected):
         assert parse_plan_spec(spec).to_dict() == expected
 
-    @pytest.mark.parametrize("spec", ["frobnicate", "turbo=on", "workers=-1"])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "frobnicate",
+            "turbo=on",
+            "workers=-1",
+            "bitset=off",
+            "fanout=shm",
+            "dense_crossover=0.3",
+        ],
+    )
     def test_parse_plan_spec_rejects(self, spec):
         with pytest.raises(ValueError):
+            parse_plan_spec(spec)
+
+    @pytest.mark.parametrize("spec", ["auto", "auto,workers=2"])
+    def test_bare_auto_token_is_rejected(self, spec):
+        with pytest.raises(ValueError, match="expected 'knob=value'"):
             parse_plan_spec(spec)
 
     def test_ensure_plan_spellings(self):
@@ -229,11 +270,11 @@ class TestExecutionPlan:
 
 class TestPlanScope:
     def test_scopes_nest_and_inner_shadows(self):
-        with plan_scope(ExecutionPlan(workers=2, bitset=True)):
-            with plan_scope(ExecutionPlan(bitset=False)):
+        with plan_scope(ExecutionPlan(workers=2, conv_span=64)):
+            with plan_scope(ExecutionPlan(conv_span=128)):
                 assert resolve_knob("workers") == 2  # inherited from outer
-                assert resolve_knob("bitset") is False  # shadowed by inner
-            assert resolve_knob("bitset") is True
+                assert resolve_knob("conv_span") == 128  # shadowed by inner
+            assert resolve_knob("conv_span") == 64
         assert active_plan() is None
 
     def test_none_scope_is_noop(self):
@@ -262,178 +303,32 @@ class TestPlanScope:
         assert active_plan() is None  # the main thread saw neither
 
 
-# -- legacy environment aliases --------------------------------------------------------
-
-LEGACY_SAMPLES = {
-    "backend": ("rows", "rows"),
-    "bitset": ("off", False),
-    "fanout": ("pickle", "pickle"),
-    "workers": ("3", 3),
-    "shards": ("2", 2),
-    "dp_block_bytes": ("1048576", 1 << 20),
-    "dense_cache_bytes": ("2m", 2 << 20),
-    "bitmap_cache_bytes": ("2m", 2 << 20),
-    "prefix_cache_bytes": ("2m", 2 << 20),
-    "mapped_cache_bytes": ("2m", 2 << 20),
-}
-
-
-class TestLegacyEnvAliases:
-    @pytest.mark.parametrize(
-        "name", [name for name, knob in KNOBS.items() if knob.legacy]
-    )
-    def test_alias_still_works_and_warns_exactly_once(self, name, monkeypatch):
-        knob = KNOBS[name]
-        raw, expected = LEGACY_SAMPLES[name]
-        monkeypatch.setenv(knob.env, raw)
-        with pytest.warns(DeprecationWarning, match=knob.env):
-            assert resolve_knob(name) == expected
-        # The second read must be silent: one warning per variable per process.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            assert resolve_knob(name) == expected
-
-    def test_modern_variables_do_not_warn(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CONV_SPAN", "128")
-        monkeypatch.setenv("REPRO_DENSE_CROSSOVER", "0.5")
-        monkeypatch.setenv(PLAN_ENV, "workers=2")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            assert resolve_knob("conv_span") == 128
-            assert resolve_knob("dense_crossover") == 0.5
-            assert resolve_knob("workers") == 2
-
-
-# -- materialization and the auto planner ----------------------------------------------
+# -- materialization -------------------------------------------------------------------
 
 
 class TestMaterialize:
     def test_materialized_plan_is_fully_specified(self):
-        database = make_random_database(seed=11)
-        plan = materialize_plan("auto", database)
-        assert not plan.auto
+        plan = materialize_plan()
         assert all(getattr(plan, name) is not None for name in KNOBS)
 
-    def test_materialization_is_deterministic(self):
-        database = make_random_database(seed=11)
-        assert materialize_plan("auto", database) == materialize_plan("auto", database)
+    def test_explicit_beats_request_beats_env(self, monkeypatch):
+        monkeypatch.setenv(PLAN_ENV, "conv_span=99,shards=3")
+        plan = materialize_plan("workers=2,shards=2", explicit={"workers": 6})
+        assert plan.workers == 6  # explicit
+        assert plan.shards == 2  # the request
+        assert plan.conv_span == 99  # REPRO_PLAN
+        assert plan.backend == "columnar"  # default
 
-    def test_explicit_and_env_beat_the_planner(self, monkeypatch):
-        database = make_random_database(seed=11)
-        monkeypatch.setenv("REPRO_CONV_SPAN", "99")
-        plan = materialize_plan(
-            "auto,bitset=off", database, explicit={"workers": 6}
-        )
-        assert plan.workers == 6  # tier 1
-        assert plan.bitset is False  # tier 2 (the request's pinned knob)
-        assert plan.conv_span == 99  # tier 3
-        assert plan.backend == "columnar"  # tier 4 (the planner's choice)
-
-    def test_plan_env_auto_request(self, monkeypatch):
-        assert not plan_request_is_auto(None)
-        monkeypatch.setenv(PLAN_ENV, "auto")
-        assert plan_request_is_auto(None)
-        assert plan_request_is_auto("auto")
-        assert not plan_request_is_auto("workers=2")
-
-    def test_auto_mine_bitwise_equals_explicit_plan(self):
+    def test_materialized_mine_bitwise_equals_default_mine(self):
         database = make_random_database(
             n_transactions=60, n_items=10, density=0.5, seed=3
         )
-        resolved = materialize_plan("auto", database)
-        auto = mine(database, algorithm="dcb", min_sup=0.2, pft=0.9, plan="auto")
+        resolved = materialize_plan()
+        default = mine(database, algorithm="dcb", min_sup=0.2, pft=0.9)
         explicit = mine(
             database, algorithm="dcb", min_sup=0.2, pft=0.9, plan=resolved.to_dict()
         )
-        assert record_keys(auto.itemsets) == record_keys(explicit.itemsets)
-
-
-class TestPlannerQueryThresholds:
-    """The planner consults the query thresholds (uniformly exposed on
-    ``MinerSpec.query_thresholds()``) for its search-depth estimate."""
-
-    def _planner_and_features(self):
-        from repro.plan import DatasetFeatures, Planner
-
-        database = make_random_database(
-            n_transactions=60, n_items=10, density=0.5, seed=3
-        )
-        return Planner(), DatasetFeatures.from_database(database)
-
-    def test_depth_rationale_names_the_thresholds(self):
-        from repro.core.thresholds import QueryThresholds
-
-        planner, features = self._planner_and_features()
-        decision = planner.plan(
-            features, thresholds=QueryThresholds(min_support=0.3, pft=0.7)
-        )
-        assert "min_support=0.3" in decision.rationale["depth"]
-        assert "pft=0.7" in decision.rationale["depth"]
-
-    def test_depth_rationale_without_thresholds_says_so(self):
-        planner, features = self._planner_and_features()
-        decision = planner.plan(features)
-        assert "no query thresholds" in decision.rationale["depth"]
-
-    def test_looser_support_estimates_deeper_searches(self):
-        from repro.core.thresholds import QueryThresholds
-
-        planner, features = self._planner_and_features()
-        loose = planner.estimated_depth(
-            features, QueryThresholds(min_support=0.05)
-        )
-        tight = planner.estimated_depth(
-            features, QueryThresholds(min_support=0.9)
-        )
-        assert loose > tight
-
-    def test_miner_specs_feed_the_planner_uniformly(self):
-        """Both definitions' specs expose the planner-facing thresholds
-        through the same ``query_thresholds()`` seam the batch miners pass
-        to ``materialize_plan``."""
-        from repro.algorithms.uapriori import UApriori
-        from repro.algorithms.dp import DPMiner
-        from repro.core.thresholds import (
-            ExpectedSupportThreshold,
-            ProbabilisticThreshold,
-        )
-
-        expected_spec = UApriori().spec(ExpectedSupportThreshold(0.2))
-        assert expected_spec.query_thresholds().min_support == 0.2
-
-        probabilistic_spec = DPMiner().spec(ProbabilisticThreshold(0.3, 0.7))
-        query = probabilistic_spec.query_thresholds()
-        assert query.min_support == 0.3
-        assert query.pft == 0.7
-
-    def test_cli_plan_explain_threshold_passthrough(self, capsys, tmp_path):
-        from repro.cli import main
-        from repro.db.io import write_uncertain
-
-        database = make_random_database(
-            n_transactions=30, n_items=6, density=0.6, seed=9
-        )
-        path = tmp_path / "tiny.txt"
-        write_uncertain(database, path)
-        assert (
-            main(
-                [
-                    "plan-explain",
-                    "--dataset",
-                    str(path),
-                    "--plan",
-                    "auto",
-                    "--min-sup",
-                    "0.3",
-                    "--pft",
-                    "0.7",
-                ]
-            )
-            == 0
-        )
-        output = capsys.readouterr().out
-        assert "min_support=0.3" in output
-        assert "pft=0.7" in output
+        assert record_keys(default.itemsets) == record_keys(explicit.itemsets)
 
 
 # -- the service: no scope-vs-thread bleed ---------------------------------------------
@@ -458,8 +353,8 @@ class TestServicePlanIsolation:
             mine(database, algorithm="uapriori", min_esup=0.2).itemsets
         )
         plans = [
-            {"bitset": True, "fanout": "shm"},
-            {"bitset": False, "fanout": "pickle"},
+            {"prefix_cache_bytes": 0, "bitmap_cache_bytes": 0},
+            {"prefix_cache_bytes": 1 << 20, "bitmap_cache_bytes": 1 << 20},
         ]
         env_before = dict(os.environ)
         barrier = threading.Barrier(len(plans))

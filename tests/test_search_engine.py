@@ -2,14 +2,16 @@
 
 ``tests/goldens/search_engine_goldens.json`` was captured at the last
 pre-refactor commit by ``tools/capture_search_goldens.py``: every registered
-miner over the full equivalence grid (backend x (workers, shards) x bitset),
+miner over the full equivalence grid (backend x (workers, shards)),
 the five top-k evaluators over the same grid, and the streaming miners'
 per-slide record series — all serialized with ``repr`` floats, so equality
 of the serialized form is bitwise equality of the mining results.
 
 This module replays the exact same grid through the refactored
 :class:`~repro.core.search.LevelwiseSearch` engine and asserts byte
-equality, plus the two satellites that ride on the engine:
+equality.  It also replays the columnar ``w1s1`` goldens under layouts the
+grid does not capture (uneven shards, more shards than workers, store-mapped
+shards), plus the two satellites that ride on the engine:
 
 * the apriori join's maintained-sort-order contract (``presorted=True``
   produces the identical candidate list the sorting join produced); and
@@ -52,9 +54,9 @@ STREAMING_KEYS = sorted(GOLDENS["streaming"])
 
 
 def _parse_key(key):
-    algorithm, backend, ws, bitset = key.split("|")
+    algorithm, backend, ws, _ = key.split("|")
     workers, shards = ws[1:].split("s")
-    return algorithm, backend, int(workers), int(shards), bitset == "bitset=on"
+    return algorithm, backend, int(workers), int(shards)
 
 
 @pytest.fixture(scope="module")
@@ -62,45 +64,59 @@ def database():
     return make_random_database(**GOLDENS["dataset"])
 
 
+def _mine_threshold(database, algorithm, backend, workers, shards):
+    from repro.core.miner import mine
+    from repro.core.registry import get_algorithm
+
+    kwargs = dict(
+        harness.MINER_OPTIONS[algorithm],
+        backend=backend,
+        workers=workers,
+        shards=shards,
+    )
+    if get_algorithm(algorithm).family == "expected":
+        return mine(database, algorithm, min_esup=harness.MIN_ESUP, **kwargs)
+    return mine(database, algorithm, min_sup=harness.MIN_SUP, pft=harness.PFT, **kwargs)
+
+
+def _mine_topk(database, evaluator, backend, workers, shards):
+    from repro.algorithms.topk import TopKMiner
+
+    miner = TopKMiner(
+        evaluator=evaluator,
+        backend=backend,
+        workers=workers,
+        shards=shards,
+    )
+    min_sup = None if evaluator == "esup" else harness.MIN_SUP
+    return miner.mine(database, GOLDENS["topk_k"], min_sup=min_sup).itemsets
+
+
 # -- the bitwise contract --------------------------------------------------------------
 class TestGoldenEquivalence:
+    def test_golden_keys_are_the_capture_grid(self):
+        assert THRESHOLD_KEYS == sorted(
+            harness.config_key(algorithm, config)
+            for algorithm in harness.MINER_OPTIONS
+            for config in harness.GRID
+        )
+        assert TOPK_KEYS == sorted(
+            harness.config_key(f"topk-{evaluator}", config)
+            for evaluator in harness.TOPK_EVALUATORS
+            for config in harness.GRID
+        )
+
     @pytest.mark.parametrize("key", THRESHOLD_KEYS)
     def test_threshold_grid_bitwise(self, database, key):
-        from repro.core.miner import mine
-        from repro.core.registry import get_algorithm
-
-        algorithm, backend, workers, shards, bitset = _parse_key(key)
-        kwargs = dict(
-            harness.MINER_OPTIONS[algorithm],
-            backend=backend,
-            workers=workers,
-            shards=shards,
-            plan={"bitset": bitset},
-        )
-        if get_algorithm(algorithm).family == "expected":
-            result = mine(database, algorithm, min_esup=harness.MIN_ESUP, **kwargs)
-        else:
-            result = mine(
-                database, algorithm, min_sup=harness.MIN_SUP, pft=harness.PFT, **kwargs
-            )
+        algorithm, backend, workers, shards = _parse_key(key)
+        result = _mine_threshold(database, algorithm, backend, workers, shards)
         assert harness.serialize_records(result) == GOLDENS["threshold_grid"][key]
 
     @pytest.mark.parametrize("key", TOPK_KEYS)
     def test_topk_grid_bitwise(self, database, key):
-        from repro.algorithms.topk import TopKMiner
-
-        name, backend, workers, shards, bitset = _parse_key(key)
-        evaluator = name[len("topk-"):]
-        miner = TopKMiner(
-            evaluator=evaluator,
-            backend=backend,
-            workers=workers,
-            shards=shards,
-            plan={"bitset": bitset},
-        )
-        min_sup = None if evaluator == "esup" else harness.MIN_SUP
-        result = miner.mine(database, GOLDENS["topk_k"], min_sup=min_sup)
-        assert harness.serialize_records(result.itemsets) == GOLDENS["topk_grid"][key]
+        name, backend, workers, shards = _parse_key(key)
+        result = _mine_topk(database, name[len("topk-"):], backend, workers, shards)
+        assert harness.serialize_records(result) == GOLDENS["topk_grid"][key]
 
     @pytest.mark.parametrize("key", STREAMING_KEYS)
     def test_streaming_bitwise(self, database, key):
@@ -131,6 +147,65 @@ class TestGoldenEquivalence:
             )
         ]
         assert per_slide == GOLDENS["streaming"][key]
+
+
+# -- layouts outside the capture grid --------------------------------------------------
+#: (label, store-backed, workers, shards): uneven in-process shards, more
+#: shards than pool workers over shared-memory segments, and store-mapped
+#: shards shipped to the pool as store descriptors.
+LAYOUTS = [
+    ("ram-w1s3", False, 1, 3),
+    ("ram-w2s3", False, 2, 3),
+    ("store-w2s3", True, 2, 3),
+]
+
+#: the capture-grid config whose goldens the extra layouts replay
+REFERENCE_CONFIG = {"backend": "columnar", "workers": 1, "shards": 1}
+
+
+@pytest.fixture(scope="module")
+def store_database(database, tmp_path_factory):
+    from repro.db.store import ColumnarStore
+
+    directory = tmp_path_factory.mktemp("golden-store") / "store"
+    return ColumnarStore.save(database, str(directory)).database()
+
+
+class TestLayoutInvariance:
+    """Every golden of a (miner, backend) pair is the same bytes across the
+    grid's layouts, so any other layout must replay the columnar ``w1s1``
+    golden too.  These layouts are not captured: the golden file keeps the
+    capture grid, and this class replays its ``w1s1`` entries."""
+
+    def test_captured_layouts_agree(self):
+        assert REFERENCE_CONFIG in harness.GRID
+        for section in ("threshold_grid", "topk_grid"):
+            for key, records in GOLDENS[section].items():
+                name, backend, _, _ = _parse_key(key)
+                single = dict(REFERENCE_CONFIG, backend=backend)
+                reference = harness.config_key(name, single)
+                assert records == GOLDENS[section][reference], key
+
+    def _data(self, request, store_backed):
+        return request.getfixturevalue("store_database" if store_backed else "database")
+
+    @pytest.mark.parametrize("layout", LAYOUTS, ids=[layout[0] for layout in LAYOUTS])
+    @pytest.mark.parametrize("algorithm", sorted(harness.MINER_OPTIONS))
+    def test_threshold_miner_layout_invariant(self, request, algorithm, layout):
+        _, store_backed, workers, shards = layout
+        data = self._data(request, store_backed)
+        result = _mine_threshold(data, algorithm, "columnar", workers, shards)
+        key = harness.config_key(algorithm, REFERENCE_CONFIG)
+        assert harness.serialize_records(result) == GOLDENS["threshold_grid"][key]
+
+    @pytest.mark.parametrize("layout", LAYOUTS, ids=[layout[0] for layout in LAYOUTS])
+    @pytest.mark.parametrize("evaluator", harness.TOPK_EVALUATORS)
+    def test_topk_layout_invariant(self, request, evaluator, layout):
+        _, store_backed, workers, shards = layout
+        data = self._data(request, store_backed)
+        result = _mine_topk(data, evaluator, "columnar", workers, shards)
+        key = harness.config_key(f"topk-{evaluator}", REFERENCE_CONFIG)
+        assert harness.serialize_records(result) == GOLDENS["topk_grid"][key]
 
 
 # -- satellite: the maintained-sort-order join ------------------------------------------
@@ -254,29 +329,3 @@ class TestMinerSpecValidation:
         spec = MinerSpec(name="x", definition="expected")
         with pytest.raises(AttributeError):
             spec.name = "y"
-
-    def test_query_thresholds_uniformly_exposed(self):
-        """Every spec exposes the planner-facing thresholds, whatever the
-        definition — the seam the planner's depth estimate consults."""
-        from repro.core.search import MinerSpec
-        from repro.core.thresholds import (
-            ExpectedSupportThreshold,
-            ProbabilisticThreshold,
-        )
-
-        expected = MinerSpec(
-            name="x", definition="expected", threshold=ExpectedSupportThreshold(0.1)
-        )
-        assert expected.query_thresholds().min_support == 0.1
-        assert expected.query_thresholds().pft is None
-
-        probabilistic = MinerSpec(
-            name="x",
-            definition="probabilistic",
-            threshold=ProbabilisticThreshold(0.2, 0.7),
-        )
-        assert probabilistic.query_thresholds().min_support == 0.2
-        assert probabilistic.query_thresholds().pft == 0.7
-
-        bare = MinerSpec(name="x", definition="expected")
-        assert bare.query_thresholds().min_support is None

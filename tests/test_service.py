@@ -241,6 +241,19 @@ class TestServerErrors:
                 client.mine("d", min_esup=-3.0)
             assert excinfo.value.type == "bad-params"
 
+    def test_plan_op_and_auto_plan_are_gone(self, server):
+        host, port = server.address
+        with MiningClient(host, port) as client:
+            with pytest.raises(ServiceError) as excinfo:
+                client.call("plan", {"dataset": "d"})
+            assert excinfo.value.type == "unknown-op"
+            with pytest.raises(ServiceError) as excinfo:
+                client.mine("d", min_esup=0.2, plan="auto")
+            assert excinfo.value.type == "bad-params"
+            assert "knob=value" in str(excinfo.value)
+            reply = client.mine("d", min_esup=0.2, plan="workers=auto")
+            assert reply["plan"]["workers"] >= 1
+
     def test_errors_do_not_poison_the_connection(self, server):
         host, port = server.address
         with MiningClient(host, port) as client:

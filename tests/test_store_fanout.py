@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import glob
 import os
+import pickle
 import shutil
 
 import numpy as np
@@ -20,12 +21,7 @@ import pytest
 
 from repro.core import parallel
 from repro.core.miner import mine
-from repro.core.parallel import (
-    FANOUT_ENV,
-    ParallelExecutor,
-    fanout_scope,
-    resolve_fanout,
-)
+from repro.core.parallel import ParallelExecutor
 from repro.db.store import (
     ColumnarStore,
     StoreError,
@@ -43,34 +39,6 @@ def database():
 
 def _shm_segments() -> set:
     return set(glob.glob("/dev/shm/repro_*"))
-
-
-class TestFanoutResolution:
-    def test_resolve_modes(self):
-        assert resolve_fanout("") == "auto"
-        assert resolve_fanout("SHM") == "shm"
-        assert resolve_fanout(" pickle ") == "pickle"
-        with pytest.raises(ValueError, match="fanout"):
-            resolve_fanout("zeromq")
-
-    def test_scope_pins_without_touching_env(self, monkeypatch):
-        monkeypatch.delenv(FANOUT_ENV, raising=False)
-        with fanout_scope("pickle"):
-            # Scopes are contextvar-backed plan scopes now: they never
-            # mutate the process environment (which raced under the
-            # threaded mining service).
-            assert FANOUT_ENV not in os.environ
-            assert resolve_fanout() == "pickle"
-        assert resolve_fanout() == "auto"
-        monkeypatch.setenv(FANOUT_ENV, "shm")
-        with fanout_scope("pickle"):
-            assert resolve_fanout() == "pickle"  # scope beats env
-        assert resolve_fanout() == "shm"
-
-    def test_scope_none_is_noop(self, monkeypatch):
-        monkeypatch.delenv(FANOUT_ENV, raising=False)
-        with fanout_scope(None):
-            assert FANOUT_ENV not in os.environ
 
 
 class TestSegmentRoundTrip:
@@ -106,31 +74,25 @@ class TestSegmentRoundTrip:
 class TestDispatchPayload:
     def test_shm_payload_is_descriptor_sized(self, database):
         shards = database.partition(3).shards
-        with ParallelExecutor(2, shard_views=shards, fanout="pickle") as executor:
-            pickle_bytes = executor.dispatch_payload_nbytes()
-        with ParallelExecutor(2, shard_views=shards, fanout="shm") as executor:
+        pickle_bytes = len(pickle.dumps(shards))  # shipping the views whole
+        with ParallelExecutor(2, shard_views=shards) as executor:
             shm_bytes = executor.dispatch_payload_nbytes()
         assert shm_bytes < 2048
         assert shm_bytes < pickle_bytes
 
-    def test_mapped_shards_ship_as_store_sources_even_under_pickle(
-        self, database, tmp_path
-    ):
+    def test_mapped_shards_ship_as_store_sources(self, database, tmp_path):
         store = ColumnarStore.save(database, str(tmp_path / "store"))
         n = len(database)
         shards = [store.view(0, n // 2), store.view(n // 2, n)]
-        for fanout in ("auto", "pickle"):
-            with ParallelExecutor(
-                2, shard_views=shards, fanout=fanout
-            ) as executor:
-                assert executor.dispatch_payload_nbytes() < 2048
+        with ParallelExecutor(2, shard_views=shards) as executor:
+            assert executor.dispatch_payload_nbytes() < 2048
 
 
 class TestSegmentLifecycle:
     def test_close_unlinks_segments(self, database):
         before = _shm_segments()
         shards = database.partition(2).shards
-        executor = ParallelExecutor(2, shard_views=shards, fanout="shm")
+        executor = ParallelExecutor(2, shard_views=shards)
         executor.map_shard_method("nnz")
         executor.close()
         assert _shm_segments() == before
@@ -138,7 +100,7 @@ class TestSegmentLifecycle:
     def test_terminate_unlinks_segments(self, database):
         before = _shm_segments()
         shards = database.partition(2).shards
-        executor = ParallelExecutor(2, shard_views=shards, fanout="shm")
+        executor = ParallelExecutor(2, shard_views=shards)
         executor.map_shard_method("nnz")
         executor.terminate()
         assert _shm_segments() == before
@@ -147,18 +109,17 @@ class TestSegmentLifecycle:
         before = _shm_segments()
         shards = database.partition(2).shards
         with pytest.raises(RuntimeError, match="boom"):
-            with ParallelExecutor(2, shard_views=shards, fanout="shm") as executor:
+            with ParallelExecutor(2, shard_views=shards) as executor:
                 executor.map_shard_method("nnz")
                 raise RuntimeError("boom")
         assert _shm_segments() == before
 
     def test_parallel_mine_leaves_no_segments(self, database):
         before = _shm_segments()
-        with fanout_scope("shm"):
-            serial = mine(database, algorithm="uapriori", min_esup=0.2)
-            sharded = mine(
-                database, algorithm="uapriori", min_esup=0.2, workers=2, shards=3
-            )
+        serial = mine(database, algorithm="uapriori", min_esup=0.2)
+        sharded = mine(
+            database, algorithm="uapriori", min_esup=0.2, workers=2, shards=3
+        )
         assert sharded.itemset_keys() == serial.itemset_keys()
         assert _shm_segments() == before
 

@@ -101,13 +101,13 @@ class TestEngineTails:
         # the candidate list with per-block padded widths must reproduce
         # the single whole-matrix batch bit for bit.
         reference = SupportEngine(vectors).frequent_probabilities(3)
-        monkeypatch.setenv("REPRO_DP_BLOCK_BYTES", block_bytes)
+        monkeypatch.setenv("REPRO_PLAN", f"dp_block_bytes={block_bytes}")
         blocked = SupportEngine(vectors).frequent_probabilities(3)
         assert np.array_equal(blocked, reference)
 
     def test_blocked_dp_handles_single_vector_blocks(self, vectors, monkeypatch):
         reference = SupportEngine(vectors).frequent_probabilities(3)
-        monkeypatch.setenv("REPRO_DP_BLOCK_BYTES", "1")
+        monkeypatch.setenv("REPRO_PLAN", "dp_block_bytes=1")
         blocked = SupportEngine(vectors).frequent_probabilities(3)
         assert np.array_equal(blocked, reference)
 

@@ -97,4 +97,5 @@ class TestBehaviour:
     def test_empty_database(self):
         from repro.db import UncertainDatabase
 
-        assert len(UHMine().mine(UncertainDatabase([]), min_esup=1)) == 0
+        with pytest.warns(UserWarning, match="threshold 1.0 is ambiguous"):
+            assert len(UHMine().mine(UncertainDatabase([]), min_esup=1)) == 0
