@@ -74,9 +74,10 @@ class DCMiner(ProbabilisticAprioriMiner):
     def _frequent_probabilities_batch(
         self, engine: SupportEngine, min_count: int
     ) -> np.ndarray:
-        # The convolution recursion is inherently per-candidate; the engine
-        # path covers the FFT default, the direct-convolution ablation keeps
-        # the scalar loop.
+        # The engine path covers the FFT default: one walk of every
+        # candidate's convolution tree, bottom nodes computed for the whole
+        # level at once.  The direct-convolution ablation keeps the scalar
+        # loop over the same walker.
         if self.use_fft:
             return engine.frequent_probabilities(min_count, method="divide_conquer")
         return super()._frequent_probabilities_batch(engine, min_count)

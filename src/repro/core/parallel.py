@@ -62,7 +62,6 @@ from ..plan.spec import resolve_knob
 from .support import (
     dc_tail_probabilities,
     frequent_probabilities_dp_batch,
-    pack_probability_matrix,
     resolve_conv_span,
 )
 
@@ -242,7 +241,7 @@ def _shard_method_task(payload: Tuple[int, str, tuple, dict]) -> Any:
 
 def _dp_tail_task(payload: Tuple[List[np.ndarray], int]) -> np.ndarray:
     vectors, min_count = payload
-    return frequent_probabilities_dp_batch(pack_probability_matrix(vectors), min_count)
+    return frequent_probabilities_dp_batch(vectors, min_count)
 
 
 def _dc_tail_task(payload: Tuple[List[np.ndarray], int, int]) -> np.ndarray:
@@ -661,10 +660,10 @@ class ParallelExecutor:
     def dp_tails(self, vectors: Sequence[np.ndarray], min_count: int) -> np.ndarray:
         """Candidate-chunked :func:`frequent_probabilities_dp_batch`.
 
-        Chunks are evaluated with the identical serial kernel; zero-padding
-        differences between chunk widths are Bernoulli(0) identity steps of
-        the recurrence, so the concatenated result is bitwise equal to the
-        single-batch evaluation.
+        Chunks are evaluated with the identical serial kernel; a
+        candidate's result depends only on its own vector, never on the
+        other candidates of its chunk, so the concatenated result is
+        bitwise equal to the single-batch evaluation.
         """
         vectors = list(vectors)
         if not self.should_distribute(len(vectors)):

@@ -20,9 +20,9 @@ the module-level functions expose the raw numerics for reuse and testing.
 
 from __future__ import annotations
 
+import functools
 import math
-import os
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -138,14 +138,106 @@ def convolve_pmfs(
     return np.convolve(left, right)
 
 
-#: historical internal alias, kept for in-repo callers
-_convolve = convolve_pmfs
-
-
 #: relative mass drift beyond which :func:`exact_pmf_divide_conquer`
 #: renormalises its result (drift below this is left untouched so the DC
 #: tails stay directly comparable with the DP recurrence's)
 PMF_RENORMALIZE_TOLERANCE = 1e-9
+
+
+@functools.lru_cache(maxsize=1024)
+def _dc_program(size: int, bottom: int) -> bytes:
+    """Post-order stack program of the midpoint tree over ``size`` rows.
+
+    The tree splits a run of transactions at ``size // 2`` until a run
+    holds at most ``bottom`` of them.  A non-zero byte pushes the next such
+    bottom node (its byte is its row count, bottom nodes tile the rows left
+    to right); a zero byte pops two nodes and pushes their convolution.
+
+    >>> list(_dc_program(5, 3))
+    [2, 3, 0]
+    """
+    if size <= bottom:
+        return bytes((size,))
+    middle = size // 2
+    return _dc_program(middle, bottom) + _dc_program(size - middle, bottom) + b"\x00"
+
+
+def _bottom_pmfs(flat: np.ndarray, starts: np.ndarray, size: int) -> np.ndarray:
+    """PMFs of every bottom node of ``size`` rows beginning at ``starts``.
+
+    A node of one row ``p`` is ``[1-p, p]``; a node of two rows ``p, q``
+    is ``[1-p, p] * [1-q, q]``; a node of three rows ``r, p, q`` is
+    ``[1-r, r] * node2(p, q)`` (the tree splits three as one plus two).
+    Each entry sums at most two products, and IEEE addition is
+    commutative, so these closed forms equal :func:`np.convolve` of the
+    same operands bitwise, whatever its summation order.
+    """
+    nodes = np.empty((len(starts), size + 1), dtype=float)
+    q = flat[starts + size - 1]
+    if size == 1:
+        nodes[:, 0] = 1.0 - q
+        nodes[:, 1] = q
+        return nodes
+    p = flat[starts + size - 2]
+    pair = ((1.0 - p) * (1.0 - q), (1.0 - p) * q + p * (1.0 - q), p * q)
+    if size == 2:
+        for column, value in enumerate(pair):
+            nodes[:, column] = value
+        return nodes
+    r = flat[starts]
+    nodes[:, 0] = (1.0 - r) * pair[0]
+    nodes[:, 1] = (1.0 - r) * pair[1] + r * pair[0]
+    nodes[:, 2] = (1.0 - r) * pair[2] + r * pair[1]
+    nodes[:, 3] = r * pair[2]
+    return nodes
+
+
+def _dc_pmfs(
+    vectors: Sequence[np.ndarray],
+    use_fft: bool = True,
+    span: Optional[int] = None,
+) -> Iterator[np.ndarray]:
+    """The divide-and-conquer walker: each vector's PMF, in order.
+
+    Every vector's midpoint tree is planned up front.  The bottom nodes of
+    all trees (up to three rows each) are computed together in a few array
+    operations by :func:`_bottom_pmfs`; the remaining merges run through
+    :func:`convolve_pmfs` per vector, with the operands and order of the
+    recursive definition, so the FFT still engages above ``span``.  The
+    merges inside a bottom node of ``s`` rows have operands of at most
+    ``s`` entries, and ``s`` is capped at ``span``, so each of them would
+    have been a direct convolution.
+    """
+    if use_fft and span is None:
+        span = resolve_conv_span()
+    bottom = min(3, max(1, span)) if use_fft else 3
+    programs = [_dc_program(len(vector), bottom) if len(vector) else b"" for vector in vectors]
+    sizes = np.frombuffer(
+        b"".join(program.replace(b"\x00", b"") for program in programs), dtype=np.uint8
+    ).astype(np.intp)
+    starts = np.cumsum(sizes) - sizes
+    flat = np.concatenate(vectors) if len(sizes) else np.zeros(0)
+    # next_node[s]() is the next bottom node of s rows, in walk order
+    next_node = [None] + [
+        iter(_bottom_pmfs(flat, starts[sizes == size], size)).__next__
+        for size in range(1, bottom + 1)
+    ]
+    for program in programs:
+        if not program:
+            yield np.array([1.0])
+            continue
+        stack = []
+        for token in program:
+            if token:
+                stack.append(next_node[token]())
+            else:
+                right = stack.pop()
+                stack[-1] = convolve_pmfs(stack[-1], right, use_fft, span=span)
+        pmf = stack[0]
+        total = pmf.sum()
+        if total > 0 and abs(total - 1.0) > PMF_RENORMALIZE_TOLERANCE:
+            pmf = pmf / total
+        yield pmf
 
 
 def exact_pmf_divide_conquer(
@@ -173,6 +265,10 @@ def exact_pmf_divide_conquer(
     regression tests) while a pathologically drifted PMF still gets
     repaired.
 
+    The split is at the midpoint (``n // 2`` rows on the left) down to
+    single transactions ``[1 - p, p]``; the walker shared with
+    :func:`dc_tail_probabilities` evaluates that tree without recursion.
+
     Args:
         probabilities: Per-transaction occurrence probabilities ``p_i(X)``.
         use_fft: Convolve halves longer than the ``conv_span`` knob via
@@ -188,25 +284,7 @@ def exact_pmf_divide_conquer(
     [0.25, 0.5, 0.25]
     """
     probabilities = np.asarray(probabilities, dtype=float)
-    if use_fft and span is None:
-        span = resolve_conv_span()  # resolve once, not per recursion step
-
-    def _recurse(chunk: np.ndarray) -> np.ndarray:
-        if len(chunk) == 0:
-            return np.array([1.0])
-        if len(chunk) == 1:
-            p = float(chunk[0])
-            return np.array([1.0 - p, p])
-        middle = len(chunk) // 2
-        return convolve_pmfs(
-            _recurse(chunk[:middle]), _recurse(chunk[middle:]), use_fft, span=span
-        )
-
-    pmf = _recurse(probabilities)
-    total = pmf.sum()
-    if total > 0 and abs(total - 1.0) > PMF_RENORMALIZE_TOLERANCE:
-        pmf = pmf / total
-    return pmf
+    return next(_dc_pmfs([probabilities], use_fft, span))
 
 
 def frequent_probability_dynamic_programming(
@@ -470,7 +548,7 @@ def poisson_lambda_for_threshold(min_count: int, pft: float) -> float:
 
 
 def resolve_dp_block_bytes(value: Optional[int] = None) -> int:
-    """The serial DP's padded-matrix byte budget (``dp_block_bytes`` knob)."""
+    """The serial DP's per-block byte budget (``dp_block_bytes`` knob)."""
     return resolve_knob("dp_block_bytes", value)
 
 
@@ -478,11 +556,8 @@ def pack_probability_matrix(vectors: Sequence[Sequence[float]]) -> np.ndarray:
     """Zero-pad per-candidate probability vectors into one matrix.
 
     A padded zero is a Bernoulli(0) transaction, the identity of every
-    support-distribution recurrence, so batched evaluations over the padded
-    matrix agree bitwise with per-vector evaluations — and, for the same
-    reason, evaluations of candidate *chunks* (whose padded widths differ)
-    agree bitwise with the full batch, the property the parallel executor's
-    chunked DP relies on.
+    support-distribution recurrence, so evaluations over the rows of the
+    padded matrix agree bitwise with per-vector evaluations.
 
     Args:
         vectors: One probability vector per candidate (ragged lengths).
@@ -502,46 +577,80 @@ def pack_probability_matrix(vectors: Sequence[Sequence[float]]) -> np.ndarray:
 
 
 def frequent_probabilities_dp_batch(
-    matrix: np.ndarray, min_count: int
+    vectors: Sequence[Sequence[float]], min_count: int
 ) -> np.ndarray:
     """Batched ``Pr[sup(X) >= min_count]`` via the DP recurrence.
 
-    ``matrix`` holds one (possibly zero-padded) probability vector per row;
-    the classic O(N * min_count) recurrence
+    The classic O(N * min_count) recurrence
     ``Pr_{>=i,j} = Pr_{>=i-1,j-1} * p_j + Pr_{>=i,j-1} * (1 - p_j)``
     is advanced over the transaction axis with every candidate updated in
     one vectorized step, turning the per-candidate Python loop into
-    ``max_len`` NumPy operations shared by the whole level.  Results are
-    bitwise identical to :func:`frequent_probability_dynamic_programming`
-    applied row by row.
+    ``max_len`` NumPy operations shared by the whole level.
+
+    The sweep does no identity work.  Candidates are ranked longest first
+    (stable), and step ``j`` updates only the prefix of rows that still
+    have a ``j``-th transaction, and only the columns
+    ``1..min(j + 1, min_count)``: a skipped row would take a Bernoulli(0)
+    step (``x * 1.0 + y * 0.0 == x``) and a skipped column is
+    ``0 * p + 0 * (1 - p) == 0``.  Every real step does the per-cell
+    arithmetic of :func:`frequent_probability_dynamic_programming`, so the
+    results are bitwise identical to it applied vector by vector.  The
+    probabilities live in one step-major ragged buffer (step ``j`` holds
+    ``flat[start[j] : start[j] + active[j]]``) of the vectors' total
+    length, never a padded ``(n_candidates, max_len)`` matrix.
 
     Args:
-        matrix: ``(n_candidates, max_len)`` padded probability matrix (see
-            :func:`pack_probability_matrix`).
+        vectors: One probability vector per candidate (ragged lengths,
+            zeros omitted or not), or a padded matrix whose rows are such
+            vectors.
         min_count: Absolute support threshold.
 
     Returns:
-        Array of ``Pr[sup(X) >= min_count]``, one entry per candidate row.
+        Array of ``Pr[sup(X) >= min_count]``, one entry per candidate.
 
-    >>> frequent_probabilities_dp_batch(
-    ...     pack_probability_matrix([[0.5, 0.5], [1.0]]), 1
-    ... ).tolist()
+    >>> frequent_probabilities_dp_batch([[0.5, 0.5], [1.0]], 1).tolist()
     [0.75, 1.0]
     """
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    n_candidates, width = matrix.shape
+    if isinstance(vectors, np.ndarray):
+        vectors = np.atleast_2d(vectors)
+    arrays = [np.asarray(vector, dtype=float) for vector in vectors]
+    n_candidates = len(arrays)
+    lengths = np.array([len(array) for array in arrays], dtype=np.intp)
+    width = int(lengths.max()) if n_candidates else 0
     min_count = int(min_count)
     if min_count <= 0:
         return np.ones(n_candidates, dtype=float)
     if min_count > width:
         return np.zeros(n_candidates, dtype=float)
+    order = np.argsort(-lengths, kind="stable")
+    ranked = lengths[order].tolist()
+    # active[j] = rows (longest first) that still have a j-th transaction;
+    # start[j] = where step j begins in the step-major buffer
+    active = np.cumsum(np.bincount(lengths, minlength=width)[:width])
+    np.subtract(n_candidates, active, out=active)
+    start = np.cumsum(active)
+    start -= active
+    del active
+    flat = np.empty(int(lengths.sum()), dtype=float)
+    for row, index in enumerate(order.tolist()):
+        # element j of the row-th longest vector lands at flat[start[j] + row]
+        flat[start[: ranked[row]] + row] = arrays[index]
+    del start
     # state[c, i] = Pr[at least i occurrences among the transactions seen so far]
     state = np.zeros((n_candidates, min_count + 1), dtype=float)
     state[:, 0] = 1.0
+    offset, rows = 0, n_candidates
     for j in range(width):
-        p = matrix[:, j : j + 1]
-        state[:, 1:] = state[:, :-1] * p + state[:, 1:] * (1.0 - p)
-    return state[:, min_count].copy()
+        while ranked[rows - 1] <= j:
+            rows -= 1
+        upper = min(j + 1, min_count)
+        p = flat[offset : offset + rows, None]
+        live = state[:rows]
+        live[:, 1 : upper + 1] = live[:, :upper] * p + live[:, 1 : upper + 1] * (1.0 - p)
+        offset += rows
+    results = np.empty(n_candidates, dtype=float)
+    results[order] = state[:, min_count]
+    return results
 
 
 def dc_tail_probabilities(
@@ -553,7 +662,9 @@ def dc_tail_probabilities(
 
     The single kernel shared by the serial engine path and the parallel
     executor's candidate chunks — one implementation, so the two paths
-    cannot drift apart.
+    cannot drift apart.  Every candidate that can reach ``min_count`` goes
+    through one walk of :func:`exact_pmf_divide_conquer`'s midpoint trees,
+    whose bottom nodes are computed for the whole batch at once.
 
     Args:
         vectors: One zeros-omitted probability vector per candidate.
@@ -572,19 +683,15 @@ def dc_tail_probabilities(
     [0.75, 1.0]
     """
     min_count = int(min_count)
+    if min_count <= 0:
+        return np.ones(len(vectors), dtype=float)
     if span is None:
         span = resolve_conv_span()
-    results = np.empty(len(vectors), dtype=float)
-    for index, vector in enumerate(vectors):
-        if min_count <= 0:
-            results[index] = 1.0
-        elif min_count > len(vector):
-            results[index] = 0.0
-        else:
-            tail = float(
-                exact_pmf_divide_conquer(vector, span=span)[min_count:].sum()
-            )
-            results[index] = max(0.0, min(1.0, tail))
+    results = np.zeros(len(vectors), dtype=float)
+    live = [index for index, vector in enumerate(vectors) if len(vector) >= min_count]
+    pmfs = _dc_pmfs([np.asarray(vectors[index], dtype=float) for index in live], span=span)
+    for index, pmf in zip(live, pmfs):
+        results[index] = max(0.0, min(1.0, float(pmf[min_count:].sum())))
     return results
 
 
@@ -592,8 +699,8 @@ class SupportEngine:
     """Batched support-distribution queries for one level of candidates.
 
     The engine is the shared numerical substrate of every miner: it takes
-    the per-candidate probability vectors of a whole Apriori level (one row
-    per candidate, zero-padded to a matrix) and answers every question the
+    the per-candidate probability vectors of a whole Apriori level (one
+    ragged vector per candidate) and answers every question the
     eight algorithms ask — expected support, variance, exact DP /
     divide-and-conquer tails, and the Normal / Poisson / Chernoff
     approximations — with the expensive paths vectorized across candidates.
@@ -695,11 +802,14 @@ class SupportEngine:
         """Exact ``Pr[sup(X) >= min_count]`` of every candidate.
 
         ``"dynamic_programming"`` advances the whole level through the
-        vectorized DP recurrence; ``"divide_conquer"`` assembles each
-        candidate's PMF by FFT convolution (inherently per-candidate, so it
-        loops, but each convolution is NumPy-heavy).  With a parallel
-        executor attached, either evaluation is split into candidate chunks
-        across the worker pool (bitwise-identical results).
+        ragged DP sweep of :func:`frequent_probabilities_dp_batch`;
+        ``"divide_conquer"`` walks every candidate's convolution tree
+        through :func:`dc_tail_probabilities`, which computes the trees'
+        bottom nodes for the whole level at once and runs the larger
+        merges (FFT above the ``conv_span`` knob) per candidate.  With a
+        parallel executor attached, either evaluation is split into
+        candidate chunks across the worker pool (bitwise-identical
+        results).
         """
         min_count = int(min_count)
         distribute = self._executor is not None and self._executor.should_distribute(
@@ -708,32 +818,20 @@ class SupportEngine:
         if method == "dynamic_programming":
             if distribute:
                 return self._executor.dp_tails(self._vectors, min_count)
-            if self._matrix is not None:
-                # A caller already materialised the padded matrix through
-                # the ``matrix`` property — reuse it whole.
-                return frequent_probabilities_dp_batch(self._matrix, min_count)
-            # The padded matrix is built transiently: the DP sweep is its
-            # only consumer on this path, and caching it on the engine
-            # would pin the level's peak allocation for the whole mining
-            # run (pinned by ``tests/test_support_memory.py``).  Its size
-            # is 8 * n_candidates * max_len bytes — on out-of-core
-            # databases (``repro.db.store``) max_len scales with the full
-            # row count, so the build is additionally blocked over
-            # candidates to bound the transient at the dp_block_bytes knob.
-            # Padded columns are Bernoulli(0) identity steps of the
-            # recurrence, so per-block evaluation (block-local padding
-            # widths included) is bitwise identical to one full batch.
+            # The sweep's transient buffer holds the block's total vector
+            # length; on out-of-core databases (``repro.db.store``) vector
+            # lengths scale with the full row count, so the level is
+            # blocked over candidates to keep block * max_len * 8 bytes
+            # within the dp_block_bytes knob.  Every candidate's result is
+            # independent of its block, so the blocks concatenate bitwise.
             width = max((len(vector) for vector in self._vectors), default=0)
             block = max(1, resolve_dp_block_bytes() // (8 * max(width, 1)))
             if len(self._vectors) <= block:
-                return frequent_probabilities_dp_batch(
-                    pack_probability_matrix(self._vectors), min_count
-                )
+                return frequent_probabilities_dp_batch(self._vectors, min_count)
             return np.concatenate(
                 [
                     frequent_probabilities_dp_batch(
-                        pack_probability_matrix(self._vectors[start : start + block]),
-                        min_count,
+                        self._vectors[start : start + block], min_count
                     )
                     for start in range(0, len(self._vectors), block)
                 ]
@@ -882,7 +980,7 @@ class MergeableSupportStats:
       (independence across shards);
     * **maximum attainable supports** (non-zero counts) add;
     * **exact PMFs** convolve: ``pmf = pmf_1 (*) ... (*) pmf_K`` (the PMF of
-      a sum of independent variables), using the same :func:`_convolve`
+      a sum of independent variables), using the same :func:`convolve_pmfs`
       kernel as the DC miner, so DP/DC tail probabilities survive sharding
       exactly (to convolution round-off, well below 1e-12).
 
@@ -958,7 +1056,7 @@ class MergeableSupportStats:
         max_supports = np.array(
             [int(np.count_nonzero(v)) for v in arrays], dtype=np.int64
         )
-        pmfs = [exact_pmf_divide_conquer(v) for v in arrays] if with_pmfs else None
+        pmfs = list(_dc_pmfs(arrays)) if with_pmfs else None
         return cls(arrays, expected, variance, max_supports, pmfs)
 
     @classmethod
@@ -1018,7 +1116,7 @@ class MergeableSupportStats:
         if self.pmfs is not None and other.pmfs is not None:
             span = resolve_conv_span()  # resolve once per merge, not per PMF
             pmfs = [
-                _convolve(left, right, use_fft=True, span=span)
+                convolve_pmfs(left, right, use_fft=True, span=span)
                 for left, right in zip(self.pmfs, other.pmfs)
             ]
         occupancy = None

@@ -199,7 +199,7 @@ KNOBS: Dict[str, Knob] = {
         # vector widths scale with the mapped row count.
         Knob(
             "dp_block_bytes", 128 << 20, _byte_parser(1, "dp_block_bytes"),
-            "padded-matrix byte budget of the batched DP recurrence",
+            "per-block byte budget of the batched DP sweep's ragged buffer",
         ),
         # A dense column is 8N bytes: ~1000 columns of an N=2000 database,
         # far more than a level-wise run touches, at a fixed worst case.

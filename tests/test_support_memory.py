@@ -1,12 +1,14 @@
 """Peak-allocation behaviour of the batched DP path.
 
-The engine's batched evaluations are fed zeros-omitted vectors: the padded
-matrix a DP sweep consumes must therefore be ``(candidates, max_nnz)`` —
-never the dense ``(candidates, N)`` float64 matrix — and it must be
-*transient*: built for the sweep, released afterwards, not pinned on the
-engine for the rest of the mining run.  These are the regression pins for
-both properties (plus the bitwise equality of padded and per-vector DP that
-makes the compressed feed legitimate in the first place).
+The engine's batched evaluations are fed zeros-omitted vectors, and the DP
+sweep keeps them in one ragged, step-major buffer of their total length:
+its transient must follow the sum of the vector lengths — never the dense
+``(candidates, N)`` float64 matrix, and not the padded
+``(candidates, max_nnz)`` one either, which one long vector would blow up
+— and nothing it builds may stay pinned on the engine for the rest of the
+mining run.  These are the regression pins for those properties (plus the
+bitwise equality of padded and per-vector DP, which the ragged sweep
+relies on: a padded zero is an identity step).
 """
 
 from __future__ import annotations
@@ -57,8 +59,8 @@ def test_dp_from_packed_equals_per_vector_dp(sparse_vectors):
 def test_dp_path_does_not_pin_the_padded_matrix(sparse_vectors):
     engine = SupportEngine(sparse_vectors)
     engine.frequent_probabilities(8, method="dynamic_programming")
-    # The sweep builds its matrix transiently; the engine cache stays empty
-    # until a caller explicitly asks for the ``matrix`` property.
+    # The sweep never builds the padded matrix; the engine cache stays
+    # empty until a caller explicitly asks for the ``matrix`` property.
     assert engine._matrix is None
     assert engine.matrix is not None  # the property still materialises it
 
@@ -71,11 +73,29 @@ def test_dp_level_peak_allocation_tracks_nnz_not_database_width(sparse_vectors):
     engine.frequent_probabilities(8, method="dynamic_programming")
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    # Padded width is max_nnz (40), so the whole evaluation should peak far
-    # below one dense row-aligned matrix; 4x headroom over the packed cost
-    # keeps the pin robust to interpreter noise.
+    # Every vector holds max_nnz (40) entries, so the whole evaluation
+    # should peak far below one dense row-aligned matrix; the 40x headroom
+    # over the packed cost keeps the pin robust to interpreter noise.
     packed_cost = N_CANDIDATES * NNZ_PER_CANDIDATE * 8
     assert peak < min(dense_cost / 10, packed_cost * 40), (peak, dense_cost)
+
+
+def test_dp_sweep_peak_follows_total_length_not_padded_width():
+    # 49 short vectors and one long one: padding would cost
+    # 50 * long_length * 8 bytes; the ragged buffer holds their total length.
+    long_length = 10_000
+    rng = np.random.default_rng(29)
+    vectors = [rng.uniform(0.1, 1.0, size=NNZ_PER_CANDIDATE) for _ in range(49)]
+    vectors.append(rng.uniform(0.1, 1.0, size=long_length))
+    ragged_cost = sum(len(vector) for vector in vectors) * 8
+    padded_cost = len(vectors) * long_length * 8
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    probabilities = SupportEngine(vectors).frequent_probabilities(8)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak < 8 * ragged_cost < padded_cost / 4, (peak, ragged_cost, padded_cost)
+    assert probabilities[-1] == frequent_probability_dynamic_programming(vectors[-1], 8)
 
 
 def test_mining_dp_on_sparse_database_stays_compressed():
