@@ -38,8 +38,11 @@ from repro.core.parallel import ParallelExecutor
 from repro.core.support import SupportEngine
 from repro.eval import reporting
 
-from bench_backend_columnar import make_dense_database
-from conftest import RESULTS_DIR, emit
+from benchio import make_dense_database
+from conftest import RESULTS_DIR, SCALE, emit
+
+#: dense synthetic setting: at least 2000 transactions, scaled by REPRO_SCALE
+N_TRANSACTIONS = max(2000, int(2000 * SCALE / 0.002))
 
 #: probabilistic threshold of the timed workload (dense regime of Figure 5)
 MIN_SUP_RATIO = 0.15
@@ -94,7 +97,7 @@ def _time_level(vectors, min_count: int, workers: int, repeats: int = 3):
 
 
 def run_benchmark() -> Dict[str, float]:
-    database = make_dense_database()
+    database = make_dense_database(n_transactions=N_TRANSACTIONS)
     vectors, min_count = _level_workload(database)
 
     measurements: Dict[str, float] = {

@@ -6,7 +6,7 @@ candidate, against the ``O(W)`` (expected support) / ``O(W * min_count)``
 (exact DP tail) of batch-mining the window contents from scratch.  This
 benchmark measures that claim on the dense regime the claim matters most
 for: a replayed dense stream of ``N >= 2000`` transactions (the same shape
-as the backend/parallel benchmarks) flowing through a half-stream window.
+as the parallel and top-k benchmarks) flowing through a half-stream window.
 
 Two workloads, matching the two streaming miners:
 
@@ -20,7 +20,7 @@ frequent set over identical window contents before any timing is reported
 with ``REPRO_BENCH_REQUIRE_SPEEDUP=0`` for smoke runs on noisy shared
 runners).  Steady-state slides are timed — the initial window fill and the
 first mining pass (candidate registration) are excluded from both sides,
-mirroring how the backend benchmarks exclude one-time view builds.
+mirroring how the other benchmarks exclude one-time view builds.
 
 Measured quantities land in ``benchmarks/results/bench_stream_window.csv``:
 ``{algo}_incremental_seconds``, ``{algo}_batch_seconds`` (totals over the
@@ -42,7 +42,7 @@ from repro.core.miner import mine
 from repro.eval import reporting
 from repro.stream import BATCH_EQUIVALENTS, TransactionStream, make_streaming_miner
 
-from bench_backend_columnar import make_dense_database
+from benchio import make_dense_database
 from conftest import RESULTS_DIR, emit
 
 #: replayed stream length (dense regime; >= 2000 at the default scale)

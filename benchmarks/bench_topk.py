@@ -9,7 +9,7 @@ enough to be sure of covering the top k — and then pays for the entire
 frequent set above it.
 
 This benchmark measures that claim on the paper's dense regime (the same
-``N >= 2000``, 24-item synthetic database as the backend and streaming
+``N >= 2000``, 24-item synthetic database as the parallel and streaming
 benchmarks), at ``k = 10``, under both rankings:
 
 * ``esup`` — Definition 2 ordering; the truncate baseline is a full
@@ -42,7 +42,7 @@ from repro.core.miner import mine
 from repro.core.topk import mine_topk, truncate_result
 from repro.eval import reporting
 
-from bench_backend_columnar import make_dense_database
+from benchio import make_dense_database
 from conftest import RESULTS_DIR, emit
 
 #: dense regime: the acceptance floor is 2000 transactions

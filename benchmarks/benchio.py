@@ -21,9 +21,10 @@ import argparse
 import json
 import os
 import platform
+import random
 import sys
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 #: repository root (two levels up from this file)
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -57,6 +58,30 @@ def environment_stamp() -> Dict[str, Any]:
         "scale": os.environ.get("REPRO_SCALE", "0.002"),
         "plan": os.environ.get("REPRO_PLAN", ""),
     }
+
+
+def make_dense_database(
+    n_transactions: int = 2000,
+    n_items: int = 24,
+    density: float = 0.5,
+    seed: int = 0,
+):
+    """A dense uniform-probability database (the paper's dense regime).
+
+    The shared workload of the parallel, streaming and top-k benchmarks.
+    """
+    from repro.db import UncertainDatabase
+
+    rng = random.Random(seed)
+    records: List[Dict[int, float]] = []
+    for _ in range(n_transactions):
+        units = {
+            item: round(rng.uniform(0.3, 1.0), 3)
+            for item in range(n_items)
+            if rng.random() < density
+        }
+        records.append(units)
+    return UncertainDatabase.from_records(records, name="dense-synthetic")
 
 
 def write_bench_json(

@@ -23,15 +23,10 @@ from pathlib import Path
 import pytest
 
 from repro.datasets import registry as dataset_registry
-from repro.db.database import resolve_backend
 from repro.eval import reporting
 
 #: default dataset scale for benchmark runs (fraction of the published size)
 SCALE = float(os.environ.get("REPRO_SCALE", "0.002"))
-
-#: probability-evaluation backend for the whole benchmark run; set
-#: ``REPRO_PLAN=backend=rows`` to time the historical per-transaction path.
-BACKEND = resolve_backend(None)
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -67,11 +62,6 @@ def emit(title: str, table: str) -> None:
 @pytest.fixture(scope="session")
 def scale() -> float:
     return SCALE
-
-
-@pytest.fixture(scope="session")
-def backend() -> str:
-    return BACKEND
 
 
 @pytest.fixture(scope="session")

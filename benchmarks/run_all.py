@@ -2,15 +2,17 @@
 
 Runs any subset of the ``bench_*.py`` modules through their uniform
 ``--json`` entry points (each writes ``BENCH_<name>.json`` under
-``benchmarks/results``) and folds every per-benchmark document found there
+``benchmarks/results``) and folds the documents of the benches that ran
 into one repo-root ``BENCH_summary.json`` — the machine-readable record
-future PRs diff to track performance over time.
+future PRs diff to track performance over time.  A history point holds only
+the benches its invocation ran; a document left over from an earlier run is
+never folded into a new point.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/run_all.py            # quick set
     PYTHONPATH=src python benchmarks/run_all.py --all      # every benchmark
-    PYTHONPATH=src python benchmarks/run_all.py --only backend_columnar topk
+    PYTHONPATH=src python benchmarks/run_all.py --only store_fanout topk
     PYTHONPATH=src python benchmarks/run_all.py --aggregate-only
 
 The quick set covers the micro-benchmarks with asserted floors (seconds
@@ -33,7 +35,6 @@ BENCH_DIR = Path(__file__).resolve().parent
 
 #: module stem -> BENCH_<name>.json stem
 BENCHES = {
-    "bench_backend_columnar": "backend_columnar",
     "bench_parallel_scaling": "parallel_scaling",
     "bench_stream_window": "stream_window",
     "bench_store_fanout": "store_fanout",
@@ -62,7 +63,6 @@ BENCHES = {
 
 #: fast modules with asserted floors or sub-minute runtimes
 QUICK = [
-    "bench_backend_columnar",
     "bench_store_fanout",
     "bench_service",
     "bench_resilience",
@@ -101,34 +101,52 @@ def _condense(document: dict) -> dict:
     }
 
 
-def aggregate(summary_path: Path, max_points: int | None = None) -> int:
-    """Fold every BENCH_*.json under benchmarks/results into the summary.
+def _documents(names) -> dict:
+    """The ``BENCH_<name>.json`` documents of ``names`` that exist."""
+    documents = {}
+    for name in names:
+        path = RESULTS_DIR / f"BENCH_{name}.json"
+        if path.exists():
+            documents[name] = json.loads(path.read_text())
+    return documents
 
-    The summary keeps the full latest documents under ``benches`` and
-    *appends* a condensed per-run point under ``history`` with a
-    monotonically increasing ``run`` index, so successive invocations build
-    the performance trajectory instead of overwriting it.  ``max_points``
-    (the ``--max-history`` flag — distinct from ``--max-points``, which
-    truncates the *sweeps*) trims the history to its most recent points.
+
+def aggregate(
+    summary_path: Path, ran: list | None, max_points: int | None = None
+) -> int:
+    """Fold the documents of the benches that ran into the summary.
+
+    ``ran`` lists the short names of the benches this invocation ran
+    successfully; their documents replace the latest ones under ``benches``
+    and form one condensed point *appended* under ``history`` with a
+    monotonically increasing ``run`` index.  ``ran=None`` (aggregate-only)
+    refreshes ``benches`` from every known bench's document on disk and
+    appends no point.  Entries of benches no longer in :data:`BENCHES` are
+    dropped.  ``max_points`` (the ``--max-history`` flag — distinct from
+    ``--max-points``, which truncates the *sweeps*) trims the history to its
+    most recent points.
     """
-    benches = {}
-    for path in sorted(RESULTS_DIR.glob("BENCH_*.json")):
-        document = json.loads(path.read_text())
-        benches[document.get("bench", path.stem[len("BENCH_") :])] = document
-    history = []
+    known = set(BENCHES.values())
+    benches, history = {}, []
     if summary_path.exists():
         try:
-            history = json.loads(summary_path.read_text()).get("history", [])
+            previous = json.loads(summary_path.read_text())
+            benches = dict(previous.get("benches", {}))
+            history = list(previous.get("history", []))
         except (json.JSONDecodeError, AttributeError):
-            history = []
-    last_run = max((int(point.get("run", 0)) for point in history), default=0)
-    history.append(
-        {
-            "run": last_run + 1,
-            "environment": environment_stamp(),
-            "benches": {name: _condense(doc) for name, doc in benches.items()},
-        }
-    )
+            benches, history = {}, []
+    benches = {name: doc for name, doc in benches.items() if name in known}
+    fresh = _documents(sorted(known) if ran is None else ran)
+    benches.update(fresh)
+    if ran is not None:
+        last_run = max((int(point.get("run", 0)) for point in history), default=0)
+        history.append(
+            {
+                "run": last_run + 1,
+                "environment": environment_stamp(),
+                "benches": {name: _condense(doc) for name, doc in fresh.items()},
+            }
+        )
     if max_points is not None and max_points > 0:
         history = history[-max_points:]
     summary = {
@@ -140,10 +158,10 @@ def aggregate(summary_path: Path, max_points: int | None = None) -> int:
     }
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(
-        f"aggregated {len(benches)} benchmark documents into {summary_path} "
-        f"(history point {last_run + 1}, {len(history)} retained)"
+        f"folded {len(fresh)} benchmark documents into {summary_path} "
+        f"({len(history)} history points retained)"
     )
-    return len(benches)
+    return len(fresh)
 
 
 def main(argv=None) -> int:
@@ -159,7 +177,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--aggregate-only",
         action="store_true",
-        help="skip running; only fold existing BENCH_*.json into the summary",
+        help="skip running; only refresh the latest documents from BENCH_*.json",
     )
     parser.add_argument(
         "--max-points", type=int, default=None, help="truncate sweeps (quick mode)"
@@ -178,6 +196,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     failures = []
+    ran = None
     if not args.aggregate_only:
         if args.only:
             by_short = {short: module for module, short in BENCHES.items()}
@@ -191,11 +210,14 @@ def main(argv=None) -> int:
             selected = list(BENCHES)
         else:
             selected = list(QUICK)
+        ran = []
         for module in selected:
-            if not run_bench(module, args.max_points):
+            if run_bench(module, args.max_points):
+                ran.append(BENCHES[module])
+            else:
                 failures.append(module)
 
-    aggregate(Path(args.summary), args.max_history)
+    aggregate(Path(args.summary), ran, args.max_history)
     if failures:
         print(f"FAILED: {', '.join(failures)}")
         return 1

@@ -1,4 +1,4 @@
-"""The eight representative algorithms of the paper (plus reference baselines).
+"""The eight representative algorithms of the paper (plus a sampling estimator).
 
 Importing this package registers every algorithm with
 :mod:`repro.core.registry` under the names used throughout the paper's
@@ -16,18 +16,14 @@ Registry name             Family         Algorithm
 ``ndu-apriori``           approximate    Normal approximation on UApriori
 ``nduh-mine``             approximate    Normal approximation on UH-Mine (the paper's proposal)
 ``world-sampling``        approximate    Possible-world sampling estimator (Calders et al. 2010)
-``exhaustive-expected``   expected       Brute-force reference (tests only)
-``exhaustive-prob``       exact          Brute-force reference (tests only)
 ========================  =============  ======================================
+
+The brute-force references the test-suite checks every miner against live
+with the tests (``tests/reference.py``), not in the registry.
 """
 
 from ..core.registry import register_algorithm
 from .base import ExpectedSupportMiner, MinerBase, ProbabilisticMiner
-from .baseline import (
-    ExhaustiveExpectedSupportMiner,
-    ExhaustiveProbabilisticMiner,
-    possible_world_expected_support,
-)
 from .dc import DCMiner
 from .dp import DPMiner
 from .ndu_apriori import NDUApriori
@@ -37,14 +33,12 @@ from .pruning import ChernoffPruner
 from .sampling_miner import WorldSamplingMiner
 from .uapriori import UApriori
 from .ufp_growth import UFPGrowth, UFPNode, UFPTree
-from .uh_mine import UHMine, build_uh_struct
+from .uh_mine import UHMine, build_uh_struct_columnar
 
 __all__ = [
     "ChernoffPruner",
     "DCMiner",
     "DPMiner",
-    "ExhaustiveExpectedSupportMiner",
-    "ExhaustiveProbabilisticMiner",
     "ExpectedSupportMiner",
     "MinerBase",
     "NDUApriori",
@@ -57,8 +51,7 @@ __all__ = [
     "UFPTree",
     "UHMine",
     "WorldSamplingMiner",
-    "build_uh_struct",
-    "possible_world_expected_support",
+    "build_uh_struct_columnar",
 ]
 
 
@@ -110,18 +103,6 @@ def _register_all() -> None:
         "approximate",
         WorldSamplingMiner,
         "Monte-Carlo possible-world sampling estimator",
-    )
-    register_algorithm(
-        "exhaustive-expected",
-        "expected",
-        ExhaustiveExpectedSupportMiner,
-        "Brute-force expected-support reference",
-    )
-    register_algorithm(
-        "exhaustive-prob",
-        "exact",
-        ExhaustiveProbabilisticMiner,
-        "Brute-force probabilistic reference",
     )
 
 

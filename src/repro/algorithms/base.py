@@ -28,7 +28,7 @@ from ..core.parallel import ParallelExecutor, resolve_shards, resolve_workers
 from ..core.results import MiningResult, MiningStatistics
 from ..core.search import LevelwiseSearch, MinerSpec
 from ..core.thresholds import ExpectedSupportThreshold, ProbabilisticThreshold
-from ..db.database import UncertainDatabase, resolve_backend
+from ..db.database import UncertainDatabase
 from ..plan import ExecutionPlan, ensure_plan, materialize_plan, plan_scope
 
 __all__ = ["MinerBase", "ExpectedSupportMiner", "ProbabilisticMiner"]
@@ -46,11 +46,6 @@ class MinerBase(ABC):
         ``workers > 1`` the allocations made inside pool workers (chunked DP
         matrices, per-shard vectors) are not counted, so memory experiments
         should be run with the default single-process configuration.
-    backend:
-        Probability-evaluation backend: ``"columnar"`` (vectorized batched
-        evaluation through the database's columnar view) or ``"rows"`` (the
-        original per-transaction Python loops, kept as the correctness
-        oracle).  ``None`` resolves to the database default (columnar).
     workers:
         Worker-process count for the partition-parallel engine.  ``None``
         resolves the plan's ``workers`` knob (default 1); ``0`` means one
@@ -58,13 +53,12 @@ class MinerBase(ABC):
     shards:
         Row-shard count for the columnar view.  ``None`` resolves the
         plan's ``shards`` knob and falls back to the worker count, so raising
-        ``workers`` automatically engages the partitioned path.  Only
-        meaningful on the columnar backend (the row oracle stays serial).
+        ``workers`` automatically engages the partitioned path.
     plan:
         An :class:`~repro.plan.ExecutionPlan` (or a plan-spec string /
         mapping — see :func:`repro.plan.ensure_plan`) carrying any subset
-        of the tuning knobs.  Explicit ``backend``/``workers``/``shards``
-        arguments still win; the plan fills the rest at the scope tier.
+        of the tuning knobs.  Explicit ``workers``/``shards`` arguments
+        still win; the plan fills the rest at the scope tier.
         The materialized configuration is pinned for the whole run
         (exposed afterwards as :attr:`plan`).
     """
@@ -75,22 +69,16 @@ class MinerBase(ABC):
     def __init__(
         self,
         track_memory: bool = False,
-        backend: Optional[str] = None,
         workers: Optional[int] = None,
         shards: Optional[int] = None,
         plan: Union[None, str, Mapping[str, Any], ExecutionPlan] = None,
     ) -> None:
         self.track_memory = track_memory
         self.plan_request = ensure_plan(plan)
-        self._explicit_knobs = {
-            "backend": backend,
-            "workers": workers,
-            "shards": shards,
-        }
+        self._explicit_knobs = {"workers": workers, "shards": shards}
         # Eager resolution keeps the attributes meaningful before mine();
         # mine() re-materializes them, so later environment changes apply.
         with plan_scope(self.plan_request):
-            self.backend = resolve_backend(backend)
             self.workers = resolve_workers(workers)
             self.shards = resolve_shards(shards, self.workers)
         #: the fully-materialized plan of the latest run (set by mine())
@@ -110,7 +98,6 @@ class MinerBase(ABC):
         """
         plan = materialize_plan(self.plan_request, explicit=self._explicit_knobs)
         self.plan = plan
-        self.backend = plan.backend
         self.workers = plan.workers
         self.shards = plan.shards
         with plan_scope(plan):
@@ -118,7 +105,6 @@ class MinerBase(ABC):
 
     def _new_statistics(self) -> MiningStatistics:
         statistics = MiningStatistics(algorithm=self.name)
-        statistics.notes["backend"] = float(self.backend == "columnar")
         statistics.notes["workers"] = float(self.workers)
         statistics.notes["shards"] = float(self.shards)
         if self.plan is not None:
@@ -128,14 +114,13 @@ class MinerBase(ABC):
     def _open_executor(self, database: UncertainDatabase) -> ParallelExecutor:
         """Build this run's executor, sharding the database when requested.
 
-        Shard views are attached only on the columnar backend with
-        ``shards > 1``; otherwise the executor still distributes candidate
-        chunks (the exact tails) when ``workers > 1``.  Callers must
-        ``close()`` the executor (or use it as a context manager) so worker
-        pools never outlive the run.
+        Shard views are attached only with ``shards > 1``; otherwise the
+        executor still distributes candidate chunks (the exact tails) when
+        ``workers > 1``.  Callers must ``close()`` the executor (or use it
+        as a context manager) so worker pools never outlive the run.
         """
         shard_views = None
-        if self.backend == "columnar" and self.shards > 1 and len(database) > 0:
+        if self.shards > 1 and len(database) > 0:
             shard_views = database.partition(self.shards).shards
         return ParallelExecutor(self.workers, shard_views=shard_views)
 

@@ -23,7 +23,7 @@ import numpy as np
 from ..core.parallel import ParallelExecutor
 from ..core.results import MiningStatistics
 from ..db.columnar import ColumnarView
-from ..db.database import UncertainDatabase, resolve_backend
+from ..db.database import UncertainDatabase
 
 __all__ = [
     "instrumented_run",
@@ -32,9 +32,7 @@ __all__ = [
     "apriori_join",
     "has_infrequent_subset",
     "trim_transactions",
-    "itemset_probability_vector",
     "CandidateSource",
-    "RowCandidateSource",
     "ColumnarCandidateSource",
     "PartitionedCandidateSource",
     "make_candidate_source",
@@ -68,38 +66,22 @@ def instrumented_run(statistics: MiningStatistics, track_memory: bool = False):
                 tracemalloc.stop()
 
 
-def item_statistics(
-    database: UncertainDatabase, backend: Optional[str] = None
-) -> Dict[int, Tuple[float, float]]:
+def item_statistics(database: UncertainDatabase) -> Dict[int, Tuple[float, float]]:
     """Return ``{item: (expected_support, variance)}`` for every item.
 
-    One full database scan; the first step of every miner in the paper.
-    With the columnar backend the scan is a pair of NumPy reductions per
-    item column instead of a per-unit Python loop.
+    One full database scan; the first step of every miner in the paper,
+    computed as a pair of NumPy reductions per item column.
     """
-    if resolve_backend(backend) == "columnar":
-        return database.columnar().item_statistics()
-    statistics: Dict[int, List[float]] = {}
-    for transaction in database:
-        for item, probability in transaction.units.items():
-            entry = statistics.get(item)
-            if entry is None:
-                statistics[item] = [probability, probability * (1.0 - probability)]
-            else:
-                entry[0] += probability
-                entry[1] += probability * (1.0 - probability)
-    return {item: (values[0], values[1]) for item, values in statistics.items()}
+    return database.columnar().item_statistics()
 
 
 def frequent_items_by_expected_support(
-    database: UncertainDatabase,
-    min_expected_support: float,
-    backend: Optional[str] = None,
+    database: UncertainDatabase, min_expected_support: float
 ) -> Dict[int, Tuple[float, float]]:
     """Return the items whose expected support reaches ``min_expected_support``."""
     return {
         item: stats
-        for item, stats in item_statistics(database, backend=backend).items()
+        for item, stats in item_statistics(database).items()
         if stats[0] >= min_expected_support
     }
 
@@ -163,43 +145,16 @@ def trim_transactions(
     return projected
 
 
-def itemset_probability_vector(
-    transactions: Sequence[Dict[int, float]], itemset: Sequence[int]
-) -> List[float]:
-    """Per-transaction occurrence probabilities of ``itemset`` (zeros omitted).
-
-    Only the non-zero entries matter for the support distribution: a
-    transaction that cannot contain the itemset contributes a Bernoulli(0)
-    that shifts nothing.  Returning the compressed vector keeps the exact
-    probabilistic computations proportional to the itemset's actual
-    occurrences, the same optimisation the reference implementations use.
-    """
-    vector: List[float] = []
-    for units in transactions:
-        probability = 1.0
-        for item in itemset:
-            unit = units.get(item)
-            if unit is None:
-                probability = 0.0
-                break
-            probability *= unit
-        if probability > 0.0:
-            vector.append(probability)
-    return vector
-
-
 class CandidateSource:
     """Uniform supplier of per-candidate probability vectors for one miner run.
 
     The level-wise miners do not care how ``p_i(X)`` is produced — only that
     a whole Apriori level of candidates yields one compressed (zeros-omitted)
-    vector per candidate.  :class:`RowCandidateSource` wraps the trimmed
-    row-dictionary scan; :class:`ColumnarCandidateSource` delegates to the
+    vector per candidate.  :class:`ColumnarCandidateSource` delegates to the
     database's columnar view, where candidates sharing a prefix reuse the
-    prefix intersection.
+    prefix intersection; :class:`PartitionedCandidateSource` fans the same
+    evaluation out over row shards.
     """
-
-    backend: str = "rows"
 
     def level_vectors(
         self, candidates: Sequence[Tuple[int, ...]], min_count: float = 0.0
@@ -212,34 +167,13 @@ class CandidateSource:
         work, because the caller's decision rule already rejects it
         (``esup <= count`` for Definition 2; ``Pr[sup >= minsup] = 0`` for
         Definition 4).  Pass ``0`` when every score matters (e.g. rankings
-        without a floor).  The row oracle ignores the hint entirely.
+        without a floor).
         """
         raise NotImplementedError
 
 
-class RowCandidateSource(CandidateSource):
-    """Per-candidate scans over trimmed ``{item: probability}`` rows."""
-
-    backend = "rows"
-
-    def __init__(self, transactions: List[Dict[int, float]]) -> None:
-        self.transactions = transactions
-
-    def level_vectors(
-        self, candidates: Sequence[Tuple[int, ...]], min_count: float = 0.0
-    ) -> List[np.ndarray]:
-        return [
-            np.asarray(
-                itemset_probability_vector(self.transactions, candidate), dtype=float
-            )
-            for candidate in candidates
-        ]
-
-
 class ColumnarCandidateSource(CandidateSource):
     """Batched sparse-intersection evaluation over the columnar view."""
-
-    backend = "columnar"
 
     def __init__(self, view: ColumnarView) -> None:
         self.view = view
@@ -260,8 +194,6 @@ class PartitionedCandidateSource(CandidateSource):
     per-shard occupancy counts, never on local evidence.
     """
 
-    backend = "columnar"
-
     def __init__(self, executor: ParallelExecutor) -> None:
         self.executor = executor
 
@@ -272,21 +204,15 @@ class PartitionedCandidateSource(CandidateSource):
 
 
 def make_candidate_source(
-    database: UncertainDatabase,
-    frequent_items: Iterable[int],
-    backend: Optional[str] = None,
-    executor: Optional[ParallelExecutor] = None,
+    database: UncertainDatabase, executor: Optional[ParallelExecutor] = None
 ) -> CandidateSource:
     """Build the candidate source for a run.
 
-    The row source materialises the trimmed projection once (the classic
-    optimisation); the columnar source needs no trimming because only the
-    columns of frequent items are ever queried.  When ``executor`` carries
-    row shards the columnar evaluation is fanned out per shard instead
+    The columnar source needs no trimming because only the columns of
+    frequent items are ever queried.  When ``executor`` carries row shards
+    the evaluation is fanned out per shard instead
     (:class:`PartitionedCandidateSource`) — same results, bit for bit.
     """
-    if resolve_backend(backend) == "columnar":
-        if executor is not None and executor.n_shards > 1:
-            return PartitionedCandidateSource(executor)
-        return ColumnarCandidateSource(database.columnar())
-    return RowCandidateSource(trim_transactions(database, frequent_items))
+    if executor is not None and executor.n_shards > 1:
+        return PartitionedCandidateSource(executor)
+    return ColumnarCandidateSource(database.columnar())

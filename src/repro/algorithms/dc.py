@@ -43,7 +43,6 @@ class DCMiner(ProbabilisticAprioriMiner):
         use_fft: bool = True,
         item_prefilter: bool = True,
         track_memory: bool = False,
-        backend: Optional[str] = None,
         workers: Optional[int] = None,
         shards: Optional[int] = None,
         plan=None,
@@ -52,7 +51,6 @@ class DCMiner(ProbabilisticAprioriMiner):
             use_pruning=use_pruning,
             item_prefilter=item_prefilter,
             track_memory=track_memory,
-            backend=backend,
             workers=workers,
             shards=shards,
             plan=plan,

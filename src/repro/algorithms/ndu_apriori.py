@@ -38,7 +38,6 @@ class NDUApriori(ProbabilisticAprioriMiner):
         use_pruning: bool = False,
         item_prefilter: bool = True,
         track_memory: bool = False,
-        backend: Optional[str] = None,
         workers: Optional[int] = None,
         shards: Optional[int] = None,
         plan=None,
@@ -47,7 +46,6 @@ class NDUApriori(ProbabilisticAprioriMiner):
             use_pruning=use_pruning,
             item_prefilter=item_prefilter,
             track_memory=track_memory,
-            backend=backend,
             workers=workers,
             shards=shards,
             plan=plan,

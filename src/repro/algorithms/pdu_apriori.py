@@ -42,22 +42,18 @@ class PDUApriori(ProbabilisticMiner):
     def __init__(
         self,
         report_probabilities: bool = False,
-        use_decremental_pruning: bool = True,
         track_memory: bool = False,
-        backend: Optional[str] = None,
         workers: Optional[int] = None,
         shards: Optional[int] = None,
         plan=None,
     ) -> None:
         super().__init__(
             track_memory=track_memory,
-            backend=backend,
             workers=workers,
             shards=shards,
             plan=plan,
         )
         self.report_probabilities = report_probabilities
-        self.use_decremental_pruning = use_decremental_pruning
 
     @staticmethod
     def _search_threshold(ctx: SearchContext) -> float:
@@ -87,7 +83,7 @@ class PDUApriori(ProbabilisticMiner):
             name=self.name,
             definition="probabilistic",
             threshold=threshold,
-            kernel=ExpectedSupportKernel(decremental=self.use_decremental_pruning),
+            kernel=ExpectedSupportKernel(),
             seed_mode="statistics",
             search_threshold=self._search_threshold,
             record_probability=self._record_probability,

@@ -51,8 +51,6 @@ class ProbabilisticAprioriMiner(ProbabilisticMiner):
         probability of such an item is necessarily below ``pft`` by Markov's
         inequality) keeps the scaled-down benchmark runs honest without
         changing results; it can be disabled for strict faithfulness.
-    backend:
-        ``"columnar"`` (default) or ``"rows"``; see :class:`MinerBase`.
     workers, shards:
         Partition-parallel knobs; see :class:`MinerBase`.  Shards evaluate
         the level's probability vectors in parallel; workers additionally
@@ -67,14 +65,12 @@ class ProbabilisticAprioriMiner(ProbabilisticMiner):
         use_pruning: bool = True,
         item_prefilter: bool = True,
         track_memory: bool = False,
-        backend: Optional[str] = None,
         workers: Optional[int] = None,
         shards: Optional[int] = None,
         plan=None,
     ) -> None:
         super().__init__(
             track_memory=track_memory,
-            backend=backend,
             workers=workers,
             shards=shards,
             plan=plan,

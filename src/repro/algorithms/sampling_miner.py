@@ -44,18 +44,18 @@ class WorldSamplingMiner(ProbabilisticMiner):
         Safety margin subtracted from ``pft`` during candidate expansion so
         that borderline itemsets are not lost to sampling noise; the final
         filter still uses the unmodified ``pft``.
-    backend:
-        ``"columnar"`` (default) stores the sampled worlds as per-item
-        boolean membership matrices and counts supports with vectorized
-        AND-reductions; ``"rows"`` keeps the per-world dictionary scan.  The
-        random draws are consumed in the same order on both backends, so
-        the estimates are identical given the seed.
+
+    The sampled worlds are stored as per-item boolean membership matrices
+    and supports are counted with vectorized AND-reductions; above
+    :attr:`max_presence_cells` the miner falls back to per-world
+    dictionaries.  The random draws are consumed in the same order by both
+    storages, so the estimates are identical given the seed.
     """
 
     name = "world-sampling"
 
     #: cap on the dense presence storage (one byte per boolean cell); above
-    #: it the columnar backend falls back to the row-style world dictionaries
+    #: it the miner falls back to per-world dictionaries
     #: rather than allocating O(items * worlds * transactions) memory
     max_presence_cells: int = 200_000_000
 
@@ -65,7 +65,6 @@ class WorldSamplingMiner(ProbabilisticMiner):
         seed: int = 0,
         slack: float = 0.05,
         track_memory: bool = False,
-        backend: Optional[str] = None,
         workers: Optional[int] = None,
         shards: Optional[int] = None,
         plan=None,
@@ -75,7 +74,6 @@ class WorldSamplingMiner(ProbabilisticMiner):
         # deterministic contract (identical estimates for a given seed).
         super().__init__(
             track_memory=track_memory,
-            backend=backend,
             workers=workers,
             shards=shards,
             plan=plan,
@@ -232,16 +230,13 @@ class _WorldKernel(LevelKernel):
 
     def begin(self, ctx: SearchContext) -> None:
         miner = self.miner
-        # Both backends draw worlds transaction by transaction (the same
+        # Both storages draw worlds transaction by transaction (the same
         # RNG call sequence); they differ only in the world storage and
         # the support-counting loop.
         transactions = trim_transactions(ctx.database, ctx.seed_items)
         presence_cells = len(ctx.seed_items) * miner.n_worlds * len(transactions)
         min_count = ctx.min_count
-        if (
-            ctx.backend == "columnar"
-            and presence_cells <= miner.max_presence_cells
-        ):
+        if presence_cells <= miner.max_presence_cells:
             presence = miner._sample_world_matrices(transactions)
 
             def estimate(candidate: Tuple[int, ...]) -> float:
@@ -276,11 +271,7 @@ class _WorldKernel(LevelKernel):
                 if len(candidate) == 1:
                     expected, variance = ctx.seed_items[candidate[0]]
                 else:
-                    expected = ctx.database.expected_support(
-                        candidate, backend=ctx.backend
-                    )
-                    variance = ctx.database.support_variance(
-                        candidate, backend=ctx.backend
-                    )
+                    expected = ctx.database.expected_support(candidate)
+                    variance = ctx.database.support_variance(candidate)
                 ctx.record(candidate, expected, variance, probability)
         return survivors

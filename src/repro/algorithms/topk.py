@@ -2,10 +2,10 @@
 
 :class:`TopKMiner` runs the best-first levelwise search of
 :func:`repro.core.topk.run_topk_search` over the same batched evaluation
-substrate the threshold miners use — a backend-selected
+substrate the threshold miners use — a
 :class:`~repro.algorithms.common.CandidateSource` feeding a
-:class:`~repro.core.support.SupportEngine` (columnar or row vectors,
-per-shard fan-out through the :class:`~repro.core.parallel.ParallelExecutor`
+:class:`~repro.core.support.SupportEngine` (columnar vectors, per-shard
+fan-out through the :class:`~repro.core.parallel.ParallelExecutor`
 when sharded, candidate-chunked exact tails when workers are attached).
 Scores therefore come out bitwise identical to the corresponding threshold
 miner's, which is what pins ``mine_topk(k)`` byte-identical to
@@ -91,7 +91,7 @@ class TopKMiner(MinerBase):
         Also report support variances under the expected-support ranking
         (probability evaluators always carry them, as their threshold
         counterparts do).
-    backend, workers, shards, track_memory:
+    workers, shards, track_memory:
         As for every miner; see :class:`~repro.algorithms.base.MinerBase`.
     """
 
@@ -103,14 +103,12 @@ class TopKMiner(MinerBase):
         use_pruning: bool = True,
         track_variance: bool = False,
         track_memory: bool = False,
-        backend: Optional[str] = None,
         workers: Optional[int] = None,
         shards: Optional[int] = None,
         plan=None,
     ) -> None:
         super().__init__(
             track_memory=track_memory,
-            backend=backend,
             workers=workers,
             shards=shards,
             plan=plan,

@@ -1,21 +1,20 @@
 """UApriori: the uncertain extension of Apriori (Chui, Kao & Hung 2007/2008).
 
 A breadth-first, generate-and-test miner.  Level ``k + 1`` candidates are
-produced by joining the frequent ``k``-itemsets, pruned by downward closure
-and, optionally, by the *decremental* upper-bound check of Chui et al.;
-each surviving candidate's expected support is accumulated in a single scan
-of the (trimmed) database.
+produced by joining the frequent ``k``-itemsets and pruned by downward
+closure; the surviving candidates' expected supports are evaluated in one
+pass over the database's columns.
 
 The whole search is one :class:`~repro.core.search.MinerSpec`: the
 levelwise loop, the seeding, and the statistics accounting live in
 :class:`~repro.core.search.LevelwiseSearch`, and the algorithm reduces to
 the Definition-2 score kernel
-(:class:`~repro.core.search.ExpectedSupportKernel`) with decremental
-pruning on the row path.  With the columnar backend the kernel evaluates
-the whole level in one batched :class:`~repro.core.support.SupportEngine`
-pass; the decremental pruning only exists on the row path — it is an
-early-termination trick for the per-transaction scan that the batched
-evaluation replaces wholesale.
+(:class:`~repro.core.search.ExpectedSupportKernel`), which evaluates each
+whole level in one batched :class:`~repro.core.support.SupportEngine` pass.
+Chui et al.'s *decremental* pruning — abandoning a candidate mid-scan once
+its running total plus the unseen-transaction count drops below the bar —
+is an early-termination trick for a per-transaction scan; the batched
+level evaluation (with its occupancy kill) replaces that scan wholesale.
 
 The paper finds UApriori to be the fastest expected-support miner on dense
 datasets with a high ``min_esup`` — the regime where the level-wise search
@@ -37,44 +36,32 @@ class UApriori(ExpectedSupportMiner):
 
     Parameters
     ----------
-    use_decremental_pruning:
-        Enable the decremental upper-bound pruning of Chui et al.: while a
-        candidate's expected support is being accumulated transaction by
-        transaction, the best support it could still reach is the running
-        total plus the number of unseen transactions; once that upper bound
-        drops below the threshold the candidate is abandoned early.  Only
-        meaningful on the row backend; the columnar backend evaluates whole
-        levels at once.
     track_variance:
         Also accumulate the support variance of every frequent itemset
         (needed when UApriori serves as the engine of the Normal
         approximation miners).
     track_memory:
         Record peak heap allocation in the result statistics.
-    backend:
-        ``"columnar"`` (default) or ``"rows"``; see :class:`MinerBase`.
+    workers, shards, plan:
+        Execution knobs; see :class:`MinerBase`.
     """
 
     name = "uapriori"
 
     def __init__(
         self,
-        use_decremental_pruning: bool = True,
         track_variance: bool = False,
         track_memory: bool = False,
-        backend: Optional[str] = None,
         workers: Optional[int] = None,
         shards: Optional[int] = None,
         plan=None,
     ) -> None:
         super().__init__(
             track_memory=track_memory,
-            backend=backend,
             workers=workers,
             shards=shards,
             plan=plan,
         )
-        self.use_decremental_pruning = use_decremental_pruning
         self.track_variance = track_variance
 
     def spec(self, threshold) -> MinerSpec:
@@ -82,7 +69,7 @@ class UApriori(ExpectedSupportMiner):
             name=self.name,
             definition="expected",
             threshold=threshold,
-            kernel=ExpectedSupportKernel(decremental=self.use_decremental_pruning),
+            kernel=ExpectedSupportKernel(),
             seed_mode="statistics",
             track_variance=self.track_variance,
         )

@@ -153,14 +153,12 @@ class UFPGrowth(ExpectedSupportMiner):
         probability_precision: Optional[int] = None,
         track_variance: bool = False,
         track_memory: bool = False,
-        backend: Optional[str] = None,
         workers: Optional[int] = None,
         shards: Optional[int] = None,
         plan=None,
     ) -> None:
         super().__init__(
             track_memory=track_memory,
-            backend=backend,
             workers=workers,
             shards=shards,
             plan=plan,
@@ -206,41 +204,27 @@ class UFPGrowth(ExpectedSupportMiner):
             )
         }
         tree = UFPTree(order)
-        if self.backend == "columnar":
-            # Shard-parallel projection: each shard returns its rows'
-            # rank-ordered unit lists; the concatenation in shard order is
-            # exactly the serial projection, so the tree inserts (which stay
-            # sequential — the tree is one shared structure) see identical
-            # input either way.
-            if executor is not None and executor.n_shards > 1:
-                rows_in_order = [
-                    units
-                    for shard_units in executor.map_shard_method(
-                        "rows_as_ordered_units", order
-                    )
-                    for units in shard_units
-                ]
-            else:
-                rows_in_order = database.columnar().rows_as_ordered_units(order)
-            for units in rows_in_order:
-                if not units:
-                    continue
-                if self.probability_precision is not None:
-                    units = [
-                        (item, self._rounded(probability))
-                        for item, probability in units
-                    ]
-                tree.insert(units)
-            return tree
-        for transaction in database:
-            units = [
-                (item, self._rounded(probability))
-                for item, probability in transaction.units.items()
-                if item in order
+        # Shard-parallel projection: each shard returns its rows' rank-ordered
+        # unit lists; the concatenation in shard order is exactly the serial
+        # projection, so the tree inserts (which stay sequential — the tree
+        # is one shared structure) see identical input either way.
+        if executor is not None and executor.n_shards > 1:
+            rows_in_order = [
+                units
+                for shard_units in executor.map_shard_method(
+                    "rows_as_ordered_units", order
+                )
+                for units in shard_units
             ]
+        else:
+            rows_in_order = database.columnar().rows_as_ordered_units(order)
+        for units in rows_in_order:
             if not units:
                 continue
-            units.sort(key=lambda unit: order[unit[0]])
+            if self.probability_precision is not None:
+                units = [
+                    (item, self._rounded(probability)) for item, probability in units
+                ]
             tree.insert(units)
         return tree
 

@@ -23,10 +23,9 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.search import MinerSpec, SearchContext
 from ..db.columnar import ColumnarView
-from ..db.database import UncertainDatabase
 from .base import ExpectedSupportMiner
 
-__all__ = ["UHMine", "build_uh_struct", "build_uh_struct_columnar", "uh_mine_expand"]
+__all__ = ["UHMine", "build_uh_struct_columnar", "uh_mine_expand"]
 
 #: One stored transaction: a tuple of (item, probability) cells in global order.
 UHTransaction = Tuple[Tuple[int, float], ...]
@@ -35,32 +34,14 @@ UHTransaction = Tuple[Tuple[int, float], ...]
 Projection = Tuple[int, int, float]
 
 
-def build_uh_struct(
-    database: UncertainDatabase, item_order: Dict[int, int]
-) -> List[UHTransaction]:
-    """Project the database onto the ordered frequent items (the UH-Struct)."""
-    struct: List[UHTransaction] = []
-    for transaction in database:
-        cells = [
-            (item, probability)
-            for item, probability in transaction.units.items()
-            if item in item_order
-        ]
-        if not cells:
-            continue
-        cells.sort(key=lambda cell: item_order[cell[0]])
-        struct.append(tuple(cells))
-    return struct
-
-
 def build_uh_struct_columnar(
     view: ColumnarView, item_order: Dict[int, int]
 ) -> List[UHTransaction]:
-    """Build the UH-Struct from the columnar view.
+    """Project the database onto the ordered frequent items (the UH-Struct).
 
     Walking the item columns in global order appends each transaction's
-    cells already sorted, so the per-transaction sort of the row builder
-    disappears; the output is identical.
+    cells already sorted, so no per-transaction sort is needed.
+    Transactions without any ordered item are left out.
     """
     return [
         tuple(cells) for cells in view.rows_as_ordered_units(item_order) if cells
@@ -86,20 +67,16 @@ def uh_mine_expand(ctx: SearchContext) -> None:
             sorted(frequent_items.items(), key=lambda kv: (-kv[1][0], kv[0]))
         )
     }
-    if ctx.backend == "columnar":
-        if ctx.executor.n_shards > 1:
-            # Each shard yields its rows' ordered unit lists; shard order is
-            # row order, so the concatenation matches the serial struct
-            # exactly.
-            struct: List[UHTransaction] = []
-            for shard_units in ctx.executor.map_shard_method(
-                "rows_as_ordered_units", item_order
-            ):
-                struct.extend(tuple(cells) for cells in shard_units if cells)
-        else:
-            struct = build_uh_struct_columnar(ctx.database.columnar(), item_order)
+    if ctx.executor.n_shards > 1:
+        # Each shard yields its rows' ordered unit lists; shard order is row
+        # order, so the concatenation matches the serial struct exactly.
+        struct: List[UHTransaction] = []
+        for shard_units in ctx.executor.map_shard_method(
+            "rows_as_ordered_units", item_order
+        ):
+            struct.extend(tuple(cells) for cells in shard_units if cells)
     else:
-        struct = build_uh_struct(ctx.database, item_order)
+        struct = build_uh_struct_columnar(ctx.database.columnar(), item_order)
     statistics.database_scans += 1
     statistics.notes["uh_struct_cells"] = float(sum(len(cells) for cells in struct))
 
@@ -188,14 +165,12 @@ class UHMine(ExpectedSupportMiner):
         self,
         track_variance: bool = False,
         track_memory: bool = False,
-        backend: Optional[str] = None,
         workers: Optional[int] = None,
         shards: Optional[int] = None,
         plan=None,
     ) -> None:
         super().__init__(
             track_memory=track_memory,
-            backend=backend,
             workers=workers,
             shards=shards,
             plan=plan,

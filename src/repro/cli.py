@@ -94,12 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     mine_parser.add_argument("--min-sup", type=float, default=None, help="minimum support")
     mine_parser.add_argument("--pft", type=float, default=0.9, help="probabilistic frequent threshold")
     mine_parser.add_argument("--limit", type=int, default=20, help="print at most this many itemsets")
-    mine_parser.add_argument(
-        "--backend",
-        choices=["rows", "columnar"],
-        default=None,
-        help="probability-evaluation backend (default: columnar)",
-    )
     _add_parallel_arguments(mine_parser)
 
     topk_parser = subparsers.add_parser(
@@ -134,12 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
             "truncate to k, and check the two results agree"
         ),
     )
-    topk_parser.add_argument(
-        "--backend",
-        choices=["rows", "columnar"],
-        default=None,
-        help="probability-evaluation backend (default: columnar)",
-    )
     _add_parallel_arguments(topk_parser)
 
     experiment_parser = subparsers.add_parser(
@@ -153,12 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     experiment_parser.add_argument("--scale", type=float, default=0.002, help="dataset scale factor")
     experiment_parser.add_argument(
         "--max-points", type=int, default=None, help="truncate each sweep to this many points"
-    )
-    experiment_parser.add_argument(
-        "--backend",
-        choices=["rows", "columnar"],
-        default=None,
-        help="probability-evaluation backend (default: columnar)",
     )
     _add_parallel_arguments(experiment_parser)
 
@@ -190,12 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--verify",
         action="store_true",
         help="batch-mine every window from scratch and check the frequent sets agree",
-    )
-    stream_parser.add_argument(
-        "--backend",
-        choices=["rows", "columnar"],
-        default=None,
-        help="probability-evaluation backend of the --verify batch runs",
     )
     _add_parallel_arguments(stream_parser)
 
@@ -322,8 +298,8 @@ def _add_parallel_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="SPEC",
         help=(
             "execution plan: a comma-separated knob spec such as "
-            "'backend=columnar,workers=4,conv_span=256' "
-            "(default: REPRO_PLAN; --backend/--workers/--shards stay the "
+            "'workers=4,conv_span=256' "
+            "(default: REPRO_PLAN; --workers/--shards stay the "
             "strongest tier, and a knob named in --plan beats REPRO_PLAN)"
         ),
     )
@@ -359,7 +335,6 @@ def _command_mine(args: argparse.Namespace) -> int:
             database,
             algorithm=args.algorithm,
             min_esup=threshold,
-            backend=args.backend,
             workers=args.workers,
             shards=args.shards,
             plan=args.plan,
@@ -371,7 +346,6 @@ def _command_mine(args: argparse.Namespace) -> int:
             algorithm=args.algorithm,
             min_sup=threshold,
             pft=args.pft,
-            backend=args.backend,
             workers=args.workers,
             shards=args.shards,
             plan=args.plan,
@@ -416,7 +390,6 @@ def _command_mine_topk(args: argparse.Namespace) -> int:
         args.k,
         algorithm=args.algorithm,
         min_sup=min_sup,
-        backend=args.backend,
         workers=args.workers,
         shards=args.shards,
         plan=args.plan,
@@ -445,7 +418,6 @@ def _command_mine_topk(args: argparse.Namespace) -> int:
             evaluator,
             min_sup=min_sup,
             reference=result,
-            backend=args.backend,
             workers=args.workers,
             shards=args.shards,
             plan=args.plan,
@@ -468,7 +440,6 @@ def _command_experiment(args: argparse.Namespace) -> int:
                 spec,
                 verify=True,
                 max_points=args.max_points,
-                backend=args.backend,
                 workers=args.workers,
                 shards=args.shards,
                 plan=args.plan,
@@ -507,7 +478,6 @@ def _command_experiment(args: argparse.Namespace) -> int:
             points = runner.run_accuracy_experiment(
                 spec,
                 max_points=args.max_points,
-                backend=args.backend,
                 workers=args.workers,
                 shards=args.shards,
                 plan=args.plan,
@@ -517,7 +487,6 @@ def _command_experiment(args: argparse.Namespace) -> int:
             points = runner.run_experiment(
                 spec,
                 max_points=args.max_points,
-                backend=args.backend,
                 workers=args.workers,
                 shards=args.shards,
                 plan=args.plan,
@@ -566,7 +535,6 @@ def _command_stream_mine(args: argparse.Namespace) -> int:
             batch = mine(
                 miner.window.contents(),
                 algorithm=batch_algorithm,
-                backend=args.backend,
                 workers=args.workers,
                 shards=args.shards,
                 plan=args.plan,

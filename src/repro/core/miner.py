@@ -51,9 +51,8 @@ def mine(
     options:
         Extra keyword arguments forwarded to the algorithm constructor
         (e.g. ``use_pruning=False`` for the exact miners,
-        ``track_memory=True`` for any miner, ``backend="rows"`` /
-        ``backend="columnar"`` to pin the probability-evaluation engine, or
-        ``workers=4`` / ``shards=4`` to engage the partition-parallel
+        ``track_memory=True`` for any miner, or ``workers=4`` /
+        ``shards=4`` to engage the partition-parallel
         engine — results are byte-identical for every setting).
 
     Returns

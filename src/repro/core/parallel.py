@@ -1,6 +1,6 @@
 """Partition-parallel execution of support-statistics workloads.
 
-The columnar backend of PR 1 batched the per-level math on one core; this
+The columnar view batches the per-level math on one core; this
 module distributes those batches across worker processes without changing a
 single bit of the results.  Two orthogonal axes of parallelism exist:
 

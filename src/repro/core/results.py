@@ -49,20 +49,17 @@ class MiningStatistics:
 
     ``database_scans``
         Passes over the transaction data: **one** for the opening
-        item-statistics scan, **one per generator-driven candidate level**
-        (joined or exhaustive — the level's batched evaluation reads every
-        transaction once, whatever the backend), and **one per auxiliary
-        structure built from a full pass** (the UH-struct, the global
-        UFP-tree, the sampled-worlds materialisation).  Streaming slides
-        charge none: their statistics come from the incremental index, not
-        from scans.
+        item-statistics scan, **one per joined candidate level** (the
+        level's batched evaluation reads every transaction once), and
+        **one per auxiliary structure built from a full pass** (the
+        UH-struct, the global UFP-tree, the sampled-worlds
+        materialisation).  Streaming slides charge none: their statistics
+        come from the incremental index, not from scans.
     ``candidates_generated``
         Every candidate submitted by a level generator (the apriori join
-        after subset pruning, the exhaustive ``combinations``, a
-        depth-first expander's extension sets).  Seed 1-itemsets taken
-        straight from the item-statistics pass are *not* generated — they
-        were never produced by a generator — but the exhaustive references
-        count their size-1 level because their generator enumerates it.
+        after subset pruning, a depth-first expander's extension sets).
+        Seed 1-itemsets taken straight from the item-statistics pass are
+        *not* generated — they were never produced by a generator.
     ``candidates_pruned``
         ``generated - admitted`` per level: every generated candidate the
         decision rule (or a sound bound before it) kept out of the next
@@ -71,7 +68,7 @@ class MiningStatistics:
         died", not "why".
     ``exact_evaluations``
         Candidates whose *score kernel* actually ran (exact tails after
-        the bound chain, sampled-world estimates, direct PMF reads).
+        the bound chain, sampled-world estimates).
         Expected-support arithmetic is not an exact evaluation; bound
         filters are not either.
     """

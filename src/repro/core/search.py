@@ -20,15 +20,12 @@ min_esup`` versus Definition 4's strict ``Pr[sup >= min_count] > pft``), a
 bound chain, an item-prefilter rule and a seed mode.  The depth-first
 miners (UH-Mine, UFP-growth) plug in through the spec's ``expander`` hook:
 the driver still owns seeding and accounting, the spec supplies the growth
-strategy.  The exhaustive references swap the apriori join for a
-``combinations`` level generator.  Streaming mining and the top-k search
-drive the same loop through :meth:`LevelwiseSearch.drive` and
-:meth:`LevelwiseSearch.run_topk`.
+strategy.  Streaming mining and the top-k search drive the same loop
+through :meth:`LevelwiseSearch.drive` and :meth:`LevelwiseSearch.run_topk`.
 
 Everything the engine does is held to the bitwise contract pinned by
-``tests/test_search_engine.py``: for every miner x backend x (workers,
-shards) configuration the results are byte-identical to the goldens
-captured at the pre-refactor commit.
+``tests/test_search_engine.py``: for every miner x (workers, shards)
+configuration the results are byte-identical to the checked-in goldens.
 
 A compiled kernel backend (the remaining ROADMAP item) would slot in behind
 :class:`LevelKernel.evaluate`: the driver, the specs and the accounting are
@@ -38,7 +35,6 @@ agnostic to how a level's scores are produced.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .itemset import Itemset
@@ -61,7 +57,6 @@ Candidate = Tuple[int, ...]
 
 _DEFINITIONS = ("expected", "probabilistic")
 _SEED_MODES = ("statistics", "evaluate", "none")
-_LEVEL_GENERATORS = ("join", "exhaustive")
 
 _COMMON = None
 
@@ -129,18 +124,10 @@ class MinerSpec:
         How 1-itemsets enter the search: ``"statistics"`` records them
         straight off the item-statistics pass (expected-support miners),
         ``"evaluate"`` runs them through the kernel like any level
-        (probabilistic miners), ``"none"`` leaves seeding to the expander
-        or level generator.
+        (probabilistic miners), ``"none"`` leaves seeding to the expander.
     track_variance:
         Record support variances on ``"statistics"``-seeded records and in
         the expected-support kernel.
-    level_generator:
-        ``"join"`` (apriori join + subset prune, the default) or
-        ``"exhaustive"`` (all ``combinations`` of the seed items per size,
-        up to :attr:`max_size`, extension regardless of outcome — the
-        brute-force references).
-    max_size:
-        Largest itemset size the ``"exhaustive"`` generator enumerates.
     search_threshold:
         ``callable(ctx) -> float`` translating the resolved thresholds into
         the absolute expected-support bar that drives the search (the
@@ -159,8 +146,7 @@ class MinerSpec:
         run-level notes).
     uses_executor:
         Whether the run opens the partition-parallel executor.  The
-        deliberately-serial miners (sampling, the exhaustive references)
-        leave it off.
+        deliberately-serial sampling miner leaves it off.
     """
 
     name: str
@@ -171,8 +157,6 @@ class MinerSpec:
     item_prefilter: Optional[Callable[["SearchContext"], float]] = None
     seed_mode: str = "statistics"
     track_variance: bool = False
-    level_generator: str = "join"
-    max_size: Optional[int] = None
     search_threshold: Optional[Callable[["SearchContext"], float]] = None
     record_probability: Optional[
         Callable[["SearchContext", float], Optional[float]]
@@ -190,16 +174,6 @@ class MinerSpec:
             raise ValueError(
                 f"seed_mode must be one of {_SEED_MODES}, got {self.seed_mode!r}"
             )
-        if self.level_generator not in _LEVEL_GENERATORS:
-            raise ValueError(
-                f"level_generator must be one of {_LEVEL_GENERATORS}, "
-                f"got {self.level_generator!r}"
-            )
-        if self.level_generator == "exhaustive" and self.seed_mode != "none":
-            raise ValueError(
-                "the exhaustive generator enumerates 1-itemsets itself; "
-                'use seed_mode="none"'
-            )
 
 @dataclass
 class SearchContext:
@@ -208,7 +182,6 @@ class SearchContext:
     database: Any
     spec: MinerSpec
     statistics: MiningStatistics
-    backend: str
     executor: Any = None
     n_transactions: int = 0
     #: ``{item: (expected_support, variance)}`` from the opening scan
@@ -269,106 +242,39 @@ class LevelKernel:
 class ExpectedSupportKernel(LevelKernel):
     """The Definition-2 score kernel: inclusive ``esup >= bar``.
 
-    On the columnar backend the whole level is evaluated in one batched
-    engine pass (the candidate source gets the bar as its stage-1 kill
-    threshold: ``esup(X) <= count(X)``, so a candidate with fewer
-    supporting rows than the bar is already decided).  On the row backend
-    each candidate is accumulated transaction by transaction with the
-    optional *decremental* early termination of Chui et al.: once the
-    running total plus the unseen-transaction count drops below the bar
-    the candidate is abandoned.
+    The whole level is evaluated in one batched engine pass (the candidate
+    source gets the bar as its stage-1 kill threshold: ``esup(X) <=
+    count(X)``, so a candidate with fewer supporting rows than the bar is
+    already decided).
     """
 
-    def __init__(self, decremental: bool = True) -> None:
-        self.decremental = decremental
+    def __init__(self) -> None:
         self._source = None
-        self._transactions: Optional[List[Dict[int, float]]] = None
 
     def begin(self, ctx: SearchContext) -> None:
-        common = _common()
-        if ctx.backend == "columnar":
-            self._source = common.make_candidate_source(
-                ctx.database, ctx.seed_items, "columnar", executor=ctx.executor
-            )
-        else:
-            self._transactions = common.trim_transactions(ctx.database, ctx.seed_items)
+        self._source = _common().make_candidate_source(
+            ctx.database, executor=ctx.executor
+        )
 
     def evaluate(
         self, ctx: SearchContext, candidates: List[Candidate]
     ) -> List[Candidate]:
-        if self._source is not None:
-            survivors = self._evaluate_columnar(ctx, candidates)
-        else:
-            survivors = self._evaluate_rows(ctx, candidates)
-        for candidate, expected, variance in survivors:
-            ctx.record(candidate, expected, variance)
-        return [candidate for candidate, _, _ in survivors]
-
-    def _evaluate_columnar(self, ctx: SearchContext, candidates: List[Candidate]):
         engine = SupportEngine(
             self._source.level_vectors(candidates, min_count=ctx.search_min_esup)
         )
         expected_supports = engine.expected_supports()
         variances = engine.variances() if ctx.spec.track_variance else None
-        survivors = []
+        survivors: List[Candidate] = []
         for index, candidate in enumerate(candidates):
             expected = float(expected_supports[index])
             if expected >= ctx.search_min_esup:
-                survivors.append(
-                    (
-                        candidate,
-                        expected,
-                        float(variances[index]) if variances is not None else None,
-                    )
+                ctx.record(
+                    candidate,
+                    expected,
+                    float(variances[index]) if variances is not None else None,
                 )
+                survivors.append(candidate)
         return survivors
-
-    def _evaluate_rows(self, ctx: SearchContext, candidates: List[Candidate]):
-        survivors = []
-        for candidate in candidates:
-            expected, variance, frequent = self._candidate_statistics(
-                ctx, candidate, ctx.search_min_esup
-            )
-            if frequent:
-                survivors.append(
-                    (
-                        candidate,
-                        expected,
-                        variance if ctx.spec.track_variance else None,
-                    )
-                )
-        return survivors
-
-    def _candidate_statistics(
-        self, ctx: SearchContext, candidate: Candidate, bar: float
-    ) -> Tuple[float, float, bool]:
-        """(expected, variance, surviving) of one row-backend candidate.
-
-        ``surviving`` is False when the decremental bound abandoned the
-        candidate early; its statistics are then partial and must not be
-        used.
-        """
-        transactions = self._transactions
-        track_variance = ctx.spec.track_variance
-        remaining = len(transactions)
-        expected = 0.0
-        variance = 0.0
-        for units in transactions:
-            remaining -= 1
-            probability = 1.0
-            for item in candidate:
-                unit = units.get(item)
-                if unit is None:
-                    probability = 0.0
-                    break
-                probability *= unit
-            if probability > 0.0:
-                expected += probability
-                if track_variance:
-                    variance += probability * (1.0 - probability)
-            if self.decremental and expected + remaining < bar:
-                return expected, variance, False
-        return expected, variance, expected >= bar
 
 
 class TailEvaluationKernel(LevelKernel):
@@ -396,7 +302,7 @@ class TailEvaluationKernel(LevelKernel):
 
     def begin(self, ctx: SearchContext) -> None:
         self._source = _common().make_candidate_source(
-            ctx.database, ctx.seed_items, ctx.backend, executor=ctx.executor
+            ctx.database, executor=ctx.executor
         )
 
     def evaluate(
@@ -470,14 +376,10 @@ class LevelwiseSearch:
         seed_level: Sequence[Candidate],
         evaluate: Callable[[List[Candidate]], List[Candidate]],
         statistics: MiningStatistics,
-        generator: Optional[
-            Callable[[List[Candidate]], Optional[List[Candidate]]]
-        ] = None,
     ) -> None:
         """The levelwise loop: generate -> account -> evaluate -> extend.
 
-        ``generator`` maps the surviving level to the next candidate level
-        (``None`` ends the search); the default is the apriori join with
+        Each level is the apriori join of the surviving level with
         downward-closure subset pruning.  ``evaluate`` scores one level and
         returns the candidates admitted to the next; the uniform accounting
         (see :class:`~repro.core.results.MiningStatistics`) charges
@@ -488,13 +390,9 @@ class LevelwiseSearch:
         apriori join of a sorted level is sorted, and survivors preserve
         order — so the join never re-sorts (``presorted=True``).
         """
-        if generator is None:
-            generator = self._apriori_candidates
         current_level = list(seed_level)
-        while True:
-            candidates = generator(current_level)
-            if candidates is None:
-                break
+        while current_level:
+            candidates = self._apriori_candidates(current_level)
             statistics.candidates_generated += len(candidates)
             if not candidates:
                 break
@@ -503,11 +401,7 @@ class LevelwiseSearch:
             current_level = survivors
 
     @staticmethod
-    def _apriori_candidates(
-        current_level: List[Candidate],
-    ) -> Optional[List[Candidate]]:
-        if not current_level:
-            return None
+    def _apriori_candidates(current_level: List[Candidate]) -> List[Candidate]:
         common = _common()
         frequent_keys = set(current_level)
         return [
@@ -535,7 +429,6 @@ class LevelwiseSearch:
                     database=database,
                     spec=spec,
                     statistics=statistics,
-                    backend=miner.backend,
                     executor=executor,
                     n_transactions=len(database),
                 )
@@ -545,8 +438,6 @@ class LevelwiseSearch:
                 seed_level = self._seed(ctx)
                 if spec.expander is not None:
                     spec.expander(ctx)
-                elif spec.level_generator == "exhaustive":
-                    self._drive_exhaustive(ctx)
                 else:
                     self._drive_levels(ctx, seed_level)
                 if spec.kernel is not None:
@@ -567,7 +458,7 @@ class LevelwiseSearch:
         # full-column reductions are cheap, and reusing them keeps the
         # frequent-1-item decisions byte-identical for every (workers,
         # shards) configuration.
-        ctx.item_stats = _common().item_statistics(ctx.database, backend=ctx.backend)
+        ctx.item_stats = _common().item_statistics(ctx.database)
         ctx.statistics.database_scans += 1
 
         if spec.definition == "expected":
@@ -626,27 +517,6 @@ class LevelwiseSearch:
 
         self.drive(seed_level, evaluate, ctx.statistics)
 
-    def _drive_exhaustive(self, ctx: SearchContext) -> None:
-        """All ``combinations`` of the seed items per size, join-free."""
-        kernel = ctx.spec.kernel
-        base = sorted(ctx.seed_items)
-        limit = min(ctx.spec.max_size or len(base), len(base))
-        state = {"size": 0}
-
-        def generator(_survivors: List[Candidate]) -> Optional[List[Candidate]]:
-            # Extension is unconditional: the references keep enumerating
-            # even when a whole size comes up empty.
-            state["size"] += 1
-            if state["size"] > limit:
-                return None
-            return list(combinations(base, state["size"]))
-
-        def evaluate(candidates: List[Candidate]) -> List[Candidate]:
-            ctx.statistics.database_scans += 1
-            return kernel.evaluate(ctx, candidates)
-
-        self.drive([], evaluate, ctx.statistics, generator=generator)
-
     # -- ranked (top-k) mining ---------------------------------------------------------
     def run_topk(self, database: Any, k: int, min_count: Optional[int] = None):
         """The floor-driven best-first ranked search, on the same substrate.
@@ -665,14 +535,12 @@ class LevelwiseSearch:
         with common.instrumented_run(statistics, miner.track_memory), (
             miner._open_executor(database)
         ) as executor:
-            stats_by_item = common.item_statistics(database, backend=miner.backend)
+            stats_by_item = common.item_statistics(database)
             statistics.database_scans += 1
             universe = sorted(
                 item for item, stats in stats_by_item.items() if stats[0] > 0.0
             )
-            source = common.make_candidate_source(
-                database, universe, miner.backend, executor=executor
-            )
+            source = common.make_candidate_source(database, executor=executor)
             evaluate = miner._topk_evaluate(source, min_count, statistics, executor)
             buffer = self.best_first(
                 universe,

@@ -397,7 +397,7 @@ def mine_topk(
         expected-support ones.
     options:
         Forwarded to :class:`~repro.algorithms.topk.TopKMiner`
-        (``backend=``, ``workers=``, ``shards=``, ``use_pruning=``, ...).
+        (``workers=``, ``shards=``, ``use_pruning=``, ...).
 
     Returns
     -------

@@ -9,7 +9,7 @@ and an out-of-core memory-mapped columnar store (:mod:`repro.db.store`).
 from .builder import DatabaseBuilder, paper_example_database
 from .cache import ByteBudgetLRU
 from .columnar import ColumnarView
-from .database import BACKENDS, DatabaseStats, UncertainDatabase, resolve_backend
+from .database import DatabaseStats, UncertainDatabase
 from .partition import ColumnarPartition, shard_bounds
 from .io import read_fimi, read_uncertain, write_fimi, write_uncertain
 from .sampling import (
@@ -32,7 +32,6 @@ from .validation import ValidationIssue, ValidationReport, validate_database
 from .vocabulary import Vocabulary
 
 __all__ = [
-    "BACKENDS",
     "ByteBudgetLRU",
     "ColumnarPartition",
     "ColumnarStore",
@@ -53,7 +52,6 @@ __all__ = [
     "paper_example_database",
     "read_fimi",
     "read_uncertain",
-    "resolve_backend",
     "resolve_store_path",
     "sample_world",
     "sample_worlds",

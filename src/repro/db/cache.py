@@ -1,4 +1,4 @@
-"""Byte-budgeted LRU caches for the columnar backend.
+"""Byte-budgeted LRU caches for the columnar view.
 
 The columnar view memoises three kinds of derived arrays — dense per-item
 probability columns, packed occupancy bitmaps and cross-level prefix

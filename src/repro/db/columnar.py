@@ -1,4 +1,4 @@
-"""Columnar probability store: the vectorized backend of the database.
+"""Columnar probability store: the evaluation engine of the database.
 
 The row-object representation (:class:`~repro.db.transaction.UncertainTransaction`
 dictionaries) is convenient for construction and IO but makes every
@@ -15,10 +15,12 @@ indices containing it and the matching existence probabilities — so that
   (candidates produced by the Apriori join share their ``k - 1``-prefix by
   construction).
 
-Per-transaction products are accumulated in itemset order, exactly like the
-row backend, so the non-zero probabilities are bitwise identical between
-the two backends; only full-vector reductions may differ in the last ulp
-(different summation orders).
+Per-transaction products are accumulated in itemset order, exactly like
+:meth:`UncertainTransaction.itemset_probability
+<repro.db.transaction.UncertainTransaction.itemset_probability>` (the
+per-transaction reference oracle of the test-suite), so the non-zero
+probabilities are bitwise identical to the oracle's; only full-vector
+reductions may differ in the last ulp (different summation orders).
 
 Because every per-transaction product is row-local, a view can also be
 :meth:`sliced by row range <ColumnarView.slice_rows>` into independent
@@ -32,7 +34,8 @@ supporting-row counts come from word-wide bitwise AND + popcount
 already below the caller's ``minsup`` are killed before any float work,
 and the survivors resolve their ``k - 1``-prefixes through a cross-level
 byte-budgeted LRU so each costs one gather-and-multiply.  Every surviving
-column equals the non-zeros of the row backend's ``p_i(X)`` bit for bit.
+column equals the non-zeros of the reference oracle's ``p_i(X)`` bit for
+bit.
 
 >>> from repro.db import UncertainDatabase
 >>> db = UncertainDatabase.from_records([{1: 0.5, 2: 0.8}, {1: 1.0}, {2: 0.4}])
@@ -325,7 +328,7 @@ class ColumnarView:
 
         Args:
             itemset: The items of ``X`` (any iterable; order defines the
-                multiplication order, which matches the row backend).
+                multiplication order, which matches the reference oracle).
 
         Returns:
             ``(rows, probabilities)``: the sorted transaction indices
@@ -521,7 +524,7 @@ class ColumnarView:
            one :meth:`_combine_gather` gather-and-multiply;
         3. that kernel multiplies in itemset order and drops exact-zero
            products, so every survivor column equals the non-zeros of the
-           row backend's ``p_i(X)`` bit for bit.
+           reference oracle's ``p_i(X)`` bit for bit.
         """
         candidates = [tuple(candidate) for candidate in candidates]
         killed = None
@@ -641,9 +644,9 @@ class ColumnarView:
         ``O(len(rows))``; sparse items run a sorted-merge ``searchsorted``
         intersection, probing the smaller operand into the larger.
 
-        Every multiplication is ``running * item``, the row backend's
+        Every multiplication is ``running * item``, the reference oracle's
         operand order, and exact-zero products (subnormal underflow) are
-        dropped, so the column equals the non-zeros of the row backend's
+        dropped, so the column equals the non-zeros of the oracle's
         ``p_i(X)`` bit for bit.
         """
         other_rows, other_probs = self.column(item)

@@ -14,23 +14,12 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..plan.spec import BACKENDS, resolve_knob
 from .columnar import ColumnarView
 from .partition import ColumnarPartition
 from .transaction import UncertainTransaction
 from .vocabulary import Vocabulary
 
-__all__ = ["UncertainDatabase", "DatabaseStats", "BACKENDS", "resolve_backend"]
-
-
-def resolve_backend(backend: Optional[str]) -> str:
-    """Resolve a backend name through the plan pipeline.
-
-    ``None`` walks the remaining tiers — a scoped
-    :func:`~repro.plan.spec.plan_scope` plan, ``REPRO_PLAN``, and finally
-    :attr:`UncertainDatabase.default_backend`.
-    """
-    return resolve_knob("backend", backend)
+__all__ = ["UncertainDatabase", "DatabaseStats"]
 
 
 class DatabaseStats:
@@ -76,14 +65,9 @@ class UncertainDatabase:
         Optional human-readable name (used by the evaluation harness when
         reporting results).
 
-    Probability queries accept a ``backend`` argument: ``"rows"`` walks the
-    transaction objects (the original pure-Python path, kept as the
-    correctness oracle), ``"columnar"`` (the default) evaluates through the
-    lazily built, cached :class:`~repro.db.columnar.ColumnarView`.
+    Probability queries evaluate through the lazily built, cached
+    :class:`~repro.db.columnar.ColumnarView`.
     """
-
-    #: backend used when a probability query passes ``backend=None``
-    default_backend: str = "columnar"
 
     def __init__(
         self,
@@ -158,75 +142,41 @@ class UncertainDatabase:
             self._partitions[n_shards] = partition
         return partition
 
-    def itemset_probabilities(
-        self, itemset: Iterable[int], backend: Optional[str] = None
-    ) -> np.ndarray:
+    def itemset_probabilities(self, itemset: Iterable[int]) -> np.ndarray:
         """Return the vector ``p_i(X)`` of per-transaction probabilities of ``itemset``.
 
         Transactions where the itemset cannot occur contribute zero.  This is
         the shared primitive behind expected support, support variance and the
         exact Poisson-Binomial support distribution.
         """
-        itemset = tuple(itemset)
-        if resolve_backend(backend) == "columnar":
-            return self.columnar().itemset_probabilities(itemset)
-        return np.array(
-            [t.itemset_probability(itemset) for t in self._transactions], dtype=float
-        )
+        return self.columnar().itemset_probabilities(tuple(itemset))
 
     def itemset_probabilities_batch(
-        self,
-        candidates: Sequence[Tuple[int, ...]],
-        backend: Optional[str] = None,
+        self, candidates: Sequence[Tuple[int, ...]]
     ) -> np.ndarray:
         """Dense probability matrix of a whole candidate level (one row each).
 
-        With the columnar backend, candidates sharing a ``k - 1``-prefix (as
-        every Apriori join output does) reuse the prefix intersection.
+        Candidates sharing a ``k - 1``-prefix (as every Apriori join output
+        does) reuse the prefix intersection.
         """
-        if resolve_backend(backend) == "columnar":
-            return self.columnar().batch_probabilities(candidates)
-        return np.array(
-            [
-                [t.itemset_probability(tuple(candidate)) for t in self._transactions]
-                for candidate in candidates
-            ],
-            dtype=float,
-        ).reshape(len(candidates), len(self._transactions))
+        return self.columnar().batch_probabilities(candidates)
 
-    def item_probabilities(
-        self, item: int, backend: Optional[str] = None
-    ) -> np.ndarray:
+    def item_probabilities(self, item: int) -> np.ndarray:
         """Return the per-transaction probability vector of a single item."""
-        if resolve_backend(backend) == "columnar":
-            return self.columnar().item_probabilities(item)
-        return np.array(
-            [t.probability(item) for t in self._transactions], dtype=float
-        )
+        return self.columnar().item_probabilities(item)
 
-    def expected_support(
-        self, itemset: Iterable[int], backend: Optional[str] = None
-    ) -> float:
+    def expected_support(self, itemset: Iterable[int]) -> float:
         """Return ``esup(X) = sum_i p_i(X)`` (Definition 1 of the paper)."""
-        itemset = tuple(itemset)
-        if resolve_backend(backend) == "columnar":
-            return self.columnar().expected_support(itemset)
-        return float(self.itemset_probabilities(itemset, backend="rows").sum())
+        return self.columnar().expected_support(tuple(itemset))
 
-    def support_variance(
-        self, itemset: Iterable[int], backend: Optional[str] = None
-    ) -> float:
+    def support_variance(self, itemset: Iterable[int]) -> float:
         """Return ``Var[sup(X)] = sum_i p_i(X)(1 - p_i(X))``.
 
         The support is a sum of independent Bernoulli variables (one per
         transaction), hence its variance is the sum of the per-transaction
         Bernoulli variances.
         """
-        itemset = tuple(itemset)
-        if resolve_backend(backend) == "columnar":
-            return self.columnar().support_variance(itemset)
-        probabilities = self.itemset_probabilities(itemset, backend="rows")
-        return float((probabilities * (1.0 - probabilities)).sum())
+        return self.columnar().support_variance(tuple(itemset))
 
     # -- transformations ------------------------------------------------------------
     def restricted_to(self, keep: Iterable[int], name: Optional[str] = None) -> "UncertainDatabase":

@@ -773,13 +773,11 @@ class MappedColumnarView(ColumnarView):
 class StoreDatabase(UncertainDatabase):
     """An :class:`UncertainDatabase` served by an on-disk columnar store.
 
-    The columnar backend — which every miner uses by default — runs
-    entirely off the mapped planes; shape statistics come from the
-    manifest.  Only consumers of the *row* representation (the ``rows``
-    oracle backend, world sampling's transaction trimming) trigger a lazy
-    one-time materialisation of transaction objects, which loads the whole
-    database into memory — out-of-core workloads should stay on the
-    columnar backend.
+    Every miner's columnar evaluation runs entirely off the mapped planes;
+    shape statistics come from the manifest.  Only consumers of the *row*
+    representation (world sampling's transaction trimming, iteration over
+    transaction objects) trigger a lazy one-time materialisation of
+    transaction objects, which loads the whole database into memory.
     """
 
     def __init__(self, store: ColumnarStore) -> None:
@@ -792,9 +790,8 @@ class StoreDatabase(UncertainDatabase):
         self._materialized: Optional[List[UncertainTransaction]] = None
 
     # Lazy stand-in for the eager list the base constructor builds: every
-    # inherited row-path method (iteration, restriction, splitting, the
-    # rows-backend probability primitives) transparently materialises on
-    # first touch through this property.
+    # inherited row-path method (iteration, restriction, splitting)
+    # transparently materialises on first touch through this property.
     @property
     def _transactions(self) -> List[UncertainTransaction]:
         if self._materialized is None:

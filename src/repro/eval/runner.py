@@ -20,7 +20,7 @@ from ..core.registry import get_algorithm
 from ..core.results import MiningResult
 from ..core.topk import mine_topk, truncation_baseline
 from ..datasets.registry import load_dataset
-from ..db.database import UncertainDatabase, resolve_backend
+from ..db.database import UncertainDatabase
 from ..stream import BATCH_EQUIVALENTS, TransactionStream, make_streaming_miner
 from .metrics import compare_results
 from .scenarios import ExperimentSpec, StreamingScenario, TopKScenario
@@ -174,21 +174,19 @@ def _mine_point(
     algorithm: str,
     thresholds: Dict[str, float],
     track_memory: bool,
-    backend: Optional[str] = None,
     workers: Optional[int] = None,
     shards: Optional[int] = None,
     plan=None,
 ) -> MiningResult:
     info = get_algorithm(algorithm)
-    if resolve_backend(backend) == "columnar":
-        # Warm the shared columnar view (and, when sharding is requested,
-        # the cached partition) outside the instrumented run so the one-time
-        # build cost is not charged to whichever algorithm happens to mine
-        # the database first (the sweep compares algorithms).
-        database.columnar()
-        resolved_shards = resolve_shards(shards, resolve_workers(workers))
-        if resolved_shards > 1:
-            database.partition(resolved_shards)
+    # Warm the shared columnar view (and, when sharding is requested, the
+    # cached partition) outside the instrumented run so the one-time build
+    # cost is not charged to whichever algorithm happens to mine the
+    # database first (the sweep compares algorithms).
+    database.columnar()
+    resolved_shards = resolve_shards(shards, resolve_workers(workers))
+    if resolved_shards > 1:
+        database.partition(resolved_shards)
     kwargs: Dict[str, float] = {}
     if info.family == "expected":
         kwargs["min_esup"] = thresholds.get("min_esup", thresholds.get("min_sup", 0.5))
@@ -199,7 +197,6 @@ def _mine_point(
         database,
         algorithm=algorithm,
         track_memory=track_memory,
-        backend=backend,
         workers=workers,
         shards=shards,
         plan=plan,
@@ -210,7 +207,6 @@ def _mine_point(
 def run_experiment(
     spec: ExperimentSpec,
     max_points: Optional[int] = None,
-    backend: Optional[str] = None,
     workers: Optional[int] = None,
     shards: Optional[int] = None,
     plan=None,
@@ -218,9 +214,7 @@ def run_experiment(
     """Run the full sweep of ``spec`` and return one row per (algorithm, value).
 
     ``max_points`` truncates the sweep (used by the smoke tests and by
-    benchmark quick modes).  ``backend`` selects the probability-evaluation
-    engine for every mined point (``"rows"`` / ``"columnar"``; ``None``
-    uses the database default, columnar).  ``workers`` / ``shards`` engage
+    benchmark quick modes).  ``workers`` / ``shards`` engage
     the partition-parallel engine for every mined point (``None`` resolves
     the plan's ``workers`` / ``shards`` knobs); results are byte-identical for
     any setting, only the timings change.
@@ -243,7 +237,6 @@ def run_experiment(
                 algorithm,
                 thresholds,
                 spec.track_memory,
-                backend,
                 workers,
                 shards,
                 plan=plan,
@@ -267,7 +260,6 @@ def run_streaming_scenario(
     spec: StreamingScenario,
     verify: bool = False,
     max_slides: Optional[int] = None,
-    backend: Optional[str] = None,
     workers: Optional[int] = None,
     shards: Optional[int] = None,
     plan=None,
@@ -278,7 +270,7 @@ def run_streaming_scenario(
     the initial window fill, subsequent points are slides of ``spec.step``
     arrivals.  With ``verify=True`` every slide is additionally batch-mined
     from scratch over the window contents (``BATCH_EQUIVALENTS`` names the
-    static counterpart; ``backend``/``workers``/``shards`` parameterise that
+    static counterpart; ``workers``/``shards`` parameterise that
     batch run), recording the batch wall-clock and whether the frequent sets
     agree — the incremental-vs-recompute comparison of the windowed
     benchmark, available on live scenarios.
@@ -305,7 +297,6 @@ def run_streaming_scenario(
                 batch_algorithm,
                 dict(spec.thresholds),
                 False,
-                backend,
                 workers,
                 shards,
                 plan=plan,
@@ -334,7 +325,6 @@ def run_topk_scenario(
     spec: TopKScenario,
     verify: bool = False,
     max_points: Optional[int] = None,
-    backend: Optional[str] = None,
     workers: Optional[int] = None,
     shards: Optional[int] = None,
     plan=None,
@@ -348,13 +338,12 @@ def run_topk_scenario(
     ``max_points`` truncates the k grid (smoke runs).
     """
     database = load_dataset(spec.dataset, **spec.dataset_kwargs)
-    if resolve_backend(backend) == "columnar":
-        # Warm the shared view (and partition) outside the timed mining, as
-        # the sweep runner does for the threshold algorithms.
-        database.columnar()
-        resolved_shards = resolve_shards(shards, resolve_workers(workers))
-        if resolved_shards > 1:
-            database.partition(resolved_shards)
+    # Warm the shared view (and partition) outside the timed mining, as the
+    # sweep runner does for the threshold algorithms.
+    database.columnar()
+    resolved_shards = resolve_shards(shards, resolve_workers(workers))
+    if resolved_shards > 1:
+        database.partition(resolved_shards)
 
     ks = list(spec.ks)
     if max_points is not None:
@@ -367,7 +356,6 @@ def run_topk_scenario(
             int(k),
             algorithm=spec.algorithm,
             min_sup=spec.min_sup,
-            backend=backend,
             workers=workers,
             shards=shards,
             plan=plan,
@@ -383,7 +371,6 @@ def run_topk_scenario(
                 spec.algorithm,
                 min_sup=spec.min_sup,
                 reference=result,
-                backend=backend,
                 workers=workers,
                 shards=shards,
                 plan=plan,
@@ -410,7 +397,6 @@ def run_accuracy_experiment(
     spec: ExperimentSpec,
     reference_algorithm: str = "dcb",
     max_points: Optional[int] = None,
-    backend: Optional[str] = None,
     workers: Optional[int] = None,
     shards: Optional[int] = None,
     plan=None,
@@ -433,7 +419,6 @@ def run_accuracy_experiment(
             reference_algorithm,
             thresholds,
             False,
-            backend,
             workers,
             shards,
             plan=plan,
@@ -444,7 +429,6 @@ def run_accuracy_experiment(
                 algorithm,
                 thresholds,
                 False,
-                backend,
                 workers,
                 shards,
                 plan=plan,

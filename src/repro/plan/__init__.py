@@ -6,7 +6,6 @@ registry, the ``explicit > scope > REPRO_PLAN > default`` pipeline and
 """
 
 from .spec import (
-    BACKENDS,
     KNOBS,
     PLAN_ENV,
     ExecutionPlan,
@@ -20,7 +19,6 @@ from .spec import (
 )
 
 __all__ = [
-    "BACKENDS",
     "KNOBS",
     "PLAN_ENV",
     "ExecutionPlan",

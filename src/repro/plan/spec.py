@@ -14,9 +14,8 @@ one pipeline of three tiers, falling back to the knob's static default::
   (``REPRO_PLAN=workers=4,conv_span=256``).  The ``faults`` knob also
   reads ``REPRO_FAULTS``, the documented chaos switch, which beats its
   ``REPRO_PLAN`` entry.
-* **default** — the static default from the registry below (``backend``
-  follows ``UncertainDatabase.default_backend``; ``shards`` follows the
-  resolved worker count).
+* **default** — the static default from the registry below (``shards``
+  follows the resolved worker count).
 
 The pipeline is *pure resolution*: no tier ever writes to ``os.environ``.
 
@@ -37,7 +36,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Tuple, Union
 
 __all__ = [
-    "BACKENDS",
     "PLAN_ENV",
     "ExecutionPlan",
     "Knob",
@@ -54,10 +52,6 @@ __all__ = [
 #: composite plan environment variable: a ``k=v,k=v`` spec
 PLAN_ENV = "REPRO_PLAN"
 
-#: the probability-evaluation backends (canonical definition; re-exported
-#: by :mod:`repro.db.database` for backwards compatibility)
-BACKENDS = ("rows", "columnar")
-
 _BYTE_SUFFIXES = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30}
 
 
@@ -73,13 +67,6 @@ def _available_cpus() -> int:
 # Each parser normalizes an explicit value (bool/int/float/str, including the
 # raw strings arriving from ``k=v`` plan specs) into the knob's canonical
 # representation, raising ``ValueError`` on an invalid value.
-
-
-def _parse_backend(value: Any) -> str:
-    value = str(value).strip().lower() if not isinstance(value, str) else value
-    if value not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {value!r}")
-    return value
 
 
 def _parse_workers(value: Any) -> int:
@@ -158,8 +145,7 @@ class Knob:
         The :class:`ExecutionPlan` field name.
     default:
         The static default, or ``None`` when the default is computed
-        dynamically (backend follows ``UncertainDatabase.default_backend``;
-        shards follow the resolved worker count).
+        dynamically (shards follow the resolved worker count).
     parse:
         Normalizer/validator applied to every explicit, scoped and spec
         value.
@@ -178,10 +164,6 @@ class Knob:
 KNOBS: Dict[str, Knob] = {
     knob.name: knob
     for knob in (
-        Knob(
-            "backend", None, _parse_backend,
-            "probability-evaluation backend: columnar (vectorized) or rows (oracle)",
-        ),
         Knob(
             "workers", 1, _parse_workers,
             "worker processes for the partition-parallel engine (0/auto = CPUs)",
@@ -252,7 +234,6 @@ class ExecutionPlan:
     True
     """
 
-    backend: Optional[str] = None
     workers: Optional[int] = None
     shards: Optional[int] = None
     conv_span: Optional[int] = None
@@ -279,7 +260,7 @@ class ExecutionPlan:
         >>> ExecutionPlan.from_dict({"wrokers": 2})
         Traceback (most recent call last):
             ...
-        ValueError: unknown plan knob(s): 'wrokers' (known: backend, bitmap_cache_bytes, ...)
+        ValueError: unknown plan knob(s): 'wrokers' (known: bitmap_cache_bytes, conv_span, ...)
         """
         unknown = sorted(set(mapping) - set(KNOBS))
         if unknown:
@@ -432,11 +413,6 @@ def _env_value(knob: Knob) -> Optional[Any]:
 
 
 def _dynamic_default(name: str, workers: Optional[int]) -> Any:
-    if name == "backend":
-        # Imported lazily — repro.db.database imports this module.
-        from ..db.database import UncertainDatabase
-
-        return UncertainDatabase.default_backend
     if name == "shards":
         if workers is None:
             workers = resolve_knob("workers")
@@ -499,7 +475,7 @@ def materialize_plan(
 
     The run-level entry point of the pipeline: the miners, the streaming
     miners and the service all funnel through it.  ``explicit`` carries
-    tier-1 per-knob arguments (a miner's ``backend=``/``workers=``
+    tier-1 per-knob arguments (a miner's ``workers=``/``shards=``
     constructor parameters); ``plan`` enters at the scope tier; the
     environment and the defaults fill the rest.  Pinning the result with
     :func:`plan_scope` freezes the whole configuration for the run, immune

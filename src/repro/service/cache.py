@@ -68,7 +68,7 @@ RESULT_BYTES_ENV = "REPRO_SERVICE_RESULT_BYTES"
 DEFAULT_RESULT_BYTES = 64 << 20
 
 #: Definition 4 miners whose reported probability is exact and anti-monotone
-_EXACT_PFT_ALGORITHMS = frozenset({"dpb", "dpnb", "dcb", "dcnb", "exhaustive-prob"})
+_EXACT_PFT_ALGORITHMS = frozenset({"dpb", "dpnb", "dcb", "dcnb"})
 #: miners that reduce (min_count, pft) to an expected-support threshold
 _POISSON_ALGORITHMS = frozenset({"pdu-apriori"})
 
@@ -78,7 +78,7 @@ class MinePlan:
     """A normalised, cache-addressable mining request.
 
     ``group`` identifies the result *family* (dataset+revision, algorithm,
-    backend, definition-fixing parameters); ``axis`` is the monotone
+    ``conv_span``, definition-fixing parameters); ``axis`` is the monotone
     threshold within the group (``None`` for exact-key-only algorithms);
     ``keep`` is the membership predicate a fresh mine applies at ``axis``.
     """
@@ -94,7 +94,6 @@ def plan_mine(
     algorithm: str,
     family: str,
     n_transactions: int,
-    backend: str,
     min_esup: Optional[float],
     min_sup: Optional[float],
     pft: float,
@@ -105,8 +104,8 @@ def plan_mine(
     The group/axis split mirrors the threshold resolution of
     :mod:`repro.algorithms.base` exactly — same helpers, same floats — so
     the ``keep`` predicate reproduces the miner's own admission comparison
-    bit for bit.  The group carries every bitwise-relevant execution knob
-    (``backend`` and ``conv_span``); the bitwise-neutral ones (workers,
+    bit for bit.  The group carries the one bitwise-relevant execution knob
+    (``conv_span``); the bitwise-neutral ones (workers,
     shards, cache budgets) are deliberately excluded so answers are shared
     across them.
     """
@@ -114,7 +113,7 @@ def plan_mine(
         from ..plan.spec import resolve_knob
 
         conv_span = resolve_knob("conv_span")
-    base = (dataset, revision, "mine", algorithm, backend, int(conv_span))
+    base = (dataset, revision, "mine", algorithm, int(conv_span))
     if family == "expected":
         absolute = ExpectedSupportThreshold(float(min_esup)).absolute(n_transactions)
         return MinePlan(
@@ -156,7 +155,6 @@ def plan_topk(
     evaluator: str,
     ranking: str,
     n_transactions: int,
-    backend: str,
     min_sup: Optional[float],
     conv_span: Optional[int] = None,
 ) -> Tuple[Any, ...]:
@@ -174,7 +172,7 @@ def plan_topk(
                 "and requires min_sup",
             )
         min_count = ProbabilisticThreshold(float(min_sup)).min_count(n_transactions)
-    return (dataset, revision, "topk", evaluator, backend, int(conv_span), min_count)
+    return (dataset, revision, "topk", evaluator, int(conv_span), min_count)
 
 
 class _CachedEntry:

@@ -541,8 +541,6 @@ class MiningServer:
 
     def _mine_options(self, params: Dict[str, Any]) -> Dict[str, Any]:
         options: Dict[str, Any] = {}
-        if params.get("backend") is not None:
-            options["backend"] = str(params["backend"])
         if params.get("workers") is not None:
             options["workers"] = int(params["workers"])
         if params.get("shards") is not None:
@@ -564,7 +562,6 @@ class MiningServer:
             return materialize_plan(
                 params.get("plan"),
                 explicit={
-                    "backend": options.get("backend"),
                     "workers": options.get("workers"),
                     "shards": options.get("shards"),
                 },
@@ -599,7 +596,6 @@ class MiningServer:
                 info.name,
                 info.family,
                 len(database),
-                exec_plan.backend,
                 min_esup,
                 min_sup,
                 pft,
@@ -681,7 +677,6 @@ class MiningServer:
             evaluator,
             ranking,
             len(database),
-            exec_plan.backend,
             min_sup,
             conv_span=exec_plan.conv_span,
         )

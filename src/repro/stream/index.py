@@ -38,7 +38,7 @@ Two exactness properties hold by construction:
   from the same slot states (pinned by the stream tests for arbitrary
   probability values);
 * **batch agreement** — leaf probabilities multiply in candidate order
-  exactly like the row and columnar backends, and all merges are exact
+  exactly like the columnar view, and all merges are exact
   arithmetic re-orderings of the batch reductions, so streaming decisions
   match batch decisions (bitwise on windows whose probabilities are exactly
   representable; within convolution round-off otherwise).
@@ -251,8 +251,9 @@ class IncrementalSupportIndex:
         """``p_i(X)`` for the given slots x candidate columns, in candidate order.
 
         The product is accumulated item by item in candidate order starting
-        from 1.0, exactly like the row and columnar backends (an absent
-        item's 0.0 annihilates the product, matching their early exit).
+        from 1.0, exactly like the columnar view and the per-transaction
+        reference (an absent item's 0.0 annihilates the product, matching
+        their early exit).
         """
         gathered = self._slot_probs[slot_rows]
         probabilities = np.ones((len(slot_rows), len(columns)), dtype=float)

@@ -1,8 +1,7 @@
 """The bitset evaluation cascade: bitmaps, kills, caches, sharding.
 
-Pins the three stages of the cascade against the rows oracle (the
-non-zeros of ``db.itemset_probabilities(c, backend="rows")``, compared
-bitwise):
+Pins the three stages of the cascade against the reference oracle (the
+non-zeros of ``reference.itemset_probabilities(db, c)``, compared bitwise):
 
 * stage 1 — packed occupancy bitmaps and popcount kill decisions;
 * stage 2 — cross-level byte-budgeted prefix caching (and its bounding);
@@ -34,6 +33,7 @@ from repro.db import UncertainDatabase
 from repro.db.cache import ByteBudgetLRU
 from repro.db.columnar import ColumnarView, popcount_rows
 
+import reference
 from helpers import make_random_database
 
 
@@ -52,8 +52,8 @@ def _all_levels(view, max_len=3):
 
 
 def _oracle_column(database, itemset):
-    """The rows oracle: the non-zeros of the row backend's ``p_i(X)``."""
-    dense = database.itemset_probabilities(itemset, backend="rows")
+    """The reference oracle: the non-zeros of its ``p_i(X)``."""
+    dense = reference.itemset_probabilities(database, itemset)
     rows = np.flatnonzero(dense)
     return rows, dense[rows]
 
@@ -63,16 +63,16 @@ def _oracle_vectors(database, candidates):
 
 
 def _assert_oracle_column(column, database, itemset):
-    """``column`` equals the rows oracle of ``itemset`` bit for bit."""
+    """``column`` equals the reference oracle of ``itemset`` bit for bit."""
     rows, probs = _oracle_column(database, itemset)
     assert np.array_equal(column[0], rows), itemset
     assert np.asarray(column[1], dtype=np.float64).tobytes() == probs.tobytes(), itemset
 
 
-def _assert_same_vectors(vectors, reference):
-    assert len(vectors) == len(reference)
-    for vector, expected in zip(vectors, reference):
-        assert vector.tobytes() == expected.tobytes()
+def _assert_same_vectors(vectors, expected):
+    assert len(vectors) == len(expected)
+    for vector, truth in zip(vectors, expected):
+        assert vector.tobytes() == truth.tobytes()
 
 
 #: boundary probabilities: certain, dyadic, tiny normal and the smallest
@@ -144,7 +144,7 @@ class TestPopcountAndBitmaps:
 
 
 class TestCascadeEquivalence:
-    def test_batch_columns_bitwise_identical_to_rows_oracle(self, database):
+    def test_batch_columns_bitwise_identical_to_reference_oracle(self, database):
         view = database.columnar()
         candidates = _all_levels(view)
         for candidate, column in zip(candidates, view.batch_columns(candidates)):
@@ -156,8 +156,8 @@ class TestCascadeEquivalence:
         counts = view.level_occupancy_counts(candidates)
         min_count = int(np.median(counts)) + 1
         killed = view.batch_vectors(candidates, min_count=min_count)
-        reference = _oracle_vectors(database, candidates)
-        for count, vector, full in zip(counts, killed, reference):
+        expected = _oracle_vectors(database, candidates)
+        for count, vector, full in zip(counts, killed, expected):
             if count < min_count:
                 assert len(vector) == 0
             else:
@@ -200,17 +200,17 @@ class TestCascadeEquivalence:
         for candidate, column in zip(candidates, full):
             _assert_oracle_column(column, database, candidate)
 
-    def test_itemset_column_matches_rows_oracle(self, database):
+    def test_itemset_column_matches_reference_oracle(self, database):
         view = database.columnar()
         for itemset in [(0,), (0, 1), (1, 2, 3), ()] + _all_levels(view):
             _assert_oracle_column(view.itemset_column(itemset), database, itemset)
 
     @given(boundary_databases())
     # A sparse-path product that underflows to an exact zero (5e-324 * 0.5)
-    # must be dropped like the row backend drops it.
+    # must be dropped like the reference oracle drops it.
     @example(UncertainDatabase.from_records([{0: 5e-324, 1: 0.5}] + [{2: 1.0}] * 7))
     @settings(max_examples=200, deadline=None)
-    def test_boundary_probabilities_match_rows_oracle(self, database):
+    def test_boundary_probabilities_match_reference_oracle(self, database):
         # Levels go through one view in order, so the cross-level prefix
         # cache serves every k >= 2 prefix; itemset_column runs uncached.
         view = ColumnarView(database)
@@ -319,9 +319,9 @@ class TestByteBudgetCaches:
         first = view.batch_vectors(candidates)
         assert view._prefix_cache.nbytes <= 256
         second = view.batch_vectors(candidates)
-        reference = _oracle_vectors(database, candidates)
-        _assert_same_vectors(first, reference)
-        _assert_same_vectors(second, reference)
+        expected = _oracle_vectors(database, candidates)
+        _assert_same_vectors(first, expected)
+        _assert_same_vectors(second, expected)
 
     def test_dense_memo_is_bounded(self, database, monkeypatch):
         monkeypatch.setenv("REPRO_PLAN", f"dense_cache_bytes={len(database) * 8 * 2}")

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repro.db import UncertainDatabase
-from repro.db.database import resolve_backend
 
+import reference
 from helpers import make_random_database
 
 
@@ -51,16 +51,16 @@ class TestColumns:
         assert rows.tolist() == [0, 1]
         assert probs.tolist() == [0.5, 1.0]
 
-    def test_item_statistics_match_row_scan(self):
+    def test_item_statistics_match_reference(self):
         database = make_random_database(n_transactions=30, n_items=8, seed=4)
-        from repro.algorithms.common import item_statistics
-
         columnar = database.columnar().item_statistics()
-        rows = item_statistics(database, backend="rows")
-        assert set(columnar) == set(rows)
-        for item in rows:
-            assert columnar[item][0] == pytest.approx(rows[item][0], abs=1e-12)
-            assert columnar[item][1] == pytest.approx(rows[item][1], abs=1e-12)
+        assert set(columnar) == set(database.items())
+        for item in database.items():
+            expected, variance = reference.moments(
+                reference.itemset_probabilities(database, (item,))
+            )
+            assert columnar[item][0] == pytest.approx(expected, abs=1e-12)
+            assert columnar[item][1] == pytest.approx(variance, abs=1e-12)
 
 
 class TestItemsetAlgebra:
@@ -82,13 +82,13 @@ class TestItemsetAlgebra:
         rows, probs = tiny_db.columnar().itemset_column((0, 99, 1))
         assert len(rows) == 0
 
-    def test_dense_vector_matches_row_backend(self):
+    def test_dense_vector_matches_reference(self):
         database = make_random_database(n_transactions=50, n_items=7, seed=5)
         view = database.columnar()
         for itemset in [(0,), (1, 3), (0, 2, 4)]:
             assert np.array_equal(
                 view.itemset_probabilities(itemset),
-                database.itemset_probabilities(itemset, backend="rows"),
+                reference.itemset_probabilities(database, itemset),
             )
 
 
@@ -110,16 +110,3 @@ class TestBatch:
         for row, candidate in zip(matrix, candidates):
             assert np.array_equal(row, view.itemset_probabilities(candidate))
 
-
-class TestBackendResolution:
-    def test_default_is_columnar(self):
-        assert UncertainDatabase.default_backend == "columnar"
-        assert resolve_backend(None) == "columnar"
-
-    def test_explicit_backends(self):
-        assert resolve_backend("rows") == "rows"
-        assert resolve_backend("columnar") == "columnar"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            resolve_backend("gpu")

@@ -8,7 +8,7 @@ from repro.algorithms.common import (
     has_infrequent_subset,
     instrumented_run,
     item_statistics,
-    itemset_probability_vector,
+    make_candidate_source,
     trim_transactions,
 )
 from repro.core.results import MiningStatistics
@@ -59,13 +59,12 @@ class TestTrimAndVectors:
     def test_probability_vector_skips_zero_entries(self, paper_db):
         a = paper_db.vocabulary.id_of("A")
         c = paper_db.vocabulary.id_of("C")
-        trimmed = trim_transactions(paper_db, {a, c})
-        vector = itemset_probability_vector(trimmed, (a, c))
-        assert vector == pytest.approx([0.72, 0.72, 0.4])
+        (vector,) = make_candidate_source(paper_db).level_vectors([(a, c)])
+        assert vector.tolist() == pytest.approx([0.72, 0.72, 0.4])
 
     def test_probability_vector_of_absent_itemset_is_empty(self, paper_db):
-        trimmed = trim_transactions(paper_db, set(paper_db.items()))
-        assert itemset_probability_vector(trimmed, (999,)) == []
+        (vector,) = make_candidate_source(paper_db).level_vectors([(999,)])
+        assert vector.size == 0
 
 
 class TestInstrumentation:

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.algorithms import DCMiner, DPMiner, ExhaustiveProbabilisticMiner
+from repro.algorithms import DCMiner, DPMiner
 from repro.algorithms.pruning import ChernoffPruner
 from repro.core import SupportDistribution
 
+import reference
 from helpers import make_random_database
 
 
@@ -47,7 +48,7 @@ class TestCorrectness:
     @pytest.mark.parametrize("min_sup,pft", [(0.3, 0.9), (0.2, 0.5), (0.4, 0.7)])
     def test_matches_exhaustive_reference(self, random_db, kind, use_pruning, min_sup, pft):
         fast = make_miner(kind, use_pruning).mine(random_db, min_sup=min_sup, pft=pft)
-        slow = ExhaustiveProbabilisticMiner(max_size=6).mine(random_db, min_sup=min_sup, pft=pft)
+        slow = reference.exhaustive_probabilistic(random_db, min_sup=min_sup, pft=pft)
         assert fast.itemset_keys() == slow.itemset_keys()
         for record in fast:
             assert record.frequent_probability == pytest.approx(

@@ -39,7 +39,7 @@ from repro.db.partition import shard_bounds
 
 from helpers import make_random_database
 
-EXPECTED_MINERS = ["uapriori", "uh-mine", "ufp-growth", "exhaustive-expected"]
+EXPECTED_MINERS = ["uapriori", "uh-mine", "ufp-growth"]
 PROBABILISTIC_MINERS = [
     "dpb",
     "dpnb",
@@ -49,11 +49,12 @@ PROBABILISTIC_MINERS = [
     "ndu-apriori",
     "nduh-mine",
     "world-sampling",
-    "exhaustive-prob",
 ]
 
-#: (workers, shards) configurations exercised against the serial reference
-PARALLEL_CONFIGS = [(1, 3), (2, 2), (2, 4)]
+#: (workers, shards) configurations exercised against the serial reference:
+#: in-process shards, a pool over one unsplit shard (chunked exact tails
+#: only), one shard per worker and more shards than workers
+PARALLEL_CONFIGS = [(1, 3), (2, 1), (2, 2), (2, 4)]
 
 
 @pytest.fixture(params=["paper_db", "dense_random_db", "sparse_random_db"])

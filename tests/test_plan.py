@@ -73,10 +73,6 @@ def _clean_plan_env(monkeypatch):
 
 def _default(name):
     """The default tier of ``name`` with nothing set anywhere."""
-    if name == "backend":
-        from repro.db.database import UncertainDatabase
-
-        return UncertainDatabase.default_backend
     if name == "shards":
         return KNOBS["workers"].default
     return KNOBS[name].default
@@ -89,7 +85,6 @@ def _default(name):
 # values are the raw strings of a REPRO_PLAN token.
 
 MATRIX = {
-    "backend": (("rows", "rows"), ("columnar", "columnar"), ("rows", "rows")),
     "workers": ((5, 5), (4, 4), ("3", 3)),
     "shards": ((6, 6), (5, 5), ("4", 4)),
     "conv_span": ((96, 96), (128, 128), ("192", 192)),
@@ -123,9 +118,6 @@ class TestPrecedenceMatrix:
         assert resolve_knob(name) == KNOBS[name].default
 
     def test_dynamic_defaults(self):
-        from repro.db.database import UncertainDatabase
-
-        assert resolve_knob("backend") == UncertainDatabase.default_backend
         # shards follow the resolved worker count
         with plan_scope(ExecutionPlan(workers=3)):
             assert resolve_knob("shards") == 3
@@ -162,9 +154,9 @@ class TestPrecedenceMatrix:
 
 
 class TestExecutionPlan:
-    def test_ten_knobs(self):
+    def test_nine_knobs(self):
         assert [field.name for field in fields(ExecutionPlan)] == list(KNOBS)
-        assert len(KNOBS) == 10
+        assert len(KNOBS) == 9
 
     def test_construction_normalizes_values(self):
         plan = ExecutionPlan(conv_span="64", workers="auto", dense_cache_bytes="2m")
@@ -176,7 +168,6 @@ class TestExecutionPlan:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"backend": "bogus"},
             {"workers": -1},
             {"shards": 0},
             {"conv_span": -1},
@@ -194,7 +185,7 @@ class TestExecutionPlan:
 
     def test_round_trip_through_dict(self):
         plan = ExecutionPlan(
-            backend="rows", workers=2, shards=4, conv_span=128,
+            workers=2, shards=4, conv_span=128,
             dp_block_bytes=1 << 20, dense_cache_bytes=1 << 20,
             bitmap_cache_bytes=1 << 20, prefix_cache_bytes=1 << 20,
             mapped_cache_bytes=1 << 20, faults="seed=1",
@@ -211,6 +202,7 @@ class TestExecutionPlan:
             {"bitset": False},
             {"fanout": "shm"},
             {"dense_crossover": 0.25},
+            {"backend": "rows"},
             {"auto": True},
         ],
     )
@@ -246,11 +238,19 @@ class TestExecutionPlan:
             "bitset=off",
             "fanout=shm",
             "dense_crossover=0.3",
+            "backend=rows",
+            "backend=columnar",
         ],
     )
     def test_parse_plan_spec_rejects(self, spec):
         with pytest.raises(ValueError):
             parse_plan_spec(spec)
+
+    @pytest.mark.parametrize("spec", ["backend=rows", "workers=2,backend=columnar"])
+    def test_retired_knob_in_repro_plan_is_unknown(self, spec, monkeypatch):
+        monkeypatch.setenv(PLAN_ENV, spec)
+        with pytest.raises(ValueError, match="unknown plan knob"):
+            materialize_plan()
 
     @pytest.mark.parametrize("spec", ["auto", "auto,workers=2"])
     def test_bare_auto_token_is_rejected(self, spec):
@@ -317,7 +317,7 @@ class TestMaterialize:
         assert plan.workers == 6  # explicit
         assert plan.shards == 2  # the request
         assert plan.conv_span == 99  # REPRO_PLAN
-        assert plan.backend == "columnar"  # default
+        assert plan.bitmap_cache_bytes == KNOBS["bitmap_cache_bytes"].default
 
     def test_materialized_mine_bitwise_equals_default_mine(self):
         database = make_random_database(

@@ -1,16 +1,16 @@
 """Golden-equivalence suite: the MinerSpec engine is held to a bitwise contract.
 
-``tests/goldens/search_engine_goldens.json`` was captured at the last
-pre-refactor commit by ``tools/capture_search_goldens.py``: every registered
-miner over the full equivalence grid (backend x (workers, shards)),
-the five top-k evaluators over the same grid, and the streaming miners'
-per-slide record series — all serialized with ``repr`` floats, so equality
-of the serialized form is bitwise equality of the mining results.
+``tests/goldens/search_engine_goldens.json`` was captured by
+``tools/capture_search_goldens.py``: every registered miner over the
+equivalence grid ((workers, shards) in {(1, 1), (2, 2)}), the five top-k
+evaluators over the same grid, and the streaming miners' per-slide record
+series — all serialized with ``repr`` floats, so equality of the serialized
+form is bitwise equality of the mining results.
 
-This module replays the exact same grid through the refactored
+This module replays the exact same grid through the
 :class:`~repro.core.search.LevelwiseSearch` engine and asserts byte
-equality.  It also replays the columnar ``w1s1`` goldens under layouts the
-grid does not capture (uneven shards, more shards than workers, store-mapped
+equality.  It also replays the ``w1s1`` goldens under layouts the grid
+does not capture (uneven shards, more shards than workers, store-mapped
 shards), plus the two satellites that ride on the engine:
 
 * the apriori join's maintained-sort-order contract (``presorted=True``
@@ -54,9 +54,9 @@ STREAMING_KEYS = sorted(GOLDENS["streaming"])
 
 
 def _parse_key(key):
-    algorithm, backend, ws, _ = key.split("|")
+    algorithm, _, ws, _ = key.split("|")
     workers, shards = ws[1:].split("s")
-    return algorithm, backend, int(workers), int(shards)
+    return algorithm, int(workers), int(shards)
 
 
 @pytest.fixture(scope="module")
@@ -64,30 +64,20 @@ def database():
     return make_random_database(**GOLDENS["dataset"])
 
 
-def _mine_threshold(database, algorithm, backend, workers, shards):
+def _mine_threshold(database, algorithm, workers, shards):
     from repro.core.miner import mine
     from repro.core.registry import get_algorithm
 
-    kwargs = dict(
-        harness.MINER_OPTIONS[algorithm],
-        backend=backend,
-        workers=workers,
-        shards=shards,
-    )
+    kwargs = dict(harness.MINER_OPTIONS[algorithm], workers=workers, shards=shards)
     if get_algorithm(algorithm).family == "expected":
         return mine(database, algorithm, min_esup=harness.MIN_ESUP, **kwargs)
     return mine(database, algorithm, min_sup=harness.MIN_SUP, pft=harness.PFT, **kwargs)
 
 
-def _mine_topk(database, evaluator, backend, workers, shards):
+def _mine_topk(database, evaluator, workers, shards):
     from repro.algorithms.topk import TopKMiner
 
-    miner = TopKMiner(
-        evaluator=evaluator,
-        backend=backend,
-        workers=workers,
-        shards=shards,
-    )
+    miner = TopKMiner(evaluator=evaluator, workers=workers, shards=shards)
     min_sup = None if evaluator == "esup" else harness.MIN_SUP
     return miner.mine(database, GOLDENS["topk_k"], min_sup=min_sup).itemsets
 
@@ -108,14 +98,14 @@ class TestGoldenEquivalence:
 
     @pytest.mark.parametrize("key", THRESHOLD_KEYS)
     def test_threshold_grid_bitwise(self, database, key):
-        algorithm, backend, workers, shards = _parse_key(key)
-        result = _mine_threshold(database, algorithm, backend, workers, shards)
+        algorithm, workers, shards = _parse_key(key)
+        result = _mine_threshold(database, algorithm, workers, shards)
         assert harness.serialize_records(result) == GOLDENS["threshold_grid"][key]
 
     @pytest.mark.parametrize("key", TOPK_KEYS)
     def test_topk_grid_bitwise(self, database, key):
-        name, backend, workers, shards = _parse_key(key)
-        result = _mine_topk(database, name[len("topk-"):], backend, workers, shards)
+        name, workers, shards = _parse_key(key)
+        result = _mine_topk(database, name[len("topk-"):], workers, shards)
         assert harness.serialize_records(result) == GOLDENS["topk_grid"][key]
 
     @pytest.mark.parametrize("key", STREAMING_KEYS)
@@ -151,16 +141,19 @@ class TestGoldenEquivalence:
 
 # -- layouts outside the capture grid --------------------------------------------------
 #: (label, store-backed, workers, shards): uneven in-process shards, more
-#: shards than pool workers over shared-memory segments, and store-mapped
+#: shards than pool workers over shared-memory segments, a store-mapped
+#: database mined serially and in uneven in-process shards, and store-mapped
 #: shards shipped to the pool as store descriptors.
 LAYOUTS = [
     ("ram-w1s3", False, 1, 3),
     ("ram-w2s3", False, 2, 3),
+    ("store-w1s1", True, 1, 1),
+    ("store-w1s3", True, 1, 3),
     ("store-w2s3", True, 2, 3),
 ]
 
 #: the capture-grid config whose goldens the extra layouts replay
-REFERENCE_CONFIG = {"backend": "columnar", "workers": 1, "shards": 1}
+REFERENCE_CONFIG = {"workers": 1, "shards": 1}
 
 
 @pytest.fixture(scope="module")
@@ -172,19 +165,10 @@ def store_database(database, tmp_path_factory):
 
 
 class TestLayoutInvariance:
-    """Every golden of a (miner, backend) pair is the same bytes across the
-    grid's layouts, so any other layout must replay the columnar ``w1s1``
-    golden too.  These layouts are not captured: the golden file keeps the
-    capture grid, and this class replays its ``w1s1`` entries."""
-
-    def test_captured_layouts_agree(self):
-        assert REFERENCE_CONFIG in harness.GRID
-        for section in ("threshold_grid", "topk_grid"):
-            for key, records in GOLDENS[section].items():
-                name, backend, _, _ = _parse_key(key)
-                single = dict(REFERENCE_CONFIG, backend=backend)
-                reference = harness.config_key(name, single)
-                assert records == GOLDENS[section][reference], key
+    """Every miner's results are the same bytes under every layout, so any
+    layout the grid does not capture must replay the ``w1s1`` golden too.
+    The golden file keeps the capture grid, and this class replays its
+    ``w1s1`` entries."""
 
     def _data(self, request, store_backed):
         return request.getfixturevalue("store_database" if store_backed else "database")
@@ -194,7 +178,7 @@ class TestLayoutInvariance:
     def test_threshold_miner_layout_invariant(self, request, algorithm, layout):
         _, store_backed, workers, shards = layout
         data = self._data(request, store_backed)
-        result = _mine_threshold(data, algorithm, "columnar", workers, shards)
+        result = _mine_threshold(data, algorithm, workers, shards)
         key = harness.config_key(algorithm, REFERENCE_CONFIG)
         assert harness.serialize_records(result) == GOLDENS["threshold_grid"][key]
 
@@ -203,7 +187,7 @@ class TestLayoutInvariance:
     def test_topk_layout_invariant(self, request, evaluator, layout):
         _, store_backed, workers, shards = layout
         data = self._data(request, store_backed)
-        result = _mine_topk(data, evaluator, "columnar", workers, shards)
+        result = _mine_topk(data, evaluator, workers, shards)
         key = harness.config_key(f"topk-{evaluator}", REFERENCE_CONFIG)
         assert harness.serialize_records(result) == GOLDENS["topk_grid"][key]
 
@@ -246,7 +230,7 @@ class TestAprioriJoinPresorted:
 
 # -- satellite: uniform statistics accounting -------------------------------------------
 #: (database_scans, candidates_generated, candidates_pruned, exact_evaluations)
-#: per miner on the golden dataset, columnar backend, workers=1, shards=1 —
+#: per miner on the golden dataset, workers=1, shards=1 —
 #: the uniform accounting of the engine (rules documented on
 #: ``MiningStatistics``).  A change here means the accounting contract moved:
 #: update the docstring and these pins together, deliberately.
@@ -262,8 +246,6 @@ COUNTER_PINS = {
     "ndu-apriori": (3, 120, 83, 129),
     "nduh-mine": (2, 122, 85, 0),
     "world-sampling": (4, 120, 83, 129),
-    "exhaustive-expected": (6, 381, 308, 0),
-    "exhaustive-prob": (5, 255, 209, 255),
 }
 
 
@@ -273,9 +255,7 @@ class TestUniformAccounting:
         from repro.core.miner import mine
         from repro.core.registry import get_algorithm
 
-        kwargs = dict(
-            harness.MINER_OPTIONS[algorithm], backend="columnar", workers=1, shards=1
-        )
+        kwargs = dict(harness.MINER_OPTIONS[algorithm], workers=1, shards=1)
         if get_algorithm(algorithm).family == "expected":
             result = mine(database, algorithm, min_esup=harness.MIN_ESUP, **kwargs)
         else:
@@ -311,17 +291,6 @@ class TestMinerSpecValidation:
 
         with pytest.raises(ValueError, match="seed_mode"):
             MinerSpec(name="x", definition="expected", seed_mode="telepathy")
-
-    def test_exhaustive_generator_requires_unseeded_search(self):
-        from repro.core.search import MinerSpec
-
-        with pytest.raises(ValueError, match="exhaustive"):
-            MinerSpec(
-                name="x",
-                definition="expected",
-                level_generator="exhaustive",
-                seed_mode="statistics",
-            )
 
     def test_specs_are_frozen(self):
         from repro.core.search import MinerSpec

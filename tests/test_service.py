@@ -254,6 +254,18 @@ class TestServerErrors:
             reply = client.mine("d", min_esup=0.2, plan="workers=auto")
             assert reply["plan"]["workers"] >= 1
 
+    def test_retired_backend_knob_is_a_bad_param(self, server):
+        host, port = server.address
+        with MiningClient(host, port) as client:
+            with pytest.raises(ServiceError) as excinfo:
+                client.mine("d", min_esup=0.2, plan="backend=rows")
+            assert excinfo.value.type == "bad-params"
+            assert "unknown plan knob" in str(excinfo.value)
+            # The server keeps serving on the same connection.
+            reply = client.mine("d", min_esup=0.2)
+            assert "backend" not in reply["plan"]
+            assert reply["n"] > 0
+
     def test_errors_do_not_poison_the_connection(self, server):
         host, port = server.address
         with MiningClient(host, port) as client:

@@ -9,8 +9,8 @@ tests sweep every registered algorithm over a threshold grid and pin:
 * the filter direction is one-way: a looser request never serves from a
   stricter answer,
 * answers never cross a definition boundary (expected support vs exact
-  probabilistic vs approximations — distinct cache groups), a backend
-  boundary, or a dataset-revision boundary,
+  probabilistic vs approximations — distinct cache groups), a
+  ``conv_span`` boundary, or a dataset-revision boundary,
 * the non-anti-monotone families (Normal approximation, Monte-Carlo
   sampling) only ever hit on their exact parameter key,
 * top-k answers serve smaller ``k`` as prefixes, and an exhausted answer
@@ -29,7 +29,7 @@ from repro.service.cache import _EXACT_PFT_ALGORITHMS, _POISSON_ALGORITHMS
 
 from helpers import make_random_database
 
-#: small enough that even the exhaustive miners sweep in milliseconds
+#: small enough that even the slowest miners sweep in milliseconds
 N_TRANSACTIONS = 30
 N_ITEMS = 6
 
@@ -58,7 +58,7 @@ def database():
     )
 
 
-def _plan(database, algorithm, *, revision="r1", backend="columnar", **thresholds):
+def _plan(database, algorithm, *, revision="r1", conv_span=None, **thresholds):
     info = get_algorithm(algorithm)
     return plan_mine(
         "d",
@@ -66,10 +66,10 @@ def _plan(database, algorithm, *, revision="r1", backend="columnar", **threshold
         info.name,
         info.family,
         len(database),
-        backend,
         thresholds.get("min_esup"),
         thresholds.get("min_sup"),
         thresholds.get("pft", 0.9),
+        conv_span=conv_span,
     )
 
 
@@ -214,18 +214,25 @@ class TestBoundaries:
         cache.store_mine(_plan(database, "uapriori", min_esup=0.15), result.itemsets)
         assert cache.fetch_mine(_plan(database, "ufp-growth", min_esup=0.3)) is None
 
-    def test_never_across_backends(self, database):
+    def test_never_across_conv_spans(self, database):
         cache = ResultCache()
-        result = _fresh(database, "uapriori", min_esup=0.15)
+        result = _fresh(database, "dcb", min_sup=FIXED_MIN_SUP, pft=0.3)
         cache.store_mine(
-            _plan(database, "uapriori", min_esup=0.15, backend="columnar"),
+            _plan(database, "dcb", min_sup=FIXED_MIN_SUP, pft=0.3, conv_span=512),
             result.itemsets,
         )
         assert (
             cache.fetch_mine(
-                _plan(database, "uapriori", min_esup=0.3, backend="rows")
+                _plan(database, "dcb", min_sup=FIXED_MIN_SUP, pft=0.7, conv_span=64)
             )
             is None
+        )
+        # ...while the same conv_span still serves the stricter pft.
+        assert (
+            cache.fetch_mine(
+                _plan(database, "dcb", min_sup=FIXED_MIN_SUP, pft=0.7, conv_span=512)
+            )
+            is not None
         )
 
     def test_never_across_revisions(self, database):
@@ -253,7 +260,6 @@ class TestTopKPrefixes:
             evaluator,
             ranking_of(evaluator),
             len(database),
-            "columnar",
             min_sup,
         )
 

@@ -24,11 +24,23 @@ from repro.core.thresholds import ProbabilisticThreshold
 from repro.db import UncertainDatabase
 from repro.stream import StreamingDP, StreamingUApriori, TransactionStream
 
+import reference
+
 #: a hair above 1.0 — scaled thresholds stay exactly representable
 ULP_UP = 1.0 + 2.0**-50
 
-EXPECTED_MINERS = sorted(algorithms_in_family("expected"))
-EXACT_MINERS = sorted(algorithms_in_family("exact"))
+#: every registered miner of a family, plus the brute-force reference the
+#: test-suite checks them against (``tests/reference.py``)
+EXPECTED_MINERS = sorted(algorithms_in_family("expected")) + ["reference"]
+EXACT_MINERS = sorted(algorithms_in_family("exact")) + ["reference"]
+
+
+def _mine(database, algorithm, **thresholds):
+    if algorithm != "reference":
+        return mine(database, algorithm=algorithm, **thresholds)
+    if "min_esup" in thresholds:
+        return reference.exhaustive_expected(database, **thresholds)
+    return reference.exhaustive_probabilistic(database, **thresholds)
 
 
 def boundary_database(n_transactions=4):
@@ -44,7 +56,7 @@ class TestDefinition2InclusiveBoundary:
     @pytest.mark.parametrize("algorithm", EXPECTED_MINERS)
     def test_exact_boundary_is_frequent(self, algorithm):
         database = boundary_database()
-        result = mine(database, algorithm=algorithm, min_esup=2.0)
+        result = _mine(database, algorithm, min_esup=2.0)
         assert (1,) in result
         assert (2,) in result
         assert (1, 2) in result
@@ -52,7 +64,7 @@ class TestDefinition2InclusiveBoundary:
     @pytest.mark.parametrize("algorithm", EXPECTED_MINERS)
     def test_just_above_boundary_is_not(self, algorithm):
         database = boundary_database()
-        result = mine(database, algorithm=algorithm, min_esup=2.0 * ULP_UP)
+        result = _mine(database, algorithm, min_esup=2.0 * ULP_UP)
         assert (1,) not in result
         assert (1, 2) not in result
         assert (2,) in result  # esup 4.0 comfortably above
@@ -61,7 +73,7 @@ class TestDefinition2InclusiveBoundary:
     def test_ratio_threshold_resolves_to_same_boundary(self, algorithm):
         # ratio 0.5 of 4 transactions -> absolute 2.0, exactly
         database = boundary_database()
-        result = mine(database, algorithm=algorithm, min_esup=0.5)
+        result = _mine(database, algorithm, min_esup=0.5)
         assert (1,) in result and (1, 2) in result
 
     def test_streaming_uapriori_shares_the_convention(self):
@@ -92,14 +104,14 @@ class TestDefinition4StrictBoundary:
     @pytest.mark.parametrize("algorithm", EXACT_MINERS)
     def test_exact_boundary_is_excluded(self, algorithm):
         database = self.two_coin_database()
-        result = mine(database, algorithm=algorithm, min_sup=0.5, pft=0.75)
+        result = _mine(database, algorithm, min_sup=0.5, pft=0.75)
         assert (1,) not in result
         assert (2,) in result  # Pr = 1.0 > 0.75
 
     @pytest.mark.parametrize("algorithm", EXACT_MINERS)
     def test_just_below_boundary_is_included(self, algorithm):
         database = self.two_coin_database()
-        result = mine(database, algorithm=algorithm, min_sup=0.5, pft=0.74)
+        result = _mine(database, algorithm, min_sup=0.5, pft=0.74)
         assert (1,) in result
         assert result[(1,)].frequent_probability == 0.75
 

@@ -3,8 +3,8 @@
 The acceptance property: for every miner family that supports a ranking,
 ``mine_topk(k)`` returns exactly the k best itemsets of full threshold-free
 mining under the deterministic tie-break (score desc, size asc,
-lexicographic items) — identical across backends and every (workers,
-shards) configuration, with the threshold-raising floor changing only the
+lexicographic items) — identical across every (workers, shards)
+configuration, with the threshold-raising floor changing only the
 amount of work, never the result.
 """
 
@@ -279,21 +279,7 @@ class TestDeterministicTieBreaking:
         assert top.scores() == [1.0, 1.0, 1.0, 1.0]
 
 
-class TestBackendAndParallelEquivalence:
-    def test_rows_equals_columnar_bitwise(self, random_db):
-        for algorithm, kwargs in (
-            ("uapriori", {}),
-            ("dp", {"min_sup": 0.2}),
-            ("dc", {"min_sup": 0.2}),
-        ):
-            rows = mine_topk(
-                random_db, 8, algorithm=algorithm, backend="rows", **kwargs
-            )
-            columnar = mine_topk(
-                random_db, 8, algorithm=algorithm, backend="columnar", **kwargs
-            )
-            assert rows.ranked_keys() == columnar.ranked_keys()
-
+class TestParallelEquivalence:
     @pytest.mark.parametrize("workers,shards", [(1, 2), (2, 1), (2, 2)])
     def test_partitioned_runs_bitwise_identical(self, random_db, workers, shards):
         for algorithm, kwargs in (("uapriori", {}), ("dp", {"min_sup": 0.2})):

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.algorithms import ExhaustiveExpectedSupportMiner, UApriori
+from repro.algorithms import UApriori
 
+import reference
 from helpers import make_random_database
 
 
@@ -32,23 +33,12 @@ class TestCorrectness:
     @pytest.mark.parametrize("min_esup", [0.1, 0.2, 0.35])
     def test_matches_exhaustive_reference(self, seeded_random_db, min_esup):
         fast = UApriori().mine(seeded_random_db, min_esup=min_esup)
-        slow = ExhaustiveExpectedSupportMiner(max_size=8).mine(seeded_random_db, min_esup=min_esup)
+        slow = reference.exhaustive_expected(seeded_random_db, min_esup=min_esup)
         assert fast.itemset_keys() == slow.itemset_keys()
         for record in fast:
             assert record.expected_support == pytest.approx(
                 slow[record.itemset].expected_support
             )
-
-    def test_decremental_pruning_does_not_change_results(self, random_db):
-        # Pinned to the row backend: decremental pruning only exists in the
-        # per-transaction scan, which the columnar backend replaces.
-        with_pruning = UApriori(use_decremental_pruning=True, backend="rows").mine(
-            random_db, min_esup=0.15
-        )
-        without_pruning = UApriori(use_decremental_pruning=False, backend="rows").mine(
-            random_db, min_esup=0.15
-        )
-        assert with_pruning.itemset_keys() == without_pruning.itemset_keys()
 
     def test_reported_supports_match_database(self, random_db):
         result = UApriori().mine(random_db, min_esup=0.2)
@@ -83,8 +73,8 @@ class TestEdgeCases:
     def test_tiny_threshold_yields_all_combinations(self):
         database = make_random_database(n_transactions=6, n_items=4, density=0.9, seed=5)
         result = UApriori().mine(database, min_esup=0.001)
-        reference = ExhaustiveExpectedSupportMiner(max_size=4).mine(database, min_esup=0.001)
-        assert result.itemset_keys() == reference.itemset_keys()
+        expected = reference.exhaustive_expected(database, min_esup=0.001)
+        assert result.itemset_keys() == expected.itemset_keys()
 
     def test_statistics_populated(self, paper_db):
         result = UApriori().mine(paper_db, min_esup=0.25)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.algorithms import UApriori, UHMine, build_uh_struct
+from repro.algorithms import UApriori, UHMine, build_uh_struct_columnar
 from repro.algorithms.common import frequent_items_by_expected_support
 
 from helpers import make_random_database
@@ -17,7 +17,7 @@ class TestUHStruct:
                 sorted(frequent.items(), key=lambda kv: (-kv[1][0], kv[0]))
             )
         }
-        struct = build_uh_struct(paper_db, order)
+        struct = build_uh_struct_columnar(paper_db.columnar(), order)
         assert len(struct) == 4
         for cells in struct:
             ranks = [order[item] for item, _ in cells]
@@ -27,13 +27,13 @@ class TestUHStruct:
         vocabulary = paper_db.vocabulary
         a = vocabulary.id_of("A")
         order = {a: 0}
-        struct = build_uh_struct(paper_db, order)
+        struct = build_uh_struct_columnar(paper_db.columnar(), order)
         # Only transactions containing A are kept, with A's probabilities.
         assert [cells[0][1] for cells in struct] == pytest.approx([0.8, 0.8, 0.5])
 
     def test_infrequent_items_are_dropped(self, paper_db):
         a = paper_db.vocabulary.id_of("A")
-        struct = build_uh_struct(paper_db, {a: 0})
+        struct = build_uh_struct_columnar(paper_db.columnar(), {a: 0})
         assert all(all(item == a for item, _ in cells) for cells in struct)
 
 

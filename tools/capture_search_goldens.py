@@ -2,7 +2,7 @@
 
 Runs every registered miner over the equivalence grid
 
-    miner x backend {rows, columnar} x (workers, shards) {(1,1), (2,2)}
+    miner x (workers, shards) {(1,1), (2,2)}
 
 plus the streaming miners (per-slide records) and the top-k evaluators,
 on a fixed seeded database, and serializes every ``MiningResult`` record
@@ -52,15 +52,11 @@ MINER_OPTIONS: Dict[str, Dict[str, object]] = {
     "ndu-apriori": {},
     "nduh-mine": {},
     "world-sampling": {"n_worlds": 120, "seed": 3},
-    "exhaustive-expected": {"max_size": 5},
-    "exhaustive-prob": {"max_size": 4},
 }
 
 GRID = [
-    {"backend": "rows", "workers": 1, "shards": 1},
-    {"backend": "rows", "workers": 2, "shards": 2},
-    {"backend": "columnar", "workers": 1, "shards": 1},
-    {"backend": "columnar", "workers": 2, "shards": 2},
+    {"workers": 1, "shards": 1},
+    {"workers": 2, "shards": 2},
 ]
 
 TOPK_EVALUATORS = ("esup", "dp", "dc", "normal", "poisson")
@@ -89,12 +85,10 @@ def serialize_records(records) -> List[List[object]]:
 
 
 def config_key(algorithm: str, config: Dict[str, object]) -> str:
-    # The trailing "|bitset=on" is a fixed label kept from the grid's
-    # former bitset axis, so the checked-in key names stay unchanged.
-    return (
-        f"{algorithm}|{config['backend']}|w{config['workers']}s{config['shards']}"
-        "|bitset=on"
-    )
+    # "columnar" and the trailing "|bitset=on" are fixed labels kept from
+    # the grid's former backend and bitset axes, so the checked-in key
+    # names stay unchanged.
+    return f"{algorithm}|columnar|w{config['workers']}s{config['shards']}|bitset=on"
 
 
 def make_database():
@@ -111,12 +105,7 @@ def capture_threshold_grid(database) -> Dict[str, List[List[object]]]:
     for algorithm, options in MINER_OPTIONS.items():
         family = get_algorithm(algorithm).family
         for config in GRID:
-            kwargs = dict(
-                options,
-                backend=config["backend"],
-                workers=config["workers"],
-                shards=config["shards"],
-            )
+            kwargs = dict(options, workers=config["workers"], shards=config["shards"])
             if family == "expected":
                 result = mine(database, algorithm, min_esup=MIN_ESUP, **kwargs)
             else:
@@ -134,7 +123,6 @@ def capture_topk(database) -> Dict[str, List[List[object]]]:
         for config in GRID:
             miner = TopKMiner(
                 evaluator=evaluator,
-                backend=config["backend"],
                 workers=config["workers"],
                 shards=config["shards"],
             )
