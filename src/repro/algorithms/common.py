@@ -16,13 +16,12 @@ import time
 import tracemalloc
 from contextlib import contextmanager
 from itertools import combinations
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..core.parallel import ParallelExecutor
 from ..core.results import MiningStatistics
-from ..db.columnar import ColumnarView
 from ..db.database import UncertainDatabase
 
 __all__ = [
@@ -32,9 +31,6 @@ __all__ = [
     "apriori_join",
     "has_infrequent_subset",
     "trim_transactions",
-    "CandidateSource",
-    "ColumnarCandidateSource",
-    "PartitionedCandidateSource",
     "make_candidate_source",
 ]
 
@@ -145,74 +141,21 @@ def trim_transactions(
     return projected
 
 
-class CandidateSource:
-    """Uniform supplier of per-candidate probability vectors for one miner run.
-
-    The level-wise miners do not care how ``p_i(X)`` is produced — only that
-    a whole Apriori level of candidates yields one compressed (zeros-omitted)
-    vector per candidate.  :class:`ColumnarCandidateSource` delegates to the
-    database's columnar view, where candidates sharing a prefix reuse the
-    prefix intersection; :class:`PartitionedCandidateSource` fans the same
-    evaluation out over row shards.
-    """
-
-    def level_vectors(
-        self, candidates: Sequence[Tuple[int, ...]], min_count: float = 0.0
-    ) -> List[np.ndarray]:
-        """One compressed vector per candidate.
-
-        ``min_count`` is the caller's sound stage-1 kill threshold: a
-        candidate whose maximum attainable support (supporting-row count)
-        falls below it may come back as an empty vector without any float
-        work, because the caller's decision rule already rejects it
-        (``esup <= count`` for Definition 2; ``Pr[sup >= minsup] = 0`` for
-        Definition 4).  Pass ``0`` when every score matters (e.g. rankings
-        without a floor).
-        """
-        raise NotImplementedError
-
-
-class ColumnarCandidateSource(CandidateSource):
-    """Batched sparse-intersection evaluation over the columnar view."""
-
-    def __init__(self, view: ColumnarView) -> None:
-        self.view = view
-
-    def level_vectors(
-        self, candidates: Sequence[Tuple[int, ...]], min_count: float = 0.0
-    ) -> List[np.ndarray]:
-        return self.view.batch_vectors(candidates, min_count)
-
-
-class PartitionedCandidateSource(CandidateSource):
-    """Shard-parallel evaluation through a partition-carrying executor.
-
-    Every shard evaluates the whole level over its own row range (in a
-    worker process when the executor is parallel); the per-shard compressed
-    vectors are concatenated in shard order, which is bitwise identical to
-    the single-view evaluation.  Stage-1 kills are decided on the *summed*
-    per-shard occupancy counts, never on local evidence.
-    """
-
-    def __init__(self, executor: ParallelExecutor) -> None:
-        self.executor = executor
-
-    def level_vectors(
-        self, candidates: Sequence[Tuple[int, ...]], min_count: float = 0.0
-    ) -> List[np.ndarray]:
-        return self.executor.shard_vectors(candidates, min_count)
-
-
 def make_candidate_source(
     database: UncertainDatabase, executor: Optional[ParallelExecutor] = None
-) -> CandidateSource:
-    """Build the candidate source for a run.
+) -> Callable[[Sequence[Tuple[int, ...]], float], List[np.ndarray]]:
+    """The level evaluator of a run: ``(candidates, min_count) -> vectors``.
 
-    The columnar source needs no trimming because only the columns of
-    frequent items are ever queried.  When ``executor`` carries row shards
-    the evaluation is fanned out per shard instead
-    (:class:`PartitionedCandidateSource`) — same results, bit for bit.
+    Unsharded runs evaluate through the database's columnar view
+    (:meth:`~repro.db.columnar.ColumnarView.batch_vectors`), sharded ones
+    through the executor's per-shard fan-out
+    (:meth:`~repro.core.parallel.ParallelExecutor.shard_vectors`) — same
+    vectors, bit for bit.  ``min_count`` is the caller's sound stage-1 kill
+    threshold: a candidate with fewer supporting rows may come back as an
+    empty vector, because the caller's decision rule already rejects it
+    (``esup <= count`` for Definition 2; ``Pr[sup >= minsup] = 0`` for
+    Definition 4).  Pass ``0`` when every score matters.
     """
     if executor is not None and executor.n_shards > 1:
-        return PartitionedCandidateSource(executor)
-    return ColumnarCandidateSource(database.columnar())
+        return executor.shard_vectors
+    return database.columnar().batch_vectors

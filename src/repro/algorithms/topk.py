@@ -2,8 +2,8 @@
 
 :class:`TopKMiner` runs the best-first levelwise search of
 :func:`repro.core.topk.run_topk_search` over the same batched evaluation
-substrate the threshold miners use — a
-:class:`~repro.algorithms.common.CandidateSource` feeding a
+substrate the threshold miners use — the level evaluator of
+:func:`~repro.algorithms.common.make_candidate_source` feeding a
 :class:`~repro.core.support.SupportEngine` (columnar vectors, per-shard
 fan-out through the :class:`~repro.core.parallel.ParallelExecutor`
 when sharded, candidate-chunked exact tails when workers are attached).
@@ -181,7 +181,7 @@ class TopKMiner(MinerBase):
             # The floor doubles as the stage-1 kill threshold: a candidate
             # with fewer supporting rows than the k-th best score cannot
             # reach it (esup <= count), and the floor only rises.
-            engine = SupportEngine(source.level_vectors(candidates, min_count=floor))
+            engine = SupportEngine(source(candidates, min_count=floor))
             expected = engine.expected_supports()
             variances = engine.variances() if self.track_variance else None
             # One batch per expanded node, not per Apriori level: counted
@@ -230,7 +230,7 @@ class TopKMiner(MinerBase):
             # where the max-attainable-support cut is already semantic (the
             # Poisson ranking scores count-starved candidates positively,
             # so it must see their true vectors).
-            vectors = source.level_vectors(
+            vectors = source(
                 candidates, min_count=min_count if max_support_cut else 0.0
             )
             engine = SupportEngine(vectors)

@@ -13,7 +13,6 @@ from .registry import (
 from .results import FrequentItemset, MiningResult, MiningStatistics
 from .rules import AssociationRule, closed_itemsets, derive_rules
 from .support import (
-    MergeableSupportStats,
     SupportDistribution,
     SupportEngine,
     chernoff_upper_bound,
@@ -42,7 +41,6 @@ __all__ = [
     "ExpectedSupportThreshold",
     "FrequentItemset",
     "Itemset",
-    "MergeableSupportStats",
     "MiningResult",
     "MiningStatistics",
     "ParallelExecutor",

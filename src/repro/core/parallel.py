@@ -20,10 +20,11 @@ Consequently a run with any ``(workers, shards)`` combination returns
 byte-identical frequent itemsets and tail probabilities to the serial
 columnar path — the property pinned by ``tests/test_partition_parallel.py``.
 
-The process backend uses :class:`multiprocessing.pool.Pool` with a
-fork-preferring context; shard views are shipped to the workers once (pool
-initializer) rather than per task, and per-shard results are memoised on
-the coordinator so repeated level evaluations are free.
+The process backend is a :class:`concurrent.futures.ProcessPoolExecutor`
+with a fork-preferring context; shard views are shipped to the workers once
+(pool initializer) rather than per task.  The executor is also the only
+place where per-shard results are merged: at ``workers=1`` the same fan-out
+runs in-process, so serial and pooled sharded runs share one code path.
 
 **Zero-copy fan-out.**  Shards never cross the process boundary as data.
 The pool initializer receives a list of O(bytes)-sized *descriptors*, one
@@ -52,7 +53,6 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -253,19 +253,8 @@ def _dc_tail_task(payload: Tuple[List[np.ndarray], int, int]) -> np.ndarray:
     return dc_tail_probabilities(vectors, min_count, span=span)
 
 
-def _freeze(value: Any) -> Any:
-    """Recursively convert a task argument into a hashable cache key."""
-    if isinstance(value, dict):
-        return tuple(sorted((k, _freeze(v)) for k, v in value.items()))
-    if isinstance(value, (list, tuple)):
-        return tuple(_freeze(v) for v in value)
-    if isinstance(value, np.ndarray):
-        return (value.shape, value.tobytes())
-    return value
-
-
-#: sentinel distinguishing "not cached" from a legitimately cached ``None``
-_CACHE_MISS = object()
+_EMPTY_VECTOR = np.empty(0, dtype=np.float64)
+_EMPTY_VECTOR.flags.writeable = False
 
 
 class ParallelExecutor:
@@ -284,20 +273,12 @@ class ParallelExecutor:
         shard_views: Optional row shards (``repro.db.ColumnarPartition``
             shards or any objects exposing the queried methods).  Shipped to
             worker processes once via the pool initializer.
-        cache_size: Per-shard results memoised on the coordinator, bounded
-            at ``cache_size * n_shards`` entries (0 disables caching).  The
-            level-wise miners query each level exactly once per run, so this
-            only pays off for consumers that re-query an executor (e.g. an
-            interactive session or a re-entrant evaluation); the default is
-            kept small so an unlucky workload cannot pin whole levels of
-            vectors in memory.
     """
 
     def __init__(
         self,
         workers: Optional[int] = None,
         shard_views: Optional[Sequence[Any]] = None,
-        cache_size: int = 4,
     ) -> None:
         self.workers = resolve_workers(workers)
         self._shard_views: Optional[List[Any]] = (
@@ -306,10 +287,6 @@ class ParallelExecutor:
         self._pool = None
         self._payload: Optional[List[Any]] = None
         self._segments: List[Any] = []
-        self._cache: "OrderedDict[Any, Any]" = OrderedDict()
-        self._cache_size = int(cache_size)
-        #: number of per-shard results served from the coordinator cache
-        self.cache_hits = 0
         #: pools this executor rebuilt after detecting dead workers
         self.pool_restarts = 0
 
@@ -555,45 +532,18 @@ class ParallelExecutor:
     def map_shard_method(self, method: str, *args, **kwargs) -> List[Any]:
         """Call ``shard.<method>(*args, **kwargs)`` on every shard, in shard order.
 
-        Results are memoised per ``(shard, method, arguments)`` so repeated
-        level evaluations (e.g. an approximate miner re-querying the level
-        its inner engine just produced) are served from the coordinator
-        cache.  The cache is a true LRU: a hit refreshes the entry's
-        recency (``move_to_end``), so eviction removes the coldest entry
-        rather than the oldest-inserted (which is typically the hottest),
-        and legitimate ``None`` results are cached like any other value
-        instead of being recomputed on every query.
+        Pooled when the executor is parallel and there is more than one
+        shard; in-process otherwise.
         """
         if not self._shard_views:
             raise RuntimeError("executor was created without shard views")
-        key_suffix = (method, _freeze(args), _freeze(kwargs))
-        results: List[Any] = [None] * len(self._shard_views)
-        missing: List[int] = []
-        for index in range(len(self._shard_views)):
-            key = (index,) + key_suffix
-            hit = self._cache.get(key, _CACHE_MISS) if self._cache_size else _CACHE_MISS
-            if hit is not _CACHE_MISS:
-                self.cache_hits += 1
-                self._cache.move_to_end(key)
-                results[index] = hit
-            else:
-                missing.append(index)
-        if missing:
-            payloads = [(index, method, args, kwargs) for index in missing]
-            if self.parallel and len(missing) > 1:
-                fresh = self._pooled_map(_shard_method_task, payloads)
-            else:
-                fresh = [
-                    getattr(self._shard_views[index], method)(*args, **kwargs)
-                    for index in missing
-                ]
-            for index, value in zip(missing, fresh):
-                results[index] = value
-                if self._cache_size:
-                    self._cache[(index,) + key_suffix] = value
-                    while len(self._cache) > self._cache_size * max(1, self.n_shards):
-                        self._cache.popitem(last=False)
-        return results
+        if self.parallel and len(self._shard_views) > 1:
+            payloads = [
+                (index, method, args, kwargs)
+                for index in range(len(self._shard_views))
+            ]
+            return self._pooled_map(_shard_method_task, payloads)
+        return [getattr(view, method)(*args, **kwargs) for view in self._shard_views]
 
     def shard_occupancy_counts(
         self, candidates: Sequence[Tuple[int, ...]]
@@ -623,25 +573,22 @@ class ParallelExecutor:
         bitwise — per-transaction products are row-local and row order is
         preserved.
 
-        With ``min_count > 0`` the kill phase is two-step: per-shard occupancy counts are summed into the
-        global count first (a shard must never kill against the global
-        threshold on local evidence alone), then only the survivors fan out
-        for float evaluation — identical kill decisions and survivor
-        vectors to the serial cascade.
+        ``min_count`` is the caller's sound stage-1 kill threshold: a
+        candidate whose supporting-row count falls below it comes back as
+        the empty vector without any float work.  The kill is two-step:
+        per-shard occupancy counts are summed into the global count first
+        (a shard must never kill against the global threshold on local
+        evidence alone), then only the survivors fan out for float
+        evaluation — identical kill decisions and survivor vectors to the
+        unpartitioned cascade.
         """
-        # Imported lazily — repro.db pulls this module in via its package
-        # __init__, so a top-level import would be circular.
-        from ..db.partition import two_phase_kill
-
         candidates = [tuple(candidate) for candidate in candidates]
-        if min_count > 0 and candidates:
-            return two_phase_kill(
-                candidates,
-                self.shard_occupancy_counts(candidates),
-                min_count,
-                self._merged_shard_vectors,
-            )
-        return self._merged_shard_vectors(candidates)
+        if min_count <= 0 or not candidates:
+            return self._merged_shard_vectors(candidates)
+        alive_mask = self.shard_occupancy_counts(candidates) >= min_count
+        alive = [candidate for candidate, keep in zip(candidates, alive_mask) if keep]
+        merged = iter(self._merged_shard_vectors(alive))
+        return [next(merged) if keep else _EMPTY_VECTOR for keep in alive_mask]
 
     def _merged_shard_vectors(
         self, candidates: List[Tuple[int, ...]]

@@ -7,7 +7,7 @@ one true levelwise loop —
 
     seed level from the item-statistics pass
     -> apriori join + downward-closure subset prune
-    -> batched ``CandidateSource.level_vectors`` evaluation
+    -> batched level evaluation (``make_candidate_source``)
     -> bound-chain filtering (occupancy -> Markov -> Chernoff, in cost order)
     -> record / extend
     -> uniform statistics accounting
@@ -260,7 +260,7 @@ class ExpectedSupportKernel(LevelKernel):
         self, ctx: SearchContext, candidates: List[Candidate]
     ) -> List[Candidate]:
         engine = SupportEngine(
-            self._source.level_vectors(candidates, min_count=ctx.search_min_esup)
+            self._source(candidates, min_count=ctx.search_min_esup)
         )
         expected_supports = engine.expected_supports()
         variances = engine.variances() if ctx.spec.track_variance else None
@@ -311,7 +311,7 @@ class TailEvaluationKernel(LevelKernel):
         if not candidates:
             return []
         statistics = ctx.statistics
-        vectors = self._source.level_vectors(candidates, min_count=ctx.min_count)
+        vectors = self._source(candidates, min_count=ctx.min_count)
         engine = SupportEngine(vectors)
         expected = engine.expected_supports()
         variance = engine.variances()

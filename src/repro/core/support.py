@@ -32,7 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .parallel import ParallelExecutor
 
 __all__ = [
-    "MergeableSupportStats",
     "SupportDistribution",
     "SupportEngine",
     "convolve_pmfs",
@@ -113,8 +112,8 @@ def convolve_pmfs(
 ) -> np.ndarray:
     """Convolve two support PMFs (the merge of independent disjoint row sets).
 
-    The shared kernel of the DC miner, :class:`MergeableSupportStats` and
-    the streaming :class:`~repro.stream.index.IncrementalSupportIndex`.
+    The shared kernel of the DC miner and the streaming
+    :class:`~repro.stream.index.IncrementalSupportIndex`.
     Operands longer than the ``conv_span`` plan knob (default 512 — the
     measured crossover) go through the FFT when ``use_fft`` is set; shorter
     ones use exact direct convolution.  ``span`` pins the crossover
@@ -251,9 +250,7 @@ def exact_pmf_divide_conquer(
     by polynomial multiplication ``pmf = pmf_left (*) pmf_right`` (support
     of a union of disjoint transaction sets is the sum of independent
     supports).  With FFT-based convolution the total cost is O(N log^2 N),
-    the strategy behind the paper's DC algorithm — and the same identity the
-    partition-parallel :class:`MergeableSupportStats` uses to merge exact
-    PMFs across row shards.
+    the strategy behind the paper's DC algorithm.
 
     Negative FFT round-off is always clipped away, but the total mass is
     renormalised only when it drifts from 1 by more than
@@ -962,217 +959,6 @@ class SupportEngine:
             notes["markov_tested"] = notes.get("markov_tested", 0.0) + markov_tested
             notes["markov_pruned"] = notes.get("markov_pruned", 0.0) + markov_pruned
         return undecided
-
-
-class MergeableSupportStats:
-    """Per-shard support statistics of one candidate batch, with exact merges.
-
-    When the database is row-sharded (:mod:`repro.db.partition`), the
-    support of a candidate is the sum of its independent per-shard supports.
-    Every statistic the miners consume therefore has an exact merge
-    operator:
-
-    * **compressed vectors** concatenate in shard order — reproducing the
-      unpartitioned vector *bitwise*, since per-transaction products are
-      row-local;
-    * **expected support** and **variance** add:
-      ``esup(X) = sum_s esup_s(X)``, ``Var[sup(X)] = sum_s Var_s[sup(X)]``
-      (independence across shards);
-    * **maximum attainable supports** (non-zero counts) add;
-    * **exact PMFs** convolve: ``pmf = pmf_1 (*) ... (*) pmf_K`` (the PMF of
-      a sum of independent variables), using the same :func:`convolve_pmfs`
-      kernel as the DC miner, so DP/DC tail probabilities survive sharding
-      exactly (to convolution round-off, well below 1e-12).
-
-    The scalar merges are mathematically exact but may differ from the
-    serial reductions in the last ulp (different summation order).  The
-    mining engine therefore uses the *vector concatenation* merge and
-    re-derives moments and tails with the serial kernels — that path is
-    byte-identical to an unpartitioned run — while this class is the
-    aggregation algebra for distributed consumers that only ship
-    statistics, never vectors.
-
-    >>> left = MergeableSupportStats.from_vectors([[0.5]], with_pmfs=True)
-    >>> right = MergeableSupportStats.from_vectors([[0.5]], with_pmfs=True)
-    >>> merged = left.merge(right)
-    >>> merged.expected.tolist(), merged.pmfs[0].tolist()
-    ([1.0], [0.25, 0.5, 0.25])
-    >>> merged.frequent_probabilities(1).tolist()
-    [0.75]
-    """
-
-    __slots__ = (
-        "vectors",
-        "expected",
-        "variance",
-        "max_supports",
-        "occupancy_counts",
-        "pmfs",
-    )
-
-    def __init__(
-        self,
-        vectors: List[np.ndarray],
-        expected: np.ndarray,
-        variance: np.ndarray,
-        max_supports: np.ndarray,
-        pmfs: Optional[List[np.ndarray]] = None,
-        occupancy_counts: Optional[np.ndarray] = None,
-    ) -> None:
-        self.vectors = vectors
-        self.expected = expected
-        self.variance = variance
-        self.max_supports = max_supports
-        #: per-candidate supporting-row counts from the shard's packed
-        #: occupancy bitmaps (stage 1 of the cascade); additive across
-        #: shards like every other scalar statistic, and ``None`` when the
-        #: shard was built without bitmap support
-        self.occupancy_counts = occupancy_counts
-        self.pmfs = pmfs
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-    @classmethod
-    def from_vectors(
-        cls, vectors: Sequence[Sequence[float]], with_pmfs: bool = False
-    ) -> "MergeableSupportStats":
-        """Compute the statistics of one shard from its compressed vectors.
-
-        Args:
-            vectors: One zeros-omitted probability vector per candidate,
-                restricted to the shard's rows.
-            with_pmfs: Also materialise the exact per-candidate PMFs
-                (needed when tails are to be merged across shards).
-
-        Returns:
-            The shard's mergeable statistics.
-        """
-        arrays = [np.asarray(vector, dtype=float) for vector in vectors]
-        expected = np.array([float(v.sum()) for v in arrays], dtype=float)
-        variance = np.array(
-            [float((v * (1.0 - v)).sum()) for v in arrays], dtype=float
-        )
-        max_supports = np.array(
-            [int(np.count_nonzero(v)) for v in arrays], dtype=np.int64
-        )
-        pmfs = list(_dc_pmfs(arrays)) if with_pmfs else None
-        return cls(arrays, expected, variance, max_supports, pmfs)
-
-    @classmethod
-    def from_shard(
-        cls, shard, candidates: Sequence, with_pmfs: bool = False
-    ) -> "MergeableSupportStats":
-        """One shard's statistics, carrying its bitmap occupancy counts.
-
-        ``shard`` is a :class:`~repro.db.columnar.ColumnarView` (or any
-        object offering ``batch_vectors`` and ``level_occupancy_counts``);
-        the occupancy counts come from the shard's own packed bitmaps, so a
-        distributed consumer can merge counts (by addition) without ever
-        shipping vectors.
-        """
-        candidates = [tuple(candidate) for candidate in candidates]
-        stats = cls.from_vectors(shard.batch_vectors(candidates), with_pmfs=with_pmfs)
-        stats.occupancy_counts = shard.level_occupancy_counts(candidates)
-        return stats
-
-    @classmethod
-    def from_partition(
-        cls, partition, candidates: Sequence, with_pmfs: bool = False
-    ) -> "MergeableSupportStats":
-        """Evaluate ``candidates`` over every shard of ``partition`` and merge.
-
-        ``partition`` is a :class:`~repro.db.partition.ColumnarPartition`
-        (duck-typed: anything with a ``shards`` sequence whose members offer
-        ``batch_vectors`` and ``level_occupancy_counts``).  Every shard
-        carries its own bitmap occupancy counts; the merge adds them, so
-        the merged statistics expose the same stage-1 kill signal as the
-        unpartitioned cascade.
-        """
-        candidates = [tuple(candidate) for candidate in candidates]
-        parts = [
-            cls.from_shard(shard, candidates, with_pmfs=with_pmfs)
-            for shard in partition.shards
-        ]
-        return cls.merge_all(parts)
-
-    def merge(self, other: "MergeableSupportStats") -> "MergeableSupportStats":
-        """Merge two shards' statistics (this shard's rows precede ``other``'s).
-
-        Returns:
-            A new :class:`MergeableSupportStats`; inputs are unchanged.
-
-        Raises:
-            ValueError: If the candidate counts differ, or only one side
-                carries PMFs.
-        """
-        if len(self) != len(other):
-            raise ValueError(
-                f"cannot merge stats of {len(self)} and {len(other)} candidates"
-            )
-        if (self.pmfs is None) != (other.pmfs is None):
-            raise ValueError("cannot merge PMF-carrying stats with PMF-free stats")
-        pmfs = None
-        if self.pmfs is not None and other.pmfs is not None:
-            span = resolve_conv_span()  # resolve once per merge, not per PMF
-            pmfs = [
-                convolve_pmfs(left, right, use_fft=True, span=span)
-                for left, right in zip(self.pmfs, other.pmfs)
-            ]
-        occupancy = None
-        if self.occupancy_counts is not None and other.occupancy_counts is not None:
-            occupancy = self.occupancy_counts + other.occupancy_counts
-        return MergeableSupportStats(
-            [
-                np.concatenate((left, right))
-                for left, right in zip(self.vectors, other.vectors)
-            ],
-            self.expected + other.expected,
-            self.variance + other.variance,
-            self.max_supports + other.max_supports,
-            pmfs,
-            occupancy,
-        )
-
-    @classmethod
-    def merge_all(
-        cls, parts: Sequence["MergeableSupportStats"]
-    ) -> "MergeableSupportStats":
-        """Fold :meth:`merge` over per-shard statistics in shard order."""
-        if not parts:
-            raise ValueError("merge_all requires at least one shard")
-        merged = parts[0]
-        for part in parts[1:]:
-            merged = merged.merge(part)
-        return merged
-
-    def frequent_probabilities(self, min_count: int) -> np.ndarray:
-        """``Pr[sup(X) >= min_count]`` per candidate from the merged PMFs.
-
-        Requires the statistics to have been built ``with_pmfs=True``.
-        """
-        if self.pmfs is None:
-            raise ValueError("statistics were built without PMFs")
-        min_count = int(min_count)
-        results = np.empty(len(self.pmfs), dtype=float)
-        for index, pmf in enumerate(self.pmfs):
-            if min_count <= 0:
-                results[index] = 1.0
-            elif min_count >= len(pmf):
-                results[index] = 0.0
-            else:
-                results[index] = max(0.0, min(1.0, float(pmf[min_count:].sum())))
-        return results
-
-    def engine(self, executor: Optional["ParallelExecutor"] = None) -> SupportEngine:
-        """The byte-exact :class:`SupportEngine` over the merged vectors.
-
-        Moments are deliberately *not* taken from the additive merge: the
-        engine recomputes them from the concatenated vectors with the serial
-        kernels so that a partitioned run reports values bitwise identical
-        to an unpartitioned one.
-        """
-        return SupportEngine(self.vectors, executor=executor)
 
 
 class SupportDistribution:

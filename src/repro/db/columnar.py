@@ -361,10 +361,6 @@ class ColumnarView:
         dense[rows] = probs
         return dense
 
-    def itemset_probability_vector(self, itemset: Iterable[int]) -> np.ndarray:
-        """The non-zero per-transaction probabilities of ``itemset``."""
-        return self.itemset_column(itemset)[1]
-
     def expected_support(self, itemset: Iterable[int]) -> float:
         """Expected support ``esup(X) = sum_i p_i(X)`` (Definition 1).
 

@@ -56,7 +56,6 @@ from __future__ import annotations
 import hashlib
 import os
 import threading
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, Iterator, Mapping, Optional, Tuple, Union
@@ -355,13 +354,6 @@ def latency_seconds() -> float:
     if injector is None:
         return 0.0
     return injector.plan.latency_seconds
-
-
-def inject_latency() -> None:
-    """Sleep the configured latency if the ``task-latency`` site fires."""
-    injector = active_injector()
-    if injector is not None and injector.probe("task-latency"):
-        time.sleep(injector.plan.latency_seconds)
 
 
 def fault_counters() -> Dict[str, Dict[str, int]]:

@@ -36,15 +36,13 @@ import itertools
 import random
 import socket
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
-from ..core.results import FrequentItemset
 from .protocol import (
     ERROR_TYPES,
     MAX_LINE_BYTES,
     ServiceError,
     decode_line,
-    decode_records,
     encode_line,
 )
 
@@ -289,10 +287,6 @@ class MiningClient:
 
     def mine_topk(self, dataset: str, k: int, **params) -> Dict[str, Any]:
         return self.call("mine-topk", {"dataset": dataset, "k": int(k), **params})
-
-    def mine_records(self, dataset: str, **params) -> List[FrequentItemset]:
-        """``mine`` decoded straight to :class:`FrequentItemset` records."""
-        return decode_records(self.mine(dataset, **params)["itemsets"])
 
     def shutdown(self) -> Dict[str, Any]:
         return self.call("shutdown")

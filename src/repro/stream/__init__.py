@@ -10,9 +10,7 @@ arrival stream, re-emitting the frequent set after every slide:
   slide).
 * :mod:`repro.stream.index` — :class:`IncrementalSupportIndex`, a segment
   tree of mergeable support buckets per candidate; a slide re-merges only
-  O(k log W) tree nodes (moments by addition, exact PMFs by convolution —
-  the :class:`~repro.core.support.MergeableSupportStats` algebra applied to
-  window slots instead of row shards).
+  O(k log W) tree nodes (moments by addition, exact PMFs by convolution).
 * :mod:`repro.stream.miners` — :class:`StreamingUApriori` (Definition 2)
   and :class:`StreamingDP` (Definition 4), level-wise Apriori searches fed
   by the index; their per-slide frequent sets match batch-mining the same

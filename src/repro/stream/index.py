@@ -1,11 +1,9 @@
 """Incremental support statistics over a sliding window: a segment tree of buckets.
 
-The partition-parallel engine (PR 2) established that every support
-statistic the miners consume has an exact merge operator over disjoint row
-sets (:class:`~repro.core.support.MergeableSupportStats`): expectations and
-variances add, maximum attainable supports add, exact PMFs convolve.  That
-algebra was built for row *shards*; this module cashes it in for row
-*slots* of a sliding window.
+Every support statistic the miners consume has an exact merge operator over
+disjoint row sets: expectations and variances add, maximum attainable
+supports add, exact PMFs convolve.  This module's buckets are that merge,
+applied to the row *slots* of a sliding window.
 
 :class:`IncrementalSupportIndex` keeps a perfect binary segment tree whose
 leaves are the window's ring-buffer slots.  A leaf holds a candidate's
@@ -81,16 +79,11 @@ class IncrementalSupportIndex:
         streaming miners leave this off and opt candidates in selectively
         through :meth:`ensure_pmfs`; turning it on is convenient for direct
         index users and the equivalence tests.
-    use_fft:
-        FFT-accelerate PMF merges of segments longer than the ``conv_span``
-        plan knob (default 512 — the measured direct-vs-FFT crossover,
-        shared with :func:`repro.core.support.convolve_pmfs`).  FFT
-        round-off is below 1e-12 but not zero; disable for bitwise
-        agreement with direct convolution on large windows (the DC miner's
-        ablation, at quadratic cost).
-    conv_span:
-        Explicit crossover override; ``None`` resolves the ``conv_span``
-        knob through the plan pipeline at construction time.
+
+    PMF merges of segments longer than the ``conv_span`` plan knob (default
+    512 — the measured direct-vs-FFT crossover, shared with
+    :func:`repro.core.support.convolve_pmfs`) run in the frequency domain;
+    the knob is resolved once, at construction time.
 
     The index stores the current slot contents itself (one ``{item:
     probability}`` mapping per slot), so candidates registered mid-stream
@@ -102,21 +95,18 @@ class IncrementalSupportIndex:
         self,
         capacity: int,
         with_pmfs: bool = False,
-        use_fft: bool = True,
         track_variance: bool = True,
         track_nonzero: bool = True,
-        conv_span: Optional[int] = None,
     ) -> None:
         capacity = int(capacity)
         if capacity < 1:
             raise ValueError(f"index capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.with_pmfs = with_pmfs
-        self.use_fft = use_fft
         # Resolved once at construction: the tree layout (dense-vs-spectral
         # level split below) is fixed for the index's lifetime, so a scoped
         # plan at construction time decides it, matching the batch kernels.
-        self.conv_span = resolve_conv_span(conv_span)
+        self.conv_span = resolve_conv_span()
         # Expected support is always maintained; the variance and non-zero
         # trees are opt-out so consumers that never ask (the streaming
         # expected-support miner) skip two thirds of the merge work.
@@ -155,7 +145,7 @@ class IncrementalSupportIndex:
         # -- PMF trees, stored per level.  Levels whose node span is within
         # the FFT cutoff hold dense PMF blocks of shape
         # (allocated pmf columns, size >> h, (1 << h) + 1) and merge by
-        # direct (exact) convolution.  Above the cutoff (``use_fft`` only),
+        # direct (exact) convolution.  Above the cutoff,
         # nodes are kept in the *frequency domain*: each node stores its
         # PMF's real FFT at the root transform size, so an upper-level merge
         # is one pointwise complex multiplication — per slide only the dirty
@@ -164,11 +154,9 @@ class IncrementalSupportIndex:
         self._pmf_columns: Dict[Candidate, int] = {}
         self._pmf_free: List[int] = []
         self._pmf_allocated = 0
-        #: highest level stored as dense PMFs (everything when FFT is off)
-        self._dense_height = (
-            min(self._height, max(1, self.conv_span).bit_length() - 1)
-            if use_fft
-            else self._height
+        #: highest level stored as dense PMFs
+        self._dense_height = min(
+            self._height, max(1, self.conv_span).bit_length() - 1
         )
         self._pmf_levels: List[np.ndarray] = [
             np.zeros((0, self.size >> h, (1 << h) + 1), dtype=float)
@@ -219,10 +207,6 @@ class IncrementalSupportIndex:
     def registered(self) -> List[Candidate]:
         """The registered candidates (no particular order)."""
         return list(self._columns)
-
-    def pmf_registered(self) -> List[Candidate]:
-        """The candidates whose exact PMF trees are being maintained."""
-        return list(self._pmf_columns)
 
     def _item_columns(self, candidate: Candidate) -> List[int]:
         columns = []

@@ -72,8 +72,6 @@ class StreamingMiner:
         Window capacity ``W``, or an existing (possibly pre-filled)
         :class:`~repro.stream.window.SlidingWindow` to adopt — the index is
         back-filled from its resident transactions either way.
-    use_fft:
-        Forwarded to the support index's PMF merges (exact miners only).
     plan:
         An :class:`~repro.plan.ExecutionPlan` (or plan-spec string /
         mapping) pinned around index construction and every slide, so the
@@ -91,7 +89,7 @@ class StreamingMiner:
     #: slide; a small grace period turns that churn into cheap idle updates.
     retain_slack = 4
 
-    def __init__(self, window, use_fft: bool = True, plan=None) -> None:
+    def __init__(self, window, plan=None) -> None:
         self.window = (
             window if isinstance(window, SlidingWindow) else SlidingWindow(int(window))
         )
@@ -105,7 +103,6 @@ class StreamingMiner:
             self.index = IncrementalSupportIndex(
                 self.window.capacity,
                 with_pmfs=False,
-                use_fft=use_fft,
                 **self.index_options,
             )
         if len(self.window):
@@ -250,7 +247,6 @@ class StreamingUApriori(StreamingMiner):
         window,
         min_esup: float,
         track_variance: bool = False,
-        use_fft: bool = True,
         plan=None,
     ) -> None:
         # Definition 2 needs only the expected-support tree; skipping the
@@ -259,7 +255,7 @@ class StreamingUApriori(StreamingMiner):
             "track_variance": bool(track_variance),
             "track_nonzero": False,
         }
-        super().__init__(window, use_fft=use_fft, plan=plan)
+        super().__init__(window, plan=plan)
         self.threshold = ExpectedSupportThreshold(float(min_esup))
         self.track_variance = track_variance
 
@@ -327,8 +323,6 @@ class StreamingDP(StreamingMiner):
     item_prefilter:
         Discard items with ``esup < min_count * pft`` before the level-wise
         search (Markov's inequality; always sound), as the batch miner does.
-    use_fft:
-        FFT-accelerate PMF merges of segments longer than 64 rows.
     """
 
     name = "stream-dp"
@@ -340,10 +334,9 @@ class StreamingDP(StreamingMiner):
         pft: float = 0.9,
         use_pruning: bool = True,
         item_prefilter: bool = True,
-        use_fft: bool = True,
         plan=None,
     ) -> None:
-        super().__init__(window, use_fft=use_fft, plan=plan)
+        super().__init__(window, plan=plan)
         self.threshold = ProbabilisticThreshold(float(min_sup), float(pft))
         self.use_pruning = use_pruning
         self.item_prefilter = item_prefilter
@@ -476,7 +469,6 @@ class StreamingTopK(StreamingMiner):
         min_sup: Optional[float] = None,
         use_pruning: bool = True,
         track_variance: bool = False,
-        use_fft: bool = True,
         plan=None,
     ) -> None:
         self.evaluator = resolve_evaluator(evaluator)
@@ -504,7 +496,7 @@ class StreamingTopK(StreamingMiner):
             "track_variance": bool(track_variance) or probabilistic,
             "track_nonzero": probabilistic,
         }
-        super().__init__(window, use_fft=use_fft, plan=plan)
+        super().__init__(window, plan=plan)
         self._last_ranked: List[FrequentItemset] = []
         self._last_min_count: Optional[int] = None
         self._last_statistics: Optional[MiningStatistics] = None

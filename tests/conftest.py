@@ -10,9 +10,23 @@ from __future__ import annotations
 
 import pytest
 
+from repro import faults
 from repro.db import DatabaseBuilder, UncertainDatabase, paper_example_database
 
 from helpers import make_random_database
+
+
+@pytest.fixture(autouse=True)
+def _fault_injection_stays_enabled():
+    """Fail any test that leaves fault injection disabled in this process.
+
+    ``faults.disable_in_process()`` is meant for pool workers; left set in
+    the pytest process it turns every later test's fault probes into no-ops.
+    """
+    yield
+    if faults._DISABLED:
+        faults._DISABLED = False
+        pytest.fail("test left fault injection disabled in the pytest process")
 
 
 @pytest.fixture

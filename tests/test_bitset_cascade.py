@@ -22,7 +22,6 @@ from repro.algorithms.pruning import ChernoffPruner
 from repro.core.parallel import ParallelExecutor
 from repro.core.support import (
     SupportEngine,
-    MergeableSupportStats,
     cheap_tail_upper_bound,
     chernoff_upper_bound,
     exact_pmf_dynamic_programming,
@@ -223,57 +222,63 @@ class TestCascadeEquivalence:
                 _assert_oracle_column(view.itemset_column(candidate), database, candidate)
 
 
-class TestShardedCascade:
-    def test_partition_counts_sum_to_global(self, database):
-        view = database.columnar()
-        partition = database.partition(3)
-        candidates = _all_levels(view)
-        assert np.array_equal(
-            partition.level_occupancy_counts(candidates),
-            view.level_occupancy_counts(candidates),
-        )
+#: (rows, requested shards) of the executor fan-out layouts: even shards,
+#: uneven shards, and more shards than rows (clamped to one row each)
+SHARD_LAYOUTS = [
+    pytest.param(80, 2, id="2-shards"),
+    pytest.param(80, 3, id="3-uneven-shards"),
+    pytest.param(5, 8, id="more-shards-than-rows"),
+]
 
-    def test_partition_kill_uses_global_counts(self):
+
+class TestShardedCascade:
+    """The executor's fan-out (in-process and pooled) against the serial view."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n_transactions,shards", SHARD_LAYOUTS)
+    def test_executor_counts_sum_to_global(self, workers, n_transactions, shards):
+        database = make_random_database(
+            n_transactions=n_transactions, n_items=9, density=0.5, seed=31
+        )
+        view = database.columnar()
+        candidates = _all_levels(view)
+        with ParallelExecutor(
+            workers, shard_views=database.partition(shards).shards
+        ) as executor:
+            counts = executor.shard_occupancy_counts(candidates)
+        assert np.array_equal(counts, view.level_occupancy_counts(candidates))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_executor_kill_uses_global_counts(self, workers):
         # Candidate (1,) has one supporting row in each of two shards; a
         # min_count of 2 is only reachable globally — per-shard evidence
         # alone would kill it and corrupt the concatenated vector.
         db = UncertainDatabase.from_records(
             [{1: 0.5}, {2: 0.25}, {1: 0.75}, {2: 1.0}]
         )
-        partition = db.partition(2)
-        vectors = partition.batch_vectors([(1,), (1, 2)], min_count=2)
+        with ParallelExecutor(workers, shard_views=db.partition(2).shards) as executor:
+            vectors = executor.shard_vectors([(1,), (1, 2)], min_count=2)
         assert vectors[0].tolist() == [0.5, 0.75]
         assert vectors[1].tolist() == []  # truly below min_count globally
 
-    def test_partition_batch_vectors_match_serial_cascade(self, database):
-        view = database.columnar()
-        partition = database.partition(4)
-        candidates = _all_levels(view)
-        min_count = 5
-        serial = view.batch_vectors(candidates, min_count=min_count)
-        sharded = partition.batch_vectors(candidates, min_count=min_count)
-        for left, right in zip(serial, sharded):
-            assert np.array_equal(left, right)
-
-    def test_executor_shard_vectors_with_kill(self, database):
+    @pytest.mark.parametrize("min_count", [0, 2, 5])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n_transactions,shards", SHARD_LAYOUTS)
+    def test_executor_shard_vectors_with_kill(
+        self, workers, n_transactions, shards, min_count
+    ):
+        database = make_random_database(
+            n_transactions=n_transactions, n_items=9, density=0.5, seed=31
+        )
         candidates = _all_levels(database.columnar())
-        min_count = 5
         serial = database.columnar().batch_vectors(candidates, min_count=min_count)
-        with ParallelExecutor(1, shard_views=database.partition(3).shards) as executor:
+        with ParallelExecutor(
+            workers, shard_views=database.partition(shards).shards
+        ) as executor:
             fanned = executor.shard_vectors(candidates, min_count=min_count)
+        assert len(fanned) == len(serial)
         for left, right in zip(serial, fanned):
             assert np.array_equal(left, right)
-
-    def test_mergeable_stats_carry_additive_occupancy_counts(self, database):
-        view = database.columnar()
-        candidates = _all_levels(view, max_len=2)
-        stats = MergeableSupportStats.from_partition(
-            database.partition(3), candidates
-        )
-        assert stats.occupancy_counts is not None
-        assert np.array_equal(
-            stats.occupancy_counts, view.level_occupancy_counts(candidates)
-        )
 
     def test_shard_pickling_drops_caches(self, database):
         view = database.columnar()

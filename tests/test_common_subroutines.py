@@ -59,11 +59,11 @@ class TestTrimAndVectors:
     def test_probability_vector_skips_zero_entries(self, paper_db):
         a = paper_db.vocabulary.id_of("A")
         c = paper_db.vocabulary.id_of("C")
-        (vector,) = make_candidate_source(paper_db).level_vectors([(a, c)])
+        (vector,) = make_candidate_source(paper_db)([(a, c)])
         assert vector.tolist() == pytest.approx([0.72, 0.72, 0.4])
 
     def test_probability_vector_of_absent_itemset_is_empty(self, paper_db):
-        (vector,) = make_candidate_source(paper_db).level_vectors([(999,)])
+        (vector,) = make_candidate_source(paper_db)([(999,)])
         assert vector.size == 0
 
 

@@ -1,10 +1,9 @@
-"""Run the documented modules' doctests inside the tier-1 suite.
+"""Run the documented modules' doctests: the one list of documented modules.
 
-The CI docs job imports the documented modules as package members and runs
-``doctest.testmod`` over each (a plain ``python -m doctest path.py`` can no
-longer load ``db/columnar.py`` standalone — it has runtime relative imports
-since the bitset cascade).  This test pins the same set inside the tier-1
-suite, so the examples stay runnable even when CI is not involved.
+Each module is imported as a package member and run through
+``doctest.testmod`` (a plain ``python -m doctest path.py`` cannot load
+modules with relative imports).  Tier-1 and the CI docs job both run this
+file, so the two cannot drift apart.
 """
 
 from __future__ import annotations
@@ -19,6 +18,7 @@ import repro.db.cache
 import repro.db.columnar
 import repro.db.partition
 import repro.db.store
+import repro.faults
 import repro.plan.spec
 import repro.stream.index
 import repro.stream.window
@@ -30,6 +30,7 @@ DOCUMENTED_MODULES = [
     repro.db.columnar,
     repro.db.partition,
     repro.db.store,
+    repro.faults,
     repro.plan.spec,
     repro.stream.index,
     repro.stream.window,

@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 from repro.core import support
 from repro.core.parallel import ParallelExecutor
 from repro.core.support import (
-    MergeableSupportStats,
     SupportDistribution,
     dc_tail_probabilities,
     exact_pmf_divide_conquer,
@@ -145,8 +144,7 @@ def test_dc_pmfs_equal_the_recursive_reference(batch, span):
             _recursive_pmf(vector, use_fft=False),
         )
     with plan_scope(f"conv_span={span}"):
-        stats = MergeableSupportStats.from_vectors(vectors, with_pmfs=True)
-        for vector, pmf in zip(vectors, stats.pmfs):
+        for vector, pmf in zip(vectors, list(support._dc_pmfs(vectors))):
             assert np.array_equal(pmf, _recursive_pmf(vector))
             assert np.array_equal(SupportDistribution(vector).pmf(), pmf)
 

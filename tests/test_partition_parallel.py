@@ -9,11 +9,6 @@ probabilities to the serial columnar path, because
   (per-transaction products are row-local),
 * candidate-chunked DP/DC tails run the identical serial kernels per chunk,
 * item statistics and moments are always derived with the serial reductions.
-
-The :class:`~repro.core.support.MergeableSupportStats` *algebra* (moments
-merged by addition, PMFs merged by convolution) is exact arithmetic-wise
-but may differ from the serial reductions in the last ulp, so it is tested
-to 1e-12 as the issue specifies.
 """
 
 from __future__ import annotations
@@ -30,7 +25,6 @@ from repro.core.parallel import (
 )
 from repro.core.registry import algorithm_names, get_algorithm
 from repro.core.support import (
-    MergeableSupportStats,
     SupportEngine,
     frequent_probabilities_dp_batch,
     pack_probability_matrix,
@@ -138,22 +132,17 @@ class TestPartition:
                 assert stop == start
             assert all(stop >= start for start, stop in bounds)
 
-    def test_shard_vectors_concatenate_bitwise(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_shard_vectors_concatenate_bitwise(self, workers):
         database = make_random_database(n_transactions=45, n_items=8, seed=41)
         view = database.columnar()
         partition = database.partition(4)
         candidates = [(0,), (1, 2), (0, 1, 3), (5, 6)]
         full = view.batch_vectors(candidates)
-        merged = partition.batch_vectors(candidates)
+        with ParallelExecutor(workers, shard_views=partition.shards) as executor:
+            merged = executor.shard_vectors(candidates)
         for reference, vector in zip(full, merged):
             assert np.array_equal(reference, vector)
-
-    def test_itemset_column_merges_to_global_rows(self):
-        database = make_random_database(n_transactions=30, n_items=5, seed=42)
-        rows, probs = database.partition(3).itemset_column((0, 1))
-        reference_rows, reference_probs = database.columnar().itemset_column((0, 1))
-        assert np.array_equal(rows, reference_rows)
-        assert np.array_equal(probs, reference_probs)
 
     def test_partition_is_cached_per_shard_count(self):
         database = make_random_database(seed=43)
@@ -168,67 +157,6 @@ class TestPartition:
             view.slice_rows(5, 2)
         with pytest.raises(ValueError):
             view.slice_rows(0, len(view) + 1)
-
-
-class TestMergeableSupportStats:
-    def _partition_and_candidates(self, seed=51, shards=3):
-        database = make_random_database(
-            n_transactions=40, n_items=6, density=0.6, seed=seed
-        )
-        candidates = [(0,), (0, 1), (1, 2, 3), (4, 5)]
-        return database, database.partition(shards), candidates
-
-    def test_additive_merge_matches_serial_moments_within_1e12(self):
-        database, partition, candidates = self._partition_and_candidates()
-        stats = MergeableSupportStats.from_partition(partition, candidates)
-        engine = SupportEngine(database.columnar().batch_vectors(candidates))
-        np.testing.assert_allclose(
-            stats.expected, engine.expected_supports(), rtol=0, atol=1e-12
-        )
-        np.testing.assert_allclose(
-            stats.variance, engine.variances(), rtol=0, atol=1e-12
-        )
-        assert np.array_equal(stats.max_supports, engine.nonzero_counts())
-
-    def test_pmf_convolution_merge_matches_serial_tails_within_1e12(self):
-        database, partition, candidates = self._partition_and_candidates(seed=52)
-        stats = MergeableSupportStats.from_partition(
-            partition, candidates, with_pmfs=True
-        )
-        engine = SupportEngine(database.columnar().batch_vectors(candidates))
-        for min_count in (1, 3, 8):
-            np.testing.assert_allclose(
-                stats.frequent_probabilities(min_count),
-                engine.frequent_probabilities(min_count),
-                rtol=0,
-                atol=1e-12,
-            )
-
-    def test_engine_over_merged_vectors_is_byte_exact(self):
-        database, partition, candidates = self._partition_and_candidates(seed=53)
-        stats = MergeableSupportStats.from_partition(partition, candidates)
-        serial = SupportEngine(database.columnar().batch_vectors(candidates))
-        merged = stats.engine()
-        assert np.array_equal(merged.expected_supports(), serial.expected_supports())
-        assert np.array_equal(
-            merged.frequent_probabilities(4), serial.frequent_probabilities(4)
-        )
-
-    def test_merge_rejects_mismatched_parts(self):
-        left = MergeableSupportStats.from_vectors([[0.5]])
-        right = MergeableSupportStats.from_vectors([[0.5], [0.25]])
-        with pytest.raises(ValueError):
-            left.merge(right)
-        with_pmf = MergeableSupportStats.from_vectors([[0.5]], with_pmfs=True)
-        with pytest.raises(ValueError):
-            left.merge(with_pmf)
-        with pytest.raises(ValueError):
-            MergeableSupportStats.merge_all([])
-
-    def test_frequent_probabilities_require_pmfs(self):
-        stats = MergeableSupportStats.from_vectors([[0.5]])
-        with pytest.raises(ValueError):
-            stats.frequent_probabilities(1)
 
 
 class TestParallelExecutor:
@@ -255,18 +183,6 @@ class TestParallelExecutor:
         with ParallelExecutor(workers=2) as executor:
             delegated = SupportEngine(vectors, executor=executor).frequent_probabilities(4)
         assert np.array_equal(delegated, serial)
-
-    def test_per_shard_result_cache(self):
-        database = make_random_database(n_transactions=20, n_items=5, seed=64)
-        partition = database.partition(2)
-        candidates = [(0,), (1,), (0, 1)]
-        with ParallelExecutor(workers=1, shard_views=partition.shards) as executor:
-            first = executor.shard_vectors(candidates)
-            assert executor.cache_hits == 0
-            second = executor.shard_vectors(candidates)
-            assert executor.cache_hits == len(partition.shards)
-        for left, right in zip(first, second):
-            assert np.array_equal(left, right)
 
     def test_shard_vectors_requires_shards(self):
         with ParallelExecutor(workers=1) as executor:
@@ -318,65 +234,6 @@ class TestResolution:
         result = mine(database, algorithm="uapriori", min_esup=0.3, workers=1, shards=2)
         assert result.statistics.notes["workers"] == 1.0
         assert result.statistics.notes["shards"] == 2.0
-
-
-class TestShardResultCacheLru:
-    """The coordinator cache is a true LRU and can hold legitimate ``None``s."""
-
-    class _Shard:
-        """Duck-typed shard counting how often each method is evaluated."""
-
-        def __init__(self):
-            self.calls = 0
-
-        def answer(self, payload):
-            self.calls += 1
-            return payload
-
-        def nothing(self):
-            self.calls += 1
-            return None
-
-    def test_hit_refreshes_recency(self):
-        shard = self._Shard()
-        # cache_size bounds entries at cache_size * n_shards = 2.
-        with ParallelExecutor(
-            workers=1, shard_views=[shard], cache_size=2
-        ) as executor:
-            executor.map_shard_method("answer", "a")  # cache: [a]
-            executor.map_shard_method("answer", "b")  # cache: [a, b]
-            executor.map_shard_method("answer", "a")  # hit refreshes a: [b, a]
-            assert executor.cache_hits == 1
-            executor.map_shard_method("answer", "c")  # evicts b (LRU), not a
-            assert executor.map_shard_method("answer", "a") == ["a"]
-            assert executor.cache_hits == 2  # a stayed resident
-            assert shard.calls == 3  # a, b, c computed once each
-
-    def test_fifo_regression_hot_entry_survives(self):
-        # The pre-fix FIFO behaviour evicted the oldest *inserted* entry even
-        # when it was the hottest; with move_to_end the repeatedly-queried
-        # entry survives an arbitrary number of cold insertions.
-        shard = self._Shard()
-        with ParallelExecutor(
-            workers=1, shard_views=[shard], cache_size=2
-        ) as executor:
-            executor.map_shard_method("answer", "hot")
-            for cold in range(5):
-                executor.map_shard_method("answer", f"cold-{cold}")
-                executor.map_shard_method("answer", "hot")
-            # hot: 1 computation + 5 hits; cold: 5 computations.
-            assert shard.calls == 6
-            assert executor.cache_hits == 5
-
-    def test_none_results_are_cached(self):
-        shard = self._Shard()
-        with ParallelExecutor(
-            workers=1, shard_views=[shard], cache_size=4
-        ) as executor:
-            assert executor.map_shard_method("nothing") == [None]
-            assert executor.map_shard_method("nothing") == [None]
-            assert shard.calls == 1  # the None was served from the cache
-            assert executor.cache_hits == 1
 
 
 class TestExecutorLifecycle:

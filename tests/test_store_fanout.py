@@ -19,6 +19,7 @@ import shutil
 import numpy as np
 import pytest
 
+from repro import faults
 from repro.core import parallel
 from repro.core.miner import mine
 from repro.core.parallel import ParallelExecutor
@@ -138,7 +139,10 @@ class TestFailFast:
         finally:
             executor.close()
 
-    def test_worker_reports_vanished_segment(self, database):
+    def test_worker_reports_vanished_segment(self, database, monkeypatch):
+        # The pool initializer disables fault injection for its process;
+        # run here, in the pytest process, that must be undone afterwards.
+        monkeypatch.setattr(faults, "_DISABLED", faults._DISABLED)
         segment = export_shard_segment(database.columnar())
         descriptor = dict(segment.descriptor)
         segment.destroy()
