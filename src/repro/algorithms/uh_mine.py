@@ -1,14 +1,19 @@
 """UH-Mine: the uncertain extension of H-Mine (Aggarwal et al., 2009).
 
 UH-Mine keeps the whole (trimmed) database in a flat in-memory structure,
-the *UH-Struct*: each transaction is an array of ``(item, probability)``
-cells ordered by the global frequent-item order.  Mining is depth-first:
-for a prefix itemset ``P`` the algorithm holds a list of *projections* —
-``(transaction, position, probability of P in that transaction)`` — and
-builds a head table accumulating, for every item appearing to the right of
-``position``, the expected support of ``P ∪ {item}``.  Frequent extensions
-are recursed into; no conditional trees are ever materialised, which is
-why UH-Mine wins on sparse databases and low thresholds in the paper.
+the *UH-Struct*.  Here it is three per-cell arrays, row-major with each
+row's cells in ascending global frequent-item rank: the cell's ``rank``,
+its ``prob`` and its ``row_end`` (the exclusive end of its row).  Mining is
+depth-first: a prefix itemset ``P`` holds one *projection* per row that
+contains it — the cell of ``P``'s last item and the probability of ``P`` in
+that row — and builds a head table holding, for every rank to the right of
+a projection, the expected support of ``P ∪ {item}``.  The cells right of
+all projections are gathered in one pass and the head table is one
+``np.bincount`` over their ranks; ``bincount`` adds its weights in input
+order into bins that start at ``0.0``, so every entry equals the
+left-to-right sum of a per-cell loop bit for bit.  Frequent extensions are
+recursed into; no conditional trees are ever materialised, which is why
+UH-Mine wins on sparse databases and low thresholds in the paper.
 
 The depth-first growth plugs into :class:`~repro.core.search.LevelwiseSearch`
 through the spec's ``expander`` hook — :func:`uh_mine_expand` — so the
@@ -19,33 +24,53 @@ same expander under its Normal-approximation spec.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 from ..core.search import MinerSpec, SearchContext
 from ..db.columnar import ColumnarView
 from .base import ExpectedSupportMiner
 
-__all__ = ["UHMine", "build_uh_struct_columnar", "uh_mine_expand"]
+__all__ = ["UHMine", "UHStruct", "build_uh_struct_columnar", "uh_mine_expand"]
 
-#: One stored transaction: a tuple of (item, probability) cells in global order.
-UHTransaction = Tuple[Tuple[int, float], ...]
-#: One projection: (index of the transaction in the UH-Struct, position after
-#: which extensions may start, probability of the current prefix).
-Projection = Tuple[int, int, float]
+
+class UHStruct(NamedTuple):
+    """The UH-Struct: per-cell arrays, row-major, rank-ascending in a row."""
+
+    #: global frequent-item rank of every cell (int64)
+    rank: np.ndarray
+    #: existential probability of every cell (float64)
+    prob: np.ndarray
+    #: exclusive end of every cell's row, as a cell index (int64)
+    row_end: np.ndarray
+    #: the item of every rank
+    items: List[int]
 
 
 def build_uh_struct_columnar(
     view: ColumnarView, item_order: Dict[int, int]
-) -> List[UHTransaction]:
+) -> UHStruct:
     """Project the database onto the ordered frequent items (the UH-Struct).
 
-    Walking the item columns in global order appends each transaction's
-    cells already sorted, so no per-transaction sort is needed.
-    Transactions without any ordered item are left out.
+    The item columns are concatenated in rank order and stably sorted by
+    row, so each row's cells come out already in rank order.  Rows without
+    any ordered item hold no cells.
     """
-    return [
-        tuple(cells) for cells in view.rows_as_ordered_units(item_order) if cells
-    ]
+    items = sorted(item_order, key=item_order.__getitem__)
+    columns = [view.column(item) for item in items]
+    lengths = [len(rows) for rows, _ in columns]
+    rows = np.concatenate([np.empty(0, np.int64)] + [rows for rows, _ in columns])
+    probs = np.concatenate([np.empty(0, np.float64)] + [probs for _, probs in columns])
+    ranks = np.repeat(np.arange(len(items), dtype=np.int64), lengths)
+    order = np.argsort(rows, kind="stable")
+    rows = rows[order]
+    return UHStruct(
+        rank=ranks[order],
+        prob=probs[order],
+        row_end=np.searchsorted(rows, rows, side="right"),
+        items=items,
+    )
 
 
 def uh_mine_expand(ctx: SearchContext) -> None:
@@ -67,78 +92,78 @@ def uh_mine_expand(ctx: SearchContext) -> None:
             sorted(frequent_items.items(), key=lambda kv: (-kv[1][0], kv[0]))
         )
     }
-    if ctx.executor.n_shards > 1:
-        # Each shard yields its rows' ordered unit lists; shard order is row
-        # order, so the concatenation matches the serial struct exactly.
-        struct: List[UHTransaction] = []
-        for shard_units in ctx.executor.map_shard_method(
-            "rows_as_ordered_units", item_order
-        ):
-            struct.extend(tuple(cells) for cells in shard_units if cells)
-    else:
-        struct = build_uh_struct_columnar(ctx.database.columnar(), item_order)
+    struct = build_uh_struct_columnar(ctx.database.columnar(), item_order)
     statistics.database_scans += 1
-    statistics.notes["uh_struct_cells"] = float(sum(len(cells) for cells in struct))
+    statistics.notes["uh_struct_cells"] = float(len(struct.rank))
 
     # The initial projections: every item starts its own depth-first branch.
-    for item in sorted(frequent_items, key=lambda i: item_order[i]):
-        projections: List[Projection] = []
-        for index, cells in enumerate(struct):
-            for position, (cell_item, probability) in enumerate(cells):
-                if cell_item == item:
-                    projections.append((index, position, probability))
-                    break
-                if item_order[cell_item] > item_order[item]:
-                    break
-        _expand_prefix(ctx, struct, (item,), projections, item_order)
+    # A stable sort by rank lists each item's cells in row order.
+    by_rank = np.argsort(struct.rank, kind="stable")
+    ends = np.cumsum(np.bincount(struct.rank, minlength=len(struct.items)))
+    start = 0
+    for rank, end in enumerate(ends.tolist()):
+        cells = by_rank[start:end]
+        _expand_prefix(ctx, struct, (struct.items[rank],), cells, struct.prob[cells])
+        start = end
 
 
 def _expand_prefix(
     ctx: SearchContext,
-    struct: List[UHTransaction],
+    struct: UHStruct,
     prefix: Tuple[int, ...],
-    projections: List[Projection],
-    item_order: Dict[int, int],
+    cells: np.ndarray,
+    prefix_probability: np.ndarray,
 ) -> None:
-    """Recursively extend ``prefix`` by items occurring after its projections."""
-    # Head table for this prefix: item -> [expected support, variance].
-    head: Dict[int, List[float]] = {}
-    for index, position, prefix_probability in projections:
-        cells = struct[index]
-        for cell_item, probability in cells[position + 1 :]:
-            joint = prefix_probability * probability
-            entry = head.get(cell_item)
-            if entry is None:
-                head[cell_item] = [joint, joint * (1.0 - joint)]
-            else:
-                entry[0] += joint
-                entry[1] += joint * (1.0 - joint)
+    """Recursively extend ``prefix`` by the items right of its projections.
 
+    ``cells`` holds the struct cell of ``prefix``'s last item in each row
+    that contains ``prefix``, in row order; ``prefix_probability`` holds the
+    probability of ``prefix`` in those rows.
+    """
+    # The cells right of every projection, projection-major.
+    starts = cells + 1
+    lengths = struct.row_end[cells] - starts
+    total = int(lengths.sum())
+    if total == 0:
+        return
+    offsets = np.cumsum(lengths) - lengths
+    right = np.repeat(starts - offsets, lengths) + np.arange(total)
+    ranks = struct.rank[right]
+    joint = np.repeat(prefix_probability, lengths) * struct.prob[right]
+
+    # Head table for this prefix: rank -> expected support (and variance).
+    counts = np.bincount(ranks)
+    expected = np.bincount(ranks, weights=joint)
+    present = np.flatnonzero(counts)
+    frequent = present[expected[present] >= ctx.search_min_esup]
     statistics = ctx.statistics
-    bar = ctx.search_min_esup
-    track_variance = ctx.spec.track_variance
-    statistics.candidates_generated += len(head)
-    for item in sorted(head, key=lambda i: item_order[i]):
-        expected, variance = head[item]
-        if expected < bar:
-            statistics.candidates_pruned += 1
-            continue
-        extended = prefix + (item,)
-        ctx.record(extended, expected, variance if track_variance else None)
-        # Build the projections of the extended prefix.
-        extended_projections: List[Projection] = []
-        for index, position, prefix_probability in projections:
-            cells = struct[index]
-            for offset in range(position + 1, len(cells)):
-                cell_item, probability = cells[offset]
-                if cell_item == item:
-                    extended_projections.append(
-                        (index, offset, prefix_probability * probability)
-                    )
-                    break
-                if item_order[cell_item] > item_order[item]:
-                    break
-        _expand_prefix(ctx, struct, extended, extended_projections, item_order)
+    statistics.candidates_generated += len(present)
+    statistics.candidates_pruned += len(present) - len(frequent)
+    if not len(frequent):
+        return
+    variance = (
+        np.bincount(ranks, weights=joint * (1.0 - joint))
+        if ctx.spec.track_variance
+        else None
+    )
+
+    # The projections of each extension are its entries in ``right``: a
+    # stable sort of the frequent ranks' entries keeps them in row order.
+    is_frequent = np.zeros(len(counts), dtype=bool)
+    is_frequent[frequent] = True
+    entries = np.flatnonzero(is_frequent[ranks])
+    entries = entries[np.argsort(ranks[entries], kind="stable")]
+    start = 0
+    for rank, count in zip(frequent.tolist(), counts[frequent].tolist()):
+        extended = prefix + (struct.items[rank],)
+        ctx.record(
+            extended,
+            float(expected[rank]),
+            float(variance[rank]) if variance is not None else None,
+        )
+        selected = entries[start : start + count]
+        start += count
+        _expand_prefix(ctx, struct, extended, right[selected], joint[selected])
 
 
 class UHMine(ExpectedSupportMiner):
@@ -152,11 +177,10 @@ class UHMine(ExpectedSupportMiner):
         costs one extra multiply-add per visited cell, keeping the O(N)
         per-itemset complexity intact.
     workers, shards:
-        Partition-parallel knobs (see :class:`MinerBase`).  The UH-Struct
-        is assembled from per-shard row ranges — concatenating them in
-        shard order reproduces the serial struct exactly — while the
-        depth-first search itself stays sequential (it walks one shared
-        in-memory structure).
+        Partition-parallel knobs (see :class:`MinerBase`).  They do not
+        change how UH-Mine runs: the UH-Struct is built once from the whole
+        database's columns in every layout, and the depth-first search
+        walks that one in-memory structure sequentially.
     """
 
     name = "uh-mine"

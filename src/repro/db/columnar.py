@@ -305,9 +305,9 @@ class ColumnarView:
 
         Walking the columns by ascending ``item_order`` rank appends each
         row's units already sorted, so consumers that need rank-ordered
-        transactions (the UH-Struct and UFP-tree builders) skip the
-        per-transaction sort.  Rows without any ordered item come back as
-        empty lists so indices stay aligned with transaction positions.
+        transactions (the UFP-tree builder) skip the per-transaction sort.
+        Rows without any ordered item come back as empty lists so indices
+        stay aligned with transaction positions.
         """
         units_per_row: List[List[Tuple[int, float]]] = [
             [] for _ in range(self._n_transactions)

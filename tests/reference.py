@@ -14,7 +14,10 @@ from the production registry:
   oracle vector (expected support, or the exact frequent probability from
   the full support PMF);
 * :func:`possible_world_expected_support` — a Monte-Carlo estimate of an
-  expected support from sampled possible worlds.
+  expected support from sampled possible worlds;
+* :func:`uh_mine_expand_dict` — a frozen copy of the dict-per-cell UH-Mine
+  expander the array expander replaced (a ``MinerSpec`` ``expander``):
+  tuple-of-cells transactions, one head-table dict per prefix.
 
 They are exponential in the number of items and are only meant for the
 small databases of the test-suite.
@@ -23,12 +26,13 @@ small databases of the test-suite.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.itemset import Itemset
 from repro.core.results import FrequentItemset, MiningResult
+from repro.core.search import SearchContext
 from repro.core.support import SupportDistribution
 from repro.core.thresholds import ExpectedSupportThreshold, ProbabilisticThreshold
 from repro.db import UncertainDatabase, sample_worlds
@@ -40,6 +44,7 @@ __all__ = [
     "itemset_probabilities",
     "moments",
     "possible_world_expected_support",
+    "uh_mine_expand_dict",
 ]
 
 #: ``score(probabilities, min_count) -> frequent probability`` of one itemset,
@@ -144,3 +149,102 @@ def possible_world_expected_support(
     for world in sample_worlds(database, n_worlds, seed):
         total += sum(1 for items in world if wanted <= set(items))
     return total / n_worlds
+
+
+# -- the dict-based UH-Mine expander, frozen -------------------------------------------
+#: One stored transaction: a tuple of (item, probability) cells in global order.
+UHTransaction = Tuple[Tuple[int, float], ...]
+#: One projection: (index of the transaction in the UH-Struct, position after
+#: which extensions may start, probability of the current prefix).
+Projection = Tuple[int, int, float]
+
+
+def uh_mine_expand_dict(ctx: SearchContext) -> None:
+    """The UH-Mine depth-first growth over tuple transactions and dict head tables."""
+    frequent_items = ctx.seed_items
+    if not frequent_items:
+        return
+    statistics = ctx.statistics
+
+    item_order = {
+        item: rank
+        for rank, (item, _) in enumerate(
+            sorted(frequent_items.items(), key=lambda kv: (-kv[1][0], kv[0]))
+        )
+    }
+    if ctx.executor.n_shards > 1:
+        # Each shard yields its rows' ordered unit lists; shard order is row
+        # order, so the concatenation matches the serial struct exactly.
+        struct: List[UHTransaction] = []
+        for shard_units in ctx.executor.map_shard_method(
+            "rows_as_ordered_units", item_order
+        ):
+            struct.extend(tuple(cells) for cells in shard_units if cells)
+    else:
+        struct = [
+            tuple(cells)
+            for cells in ctx.database.columnar().rows_as_ordered_units(item_order)
+            if cells
+        ]
+    statistics.database_scans += 1
+    statistics.notes["uh_struct_cells"] = float(sum(len(cells) for cells in struct))
+
+    # The initial projections: every item starts its own depth-first branch.
+    for item in sorted(frequent_items, key=lambda i: item_order[i]):
+        projections: List[Projection] = []
+        for index, cells in enumerate(struct):
+            for position, (cell_item, probability) in enumerate(cells):
+                if cell_item == item:
+                    projections.append((index, position, probability))
+                    break
+                if item_order[cell_item] > item_order[item]:
+                    break
+        _expand_prefix_dict(ctx, struct, (item,), projections, item_order)
+
+
+def _expand_prefix_dict(
+    ctx: SearchContext,
+    struct: List[UHTransaction],
+    prefix: Tuple[int, ...],
+    projections: List[Projection],
+    item_order: Dict[int, int],
+) -> None:
+    """Recursively extend ``prefix`` by items occurring after its projections."""
+    # Head table for this prefix: item -> [expected support, variance].
+    head: Dict[int, List[float]] = {}
+    for index, position, prefix_probability in projections:
+        cells = struct[index]
+        for cell_item, probability in cells[position + 1 :]:
+            joint = prefix_probability * probability
+            entry = head.get(cell_item)
+            if entry is None:
+                head[cell_item] = [joint, joint * (1.0 - joint)]
+            else:
+                entry[0] += joint
+                entry[1] += joint * (1.0 - joint)
+
+    statistics = ctx.statistics
+    bar = ctx.search_min_esup
+    track_variance = ctx.spec.track_variance
+    statistics.candidates_generated += len(head)
+    for item in sorted(head, key=lambda i: item_order[i]):
+        expected, variance = head[item]
+        if expected < bar:
+            statistics.candidates_pruned += 1
+            continue
+        extended = prefix + (item,)
+        ctx.record(extended, expected, variance if track_variance else None)
+        # Build the projections of the extended prefix.
+        extended_projections: List[Projection] = []
+        for index, position, prefix_probability in projections:
+            cells = struct[index]
+            for offset in range(position + 1, len(cells)):
+                cell_item, probability = cells[offset]
+                if cell_item == item:
+                    extended_projections.append(
+                        (index, offset, prefix_probability * probability)
+                    )
+                    break
+                if item_order[cell_item] > item_order[item]:
+                    break
+        _expand_prefix_dict(ctx, struct, extended, extended_projections, item_order)

@@ -4,8 +4,21 @@ import pytest
 
 from repro.algorithms import UApriori, UHMine, build_uh_struct_columnar
 from repro.algorithms.common import frequent_items_by_expected_support
+from repro.db import UncertainDatabase
 
 from helpers import make_random_database
+
+
+def _struct_rows(struct):
+    """The struct's rows as lists of ``(rank, probability)`` cells."""
+    rows, start = [], 0
+    while start < len(struct.rank):
+        end = int(struct.row_end[start])
+        assert (struct.row_end[start:end] == end).all()
+        ranks = struct.rank[start:end].tolist()
+        rows.append(list(zip(ranks, struct.prob[start:end].tolist())))
+        start = end
+    return rows
 
 
 class TestUHStruct:
@@ -18,9 +31,11 @@ class TestUHStruct:
             )
         }
         struct = build_uh_struct_columnar(paper_db.columnar(), order)
-        assert len(struct) == 4
-        for cells in struct:
-            ranks = [order[item] for item, _ in cells]
+        assert [order[item] for item in struct.items] == list(range(len(order)))
+        rows = _struct_rows(struct)
+        assert len(rows) == 4
+        for cells in rows:
+            ranks = [rank for rank, _ in cells]
             assert ranks == sorted(ranks)
 
     def test_struct_preserves_probabilities(self, paper_db):
@@ -29,12 +44,26 @@ class TestUHStruct:
         order = {a: 0}
         struct = build_uh_struct_columnar(paper_db.columnar(), order)
         # Only transactions containing A are kept, with A's probabilities.
-        assert [cells[0][1] for cells in struct] == pytest.approx([0.8, 0.8, 0.5])
+        assert [cells[0][1] for cells in _struct_rows(struct)] == [0.8, 0.8, 0.5]
+        assert struct.prob.tolist() == [0.8, 0.8, 0.5]
 
     def test_infrequent_items_are_dropped(self, paper_db):
         a = paper_db.vocabulary.id_of("A")
         struct = build_uh_struct_columnar(paper_db.columnar(), {a: 0})
-        assert all(all(item == a for item, _ in cells) for cells in struct)
+        assert struct.items == [a]
+        assert struct.rank.tolist() == [0, 0, 0]
+
+    def test_no_seed_items_gives_an_empty_struct(self, paper_db):
+        struct = build_uh_struct_columnar(paper_db.columnar(), {})
+        assert struct.items == []
+        assert len(struct.rank) == len(struct.prob) == len(struct.row_end) == 0
+
+    def test_no_row_holds_an_ordered_item(self):
+        database = UncertainDatabase.from_records([{1: 0.5}, {}, {2: 0.25}])
+        struct = build_uh_struct_columnar(database.columnar(), {3: 0})
+        assert struct.items == [3]
+        assert len(struct.rank) == len(struct.prob) == len(struct.row_end) == 0
+        assert _struct_rows(struct) == []
 
 
 class TestPaperExample:
@@ -95,7 +124,5 @@ class TestBehaviour:
         assert statistics.algorithm == "uh-mine"
 
     def test_empty_database(self):
-        from repro.db import UncertainDatabase
-
         with pytest.warns(UserWarning, match="threshold 1.0 is ambiguous"):
             assert len(UHMine().mine(UncertainDatabase([]), min_esup=1)) == 0
