@@ -9,12 +9,21 @@ import numpy as np
 import pytest
 
 from repro.algorithms import DCMiner
-from repro.core.support import exact_pmf_divide_conquer
+from repro.core.support import dc_tail_probabilities, exact_pmf_divide_conquer
 
 from conftest import emit
 
 _rng = np.random.default_rng(11)
 VECTOR = _rng.uniform(0.05, 0.95, size=4000)
+
+#: a level of candidates shaped like Accident's exact DC levels (scale
+#: 0.01, ``min_sup=0.1``): about 130 vectors of 340-3,250 rows, tails at
+#: ``min_count`` 341 — the shape the ``conv_span`` default is chosen on
+BATCH_MIN_COUNT = 341
+BATCH = [
+    _rng.uniform(0.05, 1.0, size=int(length))
+    for length in _rng.integers(340, 3251, size=130)
+]
 
 
 @pytest.mark.parametrize("use_fft", [True, False], ids=["fft", "direct"])
@@ -54,18 +63,20 @@ def test_ablation_report(benchmark):
 
 
 #: direct-vs-FFT cutover spans swept by --json (the ``conv_span`` plan knob)
-SPANS = (64, 128, 256, 512, 1024)
+SPANS = (16, 32, 64, 128, 256, 512, 1024)
 
 
 def json_payload():
     """Machine-readable FFT-vs-direct span sweep for the trajectory (--json).
 
     Sweeps the ``conv_span`` cutover (operands longer than the span go
-    through the FFT) and reports the per-span timings plus the measured
-    best span, supporting the knob's default.  The headline
+    through the FFT) on two shapes: the single 4,000-row vector, and the
+    Accident-shaped batch through :func:`dc_tail_probabilities`, whose
+    walker merges a whole tree height at a time.  The batch's best span
+    supports the knob's default (``best_batch_span``).  The headline
     ``fft_speedup`` is measured *at the resolved default span*, so a
-    default the measurements do not support (speedup < 1, the old span-64
-    regression) shows up directly in the trajectory.
+    default the measurements do not support (speedup < 1) shows up
+    directly in the trajectory.
     """
     import time
 
@@ -92,18 +103,31 @@ def json_payload():
         )
         timings[f"fft_span{span}_seconds"] = seconds
         speedups[f"fft_span{span}_speedup"] = timings["direct_seconds"] / seconds
+    # The batch spans run round-robin, so a slow phase of a shared host
+    # lands on every span rather than on one.
+    for _ in range(5):
+        for span in SPANS:
+            started = time.perf_counter()
+            dc_tail_probabilities(BATCH, BATCH_MIN_COUNT, span=span)
+            key = f"batch_span{span}_seconds"
+            timings[key] = min(timings.get(key, float("inf")), time.perf_counter() - started)
     default_span = resolve_conv_span()
     timings["fft_seconds"] = best_of(
         lambda: exact_pmf_divide_conquer(VECTOR, use_fft=True, span=default_span)
     )
     speedups["fft_speedup"] = timings["direct_seconds"] / timings["fft_seconds"]
     best_span = min(SPANS, key=lambda span: timings[f"fft_span{span}_seconds"])
+    best_batch_span = min(SPANS, key=lambda span: timings[f"batch_span{span}_seconds"])
     return {
         "config": {
             "n_transactions": len(VECTOR),
+            "batch_candidates": len(BATCH),
+            "batch_rows": sum(len(vector) for vector in BATCH),
+            "batch_min_count": BATCH_MIN_COUNT,
             "spans": list(SPANS),
             "default_span": default_span,
             "best_span": best_span,
+            "best_batch_span": best_batch_span,
         },
         "timings": timings,
         "speedups": speedups,

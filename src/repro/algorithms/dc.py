@@ -73,9 +73,9 @@ class DCMiner(ProbabilisticAprioriMiner):
         self, engine: SupportEngine, min_count: int
     ) -> np.ndarray:
         # The engine path covers the FFT default: one walk of every
-        # candidate's convolution tree, bottom nodes computed for the whole
-        # level at once.  The direct-convolution ablation keeps the scalar
-        # loop over the same walker.
+        # candidate's convolution tree, merged a tree height at a time for
+        # the whole level.  The direct-convolution ablation keeps the
+        # scalar loop over the same walker.
         if self.use_fft:
             return engine.frequent_probabilities(min_count, method="divide_conquer")
         return super()._frequent_probabilities_batch(engine, min_count)

@@ -20,9 +20,8 @@ the module-level functions expose the raw numerics for reuse and testing.
 
 from __future__ import annotations
 
-import functools
 import math
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -35,6 +34,8 @@ __all__ = [
     "SupportDistribution",
     "SupportEngine",
     "convolve_pmfs",
+    "shift_convolve",
+    "spectrum_product",
     "resolve_conv_span",
     "dc_tail_probabilities",
     "exact_pmf_dynamic_programming",
@@ -97,11 +98,77 @@ def resolve_conv_span(span: Optional[int] = None) -> int:
     """Resolve the direct-vs-FFT convolution crossover (``conv_span`` knob).
 
     Operands up to this length convolve directly (exactly); strictly longer
-    ones go through the FFT.  The default of 512 is the measured crossover
-    (``benchmarks/bench_ablation_convolution.py`` span sweep: direct wins
-    up to ~512-entry operands on this NumPy, the FFT wins 3-6x above it).
+    ones go through the FFT.  The default of 32 is the measured crossover
+    of the height-batched DC walker: on an Accident-shaped batch of
+    candidates (``benchmarks/bench_ablation_convolution.py``) spans 16-64
+    run within about 10% of each other and 512 runs about 3.5x slower.
+    Of that plateau, 32 keeps trees of fewer than 64 rows (the goldens'
+    50) free of FFT round-off.  The streaming index keeps its own split
+    (:data:`repro.stream.index.DENSE_SPAN`).
     """
     return resolve_knob("conv_span", span)
+
+
+def shift_convolve(left: np.ndarray, right: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Direct convolution along ``axis``, in one fixed summation order.
+
+    ``out[k : k + b] += left[k] * right`` along ``axis`` for ``k``
+    ascending, batched over the other axes.  A Python loop sets the order
+    and every step is an elementwise ufunc (no reduction, no fused
+    multiply-add), so the bits depend on neither the BLAS kernel nor
+    NumPy's SIMD level, nor on the memory layout.  Trailing zeros in
+    either operand only add ``+0.0`` steps, so padding finite
+    non-negative PMFs never changes a bit.
+
+    >>> shift_convolve(np.array([0.5, 0.5]), np.array([0.25, 0.75])).tolist()
+    [0.125, 0.5, 0.375]
+    """
+    left = np.moveaxis(left, axis, 0)
+    right = np.moveaxis(right, axis, 0)
+    width = len(right)
+    out = np.zeros(
+        (len(left) + width - 1,) + np.broadcast_shapes(left.shape[1:], right.shape[1:]),
+        dtype=float,
+    )
+    term = np.empty((width,) + out.shape[1:], dtype=float)
+    for k in range(len(left)):
+        np.multiply(left[k], right, out=term)
+        out[k : k + width] += term
+    return np.moveaxis(out, 0, axis)
+
+
+def spectrum_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x * y`` for complex spectra, computed with real ufuncs only.
+
+    ``(a + ib)(c + id) = (ac - bd) + i(ad + bc)``, each product and sum a
+    separate correctly rounded ufunc.  NumPy's complex ``*`` has SIMD
+    loops that round differently from its baseline loop; this does not.
+
+    >>> spectrum_product(np.array([1 + 2j]), np.array([3 - 1j])).tolist()
+    [(5+5j)]
+    """
+    a, b, c, d = x.real, x.imag, y.real, y.imag
+    product = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
+    np.subtract(a * c, b * d, out=product.real)
+    np.add(a * d, b * c, out=product.imag)
+    return product
+
+
+def _fft_convolve(
+    left: np.ndarray, right: np.ndarray, size: int, fft_size: int
+) -> np.ndarray:
+    """The FFT branch: the first ``size`` entries of each convolution.
+
+    Operands are coefficient-major (axis 0), batched over the other axes;
+    ``fft_size`` must cover every full convolution.  Round-off negatives
+    are clipped to zero, as in every exact PMF.
+    """
+    spectrum = spectrum_product(
+        np.fft.rfft(left, fft_size, axis=0), np.fft.rfft(right, fft_size, axis=0)
+    )
+    result = np.fft.irfft(spectrum, fft_size, axis=0)[:size]
+    np.clip(result, 0.0, None, out=result)
+    return result
 
 
 def convolve_pmfs(
@@ -112,12 +179,13 @@ def convolve_pmfs(
 ) -> np.ndarray:
     """Convolve two support PMFs (the merge of independent disjoint row sets).
 
-    The shared kernel of the DC miner and the streaming
-    :class:`~repro.stream.index.IncrementalSupportIndex`.
-    Operands longer than the ``conv_span`` plan knob (default 512 — the
-    measured crossover) go through the FFT when ``use_fft`` is set; shorter
-    ones use exact direct convolution.  ``span`` pins the crossover
-    explicitly (batch callers resolve the knob once and pass it down).
+    One merge through the two kernels the DC walker and the streaming
+    :class:`~repro.stream.index.IncrementalSupportIndex` share.  Operands
+    longer than the ``conv_span`` plan knob go through the FFT (with
+    :func:`spectrum_product`) when ``use_fft`` is set; shorter ones through
+    :func:`shift_convolve`.  ``span`` pins the crossover explicitly (batch
+    callers resolve the knob once and pass it down).  Both branches give
+    the same bits on every BLAS kernel and NumPy SIMD level.
 
     >>> convolve_pmfs(np.array([0.5, 0.5]), np.array([0.5, 0.5])).tolist()
     [0.25, 0.5, 0.25]
@@ -128,13 +196,8 @@ def convolve_pmfs(
         use_fft = len(left) > span or len(right) > span
     if use_fft:
         size = len(left) + len(right) - 1
-        fft_size = 1 << (size - 1).bit_length()
-        spectrum = np.fft.rfft(left, fft_size) * np.fft.rfft(right, fft_size)
-        result = np.fft.irfft(spectrum, fft_size)[:size]
-        # FFT round-off can produce tiny negative values; clip them away.
-        np.clip(result, 0.0, None, out=result)
-        return result
-    return np.convolve(left, right)
+        return _fft_convolve(left, right, size, 1 << (size - 1).bit_length())
+    return shift_convolve(left, right)
 
 
 #: relative mass drift beyond which :func:`exact_pmf_divide_conquer`
@@ -142,101 +205,182 @@ def convolve_pmfs(
 #: tails stay directly comparable with the DP recurrence's)
 PMF_RENORMALIZE_TOLERANCE = 1e-9
 
-
-@functools.lru_cache(maxsize=1024)
-def _dc_program(size: int, bottom: int) -> bytes:
-    """Post-order stack program of the midpoint tree over ``size`` rows.
-
-    The tree splits a run of transactions at ``size // 2`` until a run
-    holds at most ``bottom`` of them.  A non-zero byte pushes the next such
-    bottom node (its byte is its row count, bottom nodes tile the rows left
-    to right); a zero byte pops two nodes and pushes their convolution.
-
-    >>> list(_dc_program(5, 3))
-    [2, 3, 0]
-    """
-    if size <= bottom:
-        return bytes((size,))
-    middle = size // 2
-    return _dc_program(middle, bottom) + _dc_program(size - middle, bottom) + b"\x00"
+#: byte budget of one batch of FFT merges' spectra; rows are independent,
+#: so the split never changes a bit
+_FFT_BATCH_BYTES = 1 << 20
 
 
 def _bottom_pmfs(flat: np.ndarray, starts: np.ndarray, size: int) -> np.ndarray:
     """PMFs of every bottom node of ``size`` rows beginning at ``starts``.
 
-    A node of one row ``p`` is ``[1-p, p]``; a node of two rows ``p, q``
-    is ``[1-p, p] * [1-q, q]``; a node of three rows ``r, p, q`` is
+    Coefficient-major: column ``i`` is the node at ``starts[i]``.  A node
+    of one row ``p`` is ``[1-p, p]``; a node of two rows ``p, q`` is
+    ``[1-p, p] * [1-q, q]``; a node of three rows ``r, p, q`` is
     ``[1-r, r] * node2(p, q)`` (the tree splits three as one plus two).
-    Each entry sums at most two products, and IEEE addition is
-    commutative, so these closed forms equal :func:`np.convolve` of the
-    same operands bitwise, whatever its summation order.
+    Each entry is the sum :func:`shift_convolve` forms for the same
+    operands, term for term and in the same order, so these closed forms
+    equal its merges bitwise.
     """
-    nodes = np.empty((len(starts), size + 1), dtype=float)
+    nodes = np.empty((size + 1, len(starts)), dtype=float)
     q = flat[starts + size - 1]
     if size == 1:
-        nodes[:, 0] = 1.0 - q
-        nodes[:, 1] = q
+        np.subtract(1.0, q, out=nodes[0])
+        nodes[1] = q
         return nodes
     p = flat[starts + size - 2]
     pair = ((1.0 - p) * (1.0 - q), (1.0 - p) * q + p * (1.0 - q), p * q)
     if size == 2:
-        for column, value in enumerate(pair):
-            nodes[:, column] = value
+        nodes[:] = pair
         return nodes
     r = flat[starts]
-    nodes[:, 0] = (1.0 - r) * pair[0]
-    nodes[:, 1] = (1.0 - r) * pair[1] + r * pair[0]
-    nodes[:, 2] = (1.0 - r) * pair[2] + r * pair[1]
-    nodes[:, 3] = r * pair[2]
+    nodes[0] = (1.0 - r) * pair[0]
+    nodes[1] = (1.0 - r) * pair[1] + r * pair[0]
+    nodes[2] = (1.0 - r) * pair[2] + r * pair[1]
+    nodes[3] = r * pair[2]
     return nodes
+
+
+def _dc_plan(lengths: np.ndarray, bottom: int):
+    """Every midpoint tree over runs of ``lengths`` rows, as node arrays.
+
+    A run splits at ``n // 2`` rows until it holds at most ``bottom``.
+    Returns ``(start, rows, left, right)`` indexed by node: the first
+    ``len(lengths)`` nodes are the roots, ``start`` indexes the runs laid
+    end to end, and ``left``/``right`` name each internal node's children
+    (``-1`` at a bottom node).
+    """
+    start = np.cumsum(lengths) - lengths
+    rows = lengths
+    ids = np.arange(len(lengths))
+    starts, counts, splits = [start], [rows], []
+    total = len(lengths)
+    while True:
+        split = rows > bottom
+        if not split.any():
+            break
+        parents, start, rows = ids[split], start[split], rows[split]
+        half = rows // 2
+        ids = total + np.arange(2 * len(rows))
+        total += len(ids)
+        splits.append((parents, ids))
+        start = np.concatenate((start, start + half))
+        rows = np.concatenate((half, rows - half))
+        starts.append(start)
+        counts.append(rows)
+    left = np.full(total, -1, dtype=np.intp)
+    right = left.copy()
+    for parents, children in splits:
+        left[parents] = children[: len(parents)]
+        right[parents] = children[len(parents) :]
+    return np.concatenate(starts), np.concatenate(counts), left, right
 
 
 def _dc_pmfs(
     vectors: Sequence[np.ndarray],
     use_fft: bool = True,
     span: Optional[int] = None,
-) -> Iterator[np.ndarray]:
+) -> List[np.ndarray]:
     """The divide-and-conquer walker: each vector's PMF, in order.
 
-    Every vector's midpoint tree is planned up front.  The bottom nodes of
-    all trees (up to three rows each) are computed together in a few array
-    operations by :func:`_bottom_pmfs`; the remaining merges run through
-    :func:`convolve_pmfs` per vector, with the operands and order of the
-    recursive definition, so the FFT still engages above ``span``.  The
-    merges inside a bottom node of ``s`` rows have operands of at most
-    ``s`` entries, and ``s`` is capped at ``span``, so each of them would
-    have been a direct convolution.
+    Every vector's midpoint tree is planned up front with array operations
+    (:func:`_dc_plan`).  A node's height depends only on its row count:
+    bottom nodes (at most three rows) are height 0 and come from the
+    closed forms of :func:`_bottom_pmfs`; an internal node is one above its
+    larger (right) child.  The walker then merges height by height across
+    all vectors: every direct merge of a height in one zero-padded
+    :func:`shift_convolve`, every FFT merge (right operand longer than
+    ``span``) in batches of one FFT size.  Padding only adds ``+0.0`` steps
+    to non-negative PMFs, ``rfft`` pads with zeros anyway, and FFT
+    round-off beyond each node's true length is zeroed, so every PMF is
+    bitwise the recursive definition over :func:`convolve_pmfs` — whatever
+    the batch, and so whatever the parallel executor's candidate chunks.
+    A height's buffer (coefficient-major: one column per node) is freed
+    once its parents, at most two heights up, have been merged.  Bottom
+    nodes are capped at ``span`` rows, so they never hide an FFT merge.
     """
     if use_fft and span is None:
         span = resolve_conv_span()
     bottom = min(3, max(1, span)) if use_fft else 3
-    programs = [_dc_program(len(vector), bottom) if len(vector) else b"" for vector in vectors]
-    sizes = np.frombuffer(
-        b"".join(program.replace(b"\x00", b"") for program in programs), dtype=np.uint8
-    ).astype(np.intp)
-    starts = np.cumsum(sizes) - sizes
-    flat = np.concatenate(vectors) if len(sizes) else np.zeros(0)
-    # next_node[s]() is the next bottom node of s rows, in walk order
-    next_node = [None] + [
-        iter(_bottom_pmfs(flat, starts[sizes == size], size)).__next__
-        for size in range(1, bottom + 1)
-    ]
-    for program in programs:
-        if not program:
-            yield np.array([1.0])
-            continue
-        stack = []
-        for token in program:
-            if token:
-                stack.append(next_node[token]())
+    lengths = np.array([len(vector) for vector in vectors], dtype=np.intp)
+    pmfs = [np.ones(1) for _ in vectors]
+    live = np.flatnonzero(lengths)
+    if not len(live):
+        return pmfs
+    flat = np.concatenate([np.asarray(vectors[index], dtype=float) for index in live])
+    start, rows, left, right = _dc_plan(lengths[live], bottom)
+    height = np.frexp((rows - 1) // bottom)[1]
+    # A height's batches: bottom nodes by row count; above them the direct
+    # merges (class 0), then the FFT merges by FFT size (its exponent).
+    fft = (height > 0) & (rows - rows // 2 + 1 > span) if use_fft else height < 0
+    batch = np.where(height == 0, rows, np.where(fft, np.frexp(rows)[1], 0))
+    order = np.argsort((height << 6 | batch).astype(np.uint16), kind="stable")
+    # Relabel the nodes by that order: a height's nodes are then one range
+    # and each batch one sub-range.
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    start, rows, height, batch = start[order], rows[order], height[order], batch[order]
+    left = np.where(left[order] >= 0, position[left[order]], -1)
+    right = np.where(right[order] >= 0, position[right[order]], -1)
+    roots = position[: len(live)]
+    bounds = np.searchsorted(height, np.arange(height[-1] + 2))
+    # slot[node] = the node's column in its height's buffer
+    slot = np.arange(len(order)) - bounds[height]
+    levels: Dict[int, np.ndarray] = {}
+
+    def gather(nodes: np.ndarray) -> np.ndarray:
+        """The nodes' PMFs as columns, zero-padded to the longest one."""
+        width = int(rows[nodes].max()) + 1
+        heights = height[nodes]
+        low, high = int(heights.min()), int(heights.max())
+        if low == high:
+            return levels[low][:width, slot[nodes]]
+        padded = np.zeros((width, len(nodes)), dtype=float)
+        for level in (low, high):
+            chosen = np.flatnonzero(heights == level)
+            source = levels[level][:width]
+            padded[: len(source), chosen] = source[:, slot[nodes[chosen]]]
+        return padded
+
+    for level in range(len(bounds) - 1):
+        first, last = int(bounds[level]), int(bounds[level + 1])
+        sizes = rows[first:last] + 1
+        breaks = first + 1 + np.flatnonzero(np.diff(batch[first:last]))
+        edges = [first, *breaks.tolist(), last]
+        merged = np.zeros((int(sizes.max()), last - first), dtype=float)
+        for begin, end in zip(edges[:-1], edges[1:]):
+            kind = int(batch[begin])
+            columns = slice(begin - first, end - first)
+            if level == 0:
+                merged[: kind + 1, columns] = _bottom_pmfs(flat, start[begin:end], kind)
+            elif not kind:
+                product = shift_convolve(
+                    gather(left[begin:end]), gather(right[begin:end]), axis=0
+                )
+                merged[: len(product), columns] = product[: len(merged)]
             else:
-                right = stack.pop()
-                stack[-1] = convolve_pmfs(stack[-1], right, use_fft, span=span)
-        pmf = stack[0]
-        total = pmf.sum()
-        if total > 0 and abs(total - 1.0) > PMF_RENORMALIZE_TOLERANCE:
-            pmf = pmf / total
-        yield pmf
+                fft_size = 1 << kind
+                step = max(1, _FFT_BATCH_BYTES // (16 * (fft_size // 2 + 1)))
+                for at in range(begin, end, step):
+                    chunk = slice(at, min(at + step, end))
+                    true = rows[chunk] + 1
+                    low, size = int(true.min()), int(true.max())
+                    product = _fft_convolve(
+                        gather(left[chunk]), gather(right[chunk]), size, fft_size
+                    )
+                    # zero the round-off past each node's true length
+                    tail = product[low:]
+                    tail[np.arange(low, size)[:, None] >= true] = 0.0
+                    merged[:size, chunk.start - first : chunk.stop - first] = product
+        levels[level] = merged
+        levels.pop(level - 2, None)
+        for index in np.flatnonzero(height[roots] == level).tolist():
+            node = roots[index]
+            pmf = merged[: rows[node] + 1, slot[node]].copy()
+            total = pmf.sum()
+            if total > 0 and abs(total - 1.0) > PMF_RENORMALIZE_TOLERANCE:
+                pmf = pmf / total
+            pmfs[live[index]] = pmf
+    return pmfs
 
 
 def exact_pmf_divide_conquer(
@@ -281,7 +425,7 @@ def exact_pmf_divide_conquer(
     [0.25, 0.5, 0.25]
     """
     probabilities = np.asarray(probabilities, dtype=float)
-    return next(_dc_pmfs([probabilities], use_fft, span))
+    return _dc_pmfs([probabilities], use_fft, span)[0]
 
 
 def frequent_probability_dynamic_programming(
@@ -661,7 +805,10 @@ def dc_tail_probabilities(
     executor's candidate chunks — one implementation, so the two paths
     cannot drift apart.  Every candidate that can reach ``min_count`` goes
     through one walk of :func:`exact_pmf_divide_conquer`'s midpoint trees,
-    whose bottom nodes are computed for the whole batch at once.
+    merged a tree height at a time across the whole batch.  Each PMF is
+    bitwise independent of the batch it came in, so the executor's chunks
+    agree with the serial path, and of the CPU: no step goes through BLAS
+    or a SIMD-dependent complex multiply.
 
     Args:
         vectors: One zeros-omitted probability vector per candidate.
@@ -801,9 +948,9 @@ class SupportEngine:
         ``"dynamic_programming"`` advances the whole level through the
         ragged DP sweep of :func:`frequent_probabilities_dp_batch`;
         ``"divide_conquer"`` walks every candidate's convolution tree
-        through :func:`dc_tail_probabilities`, which computes the trees'
-        bottom nodes for the whole level at once and runs the larger
-        merges (FFT above the ``conv_span`` knob) per candidate.  With a
+        through :func:`dc_tail_probabilities`, which merges the whole
+        level's trees a height at a time (FFT above the ``conv_span``
+        knob).  With a
         parallel executor attached, either evaluation is split into
         candidate chunks across the worker pool (bitwise-identical
         results).

@@ -93,7 +93,7 @@ def _parse_shards(value: Any) -> int:
 def _parse_conv_span(value: Any) -> int:
     span = int(value)
     if span < 0:
-        raise ValueError(f"conv_span must be >= 0 (0 = never use the FFT), got {span}")
+        raise ValueError(f"conv_span must be >= 0 (0 = every merge uses the FFT), got {span}")
     return span
 
 
@@ -173,8 +173,9 @@ KNOBS: Dict[str, Knob] = {
             "row shards of the columnar view (default: the worker count)",
         ),
         Knob(
-            "conv_span", 512, _parse_conv_span,
-            "PMF operand length above which convolutions go through the FFT",
+            "conv_span", 32, _parse_conv_span,
+            "PMF operand length above which convolutions go through the FFT "
+            "(32: the measured crossover of the height-batched DC walker)",
         ),
         # 128 MiB holds a full level of every in-RAM workload in one block
         # while capping the transient on out-of-core databases, whose
@@ -430,7 +431,7 @@ def resolve_knob(name: str, explicit: Any = None, *, workers: Optional[int] = No
             ``shards`` dynamic default.
 
     >>> resolve_knob("conv_span")
-    512
+    32
     >>> resolve_knob("workers", "auto") >= 1
     True
     """

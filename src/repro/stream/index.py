@@ -22,9 +22,10 @@ registered candidates live in ``(2 * size, n_candidates)`` arrays (a dirty
 level re-merge is one fancy-indexed NumPy addition covering every
 candidate), and the PMF trees are stored per level as dense
 ``(n_candidates, n_nodes, span + 1)`` blocks so a level's dirty
-convolutions run as one batched direct convolution (spans up to 64) or one
-batched FFT (larger spans — the same cutoff as
-:func:`~repro.core.support.convolve_pmfs`).  PMF trees are opt-in per
+convolutions run as one batched direct convolution (spans up to
+:data:`DENSE_SPAN`) or one batched FFT (larger spans — the same two
+kernels as :func:`~repro.core.support.convolve_pmfs`, so the bits do not
+depend on the CPU).  PMF trees are opt-in per
 candidate (:meth:`ensure_pmfs`): the expected-support miners never pay for
 them, and the exact miner maintains them only for candidates that survive
 its cheap filters.
@@ -60,9 +61,18 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.support import resolve_conv_span
+from ..core.support import shift_convolve, spectrum_product
 
-__all__ = ["IncrementalSupportIndex"]
+__all__ = ["DENSE_SPAN", "IncrementalSupportIndex"]
+
+#: node span up to which the PMF levels stay dense.  Above it a level is
+#: stored as spectra: about ``2 * size**2 / DENSE_SPAN`` floats per PMF
+#: candidate against ``size * log2(DENSE_SPAN)`` for the dense levels, so a
+#: smaller span buys faster slides with memory that grows with the square
+#: of the window (at ``W = 1000``: about 120 KB per candidate at 512, 580 KB
+#: at 32).  This is the index's own trade-off, not the ``conv_span`` knob
+#: of the batch kernels.
+DENSE_SPAN = 512
 
 Candidate = Tuple[int, ...]
 
@@ -80,10 +90,8 @@ class IncrementalSupportIndex:
         through :meth:`ensure_pmfs`; turning it on is convenient for direct
         index users and the equivalence tests.
 
-    PMF merges of segments longer than the ``conv_span`` plan knob (default
-    512 — the measured direct-vs-FFT crossover, shared with
-    :func:`repro.core.support.convolve_pmfs`) run in the frequency domain;
-    the knob is resolved once, at construction time.
+    PMF merges of segments longer than :data:`DENSE_SPAN` run in the
+    frequency domain.
 
     The index stores the current slot contents itself (one ``{item:
     probability}`` mapping per slot), so candidates registered mid-stream
@@ -103,10 +111,6 @@ class IncrementalSupportIndex:
             raise ValueError(f"index capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.with_pmfs = with_pmfs
-        # Resolved once at construction: the tree layout (dense-vs-spectral
-        # level split below) is fixed for the index's lifetime, so a scoped
-        # plan at construction time decides it, matching the batch kernels.
-        self.conv_span = resolve_conv_span()
         # Expected support is always maintained; the variance and non-zero
         # trees are opt-out so consumers that never ask (the streaming
         # expected-support miner) skip two thirds of the merge work.
@@ -143,12 +147,14 @@ class IncrementalSupportIndex:
         self._bind_moment_views()
 
         # -- PMF trees, stored per level.  Levels whose node span is within
-        # the FFT cutoff hold dense PMF blocks of shape
+        # ``DENSE_SPAN`` (the FFT cutoff) hold dense PMF blocks of shape
         # (allocated pmf columns, size >> h, (1 << h) + 1) and merge by
-        # direct (exact) convolution.  Above the cutoff,
-        # nodes are kept in the *frequency domain*: each node stores its
-        # PMF's real FFT at the root transform size, so an upper-level merge
-        # is one pointwise complex multiplication — per slide only the dirty
+        # direct (exact) convolution, the shared fixed-order
+        # ``shift_convolve``.  Above the cutoff, nodes are kept in the
+        # *frequency domain*: each node stores its PMF's real FFT at the
+        # root transform size, so an upper-level merge is one pointwise
+        # ``spectrum_product`` (real arithmetic, the same bits on every
+        # SIMD level) — per slide only the dirty
         # cutoff-level nodes pay an rfft, and one batched irfft materialises
         # the root PMFs on query.
         self._pmf_columns: Dict[Candidate, int] = {}
@@ -156,7 +162,7 @@ class IncrementalSupportIndex:
         self._pmf_allocated = 0
         #: highest level stored as dense PMFs
         self._dense_height = min(
-            self._height, max(1, self.conv_span).bit_length() - 1
+            self._height, DENSE_SPAN.bit_length() - 1
         )
         self._pmf_levels: List[np.ndarray] = [
             np.zeros((0, self.size >> h, (1 << h) + 1), dtype=float)
@@ -583,28 +589,15 @@ class IncrementalSupportIndex:
             for start, stop in nodes:
                 left = child[:, 2 * start : 2 * stop : 2, :]
                 right = child[:, 2 * start + 1 : 2 * stop : 2, :]
-                self._pmf_levels[height][:, start:stop, :] = self._direct_convolve(
-                    left, right
-                )
+                self._pmf_levels[height][:, start:stop, :] = shift_convolve(left, right)
                 self.pmf_node_merges += (stop - start) * len(self._pmf_columns)
         else:
             left = child[np.ix_(pmf_columns, 2 * nodes)]
             right = child[np.ix_(pmf_columns, 2 * nodes + 1)]
             self._pmf_levels[height][
                 np.ix_(pmf_columns, nodes)
-            ] = self._direct_convolve(left, right)
+            ] = shift_convolve(left, right)
             self.pmf_node_merges += len(nodes) * len(pmf_columns)
-
-    @staticmethod
-    def _direct_convolve(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """Exact batched convolution along the last axis (no FFT round-off)."""
-        length = left.shape[-1]
-        merged = np.zeros(left.shape[:-1] + (2 * length - 1,), dtype=float)
-        for offset in range(length):
-            merged[..., offset : offset + length] += (
-                left[..., offset : offset + 1] * right
-            )
-        return merged
 
     def _lift_spectra(
         self, nodes, pmf_columns: Optional[np.ndarray]
@@ -639,15 +632,15 @@ class IncrementalSupportIndex:
         child = self._pmf_spectra[height - 1]
         if pmf_columns is None:
             for start, stop in nodes:
-                self._pmf_spectra[height][:, start:stop, :] = (
-                    child[:, 2 * start : 2 * stop : 2, :]
-                    * child[:, 2 * start + 1 : 2 * stop : 2, :]
+                self._pmf_spectra[height][:, start:stop, :] = spectrum_product(
+                    child[:, 2 * start : 2 * stop : 2, :],
+                    child[:, 2 * start + 1 : 2 * stop : 2, :],
                 )
                 self.pmf_node_merges += (stop - start) * len(self._pmf_columns)
         else:
-            merged = (
-                child[np.ix_(pmf_columns, 2 * nodes)]
-                * child[np.ix_(pmf_columns, 2 * nodes + 1)]
+            merged = spectrum_product(
+                child[np.ix_(pmf_columns, 2 * nodes)],
+                child[np.ix_(pmf_columns, 2 * nodes + 1)],
             )
             self._pmf_spectra[height][np.ix_(pmf_columns, nodes)] = merged
             self.pmf_node_merges += len(nodes) * len(pmf_columns)

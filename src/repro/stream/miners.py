@@ -96,15 +96,12 @@ class StreamingMiner:
         #: the materialized execution plan every slide runs under
         self.plan = materialize_plan(plan)
         # PMF maintenance is opted into per candidate (StreamingDP ensures
-        # PMFs only for candidates surviving its cheap filters).  The index
-        # is built under the plan so its conv_span-dependent tree layout
-        # matches the batch kernels under the same plan.
-        with plan_scope(self.plan):
-            self.index = IncrementalSupportIndex(
-                self.window.capacity,
-                with_pmfs=False,
-                **self.index_options,
-            )
+        # PMFs only for candidates surviving its cheap filters).
+        self.index = IncrementalSupportIndex(
+            self.window.capacity,
+            with_pmfs=False,
+            **self.index_options,
+        )
         if len(self.window):
             self.index.apply(
                 [

@@ -8,12 +8,28 @@ import target — ``import conftest`` is ambiguous whenever another conftest
 
 from __future__ import annotations
 
+import warnings
+
 import pytest
 
 from repro import faults
 from repro.db import DatabaseBuilder, UncertainDatabase, paper_example_database
 
 from helpers import make_random_database
+
+# When a ``@given`` test fails, hypothesis's pytest plugin imports its
+# patch writer, whose ``libcst`` dependency warns through
+# ``mypy_extensions.TypedDict``.  Under the suite's
+# ``error::DeprecationWarning`` filter that import would raise inside the
+# plugin (an INTERNALERROR that hides the falsifying example), so it is
+# imported once here with that warning silenced.  Without ``libcst`` the
+# plugin skips the patch writer anyway.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 @pytest.fixture(autouse=True)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.db import UncertainDatabase
 from repro.stream import IncrementalSupportIndex, SlidingWindow, TransactionStream
+from repro.stream import index as stream_index
 
 
 def make_stream(records):
@@ -180,13 +181,15 @@ class TestIncrementalSupportIndex:
                 fresh.frequent_probabilities(candidates, min_count),
             )
 
-    def test_incremental_equals_rebuild_bitwise_with_fft_spectra(self):
+    def test_incremental_equals_rebuild_bitwise_with_fft_spectra(self, monkeypatch):
         # A capacity above the FFT cutoff exercises the frequency-domain
         # upper levels; incremental maintenance must still be bit-identical
         # to a from-scratch build of the same slot states.
+        monkeypatch.setattr(stream_index, "DENSE_SPAN", 32)
         rng = random.Random(11)
         capacity = 200
         index = IncrementalSupportIndex(capacity, with_pmfs=True)
+        assert index._pmf_spectra
         candidates = [(0,), (1,), (0, 1)]
         index.ensure(candidates)
         sequence = 0

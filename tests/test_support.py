@@ -263,13 +263,17 @@ class TestDivideConquerRenormalization:
     def test_large_drift_still_renormalises(self, monkeypatch):
         import repro.core.support as support_module
 
-        original = support_module.convolve_pmfs
+        original = support_module.shift_convolve
+        calls = []
 
-        def drifting(left, right, use_fft=True, span=None):
-            return original(left, right, use_fft, span=span) * 1.001
+        def drifting(left, right, axis=-1):
+            calls.append(1)
+            return original(left, right, axis) * 1.001
 
-        monkeypatch.setattr(support_module, "convolve_pmfs", drifting)
+        # the DC walker's direct merges run through shift_convolve
+        monkeypatch.setattr(support_module, "shift_convolve", drifting)
         pmf = support_module.exact_pmf_divide_conquer(np.full(8, 0.5))
+        assert calls, "the drift never reached the walker"
         assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_total_mass_stays_within_tolerance_of_one(self):

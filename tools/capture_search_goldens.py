@@ -9,21 +9,25 @@ on a fixed seeded database, and serializes every ``MiningResult`` record
 with exact ``repr`` floats (``repr`` round-trips binary64, so equality of
 the serialized form is bitwise equality of the results).
 
-The checked-in ``tests/goldens/search_engine_goldens.json`` was captured at
-the last pre-refactor commit; ``tests/test_search_engine.py`` replays the
-grid against it.  Re-run this script only when a change *intends* to alter
-mining results (there should be none — every engine change is held to the
-bitwise contract):
+``tests/test_search_engine.py`` replays the grid against the checked-in
+``tests/goldens/search_engine_goldens.json``.  Engine changes are held to
+the bitwise contract, so a re-capture is legitimate only when a kernel
+change *intends* to move bits (for example a new summation order), and
+every changed key is then documented with the scores it moved and the
+largest deviation.  ``--check`` prints exactly that report against the
+checked-in file and writes nothing; a plain run rewrites the file:
 
+    PYTHONPATH=src:tests python tools/capture_search_goldens.py --check
     PYTHONPATH=src:tests python tools/capture_search_goldens.py
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
@@ -165,7 +169,7 @@ def capture_streaming(database) -> Dict[str, List[List[List[object]]]]:
     return goldens
 
 
-def main() -> int:
+def build_payload() -> Dict[str, object]:
     database = make_database()
     print(f"dataset: {DATASET}")
     print("threshold grid:")
@@ -174,7 +178,7 @@ def main() -> int:
     topk = capture_topk(database)
     print("streaming:")
     streaming = capture_streaming(database)
-    payload = {
+    return {
         "dataset": DATASET,
         "thresholds": {"min_esup": MIN_ESUP, "min_sup": MIN_SUP, "pft": PFT},
         "stream": {
@@ -187,6 +191,71 @@ def main() -> int:
         "topk_grid": topk,
         "streaming": streaming,
     }
+
+
+#: payload sections holding serialized records (streaming: one list per slide)
+RECORD_SECTIONS = ("threshold_grid", "topk_grid", "streaming")
+
+
+def _score_moves(old, new, per_slide: bool) -> Tuple[int, float, int]:
+    """(moved scores, largest absolute deviation, records added or dropped)."""
+    moved, deviation, changed_records = 0, 0.0, 0
+    pairs = zip(old, new) if per_slide else [(old, new)]
+    for old_records, new_records in pairs:
+        before = {tuple(record[0]): record[1:] for record in old_records}
+        after = {tuple(record[0]): record[1:] for record in new_records}
+        changed_records += len(before.keys() ^ after.keys())
+        for items in before.keys() & after.keys():
+            for was, now in zip(before[items], after[items]):
+                if was != now:
+                    moved += 1
+                    if was is not None and now is not None:
+                        deviation = max(deviation, abs(float(now) - float(was)))
+    return moved, deviation, changed_records
+
+
+def check(payload: Dict[str, object]) -> int:
+    """Print every key whose records would change; return how many."""
+    with open(GOLDEN_PATH, encoding="utf-8") as handle:
+        golden = json.load(handle)
+    changed = 0
+    for section in sorted(payload.keys() | golden.keys()):
+        old, new = golden.get(section), payload.get(section)
+        if section not in RECORD_SECTIONS:
+            if old != new:
+                changed += 1
+                print(f"CHANGED {section}: {old!r} -> {new!r}")
+            continue
+        old, new = old or {}, new or {}
+        for key in sorted(old.keys() | new.keys()):
+            if key not in old or key not in new:
+                changed += 1
+                print(f"CHANGED {section}/{key}: {'added' if key in new else 'removed'}")
+            elif old[key] != new[key]:
+                changed += 1
+                moved, deviation, records = _score_moves(
+                    old[key], new[key], per_slide=section == "streaming"
+                )
+                print(
+                    f"CHANGED {section}/{key}: {moved} scores moved, "
+                    f"largest deviation {deviation:.3g}, {records} records added or dropped"
+                )
+    print(f"{changed} key(s) would change" if changed else "no key would change")
+    return changed
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="report the keys a re-capture would change and write nothing",
+    )
+    args = parser.parse_args(argv)
+    payload = build_payload()
+    if args.check:
+        check(payload)
+        return 0
     os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
     with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=1, sort_keys=True)
