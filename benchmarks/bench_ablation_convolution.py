@@ -2,8 +2,12 @@
 
 DESIGN.md calls out the FFT acceleration as the design choice that gives DC
 its O(N log N) edge; this benchmark quantifies it both at the primitive level
-(single PMF computation) and end-to-end (full DCB run).
+(single PMF computation) and end-to-end (full DCB run).  The direct arm is
+the ``conv_span`` crossover at ``sys.maxsize`` (no operand is long enough
+for the FFT); the FFT arm is the default span.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -26,17 +30,23 @@ BATCH = [
 ]
 
 
-@pytest.mark.parametrize("use_fft", [True, False], ids=["fft", "direct"])
-def test_ablation_pmf_convolution(benchmark, use_fft):
+#: the two arms: ``None`` resolves the default span, ``sys.maxsize`` never
+#: reaches the FFT
+ARMS = {"fft": None, "direct": sys.maxsize}
+
+
+@pytest.mark.parametrize("span", list(ARMS.values()), ids=list(ARMS))
+def test_ablation_pmf_convolution(benchmark, span):
     benchmark.group = "ablation:pmf-convolution(N=4000)"
-    pmf = benchmark(lambda: exact_pmf_divide_conquer(VECTOR, use_fft=use_fft))
+    pmf = benchmark(lambda: exact_pmf_divide_conquer(VECTOR, span=span))
     assert pmf.sum() == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("use_fft", [True, False], ids=["fft", "direct"])
-def test_ablation_dc_miner_end_to_end(benchmark, accident_db, use_fft):
+@pytest.mark.parametrize("span", list(ARMS.values()), ids=list(ARMS))
+def test_ablation_dc_miner_end_to_end(benchmark, accident_db, span):
     benchmark.group = "ablation:dcb-end-to-end(accident)"
-    miner = DCMiner(use_pruning=True, use_fft=use_fft)
+    plan = None if span is None else {"conv_span": span}
+    miner = DCMiner(use_pruning=True, plan=plan)
     result = benchmark.pedantic(
         lambda: miner.mine(accident_db, min_sup=0.2, pft=0.9), rounds=1, iterations=1
     )
@@ -48,10 +58,10 @@ def test_ablation_report(benchmark):
 
     def measure():
         rows = {}
-        for use_fft in (True, False):
+        for label, span in ARMS.items():
             start = time.perf_counter()
-            exact_pmf_divide_conquer(VECTOR, use_fft=use_fft)
-            rows["fft" if use_fft else "direct"] = time.perf_counter() - start
+            exact_pmf_divide_conquer(VECTOR, span=span)
+            rows[label] = time.perf_counter() - start
         return rows
 
     rows = benchmark.pedantic(measure, rounds=1, iterations=1)
@@ -93,13 +103,13 @@ def json_payload():
 
     timings = {
         "direct_seconds": best_of(
-            lambda: exact_pmf_divide_conquer(VECTOR, use_fft=False)
+            lambda: exact_pmf_divide_conquer(VECTOR, span=ARMS["direct"])
         )
     }
     speedups = {}
     for span in SPANS:
         seconds = best_of(
-            lambda: exact_pmf_divide_conquer(VECTOR, use_fft=True, span=span)
+            lambda: exact_pmf_divide_conquer(VECTOR, span=span)
         )
         timings[f"fft_span{span}_seconds"] = seconds
         speedups[f"fft_span{span}_speedup"] = timings["direct_seconds"] / seconds
@@ -113,7 +123,7 @@ def json_payload():
             timings[key] = min(timings.get(key, float("inf")), time.perf_counter() - started)
     default_span = resolve_conv_span()
     timings["fft_seconds"] = best_of(
-        lambda: exact_pmf_divide_conquer(VECTOR, use_fft=True, span=default_span)
+        lambda: exact_pmf_divide_conquer(VECTOR, span=default_span)
     )
     speedups["fft_speedup"] = timings["direct_seconds"] / timings["fft_seconds"]
     best_span = min(SPANS, key=lambda span: timings[f"fft_span{span}_seconds"])

@@ -34,7 +34,7 @@ def dp_method():
 
 
 def dc_method():
-    pmf = exact_pmf_divide_conquer(PROBABILITIES, use_fft=True)
+    pmf = exact_pmf_divide_conquer(PROBABILITIES)
     return float(pmf[MIN_COUNT:].sum())
 
 

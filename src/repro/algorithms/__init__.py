@@ -10,13 +10,18 @@ Registry name             Family         Algorithm
 ``uapriori``              expected       UApriori (Chui et al.)
 ``ufp-growth``            expected       UFP-growth (Leung et al.)
 ``uh-mine``               expected       UH-Mine (Aggarwal et al.)
-``dpnb`` / ``dpb``        exact          Dynamic programming, without / with Chernoff pruning
-``dcnb`` / ``dcb``        exact          Divide-and-conquer (FFT), without / with Chernoff pruning
+``dpnb`` / ``dpb``        exact          Dynamic programming, without / with the bound chain
+``dcnb`` / ``dcb``        exact          Divide-and-conquer (FFT), without / with the bound chain
 ``pdu-apriori``           approximate    Poisson approximation on UApriori
 ``ndu-apriori``           approximate    Normal approximation on UApriori
 ``nduh-mine``             approximate    Normal approximation on UH-Mine (the paper's proposal)
 ``world-sampling``        approximate    Possible-world sampling estimator (Calders et al. 2010)
 ========================  =============  ======================================
+
+The *B* configurations run the one bound chain of the search engine
+(occupancy count, Markov, Chernoff:
+:func:`repro.core.support.undecided_after_bounds`) before the exact tail;
+the *NB* ones only the occupancy count.
 
 The brute-force references the test-suite checks every miner against live
 with the tests (``tests/reference.py``), not in the registry.
@@ -29,14 +34,12 @@ from .dp import DPMiner
 from .ndu_apriori import NDUApriori
 from .nduh_mine import NDUHMine
 from .pdu_apriori import PDUApriori
-from .pruning import ChernoffPruner
 from .sampling_miner import WorldSamplingMiner
 from .uapriori import UApriori
 from .ufp_growth import UFPGrowth, UFPNode, UFPTree
 from .uh_mine import UHMine, build_uh_struct_columnar
 
 __all__ = [
-    "ChernoffPruner",
     "DCMiner",
     "DPMiner",
     "ExpectedSupportMiner",

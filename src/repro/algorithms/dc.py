@@ -10,11 +10,11 @@ configurations: ``dcb`` (with Chernoff-bound pruning) and ``dcnb`` (without).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from ..core.support import SupportEngine, exact_pmf_divide_conquer
+from ..core.support import SupportEngine
 from .probabilistic_apriori import ProbabilisticAprioriMiner
 
 __all__ = ["DCMiner"]
@@ -26,12 +26,12 @@ class DCMiner(ProbabilisticAprioriMiner):
     Parameters
     ----------
     use_pruning:
-        Enable the Chernoff-bound filter (the *DCB* configuration); disable
+        Enable the Markov → Chernoff bound chain (the *DCB* configuration); disable
         it for *DCNB*.
-    use_fft:
-        Use FFT-accelerated convolution for large halves (the paper's DC);
-        disabling it falls back to quadratic direct convolution, which is
-        the ablation exercised by ``benchmarks/bench_ablation_convolution.py``.
+
+    The direct-vs-FFT crossover is the ``conv_span`` plan knob; a span of
+    ``sys.maxsize`` gives the quadratic direct convolution, the ablation
+    exercised by ``benchmarks/bench_ablation_convolution.py``.
     """
 
     name = "dc"
@@ -40,7 +40,6 @@ class DCMiner(ProbabilisticAprioriMiner):
     def __init__(
         self,
         use_pruning: bool = True,
-        use_fft: bool = True,
         item_prefilter: bool = True,
         track_memory: bool = False,
         workers: Optional[int] = None,
@@ -55,27 +54,11 @@ class DCMiner(ProbabilisticAprioriMiner):
             shards=shards,
             plan=plan,
         )
-        self.use_fft = use_fft
         self.name = "dcb" if use_pruning else "dcnb"
-
-    def _frequent_probability(
-        self, probabilities: Sequence[float], min_count: int
-    ) -> float:
-        if min_count <= 0:
-            return 1.0
-        if min_count > len(probabilities):
-            return 0.0
-        pmf = exact_pmf_divide_conquer(np.asarray(probabilities, dtype=float), self.use_fft)
-        tail = float(pmf[min_count:].sum())
-        return max(0.0, min(1.0, tail))
 
     def _frequent_probabilities_batch(
         self, engine: SupportEngine, min_count: int
     ) -> np.ndarray:
-        # The engine path covers the FFT default: one walk of every
-        # candidate's convolution tree, merged a tree height at a time for
-        # the whole level.  The direct-convolution ablation keeps the
-        # scalar loop over the same walker.
-        if self.use_fft:
-            return engine.frequent_probabilities(min_count, method="divide_conquer")
-        return super()._frequent_probabilities_batch(engine, min_count)
+        # One walk of every candidate's convolution tree, merged a tree
+        # height at a time for the whole level.
+        return engine.frequent_probabilities(min_count, method="divide_conquer")

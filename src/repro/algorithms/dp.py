@@ -10,11 +10,11 @@ paper's experiments: ``dpb`` (with Chernoff-bound pruning) and ``dpnb``
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from ..core.support import SupportEngine, frequent_probability_dynamic_programming
+from ..core.support import SupportEngine
 from .probabilistic_apriori import ProbabilisticAprioriMiner
 
 __all__ = ["DPMiner"]
@@ -26,7 +26,7 @@ class DPMiner(ProbabilisticAprioriMiner):
     Parameters
     ----------
     use_pruning:
-        Enable the Chernoff-bound filter (the *DPB* configuration of the
+        Enable the Markov → Chernoff bound chain (the *DPB* configuration of the
         paper); disable it for *DPNB*.
     """
 
@@ -51,11 +51,6 @@ class DPMiner(ProbabilisticAprioriMiner):
             plan=plan,
         )
         self.name = "dpb" if use_pruning else "dpnb"
-
-    def _frequent_probability(
-        self, probabilities: Sequence[float], min_count: int
-    ) -> float:
-        return frequent_probability_dynamic_programming(probabilities, min_count)
 
     def _frequent_probabilities_batch(
         self, engine: SupportEngine, min_count: int

@@ -12,11 +12,11 @@ definitions can be unified.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from ..core.support import SupportEngine, normal_tail_probability
+from ..core.support import SupportEngine
 from .probabilistic_apriori import ProbabilisticAprioriMiner
 
 __all__ = ["NDUApriori"]
@@ -50,12 +50,6 @@ class NDUApriori(ProbabilisticAprioriMiner):
             shards=shards,
             plan=plan,
         )
-
-    def _frequent_probability(
-        self, probabilities: Sequence[float], min_count: int
-    ) -> float:
-        expected, variance = self._moments(probabilities)
-        return normal_tail_probability(expected, variance, min_count)
 
     def _frequent_probabilities_batch(
         self, engine: SupportEngine, min_count: int

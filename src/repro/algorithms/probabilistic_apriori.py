@@ -12,17 +12,17 @@ behind a :class:`~repro.core.search.MinerSpec`; this base class contributes
 the spec and the evaluator slot of the
 :class:`~repro.core.search.TailEvaluationKernel`.
 
-Every level is evaluated in one batch so subclasses can vectorize their
-evaluator across candidates through the
-:class:`~repro.core.support.SupportEngine` (the DP recurrence advances the
-whole level at once; the Normal evaluator rides on the vectorized moments;
-divide-and-conquer remains per-candidate but NumPy-heavy).
+Every level is evaluated in one batch, so each evaluator runs across
+candidates through the :class:`~repro.core.support.SupportEngine` (the DP
+recurrence advances the whole level at once; the divide-and-conquer walker
+merges the whole level's trees a height at a time; the Normal evaluator
+rides on the vectorized moments).
 """
 
 from __future__ import annotations
 
 from abc import abstractmethod
-from typing import Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -36,14 +36,13 @@ __all__ = ["ProbabilisticAprioriMiner"]
 class ProbabilisticAprioriMiner(ProbabilisticMiner):
     """Level-wise probabilistic frequent itemset miner (abstract).
 
-    Subclasses provide :meth:`_frequent_probability`, the evaluator applied
-    to every surviving candidate, and may override
-    :meth:`_frequent_probabilities_batch` with a vectorized variant.
+    Subclasses provide :meth:`_frequent_probabilities_batch`, the evaluator
+    applied to every batch of candidates the bound chain left undecided.
 
     Parameters
     ----------
     use_pruning:
-        Apply the Chernoff-bound filter before the exact evaluation.  The
+        Run the Markov → Chernoff bound chain before the exact evaluation.  The
         paper's DPB/DCB configurations set this to True, DPNB/DCNB to False.
     item_prefilter:
         Discard items whose expected support is below ``min_count * pft``
@@ -80,37 +79,10 @@ class ProbabilisticAprioriMiner(ProbabilisticMiner):
 
     # -- evaluator ----------------------------------------------------------------------
     @abstractmethod
-    def _frequent_probability(
-        self, probabilities: Sequence[float], min_count: int
-    ) -> float:
-        """Return ``Pr[sup(X) >= min_count]`` from the non-zero probability vector."""
-
     def _frequent_probabilities_batch(
         self, engine: SupportEngine, min_count: int
     ) -> np.ndarray:
-        """Evaluate a batch of surviving candidates.
-
-        The default loops over :meth:`_frequent_probability`; subclasses
-        whose evaluator vectorizes across candidates (DP recurrence, Normal
-        moments) override this with one call into the engine.
-        """
-        return np.array(
-            [
-                self._frequent_probability(vector, min_count)
-                for vector in engine.vectors
-            ],
-            dtype=float,
-        )
-
-    # -- statistics helpers ---------------------------------------------------------------
-    @staticmethod
-    def _moments(probabilities: Sequence[float]) -> Tuple[float, float]:
-        expected = 0.0
-        variance = 0.0
-        for probability in probabilities:
-            expected += probability
-            variance += probability * (1.0 - probability)
-        return expected, variance
+        """Return ``Pr[sup(X) >= min_count]`` of every candidate of ``engine``."""
 
     # -- declarative search ---------------------------------------------------------------
     def spec(self, threshold) -> MinerSpec:
@@ -127,4 +99,3 @@ class ProbabilisticAprioriMiner(ProbabilisticMiner):
             item_prefilter=markov_item_prefilter if self.item_prefilter else None,
             seed_mode="evaluate",
         )
-

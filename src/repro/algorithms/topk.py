@@ -25,53 +25,25 @@ Evaluator      Ranking       Scoring kernel (same as threshold miner)
 
 Pruning mirrors threshold mining with the buffer floor in place of the
 threshold: the anti-monotone bound cuts subtrees whose best possible score
-falls strictly below the running k-th best, and the probabilistic
-evaluators additionally apply the Chernoff and Markov filters before paying
-for an exact tail.  The Normal approximation is *not* anti-monotone in the
-itemset (a superset's variance can shrink faster than its expectation), so
-its descendant bound is the sound envelope ``0.5`` when the expectation
-already sits below the continuity-corrected threshold and ``1.0``
-otherwise; the cheap exact-tail filters are likewise skipped for it — they
-bound the exact probability, not the approximation.
+falls strictly below the running k-th best, and the exact evaluators
+additionally run the threshold miners' Markov / Chernoff bound chain
+before paying for an exact tail.  Scoring is
+:func:`repro.core.topk.topk_scorer`, shared with the streaming top-k miner;
+its docstring has the per-evaluator rules (the Normal approximation's
+coarser descendant bound, the Poisson ranking's missing count cut).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional
 
-from ..core.itemset import Itemset
-from ..core.results import FrequentItemset, MiningStatistics
 from ..core.search import LevelwiseSearch, MinerSpec
-from ..core.support import SupportEngine, staged_tail_filter
 from ..core.thresholds import ProbabilisticThreshold
-from ..core.topk import (
-    EVALUATOR_RANKINGS,
-    ScoredCandidate,
-    TopKResult,
-    resolve_evaluator,
-)
+from ..core.topk import EVALUATOR_RANKINGS, TopKResult, resolve_evaluator
 from ..db.database import UncertainDatabase
 from .base import MinerBase
 
-__all__ = ["TopKMiner", "exhaustive_topk", "normal_descendant_bound"]
-
-Candidate = Tuple[int, ...]
-
-#: evaluators whose score is anti-monotone under itemset extension, so the
-#: Chernoff / Markov bounds on the exact tail are sound prune filters
-_ANTI_MONOTONE_TAILS = ("dp", "dc")
-
-
-def normal_descendant_bound(expected_support: float, min_count: int) -> float:
-    """Sound upper bound on any superset's Normal-approximation score.
-
-    Supersets only lower the expected support, but their variance can move
-    either way, so the Normal score is not anti-monotone.  The envelope over
-    every possible variance: once ``esup < min_count - 0.5`` the z-score is
-    negative for every superset, capping the approximation below ``Phi(0) =
-    0.5``; above that the bound is uninformative.
-    """
-    return 1.0 if expected_support >= min_count - 0.5 else 0.5
+__all__ = ["TopKMiner", "exhaustive_topk"]
 
 
 class TopKMiner(MinerBase):
@@ -84,7 +56,7 @@ class TopKMiner(MinerBase):
         (see :func:`repro.core.topk.resolve_evaluator`).
     use_pruning:
         Apply the threshold-raising floor (and, for the exact evaluators,
-        the Chernoff / Markov pre-filters).  Disabling it turns the search
+        the Markov / Chernoff bound chain).  Disabling it turns the search
         into the exhaustive mine-everything-then-truncate reference — same
         results, no pruning.
     track_variance:
@@ -147,9 +119,8 @@ class TopKMiner(MinerBase):
             return LevelwiseSearch(spec, miner=self).run_topk(database, k, min_count)
 
     def spec(self, threshold) -> MinerSpec:
-        """The ranking's declarative spec (kernel-free: scoring enters
-        through :meth:`_topk_evaluate`, the best-first search's evaluator
-        slot)."""
+        """The ranking's declarative spec (kernel-free: the best-first
+        search scores through :func:`~repro.core.topk.topk_scorer`)."""
         return MinerSpec(
             name=f"topk-{self.evaluator}",
             definition="expected" if self.ranking == "esup" else "probabilistic",
@@ -157,153 +128,6 @@ class TopKMiner(MinerBase):
             seed_mode="none",
             track_variance=self.track_variance,
         )
-
-    def _topk_evaluate(
-        self,
-        source,
-        min_count: Optional[int],
-        statistics: MiningStatistics,
-        executor,
-    ):
-        """The evaluator :meth:`LevelwiseSearch.run_topk` drives."""
-        if self.ranking == "esup":
-            return self._make_esup_evaluate(source, statistics)
-        return self._make_probability_evaluate(
-            source, int(min_count), statistics, executor
-        )
-
-    # -- evaluators --------------------------------------------------------------------
-    def _make_esup_evaluate(self, source, statistics: MiningStatistics):
-        """Definition 2 scoring: the expected support is its own bound."""
-
-        def evaluate(candidates, buffer):
-            floor = buffer.floor if (self.use_pruning and buffer.full) else 0.0
-            # The floor doubles as the stage-1 kill threshold: a candidate
-            # with fewer supporting rows than the k-th best score cannot
-            # reach it (esup <= count), and the floor only rises.
-            engine = SupportEngine(source(candidates, min_count=floor))
-            expected = engine.expected_supports()
-            variances = engine.variances() if self.track_variance else None
-            # One batch per expanded node, not per Apriori level: counted
-            # apart so database_scans keeps its cross-miner meaning.
-            statistics.notes["engine_batches"] = (
-                statistics.notes.get("engine_batches", 0.0) + 1.0
-            )
-            scored: List[Optional[ScoredCandidate]] = []
-            for index, candidate in enumerate(candidates):
-                score = float(expected[index])
-                if score <= 0.0 or score < floor:
-                    # Anti-monotone: no superset can score higher, and the
-                    # floor only rises — the whole subtree is dead.
-                    statistics.candidates_pruned += 1
-                    scored.append(None)
-                    continue
-                record = FrequentItemset(
-                    Itemset(candidate),
-                    score,
-                    float(variances[index]) if variances is not None else None,
-                )
-                scored.append(ScoredCandidate(candidate, score, score, record))
-            return scored
-
-        return evaluate
-
-    def _make_probability_evaluate(
-        self, source, min_count: int, statistics: MiningStatistics, executor
-    ):
-        """Definition 4 scoring at the fixed ``min_count`` support level."""
-        evaluator = self.evaluator
-        cheap_filters = self.use_pruning and evaluator in _ANTI_MONOTONE_TAILS
-        # The max-attainable-support cut is a *semantic* filter, not an
-        # optimisation: it mirrors the corresponding threshold miner.  The
-        # exact tails are genuinely zero below min_count occurrences, and
-        # NDUApriori applies the identical cut before its Normal evaluation
-        # — but PDUApriori never filters by occurrence count (its Poisson
-        # score is positive for any positive expectation), so the cut must
-        # be skipped there or top-k would diverge from its mine-then-
-        # truncate baseline.
-        max_support_cut = evaluator != "poisson"
-
-        def evaluate(candidates, buffer):
-            floor = buffer.floor if (self.use_pruning and buffer.full) else 0.0
-            # Stage-1 kill at the ranking's support level: sound exactly
-            # where the max-attainable-support cut is already semantic (the
-            # Poisson ranking scores count-starved candidates positively,
-            # so it must see their true vectors).
-            vectors = source(
-                candidates, min_count=min_count if max_support_cut else 0.0
-            )
-            engine = SupportEngine(vectors)
-            expected = engine.expected_supports()
-            variances = engine.variances()
-            max_supports = engine.nonzero_counts()
-            statistics.notes["engine_batches"] = (
-                statistics.notes.get("engine_batches", 0.0) + 1.0
-            )
-
-            scored: List[Optional[ScoredCandidate]] = [None] * len(candidates)
-            alive: List[int] = []
-            for index in range(len(candidates)):
-                if max_support_cut and max_supports[index] < min_count:
-                    # Fewer possible occurrences than the support level: the
-                    # score is exactly zero, for this candidate and every
-                    # superset.
-                    statistics.candidates_pruned += 1
-                    continue
-                if cheap_filters:
-                    if staged_tail_filter(float(expected[index]), min_count, floor):
-                        # A cheap bound (Markov first, Chernoff only when
-                        # Markov is undecided) caps the exact score of the
-                        # candidate and (by anti-monotonicity) of every
-                        # superset below the floor.
-                        statistics.candidates_pruned += 1
-                        continue
-                alive.append(index)
-            if not alive:
-                return scored
-
-            batch = SupportEngine(
-                [vectors[index] for index in alive],
-                expected=expected[alive],
-                variances=variances[alive],
-                executor=executor,
-            )
-            if evaluator == "dp":
-                probabilities = batch.frequent_probabilities(
-                    min_count, method="dynamic_programming"
-                )
-                statistics.exact_evaluations += len(alive)
-            elif evaluator == "dc":
-                probabilities = batch.frequent_probabilities(
-                    min_count, method="divide_conquer"
-                )
-                statistics.exact_evaluations += len(alive)
-            elif evaluator == "normal":
-                probabilities = batch.normal_frequent_probabilities(min_count)
-            else:  # poisson
-                probabilities = batch.poisson_frequent_probabilities(min_count)
-
-            for index, probability in zip(alive, probabilities):
-                candidate = candidates[index]
-                score = float(probability)
-                if evaluator == "normal":
-                    bound = normal_descendant_bound(float(expected[index]), min_count)
-                else:
-                    # Exact and Poisson scores are anti-monotone: the
-                    # candidate's own score bounds every superset's.
-                    bound = score
-                record = None
-                if score > 0.0:
-                    record = FrequentItemset(
-                        Itemset(candidate),
-                        float(expected[index]),
-                        float(variances[index]),
-                        score,
-                    )
-                scored[index] = ScoredCandidate(candidate, score, bound, record)
-            return scored
-
-        return evaluate
 
 
 def exhaustive_topk(

@@ -67,8 +67,9 @@ class MiningStatistics:
         same — the counter answers "how much of the generated frontier
         died", not "why".
     ``exact_evaluations``
-        Candidates whose *score kernel* actually ran (exact tails after
-        the bound chain, sampled-world estimates).
+        Candidates whose *score kernel* actually ran (tails after the
+        bound chain — exact DP/DC, Normal, and in top-k also Poisson —
+        and sampled-world estimates).
         Expected-support arithmetic is not an exact evaluation; bound
         filters are not either.
     """

@@ -7,8 +7,8 @@ one true levelwise loop —
 
     seed level from the item-statistics pass
     -> apriori join + downward-closure subset prune
-    -> batched level evaluation (``make_candidate_source``)
-    -> bound-chain filtering (occupancy -> Markov -> Chernoff, in cost order)
+    -> the level's statistics (``SearchContext.level``)
+    -> the bound chain (occupancy -> Markov -> Chernoff, in cost order)
     -> record / extend
     -> uniform statistics accounting
 
@@ -22,6 +22,15 @@ miners (UH-Mine, UFP-growth) plug in through the spec's ``expander`` hook:
 the driver still owns seeding and accounting, the spec supplies the growth
 strategy.  Streaming mining and the top-k search drive the same loop
 through :meth:`LevelwiseSearch.drive` and :meth:`LevelwiseSearch.run_topk`.
+
+A level's statistics are the only seam between the scorers and their data
+source.  A batch run hands the kernels a
+:class:`~repro.core.support.SupportEngine` over the candidate source's
+vectors (:func:`engine_level`); a streaming run hands them an adapter over
+the incremental index that answers the same questions.  So
+:class:`ExpectedSupportKernel` and :class:`TailEvaluationKernel` are the
+only threshold scorers, and :func:`repro.core.topk.topk_scorer` the only
+top-k scorer, batch or streaming.
 
 Everything the engine does is held to the bitwise contract pinned by
 ``tests/test_search_engine.py``: for every miner x (workers, shards)
@@ -40,7 +49,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from .itemset import Itemset
 from .results import FrequentItemset, MiningResult, MiningStatistics
 from .support import SupportEngine
-from .topk import TopKBuffer, run_topk_search
+from .topk import run_topk_search, topk_scorer
 
 __all__ = [
     "Candidate",
@@ -50,6 +59,7 @@ __all__ = [
     "ExpectedSupportKernel",
     "TailEvaluationKernel",
     "LevelwiseSearch",
+    "engine_level",
     "markov_item_prefilter",
 ]
 
@@ -74,6 +84,20 @@ def _common():
 
         _COMMON = common
     return _COMMON
+
+
+def engine_level(source: Callable, executor: Any = None) -> Callable:
+    """The batch ``level(candidates, kill)`` callable over a candidate source.
+
+    ``source`` is :func:`~repro.algorithms.common.make_candidate_source`'s
+    level evaluator; ``kill`` is its stage-1 kill threshold.  The executor
+    rides on the engine to the survivor batch's exact tails.
+    """
+
+    def level(candidates: Sequence[Candidate], kill: float) -> SupportEngine:
+        return SupportEngine(source(candidates, min_count=kill), executor=executor)
+
+    return level
 
 
 def markov_item_prefilter(ctx: "SearchContext") -> float:
@@ -196,7 +220,11 @@ class SearchContext:
     pft: Optional[float] = None
     #: the absolute expected-support bar driving an esup-driven search
     search_min_esup: Optional[float] = None
-    pruner: Any = None
+    #: ``level(candidates, kill) -> statistics`` of one candidate level: a
+    #: :class:`~repro.core.support.SupportEngine` in batch runs, an index
+    #: adapter in streaming ones (``kill`` is a sound stage-1 kill bar a
+    #: source may ignore)
+    level: Optional[Callable[[Sequence[Candidate], float], Any]] = None
     #: free-form state shared between spec hooks of one run
     scratch: Dict[str, Any] = field(default_factory=dict)
 
@@ -218,12 +246,13 @@ class SearchContext:
 class LevelKernel:
     """Scores one level of candidates and applies the spec's decision rule.
 
-    The kernel owns the evaluation substrate (candidate source, trimmed
-    rows, sampled worlds) while the driver owns the loop: ``evaluate``
-    receives a whole level, appends the admitted records to
-    ``ctx.records`` and returns the candidates that seed the next level.
-    A compiled backend would replace the body of ``evaluate`` without
-    touching any spec or the driver.
+    The driver owns the loop: ``evaluate`` receives a whole level, appends
+    the admitted records to ``ctx.records`` and returns the candidates
+    that seed the next level.  The analytic kernels read the level's
+    statistics through ``ctx.level``; a kernel with its own substrate (the
+    sampled worlds) builds it in ``begin``.  A compiled backend would
+    replace the body of ``evaluate`` without touching any spec or the
+    driver.
     """
 
     def begin(self, ctx: SearchContext) -> None:
@@ -235,35 +264,22 @@ class LevelKernel:
         """Score ``candidates``; record the admitted ones; return the survivors."""
         raise NotImplementedError
 
-    def finish(self, ctx: SearchContext) -> None:
-        """Flush run-level notes (called once, after the search)."""
-
 
 class ExpectedSupportKernel(LevelKernel):
     """The Definition-2 score kernel: inclusive ``esup >= bar``.
 
-    The whole level is evaluated in one batched engine pass (the candidate
+    The whole level is evaluated in one pass over its statistics (the
     source gets the bar as its stage-1 kill threshold: ``esup(X) <=
     count(X)``, so a candidate with fewer supporting rows than the bar is
     already decided).
     """
 
-    def __init__(self) -> None:
-        self._source = None
-
-    def begin(self, ctx: SearchContext) -> None:
-        self._source = _common().make_candidate_source(
-            ctx.database, executor=ctx.executor
-        )
-
     def evaluate(
         self, ctx: SearchContext, candidates: List[Candidate]
     ) -> List[Candidate]:
-        engine = SupportEngine(
-            self._source(candidates, min_count=ctx.search_min_esup)
-        )
-        expected_supports = engine.expected_supports()
-        variances = engine.variances() if ctx.spec.track_variance else None
+        level = ctx.level(candidates, ctx.search_min_esup)
+        expected_supports = level.expected_supports()
+        variances = level.variances() if ctx.spec.track_variance else None
         survivors: List[Candidate] = []
         for index, candidate in enumerate(candidates):
             expected = float(expected_supports[index])
@@ -280,30 +296,23 @@ class ExpectedSupportKernel(LevelKernel):
 class TailEvaluationKernel(LevelKernel):
     """The Definition-4 score kernel: strict ``Pr[sup >= min_count] > pft``.
 
-    The full three-stage cascade of the probabilistic miners: the candidate
-    source kills candidates whose bitmap occupancy count is below
-    ``min_count`` before any float work (stage 1), the survivors' columns
-    come from the cross-level prefix cache (stage 2), and the cheap sound
-    bounds run in cost order — occupancy count, then Markov, then Chernoff
-    — so the tail evaluation only pays for the candidates no bound could
-    decide (stage 3).  Every filter is one-sided, so the frequent set is
-    identical to the unfiltered evaluation.
+    The full three-stage cascade of the probabilistic miners: the source
+    kills candidates whose occupancy count is below ``min_count`` before
+    any float work (stage 1), the survivors' columns come from the
+    cross-level prefix cache (stage 2), and the bound chain runs in cost
+    order — occupancy count, then Markov, then Chernoff — so the tail
+    evaluation only pays for the candidates no bound could decide (stage
+    3).  Every filter is one-sided, so the frequent set is identical to the
+    unfiltered evaluation.
 
-    ``batch_tails`` is the miner's kernel binding: ``callable(engine,
-    min_count) -> ndarray`` of frequent probabilities (the vectorized DP
-    recurrence, the divide-and-conquer PMF tails, the Normal moments).
+    ``batch_tails`` is the miner's kernel binding: ``callable(level,
+    min_count) -> ndarray`` of frequent probabilities over the survivor
+    batch (the vectorized DP recurrence, the divide-and-conquer PMF tails,
+    the Normal moments, the streaming index's merged PMFs).
     """
 
-    def __init__(
-        self, batch_tails: Callable[[SupportEngine, int], Any]
-    ) -> None:
+    def __init__(self, batch_tails: Callable[[Any, int], Any]) -> None:
         self.batch_tails = batch_tails
-        self._source = None
-
-    def begin(self, ctx: SearchContext) -> None:
-        self._source = _common().make_candidate_source(
-            ctx.database, executor=ctx.executor
-        )
 
     def evaluate(
         self, ctx: SearchContext, candidates: List[Candidate]
@@ -311,31 +320,20 @@ class TailEvaluationKernel(LevelKernel):
         if not candidates:
             return []
         statistics = ctx.statistics
-        vectors = self._source(candidates, min_count=ctx.min_count)
-        engine = SupportEngine(vectors)
-        expected = engine.expected_supports()
-        variance = engine.variances()
-        max_supports = engine.nonzero_counts()
-
-        survivors = engine.undecided_after_bounds(
+        level = ctx.level(candidates, ctx.min_count)
+        expected = level.expected_supports()
+        variance = level.variances()
+        survivors = level.undecided_after_bounds(
             ctx.min_count,
             ctx.pft,
-            counts=max_supports,
-            use_bounds=ctx.pruner.enabled,
-            pruner=ctx.pruner,
+            use_bounds="chernoff" in ctx.spec.bound_chain,
             notes=statistics.notes,
         )
         if not survivors:
             return []
 
         statistics.exact_evaluations += len(survivors)
-        batch = SupportEngine(
-            [vectors[index] for index in survivors],
-            expected=expected[survivors],
-            variances=variance[survivors],
-            executor=ctx.executor,
-        )
-        probabilities = self.batch_tails(batch, ctx.min_count)
+        probabilities = self.batch_tails(level.subset(survivors), ctx.min_count)
 
         next_level: List[Candidate] = []
         for index, probability in zip(survivors, probabilities):
@@ -352,17 +350,13 @@ class TailEvaluationKernel(LevelKernel):
                 next_level.append(candidate)
         return next_level
 
-    def finish(self, ctx: SearchContext) -> None:
-        ctx.statistics.notes["chernoff_tested"] = float(ctx.pruner.tested)
-        ctx.statistics.notes["chernoff_pruned"] = float(ctx.pruner.pruned)
-
 
 class LevelwiseSearch:
     """Executes a :class:`MinerSpec` — the single driver behind every miner.
 
     ``run`` performs a full batch mine; ``run_topk`` the floor-driven
     ranked search; ``drive`` exposes the bare loop for callers that bring
-    their own evaluation substrate (the streaming miners, whose statistics
+    their own level statistics (the streaming miners, whose statistics
     come from the incremental index instead of a database scan).
     """
 
@@ -431,6 +425,10 @@ class LevelwiseSearch:
                     statistics=statistics,
                     executor=executor,
                     n_transactions=len(database),
+                    level=engine_level(
+                        common.make_candidate_source(database, executor=executor),
+                        executor,
+                    ),
                 )
                 self._prepare(ctx)
                 if spec.kernel is not None:
@@ -440,8 +438,6 @@ class LevelwiseSearch:
                     spec.expander(ctx)
                 else:
                     self._drive_levels(ctx, seed_level)
-                if spec.kernel is not None:
-                    spec.kernel.finish(ctx)
                 if spec.finalize is not None:
                     spec.finalize(ctx)
         return MiningResult(ctx.records, statistics)
@@ -460,17 +456,7 @@ class LevelwiseSearch:
         # shards) configuration.
         ctx.item_stats = _common().item_statistics(ctx.database)
         ctx.statistics.database_scans += 1
-
-        if spec.definition == "expected":
-            ctx.min_expected_support = spec.threshold.absolute(ctx.n_transactions)
-        else:
-            ctx.min_count = spec.threshold.min_count(ctx.n_transactions)
-            ctx.pft = spec.threshold.pft
-
-        if spec.search_threshold is not None:
-            ctx.search_min_esup = spec.search_threshold(ctx)
-        else:
-            ctx.search_min_esup = ctx.min_expected_support
+        self.resolve_thresholds(ctx)
 
         if ctx.search_min_esup is not None:
             bar = ctx.search_min_esup
@@ -487,9 +473,20 @@ class LevelwiseSearch:
                 if stats[0] >= bar
             }
 
-        from ..algorithms.pruning import ChernoffPruner
+    @staticmethod
+    def resolve_thresholds(ctx: SearchContext) -> None:
+        """Resolve the spec's threshold against ``ctx.n_transactions``."""
+        spec = ctx.spec
+        if spec.definition == "expected":
+            ctx.min_expected_support = spec.threshold.absolute(ctx.n_transactions)
+        else:
+            ctx.min_count = spec.threshold.min_count(ctx.n_transactions)
+            ctx.pft = spec.threshold.pft
 
-        ctx.pruner = ChernoffPruner(enabled="chernoff" in spec.bound_chain)
+        if spec.search_threshold is not None:
+            ctx.search_min_esup = spec.search_threshold(ctx)
+        else:
+            ctx.search_min_esup = ctx.min_expected_support
 
     def _seed(self, ctx: SearchContext) -> List[Candidate]:
         """Bring the 1-itemsets into the search according to the seed mode."""
@@ -521,10 +518,10 @@ class LevelwiseSearch:
     def run_topk(self, database: Any, k: int, min_count: Optional[int] = None):
         """The floor-driven best-first ranked search, on the same substrate.
 
-        The miner supplies its evaluator through ``_topk_evaluate`` (the
-        ranking's kernel binding); the driver owns the prologue — item
-        statistics, universe, candidate source, executor — and the
-        accounting, exactly as for threshold mining.
+        The driver owns the prologue — item statistics, universe, level
+        statistics, executor — and the accounting, exactly as for
+        threshold mining; :func:`~repro.core.topk.topk_scorer` scores each
+        expanded node's children under the miner's evaluator.
         """
         from .topk import TopKResult
 
@@ -540,9 +537,18 @@ class LevelwiseSearch:
             universe = sorted(
                 item for item, stats in stats_by_item.items() if stats[0] > 0.0
             )
-            source = common.make_candidate_source(database, executor=executor)
-            evaluate = miner._topk_evaluate(source, min_count, statistics, executor)
-            buffer = self.best_first(
+            evaluate = topk_scorer(
+                engine_level(
+                    common.make_candidate_source(database, executor=executor),
+                    executor,
+                ),
+                miner.evaluator,
+                min_count,
+                statistics,
+                use_pruning=miner.use_pruning,
+                track_variance=self.spec.track_variance,
+            )
+            buffer = run_topk_search(
                 universe,
                 evaluate,
                 k,
@@ -554,19 +560,6 @@ class LevelwiseSearch:
             statistics.notes["floor"] = buffer.floor
         return TopKResult(
             records, k, miner.ranking, min_count=min_count, statistics=statistics
-        )
-
-    @staticmethod
-    def best_first(
-        universe: Sequence[int],
-        evaluate: Callable,
-        k: int,
-        use_floor: bool = True,
-        statistics: Optional[MiningStatistics] = None,
-    ) -> TopKBuffer:
-        """The threshold-raising best-first search (batch and streaming top-k)."""
-        return run_topk_search(
-            universe, evaluate, k, use_floor=use_floor, statistics=statistics
         )
 
 

@@ -43,14 +43,13 @@ __all__ = [
     "frequent_probability_dynamic_programming",
     "frequent_probabilities_dp_batch",
     "pack_probability_matrix",
-    "resolve_dp_block_bytes",
+    "DP_BLOCK_BYTES",
     "PMF_RENORMALIZE_TOLERANCE",
     "poisson_tail_probability",
     "normal_tail_probability",
     "chernoff_upper_bound",
     "markov_upper_bound",
-    "cheap_tail_upper_bound",
-    "staged_tail_filter",
+    "undecided_after_bounds",
     "poisson_lambda_for_threshold",
 ]
 
@@ -172,29 +171,25 @@ def _fft_convolve(
 
 
 def convolve_pmfs(
-    left: np.ndarray,
-    right: np.ndarray,
-    use_fft: bool = True,
-    span: Optional[int] = None,
+    left: np.ndarray, right: np.ndarray, span: Optional[int] = None
 ) -> np.ndarray:
     """Convolve two support PMFs (the merge of independent disjoint row sets).
 
     One merge through the two kernels the DC walker and the streaming
     :class:`~repro.stream.index.IncrementalSupportIndex` share.  Operands
     longer than the ``conv_span`` plan knob go through the FFT (with
-    :func:`spectrum_product`) when ``use_fft`` is set; shorter ones through
-    :func:`shift_convolve`.  ``span`` pins the crossover explicitly (batch
-    callers resolve the knob once and pass it down).  Both branches give
-    the same bits on every BLAS kernel and NumPy SIMD level.
+    :func:`spectrum_product`); shorter ones through :func:`shift_convolve`.
+    ``span`` pins the crossover explicitly (batch callers resolve the knob
+    once and pass it down; ``sys.maxsize`` convolves everything directly).
+    Both branches give the same bits on every BLAS kernel and NumPy SIMD
+    level.
 
     >>> convolve_pmfs(np.array([0.5, 0.5]), np.array([0.5, 0.5])).tolist()
     [0.25, 0.5, 0.25]
     """
-    if use_fft:
-        if span is None:
-            span = resolve_conv_span()
-        use_fft = len(left) > span or len(right) > span
-    if use_fft:
+    if span is None:
+        span = resolve_conv_span()
+    if len(left) > span or len(right) > span:
         size = len(left) + len(right) - 1
         return _fft_convolve(left, right, size, 1 << (size - 1).bit_length())
     return shift_convolve(left, right)
@@ -276,9 +271,7 @@ def _dc_plan(lengths: np.ndarray, bottom: int):
 
 
 def _dc_pmfs(
-    vectors: Sequence[np.ndarray],
-    use_fft: bool = True,
-    span: Optional[int] = None,
+    vectors: Sequence[np.ndarray], span: Optional[int] = None
 ) -> List[np.ndarray]:
     """The divide-and-conquer walker: each vector's PMF, in order.
 
@@ -298,9 +291,9 @@ def _dc_pmfs(
     once its parents, at most two heights up, have been merged.  Bottom
     nodes are capped at ``span`` rows, so they never hide an FFT merge.
     """
-    if use_fft and span is None:
+    if span is None:
         span = resolve_conv_span()
-    bottom = min(3, max(1, span)) if use_fft else 3
+    bottom = min(3, max(1, span))
     lengths = np.array([len(vector) for vector in vectors], dtype=np.intp)
     pmfs = [np.ones(1) for _ in vectors]
     live = np.flatnonzero(lengths)
@@ -311,7 +304,7 @@ def _dc_pmfs(
     height = np.frexp((rows - 1) // bottom)[1]
     # A height's batches: bottom nodes by row count; above them the direct
     # merges (class 0), then the FFT merges by FFT size (its exponent).
-    fft = (height > 0) & (rows - rows // 2 + 1 > span) if use_fft else height < 0
+    fft = (height > 0) & (rows - rows // 2 + 1 > span)
     batch = np.where(height == 0, rows, np.where(fft, np.frexp(rows)[1], 0))
     order = np.argsort((height << 6 | batch).astype(np.uint16), kind="stable")
     # Relabel the nodes by that order: a height's nodes are then one range
@@ -384,9 +377,7 @@ def _dc_pmfs(
 
 
 def exact_pmf_divide_conquer(
-    probabilities: Sequence[float],
-    use_fft: bool = True,
-    span: Optional[int] = None,
+    probabilities: Sequence[float], span: Optional[int] = None
 ) -> np.ndarray:
     """Exact Poisson-Binomial PMF by divide-and-conquer convolution.
 
@@ -412,11 +403,10 @@ def exact_pmf_divide_conquer(
 
     Args:
         probabilities: Per-transaction occurrence probabilities ``p_i(X)``.
-        use_fft: Convolve halves longer than the ``conv_span`` knob via
-            FFT; disabling falls back to quadratic direct convolution (the
+        span: Explicit crossover: halves longer than it convolve via FFT.
+            Resolved once through :func:`resolve_conv_span` when omitted;
+            ``sys.maxsize`` gives the quadratic direct convolution (the
             paper's DC ablation).
-        span: Explicit crossover, resolved once through
-            :func:`resolve_conv_span` when omitted.
 
     Returns:
         Array of length ``N + 1``; ``result[k] = Pr[sup(X) = k]``.
@@ -425,7 +415,7 @@ def exact_pmf_divide_conquer(
     [0.25, 0.5, 0.25]
     """
     probabilities = np.asarray(probabilities, dtype=float)
-    return _dc_pmfs([probabilities], use_fft, span)[0]
+    return _dc_pmfs([probabilities], span)[0]
 
 
 def frequent_probability_dynamic_programming(
@@ -592,54 +582,77 @@ def markov_upper_bound(expected_support: float, min_count: int) -> float:
     return min(1.0, max(float(expected_support), 0.0) / min_count)
 
 
-def cheap_tail_upper_bound(expected_support: float, min_count: int) -> float:
-    """Cheapest sound upper bound on ``Pr[sup(X) >= min_count]``.
+def undecided_after_bounds(
+    expected: Sequence[float],
+    counts: Sequence[int],
+    min_count: int,
+    bar: float,
+    use_bounds: bool = True,
+    notes: Optional[Dict[str, float]] = None,
+) -> List[int]:
+    """The bound chain: the filter half of filter-verify, in cost order.
 
-    The minimum of the Chernoff bound (Lemma 1) and Markov's inequality
-    (``Pr <= esup / min_count``), both O(1) from the expected support — the
-    shared pre-filter of the top-k miners (batch and streaming), applied
-    against the rising k-th-best floor exactly as the threshold miners
-    apply the Chernoff bound against ``pft``.
+    Returns the indices of the candidates no cheap sound bound could
+    decide — the only ones whose exact tail (or approximation) still has
+    to be evaluated:
 
-    >>> cheap_tail_upper_bound(1.0, 10) <= 0.1
-    True
-    >>> cheap_tail_upper_bound(5.0, 0)
-    1.0
+    1. **occupancy count** — a candidate with fewer than ``min_count``
+       possible occurrences has frequent probability exactly zero (always
+       applied; it is the semantic filter of every probabilistic miner);
+    2. **Markov** — :func:`markov_upper_bound`, one division;
+    3. **Chernoff** — :func:`chernoff_upper_bound` (Lemma 1), only for the
+       candidates Markov left undecided.
+
+    A bound ``<= bar`` kills.  Threshold miners pass ``bar = pft``
+    (Definition 4 keeps ``Pr > pft``).  Top-k kills a bound strictly below
+    its floor, so it passes ``math.nextafter(floor, 0.0)``: for floats,
+    ``bound <= nextafter(floor, 0)`` is exactly ``bound < floor``.  The
+    Poisson and Normal tails approximate but do not bound the exact tail,
+    so they never join the chain.
+
+    Args:
+        expected: Per-candidate expected supports.
+        counts: Per-candidate maximum attainable supports (non-zero counts).
+        min_count: Absolute support threshold.
+        bar: The decision bar a bound must not exceed to kill.
+        use_bounds: When False (the paper's *NB* configurations) only the
+            count cut runs.
+        notes: Optional mutable mapping; ``markov_tested``,
+            ``markov_pruned``, ``chernoff_tested`` and ``chernoff_pruned``
+            are accumulated into it when the bounds run.
+
+    Returns:
+        Indices of the undecided candidates, in candidate order.
+
+    >>> undecided_after_bounds([1.0, 9.0, 20.0], [12, 1, 30], 10, 0.5)
+    [2]
     """
-    if min_count <= 0:
-        return 1.0
-    return min(
-        1.0,
-        chernoff_upper_bound(expected_support, min_count),
-        float(expected_support) / min_count,
-    )
-
-
-def staged_tail_filter(
-    expected_support: float, min_count: int, floor: float
-) -> bool:
-    """Bound-ordered kill test: is the exact tail certainly below ``floor``?
-
-    Evaluates the cheap upper bounds in cost order and stops at the first
-    decisive one — Markov (one division) before Chernoff (exponentials) —
-    instead of always paying for both.  The decision is identical to
-    ``cheap_tail_upper_bound(...) < floor`` because
-    ``min(a, b) < floor  ⇔  a < floor or b < floor``; only the work is
-    staged.  The shared kill stage of the top-k miners (batch and
-    streaming), applied against the rising k-th-best floor.
-
-    >>> staged_tail_filter(1.0, 10, 0.2)   # Markov alone decides: 0.1 < 0.2
-    True
-    >>> staged_tail_filter(1.0, 10, 0.05)  # Chernoff decides: 2^-8ish < 0.05
-    True
-    >>> staged_tail_filter(9.0, 10, 0.5)   # bounds uninformative near the mean
-    False
-    """
-    if floor <= 0.0 or min_count <= 0:
-        return False
-    if markov_upper_bound(expected_support, min_count) < floor:
-        return True
-    return chernoff_upper_bound(expected_support, min_count) < floor
+    min_count = int(min_count)
+    markov_tested = markov_pruned = chernoff_tested = chernoff_pruned = 0
+    undecided: List[int] = []
+    for index in range(len(expected)):
+        if counts[index] < min_count:
+            continue
+        if use_bounds:
+            value = float(expected[index])
+            markov_tested += 1
+            if markov_upper_bound(value, min_count) <= bar:
+                markov_pruned += 1
+                continue
+            chernoff_tested += 1
+            if chernoff_upper_bound(value, min_count) <= bar:
+                chernoff_pruned += 1
+                continue
+        undecided.append(index)
+    if notes is not None and use_bounds:
+        for key, value in (
+            ("markov_tested", markov_tested),
+            ("markov_pruned", markov_pruned),
+            ("chernoff_tested", chernoff_tested),
+            ("chernoff_pruned", chernoff_pruned),
+        ):
+            notes[key] = notes.get(key, 0.0) + value
+    return undecided
 
 
 def poisson_lambda_for_threshold(min_count: int, pft: float) -> float:
@@ -687,10 +700,11 @@ def poisson_lambda_for_threshold(min_count: int, pft: float) -> float:
     return high
 
 
-
-def resolve_dp_block_bytes(value: Optional[int] = None) -> int:
-    """The serial DP's per-block byte budget (``dp_block_bytes`` knob)."""
-    return resolve_knob("dp_block_bytes", value)
+#: byte budget of one block of the serial DP sweep's ragged buffer.  128 MiB
+#: holds a full level of every in-RAM workload in one block while capping
+#: the transient on out-of-core databases, whose vector widths scale with
+#: the mapped row count.
+DP_BLOCK_BYTES = 128 << 20
 
 
 def pack_probability_matrix(vectors: Sequence[Sequence[float]]) -> np.ndarray:
@@ -819,6 +833,12 @@ def dc_tail_probabilities(
             payloads, so worker processes use the coordinator's plan even
             though contextvar scopes do not cross the fork.
 
+    Far below the mean the FFT merges' round-off can exceed the true tail
+    by orders of magnitude, so each tail is capped by the candidate's own
+    Markov and Chernoff bounds.  A value above a sound upper bound is
+    provably round-off: the cap moves no correct value, and it keeps the
+    DC tails consistent with the bound chain that prunes on the same bounds.
+
     Returns:
         Array of exact frequent probabilities, clipped to ``[0, 1]``.
 
@@ -833,9 +853,17 @@ def dc_tail_probabilities(
         span = resolve_conv_span()
     results = np.zeros(len(vectors), dtype=float)
     live = [index for index, vector in enumerate(vectors) if len(vector) >= min_count]
-    pmfs = _dc_pmfs([np.asarray(vectors[index], dtype=float) for index in live], span=span)
-    for index, pmf in zip(live, pmfs):
-        results[index] = max(0.0, min(1.0, float(pmf[min_count:].sum())))
+    arrays = [np.asarray(vectors[index], dtype=float) for index in live]
+    for index, array, pmf in zip(live, arrays, _dc_pmfs(arrays, span=span)):
+        expected = float(array.sum())
+        results[index] = max(
+            0.0,
+            min(
+                float(pmf[min_count:].sum()),
+                markov_upper_bound(expected, min_count),
+                chernoff_upper_bound(expected, min_count),
+            ),
+        )
     return results
 
 
@@ -883,6 +911,7 @@ class SupportEngine:
         self._variance: Optional[np.ndarray] = (
             np.asarray(variances, dtype=float) if variances is not None else None
         )
+        self._counts: Optional[np.ndarray] = None
         self._executor = executor
 
     def __len__(self) -> int:
@@ -931,13 +960,15 @@ class SupportEngine:
         below ``min_count`` have frequent probability exactly zero, the
         cheap filter every probabilistic miner applies first.
         """
-        return np.array(
-            [
-                int(np.count_nonzero(vector)) if vector.size else 0
-                for vector in self._vectors
-            ],
-            dtype=np.int64,
-        )
+        if self._counts is None:
+            self._counts = np.array(
+                [
+                    int(np.count_nonzero(vector)) if vector.size else 0
+                    for vector in self._vectors
+                ],
+                dtype=np.int64,
+            )
+        return self._counts
 
     # -- exact tails -------------------------------------------------------------------
     def frequent_probabilities(
@@ -966,10 +997,10 @@ class SupportEngine:
             # length; on out-of-core databases (``repro.db.store``) vector
             # lengths scale with the full row count, so the level is
             # blocked over candidates to keep block * max_len * 8 bytes
-            # within the dp_block_bytes knob.  Every candidate's result is
+            # within DP_BLOCK_BYTES.  Every candidate's result is
             # independent of its block, so the blocks concatenate bitwise.
             width = max((len(vector) for vector in self._vectors), default=0)
-            block = max(1, resolve_dp_block_bytes() // (8 * max(width, 1)))
+            block = max(1, DP_BLOCK_BYTES // (8 * max(width, 1)))
             if len(self._vectors) <= block:
                 return frequent_probabilities_dp_batch(self._vectors, min_count)
             return np.concatenate(
@@ -1013,99 +1044,41 @@ class SupportEngine:
             dtype=float,
         )
 
-    def chernoff_bounds(self, min_count: int) -> np.ndarray:
-        """Chernoff upper bound on every candidate's frequent probability."""
-        return np.array(
-            [
-                chernoff_upper_bound(float(e), min_count)
-                for e in self.expected_supports()
-            ],
-            dtype=float,
-        )
-
-    def markov_bounds(self, min_count: int) -> np.ndarray:
-        """Markov upper bound on every candidate's frequent probability."""
-        expected = self.expected_supports()
-        if min_count <= 0:
-            return np.ones(len(expected), dtype=float)
-        return np.minimum(1.0, np.maximum(expected, 0.0) / float(min_count))
-
+    # -- the bound chain and the survivor batch ---------------------------------------
     def undecided_after_bounds(
         self,
         min_count: int,
-        pft: float,
-        counts: Optional[np.ndarray] = None,
+        bar: float,
         use_bounds: bool = True,
-        pruner=None,
         notes: Optional[Dict[str, float]] = None,
     ) -> List[int]:
-        """Stage 3 of the cascade: the filter half of filter-verify.
+        """The indices :func:`undecided_after_bounds` leaves for the exact tail.
 
-        Applies the cheap sound upper bounds to one evaluated level in cost
-        order and returns the indices the bounds could *not* decide — the
-        only candidates the caller's exact DP/DC (or approximation) tail
-        still has to verify:
-
-        1. **occupancy count** — a candidate with fewer than ``min_count``
-           possible occurrences has frequent probability exactly zero
-           (always applied; it mirrors the semantic filter every registered
-           miner already runs, and it is free when stage 1 killed the
-           candidate into an empty vector);
-        2. **Markov** — ``esup / min_count <= pft`` decides *infrequent*
-           from a single division;
-        3. **Chernoff** — Lemma 1 of the paper, evaluated only for the
-           candidates Markov left undecided.
-
-        The Poisson tail joins this cascade only where it is itself the
-        scoring kernel (PDUApriori's ``lambda*`` translation and the top-k
-        Poisson ranking): it approximates — but does not bound — the exact
-        tail, so using it to kill here could change exact results.
-
-        Args:
-            min_count: Absolute support threshold.
-            pft: Decision threshold (Definition 4 keeps ``Pr > pft``); a
-                bound ``<= pft`` is decisive.
-            counts: Optional per-candidate maximum attainable supports (the
-                stage-1 popcounts); ``None`` derives them from the vectors.
-            use_bounds: When False (the paper's *NB* configurations) only
-                the semantic count filter runs.
-            pruner: Optional
-                :class:`~repro.algorithms.pruning.ChernoffPruner`-style
-                accountant; every candidate reaching the Chernoff stage is
-                fed through ``pruner.register`` so the tested/pruned
-                statistics match the historical per-candidate path.
-            notes: Optional mutable mapping; ``markov_tested`` /
-                ``markov_pruned`` are accumulated into it.
-
-        Returns:
-            Indices of the undecided candidates, in candidate order.
+        Runs the one bound chain (occupancy count, Markov, Chernoff) over
+        this level's moments; see the module function for ``bar``,
+        ``use_bounds`` and the ``notes`` it accumulates.
         """
-        min_count = int(min_count)
-        counts = self.nonzero_counts() if counts is None else counts
-        expected = self.expected_supports()
-        markov = self.markov_bounds(min_count) if use_bounds else None
-        markov_tested = 0
-        markov_pruned = 0
-        undecided: List[int] = []
-        for index in range(len(self._vectors)):
-            if counts[index] < min_count:
-                continue
-            if markov is not None:
-                markov_tested += 1
-                if markov[index] <= pft:
-                    markov_pruned += 1
-                    continue
-                bound = chernoff_upper_bound(float(expected[index]), min_count)
-                if pruner is not None:
-                    if pruner.register(bound, pft):
-                        continue
-                elif bound <= pft:
-                    continue
-            undecided.append(index)
-        if notes is not None and use_bounds:
-            notes["markov_tested"] = notes.get("markov_tested", 0.0) + markov_tested
-            notes["markov_pruned"] = notes.get("markov_pruned", 0.0) + markov_pruned
-        return undecided
+        return undecided_after_bounds(
+            self.expected_supports(),
+            self.nonzero_counts(),
+            min_count,
+            bar,
+            use_bounds,
+            notes,
+        )
+
+    def subset(self, indices: Sequence[int]) -> "SupportEngine":
+        """The engine over the candidates at ``indices`` (the survivor batch).
+
+        The moments are sliced, not re-derived, and the executor carries
+        over to the batch's exact tails.
+        """
+        return SupportEngine(
+            [self._vectors[index] for index in indices],
+            expected=self.expected_supports()[indices],
+            variances=self.variances()[indices],
+            executor=self._executor,
+        )
 
 
 class SupportDistribution:
@@ -1191,7 +1164,3 @@ class SupportDistribution:
     def normal_frequent_probability(self, min_count: int) -> float:
         """Normal approximation (with continuity correction) of the frequent probability."""
         return normal_tail_probability(self.expected_support, self.variance, min_count)
-
-    def chernoff_bound(self, min_count: int) -> float:
-        """Chernoff upper bound on the frequent probability."""
-        return chernoff_upper_bound(self.expected_support, min_count)

@@ -19,11 +19,14 @@ batch miner (:mod:`repro.algorithms.topk`) and the streaming miner
   better itemsets arrive;
 * :func:`run_topk_search`, the best-first levelwise driver: a priority
   queue of expansion nodes ordered by their descendant score bound; popping
-  a node evaluates all of its lexicographic extensions in one batch (the
-  same batched :class:`~repro.core.support.SupportEngine` /
-  :class:`~repro.stream.index.IncrementalSupportIndex` pass the threshold
-  miners use).  The search terminates as soon as the best remaining bound
-  falls below the floor;
+  a node evaluates all of its lexicographic extensions in one batch.  The
+  search terminates as soon as the best remaining bound falls below the
+  floor;
+* :func:`topk_scorer`, the one level scorer of that batch for all five
+  evaluators, batch and streaming alike: it reads the level's statistics
+  (a :class:`~repro.core.support.SupportEngine` or the streaming index's
+  adapter) and runs the same bound chain as the threshold miners, with the
+  floor as the bar;
 * :class:`TopKResult` plus the mine-then-truncate helpers
   (:func:`rank_itemsets`, :func:`truncate_result`,
   :func:`truncation_baseline`) that pin top-k output byte-identical to
@@ -56,11 +59,13 @@ __all__ = [
     "TopKBuffer",
     "TopKResult",
     "mine_topk",
+    "normal_descendant_bound",
     "rank_itemsets",
     "ranking_of",
     "resolve_evaluator",
     "run_topk_search",
     "score_of",
+    "topk_scorer",
     "truncate_result",
     "truncation_baseline",
 ]
@@ -241,8 +246,8 @@ def run_topk_search(
       the size / lexicographic tie-break.
 
     ``evaluate`` receives the live buffer so it can apply its own cheap
-    bound filters (Chernoff / Markov) against the current floor before
-    paying for an exact evaluation.
+    bound filters (Markov / Chernoff) against the current floor before
+    paying for an exact evaluation (see :func:`topk_scorer`).
     """
     buffer = TopKBuffer(k)
     ordered = sorted(set(int(item) for item in universe))
@@ -288,6 +293,150 @@ def run_topk_search(
             statistics.candidates_generated += len(children)
         admit(evaluate(children, buffer))
     return buffer
+
+
+#: evaluator -> the exact-tail method of a level's statistics; the bound
+#: chain applies to these evaluators only, because their scores are
+#: anti-monotone and the Markov / Chernoff bounds bound them
+_TAIL_METHODS: Dict[str, str] = {"dp": "dynamic_programming", "dc": "divide_conquer"}
+
+
+def normal_descendant_bound(expected_support: float, min_count: int) -> float:
+    """Sound upper bound on any superset's Normal-approximation score.
+
+    Supersets only lower the expected support, but their variance can move
+    either way, so the Normal score is not anti-monotone.  The envelope over
+    every possible variance: once ``esup < min_count - 0.5`` the z-score is
+    negative for every superset, capping the approximation below ``Phi(0) =
+    0.5``; above that the bound is uninformative.
+    """
+    return 1.0 if expected_support >= min_count - 0.5 else 0.5
+
+
+def topk_scorer(
+    level: Callable,
+    evaluator: str,
+    min_count: Optional[int],
+    statistics: MiningStatistics,
+    use_pruning: bool = True,
+    track_variance: bool = False,
+) -> EvaluateFn:
+    """The one level scorer of the best-first search (batch and streaming).
+
+    ``level(candidates, kill)`` returns the level's statistics:
+    ``expected_supports``, ``variances``, ``undecided_after_bounds``,
+    ``subset`` and the tails of the survivor batch.  The floor (the
+    running k-th best score, ``0`` until the buffer is full or with
+    ``use_pruning=False``) drives every cut, exactly as ``pft`` does for
+    the threshold miners:
+
+    * ``esup`` — the expected support is its own descendant bound; the
+      floor doubles as the stage-1 kill (``esup <= count``);
+    * ``dp`` / ``dc`` — the count cut at ``min_count``, then Markov and
+      Chernoff while the floor is positive, killing a bound strictly below
+      it (``bar = nextafter(floor, 0)``), then the exact tail;
+    * ``normal`` — the count cut only (the bounds bound the exact tail,
+      not the approximation), and the coarser
+      :func:`normal_descendant_bound`, the score not being anti-monotone;
+    * ``poisson`` — no cut at all: its score is positive below
+      ``min_count``, as PDUApriori's is.
+
+    Every candidate whose score kernel runs counts as one exact evaluation
+    (the :class:`~repro.core.results.MiningStatistics` contract); every cut
+    candidate as pruned.
+    """
+    def floor_of(buffer: TopKBuffer) -> float:
+        return buffer.floor if (use_pruning and buffer.full) else 0.0
+
+    def count_batch() -> None:
+        # One batch per expanded node, not per Apriori level: counted apart
+        # so database_scans keeps its cross-miner meaning.
+        statistics.notes["engine_batches"] = (
+            statistics.notes.get("engine_batches", 0.0) + 1.0
+        )
+
+    if evaluator == "esup":
+
+        def evaluate_esup(candidates, buffer):
+            floor = floor_of(buffer)
+            stats = level(candidates, floor)
+            expected = stats.expected_supports()
+            variances = stats.variances() if track_variance else None
+            count_batch()
+            scored: List[Optional[ScoredCandidate]] = []
+            for index, candidate in enumerate(candidates):
+                score = float(expected[index])
+                if score <= 0.0 or score < floor:
+                    # Anti-monotone: no superset can score higher, and the
+                    # floor only rises — the whole subtree is dead.
+                    statistics.candidates_pruned += 1
+                    scored.append(None)
+                    continue
+                record = FrequentItemset(
+                    Itemset(candidate),
+                    score,
+                    float(variances[index]) if variances is not None else None,
+                )
+                scored.append(ScoredCandidate(candidate, score, score, record))
+            return scored
+
+        return evaluate_esup
+
+    min_count = int(min_count)
+    count_cut = evaluator != "poisson"
+    bounds = use_pruning and evaluator in _TAIL_METHODS
+
+    def evaluate(candidates, buffer):
+        floor = floor_of(buffer)
+        stats = level(candidates, min_count if count_cut else 0.0)
+        expected = stats.expected_supports()
+        variances = stats.variances()
+        count_batch()
+        if count_cut:
+            alive = stats.undecided_after_bounds(
+                min_count,
+                math.nextafter(floor, 0.0),
+                use_bounds=bounds and floor > 0.0,
+                notes=statistics.notes,
+            )
+        else:
+            alive = list(range(len(candidates)))
+        statistics.candidates_pruned += len(candidates) - len(alive)
+        scored: List[Optional[ScoredCandidate]] = [None] * len(candidates)
+        if not alive:
+            return scored
+
+        statistics.exact_evaluations += len(alive)
+        batch = stats.subset(alive)
+        if evaluator == "normal":
+            probabilities = batch.normal_frequent_probabilities(min_count)
+        elif evaluator == "poisson":
+            probabilities = batch.poisson_frequent_probabilities(min_count)
+        else:
+            probabilities = batch.frequent_probabilities(
+                min_count, method=_TAIL_METHODS[evaluator]
+            )
+        for index, probability in zip(alive, probabilities):
+            candidate = candidates[index]
+            score = float(probability)
+            if evaluator == "normal":
+                bound = normal_descendant_bound(float(expected[index]), min_count)
+            else:
+                # Exact and Poisson scores are anti-monotone: the
+                # candidate's own score bounds every superset's.
+                bound = score
+            record = None
+            if score > 0.0:
+                record = FrequentItemset(
+                    Itemset(candidate),
+                    float(expected[index]),
+                    float(variances[index]),
+                    score,
+                )
+            scored[index] = ScoredCandidate(candidate, score, bound, record)
+        return scored
+
+    return evaluate
 
 
 class TopKResult:

@@ -177,13 +177,6 @@ KNOBS: Dict[str, Knob] = {
             "PMF operand length above which convolutions go through the FFT "
             "(32: the measured crossover of the height-batched DC walker)",
         ),
-        # 128 MiB holds a full level of every in-RAM workload in one block
-        # while capping the transient on out-of-core databases, whose
-        # vector widths scale with the mapped row count.
-        Knob(
-            "dp_block_bytes", 128 << 20, _byte_parser(1, "dp_block_bytes"),
-            "per-block byte budget of the batched DP sweep's ragged buffer",
-        ),
         # A dense column is 8N bytes: ~1000 columns of an N=2000 database,
         # far more than a level-wise run touches, at a fixed worst case.
         Knob(
@@ -238,7 +231,6 @@ class ExecutionPlan:
     workers: Optional[int] = None
     shards: Optional[int] = None
     conv_span: Optional[int] = None
-    dp_block_bytes: Optional[int] = None
     dense_cache_bytes: Optional[int] = None
     bitmap_cache_bytes: Optional[int] = None
     prefix_cache_bytes: Optional[int] = None

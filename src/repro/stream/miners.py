@@ -10,16 +10,20 @@ Two streaming variants cover the paper's two frequent-itemset definitions:
   miner — the frequent probability is read off the window's merged exact
   PMF instead of re-running the DP recurrence from scratch.
 
-Both run the same level-wise search loop as their batch counterparts —
+Both run the same level-wise search as their batch counterparts —
 literally: each slide drives :meth:`repro.core.search.LevelwiseSearch.drive`
-under the miner's declarative :class:`~repro.core.search.MinerSpec`
-(identical join, downward-closure pruning and threshold conversions) — but
+with the batch miners' own score kernels
+(:class:`~repro.core.search.ExpectedSupportKernel`,
+:class:`~repro.core.search.TailEvaluationKernel`) under the miner's
+declarative :class:`~repro.core.search.MinerSpec` (identical join,
+downward-closure pruning, threshold conversions and bound chain) — but
 every support statistic comes from the
-:class:`~repro.stream.index.IncrementalSupportIndex`: a slide of ``k``
-transactions refreshes a registered candidate in ``O(k log W)`` bucket
-merges, so the per-slide cost tracks the slide step, not the window size.
-Mining the same window contents with the corresponding batch miner returns
-the same frequent set (pinned by ``tests/test_stream_mining.py``).
+:class:`~repro.stream.index.IncrementalSupportIndex`, through
+:class:`IndexLevel`: a slide of ``k`` transactions refreshes a registered
+candidate in ``O(k log W)`` bucket merges, so the per-slide cost tracks
+the slide step, not the window size.  Mining the same window contents with
+the corresponding batch miner returns the same frequent set (pinned by
+``tests/test_stream_mining.py``).
 
 Candidate lifecycle: candidates are registered in the index on first sight
 (one ``O(W)`` back-fill) and retained as long as the level-wise search
@@ -33,18 +37,26 @@ from __future__ import annotations
 import time
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type
 
+import numpy as np
+
 from ..algorithms.common import instrumented_run
-from ..algorithms.pruning import ChernoffPruner
-from ..core.itemset import Itemset
 from ..core.results import FrequentItemset, MiningResult, MiningStatistics
-from ..core.search import LevelwiseSearch, MinerSpec, markov_item_prefilter
-from ..core.support import markov_upper_bound, staged_tail_filter
+from ..core.search import (
+    ExpectedSupportKernel,
+    LevelwiseSearch,
+    MinerSpec,
+    SearchContext,
+    TailEvaluationKernel,
+    markov_item_prefilter,
+)
+from ..core.support import undecided_after_bounds
 from ..core.thresholds import ExpectedSupportThreshold, ProbabilisticThreshold
 from ..core.topk import (
     EVALUATOR_RANKINGS,
-    ScoredCandidate,
     TopKResult,
     resolve_evaluator,
+    run_topk_search,
+    topk_scorer,
 )
 from ..plan import materialize_plan, plan_scope
 from .index import IncrementalSupportIndex
@@ -52,6 +64,7 @@ from .window import SlidingWindow, TransactionStream
 
 __all__ = [
     "BATCH_EQUIVALENTS",
+    "IndexLevel",
     "StreamingMiner",
     "StreamingUApriori",
     "StreamingDP",
@@ -61,6 +74,69 @@ __all__ = [
 ]
 
 Candidate = Tuple[int, ...]
+
+
+class IndexLevel:
+    """One level's statistics read off the incremental index.
+
+    The streaming counterpart of :class:`~repro.core.support.SupportEngine`:
+    it answers the questions the score kernels ask (moments, occupancy
+    counts, the bound chain, the survivor batch, exact tails) and runs the
+    candidate lifecycle on the way — the level is registered in the index
+    (``ensure``) and recorded as queried when it is built, and the
+    candidates whose exact tail is read are kept in PMF maintenance.
+    """
+
+    def __init__(
+        self,
+        miner: "StreamingMiner",
+        candidates: Sequence[Candidate],
+        stats: Optional[Tuple] = None,
+    ) -> None:
+        self._miner = miner
+        self._candidates = list(candidates)
+        if stats is None:
+            miner.index.ensure(self._candidates)
+            miner._queried.extend(self._candidates)
+            stats = miner.index.root_stats(self._candidates)
+        self._expected, self._variance, self._counts = stats
+
+    def expected_supports(self) -> np.ndarray:
+        return self._expected
+
+    def variances(self) -> Optional[np.ndarray]:
+        return self._variance
+
+    def undecided_after_bounds(
+        self,
+        min_count: int,
+        bar: float,
+        use_bounds: bool = True,
+        notes: Optional[Dict[str, float]] = None,
+    ) -> List[int]:
+        return undecided_after_bounds(
+            self._expected, self._counts, min_count, bar, use_bounds, notes
+        )
+
+    def subset(self, indices: Sequence[int]) -> "IndexLevel":
+        stats = tuple(
+            None if values is None else values[indices]
+            for values in (self._expected, self._variance, self._counts)
+        )
+        return IndexLevel(
+            self._miner, [self._candidates[index] for index in indices], stats
+        )
+
+    def frequent_probabilities(
+        self, min_count: int, method: Optional[str] = None
+    ) -> np.ndarray:
+        """Exact tails from the merged PMFs (whatever the batch ``method``).
+
+        Only these candidates, the survivors of the bound chain, carry the
+        cost of PMF maintenance across slides.
+        """
+        self._miner._pmf_keep.extend(self._candidates)
+        return self._miner.index.frequent_probabilities(self._candidates, min_count)
 
 
 class StreamingMiner:
@@ -163,14 +239,14 @@ class StreamingMiner:
         statistics.notes["window_fill"] = float(len(self.window))
         statistics.notes["next_sequence"] = float(self.window.next_sequence)
         statistics.notes["registered_before"] = float(len(self.index))
+        self._queried: List[Candidate] = []
         self._pmf_keep: List[Candidate] = []
         with instrumented_run(statistics):
             records: List[FrequentItemset] = []
-            queried: List[Candidate] = []
-            self._mine_window(records, queried, statistics)
+            self._mine_window(records, statistics)
         statistics.notes["registered_after"] = float(len(self.index))
         horizon = self.slides - self.retain_slack
-        for candidate in queried:
+        for candidate in self._queried:
             self._last_queried[candidate] = self.slides
         for candidate in self._pmf_keep:
             self._pmf_last_queried[candidate] = self.slides
@@ -188,37 +264,53 @@ class StreamingMiner:
         self.index.retain_pmfs(self._pmf_last_queried)
         return MiningResult(records, statistics)
 
-    def _mine_window(
-        self,
-        records: List[FrequentItemset],
-        queried: List[Candidate],
-        statistics: MiningStatistics,
-    ) -> None:
-        raise NotImplementedError
+    def _level(self, candidates: Sequence[Candidate], kill: float = 0.0) -> IndexLevel:
+        """The slide's ``level(candidates, kill)``: the index needs no kill."""
+        return IndexLevel(self, candidates)
 
     def spec(self) -> MinerSpec:
-        """The slide's declarative spec (kernel-free: scoring reads the index)."""
+        """The slide's declarative spec (the threshold miners)."""
         raise NotImplementedError
 
-    def _drive(
-        self,
-        seed_level: List[Candidate],
-        evaluate,
-        statistics: MiningStatistics,
+    def _mine_window(
+        self, records: List[FrequentItemset], statistics: MiningStatistics
     ) -> None:
-        """Run the engine's levelwise loop over index-backed evaluations.
+        """One slide of the threshold miners: the batch kernels on the index.
 
         The loop itself — apriori join with the maintained sort order,
         downward-closure subset prune, generated/pruned accounting — is
-        :meth:`repro.core.search.LevelwiseSearch.drive`, shared verbatim
-        with the batch miners; the candidate lifecycle (``index.ensure``
-        back-fill and the ``queried`` retention bookkeeping) is folded into
-        the head of each miner's ``evaluate`` closure.  The seed level is
+        :meth:`repro.core.search.LevelwiseSearch.drive`, and every level is
+        scored by the spec's kernel, both shared verbatim with the batch
+        miners.  The active items are evaluated as the seed level, after
+        the spec's item prefilter (read off the index).  The seed is
         sorted (:meth:`~repro.stream.window.SlidingWindow.active_items`)
         and survivors preserve order, so the driver's presorted-join
         invariant holds.
         """
-        LevelwiseSearch(self.spec()).drive(seed_level, evaluate, statistics)
+        spec = self.spec()
+        ctx = SearchContext(
+            database=None,
+            spec=spec,
+            statistics=statistics,
+            n_transactions=len(self.window),
+            records=records,
+            level=self._level,
+        )
+        search = LevelwiseSearch(spec)
+        search.resolve_thresholds(ctx)
+        items = [(item,) for item in self.window.active_items()]
+        if spec.item_prefilter is not None:
+            bar = spec.item_prefilter(ctx)
+            expected = self._level(items).expected_supports()
+            items = [
+                item for position, item in enumerate(items) if expected[position] >= bar
+            ]
+        kernel = spec.kernel
+        search.drive(
+            kernel.evaluate(ctx, items),
+            lambda candidates: kernel.evaluate(ctx, candidates),
+            statistics,
+        )
 
 
 class StreamingUApriori(StreamingMiner):
@@ -261,38 +353,10 @@ class StreamingUApriori(StreamingMiner):
             name=self.name,
             definition="expected",
             threshold=self.threshold,
-            seed_mode="statistics",
+            kernel=ExpectedSupportKernel(),
+            seed_mode="evaluate",
             track_variance=self.track_variance,
         )
-
-    def _mine_window(
-        self,
-        records: List[FrequentItemset],
-        queried: List[Candidate],
-        statistics: MiningStatistics,
-    ) -> None:
-        min_expected_support = self.threshold.absolute(len(self.window))
-
-        def evaluate(candidates: Sequence[Candidate]) -> List[Candidate]:
-            self.index.ensure(candidates)
-            queried.extend(candidates)
-            expected, variance, _ = self.index.root_stats(candidates)
-            survivors: List[Candidate] = []
-            for position, candidate in enumerate(candidates):
-                value = float(expected[position])
-                if value >= min_expected_support:
-                    records.append(
-                        FrequentItemset(
-                            Itemset(candidate),
-                            value,
-                            float(variance[position]) if variance is not None else None,
-                        )
-                    )
-                    survivors.append(candidate)
-            return survivors
-
-        items = [(item,) for item in self.window.active_items()]
-        self._drive(evaluate(items), evaluate, statistics)
 
 
 class StreamingDP(StreamingMiner):
@@ -314,8 +378,8 @@ class StreamingDP(StreamingMiner):
     pft:
         Probabilistic frequentness threshold, strict (``Pr > pft``).
     use_pruning:
-        Apply the Chernoff-bound filter before the exact evaluation (the
-        batch *DPB* configuration).  Sound — it never changes the frequent
+        Run the Markov → Chernoff bound chain before the exact evaluation
+        (the batch *DPB* configuration).  Sound — it never changes the frequent
         set — and it keeps hopeless candidates out of PMF maintenance.
     item_prefilter:
         Discard items with ``esup < min_count * pft`` before the level-wise
@@ -343,6 +407,7 @@ class StreamingDP(StreamingMiner):
             name=self.name,
             definition="probabilistic",
             threshold=self.threshold,
+            kernel=TailEvaluationKernel(IndexLevel.frequent_probabilities),
             bound_chain=(
                 ("occupancy", "markov", "chernoff")
                 if self.use_pruning
@@ -351,75 +416,6 @@ class StreamingDP(StreamingMiner):
             item_prefilter=markov_item_prefilter if self.item_prefilter else None,
             seed_mode="evaluate",
         )
-
-    def _mine_window(
-        self,
-        records: List[FrequentItemset],
-        queried: List[Candidate],
-        statistics: MiningStatistics,
-    ) -> None:
-        min_count = self.threshold.min_count(len(self.window))
-        pft = self.threshold.pft
-        pruner = ChernoffPruner(enabled=self.use_pruning)
-
-        def evaluate(candidates: Sequence[Candidate]) -> List[Candidate]:
-            self.index.ensure(candidates)
-            queried.extend(candidates)
-            expected, variance, max_supports = self.index.root_stats(candidates)
-            # Bound-ordered filter-verify, same staging as the batch
-            # cascade: occupancy count, then Markov (one division), then
-            # Chernoff — the merged-PMF tail is only read for candidates no
-            # cheap bound could decide.
-            alive = [
-                position
-                for position in range(len(candidates))
-                if max_supports[position] >= min_count
-                and not (
-                    pruner.enabled
-                    and markov_upper_bound(float(expected[position]), min_count)
-                    <= pft
-                )
-                and not pruner.can_prune(float(expected[position]), min_count, pft)
-            ]
-            if not alive:
-                return []
-            statistics.exact_evaluations += len(alive)
-            alive_candidates = [candidates[position] for position in alive]
-            # Only the survivors of the cheap filters carry the cost of PMF
-            # maintenance across slides.
-            self._pmf_keep.extend(alive_candidates)
-            probabilities = self.index.frequent_probabilities(
-                alive_candidates, min_count
-            )
-            survivors: List[Candidate] = []
-            for position, probability in zip(alive, probabilities):
-                if probability > pft:
-                    candidate = candidates[position]
-                    records.append(
-                        FrequentItemset(
-                            Itemset(candidate),
-                            float(expected[position]),
-                            float(variance[position]),
-                            float(probability),
-                        )
-                    )
-                    survivors.append(candidate)
-            return survivors
-
-        items = [(item,) for item in self.window.active_items()]
-        # The prefilter reads the index before the first evaluate call, so
-        # the seed's lifecycle runs here (evaluate re-ensures idempotently).
-        self.index.ensure(items)
-        queried.extend(items)
-        if self.item_prefilter:
-            # Markov: Pr[sup >= min_count] <= esup / min_count.
-            expected = self.index.expected_supports(items)
-            items = [
-                item
-                for position, item in enumerate(items)
-                if expected[position] >= min_count * pft
-            ]
-        self._drive(evaluate(items), evaluate, statistics)
 
 
 class StreamingTopK(StreamingMiner):
@@ -451,7 +447,7 @@ class StreamingTopK(StreamingMiner):
         *resident* window size or an absolute count, re-resolved every
         slide like the threshold streaming miners.
     use_pruning:
-        Apply the rising floor and the Chernoff / Markov pre-filters.
+        Apply the rising floor and the Markov / Chernoff bound chain.
     track_variance:
         Also report variances under the expected-support ranking.
     """
@@ -498,15 +494,6 @@ class StreamingTopK(StreamingMiner):
         self._last_min_count: Optional[int] = None
         self._last_statistics: Optional[MiningStatistics] = None
 
-    def spec(self) -> MinerSpec:
-        return MinerSpec(
-            name=f"{self.name}-{self.evaluator}",
-            definition="expected" if self.ranking == "esup" else "probabilistic",
-            threshold=self.threshold,
-            seed_mode="none",
-            track_variance=self.track_variance,
-        )
-
     def ranked_result(self) -> TopKResult:
         """The most recent slide's itemsets in rank order (best first)."""
         return TopKResult(
@@ -518,99 +505,32 @@ class StreamingTopK(StreamingMiner):
         )
 
     def _mine_window(
-        self,
-        records: List[FrequentItemset],
-        queried: List[Candidate],
-        statistics: MiningStatistics,
+        self, records: List[FrequentItemset], statistics: MiningStatistics
     ) -> None:
         min_count: Optional[int] = None
         if self.threshold is not None:
             min_count = self.threshold.min_count(len(self.window))
         self._last_min_count = min_count
         self._last_statistics = statistics
-        universe = self.window.active_items()
-
-        if self.ranking == "esup":
-            evaluate = self._make_esup_evaluate(queried, statistics)
-        else:
-            evaluate = self._make_probability_evaluate(
-                int(min_count), queried, statistics
-            )
-        buffer = LevelwiseSearch(self.spec()).best_first(
-            universe, evaluate, self.k, use_floor=self.use_pruning, statistics=statistics
+        evaluate = topk_scorer(
+            self._level,
+            self.evaluator,
+            min_count,
+            statistics,
+            use_pruning=self.use_pruning,
+            track_variance=self.track_variance,
+        )
+        buffer = run_topk_search(
+            self.window.active_items(),
+            evaluate,
+            self.k,
+            use_floor=self.use_pruning,
+            statistics=statistics,
         )
         self._last_ranked = buffer.records()
         records.extend(self._last_ranked)
         statistics.notes["k"] = float(self.k)
         statistics.notes["floor"] = buffer.floor
-
-    def _make_esup_evaluate(self, queried: List[Candidate], statistics):
-        def evaluate(candidates, buffer):
-            floor = buffer.floor if (self.use_pruning and buffer.full) else 0.0
-            self.index.ensure(candidates)
-            queried.extend(candidates)
-            expected, variance, _ = self.index.root_stats(candidates)
-            scored: List[Optional[ScoredCandidate]] = []
-            for position, candidate in enumerate(candidates):
-                score = float(expected[position])
-                if score <= 0.0 or score < floor:
-                    statistics.candidates_pruned += 1
-                    scored.append(None)
-                    continue
-                record = FrequentItemset(
-                    Itemset(candidate),
-                    score,
-                    float(variance[position]) if variance is not None else None,
-                )
-                scored.append(ScoredCandidate(candidate, score, score, record))
-            return scored
-
-        return evaluate
-
-    def _make_probability_evaluate(
-        self, min_count: int, queried: List[Candidate], statistics
-    ):
-        def evaluate(candidates, buffer):
-            floor = buffer.floor if (self.use_pruning and buffer.full) else 0.0
-            self.index.ensure(candidates)
-            queried.extend(candidates)
-            expected, variance, max_supports = self.index.root_stats(candidates)
-            scored: List[Optional[ScoredCandidate]] = [None] * len(candidates)
-            alive: List[int] = []
-            for position in range(len(candidates)):
-                if max_supports[position] < min_count:
-                    statistics.candidates_pruned += 1
-                    continue
-                if self.use_pruning and staged_tail_filter(
-                    float(expected[position]), min_count, floor
-                ):
-                    statistics.candidates_pruned += 1
-                    continue
-                alive.append(position)
-            if not alive:
-                return scored
-            alive_candidates = [candidates[position] for position in alive]
-            # Only the cheap-filter survivors pay for PMF maintenance.
-            self._pmf_keep.extend(alive_candidates)
-            probabilities = self.index.frequent_probabilities(
-                alive_candidates, min_count
-            )
-            statistics.exact_evaluations += len(alive)
-            for position, probability in zip(alive, probabilities):
-                candidate = candidates[position]
-                score = float(probability)
-                record = None
-                if score > 0.0:
-                    record = FrequentItemset(
-                        Itemset(candidate),
-                        float(expected[position]),
-                        float(variance[position]),
-                        score,
-                    )
-                scored[position] = ScoredCandidate(candidate, score, score, record)
-            return scored
-
-        return evaluate
 
 
 #: streaming variants by the batch algorithm they shadow

@@ -10,6 +10,7 @@ non-zeros of ``reference.itemset_probabilities(db, c)``, compared bitwise):
 
 from __future__ import annotations
 
+import math
 import pickle
 from itertools import combinations
 
@@ -18,15 +19,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.pruning import ChernoffPruner
 from repro.core.parallel import ParallelExecutor
 from repro.core.support import (
     SupportEngine,
-    cheap_tail_upper_bound,
     chernoff_upper_bound,
     exact_pmf_dynamic_programming,
     markov_upper_bound,
-    staged_tail_filter,
+    undecided_after_bounds,
 )
 from repro.db import UncertainDatabase
 from repro.db.cache import ByteBudgetLRU
@@ -348,16 +347,47 @@ class TestBoundOrderedVerify:
             )
             assert exact <= markov_upper_bound(float(vector.sum()), min_count) + 1e-12
 
-    def test_staged_filter_matches_min_bound_decision(self):
+    @staticmethod
+    def _floor_mismatches(bar_of_floor) -> int:
+        """Draws where the chain's kill at ``bar_of_floor(floor)`` differs
+        from top-k's strict ``min(markov, chernoff) < floor``.
+
+        Half the floors are drawn at random, half sit exactly on the
+        combined bound (the tie a strict comparison must keep alive).
+        """
         rng = np.random.default_rng(12)
+        mismatches = 0
         for _ in range(200):
             expected = float(rng.uniform(0.0, 30.0))
-            min_count = int(rng.integers(0, 40))
-            floor = float(rng.uniform(0.0, 1.0))
-            combined = cheap_tail_upper_bound(expected, min_count)
-            assert staged_tail_filter(expected, min_count, floor) == (
-                combined < floor
+            min_count = int(rng.integers(1, 40))
+            combined = min(
+                markov_upper_bound(expected, min_count),
+                chernoff_upper_bound(expected, min_count),
             )
+            for floor in (float(rng.uniform(1e-9, 1.0)), combined):
+                if floor <= 0.0:
+                    continue
+                killed = not undecided_after_bounds(
+                    [expected], [min_count], min_count, bar_of_floor(floor)
+                )
+                mismatches += killed != (combined < floor)
+        return mismatches
+
+    def test_floor_bar_reproduces_strict_min_bound_decision(self):
+        assert self._floor_mismatches(lambda floor: math.nextafter(floor, 0.0)) == 0
+        # The property has teeth: the floor itself as the bar kills ties.
+        assert self._floor_mismatches(lambda floor: floor) > 0
+
+    def test_killed_candidates_are_below_the_bar_exactly(self):
+        rng = np.random.default_rng(14)
+        vectors = [rng.uniform(0.0, 1.0, size=rng.integers(1, 40)) for _ in range(80)]
+        engine = SupportEngine(vectors)
+        for min_count, bar in ((3, 0.2), (8, 0.5), (15, 0.05)):
+            undecided = set(engine.undecided_after_bounds(min_count, bar))
+            for index, vector in enumerate(vectors):
+                exact = float(exact_pmf_dynamic_programming(vector)[min_count:].sum())
+                if index not in undecided:
+                    assert exact <= bar + 1e-12, (index, exact)
 
     def test_undecided_after_bounds_never_drops_a_frequent_candidate(self):
         rng = np.random.default_rng(13)
@@ -376,20 +406,31 @@ class TestBoundOrderedVerify:
         undecided = engine.undecided_after_bounds(2, 0.9, use_bounds=False)
         assert undecided == [0, 1]  # the empty vector fails the count filter
 
-    def test_pruner_accounting_covers_chernoff_stage_only(self):
-        vectors = [np.full(20, 0.05), np.full(20, 0.9)]
+    def test_markov_runs_before_chernoff_in_the_accounting(self):
+        vectors = [np.full(60, 0.05), np.full(60, 0.9), np.full(60, 0.35)]
         engine = SupportEngine(vectors)
-        pruner = ChernoffPruner(enabled=True)
         notes = {}
-        min_count, pft = 10, 0.5
-        undecided = engine.undecided_after_bounds(
-            min_count, pft, pruner=pruner, notes=notes
-        )
-        # candidate 0: markov bound = 1/10 = 0.1 <= pft, killed before Chernoff
-        assert notes["markov_pruned"] == 1.0
-        assert pruner.tested == 1  # only candidate 1 reached the Chernoff stage
+        min_count, pft = 40, 0.5
+        undecided = engine.undecided_after_bounds(min_count, pft, notes=notes)
+        # candidate 0: markov bound = 3/40 <= pft, killed before Chernoff
+        # candidate 2: markov 21/40 > pft, then Chernoff ~0.02 <= pft
+        assert notes == {
+            "markov_tested": 3.0,
+            "markov_pruned": 1.0,
+            "chernoff_tested": 2.0,
+            "chernoff_pruned": 1.0,
+        }
         assert undecided == [1]
-        assert chernoff_upper_bound(18.0, min_count) > pft  # sanity of the setup
+        assert chernoff_upper_bound(54.0, min_count) > pft  # sanity of the setup
+
+    def test_notes_accumulate_only_when_bounds_run(self):
+        notes = {}
+        engine = SupportEngine([np.full(20, 0.05)])
+        engine.undecided_after_bounds(10, 0.5, use_bounds=False, notes=notes)
+        assert notes == {}
+        engine.undecided_after_bounds(10, 0.5, notes=notes)
+        engine.undecided_after_bounds(10, 0.5, notes=notes)
+        assert notes["markov_pruned"] == 2.0
 
 
 class TestEngineEmptyFastPaths:

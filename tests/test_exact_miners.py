@@ -1,10 +1,13 @@
 """Tests for the exact probabilistic miners (DP and DC, with and without pruning)."""
 
+import sys
+
+import numpy as np
 import pytest
 
 from repro.algorithms import DCMiner, DPMiner
-from repro.algorithms.pruning import ChernoffPruner
 from repro.core import SupportDistribution
+from repro.core.support import undecided_after_bounds
 
 import reference
 from helpers import make_random_database
@@ -90,37 +93,51 @@ class TestCorrectness:
                 random_db.support_variance(record.itemset)
             )
 
-    def test_dc_without_fft_matches_with_fft(self, random_db):
-        with_fft = DCMiner(use_fft=True).mine(random_db, min_sup=0.25, pft=0.6)
-        without_fft = DCMiner(use_fft=False).mine(random_db, min_sup=0.25, pft=0.6)
-        assert with_fft.itemset_keys() == without_fft.itemset_keys()
+    @pytest.mark.parametrize("span", [0, sys.maxsize])
+    def test_dc_direct_and_fft_convolution_agree(self, random_db, span):
+        """``conv_span=0`` sends every merge through the FFT, ``sys.maxsize``
+        none (the direct-convolution ablation)."""
+        default = DCMiner().mine(random_db, min_sup=0.25, pft=0.6)
+        forced = DCMiner(plan={"conv_span": span}).mine(
+            random_db, min_sup=0.25, pft=0.6
+        )
+        assert default.itemset_keys() == forced.itemset_keys()
 
 
-class TestChernoffPruner:
-    def test_disabled_pruner_never_prunes(self):
-        pruner = ChernoffPruner(enabled=False)
-        assert not pruner.can_prune(0.1, 50, 0.9)
-        assert pruner.pruned == 0
+class TestBoundChain:
+    def test_disabled_bounds_never_prune(self):
+        notes = {}
+        assert undecided_after_bounds([0.1], [50], 50, 0.9, False, notes) == [0]
+        assert notes == {}
 
     def test_prunes_hopeless_candidates(self):
-        pruner = ChernoffPruner()
-        assert pruner.can_prune(expected_support=1.0, min_count=50, pft=0.9)
-        assert pruner.pruned == 1
-        assert pruner.last_bound <= 0.9
+        notes = {}
+        assert undecided_after_bounds([1.0], [50], 50, 0.9, notes=notes) == []
+        assert notes["markov_pruned"] + notes["chernoff_pruned"] == 1.0
 
     def test_keeps_promising_candidates(self):
-        pruner = ChernoffPruner()
-        assert not pruner.can_prune(expected_support=60.0, min_count=50, pft=0.9)
+        assert undecided_after_bounds([60.0], [60], 50, 0.9) == [0]
 
     def test_soundness_against_exact_probability(self):
         """A pruned candidate is never probabilistic frequent."""
         database = make_random_database(n_transactions=40, n_items=6, density=0.3, seed=7)
-        pruner = ChernoffPruner()
         min_count, pft = 15, 0.7
-        for item in range(6):
-            probabilities = database.itemset_probabilities((item,))
-            distribution = SupportDistribution(probabilities)
-            if pruner.can_prune(distribution.expected_support, min_count, pft):
+        distributions = [
+            SupportDistribution(database.itemset_probabilities((item,)))
+            for item in range(6)
+        ]
+        undecided = undecided_after_bounds(
+            [distribution.expected_support for distribution in distributions],
+            [
+                int(np.count_nonzero(distribution.probabilities))
+                for distribution in distributions
+            ],
+            min_count,
+            pft,
+        )
+        assert len(undecided) < len(distributions)  # the chain decides some
+        for index, distribution in enumerate(distributions):
+            if index not in undecided:
                 assert distribution.frequent_probability(min_count) <= pft
 
 

@@ -16,6 +16,7 @@ probabilities:
 
 from __future__ import annotations
 
+import sys
 from typing import Optional
 
 import numpy as np
@@ -27,21 +28,21 @@ from repro.core import support
 from repro.core.parallel import ParallelExecutor
 from repro.core.support import (
     SupportDistribution,
+    chernoff_upper_bound,
     dc_tail_probabilities,
     exact_pmf_divide_conquer,
     frequent_probabilities_dp_batch,
     frequent_probability_dynamic_programming,
+    markov_upper_bound,
     pack_probability_matrix,
 )
 from repro.plan import plan_scope
 
 
-def _recursive_pmf(
-    probabilities, use_fft: bool = True, span: Optional[int] = None
-) -> np.ndarray:
+def _recursive_pmf(probabilities, span: Optional[int] = None) -> np.ndarray:
     """The recursive divide-and-conquer PMF, frozen as the DC reference."""
     probabilities = np.asarray(probabilities, dtype=float)
-    if use_fft and span is None:
+    if span is None:
         span = support.resolve_conv_span()
 
     def _recurse(chunk: np.ndarray) -> np.ndarray:
@@ -52,7 +53,7 @@ def _recursive_pmf(
             return np.array([1.0 - p, p])
         middle = len(chunk) // 2
         return support.convolve_pmfs(
-            _recurse(chunk[:middle]), _recurse(chunk[middle:]), use_fft, span=span
+            _recurse(chunk[:middle]), _recurse(chunk[middle:]), span=span
         )
 
     pmf = _recurse(probabilities)
@@ -68,7 +69,17 @@ def _reference_dc_tail(vector, min_count: int, span: int) -> float:
     if min_count > len(vector):
         return 0.0
     tail = float(_recursive_pmf(vector, span=span)[min_count:].sum())
-    return max(0.0, min(1.0, tail))
+    # dc_tail_probabilities caps FFT round-off at the candidate's own
+    # Markov and Chernoff bounds.
+    expected = float(np.asarray(vector, dtype=float).sum())
+    return max(
+        0.0,
+        min(
+            tail,
+            markov_upper_bound(expected, min_count),
+            chernoff_upper_bound(expected, min_count),
+        ),
+    )
 
 
 #: certain, impossible, dyadic, tiny normal and the smallest subnormal
@@ -80,7 +91,8 @@ _probability = st.one_of(
 )
 
 #: 0-2 cap the closed-form bottom nodes below three rows, 4 puts the FFT
-#: inside small trees, 512 is the default crossover
+#: inside small trees, 512 convolves every tree of these batches directly
+#: (the default crossover is 32, see ``resolve_conv_span``)
 _SPANS = [0, 1, 2, 4, 512]
 
 
@@ -140,8 +152,8 @@ def test_dc_pmfs_equal_the_recursive_reference(batch, span):
             exact_pmf_divide_conquer(vector, span=span), _recursive_pmf(vector, span=span)
         )
         assert np.array_equal(
-            exact_pmf_divide_conquer(vector, use_fft=False),
-            _recursive_pmf(vector, use_fft=False),
+            exact_pmf_divide_conquer(vector, span=sys.maxsize),
+            _recursive_pmf(vector, span=sys.maxsize),
         )
     with plan_scope(f"conv_span={span}"):
         for vector, pmf in zip(vectors, list(support._dc_pmfs(vectors))):

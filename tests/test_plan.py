@@ -88,7 +88,6 @@ MATRIX = {
     "workers": ((5, 5), (4, 4), ("3", 3)),
     "shards": ((6, 6), (5, 5), ("4", 4)),
     "conv_span": ((96, 96), (128, 128), ("192", 192)),
-    "dp_block_bytes": ((1 << 20, 1 << 20), (2 << 20, 2 << 20), ("3m", 3 << 20)),
     "dense_cache_bytes": ((1 << 20, 1 << 20), (2 << 20, 2 << 20), ("3m", 3 << 20)),
     "bitmap_cache_bytes": ((1 << 20, 1 << 20), (2 << 20, 2 << 20), ("3m", 3 << 20)),
     "prefix_cache_bytes": ((1 << 20, 1 << 20), (2 << 20, 2 << 20), ("3m", 3 << 20)),
@@ -154,9 +153,12 @@ class TestPrecedenceMatrix:
 
 
 class TestExecutionPlan:
-    def test_nine_knobs(self):
+    def test_eight_knobs(self):
         assert [field.name for field in fields(ExecutionPlan)] == list(KNOBS)
-        assert len(KNOBS) == 9
+        assert len(KNOBS) == 8
+        # the DP block budget is the module constant support.DP_BLOCK_BYTES
+        with pytest.raises(ValueError, match="unknown plan knob"):
+            ExecutionPlan.from_dict({"dp_block_bytes": 1 << 20})
 
     def test_construction_normalizes_values(self):
         plan = ExecutionPlan(conv_span="64", workers="auto", dense_cache_bytes="2m")
@@ -171,7 +173,6 @@ class TestExecutionPlan:
             {"workers": -1},
             {"shards": 0},
             {"conv_span": -1},
-            {"dp_block_bytes": 0},
             {"dense_cache_bytes": -1},
             {"bitmap_cache_bytes": "-1k"},
             {"prefix_cache_bytes": "lots"},
@@ -186,7 +187,7 @@ class TestExecutionPlan:
     def test_round_trip_through_dict(self):
         plan = ExecutionPlan(
             workers=2, shards=4, conv_span=128,
-            dp_block_bytes=1 << 20, dense_cache_bytes=1 << 20,
+            dense_cache_bytes=1 << 20,
             bitmap_cache_bytes=1 << 20, prefix_cache_bytes=1 << 20,
             mapped_cache_bytes=1 << 20, faults="seed=1",
         )

@@ -79,7 +79,45 @@ def _mine_topk(database, evaluator, workers, shards):
 
     miner = TopKMiner(evaluator=evaluator, workers=workers, shards=shards)
     min_sup = None if evaluator == "esup" else harness.MIN_SUP
-    return miner.mine(database, GOLDENS["topk_k"], min_sup=min_sup).itemsets
+    return miner.mine(database, GOLDENS["topk_k"], min_sup=min_sup)
+
+
+def _stream_results(database, key):
+    """The per-slide results of the golden streaming miner ``key``."""
+    from repro.stream import (
+        StreamingDP,
+        StreamingTopK,
+        StreamingUApriori,
+        TransactionStream,
+    )
+
+    stream_config = GOLDENS["stream"]
+    window = stream_config["window"]
+    miners = {
+        "stream-uapriori": lambda: StreamingUApriori(window, harness.MIN_ESUP),
+        "stream-dp": lambda: StreamingDP(window, harness.MIN_SUP, harness.PFT),
+        "stream-topk-esup": lambda: StreamingTopK(window, k=5),
+        "stream-topk-dp": lambda: StreamingTopK(
+            window, k=5, evaluator="dp", min_sup=harness.MIN_SUP
+        ),
+    }
+    stream = TransactionStream.from_records(
+        [dict(transaction.units) for transaction in database]
+    )
+    return list(
+        miners[key]().results(
+            stream, stream_config["step"], max_slides=stream_config["slides"]
+        )
+    )
+
+
+def _counters(statistics):
+    return (
+        statistics.database_scans,
+        statistics.candidates_generated,
+        statistics.candidates_pruned,
+        statistics.exact_evaluations,
+    )
 
 
 # -- the bitwise contract --------------------------------------------------------------
@@ -110,31 +148,9 @@ class TestGoldenEquivalence:
 
     @pytest.mark.parametrize("key", STREAMING_KEYS)
     def test_streaming_bitwise(self, database, key):
-        from repro.stream import (
-            StreamingDP,
-            StreamingTopK,
-            StreamingUApriori,
-            TransactionStream,
-        )
-
-        stream_config = GOLDENS["stream"]
-        window = stream_config["window"]
-        miners = {
-            "stream-uapriori": lambda: StreamingUApriori(window, harness.MIN_ESUP),
-            "stream-dp": lambda: StreamingDP(window, harness.MIN_SUP, harness.PFT),
-            "stream-topk-esup": lambda: StreamingTopK(window, k=5),
-            "stream-topk-dp": lambda: StreamingTopK(
-                window, k=5, evaluator="dp", min_sup=harness.MIN_SUP
-            ),
-        }
-        stream = TransactionStream.from_records(
-            [dict(transaction.units) for transaction in database]
-        )
         per_slide = [
             harness.serialize_records(result)
-            for result in miners[key]().results(
-                stream, stream_config["step"], max_slides=stream_config["slides"]
-            )
+            for result in _stream_results(database, key)
         ]
         assert per_slide == GOLDENS["streaming"][key]
 
@@ -249,6 +265,31 @@ COUNTER_PINS = {
 }
 
 
+#: the same four counters for the five top-k evaluators (k=10, workers=1,
+#: shards=1).  Every candidate whose score kernel runs is an exact
+#: evaluation, so ``normal`` and ``poisson`` count theirs like ``dp``/``dc``.
+TOPK_COUNTER_PINS = {
+    "esup": (1, 45, 35, 0),
+    "dp": (1, 45, 28, 45),
+    "dc": (1, 45, 28, 45),
+    "normal": (1, 129, 56, 129),
+    "poisson": (1, 45, 28, 45),
+}
+
+#: per-slide counters of the four streaming miners on the golden stream
+STREAMING_COUNTER_PINS = {
+    "stream-uapriori": [(0, 125, 45, 0), (0, 103, 52, 0), (0, 121, 62, 0), (0, 121, 73, 0)],
+    "stream-dp": [(0, 84, 31, 71), (0, 58, 38, 43), (0, 95, 59, 81), (0, 95, 63, 63)],
+    "stream-topk-esup": [(0, 28, 23, 0), (0, 28, 23, 0), (0, 30, 25, 0), (0, 27, 21, 0)],
+    "stream-topk-dp": [(0, 28, 19, 24), (0, 28, 20, 20), (0, 30, 21, 29), (0, 34, 23, 32)],
+}
+
+_CHAIN_NOTES = ("markov_tested", "markov_pruned", "chernoff_tested", "chernoff_pruned")
+
+#: stream-dp's per-slide bound-chain notes, in ``_CHAIN_NOTES`` order
+STREAM_DP_CHAIN_PINS = [(93, 22, 71, 0), (67, 24, 43, 0), (104, 23, 81, 0), (104, 41, 63, 0)]
+
+
 class TestUniformAccounting:
     @pytest.mark.parametrize("algorithm", sorted(COUNTER_PINS))
     def test_counters_pinned(self, database, algorithm):
@@ -262,13 +303,7 @@ class TestUniformAccounting:
             result = mine(
                 database, algorithm, min_sup=harness.MIN_SUP, pft=harness.PFT, **kwargs
             )
-        statistics = result.statistics
-        assert (
-            statistics.database_scans,
-            statistics.candidates_generated,
-            statistics.candidates_pruned,
-            statistics.exact_evaluations,
-        ) == COUNTER_PINS[algorithm]
+        assert _counters(result.statistics) == COUNTER_PINS[algorithm]
 
     def test_bounds_only_reduce_exact_evaluations(self, database):
         """The *B/NB* pairs agree on generated/pruned; bounds only cut the
@@ -276,6 +311,33 @@ class TestUniformAccounting:
         for bounded, unbounded in (("dpb", "dpnb"), ("dcb", "dcnb")):
             assert COUNTER_PINS[bounded][:3] == COUNTER_PINS[unbounded][:3]
             assert COUNTER_PINS[bounded][3] <= COUNTER_PINS[unbounded][3]
+
+    @pytest.mark.parametrize("evaluator", sorted(TOPK_COUNTER_PINS))
+    def test_topk_counters_pinned(self, database, evaluator):
+        result = _mine_topk(database, evaluator, 1, 1)
+        assert _counters(result.statistics) == TOPK_COUNTER_PINS[evaluator]
+
+    @pytest.mark.parametrize("key", sorted(STREAMING_COUNTER_PINS))
+    def test_streaming_counters_pinned_per_slide(self, database, key):
+        assert [
+            _counters(result.statistics) for result in _stream_results(database, key)
+        ] == STREAMING_COUNTER_PINS[key]
+
+    def test_stream_dp_reports_the_bound_chain(self, database):
+        """stream-dp runs the batch miners' bound chain, notes included:
+        Chernoff sees exactly Markov's survivors, and its survivors are
+        exactly the exact evaluations."""
+        per_slide = []
+        for result in _stream_results(database, "stream-dp"):
+            notes = result.statistics.notes
+            per_slide.append(tuple(int(notes[key]) for key in _CHAIN_NOTES))
+            assert notes["chernoff_tested"] == (
+                notes["markov_tested"] - notes["markov_pruned"]
+            )
+            assert result.statistics.exact_evaluations == (
+                notes["chernoff_tested"] - notes["chernoff_pruned"]
+            )
+        assert per_slide == STREAM_DP_CHAIN_PINS
 
 
 # -- the spec itself --------------------------------------------------------------------

@@ -7,6 +7,7 @@ tail probabilities.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -95,8 +96,8 @@ class TestExactPmf:
     def test_fft_and_direct_convolution_agree(self):
         rng = np.random.default_rng(3)
         probabilities = rng.random(300)
-        with_fft = exact_pmf_divide_conquer(probabilities, use_fft=True)
-        without_fft = exact_pmf_divide_conquer(probabilities, use_fft=False)
+        with_fft = exact_pmf_divide_conquer(probabilities, span=0)
+        without_fft = exact_pmf_divide_conquer(probabilities, span=sys.maxsize)
         assert with_fft == pytest.approx(without_fft, abs=1e-9)
 
 

@@ -5,10 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import support
 from repro.core.support import (
     SupportDistribution,
     SupportEngine,
-    chernoff_upper_bound,
     frequent_probabilities_dp_batch,
     frequent_probability_dynamic_programming,
     normal_tail_probability,
@@ -78,6 +78,17 @@ class TestEngineMoments:
         engine = SupportEngine([[0.5, 0.0, 0.3], [0.0], [1.0, 1.0]])
         assert engine.nonzero_counts().tolist() == [2, 0, 2]
 
+    def test_subset_slices_the_level_bitwise(self, vectors):
+        engine = SupportEngine(vectors)
+        indices = [1, 4, 5, 11]
+        batch = engine.subset(indices)
+        fresh = SupportEngine([vectors[index] for index in indices])
+        assert np.array_equal(batch.expected_supports(), fresh.expected_supports())
+        assert np.array_equal(batch.variances(), fresh.variances())
+        assert np.array_equal(
+            batch.frequent_probabilities(4), fresh.frequent_probabilities(4)
+        )
+
 
 class TestEngineTails:
     @pytest.mark.parametrize("method", ["dynamic_programming", "divide_conquer"])
@@ -95,19 +106,19 @@ class TestEngineTails:
         with pytest.raises(ValueError, match="unknown method"):
             SupportEngine(vectors).frequent_probabilities(2, method="magic")
 
-    @pytest.mark.parametrize("block_bytes", ["240", "480", "960"])
+    @pytest.mark.parametrize("block_bytes", [240, 480, 960])
     def test_blocked_dp_is_bitwise(self, vectors, monkeypatch, block_bytes):
         # Zero-padded columns are Bernoulli(0) identity steps, so chunking
         # the candidate list with per-block padded widths must reproduce
         # the single whole-matrix batch bit for bit.
         reference = SupportEngine(vectors).frequent_probabilities(3)
-        monkeypatch.setenv("REPRO_PLAN", f"dp_block_bytes={block_bytes}")
+        monkeypatch.setattr(support, "DP_BLOCK_BYTES", block_bytes)
         blocked = SupportEngine(vectors).frequent_probabilities(3)
         assert np.array_equal(blocked, reference)
 
     def test_blocked_dp_handles_single_vector_blocks(self, vectors, monkeypatch):
         reference = SupportEngine(vectors).frequent_probabilities(3)
-        monkeypatch.setenv("REPRO_PLAN", "dp_block_bytes=1")
+        monkeypatch.setattr(support, "DP_BLOCK_BYTES", 1)
         blocked = SupportEngine(vectors).frequent_probabilities(3)
         assert np.array_equal(blocked, reference)
 
@@ -130,10 +141,3 @@ class TestEngineApproximations:
                 SupportDistribution(vector).expected_support, 4
             )
 
-    def test_chernoff_matches_scalar(self, vectors):
-        engine = SupportEngine(vectors)
-        results = engine.chernoff_bounds(6)
-        for index, vector in enumerate(vectors):
-            assert results[index] == chernoff_upper_bound(
-                SupportDistribution(vector).expected_support, 6
-            )

@@ -8,16 +8,27 @@ configuration, with the threshold-raising floor changing only the
 amount of work, never the result.
 """
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.algorithms.topk import TopKMiner, exhaustive_topk
-from repro.core import FrequentItemset, Itemset, MiningResult, mine
+from repro.core import (
+    FrequentItemset,
+    Itemset,
+    MiningResult,
+    MiningStatistics,
+    SupportEngine,
+    mine,
+)
 from repro.core.topk import (
     TopKBuffer,
     mine_topk,
     rank_itemsets,
     ranking_of,
     resolve_evaluator,
+    topk_scorer,
     truncate_result,
     truncation_baseline,
 )
@@ -246,6 +257,36 @@ class TestPrunedSearchEqualsExhaustive:
             pruned.statistics.exact_evaluations
             < reference.statistics.exact_evaluations
         )
+
+
+class TestScorerBoundChain:
+    """topk_scorer kills on ``bound < floor``: a bound tying the floor lives."""
+
+    @staticmethod
+    def _score(floor):
+        # esup 2.0 at min_count 4: Markov 0.5 is the tighter bound
+        # (Chernoff exp(-1/8)), so the floor below sits exactly on it.
+        vectors = [np.full(4, 0.5)]
+        buffer = TopKBuffer(1)
+        buffer.offer(floor, FrequentItemset(Itemset((9,)), 1.0, 0.0, floor))
+        statistics = MiningStatistics()
+        evaluate = topk_scorer(
+            lambda candidates, kill: SupportEngine(vectors), "dp", 4, statistics
+        )
+        (scored,) = evaluate([(0,)], buffer)
+        return scored, statistics
+
+    def test_bound_tying_the_floor_is_evaluated(self):
+        scored, statistics = self._score(0.5)
+        assert scored is not None and scored.score == 0.0625
+        assert statistics.exact_evaluations == 1
+        assert statistics.notes["markov_pruned"] == 0.0
+
+    def test_bound_below_the_floor_is_killed(self):
+        scored, statistics = self._score(math.nextafter(0.5, 1.0))
+        assert scored is None
+        assert statistics.exact_evaluations == 0
+        assert statistics.notes["markov_pruned"] == 1.0
 
 
 class TestDeterministicTieBreaking:
