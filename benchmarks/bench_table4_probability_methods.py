@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.support import (
     chernoff_upper_bound,
-    exact_pmf_divide_conquer,
+    dc_tail_probabilities,
     frequent_probability_dynamic_programming,
 )
 
@@ -34,8 +34,9 @@ def dp_method():
 
 
 def dc_method():
-    pmf = exact_pmf_divide_conquer(PROBABILITIES)
-    return float(pmf[MIN_COUNT:].sum())
+    # The production DC tail: the divide-and-conquer PMF's tail, capped by
+    # the Markov and Chernoff bounds that make FFT round-off harmless.
+    return float(dc_tail_probabilities([PROBABILITIES], MIN_COUNT)[0])
 
 
 def chernoff_method():

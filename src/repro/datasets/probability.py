@@ -6,6 +6,12 @@ occurrence an existence probability drawn from a Gaussian distribution
 distribution over a small grid of probability levels.  These models
 reproduce that methodology.  All models are deterministic given a seed so
 experiments are repeatable.
+
+Generators hand a model every unit of a database at once
+(:meth:`ProbabilityModel.draw`).  The built-in i.i.d. models answer with
+one array draw from their generator; NumPy's array draws equal the same
+number of successive scalar draws, so the result is bit for bit what
+calling the model once per unit, in row-major order, would give.
 """
 
 from __future__ import annotations
@@ -25,7 +31,16 @@ __all__ = [
 
 
 class ProbabilityModel(ABC):
-    """Assigns an existence probability to every ``(tid, item)`` occurrence."""
+    """Assigns an existence probability to every ``(tid, item)`` occurrence.
+
+    Subclasses implement :meth:`sample` (one i.i.d. draw) or override
+    :meth:`__call__` for coordinate-dependent probabilities.  A class that
+    defines :meth:`sample` may also define ``_sample_array(n)``, the same
+    ``n`` draws in one call; :meth:`draw` uses it only when that class's
+    :meth:`sample` is the one in force and :meth:`__call__` is not
+    overridden, so any subclass that changes the per-unit semantics is
+    asked unit by unit.
+    """
 
     def __init__(self, seed: int = 0) -> None:
         self._rng = np.random.default_rng(seed)
@@ -48,6 +63,25 @@ class ProbabilityModel(ABC):
         """
         return self.sample()
 
+    def draw(self, tids: np.ndarray, items: np.ndarray) -> np.ndarray:
+        """Probabilities of the units ``(tids[k], items[k])``, drawn in order.
+
+        Equal, bit for bit, to ``[self(tid, item) for tid, item in
+        zip(tids, items)]``.
+        """
+        if self._draws_in_one_call():
+            return self._sample_array(len(items))
+        return np.fromiter(
+            map(self, tids.tolist(), items.tolist()), dtype=np.float64, count=len(items)
+        )
+
+    def _draws_in_one_call(self) -> bool:
+        cls = type(self)
+        if cls.__call__ is not ProbabilityModel.__call__:
+            return False
+        owner = next(klass for klass in cls.__mro__ if "sample" in vars(klass))
+        return "_sample_array" in vars(owner)
+
 
 class ConstantProbabilityModel(ProbabilityModel):
     """Every occurrence gets the same probability (handy for tests)."""
@@ -60,6 +94,9 @@ class ConstantProbabilityModel(ProbabilityModel):
 
     def sample(self) -> float:
         return self.probability
+
+    def _sample_array(self, n: int) -> np.ndarray:
+        return np.full(n, float(self.probability))
 
 
 class UniformProbabilityModel(ProbabilityModel):
@@ -74,6 +111,9 @@ class UniformProbabilityModel(ProbabilityModel):
 
     def sample(self) -> float:
         return float(self._rng.uniform(self.low, self.high))
+
+    def _sample_array(self, n: int) -> np.ndarray:
+        return self._rng.uniform(self.low, self.high, size=n)
 
 
 class GaussianProbabilityModel(ProbabilityModel):
@@ -105,6 +145,10 @@ class GaussianProbabilityModel(ProbabilityModel):
     def sample(self) -> float:
         value = float(self._rng.normal(self.mean, self._std))
         return float(min(1.0, max(self.minimum, value)))
+
+    def _sample_array(self, n: int) -> np.ndarray:
+        values = self._rng.normal(self.mean, self._std, size=n)
+        return np.minimum(1.0, np.maximum(self.minimum, values))
 
 
 class ZipfProbabilityModel(ProbabilityModel):
@@ -140,3 +184,7 @@ class ZipfProbabilityModel(ProbabilityModel):
     def sample(self) -> float:
         rank = int(self._rng.choice(len(self.levels), p=self._rank_probabilities))
         return float(self.levels[rank])
+
+    def _sample_array(self, n: int) -> np.ndarray:
+        ranks = self._rng.choice(len(self.levels), size=n, p=self._rank_probabilities)
+        return self.levels[ranks]

@@ -12,23 +12,32 @@ Two generators cover the structures the paper needs:
   density) without the pattern machinery; used for the Connect / Accident /
   Kosarak / Gazelle analogues in :mod:`repro.datasets.benchmark`.
 
-Both generators output *deterministic* item structures; uncertainty is
-layered on top by a :class:`~repro.datasets.probability.ProbabilityModel`,
-mirroring the paper's "assign a probability to each item of a deterministic
-benchmark" methodology.
+Both generators output *deterministic* item structures, written as a row
+CSR ``(offsets, items)``; uncertainty is layered on top by a
+:class:`~repro.datasets.probability.ProbabilityModel`, which draws every
+unit's probability in one call, mirroring the paper's "assign a probability
+to each item of a deterministic benchmark" methodology.  The CSR goes
+straight to :meth:`UncertainDatabase.from_rows
+<repro.db.database.UncertainDatabase.from_rows>`; no per-transaction object
+is built.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from bisect import bisect_right
+from itertools import chain
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..db.columnar import csr_offsets, csr_row_ids
 from ..db.database import UncertainDatabase
-from ..db.transaction import UncertainTransaction
 from .probability import ConstantProbabilityModel, ProbabilityModel
 
 __all__ = ["QuestGenerator", "DenseSparseGenerator", "attach_probabilities"]
+
+#: Largest block of uniform draws :class:`DenseSparseGenerator` holds at once.
+_DRAW_BLOCK_BYTES = 1 << 20
 
 
 def attach_probabilities(
@@ -39,16 +48,50 @@ def attach_probabilities(
     """Convert deterministic transactions into an uncertain database.
 
     Each item occurrence is assigned a probability drawn from
-    ``probability_model`` (default: certain items, probability 1.0).
+    ``probability_model`` (default: certain items, probability 1.0).  The
+    model sees the units in row-major order, transaction by transaction and
+    each transaction's items as listed, through one
+    :meth:`~repro.datasets.probability.ProbabilityModel.draw` call.  As in
+    :meth:`UncertainDatabase.from_rows
+    <repro.db.database.UncertainDatabase.from_rows>`, a unit drawn at
+    probability zero is dropped and a repeated item keeps its first position
+    and its last draw.
     """
+    rows = [[int(item) for item in items] for items in item_lists]
+    offsets = csr_offsets([len(row) for row in rows])
+    items = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(offsets[-1]))
+    return _uncertain_rows(offsets, items, probability_model, name)
+
+
+def _uncertain_rows(
+    offsets: np.ndarray,
+    items: np.ndarray,
+    probability_model: Optional[ProbabilityModel],
+    name: str,
+) -> UncertainDatabase:
+    """Draw every unit's probability and adopt the row CSR as a database."""
     model = probability_model or ConstantProbabilityModel(1.0)
-    transactions: List[UncertainTransaction] = []
-    for tid, items in enumerate(item_lists):
-        units: Dict[int, float] = {}
-        for item in items:
-            units[int(item)] = model(tid, int(item))
-        transactions.append(UncertainTransaction(tid, units))
-    return UncertainDatabase(transactions, name=name)
+    probabilities = model.draw(csr_row_ids(offsets), items)
+    return UncertainDatabase.from_rows(offsets, items, probabilities, name=name)
+
+
+def _item_lists(offsets: np.ndarray, items: np.ndarray) -> List[List[int]]:
+    flat = items.tolist()
+    bounds = offsets.tolist()
+    return [flat[start:stop] for start, stop in zip(bounds, bounds[1:])]
+
+
+def _choice_table(p: np.ndarray) -> List[float]:
+    """The cumulative table ``Generator.choice(len(p), p=p)`` searches.
+
+    ``choice`` draws ``u = random()`` and returns
+    ``cdf.searchsorted(u, side="right")``.  ``bisect_right`` on this table
+    with the same ``u`` is the same lookup, so the draws match ``choice``
+    bit for bit without its per-call validation of ``p``.
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
 
 
 class QuestGenerator:
@@ -104,17 +147,19 @@ class QuestGenerator:
         """
         popularity = self._rng.exponential(scale=1.0, size=self.n_items)
         popularity /= popularity.sum()
+        table = _choice_table(popularity)
+        rng = self._rng
         patterns: List[List[int]] = []
         previous: List[int] = []
         for _ in range(self.n_patterns):
-            length = max(1, int(self._rng.poisson(self.avg_pattern_length)))
+            length = max(1, int(rng.poisson(self.avg_pattern_length)))
             length = min(length, self.n_items)
             pattern: List[int] = []
-            if previous and self._rng.random() < self.correlation:
-                carry = max(1, int(len(previous) * self._rng.random()))
+            if previous and rng.random() < self.correlation:
+                carry = max(1, int(len(previous) * rng.random()))
                 pattern.extend(previous[:carry])
             while len(pattern) < length:
-                item = int(self._rng.choice(self.n_items, p=popularity))
+                item = bisect_right(table, rng.random())
                 if item not in pattern:
                     pattern.append(item)
             patterns.append(pattern)
@@ -123,26 +168,31 @@ class QuestGenerator:
 
     def generate_item_lists(self, n_transactions: int) -> List[List[int]]:
         """Generate deterministic transactions as lists of item identifiers."""
+        return _item_lists(*self._generate_rows(n_transactions))
+
+    def _generate_rows(self, n_transactions: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Generate ``n_transactions`` rows as a CSR ``(offsets, items)``."""
         if n_transactions < 0:
             raise ValueError("n_transactions must be non-negative")
-        transactions: List[List[int]] = []
+        rng = self._rng
+        table = _choice_table(self._pattern_probabilities)
+        lengths: List[int] = []
+        flat: List[int] = []
         for _ in range(n_transactions):
-            target_length = max(1, int(self._rng.poisson(self.avg_transaction_length)))
+            target_length = max(1, int(rng.poisson(self.avg_transaction_length)))
             target_length = min(target_length, self.n_items)
             chosen: List[int] = []
             chosen_set = set()
             while len(chosen) < target_length:
-                pattern_index = int(
-                    self._rng.choice(len(self._patterns), p=self._pattern_probabilities)
-                )
-                for item in self._patterns[pattern_index]:
+                for item in self._patterns[bisect_right(table, rng.random())]:
                     if item not in chosen_set:
                         chosen.append(item)
                         chosen_set.add(item)
                     if len(chosen) >= target_length:
                         break
-            transactions.append(chosen)
-        return transactions
+            lengths.append(len(chosen))
+            flat.extend(chosen)
+        return csr_offsets(lengths), np.array(flat, dtype=np.int64)
 
     def generate(
         self,
@@ -151,14 +201,14 @@ class QuestGenerator:
         name: Optional[str] = None,
     ) -> UncertainDatabase:
         """Generate an uncertain database of ``n_transactions`` transactions."""
-        item_lists = self.generate_item_lists(n_transactions)
+        offsets, items = self._generate_rows(n_transactions)
         if name is None:
             name = (
                 f"T{int(self.avg_transaction_length)}"
                 f"I{int(self.avg_pattern_length)}"
                 f"D{n_transactions}"
             )
-        return attach_probabilities(item_lists, probability_model, name=name)
+        return _uncertain_rows(offsets, items, probability_model, name)
 
 
 class DenseSparseGenerator:
@@ -227,15 +277,27 @@ class DenseSparseGenerator:
 
     def generate_item_lists(self, n_transactions: int) -> List[List[int]]:
         """Generate deterministic transactions honouring the density profile."""
-        transactions: List[List[int]] = []
-        for _ in range(n_transactions):
-            draws = self._rng.random(self.n_items)
-            items = np.nonzero(draws < self._inclusion)[0]
-            if len(items) == 0:
-                # Guarantee non-empty transactions: fall back to the most popular item.
-                items = np.array([0])
-            transactions.append([int(item) for item in items])
-        return transactions
+        return _item_lists(*self._generate_rows(n_transactions))
+
+    def _generate_rows(self, n_transactions: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Generate ``n_transactions`` rows as a CSR ``(offsets, items)``.
+
+        Each row is one ``random(n_items)`` draw thresholded against the
+        inclusion probabilities.  Rows are drawn in blocks of at most
+        ``_DRAW_BLOCK_BYTES``; a 2-D draw fills row by row, so a block equals
+        the same number of successive per-row draws.
+        """
+        block = max(1, _DRAW_BLOCK_BYTES // (8 * self.n_items))
+        counts = [np.empty(0, dtype=np.int64)]
+        columns = [np.empty(0, dtype=np.int64)]
+        for start in range(0, n_transactions, block):
+            draws = self._rng.random((min(block, n_transactions - start), self.n_items))
+            mask = draws < self._inclusion
+            # Guarantee non-empty transactions: fall back to the most popular item.
+            mask[~mask.any(axis=1), 0] = True
+            counts.append(np.count_nonzero(mask, axis=1))
+            columns.append(np.nonzero(mask)[1])
+        return csr_offsets(np.concatenate(counts)), np.concatenate(columns)
 
     def generate(
         self,
@@ -244,5 +306,5 @@ class DenseSparseGenerator:
         name: str = "",
     ) -> UncertainDatabase:
         """Generate an uncertain database of ``n_transactions`` transactions."""
-        item_lists = self.generate_item_lists(n_transactions)
-        return attach_probabilities(item_lists, probability_model, name=name)
+        offsets, items = self._generate_rows(n_transactions)
+        return _uncertain_rows(offsets, items, probability_model, name)

@@ -1,11 +1,11 @@
 """Columnar probability store: the evaluation engine of the database.
 
-The row-object representation (:class:`~repro.db.transaction.UncertainTransaction`
-dictionaries) is convenient for construction and IO but makes every
-probability query a Python loop over ``N`` transactions.  A
-:class:`ColumnarView` re-materialises the same database as CSR-style
-per-item columns — for every item, the NumPy arrays of the transaction
-indices containing it and the matching existence probabilities — so that
+Row-major data (the row CSR of :data:`RowCSR`, or transaction dicts)
+makes every probability query a walk over all ``N`` transactions.  A
+:class:`ColumnarView` holds the same database as CSR-style per-item
+columns — for every item, the NumPy arrays of the transaction indices
+containing it and the matching existence probabilities, built from the
+row CSR by one stable argsort on item — so that
 
 * per-item statistics become a handful of NumPy reductions,
 * the probability vector ``p_i(X)`` of an itemset becomes a sparse sorted
@@ -61,12 +61,20 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "ColumnarView",
     "ItemColumn",
+    "RowCSR",
     "DENSE_CROSSOVER_FRACTION",
+    "csr_offsets",
+    "csr_row_ids",
     "popcount_rows",
 ]
 
 #: One item column: sorted transaction indices and the matching probabilities.
 ItemColumn = Tuple[np.ndarray, np.ndarray]
+
+#: A database's rows as a CSR ``(offsets, items, probabilities)``: row ``r``
+#: holds the units ``offsets[r]:offsets[r + 1]`` of the int64 ``items`` and
+#: float64 ``probabilities``, in the row's own item order.
+RowCSR = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 _EMPTY_COLUMN: ItemColumn = (
     np.empty(0, dtype=np.int64),
@@ -84,6 +92,53 @@ _EMPTY_COLUMN[1].flags.writeable = False
 #: because it avoids the searchsorted log-factor and the mask gathers.
 #: 0.25 sits inside the indifference band.
 DENSE_CROSSOVER_FRACTION = 0.25
+
+
+def csr_offsets(lengths: Sequence[int]) -> np.ndarray:
+    """Row offsets (``len(lengths) + 1`` int64, from 0) of rows of ``lengths``."""
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return offsets
+
+
+def csr_row_ids(offsets: np.ndarray) -> np.ndarray:
+    """The row index of every unit of a row CSR with these ``offsets``."""
+    return np.repeat(np.arange(len(offsets) - 1, dtype=np.int64), np.diff(offsets))
+
+
+def _columns_from_rows(
+    offsets: np.ndarray, items: np.ndarray, probabilities: np.ndarray
+) -> Dict[int, ItemColumn]:
+    """The item columns of a row CSR: the one column builder.
+
+    One stable argsort on item groups the units by item while keeping each
+    group in row order, so every column's rows come out ascending.  The
+    first unit of a group is its item's first appearance scanning row by
+    row, and the columns are inserted in that order.  All columns are
+    slices of two shared arrays, frozen because columns are handed out
+    directly (e.g. single-item candidates in ``batch_columns``): an
+    in-place write by a consumer raises instead of corrupting the view.
+    """
+    if len(items) == 0:
+        return {}
+    row_ids = csr_row_ids(offsets)
+    # A stable order depends only on the values, so a narrow key gives the
+    # same order; NumPy sorts it by radix, several times faster than int64.
+    keys = items.astype(np.uint16) if int(items.max()) < 1 << 16 else items
+    order = np.argsort(keys, kind="stable")
+    sorted_items = items[order]
+    rows = row_ids[order]
+    probs = probabilities[order]
+    rows.flags.writeable = False
+    probs.flags.writeable = False
+    starts = np.flatnonzero(np.diff(sorted_items)) + 1
+    bounds = np.concatenate(([0], starts, [len(items)])).tolist()
+    group_items = sorted_items[bounds[:-1]].tolist()
+    first_appearance = np.argsort(order[bounds[:-1]])
+    return {
+        group_items[g]: (rows[bounds[g] : bounds[g + 1]], probs[bounds[g] : bounds[g + 1]])
+        for g in first_appearance.tolist()
+    }
 
 
 def popcount_rows(packed: np.ndarray) -> np.ndarray:
@@ -136,23 +191,9 @@ class ColumnarView:
     """
 
     def __init__(self, database: "UncertainDatabase") -> None:
-        rows_by_item: Dict[int, List[int]] = {}
-        probs_by_item: Dict[int, List[float]] = {}
-        for row, transaction in enumerate(database):
-            for item, probability in transaction.units.items():
-                rows_by_item.setdefault(item, []).append(row)
-                probs_by_item.setdefault(item, []).append(probability)
-        self._n_transactions = len(database)
-        self._columns: Dict[int, ItemColumn] = {}
-        for item in rows_by_item:
-            rows = np.asarray(rows_by_item[item], dtype=np.int64)
-            probs = np.asarray(probs_by_item[item], dtype=np.float64)
-            # The column arrays are handed out directly (e.g. single-item
-            # candidates in batch_columns); freeze them so an in-place write
-            # by a consumer raises instead of corrupting the shared cache.
-            rows.flags.writeable = False
-            probs.flags.writeable = False
-            self._columns[item] = (rows, probs)
+        offsets, items, probabilities = database.row_csr()
+        self._n_transactions = len(offsets) - 1
+        self._columns = _columns_from_rows(offsets, items, probabilities)
         self._init_caches()
 
     def _init_caches(self) -> None:
@@ -267,6 +308,23 @@ class ColumnarView:
     def nnz(self) -> int:
         """Total number of stored units (non-zero probabilities)."""
         return sum(len(rows) for rows, _ in self._columns.values())
+
+    def row_csr(self) -> RowCSR:
+        """The view back as a row CSR, each row's items ascending.
+
+        Columns are concatenated in ascending item order and one stable
+        argsort on row regroups them, so within a row the items keep that
+        order.
+        """
+        items = self.items()
+        columns = [self.column(item) for item in items]
+        lengths = [len(rows) for rows, _ in columns]
+        row_ids = np.concatenate([_EMPTY_COLUMN[0]] + [rows for rows, _ in columns])
+        probs = np.concatenate([_EMPTY_COLUMN[1]] + [probs for _, probs in columns])
+        item_ids = np.repeat(np.asarray(items, dtype=np.int64), lengths)
+        order = np.argsort(row_ids, kind="stable")
+        offsets = csr_offsets(np.bincount(row_ids, minlength=self._n_transactions))
+        return offsets, item_ids[order], probs[order]
 
     # -- item statistics ---------------------------------------------------------------
     def item_statistics(self) -> Dict[int, Tuple[float, float]]:

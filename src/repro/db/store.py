@@ -62,9 +62,8 @@ import numpy as np
 from .. import faults
 from ..plan.spec import resolve_knob
 from .cache import ByteBudgetLRU
-from .columnar import ColumnarView, ItemColumn
+from .columnar import ColumnarView, ItemColumn, RowCSR
 from .database import DatabaseStats, UncertainDatabase
-from .transaction import UncertainTransaction
 from .vocabulary import Vocabulary
 
 __all__ = [
@@ -783,41 +782,15 @@ class StoreDatabase(UncertainDatabase):
     def __init__(self, store: ColumnarStore) -> None:
         self.store = store
         labels = store.vocabulary_labels
-        self.vocabulary = Vocabulary(labels) if labels is not None else None
-        self.name = store.name
+        vocabulary = Vocabulary(labels) if labels is not None else None
+        self._adopt(store.n_transactions, None, None, vocabulary, store.name)
         self._columnar = store.view()
-        self._partitions: Dict[int, Any] = {}
-        self._materialized: Optional[List[UncertainTransaction]] = None
 
-    # Lazy stand-in for the eager list the base constructor builds: every
-    # inherited row-path method (iteration, restriction, splitting)
-    # transparently materialises on first touch through this property.
-    @property
-    def _transactions(self) -> List[UncertainTransaction]:
-        if self._materialized is None:
-            self._materialized = self._build_transactions()
-        return self._materialized
-
-    def _build_transactions(self) -> List[UncertainTransaction]:
-        units: List[Dict[int, float]] = [
-            {} for _ in range(self.store.n_transactions)
-        ]
-        view = self._columnar
-        for item in view.items():
-            rows, probs = view.column(item)
-            for row, probability in zip(rows.tolist(), probs.tolist()):
-                units[row][item] = probability
-        return [
-            UncertainTransaction(tid, row_units) for tid, row_units in enumerate(units)
-        ]
+    def row_csr(self) -> RowCSR:
+        """The mapped columns regrouped by row, each row's items ascending."""
+        return self._columnar.row_csr()
 
     # -- manifest-served shape ----------------------------------------------------
-    def __len__(self) -> int:
-        return self.store.n_transactions
-
-    def items(self) -> List[int]:
-        return self._columnar.items()
-
     def stats(self) -> DatabaseStats:
         n = self.store.n_transactions
         items = self.items()
@@ -828,9 +801,6 @@ class StoreDatabase(UncertainDatabase):
         density = average_length / n_items if n_items else 0.0
         average_probability = total_probability / total_units if total_units else 0.0
         return DatabaseStats(n, n_items, average_length, density, average_probability)
-
-    def columnar(self) -> MappedColumnarView:
-        return self._columnar
 
 
 # -- shared-memory shard fan-out ---------------------------------------------------

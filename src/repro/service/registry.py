@@ -110,8 +110,7 @@ class _WarmDataset:
         if mapped:
             self.payload_nbytes = MAPPED_DATASET_CHARGE_BYTES
         else:
-            units = sum(len(t) for t in database.transactions)
-            self.payload_nbytes = 16 * units + 512
+            self.payload_nbytes = 16 * database.columnar().nnz() + 512
 
 
 class DatasetRegistry:

@@ -17,7 +17,12 @@ from the production registry:
   expected support from sampled possible worlds;
 * :func:`uh_mine_expand_dict` — a frozen copy of the dict-per-cell UH-Mine
   expander the array expander replaced (a ``MinerSpec`` ``expander``):
-  tuple-of-cells transactions, one head-table dict per prefix.
+  tuple-of-cells transactions, one head-table dict per prefix;
+* :func:`reference_attach_probabilities`, :class:`ReferenceQuestGenerator`,
+  :class:`ReferenceDenseSparseGenerator`, :func:`reference_sample` and
+  :func:`reference_columns` — frozen scalar copies of the data generation
+  the array generators replaced: one RNG call per draw, one dict per
+  transaction, and the dict-of-lists column pass.
 
 They are exponential in the number of items and are only meant for the
 small databases of the test-suite.
@@ -35,7 +40,15 @@ from repro.core.results import FrequentItemset, MiningResult
 from repro.core.search import SearchContext
 from repro.core.support import SupportDistribution
 from repro.core.thresholds import ExpectedSupportThreshold, ProbabilisticThreshold
-from repro.db import UncertainDatabase, sample_worlds
+from repro.datasets import (
+    ConstantProbabilityModel,
+    DenseSparseGenerator,
+    GaussianProbabilityModel,
+    ProbabilityModel,
+    UniformProbabilityModel,
+    ZipfProbabilityModel,
+)
+from repro.db import UncertainDatabase, UncertainTransaction, sample_worlds
 
 __all__ = [
     "exact_frequent_probability",
@@ -44,6 +57,11 @@ __all__ = [
     "itemset_probabilities",
     "moments",
     "possible_world_expected_support",
+    "reference_attach_probabilities",
+    "reference_columns",
+    "reference_sample",
+    "ReferenceDenseSparseGenerator",
+    "ReferenceQuestGenerator",
     "uh_mine_expand_dict",
 ]
 
@@ -248,3 +266,171 @@ def _expand_prefix_dict(
                 if item_order[cell_item] > item_order[item]:
                     break
         _expand_prefix_dict(ctx, struct, extended, extended_projections, item_order)
+
+
+# -- frozen scalar data generation ---------------------------------------------
+#
+# The bodies below are verbatim copies of the scalar generation code, with
+# ``self`` bound to the model or generator; only the function headers differ.
+
+
+def _constant_sample(self: ConstantProbabilityModel) -> float:
+    return self.probability
+
+
+def _uniform_sample(self: UniformProbabilityModel) -> float:
+    return float(self._rng.uniform(self.low, self.high))
+
+
+def _gaussian_sample(self: GaussianProbabilityModel) -> float:
+    value = float(self._rng.normal(self.mean, self._std))
+    return float(min(1.0, max(self.minimum, value)))
+
+
+def _zipf_sample(self: ZipfProbabilityModel) -> float:
+    rank = int(self._rng.choice(len(self.levels), p=self._rank_probabilities))
+    return float(self.levels[rank])
+
+
+_SAMPLES = {
+    ConstantProbabilityModel: _constant_sample,
+    UniformProbabilityModel: _uniform_sample,
+    GaussianProbabilityModel: _gaussian_sample,
+    ZipfProbabilityModel: _zipf_sample,
+}
+
+
+def reference_sample(model: ProbabilityModel, tid: int, item: int) -> float:
+    """One unit's probability: the frozen scalar ``sample`` of a built-in model.
+
+    Any other model (a subclass overriding ``sample`` or ``__call__``) is
+    asked through its own ``__call__``, unit by unit.
+    """
+    sample = _SAMPLES.get(type(model))
+    if sample is None:
+        return model(tid, item)
+    return sample(model)
+
+
+def reference_attach_probabilities(
+    item_lists: Sequence[Sequence[int]],
+    probability_model: Optional[ProbabilityModel] = None,
+    name: str = "",
+) -> UncertainDatabase:
+    """The per-unit, dict-per-transaction ``attach_probabilities``."""
+    model = probability_model or ConstantProbabilityModel(1.0)
+    transactions: List[UncertainTransaction] = []
+    for tid, items in enumerate(item_lists):
+        units: Dict[int, float] = {}
+        for item in items:
+            units[int(item)] = reference_sample(model, tid, int(item))
+        transactions.append(UncertainTransaction(tid, units))
+    return UncertainDatabase(transactions, name=name)
+
+
+class ReferenceQuestGenerator:
+    """``QuestGenerator`` with one ``Generator.choice`` call per pick."""
+
+    def __init__(
+        self,
+        n_items: int = 994,
+        avg_transaction_length: float = 25.0,
+        avg_pattern_length: float = 15.0,
+        n_patterns: int = 200,
+        correlation: float = 0.5,
+        seed: int = 7,
+    ) -> None:
+        self.n_items = n_items
+        self.avg_transaction_length = avg_transaction_length
+        self.avg_pattern_length = avg_pattern_length
+        self.n_patterns = n_patterns
+        self.correlation = correlation
+        self.seed = seed
+        self._rng = np.random.default_rng(seed)
+        self._patterns = self._build_patterns()
+        pattern_weights = self._rng.exponential(scale=1.0, size=len(self._patterns))
+        self._pattern_probabilities = pattern_weights / pattern_weights.sum()
+
+    def _build_patterns(self) -> List[List[int]]:
+        popularity = self._rng.exponential(scale=1.0, size=self.n_items)
+        popularity /= popularity.sum()
+        patterns: List[List[int]] = []
+        previous: List[int] = []
+        for _ in range(self.n_patterns):
+            length = max(1, int(self._rng.poisson(self.avg_pattern_length)))
+            length = min(length, self.n_items)
+            pattern: List[int] = []
+            if previous and self._rng.random() < self.correlation:
+                carry = max(1, int(len(previous) * self._rng.random()))
+                pattern.extend(previous[:carry])
+            while len(pattern) < length:
+                item = int(self._rng.choice(self.n_items, p=popularity))
+                if item not in pattern:
+                    pattern.append(item)
+            patterns.append(pattern)
+            previous = pattern
+        return patterns
+
+    def generate_item_lists(self, n_transactions: int) -> List[List[int]]:
+        if n_transactions < 0:
+            raise ValueError("n_transactions must be non-negative")
+        transactions: List[List[int]] = []
+        for _ in range(n_transactions):
+            target_length = max(1, int(self._rng.poisson(self.avg_transaction_length)))
+            target_length = min(target_length, self.n_items)
+            chosen: List[int] = []
+            chosen_set = set()
+            while len(chosen) < target_length:
+                pattern_index = int(
+                    self._rng.choice(len(self._patterns), p=self._pattern_probabilities)
+                )
+                for item in self._patterns[pattern_index]:
+                    if item not in chosen_set:
+                        chosen.append(item)
+                        chosen_set.add(item)
+                    if len(chosen) >= target_length:
+                        break
+            transactions.append(chosen)
+        return transactions
+
+
+class ReferenceDenseSparseGenerator:
+    """``DenseSparseGenerator`` with one ``random(n_items)`` draw per row.
+
+    The inclusion profile comes from the production generator built with
+    the same arguments (its calibration is not under test); the draws come
+    from a fresh generator seeded alike.
+    """
+
+    def __init__(self, **kwargs) -> None:
+        source = DenseSparseGenerator(**kwargs)
+        self.n_items = source.n_items
+        self._inclusion = source.inclusion_probabilities
+        self._rng = np.random.default_rng(source.seed)
+
+    def generate_item_lists(self, n_transactions: int) -> List[List[int]]:
+        transactions: List[List[int]] = []
+        for _ in range(n_transactions):
+            draws = self._rng.random(self.n_items)
+            items = np.nonzero(draws < self._inclusion)[0]
+            if len(items) == 0:
+                # Guarantee non-empty transactions: fall back to the most popular item.
+                items = np.array([0])
+            transactions.append([int(item) for item in items])
+        return transactions
+
+
+def reference_columns(database: UncertainDatabase) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
+    """The dict-of-lists column pass over the transaction objects."""
+    rows_by_item: Dict[int, List[int]] = {}
+    probs_by_item: Dict[int, List[float]] = {}
+    for row, transaction in enumerate(database):
+        for item, probability in transaction.units.items():
+            rows_by_item.setdefault(item, []).append(row)
+            probs_by_item.setdefault(item, []).append(probability)
+    columns: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+    for item in rows_by_item:
+        rows = np.asarray(rows_by_item[item], dtype=np.int64)
+        probs = np.asarray(probs_by_item[item], dtype=np.float64)
+        columns[item] = (rows, probs)
+    return columns

@@ -16,6 +16,7 @@ import repro.core.parallel
 import repro.core.support
 import repro.db.cache
 import repro.db.columnar
+import repro.db.database
 import repro.db.partition
 import repro.db.store
 import repro.faults
@@ -28,6 +29,7 @@ DOCUMENTED_MODULES = [
     repro.core.support,
     repro.db.cache,
     repro.db.columnar,
+    repro.db.database,
     repro.db.partition,
     repro.db.store,
     repro.faults,

@@ -117,6 +117,21 @@ class TestRegistryLifecycle:
         assert registry.rebuilds == 0
         assert len(got) == len(database)
 
+    def test_register_in_ram_dataset_leaves_rows_unbuilt(self):
+        from repro.datasets import load_dataset
+
+        registry = DatasetRegistry(budget_bytes=1 << 30)
+        spec = {"kind": "benchmark", "dataset": "accident", "scale": 0.001}
+        handle = registry.register("acc", spec)
+        warm = registry._warm.get(("acc", handle.revision))
+        assert warm.database._rows is None
+        fresh = load_dataset("accident", scale=0.001)
+        units = sum(len(t) for t in fresh.transactions)
+        assert warm.payload_nbytes == 16 * units + 512
+        assert handle.n_items == len({item for t in fresh for item in t.units})
+        _, served = registry.checkout("acc")
+        assert served._rows is None
+
     def test_reregister_bumps_revision(self, database):
         registry = DatasetRegistry(budget_bytes=1 << 20)
         first = registry.register("d", _inline_spec(database))
