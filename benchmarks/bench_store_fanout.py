@@ -269,14 +269,6 @@ def _capped_child_main() -> int:
     cap_rows = _env_int("REPRO_STORE_BENCH_CAP_ROWS", DEFAULT_CAP_ROWS)
     resource.setrlimit(resource.RLIMIT_DATA, (cap_bytes, cap_bytes))
 
-    # Out-of-core discipline: the derived-array caches are heap residents,
-    # so a capped run pins them small (recomputation traded for memory).
-    os.environ.setdefault(
-        "REPRO_PLAN",
-        "dense_cache_bytes=4m,prefix_cache_bytes=8m,"
-        "bitmap_cache_bytes=4m,mapped_cache_bytes=8m",
-    )
-
     import numpy as np
 
     # Prove the cap is enforced: a heap allocation of the cap's size must

@@ -21,9 +21,8 @@ the surviving candidates.
 from __future__ import annotations
 
 import math
+from statistics import NormalDist
 from typing import Optional
-
-from scipy.stats import norm
 
 from ..core.results import FrequentItemset
 from ..core.search import MinerSpec, SearchContext
@@ -62,11 +61,11 @@ class NDUHMine(ProbabilisticMiner):
         quantile is non-negative, so ``min_count - 0.5`` is already a valid
         lower bound.  For ``pft < 0.5`` the quantile is negative and the
         bound is loosened by the largest possible standard deviation,
-        ``sqrt(N) / 2``.
+        ``sqrt(N) / 2``; ``pft == 0`` has quantile ``-inf``.
         """
-        z = float(norm.ppf(pft))
-        if z >= 0.0:
+        if pft >= 0.5:
             return max(0.0, min_count - 0.5)
+        z = NormalDist().inv_cdf(pft) if pft > 0.0 else -math.inf
         return max(0.0, (min_count - 0.5) + z * math.sqrt(n_transactions) / 2.0)
 
     def _search_bar(self, ctx: SearchContext) -> float:

@@ -186,11 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     store_parser.add_argument(
         "--out", "-o", required=True, metavar="DIR", help="target store directory"
     )
-    store_parser.add_argument(
-        "--no-bitmaps",
-        action="store_true",
-        help="skip the packed occupancy-bitmap plane (smaller store, slower cascade)",
-    )
 
     verify_parser = subparsers.add_parser(
         "store-verify",
@@ -570,13 +565,10 @@ def _command_store_build(args: argparse.Namespace) -> int:
         database = load_dataset(args.dataset, scale=args.scale)
     else:
         database = read_uncertain(args.dataset, name=args.dataset)
-    store = ColumnarStore.save(
-        database, args.out, with_bitmaps=not args.no_bitmaps
-    )
-    statistics = database.stats()
+    store = ColumnarStore.save(database, args.out)
     print(
-        f"store-build: {len(database)} transactions, "
-        f"{statistics.n_items} items, {store.nnz} units -> {store.directory}"
+        f"store-build: {store.n_transactions} transactions, "
+        f"{store.n_items} items, {store.nnz} units -> {store.directory}"
     )
     print(
         f"  planes {store.data_nbytes} bytes on disk, "

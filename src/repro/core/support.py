@@ -53,8 +53,7 @@ __all__ = [
     "poisson_lambda_for_threshold",
 ]
 
-# The Normal CDF is evaluated via math.erf to avoid importing scipy in the
-# hot path; scipy is still used by the higher-level statistics helpers.
+# The Normal CDF is evaluated via math.erf; the runtime depends on numpy only.
 _SQRT2 = math.sqrt(2.0)
 
 

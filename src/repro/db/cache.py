@@ -10,8 +10,10 @@ least-recently-used order, so one unlucky workload (many distinct items,
 deep levels, huge databases) degrades to recomputation instead of
 unbounded growth.
 
-Budgets are small-by-default and set per run through the cache-budget
-knobs of the :class:`~repro.plan.spec.ExecutionPlan` (one knob per cache).
+The view's budgets are module constants of :mod:`repro.db.columnar`
+(``DENSE_CACHE_BYTES``, ``BITMAP_CACHE_BYTES``, ``PREFIX_CACHE_BYTES``); the
+service layer sizes its caches from ``REPRO_SERVICE_*`` variables through
+:func:`resolve_budget`.
 
 >>> cache = ByteBudgetLRU(budget_bytes=64)
 >>> import numpy as np
@@ -24,7 +26,6 @@ knobs of the :class:`~repro.plan.spec.ExecutionPlan` (one knob per cache).
 
 from __future__ import annotations
 
-import mmap
 import os
 import threading
 from collections import OrderedDict
@@ -34,7 +35,6 @@ import numpy as np
 
 __all__ = [
     "ByteBudgetLRU",
-    "MAPPED_CHARGE_BYTES",
     "resolve_budget",
 ]
 
@@ -50,46 +50,18 @@ def resolve_budget(env_name: str, default: int) -> int:
     return budget
 
 
-#: Nominal charge of a file-backed (memory-mapped) array.  Mapped arrays
-#: pin no process heap — their pages live in the OS page cache and are
-#: reclaimable under memory pressure — so charging them at ``nbytes`` would
-#: make one large mapped column evict an entire cache of genuinely
-#: heap-resident arrays.  They are charged a small constant (roughly the
-#: bookkeeping footprint of the array header plus its manifest entry)
-#: instead.
-MAPPED_CHARGE_BYTES = 512
-
-
-def _is_file_backed(array: np.ndarray) -> bool:
-    """Whether ``array``'s storage is an ``mmap`` (e.g. an ``np.memmap`` plane).
-
-    The base chain is walked to the ultimate owner: slices of a memmap are
-    file-backed, while ufunc *results* on memmaps (which NumPy wraps in the
-    ``np.memmap`` subclass despite owning fresh heap memory) are not.
-    """
-    base = array.base
-    while base is not None:
-        if isinstance(base, mmap.mmap):
-            return True
-        base = getattr(base, "base", None)
-    return False
-
-
 def _payload_nbytes(value: Any) -> int:
     """Byte size of a cached value: an ndarray or a tuple/list of ndarrays.
 
-    Heap-resident arrays are charged their full ``nbytes``; memory-mapped
-    arrays are charged :data:`MAPPED_CHARGE_BYTES` (see its docstring).
-    Non-array values may opt in by exposing a ``payload_nbytes`` attribute
-    (the service layer's warm-dataset and cached-result wrappers do), which
-    is taken at face value.
+    Arrays are charged their full ``nbytes``.  Non-array values may opt in
+    by exposing a ``payload_nbytes`` attribute (the service layer's
+    warm-dataset and cached-result wrappers do), which is taken at face
+    value.
     """
     declared = getattr(value, "payload_nbytes", None)
     if declared is not None and not isinstance(value, np.ndarray):
         return int(declared)
     if isinstance(value, np.ndarray):
-        if _is_file_backed(value):
-            return MAPPED_CHARGE_BYTES
         return int(value.nbytes)
     if isinstance(value, (tuple, list)):
         return sum(_payload_nbytes(part) for part in value)

@@ -52,7 +52,6 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from ..plan.spec import resolve_knob
 from .cache import ByteBudgetLRU
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -62,7 +61,10 @@ __all__ = [
     "ColumnarView",
     "ItemColumn",
     "RowCSR",
+    "BITMAP_CACHE_BYTES",
+    "DENSE_CACHE_BYTES",
     "DENSE_CROSSOVER_FRACTION",
+    "PREFIX_CACHE_BYTES",
     "csr_offsets",
     "csr_row_ids",
     "popcount_rows",
@@ -92,6 +94,17 @@ _EMPTY_COLUMN[1].flags.writeable = False
 #: because it avoids the searchsorted log-factor and the mask gathers.
 #: 0.25 sits inside the indifference band.
 DENSE_CROSSOVER_FRACTION = 0.25
+
+# Byte budgets of the view's three derived-array caches (tests monkeypatch
+# them to force evictions).
+#: A dense column is 8N bytes: ~1000 columns of an N=2000 database, far more
+#: than a level-wise run touches, at a fixed worst case.
+DENSE_CACHE_BYTES = 16 << 20
+#: A bitmap is N/8 bytes, so this is a hard safety bound only.
+BITMAP_CACHE_BYTES = 16 << 20
+#: A prefix column costs 16 * nnz bytes; 32 MiB keeps every frequent level
+#: of the benchmark workloads resident across levels.
+PREFIX_CACHE_BYTES = 32 << 20
 
 
 def csr_offsets(lengths: Sequence[int]) -> np.ndarray:
@@ -204,14 +217,14 @@ class ColumnarView:
         never correctness.
         """
         #: lazily scattered dense columns, built per item on first dense combine
-        self._dense_columns = ByteBudgetLRU(resolve_knob("dense_cache_bytes"))
+        self._dense_columns = ByteBudgetLRU(DENSE_CACHE_BYTES)
         #: packed per-item occupancy bitmaps (stage 1 of the cascade)
-        self._bitmaps = ByteBudgetLRU(resolve_knob("bitmap_cache_bytes"))
+        self._bitmaps = ByteBudgetLRU(BITMAP_CACHE_BYTES)
         #: cross-level prefix columns (stage 2 of the cascade): the frequent
         #: ``k-1``-columns of one level are exactly the join prefixes of the
         #: next, so persisting them across ``batch_columns`` calls turns a
         #: full prefix rebuild into a single gather-and-multiply
-        self._prefix_cache = ByteBudgetLRU(resolve_knob("prefix_cache_bytes"))
+        self._prefix_cache = ByteBudgetLRU(PREFIX_CACHE_BYTES)
 
     # -- pickling ----------------------------------------------------------------------
     def __getstate__(self):
@@ -675,7 +688,7 @@ class ColumnarView:
     def _dense_column(self, item: int) -> np.ndarray:
         """Dense (N,) probability vector of ``item``, scattered once and memoised.
 
-        The memo is byte-budgeted (the ``dense_cache_bytes`` knob): a dense
+        The memo is byte-budgeted (:data:`DENSE_CACHE_BYTES`): a dense
         column costs ``8 * N`` bytes, so an unbounded per-item dictionary
         would pin one full float vector per distinct item forever.  Under
         the LRU, cold items fall out and are rescattered on demand.

@@ -13,16 +13,17 @@ directory holding one binary file per CSR plane plus a small JSON manifest::
                     dtypes, per-item statistics, optional vocabulary
     rows.bin        int64   — concatenated per-item row indices
     probs.bin       float64 — concatenated existence probabilities
-    bitmaps.bin     uint8   — per-item packed occupancy bitmaps
-                              (``np.packbits`` layout, one row per item)
 
 :meth:`ColumnarStore.open` maps the planes with ``np.memmap(mode="r")`` and
-returns a :class:`MappedColumnarView` whose columns are resolved as memmap
-*slices* on demand — no plane is ever read eagerly, so databases far larger
-than RAM stream row ranges through the unchanged bitset cascade while the
-OS pages plane data in and out.  The layout is deliberately the cascade's
-access pattern: per-item contiguous runs (column gathers are sequential
-reads) and precomputed packed bitmaps (stage-1 kills never touch a float).
+returns a :class:`MappedColumnarView` whose columns are resolved as
+*slices* of the mapped planes on demand — no plane is ever read eagerly, so
+databases far larger than RAM stream row ranges through the unchanged
+bitset cascade while the OS pages plane data in and out.  The layout is
+deliberately the cascade's access pattern: per-item contiguous runs, so
+column gathers are sequential reads.  Occupancy bitmaps are built from the
+columns, like the in-RAM view's.  Stores written before the bitmap plane
+was dropped still carry ``bitmaps.bin``: they open, verify it through the
+same checksum loop, and never read it.
 
 **Zero-copy fan-out.**  A shard crossing a process boundary travels as an
 O(manifest-bytes) descriptor, never as data:
@@ -60,8 +61,6 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import faults
-from ..plan.spec import resolve_knob
-from .cache import ByteBudgetLRU
 from .columnar import ColumnarView, ItemColumn, RowCSR
 from .database import DatabaseStats, UncertainDatabase
 from .vocabulary import Vocabulary
@@ -92,8 +91,8 @@ MANIFEST_NAME = "manifest.json"
 STORE_FORMAT = "repro-columnar-store"
 STORE_VERSION = 1
 
-_PLANE_FILES = {"rows": "rows.bin", "probs": "probs.bin", "bitmaps": "bitmaps.bin"}
-_PLANE_DTYPES = {"rows": np.int64, "probs": np.float64, "bitmaps": np.uint8}
+_PLANE_FILES = {"rows": "rows.bin", "probs": "probs.bin"}
+_PLANE_DTYPES = {"rows": np.int64, "probs": np.float64}
 
 #: shared-memory segment layout: 3 int64 header words (n_transactions,
 #: n_items, nnz) followed by the items, offsets, rows and probs planes
@@ -141,10 +140,9 @@ class StoreWriter:
     are closed and **no manifest is written**, so a partial directory can
     never be opened as a store.
 
-    Building through the writer keeps peak memory at one column (plus one
-    ``N``-byte occupancy scratch when bitmaps are enabled), which is what
-    lets :mod:`benchmarks.bench_store_fanout` build stores larger than the
-    enforced RSS cap.
+    Building through the writer keeps peak memory at one column, which is
+    what lets :mod:`benchmarks.bench_store_fanout` build stores larger than
+    the enforced RSS cap.
     """
 
     def __init__(
@@ -154,7 +152,6 @@ class StoreWriter:
         *,
         name: str = "",
         vocabulary: Optional[Sequence[str]] = None,
-        with_bitmaps: bool = True,
     ) -> None:
         self.directory = os.fspath(directory)
         self._n_transactions = int(n_transactions)
@@ -162,15 +159,9 @@ class StoreWriter:
             raise StoreError("n_transactions must be >= 0")
         self._name = name
         self._vocabulary = list(vocabulary) if vocabulary is not None else None
-        self._with_bitmaps = bool(with_bitmaps)
         os.makedirs(self.directory, exist_ok=True)
         self._rows_handle = open(os.path.join(self.directory, _PLANE_FILES["rows"]), "wb")
         self._probs_handle = open(os.path.join(self.directory, _PLANE_FILES["probs"]), "wb")
-        self._bitmap_handle = (
-            open(os.path.join(self.directory, _PLANE_FILES["bitmaps"]), "wb")
-            if self._with_bitmaps
-            else None
-        )
         self._items: List[int] = []
         self._offsets: List[int] = [0]
         self._statistics: List[Tuple[float, float]] = []
@@ -178,7 +169,7 @@ class StoreWriter:
         #: checksum costs nothing extra at build time (the bytes are in
         #: hand), whereas computing it after the fact would re-read every
         #: plane from disk.
-        self._plane_crcs: Dict[str, int] = {"rows": 0, "probs": 0, "bitmaps": 0}
+        self._plane_crcs: Dict[str, int] = {"rows": 0, "probs": 0}
         self._finalized = False
         self._closed = False
 
@@ -214,14 +205,6 @@ class StoreWriter:
         self._probs_handle.write(probs_bytes)
         self._plane_crcs["rows"] = zlib.crc32(rows_bytes, self._plane_crcs["rows"])
         self._plane_crcs["probs"] = zlib.crc32(probs_bytes, self._plane_crcs["probs"])
-        if self._bitmap_handle is not None:
-            occupied = np.zeros(self._n_transactions, dtype=bool)
-            occupied[rows] = True
-            bitmap_bytes = np.packbits(occupied).tobytes()
-            self._bitmap_handle.write(bitmap_bytes)
-            self._plane_crcs["bitmaps"] = zlib.crc32(
-                bitmap_bytes, self._plane_crcs["bitmaps"]
-            )
         self._items.append(item)
         self._offsets.append(self._offsets[-1] + len(rows))
         self._statistics.append(
@@ -229,8 +212,8 @@ class StoreWriter:
         )
 
     def _close_handles(self) -> None:
-        for handle in (self._rows_handle, self._probs_handle, self._bitmap_handle):
-            if handle is not None and not handle.closed:
+        for handle in (self._rows_handle, self._probs_handle):
+            if not handle.closed:
                 handle.close()
 
     def abort(self) -> None:
@@ -250,25 +233,15 @@ class StoreWriter:
             "n_transactions": self._n_transactions,
             "n_items": len(self._items),
             "nnz": self._offsets[-1],
-            "bitmap_width": (self._n_transactions + 7) // 8,
             "dtypes": _native_dtype_strings(),
-            "planes": {
-                "rows": _PLANE_FILES["rows"],
-                "probs": _PLANE_FILES["probs"],
-                "bitmaps": _PLANE_FILES["bitmaps"] if self._with_bitmaps else None,
-            },
+            "planes": dict(_PLANE_FILES),
             "items": self._items,
             "offsets": self._offsets,
             "item_statistics": [list(stat) for stat in self._statistics],
             "vocabulary": self._vocabulary,
             "checksums": {
-                "rows": format(self._plane_crcs["rows"] & 0xFFFFFFFF, "08x"),
-                "probs": format(self._plane_crcs["probs"] & 0xFFFFFFFF, "08x"),
-                "bitmaps": (
-                    format(self._plane_crcs["bitmaps"] & 0xFFFFFFFF, "08x")
-                    if self._with_bitmaps
-                    else None
-                ),
+                key: format(crc & 0xFFFFFFFF, "08x")
+                for key, crc in self._plane_crcs.items()
             },
         }
         manifest_path = os.path.join(self.directory, MANIFEST_NAME)
@@ -305,7 +278,7 @@ class ColumnarStore:
         self.offsets: np.ndarray = np.asarray(manifest["offsets"], dtype=np.int64)
         self.items.flags.writeable = False
         self.offsets.flags.writeable = False
-        self._planes: Optional[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]] = None
+        self._planes: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._item_index: Optional[Dict[int, int]] = None
 
     # -- construction ------------------------------------------------------------
@@ -317,16 +290,9 @@ class ColumnarStore:
         *,
         name: str = "",
         vocabulary: Optional[Sequence[str]] = None,
-        with_bitmaps: bool = True,
     ) -> StoreWriter:
         """A streaming :class:`StoreWriter` for building stores column by column."""
-        return StoreWriter(
-            directory,
-            n_transactions,
-            name=name,
-            vocabulary=vocabulary,
-            with_bitmaps=with_bitmaps,
-        )
+        return StoreWriter(directory, n_transactions, name=name, vocabulary=vocabulary)
 
     @classmethod
     def save(
@@ -335,7 +301,6 @@ class ColumnarStore:
         directory: str,
         *,
         name: str = "",
-        with_bitmaps: bool = True,
     ) -> "ColumnarStore":
         """Persist a database or columnar view into ``directory`` and open it.
 
@@ -346,8 +311,6 @@ class ColumnarStore:
             directory: Target directory (created if missing; an existing
                 store there is overwritten).
             name: Manifest name override.
-            with_bitmaps: Also persist the packed occupancy bitmap plane
-                (stage 1 of the cascade reads it directly off disk).
         """
         vocabulary: Optional[Sequence[str]] = None
         view = source
@@ -355,13 +318,7 @@ class ColumnarStore:
             name = name or source.name
             vocabulary = list(source.vocabulary) if source.vocabulary is not None else None
             view = source.columnar()
-        with cls.writer(
-            directory,
-            len(view),
-            name=name,
-            vocabulary=vocabulary,
-            with_bitmaps=with_bitmaps,
-        ) as writer:
+        with cls.writer(directory, len(view), name=name, vocabulary=vocabulary) as writer:
             for item in view.items():
                 rows, probs = view.column(item)
                 writer.add_column(item, rows, probs)
@@ -406,7 +363,8 @@ class ColumnarStore:
                 f"is not supported (expected {STORE_VERSION})"
             )
         native = _native_dtype_strings()
-        if manifest.get("dtypes") != native:
+        dtypes = manifest.get("dtypes") or {}
+        if {key: dtypes.get(key) for key in native} != native:
             raise StoreError(
                 f"{manifest_path}: plane dtypes {manifest.get('dtypes')} do not "
                 f"match this platform's native layout {native}"
@@ -563,17 +521,13 @@ class ColumnarStore:
             )
         return np.memmap(path, dtype=dtype, mode="r", shape=(count,))
 
-    def planes(self) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-        """The lazily opened ``(rows, probs, bitmaps)`` memmap planes."""
+    def planes(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The lazily opened ``(rows, probs)`` memmap planes."""
         if self._planes is None:
-            rows = self._open_plane("rows", self.nnz)
-            probs = self._open_plane("probs", self.nnz)
-            bitmaps: Optional[np.ndarray] = None
-            if self._manifest["planes"].get("bitmaps"):
-                width = int(self._manifest["bitmap_width"])
-                flat = self._open_plane("bitmaps", self.n_items * width)
-                bitmaps = flat.reshape(self.n_items, width) if width else None
-            self._planes = (rows, probs, bitmaps)
+            self._planes = (
+                self._open_plane("rows", self.nnz),
+                self._open_plane("probs", self.nnz),
+            )
         return self._planes
 
     # -- views -------------------------------------------------------------------
@@ -622,11 +576,12 @@ class MappedColumnarView(ColumnarView):
 
     The view holds a row range ``[start, stop)`` of its store; a column
     access performs at most two binary searches into the mapped rows plane
-    and returns memmap slices (full-range views) or re-based copies of just
-    that column's in-range run (sharded views).  Everything else — the
-    bitset cascade, prefix caching, batched level evaluation — is the
-    unchanged base-class code operating on the lazy mapping, which is what
-    keeps mapped results bitwise identical to in-RAM results.
+    and returns slices of the mapped planes (full-range views) or re-based
+    copies of just that column's in-range run (sharded views).  Everything
+    else — the bitset cascade, occupancy bitmaps, prefix caching, batched
+    level evaluation — is the unchanged base-class code operating on the
+    lazy mapping, which is what keeps mapped results bitwise identical to
+    in-RAM results.
 
     Pickling ships ``(directory, start, stop)`` only; unpickling re-opens
     the manifest (and raises a clear :class:`StoreError` if the store has
@@ -648,13 +603,13 @@ class MappedColumnarView(ColumnarView):
         self._stop = stop
         self._full = start == 0 and stop == total
         self._n_transactions = stop - start
-        rows_plane, probs_plane, bitmap_plane = store.planes()
-        self._rows_plane = rows_plane
-        self._probs_plane = probs_plane
-        self._bitmap_plane = bitmap_plane
+        # Plain-ndarray views of the memmaps: slicing one skips the memmap
+        # subclass's per-slice bookkeeping, so a column costs a fifth as much.
+        rows_plane, probs_plane = store.planes()
+        self._rows_plane = np.asarray(rows_plane)
+        self._probs_plane = np.asarray(probs_plane)
         self._bounds_cache: Dict[int, Tuple[int, int]] = {}
         self._init_caches()
-        self._column_cache = ByteBudgetLRU(resolve_knob("mapped_cache_bytes"))
         self._columns = _MappedColumns(self)
 
     # -- pickling ------------------------------------------------------------------
@@ -692,23 +647,14 @@ class MappedColumnarView(ColumnarView):
         position = self._store.item_index().get(item)
         if position is None:
             return None
-        column = self._column_cache.get(item)
-        if column is not None:
-            return column
         lo, hi = self._resolve_bounds(position)
         if lo == hi:
             return None
-        rows: np.ndarray = self._rows_plane[lo:hi]
-        probs: np.ndarray = self._probs_plane[lo:hi]
+        rows = self._rows_plane[lo:hi]
         if self._start:
-            # Re-base to shard-local row indices.  np.asarray first: a ufunc
-            # on a memmap returns a heap-resident np.memmap *subclass*,
-            # which would defeat the cache's mapped-charge detection.
-            rows = np.asarray(rows) - np.int64(self._start)
+            rows = rows - np.int64(self._start)
             rows.flags.writeable = False
-        column = (rows, probs)
-        self._column_cache.put(item, column)
-        return column
+        return rows, self._probs_plane[lo:hi]
 
     # -- shape overrides ---------------------------------------------------------
     def nnz(self) -> int:
@@ -738,27 +684,6 @@ class MappedColumnarView(ColumnarView):
             for position, item in enumerate(self._store.items)
             if offsets[position + 1] > offsets[position]
         }
-
-    # -- cascade overrides ---------------------------------------------------------
-    def item_bitmap(self, item: int) -> np.ndarray:
-        """Packed occupancy — one memmap row of the bitmap plane when possible.
-
-        The stored plane packs occupancy over the *full* row range, and
-        packed bitmaps cannot be sliced at non-byte-aligned shard bounds, so
-        ranged views (and stores saved without bitmaps) build theirs from
-        the column exactly like the in-RAM view — byte-identical either way
-        (the plane itself is ``np.packbits`` of the same column).
-        """
-        if self._bitmap_plane is None or not self._full:
-            return super().item_bitmap(item)
-        bitmap = self._bitmaps.get(item)
-        if bitmap is None:
-            position = self._store.item_index().get(item)
-            if position is None:
-                return super().item_bitmap(item)
-            bitmap = self._bitmap_plane[position]
-            self._bitmaps.put(item, bitmap)
-        return bitmap
 
     def slice_rows(self, start: int, stop: int) -> "MappedColumnarView":
         """A lazily mapped shard of rows ``[start, stop)`` (no materialisation)."""

@@ -52,9 +52,6 @@ __all__ = [
 #: composite plan environment variable: a ``k=v,k=v`` spec
 PLAN_ENV = "REPRO_PLAN"
 
-_BYTE_SUFFIXES = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30}
-
-
 def _available_cpus() -> int:
     """Number of CPUs the process may actually use (affinity-aware)."""
     try:
@@ -95,24 +92,6 @@ def _parse_conv_span(value: Any) -> int:
     if span < 0:
         raise ValueError(f"conv_span must be >= 0 (0 = every merge uses the FFT), got {span}")
     return span
-
-
-def _parse_bytes(value: Any, *, minimum: int, label: str) -> int:
-    if isinstance(value, str):
-        lowered = value.strip().lower()
-        scale = 1
-        if lowered and lowered[-1] in _BYTE_SUFFIXES:
-            scale = _BYTE_SUFFIXES[lowered[-1]]
-            lowered = lowered[:-1]
-        value = int(lowered) * scale
-    amount = int(value)
-    if amount < minimum:
-        raise ValueError(f"{label} must be >= {minimum}, got {amount}")
-    return amount
-
-
-def _byte_parser(minimum: int, label: str) -> Callable[[Any], int]:
-    return lambda value: _parse_bytes(value, minimum=minimum, label=label)
 
 
 def _parse_faults(value: Any) -> str:
@@ -177,29 +156,6 @@ KNOBS: Dict[str, Knob] = {
             "PMF operand length above which convolutions go through the FFT "
             "(32: the measured crossover of the height-batched DC walker)",
         ),
-        # A dense column is 8N bytes: ~1000 columns of an N=2000 database,
-        # far more than a level-wise run touches, at a fixed worst case.
-        Knob(
-            "dense_cache_bytes", 16 << 20, _byte_parser(0, "dense_cache_bytes"),
-            "byte budget of the dense column cache",
-        ),
-        # A bitmap is N/8 bytes, so this is a hard safety bound only.
-        Knob(
-            "bitmap_cache_bytes", 16 << 20, _byte_parser(0, "bitmap_cache_bytes"),
-            "byte budget of the packed occupancy-bitmap cache",
-        ),
-        # A prefix column costs 16 * nnz bytes; 32 MiB keeps every frequent
-        # level of the benchmark workloads resident across levels.
-        Knob(
-            "prefix_cache_bytes", 32 << 20, _byte_parser(0, "prefix_cache_bytes"),
-            "byte budget of the cross-level prefix-vector cache",
-        ),
-        # Full-range mapped columns are memmap slices charged at a nominal
-        # rate, so this bounds only the re-based rows of sharded views.
-        Knob(
-            "mapped_cache_bytes", 64 << 20, _byte_parser(0, "mapped_cache_bytes"),
-            "byte budget of the mapped-store column cache",
-        ),
         Knob(
             "faults", "", _parse_faults,
             "deterministic fault-injection spec ('' = off; ';' separates "
@@ -231,10 +187,6 @@ class ExecutionPlan:
     workers: Optional[int] = None
     shards: Optional[int] = None
     conv_span: Optional[int] = None
-    dense_cache_bytes: Optional[int] = None
-    bitmap_cache_bytes: Optional[int] = None
-    prefix_cache_bytes: Optional[int] = None
-    mapped_cache_bytes: Optional[int] = None
     faults: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -253,7 +205,7 @@ class ExecutionPlan:
         >>> ExecutionPlan.from_dict({"wrokers": 2})
         Traceback (most recent call last):
             ...
-        ValueError: unknown plan knob(s): 'wrokers' (known: bitmap_cache_bytes, conv_span, ...)
+        ValueError: unknown plan knob(s): 'wrokers' (known: conv_span, faults, ...)
         """
         unknown = sorted(set(mapping) - set(KNOBS))
         if unknown:
@@ -303,9 +255,6 @@ def ensure_plan(
 
 def parse_plan_spec(spec: str) -> ExecutionPlan:
     """Parse a ``k=v,k=v`` plan spec (the ``--plan`` / ``REPRO_PLAN`` syntax).
-
-    Byte-budget knobs accept ``k``/``m``/``g`` suffixes
-    (``dense_cache_bytes=64m``).
 
     >>> parse_plan_spec("workers=2,conv_span=64").workers
     2

@@ -15,9 +15,9 @@ materialised databases and their views) live in a
 When the budget overflows, the least-recently-served dataset degrades to
 cold — the next request that names it transparently rebuilds (or re-opens)
 it and re-warms the cache.  Mapped datasets are charged a nominal constant
-(their pages live in the OS page cache, exactly the
-:data:`~repro.db.cache.MAPPED_CHARGE_BYTES` argument), so one registry can
-keep many out-of-core stores warm alongside a few in-RAM datasets.
+(their plane pages live in the OS page cache, not the process heap), so one
+registry can keep many out-of-core stores warm alongside a few in-RAM
+datasets.
 
 Every registration — including re-registration under an existing name —
 bumps the dataset's **revision**.  The revision is part of every result

@@ -61,7 +61,12 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.support import shift_convolve, spectrum_product
+from ..core.support import (
+    chernoff_upper_bound,
+    markov_upper_bound,
+    shift_convolve,
+    spectrum_product,
+)
 
 __all__ = ["DENSE_SPAN", "IncrementalSupportIndex"]
 
@@ -809,7 +814,12 @@ class IncrementalSupportIndex:
     ) -> np.ndarray:
         """Exact ``Pr[sup(X) >= min_count]`` per candidate from the merged PMFs.
 
-        Candidates are opted into PMF maintenance on first query.
+        Candidates are opted into PMF maintenance on first query.  Like
+        :func:`~repro.core.support.dc_tail_probabilities`, each tail is
+        capped by the candidate's Markov and Chernoff bounds: far above the
+        mean, the inverse FFT of a spectral root leaves round-off (~1e-16)
+        orders of magnitude above the true tail, and a value above a sound
+        upper bound can only be round-off.
         """
         min_count = int(min_count)
         self.ensure_pmfs(candidates)
@@ -818,6 +828,7 @@ class IncrementalSupportIndex:
             dtype=np.int64,
         )
         roots = self.root_pmfs(pmf_columns)
+        expected = self.expected_supports(candidates).tolist()
         results = np.empty(len(candidates), dtype=float)
         for position in range(len(candidates)):
             pmf = roots[position]
@@ -826,7 +837,14 @@ class IncrementalSupportIndex:
             elif min_count >= len(pmf):
                 results[position] = 0.0
             else:
-                results[position] = max(0.0, min(1.0, float(pmf[min_count:].sum())))
+                results[position] = max(
+                    0.0,
+                    min(
+                        float(pmf[min_count:].sum()),
+                        markov_upper_bound(expected[position], min_count),
+                        chernoff_upper_bound(expected[position], min_count),
+                    ),
+                )
         return results
 
     def root_pmfs(self, pmf_columns: np.ndarray) -> np.ndarray:

@@ -84,6 +84,18 @@ class TestNDUHMine:
         assert threshold_high == pytest.approx(49.5)
         assert threshold_low < 49.5
 
+    @pytest.mark.parametrize(
+        ("pft", "expected"),
+        [
+            (0.0, 0.0),  # quantile -inf: every itemset may qualify
+            (0.2, max(0.0, 49.5 - 0.8416212335729142 * 200 ** 0.5 / 2.0)),
+            (0.5, 49.5),  # quantile 0: the bar is min_count - 0.5
+            (1.0, 49.5),
+        ],
+    )
+    def test_search_threshold_pins(self, pft, expected):
+        assert NDUHMine._search_threshold(50, pft, 200) == expected
+
     def test_low_pft_does_not_lose_itemsets(self):
         database = large_random_db(5)
         approximate = NDUHMine().mine(database, min_sup=0.3, pft=0.3)

@@ -29,6 +29,7 @@ from repro.core.support import (
 )
 from repro.db import UncertainDatabase
 from repro.db.cache import ByteBudgetLRU
+from repro.db import columnar
 from repro.db.columnar import ColumnarView, popcount_rows
 
 import reference
@@ -317,7 +318,7 @@ class TestByteBudgetCaches:
     def test_prefix_cache_budget_is_respected_and_only_costs_time(
         self, database, monkeypatch
     ):
-        monkeypatch.setenv("REPRO_PLAN", "prefix_cache_bytes=256")
+        monkeypatch.setattr(columnar, "PREFIX_CACHE_BYTES", 256)
         view = ColumnarView(database)
         candidates = _all_levels(view)
         first = view.batch_vectors(candidates)
@@ -328,7 +329,7 @@ class TestByteBudgetCaches:
         _assert_same_vectors(second, expected)
 
     def test_dense_memo_is_bounded(self, database, monkeypatch):
-        monkeypatch.setenv("REPRO_PLAN", f"dense_cache_bytes={len(database) * 8 * 2}")
+        monkeypatch.setattr(columnar, "DENSE_CACHE_BYTES", len(database) * 8 * 2)
         view = ColumnarView(database)
         for item in view.items():
             view._dense_column(item)

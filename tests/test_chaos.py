@@ -307,7 +307,7 @@ class TestStoreIntegrity:
         store = ColumnarStore.save(database, str(tmp_path / "store"))
         report = store.verify()
         assert report["ok"]
-        assert {"rows", "probs", "bitmaps"} <= set(report["planes"])
+        assert set(report["planes"]) == {"rows", "probs"}
         for entry in report["planes"].values():
             assert entry["ok"] and "expected" in entry
 

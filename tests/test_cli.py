@@ -86,6 +86,29 @@ class TestStoreCommands:
         assert "2 frequent itemsets" in capsys.readouterr().out
         assert "2 frequent itemsets" in reference_out
 
+    def test_store_build_leaves_generated_rows_unbuilt(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import repro.cli as cli
+
+        loaded = []
+
+        def load(name, **kwargs):
+            loaded.append(cli_load_dataset(name, **kwargs))
+            return loaded[-1]
+
+        cli_load_dataset = cli.load_dataset
+        monkeypatch.setattr(cli, "load_dataset", load)
+        store_dir = tmp_path / "accident-store"
+        code = main(
+            ["store-build", "-d", "accident", "--scale", "0.001", "-o", str(store_dir)]
+        )
+        assert code == 0
+        (database,) = loaded
+        assert database._rows is None
+        output = capsys.readouterr().out
+        assert f"{len(database)} transactions, {len(database.items())} items" in output
+
     def test_mine_store_from_environment(self, tmp_path, capsys, monkeypatch):
         source = tmp_path / "paper.txt"
         write_uncertain(paper_example_database(), source)

@@ -47,6 +47,21 @@ from repro.service import (
 
 from helpers import make_random_database
 
+#: knobs of earlier releases; every tier rejects them as unknown (the cache
+#: budgets are now constants of repro.db.columnar, the DP block budget is
+#: repro.core.support.DP_BLOCK_BYTES)
+RETIRED_KNOBS = {
+    "backend": "rows",
+    "bitset": "off",
+    "fanout": "shm",
+    "dense_crossover": "0.25",
+    "dp_block_bytes": "1048576",
+    "dense_cache_bytes": "64m",
+    "bitmap_cache_bytes": "4m",
+    "prefix_cache_bytes": "8m",
+    "mapped_cache_bytes": "8m",
+}
+
 #: the per-knob variables of earlier releases; the pipeline ignores them
 RETIRED_ENV = {
     "REPRO_BACKEND": "rows",
@@ -88,10 +103,6 @@ MATRIX = {
     "workers": ((5, 5), (4, 4), ("3", 3)),
     "shards": ((6, 6), (5, 5), ("4", 4)),
     "conv_span": ((96, 96), (128, 128), ("192", 192)),
-    "dense_cache_bytes": ((1 << 20, 1 << 20), (2 << 20, 2 << 20), ("3m", 3 << 20)),
-    "bitmap_cache_bytes": ((1 << 20, 1 << 20), (2 << 20, 2 << 20), ("3m", 3 << 20)),
-    "prefix_cache_bytes": ((1 << 20, 1 << 20), (2 << 20, 2 << 20), ("3m", 3 << 20)),
-    "mapped_cache_bytes": ((1 << 20, 1 << 20), (2 << 20, 2 << 20), ("3m", 3 << 20)),
     "faults": (("seed=1", "seed=1"), ("seed=2", "seed=2"), ("seed=3", "seed=3")),
 }
 
@@ -142,7 +153,7 @@ class TestPrecedenceMatrix:
     def test_resolution_never_mutates_environ(self, monkeypatch):
         monkeypatch.setenv(PLAN_ENV, "workers=4")
         before = dict(os.environ)
-        with plan_scope(ExecutionPlan(conv_span=64, prefix_cache_bytes=0)):
+        with plan_scope(ExecutionPlan(conv_span=64, shards=2)):
             for name in KNOBS:
                 resolve_knob(name)
         materialize_plan("workers=2,conv_span=64")
@@ -153,18 +164,22 @@ class TestPrecedenceMatrix:
 
 
 class TestExecutionPlan:
-    def test_eight_knobs(self):
-        assert [field.name for field in fields(ExecutionPlan)] == list(KNOBS)
-        assert len(KNOBS) == 8
-        # the DP block budget is the module constant support.DP_BLOCK_BYTES
-        with pytest.raises(ValueError, match="unknown plan knob"):
-            ExecutionPlan.from_dict({"dp_block_bytes": 1 << 20})
+    def test_four_knobs(self):
+        assert [field.name for field in fields(ExecutionPlan)] == [
+            "workers", "shards", "conv_span", "faults",
+        ]
+        assert list(KNOBS) == [field.name for field in fields(ExecutionPlan)]
+        for name, value in RETIRED_KNOBS.items():
+            with pytest.raises(ValueError, match="unknown plan knob"):
+                ExecutionPlan.from_dict({name: value})
+            with pytest.raises(TypeError):
+                ExecutionPlan(**{name: value})
 
     def test_construction_normalizes_values(self):
-        plan = ExecutionPlan(conv_span="64", workers="auto", dense_cache_bytes="2m")
+        plan = ExecutionPlan(conv_span="64", workers="auto", shards="3")
         assert plan.conv_span == 64
         assert plan.workers >= 1
-        assert plan.dense_cache_bytes == 2 << 20
+        assert plan.shards == 3
         assert parse_plan_spec("workers=auto").workers == plan.workers
 
     @pytest.mark.parametrize(
@@ -173,10 +188,6 @@ class TestExecutionPlan:
             {"workers": -1},
             {"shards": 0},
             {"conv_span": -1},
-            {"dense_cache_bytes": -1},
-            {"bitmap_cache_bytes": "-1k"},
-            {"prefix_cache_bytes": "lots"},
-            {"mapped_cache_bytes": "2x"},
             {"faults": "seed=1,no-such-site=0.5"},
         ],
     )
@@ -186,10 +197,7 @@ class TestExecutionPlan:
 
     def test_round_trip_through_dict(self):
         plan = ExecutionPlan(
-            workers=2, shards=4, conv_span=128,
-            dense_cache_bytes=1 << 20,
-            bitmap_cache_bytes=1 << 20, prefix_cache_bytes=1 << 20,
-            mapped_cache_bytes=1 << 20, faults="seed=1",
+            workers=2, shards=4, conv_span=128, faults="seed=1",
         )
         assert ExecutionPlan.from_dict(plan.to_dict()) == plan
         partial = ExecutionPlan(workers=2)
@@ -205,6 +213,10 @@ class TestExecutionPlan:
             {"dense_crossover": 0.25},
             {"backend": "rows"},
             {"auto": True},
+            {"dense_cache_bytes": 1 << 20},
+            {"bitmap_cache_bytes": 1 << 20},
+            {"prefix_cache_bytes": 1 << 20},
+            {"mapped_cache_bytes": 1 << 20},
         ],
     )
     def test_from_dict_rejects_unknown_keys(self, mapping):
@@ -223,7 +235,7 @@ class TestExecutionPlan:
         ("spec", "expected"),
         [
             ("workers=2,conv_span=64", {"workers": 2, "conv_span": 64}),
-            ("dense_cache_bytes=64m", {"dense_cache_bytes": 64 << 20}),
+            ("faults=seed=1;socket-drop=0.1", {"faults": "seed=1;socket-drop=0.1"}),
             (" workers = 2 , ", {"workers": 2}),
         ],
     )
@@ -241,13 +253,27 @@ class TestExecutionPlan:
             "dense_crossover=0.3",
             "backend=rows",
             "backend=columnar",
+            "dense_cache_bytes=64m",
+            "bitmap_cache_bytes=4m",
+            "prefix_cache_bytes=8m",
+            "mapped_cache_bytes=8m",
         ],
     )
     def test_parse_plan_spec_rejects(self, spec):
         with pytest.raises(ValueError):
             parse_plan_spec(spec)
 
-    @pytest.mark.parametrize("spec", ["backend=rows", "workers=2,backend=columnar"])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "backend=rows",
+            "workers=2,backend=columnar",
+            "dense_cache_bytes=4m",
+            "bitmap_cache_bytes=4m",
+            "prefix_cache_bytes=8m",
+            "workers=2,mapped_cache_bytes=8m",
+        ],
+    )
     def test_retired_knob_in_repro_plan_is_unknown(self, spec, monkeypatch):
         monkeypatch.setenv(PLAN_ENV, spec)
         with pytest.raises(ValueError, match="unknown plan knob"):
@@ -318,7 +344,7 @@ class TestMaterialize:
         assert plan.workers == 6  # explicit
         assert plan.shards == 2  # the request
         assert plan.conv_span == 99  # REPRO_PLAN
-        assert plan.bitmap_cache_bytes == KNOBS["bitmap_cache_bytes"].default
+        assert plan.faults == KNOBS["faults"].default
 
     def test_materialized_mine_bitwise_equals_default_mine(self):
         database = make_random_database(
@@ -354,8 +380,8 @@ class TestServicePlanIsolation:
             mine(database, algorithm="uapriori", min_esup=0.2).itemsets
         )
         plans = [
-            {"prefix_cache_bytes": 0, "bitmap_cache_bytes": 0},
-            {"prefix_cache_bytes": 1 << 20, "bitmap_cache_bytes": 1 << 20},
+            {"conv_span": 0, "shards": 1},
+            {"conv_span": 1 << 12, "shards": 2},
         ]
         env_before = dict(os.environ)
         barrier = threading.Barrier(len(plans))

@@ -270,16 +270,24 @@ class TestServerErrors:
             assert reply["plan"]["workers"] >= 1
 
     def test_retired_backend_knob_is_a_bad_param(self, server):
+        retired = {
+            "backend": "rows",
+            "dense_cache_bytes": "4m",
+            "bitmap_cache_bytes": "4m",
+            "prefix_cache_bytes": "8m",
+            "mapped_cache_bytes": "8m",
+        }
         host, port = server.address
         with MiningClient(host, port) as client:
-            with pytest.raises(ServiceError) as excinfo:
-                client.mine("d", min_esup=0.2, plan="backend=rows")
-            assert excinfo.value.type == "bad-params"
-            assert "unknown plan knob" in str(excinfo.value)
-            # The server keeps serving on the same connection.
-            reply = client.mine("d", min_esup=0.2)
-            assert "backend" not in reply["plan"]
-            assert reply["n"] > 0
+            for name, value in retired.items():
+                with pytest.raises(ServiceError) as excinfo:
+                    client.mine("d", min_esup=0.2, plan=f"{name}={value}")
+                assert excinfo.value.type == "bad-params"
+                assert "unknown plan knob" in str(excinfo.value)
+                # The server keeps serving on the same connection.
+                reply = client.mine("d", min_esup=0.2)
+                assert name not in reply["plan"]
+                assert reply["n"] > 0
 
     def test_errors_do_not_poison_the_connection(self, server):
         host, port = server.address

@@ -16,6 +16,7 @@ import json
 import os
 import pickle
 import shutil
+import zlib
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ import pytest
 from repro.core.miner import mine
 from repro.core.registry import algorithm_names, get_algorithm
 from repro.db import UncertainDatabase
-from repro.db.cache import MAPPED_CHARGE_BYTES, ByteBudgetLRU, _is_file_backed
 from repro.db.store import (
     STORE_ENV,
     ColumnarStore,
@@ -142,10 +142,12 @@ class TestWriterErrors:
 
 class TestMappedView:
     def test_full_view_columns_are_file_backed(self, store):
+        rows_plane, probs_plane = store.planes()
         rows, probs = store.view().column(store.view().items()[0])
-        assert _is_file_backed(rows)
-        assert _is_file_backed(probs)
-        assert not _is_file_backed(np.array(rows))
+        assert type(rows) is np.ndarray and type(probs) is np.ndarray
+        assert np.shares_memory(rows, rows_plane)
+        assert np.shares_memory(probs, probs_plane)
+        assert not rows.flags.writeable and not probs.flags.writeable
 
     def test_slices_match_in_ram_slices(self, database, store):
         view = database.columnar()
@@ -196,21 +198,73 @@ class TestMappedView:
         assert directory == store.directory
         assert (start, stop) == (5, 25)
 
-    def test_lru_charges_mapped_columns_nominally(self, tmp_path):
-        directory = tmp_path / "lru-store"
-        with ColumnarStore.writer(str(directory), 200) as writer:
-            writer.add_column(
-                1, np.arange(200, dtype=np.int64), np.full(200, 0.5)
-            )
-        mapped_rows = ColumnarStore.open(str(directory)).view().column(1)[0]
-        heap_rows = np.array(mapped_rows)
-        assert mapped_rows.nbytes == 1600
-        cache = ByteBudgetLRU(2 * MAPPED_CHARGE_BYTES)
-        cache.put("mapped", mapped_rows)
-        assert cache.get("mapped") is mapped_rows
-        cache.put("heap", heap_rows)  # 1600 heap bytes blow the 1KiB budget
-        assert cache.get("heap") is None
-        assert cache.get("mapped") is mapped_rows
+
+def _add_legacy_bitmap_plane(directory) -> None:
+    """Give a store the ``bitmaps.bin`` plane that older writers emitted.
+
+    One ``np.packbits`` occupancy row per manifest item, plus the manifest's
+    plane entry, dtype, width and CRC-32, exactly as those writers laid
+    them out.
+    """
+    manifest_path = os.path.join(directory, "manifest.json")
+    with open(manifest_path, encoding="utf-8") as handle:
+        manifest = json.load(handle)
+    n_transactions = manifest["n_transactions"]
+    rows_plane = np.fromfile(os.path.join(directory, "rows.bin"), dtype=np.int64)
+    offsets = manifest["offsets"]
+    payload = b""
+    for position in range(len(manifest["items"])):
+        occupied = np.zeros(n_transactions, dtype=bool)
+        occupied[rows_plane[offsets[position] : offsets[position + 1]]] = True
+        payload += np.packbits(occupied).tobytes()
+    with open(os.path.join(directory, "bitmaps.bin"), "wb") as handle:
+        handle.write(payload)
+    manifest["planes"]["bitmaps"] = "bitmaps.bin"
+    manifest["dtypes"]["bitmaps"] = np.dtype(np.uint8).str
+    manifest["bitmap_width"] = (n_transactions + 7) // 8
+    manifest["checksums"]["bitmaps"] = format(zlib.crc32(payload) & 0xFFFFFFFF, "08x")
+    with open(manifest_path, "w", encoding="utf-8") as handle:
+        json.dump(manifest, handle)
+
+
+class TestPlaneLayout:
+    def test_new_store_holds_only_rows_and_probs(self, store):
+        assert sorted(os.listdir(store.directory)) == [
+            "manifest.json", "probs.bin", "rows.bin",
+        ]
+        assert set(store.verify()["planes"]) == {"rows", "probs"}
+
+    def test_store_with_bitmap_plane_opens_verifies_and_mines_bitwise(
+        self, store, tmp_path
+    ):
+        legacy = tmp_path / "legacy"
+        shutil.copytree(store.directory, legacy)
+        _add_legacy_bitmap_plane(str(legacy))
+        old = ColumnarStore.open(str(legacy))
+        report = old.verify(strict=True)
+        assert report["ok"] and report["planes"]["bitmaps"]["ok"]
+        for algorithm, params in (
+            ("uapriori", {"min_esup": 0.1}),
+            ("dpb", {"min_sup": 0.2, "pft": 0.7}),
+            ("uh-mine", {"min_esup": 0.1}),
+        ):
+            ours = mine(old.database(), algorithm=algorithm, **params)
+            theirs = mine(store.database(), algorithm=algorithm, **params)
+            assert len(ours) > 0
+            _assert_bitwise(ours, theirs)
+
+    def test_bitmap_plane_corruption_is_still_detected(self, store, tmp_path):
+        legacy = tmp_path / "legacy-corrupt"
+        shutil.copytree(store.directory, legacy)
+        _add_legacy_bitmap_plane(str(legacy))
+        with open(legacy / "bitmaps.bin", "r+b") as handle:
+            first = handle.read(1)
+            handle.seek(0)
+            handle.write(bytes([first[0] ^ 0xFF]))
+        report = ColumnarStore.open(str(legacy)).verify()
+        assert not report["ok"]
+        assert not report["planes"]["bitmaps"]["ok"]
+        assert report["planes"]["probs"]["ok"]
 
 
 class TestStoreDatabase:
