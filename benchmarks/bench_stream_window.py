@@ -1,9 +1,11 @@
-"""Sliding-window maintenance: incremental re-merge vs full re-mining per slide.
+"""Sliding-window maintenance: incremental updates vs full re-mining per slide.
 
 The streaming subsystem claims that sliding a window of ``W`` transactions
-by ``k`` arrivals costs ``O(k log W)`` segment-tree bucket merges per
-candidate, against the ``O(W)`` (expected support) / ``O(W * min_count)``
-(exact DP tail) of batch-mining the window contents from scratch.  This
+by ``k`` arrivals costs, per candidate, ``O(k log W)`` moment-tree merges
+and ``O(k + sqrt(W))`` DP steps on the two tail stacks (plus one ``O(W)``
+flip every ``W / k`` slides), against the ``O(W)`` (expected support) /
+``O(W * min_count)`` (exact DP tail) of batch-mining the window contents
+from scratch.  This
 benchmark measures that claim on the dense regime the claim matters most
 for: a replayed dense stream of ``N >= 2000`` transactions (the same shape
 as the parallel and top-k benchmarks) flowing through a half-stream window.
@@ -19,8 +21,11 @@ frequent set over identical window contents before any timing is reported
 (equivalence is asserted unconditionally; the speedup floor can be relaxed
 with ``REPRO_BENCH_REQUIRE_SPEEDUP=0`` for smoke runs on noisy shared
 runners).  Steady-state slides are timed — the initial window fill and the
-first mining pass (candidate registration) are excluded from both sides,
-mirroring how the other benchmarks exclude one-time view builds.
+first mining pass (candidate registration, and the first flip of the tail
+stacks) are excluded from both sides, mirroring how the other benchmarks
+exclude one-time view builds.  With the defaults the timed slides hold no
+flip; ``REPRO_STREAM_SLIDES=80 REPRO_STREAM_LENGTH=3000`` (``2 W / k``
+slides) times two.
 
 Measured quantities land in ``benchmarks/results/bench_stream_window.csv``:
 ``{algo}_incremental_seconds``, ``{algo}_batch_seconds`` (totals over the
@@ -29,7 +34,7 @@ timed slides) and ``{algo}_speedup``.
 Run with ``pytest benchmarks/bench_stream_window.py -s`` or directly as a
 script.  ``REPRO_STREAM_WINDOW`` / ``REPRO_STREAM_STEP`` /
 ``REPRO_STREAM_SLIDES`` shrink the workload (the CI streaming smoke step
-uses a tiny window with 2 slides).
+uses a tiny window with 6 slides, so a flip falls inside them).
 """
 
 from __future__ import annotations

@@ -101,8 +101,7 @@ def resolve_conv_span(span: Optional[int] = None) -> int:
     candidates (``benchmarks/bench_ablation_convolution.py``) spans 16-64
     run within about 10% of each other and 512 runs about 3.5x slower.
     Of that plateau, 32 keeps trees of fewer than 64 rows (the goldens'
-    50) free of FFT round-off.  The streaming index keeps its own split
-    (:data:`repro.stream.index.DENSE_SPAN`).
+    50) free of FFT round-off.
     """
     return resolve_knob("conv_span", span)
 
@@ -174,8 +173,7 @@ def convolve_pmfs(
 ) -> np.ndarray:
     """Convolve two support PMFs (the merge of independent disjoint row sets).
 
-    One merge through the two kernels the DC walker and the streaming
-    :class:`~repro.stream.index.IncrementalSupportIndex` share.  Operands
+    One merge through the two kernels of the DC walker.  Operands
     longer than the ``conv_span`` plan knob go through the FFT (with
     :func:`spectrum_product`); shorter ones through :func:`shift_convolve`.
     ``span`` pins the crossover explicitly (batch callers resolve the knob

@@ -58,7 +58,7 @@ import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterator, Mapping, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterator, Mapping, Optional, Tuple, Union
 
 __all__ = [
     "FAULTS_ENV",

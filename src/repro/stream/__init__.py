@@ -8,9 +8,10 @@ arrival stream, re-emitting the frequent set after every slide:
   sequence-id-stamped transactions) and :class:`SlidingWindow` (ring-buffer
   window with stable slots; append + evict in O(1), change records per
   slide).
-* :mod:`repro.stream.index` — :class:`IncrementalSupportIndex`, a segment
-  tree of mergeable support buckets per candidate; a slide re-merges only
-  O(k log W) tree nodes (moments by addition, exact PMFs by convolution).
+* :mod:`repro.stream.index` — :class:`IncrementalSupportIndex`: a segment
+  tree of moment sums per candidate (a slide re-merges O(k log W) nodes)
+  and two stacks of DP states for the exact tails (a slide takes O(k)
+  DP steps, plus one O(W) flip every W / k slides).
 * :mod:`repro.stream.miners` — :class:`StreamingUApriori` (Definition 2)
   and :class:`StreamingDP` (Definition 4), level-wise Apriori searches fed
   by the index; their per-slide frequent sets match batch-mining the same

@@ -1,46 +1,54 @@
-"""Incremental support statistics over a sliding window: a segment tree of buckets.
+"""Incremental support statistics over a sliding window.
 
-Every support statistic the miners consume has an exact merge operator over
-disjoint row sets: expectations and variances add, maximum attainable
-supports add, exact PMFs convolve.  This module's buckets are that merge,
-applied to the row *slots* of a sliding window.
+Every moment the miners consume has an exact merge operator over disjoint
+row sets: expectations and variances add, maximum attainable supports add.
+:class:`IncrementalSupportIndex` keeps a perfect binary segment tree of
+those sums whose leaves are the window's ring-buffer slots.  A leaf holds a
+candidate's single-transaction statistics for whatever transaction
+currently occupies the slot (zero while the slot is empty); an internal
+node holds the sum of its children, so the root is the candidate's
+statistics over the whole window.  When the window slides by ``k``
+transactions exactly ``k`` leaves change, and re-merging only their
+ancestors refreshes the root in ``O(k + log W)`` node merges.  The moment
+trees of all registered candidates live in ``(2 * size, n_candidates)``
+arrays, so a dirty level re-merge is one NumPy addition covering every
+candidate.
 
-:class:`IncrementalSupportIndex` keeps a perfect binary segment tree whose
-leaves are the window's ring-buffer slots.  A leaf holds a candidate's
-single-transaction statistics for whatever transaction currently occupies
-the slot (the identity bucket while the slot is empty); an internal node
-holds the merge of its children — addition for the moments and non-zero
-counts, convolution for the exact PMFs.  The root is therefore the
-candidate's statistics over the whole window.  When the window slides by
-``k`` transactions exactly ``k`` leaves change, and re-merging only their
-ancestors — every dirty node recomputed once, level by level — refreshes
-the root in ``O(k + log W)`` node merges instead of the ``O(W)`` (moments)
-or ``O(W * min_count)`` (exact tail) of a from-scratch evaluation.
+Exact tails ``Pr[sup(X) >= c]`` come from two stacks of DP states, the
+two-stacks sliding-window aggregation of Tangwongsan, Hirzel and
+Schneider (PVLDB 8(7), 2015) with the paper's DP step as its operator.
+The resident rows, in arrival order, are split into a *front* (the oldest
+rows, resident at the last *flip*) and a *back* (every row that arrived
+since):
 
-The maintenance is vectorized across candidates: the moment trees of all
-registered candidates live in ``(2 * size, n_candidates)`` arrays (a dirty
-level re-merge is one fancy-indexed NumPy addition covering every
-candidate), and the PMF trees are stored per level as dense
-``(n_candidates, n_nodes, span + 1)`` blocks so a level's dirty
-convolutions run as one batched direct convolution (spans up to
-:data:`DENSE_SPAN`) or one batched FFT (larger spans — the same two
-kernels as :func:`~repro.core.support.convolve_pmfs`, so the bits do not
-depend on the CPU).  PMF trees are opt-in per
-candidate (:meth:`ensure_pmfs`): the expected-support miners never pay for
-them, and the exact miner maintains them only for candidates that survive
-its cheap filters.
+* the back holds one tail state ``T[j] = Pr[sup_back >= j]``, ``j = 0..m``,
+  per candidate; an arrival is one step of the batch DP recurrence
+  (:func:`~repro.core.support.frequent_probabilities_dp_batch`);
+* the front holds capped suffix PMFs ``P[0..m-1], P[>=m]`` of its rows,
+  computed newest to oldest at the flip, one state kept every
+  ``B = ceil(sqrt(W))`` rows; after evictions the front's state is
+  re-derived from the nearest kept state in at most ``B - 1`` steps;
+* a query is one non-negative dot product,
+  ``sum_{i<c} P[i] * T[c - i] + sum_{i>=c} P[i]``.
+
+``m`` is the largest ``min_count`` queried so far.  A query *flips* —
+every resident row moves to the front and the back restarts empty — when
+the front is spent under a full window, or after a change that is not
+first-in-first-out (or an eviction that found the front empty) marked the
+states stale.  A full window sliding by ``k`` flips once every ``W / k``
+slides.  Tail states are opt-in per candidate (:meth:`ensure_pmfs`): the
+expected-support miners never pay for them.
 
 Two exactness properties hold by construction:
 
-* **rebuild equivalence** — every node is a pure function of its children,
-  so incremental maintenance is *bitwise identical* to rebuilding the tree
-  from the same slot states (pinned by the stream tests for arbitrary
-  probability values);
+* **rebuild equivalence** — every tree node is a pure function of its
+  children, so incremental moments are *bitwise identical* to rebuilding
+  the tree from the same slot states;
 * **batch agreement** — leaf probabilities multiply in candidate order
-  exactly like the columnar view, and all merges are exact
-  arithmetic re-orderings of the batch reductions, so streaming decisions
-  match batch decisions (bitwise on windows whose probabilities are exactly
-  representable; within convolution round-off otherwise).
+  exactly like the columnar view, moments add exactly, and every tail
+  step is the batch DP's own arithmetic, so streaming decisions match
+  batch decisions (bitwise on windows whose probabilities are exactly
+  representable; within DP round-off otherwise).
 
 >>> index = IncrementalSupportIndex(capacity=4)
 >>> index.ensure([(1,)])
@@ -57,29 +65,42 @@ Two exactness properties hold by construction:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+import math
+from collections import deque
+from itertools import islice
+from typing import Deque, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.support import (
-    chernoff_upper_bound,
-    markov_upper_bound,
-    shift_convolve,
-    spectrum_product,
-)
-
-__all__ = ["DENSE_SPAN", "IncrementalSupportIndex"]
-
-#: node span up to which the PMF levels stay dense.  Above it a level is
-#: stored as spectra: about ``2 * size**2 / DENSE_SPAN`` floats per PMF
-#: candidate against ``size * log2(DENSE_SPAN)`` for the dense levels, so a
-#: smaller span buys faster slides with memory that grows with the square
-#: of the window (at ``W = 1000``: about 120 KB per candidate at 512, 580 KB
-#: at 32).  This is the index's own trade-off, not the ``conv_span`` knob
-#: of the batch kernels.
-DENSE_SPAN = 512
+__all__ = ["IncrementalSupportIndex"]
 
 Candidate = Tuple[int, ...]
+
+
+def _tail_step(tails: np.ndarray, p: np.ndarray, rows: int) -> None:
+    """Add one row to tail states ``T[j] = Pr[sup >= j]`` of ``rows`` rows.
+
+    The step of :func:`~repro.core.support.frequent_probabilities_dp_batch`,
+    operand for operand; ``p`` is a ``(n, 1)`` column.  Entries above
+    ``rows + 1`` are zero and stay zero, so they are skipped.
+    """
+    upper = min(rows + 1, tails.shape[1] - 1)
+    tails[:, 1 : upper + 1] = tails[:, :upper] * p + tails[:, 1 : upper + 1] * (1.0 - p)
+
+
+def _pmf_step(pmfs: np.ndarray, p: np.ndarray, rows: int) -> None:
+    """Add one row to capped PMFs ``P[0..m-1], P[>=m]`` of ``rows`` rows.
+
+    The step of :func:`~repro.core.support.exact_pmf_dynamic_programming`,
+    with the mass shifted past ``m - 1`` collected in the last entry.
+    """
+    cap = pmfs.shape[1] - 1
+    q = 1.0 - p
+    if rows + 1 >= cap:
+        pmfs[:, cap : cap + 1] += pmfs[:, cap - 1 : cap] * p
+    upper = min(rows + 1, cap - 1)
+    pmfs[:, 1 : upper + 1] = pmfs[:, 1 : upper + 1] * q + pmfs[:, :upper] * p
+    pmfs[:, :1] *= q
 
 
 class IncrementalSupportIndex:
@@ -90,18 +111,16 @@ class IncrementalSupportIndex:
     capacity:
         The window capacity ``W`` (one tree leaf per ring-buffer slot).
     with_pmfs:
-        Maintain exact PMF trees for *every* registered candidate.  The
+        Maintain exact tail states for *every* registered candidate.  The
         streaming miners leave this off and opt candidates in selectively
         through :meth:`ensure_pmfs`; turning it on is convenient for direct
         index users and the equivalence tests.
 
-    PMF merges of segments longer than :data:`DENSE_SPAN` run in the
-    frequency domain.
-
     The index stores the current slot contents itself (one ``{item:
     probability}`` mapping per slot), so candidates registered mid-stream
     are back-filled from the resident transactions without consulting the
-    window.
+    window.  The order in which changes reach :meth:`apply` is the arrival
+    order of the tail stacks.
     """
 
     def __init__(
@@ -124,7 +143,6 @@ class IncrementalSupportIndex:
         #: tree size: capacity rounded up to a power of two (all leaves on
         #: one level, so dirty sets propagate level by level)
         self.size = 1 << (capacity - 1).bit_length() if capacity > 1 else 1
-        self._height = self.size.bit_length() - 1
         self._slots: List[Optional[Mapping[int, float]]] = [None] * capacity
 
         # -- item compaction: window items -> columns of the slot-probability
@@ -151,48 +169,35 @@ class IncrementalSupportIndex:
         self._moments = np.zeros((self._n_planes, 2 * self.size, 0), dtype=float)
         self._bind_moment_views()
 
-        # -- PMF trees, stored per level.  Levels whose node span is within
-        # ``DENSE_SPAN`` (the FFT cutoff) hold dense PMF blocks of shape
-        # (allocated pmf columns, size >> h, (1 << h) + 1) and merge by
-        # direct (exact) convolution, the shared fixed-order
-        # ``shift_convolve``.  Above the cutoff, nodes are kept in the
-        # *frequency domain*: each node stores its PMF's real FFT at the
-        # root transform size, so an upper-level merge is one pointwise
-        # ``spectrum_product`` (real arithmetic, the same bits on every
-        # SIMD level) — per slide only the dirty
-        # cutoff-level nodes pay an rfft, and one batched irfft materialises
-        # the root PMFs on query.
+        # -- tail stacks.  ``_order`` lists the occupied slots oldest first;
+        # while the states are fresh it is ``_front[_evicted:]`` followed by
+        # the back rows.  ``_states`` holds one row per allocated PMF
+        # column; ``_spans`` are its column ranges: span 0 is the back's tail
+        # state, span 1 the front's PMF at row ``_front_at``, and span 2 + t
+        # the front's PMF at row ``min(t * B, len(_front))``, cut to the at
+        # most ``W - t * B`` rows it can hold.
         self._pmf_columns: Dict[Candidate, int] = {}
         self._pmf_free: List[int] = []
         self._pmf_allocated = 0
-        #: highest level stored as dense PMFs
-        self._dense_height = min(
-            self._height, DENSE_SPAN.bit_length() - 1
-        )
-        self._pmf_levels: List[np.ndarray] = [
-            np.zeros((0, self.size >> h, (1 << h) + 1), dtype=float)
-            for h in range(self._dense_height + 1)
-        ]
-        #: real-FFT length covering the root PMF.  The root polynomial has
-        #: at most ``capacity + 1`` coefficients (identity leaves are the
-        #: constant 1), so the transform only needs the next power of two
-        #: above that — half of ``2 * size`` whenever the capacity is a
-        #: power of two.
-        self._fft_size = 1 << int(capacity).bit_length()
-        if self._fft_size < capacity + 1:  # pragma: no cover - capacity pow2-1
-            self._fft_size *= 2
-        #: per-level node spectra for levels dense_height .. height
-        self._pmf_spectra: Dict[int, np.ndarray] = {
-            h: np.zeros(
-                (0, self.size >> h, self._fft_size // 2 + 1), dtype=complex
-            )
-            for h in range(self._dense_height, self._height + 1)
-        } if self._dense_height < self._height else {}
+        self._order: Deque[int] = deque()
+        self._front: List[int] = []
+        self._evicted = 0
+        self._front_at = 0
+        self._stale = False
+        #: rows between kept front states, ``ceil(sqrt(W))``
+        self._block = math.isqrt(capacity - 1) + 1
+        #: ``m``: the states cap supports at the largest ``min_count`` queried
+        self._width = 0
+        self._spans = self._layout(0)
+        self._states = np.zeros((0, self._spans[-1].stop), dtype=float)
 
         #: lifetime counters (benchmark/test introspection)
         self.leaf_updates = 0
         self.node_merges = 0
-        self.pmf_node_merges = 0
+        #: tail DP steps, one per (row, PMF candidate)
+        self.pmf_steps = 0
+        #: times every resident row moved to the front stack
+        self.flips = 0
         self.registrations = 0
 
     def _bind_moment_views(self) -> None:
@@ -284,7 +289,7 @@ class IncrementalSupportIndex:
 
         Registration costs one ``O(W)`` tree build per new candidate
         (vectorized across the batch); from then on the candidate rides the
-        incremental ``O(k log W)`` slide updates.  Returns the number of
+        incremental ``O(k log W)`` moment updates.  Returns the number of
         candidates newly registered.
         """
         fresh: List[int] = []
@@ -320,12 +325,15 @@ class IncrementalSupportIndex:
         return len(fresh)
 
     def ensure_pmfs(self, candidates: Sequence[Iterable[int]]) -> int:
-        """Opt candidates into exact PMF maintenance (registering if needed).
+        """Opt candidates into exact tail maintenance (registering if needed).
 
-        Returns the number of candidates whose PMF trees were newly built.
+        New candidates are back-filled from the leaf probabilities the
+        moment trees already hold, taking the steps the existing ones took
+        since the last flip, so their states are the same bits.  Returns
+        the number of candidates newly opted in.
         """
         self.ensure(candidates)
-        fresh: List[Tuple[int, int]] = []  # (pmf column, moment column)
+        fresh: List[int] = []
         for candidate in candidates:
             key = tuple(candidate)
             if key in self._pmf_columns:
@@ -335,48 +343,28 @@ class IncrementalSupportIndex:
             else:
                 pmf_column = self._pmf_allocated
                 self._pmf_allocated += 1
-                if pmf_column >= self._pmf_levels[0].shape[0]:
-                    grown = max(4, 2 * (pmf_column + 1))
-                    self._pmf_levels = [
-                        self._grow_pmf(level, grown) for level in self._pmf_levels
-                    ]
-                    self._pmf_spectra = {
-                        h: self._grow_pmf(level, grown)
-                        for h, level in self._pmf_spectra.items()
-                    }
+                if pmf_column >= len(self._states):
+                    grown = np.zeros(
+                        (max(4, 2 * (pmf_column + 1)), self._states.shape[1])
+                    )
+                    grown[: len(self._states)] = self._states
+                    self._states = grown
             self._pmf_columns[key] = pmf_column
-            fresh.append((pmf_column, self._columns[key]))
-        if not fresh:
-            return 0
-        pmf_columns = np.asarray([pair[0] for pair in fresh], dtype=np.int64)
-        moment_columns = np.asarray([pair[1] for pair in fresh], dtype=np.int64)
-        # The moment tree's leaf rows already hold every slot's p_i(X);
-        # leaves beyond the capacity stay at probability 0 (identity PMF).
-        probabilities = np.zeros((len(fresh), self.size), dtype=float)
-        probabilities[:, : self.capacity] = self.expected[
-            self.size : self.size + self.capacity
-        ][:, moment_columns].T
-        self._set_pmf_leaves(
-            pmf_columns, np.arange(self.size, dtype=np.int64), probabilities
-        )
-        for height in range(1, self._dense_height + 1):
-            nodes = np.arange(self.size >> height, dtype=np.int64)
-            self._pull_pmf_level(height, nodes, pmf_columns)
-        if self._pmf_spectra:
-            nodes = np.arange(self.size >> self._dense_height, dtype=np.int64)
-            self._lift_spectra(nodes, pmf_columns)
-            for height in range(self._dense_height + 1, self._height + 1):
-                nodes = np.arange(self.size >> height, dtype=np.int64)
-                self._pull_spectrum_level(height, nodes, pmf_columns)
+            fresh.append(pmf_column)
+        if fresh and self._width and not self._flip_due():
+            columns = np.asarray(fresh, dtype=np.int64)
+            self._build_front(columns)
+            self._build_back(columns)
         return len(fresh)
 
-    @staticmethod
-    def _grow_pmf(level: np.ndarray, n_columns: int) -> np.ndarray:
-        if level.shape[0] >= n_columns:
-            return level
-        grown = np.zeros((n_columns,) + level.shape[1:], dtype=level.dtype)
-        grown[: level.shape[0]] = level
-        return grown
+    def _layout(self, width: int) -> List[slice]:
+        """The column spans of the back, the front and each kept state at cap ``width``."""
+        sizes = [width + 1, width + 1] + [
+            min(width, max(self.capacity - kept * self._block, 0)) + 1
+            for kept in range(-(-self.capacity // self._block) + 1)
+        ]
+        stops = np.cumsum(sizes).tolist()
+        return [slice(stop - size, stop) for size, stop in zip(sizes, stops)]
 
     def discard(self, candidates: Sequence[Iterable[int]]) -> None:
         """Drop candidates from the index (their trees stop being maintained)."""
@@ -442,16 +430,9 @@ class IncrementalSupportIndex:
                 [self._pmf_columns[key] for key in order], dtype=np.int64
             )
             width = len(order) + max(4, len(order) // 4)
-
-            def shrink(level: np.ndarray) -> np.ndarray:
-                compacted = np.zeros((width,) + level.shape[1:], dtype=level.dtype)
-                compacted[: len(order)] = level[remap]
-                return compacted
-
-            self._pmf_levels = [shrink(level) for level in self._pmf_levels]
-            self._pmf_spectra = {
-                h: shrink(level) for h, level in self._pmf_spectra.items()
-            }
+            states = np.zeros((width, self._states.shape[1]), dtype=float)
+            states[: len(order)] = self._states[remap]
+            self._states = states
             self._pmf_columns = {
                 key: position for position, key in enumerate(order)
             }
@@ -570,85 +551,119 @@ class IncrementalSupportIndex:
         self._moments[:, :, columns] = scratch
         self.node_merges += (self.size - 1) * len(columns)
 
-    def _set_pmf_leaves(
-        self, pmf_columns: np.ndarray, slots: np.ndarray, probabilities: np.ndarray
-    ) -> None:
-        """``probabilities`` has shape (len(pmf_columns), len(slots))."""
-        leaves = self._pmf_levels[0]
-        leaves[np.ix_(pmf_columns, slots, [0])] = (1.0 - probabilities)[..., None]
-        leaves[np.ix_(pmf_columns, slots, [1])] = probabilities[..., None]
+    # -- tail stacks --------------------------------------------------------------------
+    def _pmf_leaves(self, slots: Sequence[int], columns) -> np.ndarray:
+        """``p_i(X)`` of the given slots (rows) x PMF columns, off the moment leaves."""
+        moment = np.zeros(self._pmf_allocated, dtype=np.int64)
+        for key, column in self._pmf_columns.items():
+            moment[column] = self._columns[key]
+        rows = self.size + np.asarray(slots, dtype=np.int64)
+        return self.expected[rows][:, moment[columns]]
 
-    def _pull_pmf_level(
-        self, height: int, nodes, pmf_columns: Optional[np.ndarray]
-    ) -> None:
-        """Re-merge the dense-PMF nodes at ``height`` for the given tree columns.
+    def _build_front(self, columns) -> None:
+        """Kept front states of ``columns`` (a slice or an index array).
 
-        One batched direct convolution (exact, no FFT round-off) covers
-        every (candidate, node) pair — dense levels only exist for node
-        spans within the FFT cutoff.  ``nodes`` is a list of level-local
-        ``(start, stop)`` runs when ``pmf_columns`` is None (the all-columns
-        incremental path), otherwise an index array.
+        Walks the resident front rows newest to oldest from the empty
+        suffix, keeping the state at every multiple of ``B`` and leaving the
+        state at the oldest resident row in span 1.
         """
-        child = self._pmf_levels[height - 1]
-        if pmf_columns is None:
-            for start, stop in nodes:
-                left = child[:, 2 * start : 2 * stop : 2, :]
-                right = child[:, 2 * start + 1 : 2 * stop : 2, :]
-                self._pmf_levels[height][:, start:stop, :] = shift_convolve(left, right)
-                self.pmf_node_merges += (stop - start) * len(self._pmf_columns)
-        else:
-            left = child[np.ix_(pmf_columns, 2 * nodes)]
-            right = child[np.ix_(pmf_columns, 2 * nodes + 1)]
-            self._pmf_levels[height][
-                np.ix_(pmf_columns, nodes)
-            ] = shift_convolve(left, right)
-            self.pmf_node_merges += len(nodes) * len(pmf_columns)
+        n, start = len(self._front), self._evicted
+        probabilities = self._pmf_leaves(self._front[start:], columns)
+        state = np.zeros((probabilities.shape[1], self._width + 1), dtype=float)
+        state[:, 0] = 1.0
 
-    def _lift_spectra(
-        self, nodes, pmf_columns: Optional[np.ndarray]
-    ) -> None:
-        """Refresh the cached spectra of dense-height nodes after a PMF change.
+        def keep(kept: int) -> None:
+            span = self._spans[2 + kept]
+            self._states[columns, span] = state[:, : span.stop - span.start]
 
-        One batched real FFT at the root transform size; the frequency-
-        domain levels above combine these by pointwise multiplication.
-        ``nodes`` follows the :meth:`_pull_pmf_level` convention.
+        keep(-(-n // self._block))
+        for row in range(n - 1, start - 1, -1):
+            _pmf_step(state, probabilities[row - start][:, None], n - row - 1)
+            if row % self._block == 0:
+                keep(row // self._block)
+        self._states[columns, self._spans[1]] = state
+        self.pmf_steps += (n - start) * len(state)
+
+    def _build_back(self, columns) -> None:
+        """The back's tail states of ``columns``, replayed oldest first."""
+        back = list(islice(self._order, len(self._front) - self._evicted, None))
+        probabilities = self._pmf_leaves(back, columns)
+        state = np.zeros((probabilities.shape[1], self._width + 1), dtype=float)
+        state[:, 0] = 1.0
+        for rows, p in enumerate(probabilities):
+            _tail_step(state, p[:, None], rows)
+        self._states[columns, self._spans[0]] = state
+        self.pmf_steps += len(back) * len(state)
+
+    def _flip_due(self) -> bool:
+        """Stale, or the front is spent and the next arrival evicts a back row.
+
+        A filling window therefore flips at the query that fills it instead
+        of building its back and flipping one slide later.  Once due, a flip
+        stays due until a query makes it.
         """
-        dense = self._pmf_levels[self._dense_height]
-        spectra = self._pmf_spectra[self._dense_height]
-        if pmf_columns is None:
-            for start, stop in nodes:
-                spectra[:, start:stop, :] = np.fft.rfft(
-                    dense[:, start:stop, :], self._fft_size
-                )
-        else:
-            spectra[np.ix_(pmf_columns, nodes)] = np.fft.rfft(
-                dense[np.ix_(pmf_columns, nodes)], self._fft_size
-            )
+        return self._stale or (
+            self._evicted == len(self._front) and len(self._order) == self.capacity
+        )
 
-    def _pull_spectrum_level(
-        self, height: int, nodes, pmf_columns: Optional[np.ndarray]
-    ) -> None:
-        """Merge frequency-domain nodes: convolution is pointwise multiplication.
+    def _flip(self) -> None:
+        """Move every resident row to the front; the back restarts empty."""
+        columns = slice(0, self._pmf_allocated)
+        self._front = list(self._order)
+        self._evicted = 0
+        self._front_at = 0
+        back = self._states[columns, self._spans[0]]
+        back[:] = 0.0
+        back[:, 0] = 1.0
+        self._build_front(columns)
+        self._stale = False
+        self.flips += 1
 
-        The transform length covers the root PMF, so no level ever wraps
-        (circular aliasing needs coefficient count > fft size); ``nodes``
-        follows the :meth:`_pull_pmf_level` convention.
+    def _refresh_front(self) -> None:
+        """Step span 1 down to the oldest resident front row, from a kept state."""
+        start = self._evicted
+        if self._front_at == start:
+            return
+        n = len(self._front)
+        kept = -(-start // self._block)
+        stop = min(kept * self._block, n)
+        columns = slice(0, self._pmf_allocated)
+        state = self._states[columns, self._spans[1]]
+        span = self._spans[2 + kept]
+        state[:, : span.stop - span.start] = self._states[columns, span]
+        state[:, span.stop - span.start :] = 0.0
+        probabilities = self._pmf_leaves(self._front[start:stop], columns)
+        for row in range(stop - 1, start - 1, -1):
+            _pmf_step(state, probabilities[row - start][:, None], n - row - 1)
+        self._front_at = start
+        self.pmf_steps += (stop - start) * len(state)
+
+    def _arrive(self, slot: int, units: Optional[Mapping[int, float]]) -> bool:
+        """Record a change in the arrival order; True when it pushes a back row.
+
+        A change to the oldest resident slot evicts it (from the front, or
+        it goes stale when the front is empty) and pushes the new row; a
+        change to an empty slot only pushes.  Any other change is not
+        first-in-first-out and marks the states stale.
         """
-        child = self._pmf_spectra[height - 1]
-        if pmf_columns is None:
-            for start, stop in nodes:
-                self._pmf_spectra[height][:, start:stop, :] = spectrum_product(
-                    child[:, 2 * start : 2 * stop : 2, :],
-                    child[:, 2 * start + 1 : 2 * stop : 2, :],
-                )
-                self.pmf_node_merges += (stop - start) * len(self._pmf_columns)
-        else:
-            merged = spectrum_product(
-                child[np.ix_(pmf_columns, 2 * nodes)],
-                child[np.ix_(pmf_columns, 2 * nodes + 1)],
-            )
-            self._pmf_spectra[height][np.ix_(pmf_columns, nodes)] = merged
-            self.pmf_node_merges += len(nodes) * len(pmf_columns)
+        order = self._order
+        if units is None:
+            if self._slots[slot] is not None:
+                order.remove(slot)
+                self._stale = True
+            return False
+        if self._slots[slot] is not None:
+            if order[0] == slot:
+                order.popleft()
+                if self._evicted < len(self._front):
+                    self._evicted += 1
+                else:
+                    self._stale = True
+            else:
+                order.remove(slot)
+                self._stale = True
+        order.append(slot)
+        return True
 
     # -- slot maintenance --------------------------------------------------------------
     def apply(
@@ -656,22 +671,27 @@ class IncrementalSupportIndex:
     ) -> None:
         """Install new slot contents and re-merge every registered candidate.
 
-        ``changes`` holds ``(slot, units)`` pairs — the units of the
-        transaction now occupying the slot, or ``None`` to clear it.  This
-        is the per-slide entry point: pass the units of each change record a
-        :meth:`~repro.stream.window.SlidingWindow.slide` returned.  Dirty
-        ancestors are re-merged level by level, each exactly once, across
-        all candidates at a time.
+        ``changes`` holds ``(slot, units)`` pairs, in arrival order — the
+        units of the transaction now occupying the slot, or ``None`` to
+        clear it.  This is the per-slide entry point: pass the units of each
+        change record a :meth:`~repro.stream.window.SlidingWindow.slide`
+        returned.  Dirty tree ancestors are re-merged level by level, each
+        exactly once, across all candidates at a time, and every arrival
+        takes one DP step on the back stack.
         """
-        deduped: Dict[int, Optional[Mapping[int, float]]] = {}
-        for slot, units in changes:
+        for slot, _ in changes:
             if not 0 <= slot < self.capacity:
                 raise ValueError(f"slot {slot} outside capacity {self.capacity}")
+        deduped: Dict[int, Optional[Mapping[int, float]]] = {}
+        pushed: List[int] = []
+        for slot, units in changes:
+            if self._arrive(slot, units):
+                pushed.append(slot)
+            self._slots[slot] = units
             deduped[slot] = units
         if not deduped:
             return
         for slot, units in deduped.items():
-            self._slots[slot] = units
             row = self._slot_probs[slot]
             row[:] = 0.0
             row[0] = 1.0
@@ -706,45 +726,20 @@ class IncrementalSupportIndex:
                     self._moments[self._nonzero_plane, start:stop] = block > 0.0
                 row += stop - start
             self.leaf_updates += len(slots) * len(self._columns)
-            if self._pmf_columns:
-                moment_columns = np.fromiter(
-                    (self._columns[key] for key in self._pmf_columns),
-                    dtype=np.int64,
-                    count=len(self._pmf_columns),
-                )
-                pmf_columns = np.fromiter(
-                    self._pmf_columns.values(),
-                    dtype=np.int64,
-                    count=len(self._pmf_columns),
-                )
-                pmf_probabilities = probabilities[:, moment_columns]
-                leaves = self._pmf_levels[0]
-                row = 0
-                for start, stop in leaf_runs:
-                    block = pmf_probabilities[row : row + stop - start].T
-                    local = slice(start - self.size, stop - self.size)
-                    leaves[pmf_columns, local, 0] = 1.0 - block
-                    leaves[pmf_columns, local, 1] = block
-                    row += stop - start
-            # Dirty ancestors, one level at a time.  The runs hold *global*
-            # tree index ranges for the moment arrays; the per-level PMF
-            # blocks are addressed by the level-local offset.
+            # Dirty ancestors, one level at a time (global tree index runs).
             runs = self._parent_runs(leaf_runs)
-            height = 1
             while runs and runs[0][0] >= 1:
                 for start, stop in runs:
                     self._pull_moment_run(start, stop)
-                if self._pmf_columns and height <= self._height:
-                    offset = self.size >> height
-                    local = [(start - offset, stop - offset) for start, stop in runs]
-                    if height <= self._dense_height:
-                        self._pull_pmf_level(height, local, None)
-                        if self._pmf_spectra and height == self._dense_height:
-                            self._lift_spectra(local, None)
-                    else:
-                        self._pull_spectrum_level(height, local, None)
                 runs = self._parent_runs(runs)
-                height += 1
+        if self._pmf_columns and self._width and not self._stale and pushed:
+            columns = slice(0, self._pmf_allocated)
+            back = self._states[columns, self._spans[0]]
+            rows = len(self._order) - (len(self._front) - self._evicted) - len(pushed)
+            for p in self._pmf_leaves(pushed, columns):
+                _tail_step(back, p[:, None], rows)
+                rows += 1
+            self.pmf_steps += len(pushed) * len(back)
 
     def apply_window_changes(self, changes: Sequence[Tuple]) -> None:
         """Consume :meth:`SlidingWindow.slide` change records directly."""
@@ -812,51 +807,36 @@ class IncrementalSupportIndex:
     def frequent_probabilities(
         self, candidates: Sequence[Iterable[int]], min_count: int
     ) -> np.ndarray:
-        """Exact ``Pr[sup(X) >= min_count]`` per candidate from the merged PMFs.
+        """Exact ``Pr[sup(X) >= min_count]`` per candidate from the two stacks.
 
-        Candidates are opted into PMF maintenance on first query.  Like
-        :func:`~repro.core.support.dc_tail_probabilities`, each tail is
-        capped by the candidate's Markov and Chernoff bounds: far above the
-        mean, the inverse FFT of a spectral root leaves round-off (~1e-16)
-        orders of magnitude above the true tail, and a value above a sound
-        upper bound can only be round-off.
+        Candidates are opted into tail maintenance on first query.  With
+        the front's capped PMF ``P`` and the back's tail ``T``, the tail is
+        ``sum_{i<c} P[i] * T[c - i] + sum_{i>=c} P[i]``: non-negative terms,
+        nothing subtracted.  A ``min_count`` above every earlier one (and
+        within the capacity) rebuilds the states at the wider cap.
         """
         min_count = int(min_count)
         self.ensure_pmfs(candidates)
-        pmf_columns = np.array(
-            [self._pmf_columns[tuple(candidate)] for candidate in candidates],
-            dtype=np.int64,
-        )
-        roots = self.root_pmfs(pmf_columns)
-        expected = self.expected_supports(candidates).tolist()
-        results = np.empty(len(candidates), dtype=float)
-        for position in range(len(candidates)):
-            pmf = roots[position]
-            if min_count <= 0:
-                results[position] = 1.0
-            elif min_count >= len(pmf):
-                results[position] = 0.0
-            else:
-                results[position] = max(
-                    0.0,
-                    min(
-                        float(pmf[min_count:].sum()),
-                        markov_upper_bound(expected[position], min_count),
-                        chernoff_upper_bound(expected[position], min_count),
-                    ),
-                )
-        return results
-
-    def root_pmfs(self, pmf_columns: np.ndarray) -> np.ndarray:
-        """Window-level PMFs of the given PMF columns, one row each.
-
-        Dense trees read the root block directly; frequency-domain trees
-        materialise the roots with one batched inverse FFT (clipping the
-        round-off negatives, as :func:`convolve_pmfs` does).
-        """
-        if not self._pmf_spectra:
-            return self._pmf_levels[self._height][pmf_columns, 0, :]
-        spectra = self._pmf_spectra[self._height][pmf_columns, 0, :]
-        pmfs = np.fft.irfft(spectra, self._fft_size)[..., : self.capacity + 1]
-        np.clip(pmfs, 0.0, None, out=pmfs)
-        return pmfs
+        if min_count <= 0:
+            return np.ones(len(candidates), dtype=float)
+        if min_count > self.capacity:
+            return np.zeros(len(candidates), dtype=float)
+        widen = min_count > self._width
+        if widen:
+            self._width = min_count
+            self._spans = self._layout(min_count)
+            self._states = np.zeros((len(self._states), self._spans[-1].stop))
+        if self._flip_due():
+            self._flip()
+        elif widen:
+            columns = slice(0, self._pmf_allocated)
+            self._build_front(columns)
+            self._build_back(columns)
+            self._front_at = self._evicted
+        self._refresh_front()
+        columns = [self._pmf_columns[tuple(candidate)] for candidate in candidates]
+        front = self._states[columns, self._spans[1]]
+        back = self._states[columns, self._spans[0]]
+        return (front[:, :min_count] * back[:, min_count:0:-1]).sum(axis=1) + front[
+            :, min_count:
+        ].sum(axis=1)

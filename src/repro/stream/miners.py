@@ -7,8 +7,9 @@ Two streaming variants cover the paper's two frequent-itemset definitions:
   of :class:`~repro.algorithms.uapriori.UApriori`;
 * :class:`StreamingDP` — exact probabilistic mining (Definition 4,
   ``Pr[sup(X) >= min_count] > pft``), the streaming analogue of the DP
-  miner — the frequent probability is read off the window's merged exact
-  PMF instead of re-running the DP recurrence from scratch.
+  miner — the frequent probability is read off two stacks of DP states
+  that each arrival advances by one step, instead of re-running the DP
+  recurrence over the whole window.
 
 Both run the same level-wise search as their batch counterparts —
 literally: each slide drives :meth:`repro.core.search.LevelwiseSearch.drive`
@@ -20,8 +21,10 @@ downward-closure pruning, threshold conversions and bound chain) — but
 every support statistic comes from the
 :class:`~repro.stream.index.IncrementalSupportIndex`, through
 :class:`IndexLevel`: a slide of ``k`` transactions refreshes a registered
-candidate in ``O(k log W)`` bucket merges, so the per-slide cost tracks
-the slide step, not the window size.  Mining the same window contents with
+candidate's moments in ``O(k log W)`` tree merges and its exact tail in
+``O(k + sqrt(W))`` DP steps (plus one ``O(W)`` flip every ``W / k``
+slides), so the per-slide cost tracks the slide step, not the window
+size.  Mining the same window contents with
 the corresponding batch miner returns the same frequent set (pinned by
 ``tests/test_stream_mining.py``).
 
@@ -130,10 +133,10 @@ class IndexLevel:
     def frequent_probabilities(
         self, min_count: int, method: Optional[str] = None
     ) -> np.ndarray:
-        """Exact tails from the merged PMFs (whatever the batch ``method``).
+        """Exact tails from the index's DP states (whatever the batch ``method``).
 
         Only these candidates, the survivors of the bound chain, carry the
-        cost of PMF maintenance across slides.
+        cost of tail maintenance across slides.
         """
         self._miner._pmf_keep.extend(self._candidates)
         return self._miner.index.frequent_probabilities(self._candidates, min_count)
@@ -164,6 +167,8 @@ class StreamingMiner:
     #: drop and re-register (O(W) back-fill) the same candidates every
     #: slide; a small grace period turns that churn into cheap idle updates.
     retain_slack = 4
+    #: whether slides read exact tails (and report ``tail_steps``/``flips``)
+    exact_tails = False
 
     def __init__(self, window, plan=None) -> None:
         self.window = (
@@ -178,14 +183,14 @@ class StreamingMiner:
             with_pmfs=False,
             **self.index_options,
         )
-        if len(self.window):
-            self.index.apply(
-                [
-                    (slot, units)
-                    for slot, units in enumerate(self.window.slot_units())
-                    if units is not None
-                ]
-            )
+        # Back-fill oldest first: the index takes apply order as arrival
+        # order, so later slides then evict its oldest row.
+        self.index.apply(
+            [
+                (self.window.slot_of(transaction.tid), transaction.units)
+                for transaction in self.window.transactions()
+            ]
+        )
         #: number of slides applied so far
         self.slides = 0
         self._last_queried: Dict[Candidate, int] = {}
@@ -209,11 +214,16 @@ class StreamingMiner:
         changes = self.window.slide(stream, step)
         if not changes:
             return None
+        steps, flips = self.index.pmf_steps, self.index.flips
         with plan_scope(self.plan):
             self.index.apply_window_changes(changes)
             self.slides += 1
             result = self.mine_window()
-        result.statistics.notes["mine_seconds"] = result.statistics.elapsed_seconds
+        notes = result.statistics.notes
+        if self.exact_tails:
+            notes["tail_steps"] = float(self.index.pmf_steps - steps)
+            notes["flips"] = float(self.index.flips - flips)
+        notes["mine_seconds"] = result.statistics.elapsed_seconds
         result.statistics.elapsed_seconds = time.perf_counter() - started
         return result
 
@@ -362,10 +372,10 @@ class StreamingUApriori(StreamingMiner):
 class StreamingDP(StreamingMiner):
     """Sliding-window exact probabilistic miner (Definition 4, ``Pr > pft``).
 
-    The frequent probability of a candidate is the upper tail of the
-    window's merged exact PMF — maintained incrementally by convolution
-    instead of re-run through the ``O(W * min_count)`` DP recurrence on
-    every slide.
+    The frequent probability of a candidate is read off the index's two
+    stacks of DP states — each arrival one step of the paper's DP
+    recurrence — instead of re-running the ``O(W * min_count)`` recurrence
+    over the whole window on every slide.
 
     Parameters
     ----------
@@ -387,6 +397,7 @@ class StreamingDP(StreamingMiner):
     """
 
     name = "stream-dp"
+    exact_tails = True
 
     def __init__(
         self,
@@ -424,14 +435,13 @@ class StreamingTopK(StreamingMiner):
     Per slide, the same best-first threshold-raising search as the batch
     :class:`~repro.algorithms.topk.TopKMiner` runs over the resident window
     — but every support statistic is read off the
-    :class:`~repro.stream.index.IncrementalSupportIndex` roots (moments for
-    the expected-support ranking, merged exact PMF tails for the
+    :class:`~repro.stream.index.IncrementalSupportIndex` (tree-root moments
+    for the expected-support ranking, two-stack DP tails for the
     probabilistic one) instead of re-scanning the window, so a slide of
-    ``k`` arrivals costs the usual ``O(k log W)`` bucket merges plus the
-    pruned search, never a full re-mine.  The per-slide top-k equals batch
-    top-k over ``window.contents()`` (bitwise on dyadic streams, within
-    convolution round-off otherwise), pinned by
-    ``tests/test_stream_topk.py``.
+    ``k`` arrivals costs the index's incremental updates plus the pruned
+    search, never a full re-mine.  The per-slide top-k equals batch top-k
+    over ``window.contents()`` (bitwise on dyadic streams, within DP
+    round-off otherwise), pinned by ``tests/test_stream_topk.py``.
 
     Parameters
     ----------
@@ -441,7 +451,7 @@ class StreamingTopK(StreamingMiner):
         How many itemsets to emit per slide.
     evaluator:
         ``"esup"`` (Definition 2 ordering) or ``"dp"`` (Definition 4
-        ordering; the index serves the exact tail from its merged PMFs).
+        ordering; the index serves the exact tail from its DP states).
     min_sup:
         Fixed support level of the probabilistic ranking — a ratio of the
         *resident* window size or an absolute count, re-resolved every
@@ -468,7 +478,7 @@ class StreamingTopK(StreamingMiner):
         if self.evaluator not in ("esup", "dp"):
             raise ValueError(
                 f"no streaming top-k evaluator {evaluator!r}; the index serves "
-                "'esup' (moments) and 'dp' (merged exact PMF tails)"
+                "'esup' (moments) and 'dp' (exact DP tails)"
             )
         self.ranking = EVALUATOR_RANKINGS[self.evaluator]
         if self.ranking == "probability":
@@ -485,6 +495,7 @@ class StreamingTopK(StreamingMiner):
         self.use_pruning = use_pruning
         self.track_variance = track_variance
         probabilistic = self.ranking == "probability"
+        self.exact_tails = probabilistic
         self.index_options = {
             "track_variance": bool(track_variance) or probabilistic,
             "track_nonzero": probabilistic,

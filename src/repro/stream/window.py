@@ -14,9 +14,9 @@ sequence of bounded databases a streaming miner re-mines.  Two objects:
   arrivals, stored in a ring buffer.  Appending transaction ``seq`` lands it
   in **slot** ``seq % W``, evicting the transaction that occupied the slot
   ``W`` arrivals earlier.  Slots are the leaves of the
-  :class:`~repro.stream.index.IncrementalSupportIndex` segment tree: a slide
-  of ``k`` arrivals reports exactly the ``k`` changed slots, which is all
-  the index needs to re-merge its statistics in ``O(k log W)`` node updates.
+  :class:`~repro.stream.index.IncrementalSupportIndex` moment tree: a slide
+  of ``k`` arrivals reports exactly the ``k`` changed slots, in arrival
+  order, which is all the index needs to update its statistics.
 
 >>> stream = TransactionStream.from_records([{1: 0.5}, {1: 1.0}, {2: 0.25}])
 >>> window = SlidingWindow(capacity=2)

@@ -22,7 +22,6 @@ Pins the PR-10 resilience contract end to end:
 from __future__ import annotations
 
 import glob
-import os
 import threading
 import time
 

@@ -1,16 +1,16 @@
 """Portability tripwire: the exact tails give the same bits on every CPU kernel.
 
-The DC walker and the streaming index convolve through one fixed-order
-shift kernel and an FFT whose spectra multiply in real arithmetic, so no
-result may depend on the OpenBLAS kernel chosen at run time or on NumPy's
-SIMD dispatch.  A subprocess recomputes, under each setting below:
+The DC walker convolves through one fixed-order shift kernel and an FFT
+whose spectra multiply in real arithmetic, and the streaming index takes
+elementwise DP steps, so no result may depend on the OpenBLAS kernel
+chosen at run time or on NumPy's SIMD dispatch.  A subprocess recomputes,
+under each setting below:
 
 * the DC-family golden records (``dcb``, ``dcnb`` and the ``dc`` top-k at
   ``w1s1``), whose 50-row trees merge directly;
 * a fixed DC-tail batch whose larger nodes exceed ``conv_span``, so the
   FFT branch runs (the goldens never reach it), and its PMFs;
-* the root PMFs of a streaming index whose window keeps its upper levels
-  in the frequency domain;
+* the exact tails of a streaming index whose window has turned over;
 
 and the test asserts bitwise equality with the same values computed in
 this process.
@@ -115,13 +115,12 @@ def in_process() -> dict:
     return json.loads(json.dumps(portable_results()))
 
 
-def test_replayed_values_run_both_fft_paths(in_process, monkeypatch):
+def test_replayed_values_run_the_fft_path(in_process, monkeypatch):
     # The replay only guards the FFT if it runs: the DC walker's FFT branch
-    # and the streaming index's frequency-domain merges must both be hit.
+    # must be hit.
     import repro.core.support as support
-    import repro.stream.index as stream_index
 
-    calls = {"walker": 0, "stream": 0}
+    calls = {"walker": 0}
 
     def counting(name, original):
         def wrapper(*args, **kwargs):
@@ -131,11 +130,8 @@ def test_replayed_values_run_both_fft_paths(in_process, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(support, "_fft_convolve", counting("walker", support._fft_convolve))
-    monkeypatch.setattr(
-        stream_index, "spectrum_product", counting("stream", stream_index.spectrum_product)
-    )
     assert json.loads(json.dumps(portable_results())) == in_process
-    assert calls["walker"] and calls["stream"]
+    assert calls["walker"]
 
 
 def test_same_bits_under_the_prescott_openblas_kernel(in_process):

@@ -4,10 +4,19 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.db import UncertainDatabase
-from repro.stream import IncrementalSupportIndex, SlidingWindow, TransactionStream
-from repro.stream import index as stream_index
+from repro.stream import (
+    IncrementalSupportIndex,
+    SlidingWindow,
+    StreamingDP,
+    StreamingTopK,
+    TransactionStream,
+)
+
+from reference import exact_frequent_probability
 
 
 def make_stream(records):
@@ -175,54 +184,17 @@ class TestIncrementalSupportIndex:
         assert np.array_equal(
             index.max_supports(candidates), fresh.max_supports(candidates)
         )
+        # Two-stack tails depend on where the last flip fell, so both
+        # indexes answer to the DP reference of the resident slots.
         for min_count in (1, 5, 12, 20):
-            assert np.array_equal(
-                index.frequent_probabilities(candidates, min_count),
-                fresh.frequent_probabilities(candidates, min_count),
-            )
-
-    def test_incremental_equals_rebuild_bitwise_with_fft_spectra(self, monkeypatch):
-        # A capacity above the FFT cutoff exercises the frequency-domain
-        # upper levels; incremental maintenance must still be bit-identical
-        # to a from-scratch build of the same slot states.
-        monkeypatch.setattr(stream_index, "DENSE_SPAN", 32)
-        rng = random.Random(11)
-        capacity = 200
-        index = IncrementalSupportIndex(capacity, with_pmfs=True)
-        assert index._pmf_spectra
-        candidates = [(0,), (1,), (0, 1)]
-        index.ensure(candidates)
-        sequence = 0
-        for _ in range(15):
-            step = rng.randrange(3, 20)
-            index.apply(
-                [
-                    (
-                        (sequence + i) % capacity,
-                        {
-                            item: rng.uniform(0.01, 1.0)
-                            for item in range(2)
-                            if rng.random() < 0.7
-                        },
-                    )
-                    for i in range(step)
-                ]
-            )
-            sequence += step
-        fresh = IncrementalSupportIndex(capacity, with_pmfs=True)
-        fresh.apply(
-            [
-                (slot, units)
-                for slot, units in enumerate(index.slot_units())
-                if units is not None
-            ]
-        )
-        fresh.ensure(candidates)
-        for min_count in (1, 30, 80, 140):
-            assert np.array_equal(
-                index.frequent_probabilities(candidates, min_count),
-                fresh.frequent_probabilities(candidates, min_count),
-            )
+            expected = _reference_tails(index.slot_units(), candidates, min_count)
+            for built in (index, fresh):
+                assert np.allclose(
+                    built.frequent_probabilities(candidates, min_count),
+                    expected,
+                    rtol=0.0,
+                    atol=1e-12,
+                )
 
     def test_dirty_path_is_logarithmic(self):
         index = IncrementalSupportIndex(capacity=64, track_variance=False, track_nonzero=False)
@@ -271,3 +243,214 @@ class TestIncrementalSupportIndex:
         index.retain(keep)  # triggers compaction (most columns freed)
         assert np.array_equal(index.expected_supports(keep), before_expected)
         assert np.array_equal(index.frequent_probabilities(keep, 4), before_tails)
+
+
+def _reference_tails(slot_units, candidates, min_count):
+    """``Pr[sup >= min_count]`` of each candidate over the occupied slots."""
+    tails = []
+    for candidate in candidates:
+        probabilities = []
+        for units in slot_units:
+            if units is None:
+                continue
+            probability = 1.0
+            for item in candidate:
+                probability *= units.get(item, 0.0)
+            probabilities.append(probability)
+        tails.append(exact_frequent_probability(np.array(probabilities), min_count))
+    return np.array(tails)
+
+
+CANDIDATES = [(0,), (1,), (0, 1)]
+
+#: occurrence probabilities, with the edge values drawn often
+PROBABILITIES = st.one_of(
+    st.sampled_from([0.0, 1.0, 1e-200, 0.5]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+
+UNITS = st.dictionaries(st.sampled_from([0, 1]), PROBABILITIES)
+
+#: the ``min_count`` of a query, relative to the states' cap
+QUERIES = st.sampled_from(["zero", "below", "cap", "above", "beyond"])
+
+#: one window operation: a FIFO slide of ``step`` arrivals, a clear, or an
+#: overwrite of an arbitrary slot (both not first-in-first-out)
+OPERATIONS = st.one_of(
+    st.tuples(st.just("slide"), st.integers(min_value=1, max_value=64)),
+    st.tuples(st.just("clear"), st.integers(min_value=0, max_value=10**6)),
+    st.tuples(st.just("overwrite"), st.integers(min_value=0, max_value=10**6)),
+)
+
+
+class TestTwoStackTails:
+    """The two stacks of DP states against the exact PMF of the resident slots."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        capacity=st.sampled_from([1, 2, 37, 200]),
+        operations=st.lists(OPERATIONS, min_size=1, max_size=12),
+        units=st.lists(UNITS, min_size=16, max_size=16),
+        queries=st.lists(QUERIES, min_size=12, max_size=12),
+    )
+    def test_tails_match_the_exact_pmf(self, capacity, operations, units, queries):
+        index = IncrementalSupportIndex(capacity)
+        sequence = 0
+        for position, (kind, value) in enumerate(operations):
+            row = units[position % len(units)]
+            if kind == "slide":
+                # Steps cross the kept-state spacing and, up to 64 rows,
+                # the window itself (then some rows arrive and leave in
+                # one slide).
+                changes = [
+                    ((sequence + offset) % capacity, units[(sequence + offset) % len(units)])
+                    for offset in range(value)
+                ]
+                sequence += value
+            else:
+                changes = [(value % capacity, None if kind == "clear" else row)]
+            index.apply(changes)
+            width = index._width
+            min_count = {
+                "zero": 0,
+                "below": max(1, width // 2),
+                "cap": width,
+                "above": width + 1,  # rebuilds the states
+                "beyond": capacity + 1,
+            }[queries[position]]
+            expected = _reference_tails(index.slot_units(), CANDIDATES, min_count)
+            tails = index.frequent_probabilities(CANDIDATES, min_count)
+            assert np.allclose(tails, expected, rtol=0.0, atol=1e-12), (
+                min_count,
+                tails,
+                expected,
+            )
+            assert np.all(tails >= 0.0)
+
+    def test_evictions_step_down_from_kept_states(self):
+        # W = 37 keeps a front state every 7 rows; slides of 3 leave the
+        # oldest resident row between kept states on most slides.
+        rng = random.Random(8)
+        capacity, step = 37, 3
+        index = IncrementalSupportIndex(capacity, with_pmfs=True)
+        index.ensure(CANDIDATES)
+        for sequence in range(0, 4 * capacity, step):
+            index.apply(
+                [
+                    ((sequence + i) % capacity, {0: rng.random(), 1: rng.random()})
+                    for i in range(step)
+                ]
+            )
+            assert np.allclose(
+                index.frequent_probabilities(CANDIDATES, 12),
+                _reference_tails(index.slot_units(), CANDIDATES, 12),
+                rtol=0.0,
+                atol=1e-12,
+            )
+        assert index.flips >= 3
+
+    def test_spectral_era_inputs_match_the_exact_pmf(self):
+        # The capacity-200 random slides that once pinned the spectral PMF
+        # levels, now against the exact PMF after every slide.
+        rng = random.Random(11)
+        capacity = 200
+        index = IncrementalSupportIndex(capacity, with_pmfs=True)
+        index.ensure(CANDIDATES)
+        sequence = 0
+        for _ in range(15):
+            step = rng.randrange(3, 20)
+            index.apply(
+                [
+                    (
+                        (sequence + i) % capacity,
+                        {
+                            item: rng.uniform(0.01, 1.0)
+                            for item in range(2)
+                            if rng.random() < 0.7
+                        },
+                    )
+                    for i in range(step)
+                ]
+            )
+            sequence += step
+            for min_count in (1, 30, 80, 140):
+                assert np.allclose(
+                    index.frequent_probabilities(CANDIDATES, min_count),
+                    _reference_tails(index.slot_units(), CANDIDATES, min_count),
+                    rtol=0.0,
+                    atol=1e-12,
+                )
+
+    def test_full_window_slides_flip_once_per_turnover(self):
+        capacity, step = 40, 8
+        rng = random.Random(4)
+        records = [
+            {item: rng.uniform(0.2, 1.0) for item in range(3) if rng.random() < 0.8}
+            for _ in range(capacity + 4 * capacity)
+        ]
+        stream = TransactionStream.from_records(records)
+        miner = StreamingDP(capacity, min_sup=0.3, pft=0.5)
+        miner.advance(stream, capacity)
+        notes = [
+            result.statistics.notes
+            for result in miner.results(stream, step, max_slides=4 * capacity // step)
+        ]
+        flips = [int(note["flips"]) for note in notes]
+        turnover = capacity // step
+        assert len(flips) == 4 * turnover
+        assert all(
+            sum(flips[start : start + turnover]) == 1
+            for start in range(len(flips) - turnover + 1)
+        )
+        assert all(note["tail_steps"] > 0 for note in notes)
+
+    def test_adopted_wrapped_window_slides_first_in_first_out(self):
+        # The miner back-fills an adopted window oldest first, so slides
+        # after a wrap still evict the index's oldest row.
+        rng = random.Random(6)
+        stream = TransactionStream.from_records(
+            [{0: rng.uniform(0.3, 1.0), 1: rng.uniform(0.3, 1.0)} for _ in range(53)]
+        )
+        window = SlidingWindow(capacity=10)
+        window.slide(stream, 23)
+        miner = StreamingDP(window, min_sup=0.3, pft=0.5)
+        flips = [
+            int(result.statistics.notes["flips"])
+            for result in miner.results(stream, 2, max_slides=15)
+        ]
+        assert all(sum(flips[start : start + 5]) == 1 for start in range(11))
+
+    @pytest.mark.parametrize("evaluator", ["esup", "dp"])
+    def test_topk_slides_report_tail_work_only_for_exact_tails(self, evaluator):
+        stream = TransactionStream.from_records(
+            [{0: 0.5, 1: 0.75}, {0: 1.0}, {1: 0.25}, {0: 0.5, 1: 0.5}] * 8
+        )
+        miner = StreamingTopK(8, 3, evaluator=evaluator, min_sup=0.25)
+        notes = [
+            result.statistics.notes
+            for result in miner.results(stream, 4, max_slides=6)
+        ]
+        reported = [("tail_steps" in note, "flips" in note) for note in notes]
+        assert reported == [(evaluator == "dp",) * 2] * 6
+        if evaluator == "dp":
+            assert sum(note["flips"] for note in notes) >= 1
+
+    def test_non_fifo_apply_flips_at_the_next_query(self):
+        capacity = 16
+        index = IncrementalSupportIndex(capacity, with_pmfs=True)
+        index.ensure(CANDIDATES)
+        index.apply([(slot, {0: 0.5, 1: 0.25}) for slot in range(capacity)])
+        index.frequent_probabilities(CANDIDATES, 4)
+        index.apply([(0, {0: 0.75})])  # FIFO: evicts the oldest row
+        index.frequent_probabilities(CANDIDATES, 4)
+        flips = index.flips
+        index.apply([(7, {1: 1.0})])  # overwrites a row in the middle
+        assert index.flips == flips
+        tails = index.frequent_probabilities(CANDIDATES, 4)
+        assert index.flips == flips + 1
+        assert np.allclose(
+            tails,
+            _reference_tails(index.slot_units(), CANDIDATES, 4),
+            rtol=0.0,
+            atol=1e-12,
+        )
