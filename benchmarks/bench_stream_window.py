@@ -29,7 +29,8 @@ slides) times two.
 
 Measured quantities land in ``benchmarks/results/bench_stream_window.csv``:
 ``{algo}_incremental_seconds``, ``{algo}_batch_seconds`` (totals over the
-timed slides) and ``{algo}_speedup``.
+timed slides), ``{algo}_speedup`` and ``{algo}_flips`` (flips of the index's
+tail stacks inside the timed slides, read from its ``flips`` counter).
 
 Run with ``pytest benchmarks/bench_stream_window.py -s`` or directly as a
 script.  ``REPRO_STREAM_WINDOW`` / ``REPRO_STREAM_STEP`` /
@@ -107,6 +108,7 @@ def run_benchmark() -> Dict[str, float]:
         incremental_seconds = 0.0
         batch_seconds = 0.0
         slides_run = 0
+        flips = miner.index.flips
         for _ in range(SLIDES):
             started = time.perf_counter()
             result = miner.advance(stream, STEP)
@@ -128,6 +130,8 @@ def run_benchmark() -> Dict[str, float]:
         assert slides_run > 0, "no slides completed; stream/window sizes inconsistent"
 
         measurements[f"{algorithm}_slides"] = float(slides_run)
+        # flips of the tail stacks inside the timed span (each an O(W) rebuild)
+        measurements[f"{algorithm}_flips"] = float(miner.index.flips - flips)
         measurements[f"{algorithm}_incremental_seconds"] = incremental_seconds
         measurements[f"{algorithm}_batch_seconds"] = batch_seconds
         measurements[f"{algorithm}_speedup"] = (

@@ -36,9 +36,11 @@ Everything the engine does is held to the bitwise contract pinned by
 ``tests/test_search_engine.py``: for every miner x (workers, shards)
 configuration the results are byte-identical to the checked-in goldens.
 
-A compiled kernel backend (the remaining ROADMAP item) would slot in behind
-:class:`LevelKernel.evaluate`: the driver, the specs and the accounting are
-agnostic to how a level's scores are produced.
+The compiled kernels (:mod:`repro.core.kernels`) sit below
+:class:`~repro.core.support.SupportEngine`, inside the exact-tail
+functions it calls, not at :meth:`LevelKernel.evaluate`: the driver, the
+specs, the level kernels and the accounting are the same on the compiled
+and the NumPy path, and so are the bits.
 """
 
 from __future__ import annotations
@@ -250,9 +252,9 @@ class LevelKernel:
     the admitted records to ``ctx.records`` and returns the candidates
     that seed the next level.  The analytic kernels read the level's
     statistics through ``ctx.level``; a kernel with its own substrate (the
-    sampled worlds) builds it in ``begin``.  A compiled backend would
-    replace the body of ``evaluate`` without touching any spec or the
-    driver.
+    sampled worlds) builds it in ``begin``.  The compiled exact-tail
+    kernels sit below the support engine the analytic kernels call, so no
+    ``evaluate`` knows whether they ran.
     """
 
     def begin(self, ctx: SearchContext) -> None:

@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 import numpy as np
 
 from ..plan.spec import resolve_knob
+from . import kernels
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .parallel import ParallelExecutor
@@ -117,12 +118,28 @@ def shift_convolve(left: np.ndarray, right: np.ndarray, axis: int = -1) -> np.nd
     either operand only add ``+0.0`` steps, so padding finite
     non-negative PMFs never changes a bit.
 
+    Non-empty float operands of equal batch shape run through the compiled
+    kernel (:mod:`repro.core.kernels`), which does the same per-cell
+    sequence; anything else, or no compiler, runs the NumPy loop.
+
     >>> shift_convolve(np.array([0.5, 0.5]), np.array([0.25, 0.75])).tolist()
     [0.125, 0.5, 0.375]
     """
     left = np.moveaxis(left, axis, 0)
     right = np.moveaxis(right, axis, 0)
     width = len(right)
+    if (
+        len(left)
+        and width
+        and left.shape[1:] == right.shape[1:]
+        and left.dtype == right.dtype == np.float64
+        and kernels.library() is not None
+    ):
+        batch = left.shape[1:]
+        out = kernels.shift_convolve(
+            left.reshape(len(left), -1), right.reshape(width, -1)
+        )
+        return np.moveaxis(out.reshape((len(out),) + batch), 0, axis)
     out = np.zeros(
         (len(left) + width - 1,) + np.broadcast_shapes(left.shape[1:], right.shape[1:]),
         dtype=float,
@@ -751,6 +768,14 @@ def frequent_probabilities_dp_batch(
     ``flat[start[j] : start[j] + active[j]]``) of the vectors' total
     length, never a padded ``(n_candidates, max_len)`` matrix.
 
+    With the compiled kernels (:mod:`repro.core.kernels`) the vectors go
+    end to end to one C call that takes them candidate by candidate,
+    updating the state in place, columns descending, with the same
+    per-cell arithmetic.  It also skips the cells whose candidate has too
+    few rows left to carry them to ``min_count`` (at step ``j`` of ``L``
+    rows, columns below ``min_count - (L - j) + 1``): they never feed
+    ``state[min_count]``, so the results are the same bits.
+
     Args:
         vectors: One probability vector per candidate (ragged lengths,
             zeros omitted or not), or a padded matrix whose rows are such
@@ -774,6 +799,10 @@ def frequent_probabilities_dp_batch(
         return np.ones(n_candidates, dtype=float)
     if min_count > width:
         return np.zeros(n_candidates, dtype=float)
+    if kernels.library() is not None:
+        offsets = np.zeros(n_candidates + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        return kernels.dp_tails(np.concatenate(arrays), offsets, min_count)
     order = np.argsort(-lengths, kind="stable")
     ranked = lengths[order].tolist()
     # active[j] = rows (longest first) that still have a j-th transaction;

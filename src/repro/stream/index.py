@@ -31,6 +31,11 @@ since):
 * a query is one non-negative dot product,
   ``sum_{i<c} P[i] * T[c - i] + sum_{i>=c} P[i]``.
 
+The steps run through the compiled kernels of :mod:`repro.core.kernels`
+when they build (a slide's arrivals, or a run of front rows between kept
+states, in one call), and through the NumPy steps otherwise: the same
+bits either way.
+
 ``m`` is the largest ``min_count`` queried so far.  A query *flips* —
 every resident row moves to the front and the back restarts empty — when
 the front is spent under a full window, or after a change that is not
@@ -72,6 +77,8 @@ from typing import Deque, Dict, Iterable, List, Mapping, Optional, Sequence, Tup
 
 import numpy as np
 
+from ..core import kernels
+
 __all__ = ["IncrementalSupportIndex"]
 
 Candidate = Tuple[int, ...]
@@ -101,6 +108,28 @@ def _pmf_step(pmfs: np.ndarray, p: np.ndarray, rows: int) -> None:
     upper = min(rows + 1, cap - 1)
     pmfs[:, 1 : upper + 1] = pmfs[:, 1 : upper + 1] * q + pmfs[:, :upper] * p
     pmfs[:, :1] *= q
+
+
+def _tail_steps(tails: np.ndarray, probabilities: np.ndarray, rows: int) -> None:
+    """:func:`_tail_step` for each row of the ``(steps, n)`` ``probabilities``, in order.
+
+    One call of the compiled kernel (:mod:`repro.core.kernels`) when it is
+    available, the NumPy steps otherwise; the bits are the same.
+    """
+    if kernels.library() is not None:
+        kernels.tail_steps(tails, probabilities, rows)
+        return
+    for offset, p in enumerate(probabilities):
+        _tail_step(tails, p[:, None], rows + offset)
+
+
+def _pmf_steps(pmfs: np.ndarray, probabilities: np.ndarray, rows: int) -> None:
+    """:func:`_pmf_step` for each row of the ``(steps, n)`` ``probabilities``, in order."""
+    if kernels.library() is not None:
+        kernels.pmf_steps(pmfs, probabilities, rows)
+        return
+    for offset, p in enumerate(probabilities):
+        _pmf_step(pmfs, p[:, None], rows + offset)
 
 
 class IncrementalSupportIndex:
@@ -192,13 +221,11 @@ class IncrementalSupportIndex:
         self._states = np.zeros((0, self._spans[-1].stop), dtype=float)
 
         #: lifetime counters (benchmark/test introspection)
-        self.leaf_updates = 0
         self.node_merges = 0
         #: tail DP steps, one per (row, PMF candidate)
         self.pmf_steps = 0
         #: times every resident row moved to the front stack
         self.flips = 0
-        self.registrations = 0
 
     def _bind_moment_views(self) -> None:
         self.expected = self._moments[0]
@@ -310,7 +337,6 @@ class IncrementalSupportIndex:
             fresh.append(column)
         if not fresh:
             return 0
-        self.registrations += len(fresh)
         columns = np.asarray(fresh, dtype=np.int64)
         slots = np.arange(self.capacity, dtype=np.int64)
         occupied = np.array(
@@ -577,10 +603,14 @@ class IncrementalSupportIndex:
             self._states[columns, span] = state[:, : span.stop - span.start]
 
         keep(-(-n // self._block))
-        for row in range(n - 1, start - 1, -1):
-            _pmf_step(state, probabilities[row - start][:, None], n - row - 1)
-            if row % self._block == 0:
-                keep(row // self._block)
+        row = n
+        while row > start:
+            # one run of steps, newest first, down to the next kept row
+            low = max(start, (row - 1) // self._block * self._block)
+            _pmf_steps(state, probabilities[low - start : row - start][::-1], n - row)
+            if low % self._block == 0:
+                keep(low // self._block)
+            row = low
         self._states[columns, self._spans[1]] = state
         self.pmf_steps += (n - start) * len(state)
 
@@ -590,8 +620,7 @@ class IncrementalSupportIndex:
         probabilities = self._pmf_leaves(back, columns)
         state = np.zeros((probabilities.shape[1], self._width + 1), dtype=float)
         state[:, 0] = 1.0
-        for rows, p in enumerate(probabilities):
-            _tail_step(state, p[:, None], rows)
+        _tail_steps(state, probabilities, 0)
         self._states[columns, self._spans[0]] = state
         self.pmf_steps += len(back) * len(state)
 
@@ -633,8 +662,7 @@ class IncrementalSupportIndex:
         state[:, : span.stop - span.start] = self._states[columns, span]
         state[:, span.stop - span.start :] = 0.0
         probabilities = self._pmf_leaves(self._front[start:stop], columns)
-        for row in range(stop - 1, start - 1, -1):
-            _pmf_step(state, probabilities[row - start][:, None], n - row - 1)
+        _pmf_steps(state, probabilities[::-1], n - stop)
         self._front_at = start
         self.pmf_steps += (stop - start) * len(state)
 
@@ -725,7 +753,6 @@ class IncrementalSupportIndex:
                 if self._nonzero_plane is not None:
                     self._moments[self._nonzero_plane, start:stop] = block > 0.0
                 row += stop - start
-            self.leaf_updates += len(slots) * len(self._columns)
             # Dirty ancestors, one level at a time (global tree index runs).
             runs = self._parent_runs(leaf_runs)
             while runs and runs[0][0] >= 1:
@@ -736,9 +763,7 @@ class IncrementalSupportIndex:
             columns = slice(0, self._pmf_allocated)
             back = self._states[columns, self._spans[0]]
             rows = len(self._order) - (len(self._front) - self._evicted) - len(pushed)
-            for p in self._pmf_leaves(pushed, columns):
-                _tail_step(back, p[:, None], rows)
-                rows += 1
+            _tail_steps(back, self._pmf_leaves(pushed, columns), rows)
             self.pmf_steps += len(pushed) * len(back)
 
     def apply_window_changes(self, changes: Sequence[Tuple]) -> None:

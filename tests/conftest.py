@@ -13,6 +13,7 @@ import warnings
 import pytest
 
 from repro import faults
+from repro.core import kernels
 from repro.db import DatabaseBuilder, UncertainDatabase, paper_example_database
 
 from helpers import make_random_database
@@ -30,6 +31,26 @@ with warnings.catch_warnings():
         import hypothesis.extra._patching  # noqa: F401
     except ImportError:
         pass
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--numpy-kernels",
+        action="store_true",
+        help="run every test on the NumPy kernels, not the compiled ones "
+        "(repro.core.kernels falls back as it does without a C compiler)",
+    )
+
+
+def pytest_configure(config):
+    if config.getoption("--numpy-kernels"):
+        kernels._library = None
+
+
+@pytest.fixture
+def numpy_kernels(monkeypatch):
+    """Run this test on the NumPy kernels, as without a C compiler."""
+    monkeypatch.setattr(kernels, "_library", None)
 
 
 @pytest.fixture(autouse=True)

@@ -10,10 +10,14 @@ under each setting below:
   ``w1s1``), whose 50-row trees merge directly;
 * a fixed DC-tail batch whose larger nodes exceed ``conv_span``, so the
   FFT branch runs (the goldens never reach it), and its PMFs;
+* the DP tails of the same batch;
 * the exact tails of a streaming index whose window has turned over;
 
 and the test asserts bitwise equality with the same values computed in
-this process.
+this process.  Each setting is replayed twice, once on the compiled
+kernels of :mod:`repro.core.kernels` (built for the compiler's baseline
+target, whatever NumPy dispatches to) and once on the NumPy fallback, and
+both must give the same digests.
 """
 
 from __future__ import annotations
@@ -36,11 +40,31 @@ def _hex(values) -> list:
     return [float(value).hex() for value in np.asarray(values, dtype=float).ravel()]
 
 
-def portable_results() -> dict:
-    """Every checked value as hex floats, keyed by what produced it."""
+def portable_results(compiled: bool = True) -> dict:
+    """Every checked value as hex floats, keyed by what produced it.
+
+    ``compiled=False`` computes them on the NumPy kernels, as without a C
+    compiler.
+    """
+    from repro.core import kernels
+
+    if compiled:
+        return _portable_results()
+    saved, kernels._library = kernels._library, None
+    try:
+        return _portable_results()
+    finally:
+        kernels._library = saved
+
+
+def _portable_results() -> dict:
     from repro.algorithms.topk import TopKMiner
     from repro.core.miner import mine
-    from repro.core.support import dc_tail_probabilities, exact_pmf_divide_conquer
+    from repro.core.support import (
+        dc_tail_probabilities,
+        exact_pmf_divide_conquer,
+        frequent_probabilities_dp_batch,
+    )
     from repro.stream.index import IncrementalSupportIndex
 
     from helpers import make_random_database
@@ -66,6 +90,7 @@ def portable_results() -> dict:
     batch.append(np.array(([0.5, 1e-160, 0.25, 1.0, 0.0] * 60)[:300]))
     for min_count in (1, 20, 65, 350):
         results[f"tails@{min_count}"] = _hex(dc_tail_probabilities(batch, min_count))
+        results[f"dp@{min_count}"] = _hex(frequent_probabilities_dp_batch(batch, min_count))
     results["pmfs"] = [_hex(exact_pmf_divide_conquer(vector)) for vector in batch]
 
     index = IncrementalSupportIndex(capacity=600, with_pmfs=True)
@@ -83,21 +108,38 @@ def portable_results() -> dict:
 
 
 _SCRIPT = (
-    "import json, test_portability; "
-    "print(json.dumps(test_portability.portable_results()))"
+    "import json, sys, test_portability; from repro.core import kernels; "
+    "compiled = sys.argv[1] == 'compiled'; "
+    "results = test_portability.portable_results(compiled); "
+    "print(json.dumps([compiled and kernels.library() is not None, results]))"
 )
 
 
-def _replay(**settings) -> subprocess.CompletedProcess:
+def _replay(compiled: bool, **settings) -> subprocess.CompletedProcess:
     env = dict(os.environ, **settings)
     env["PYTHONPATH"] = os.pathsep.join([_SRC, _TESTS])
     return subprocess.run(
-        [sys.executable, "-c", _SCRIPT],
+        [sys.executable, "-c", _SCRIPT, "compiled" if compiled else "numpy"],
         env=env,
         capture_output=True,
         text=True,
         timeout=300,
     )
+
+
+def _assert_replays_match(in_process: dict, **settings) -> None:
+    """Both kernel paths, replayed under ``settings``, give this process's digests."""
+    from repro.core import kernels
+
+    for compiled in (True, False):
+        replay = _replay(compiled, **settings)
+        if replay.returncode != 0 and "NPY_DISABLE_CPU_FEATURES" in replay.stderr:
+            pytest.skip(f"NumPy refuses NPY_DISABLE_CPU_FEATURES={NUMPY_MASK!r} here")
+        assert replay.returncode == 0, replay.stderr
+        ran_compiled, results = json.loads(replay.stdout)
+        if not compiled or kernels.library() is not None:
+            assert ran_compiled == compiled
+        assert results == in_process, "compiled" if compiled else "numpy"
 
 
 def _dynamic_arch_openblas() -> bool:
@@ -113,6 +155,10 @@ def _dynamic_arch_openblas() -> bool:
 @pytest.fixture(scope="module")
 def in_process() -> dict:
     return json.loads(json.dumps(portable_results()))
+
+
+def test_compiled_and_numpy_kernels_give_the_same_digests(in_process):
+    assert json.loads(json.dumps(portable_results(compiled=False))) == in_process
 
 
 def test_replayed_values_run_the_fft_path(in_process, monkeypatch):
@@ -137,14 +183,8 @@ def test_replayed_values_run_the_fft_path(in_process, monkeypatch):
 def test_same_bits_under_the_prescott_openblas_kernel(in_process):
     if not _dynamic_arch_openblas():
         pytest.skip("NumPy's BLAS is not a DYNAMIC_ARCH OpenBLAS")
-    replay = _replay(OPENBLAS_CORETYPE="Prescott")
-    assert replay.returncode == 0, replay.stderr
-    assert json.loads(replay.stdout) == in_process
+    _assert_replays_match(in_process, OPENBLAS_CORETYPE="Prescott")
 
 
 def test_same_bits_without_numpy_avx2_and_avx512_loops(in_process):
-    replay = _replay(NPY_DISABLE_CPU_FEATURES=NUMPY_MASK)
-    if replay.returncode != 0 and "NPY_DISABLE_CPU_FEATURES" in replay.stderr:
-        pytest.skip(f"NumPy refuses NPY_DISABLE_CPU_FEATURES={NUMPY_MASK!r} here")
-    assert replay.returncode == 0, replay.stderr
-    assert json.loads(replay.stdout) == in_process
+    _assert_replays_match(in_process, NPY_DISABLE_CPU_FEATURES=NUMPY_MASK)
