@@ -15,13 +15,15 @@ from __future__ import annotations
 import time
 import tracemalloc
 from contextlib import contextmanager
-from itertools import combinations
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.parallel import ParallelExecutor
 from ..core.results import MiningStatistics
+from ..core.search import CandidateLevel, ScoredLevel
+from ..core.support import SupportEngine
+from ..db.columnar import ranges
 from ..db.database import UncertainDatabase
 
 __all__ = [
@@ -32,6 +34,7 @@ __all__ = [
     "has_infrequent_subset",
     "trim_transactions",
     "make_candidate_source",
+    "make_level_source",
 ]
 
 
@@ -82,43 +85,115 @@ def frequent_items_by_expected_support(
     }
 
 
-def apriori_join(
-    frequent_itemsets: Sequence[Tuple[int, ...]], presorted: bool = False
-) -> List[Tuple[int, ...]]:
+def _join_rows(items: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(left, right)`` row pairs of the Apriori join of a sorted level.
+
+    The level's rows are grouped into runs sharing their ``k - 1``-prefix;
+    every row joins each later row of its run, so the pairs come out in
+    left-row order with ascending right rows — the lexicographic order of
+    the candidates they make.
+    """
+    m = len(items)
+    if m < 2:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    boundary = np.ones(m, dtype=bool)
+    boundary[1:] = (items[1:, :-1] != items[:-1, :-1]).any(axis=1)
+    starts = np.flatnonzero(boundary)
+    run_ends = np.repeat(np.append(starts[1:], m), np.diff(np.append(starts, m)))
+    rows = np.arange(m, dtype=np.int64)
+    partners = run_ends - rows - 1
+    return np.repeat(rows, partners), ranges(rows + 1, partners)
+
+
+def apriori_join(frequent_itemsets, presorted: bool = False):
     """Join frequent k-itemsets sharing a (k-1)-prefix into (k+1)-candidates.
 
-    Input and output itemsets are canonical sorted tuples.  The classic
-    Apriori join: two k-itemsets that agree on their first ``k - 1`` items
-    produce one candidate; the subsequent subset check
-    (:func:`has_infrequent_subset`) completes the pruning.
+    The classic Apriori join: two k-itemsets that agree on their first
+    ``k - 1`` items produce one candidate; the subsequent subset check
+    (:func:`has_infrequent_subset`) completes the pruning.  Given a
+    :class:`~repro.core.search.CandidateLevel` it returns the joined level,
+    whose ``parents`` are the left rows and whose ``source`` is the input;
+    given canonical sorted tuples it returns the candidates as tuples.
 
-    ``presorted`` skips the defensive sort.  The search driver maintains
-    the invariant once per run: its seed level is sorted, the join of a
-    sorted level is itself sorted (candidates are emitted in left-operand
-    order with ascending extensions), and survivor filtering preserves
-    order — so no level ever needs re-sorting.
+    ``presorted`` skips the defensive sort of a tuple list (a
+    :class:`~repro.core.search.CandidateLevel` is always sorted).  The
+    search driver maintains the invariant once per run: its seed level is
+    sorted, the join of a sorted level is itself sorted (candidates are
+    emitted in left-operand order with ascending extensions), and survivor
+    filtering preserves order — so no level ever needs re-sorting.
+
+    >>> apriori_join([(1, 2), (1, 3), (1, 4), (2, 3)])
+    [(1, 2, 3), (1, 2, 4), (1, 3, 4)]
     """
-    ordered = (
-        list(frequent_itemsets) if presorted else sorted(frequent_itemsets)
-    )
-    candidates: List[Tuple[int, ...]] = []
-    for index, left in enumerate(ordered):
-        prefix = left[:-1]
-        for right in ordered[index + 1 :]:
-            if right[:-1] != prefix:
-                break
-            candidates.append(left + (right[-1],))
-    return candidates
+    if isinstance(frequent_itemsets, CandidateLevel):
+        level = frequent_itemsets
+        left, right = _join_rows(level.items)
+        items = np.concatenate([level.items[left], level.items[right, -1:]], axis=1)
+        return CandidateLevel(items, parents=left, source=level)
+    ordered = list(frequent_itemsets) if presorted else sorted(frequent_itemsets)
+    return apriori_join(CandidateLevel.from_tuples(ordered)).tuples()
 
 
-def has_infrequent_subset(
-    candidate: Tuple[int, ...], frequent_itemsets: Set[Tuple[int, ...]]
-) -> bool:
-    """True if some (k-1)-subset of ``candidate`` is not frequent (downward closure)."""
-    for subset in combinations(candidate, len(candidate) - 1):
-        if subset not in frequent_itemsets:
-            return True
-    return False
+def _packed_keys(*matrices: np.ndarray) -> List[np.ndarray]:
+    """Order-preserving int64 keys of the rows of equally wide item matrices.
+
+    Columns are packed left to right at the bit width of the largest item
+    offset; whenever the next column would not fit in 63 bits, the partial
+    keys of all matrices are first replaced by their dense ranks
+    (``np.unique``), which keeps their order.  Equal rows get equal keys
+    and lexicographic row order is key order, so a sorted level's keys
+    are sorted.
+    """
+    filled = [matrix for matrix in matrices if matrix.size]
+    low = min(int(matrix.min()) for matrix in filled)
+    bits = max(max(int(matrix.max()) - low for matrix in filled).bit_length(), 1)
+    if bits > 31:
+        # Item ids too wide to share a key with a rank: pack their dense ranks.
+        ranks = np.unique(np.concatenate([m.ravel() for m in matrices]), return_inverse=True)[1]
+        sizes = np.cumsum([m.size for m in matrices])[:-1]
+        matrices = tuple(
+            part.reshape(m.shape) for part, m in zip(np.split(ranks.astype(np.int64), sizes), matrices)
+        )
+        low, bits = 0, max(int(ranks.max()).bit_length(), 1)
+    keys = [matrix[:, 0] - low for matrix in matrices]
+    used = bits
+    for column in range(1, matrices[0].shape[1]):
+        if used + bits > 63:
+            ranks = np.unique(np.concatenate(keys), return_inverse=True)[1]
+            keys = np.split(ranks.astype(np.int64), np.cumsum([len(k) for k in keys])[:-1])
+            used = max(int(ranks.max()).bit_length(), 1)
+        keys = [(key << bits) | (matrix[:, column] - low) for key, matrix in zip(keys, matrices)]
+        used += bits
+    return keys
+
+
+def has_infrequent_subset(candidates: np.ndarray, level: np.ndarray) -> np.ndarray:
+    """Which candidates have a k-subset outside ``level`` (downward closure).
+
+    ``candidates`` is an ``(n, k + 1)`` item matrix and ``level`` the
+    sorted, duplicate-free ``(m, k)`` matrix of frequent k-itemsets.  Every
+    subset that drops one position is packed into an int64 key
+    (:func:`_packed_keys`) and looked up by ``searchsorted`` in the level's
+    keys; the result is a boolean mask over the candidates.
+
+    >>> level = np.array([[1, 2], [1, 3], [2, 3]])
+    >>> has_infrequent_subset(np.array([[1, 2, 3], [1, 2, 4]]), level).tolist()
+    [False, True]
+    """
+    n, width = candidates.shape
+    infrequent = np.zeros(n, dtype=bool)
+    if n == 0 or width < 2:
+        return infrequent
+    if len(level) == 0:
+        infrequent[:] = True
+        return infrequent
+    subsets = [np.delete(candidates, position, axis=1) for position in range(width)]
+    level_keys, *subset_keys = _packed_keys(level, *subsets)
+    last = len(level_keys) - 1
+    for keys in subset_keys:
+        found = np.minimum(np.searchsorted(level_keys, keys), last)
+        infrequent |= level_keys[found] != keys
+    return infrequent
 
 
 def trim_transactions(
@@ -159,3 +234,35 @@ def make_candidate_source(
     if executor is not None and executor.n_shards > 1:
         return executor.shard_vectors
     return database.columnar().batch_vectors
+
+
+def make_level_source(
+    database: UncertainDatabase, executor: Optional[ParallelExecutor] = None
+) -> Callable[[CandidateLevel, float], ScoredLevel]:
+    """The levelwise loop's ``level(candidates, kill) -> ScoredLevel``.
+
+    Unsharded runs evaluate the level through the columnar view
+    (:meth:`~repro.db.columnar.ColumnarView.level_columns`): the
+    statistics cover only the candidates that survive the occupancy kill,
+    and carry their column block to the next level.  Sharded runs hand the
+    level's tuples to the executor's fan-out (:func:`make_candidate_source`),
+    which returns one vector per candidate — empty for the killed ones —
+    and no block.  The executor rides on the engine to the survivor
+    batch's exact tails.
+    """
+    if executor is not None and executor.n_shards > 1:
+
+        def sharded(level: CandidateLevel, kill: float) -> ScoredLevel:
+            vectors = executor.shard_vectors(level.tuples(), kill)
+            engine = SupportEngine(vectors, executor=executor)
+            return ScoredLevel(level, engine, np.arange(len(level)))
+
+        return sharded
+    view = database.columnar()
+
+    def columnar(level: CandidateLevel, kill: float) -> ScoredLevel:
+        positions, block = view.level_columns(level, kill)
+        engine = SupportEngine(block.vectors(), executor=executor)
+        return ScoredLevel(level, engine, positions, block)
+
+    return columnar

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.search import LevelKernel, MinerSpec, SearchContext
+from ..core.search import CandidateLevel, LevelKernel, MinerSpec, SearchContext
 from .base import ProbabilisticMiner
 from .common import trim_transactions
 
@@ -256,17 +256,15 @@ class _WorldKernel(LevelKernel):
         ctx.statistics.database_scans += 1  # the world-materialisation pass
         ctx.statistics.notes["worlds_sampled"] = float(miner.n_worlds)
 
-    def evaluate(
-        self, ctx: SearchContext, candidates: List[Tuple[int, ...]]
-    ) -> List[Tuple[int, ...]]:
+    def evaluate(self, ctx: SearchContext, candidates: CandidateLevel) -> CandidateLevel:
         statistics = ctx.statistics
         expansion_threshold = max(ctx.pft - self.miner.slack, 0.0)
-        survivors: List[Tuple[int, ...]] = []
-        for candidate in candidates:
+        survivors: List[int] = []
+        for row, candidate in enumerate(candidates.tuples()):
             probability = self._estimate(candidate)
             statistics.exact_evaluations += 1
             if probability > expansion_threshold:
-                survivors.append(candidate)
+                survivors.append(row)
             if probability > ctx.pft:
                 if len(candidate) == 1:
                     expected, variance = ctx.seed_items[candidate[0]]
@@ -274,4 +272,4 @@ class _WorldKernel(LevelKernel):
                     expected = ctx.database.expected_support(candidate)
                     variance = ctx.database.support_variance(candidate)
                 ctx.record(candidate, expected, variance, probability)
-        return survivors
+        return candidates.select(survivors)

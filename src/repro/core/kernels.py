@@ -20,7 +20,8 @@ The source is compiled on first use, never at import, with the system C
 compiler (``/usr/bin/cc``, else ``cc`` on ``PATH``; GCC or Clang, whose
 vector extension the source uses), into
 ``$XDG_CACHE_HOME/repro`` (``~/.cache/repro`` when the variable is unset;
-a fresh temporary directory when neither is writable).  The file name
+a fresh temporary directory, removed once the library is loaded, when
+neither is writable).  The file name
 carries a hash of the source, the flags and the machine type, and a
 build is written to a temporary file and moved into place with
 ``os.replace``, so concurrent processes never load a half-written
@@ -32,6 +33,7 @@ its NumPy kernel, which stays the differential reference
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import os
@@ -194,11 +196,21 @@ def library() -> Optional[ctypes.CDLL]:
 
 
 def _cache_dirs() -> Iterator[str]:
+    """The cache directory, then (if it is not writable) a temporary one.
+
+    The temporary directory is removed once the caller is done with it:
+    a loaded library stays mapped after its file is gone, so nothing is
+    left behind by a process that could not use the cache.
+    """
     base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
         os.path.expanduser("~"), ".cache"
     )
     yield os.path.join(base, "repro")
-    yield tempfile.mkdtemp(prefix="repro-kernels-")
+    temporary = tempfile.mkdtemp(prefix="repro-kernels-")
+    try:
+        yield temporary
+    finally:
+        shutil.rmtree(temporary, ignore_errors=True)
 
 
 def _load() -> Optional[ctypes.CDLL]:
@@ -206,37 +218,38 @@ def _load() -> Optional[ctypes.CDLL]:
         "\0".join((SOURCE, *FLAGS, platform.machine())).encode()
     ).hexdigest()[:16]
     compiler = next(filter(None, map(shutil.which, COMPILERS)), None)
-    for directory in _cache_dirs():
-        path = os.path.join(directory, f"kernels-{key}.so")
-        if os.path.exists(path):
+    with contextlib.closing(_cache_dirs()) as directories:
+        for directory in directories:
+            path = os.path.join(directory, f"kernels-{key}.so")
+            if os.path.exists(path):
+                try:
+                    return _bind(ctypes.CDLL(path))
+                except OSError:
+                    pass  # a foreign or damaged file: build it again
+            if compiler is None:
+                return None
             try:
-                return _bind(ctypes.CDLL(path))
+                os.makedirs(directory, exist_ok=True)
+                handle, partial = tempfile.mkstemp(suffix=".so", dir=directory)
             except OSError:
-                pass  # a foreign or damaged file: build it again
-        if compiler is None:
-            return None
-        try:
-            os.makedirs(directory, exist_ok=True)
-            handle, scratch = tempfile.mkstemp(suffix=".so", dir=directory)
-        except OSError:
-            continue
-        os.close(handle)
-        try:
-            subprocess.run(
-                [compiler, *FLAGS, "-x", "c", "-o", scratch, "-"],
-                input=SOURCE,
-                text=True,
-                capture_output=True,
-                check=True,
-                timeout=120,
-            )
-            os.replace(scratch, path)
-            return _bind(ctypes.CDLL(path))
-        except (OSError, subprocess.SubprocessError):
-            return None
-        finally:
-            if os.path.exists(scratch):
-                os.unlink(scratch)
+                continue
+            os.close(handle)
+            try:
+                subprocess.run(
+                    [compiler, *FLAGS, "-x", "c", "-o", partial, "-"],
+                    input=SOURCE,
+                    text=True,
+                    capture_output=True,
+                    check=True,
+                    timeout=120,
+                )
+                os.replace(partial, path)
+                return _bind(ctypes.CDLL(path))
+            except (OSError, subprocess.SubprocessError):
+                return None
+            finally:
+                if os.path.exists(partial):
+                    os.unlink(partial)
     return None
 
 

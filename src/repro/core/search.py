@@ -23,11 +23,15 @@ the driver still owns seeding and accounting, the spec supplies the growth
 strategy.  Streaming mining and the top-k search drive the same loop
 through :meth:`LevelwiseSearch.drive` and :meth:`LevelwiseSearch.run_topk`.
 
-A level's statistics are the only seam between the scorers and their data
-source.  A batch run hands the kernels a
-:class:`~repro.core.support.SupportEngine` over the candidate source's
-vectors (:func:`engine_level`); a streaming run hands them an adapter over
-the incremental index that answers the same questions.  So
+A level is a :class:`CandidateLevel` — an item matrix, each candidate's
+parent row and extension item — from join to record, and its statistics
+are the only seam between the scorers and their data source.  A batch run
+hands the kernels a :class:`ScoredLevel` whose
+:class:`~repro.core.support.SupportEngine` covers the vectors of the
+candidates that survived the occupancy kill
+(:func:`~repro.algorithms.common.make_level_source`); a
+streaming run hands them an adapter over the incremental index that
+answers the same questions.  So
 :class:`ExpectedSupportKernel` and :class:`TailEvaluationKernel` are the
 only threshold scorers, and :func:`repro.core.topk.topk_scorer` the only
 top-k scorer, batch or streaming.
@@ -48,6 +52,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .itemset import Itemset
 from .results import FrequentItemset, MiningResult, MiningStatistics
 from .support import SupportEngine
@@ -55,6 +61,8 @@ from .topk import run_topk_search, topk_scorer
 
 __all__ = [
     "Candidate",
+    "CandidateLevel",
+    "ScoredLevel",
     "MinerSpec",
     "SearchContext",
     "LevelKernel",
@@ -88,12 +96,88 @@ def _common():
     return _COMMON
 
 
+class CandidateLevel:
+    """One Apriori level held as arrays.
+
+    ``items`` is an ``(n, k)`` int64 matrix whose rows are the candidates
+    in lexicographic order.  A joined level also knows its lineage:
+    ``parents[c]`` is the row of candidate ``c``'s ``k - 1``-prefix in
+    ``source`` (the level it was joined from) and ``items[c, -1]`` is its
+    extension item.  ``columns`` is the candidates' column block
+    (:class:`~repro.db.columnar.ColumnBlock`) once a columnar source has
+    computed it; the next level gathers from it as its parent block.
+
+    >>> level = CandidateLevel.from_tuples([(1, 2), (1, 3)])
+    >>> len(level), level.tuples()
+    (2, [(1, 2), (1, 3)])
+    """
+
+    __slots__ = ("items", "parents", "source", "columns")
+
+    def __init__(
+        self,
+        items: np.ndarray,
+        parents: Optional[np.ndarray] = None,
+        source: Optional["CandidateLevel"] = None,
+        columns: Any = None,
+    ) -> None:
+        self.items = items
+        self.parents = parents
+        self.source = source
+        self.columns = columns
+
+    @classmethod
+    def from_tuples(cls, candidates: Sequence[Sequence[int]]) -> "CandidateLevel":
+        """A lineage-free level of equally long, sorted candidate tuples."""
+        candidates = list(candidates)
+        width = len(candidates[0]) if candidates else 0
+        items = np.array(candidates, dtype=np.int64).reshape(len(candidates), width)
+        return cls(items)
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def tuples(self) -> List[Candidate]:
+        return [tuple(row) for row in self.items.tolist()]
+
+    def select(self, rows: Sequence[int], columns: Any = None) -> "CandidateLevel":
+        """A new lineage-free level of ``rows`` (order kept), with their ``columns``."""
+        return CandidateLevel(self.items[np.asarray(rows, dtype=np.int64)], columns=columns)
+
+
+@dataclass
+class ScoredLevel:
+    """What ``SearchContext.level`` returns for one :class:`CandidateLevel`.
+
+    ``stats`` (a :class:`~repro.core.support.SupportEngine`, or the
+    streaming index's adapter) covers only the candidates at
+    ``positions``; the others were killed by the source's occupancy count
+    and allocate nothing.  ``columns`` are the covered candidates' columns
+    when a columnar source computed them.
+    """
+
+    candidates: CandidateLevel
+    stats: Any
+    positions: np.ndarray
+    columns: Any = None
+
+    def itemsets(self, rows: np.ndarray) -> List[Candidate]:
+        return [tuple(items) for items in self.candidates.items[self.positions[rows]].tolist()]
+
+    def survivors(self, rows: Sequence[int]) -> CandidateLevel:
+        """The next level: the covered candidates at ``rows``, with their columns."""
+        rows = np.asarray(rows, dtype=np.int64)
+        columns = None if self.columns is None else self.columns.select(rows)
+        return self.candidates.select(self.positions[rows], columns)
+
+
 def engine_level(source: Callable, executor: Any = None) -> Callable:
-    """The batch ``level(candidates, kill)`` callable over a candidate source.
+    """The batch ``level(candidates, kill)`` callable over a tuple source.
 
     ``source`` is :func:`~repro.algorithms.common.make_candidate_source`'s
-    level evaluator; ``kill`` is its stage-1 kill threshold.  The executor
-    rides on the engine to the survivor batch's exact tails.
+    evaluator of an arbitrary candidate list (the top-k search's
+    children); ``kill`` is its stage-1 kill threshold.  The executor rides
+    on the engine to the survivor batch's exact tails.
     """
 
     def level(candidates: Sequence[Candidate], kill: float) -> SupportEngine:
@@ -222,11 +306,11 @@ class SearchContext:
     pft: Optional[float] = None
     #: the absolute expected-support bar driving an esup-driven search
     search_min_esup: Optional[float] = None
-    #: ``level(candidates, kill) -> statistics`` of one candidate level: a
-    #: :class:`~repro.core.support.SupportEngine` in batch runs, an index
-    #: adapter in streaming ones (``kill`` is a sound stage-1 kill bar a
-    #: source may ignore)
-    level: Optional[Callable[[Sequence[Candidate], float], Any]] = None
+    #: ``level(candidates, kill) -> ScoredLevel`` of one
+    #: :class:`CandidateLevel`: a :class:`~repro.core.support.SupportEngine`
+    #: in batch runs, an index adapter in streaming ones (``kill`` is a
+    #: sound stage-1 kill bar a source may ignore)
+    level: Optional[Callable[[CandidateLevel, float], ScoredLevel]] = None
     #: free-form state shared between spec hooks of one run
     scratch: Dict[str, Any] = field(default_factory=dict)
 
@@ -248,22 +332,21 @@ class SearchContext:
 class LevelKernel:
     """Scores one level of candidates and applies the spec's decision rule.
 
-    The driver owns the loop: ``evaluate`` receives a whole level, appends
-    the admitted records to ``ctx.records`` and returns the candidates
-    that seed the next level.  The analytic kernels read the level's
-    statistics through ``ctx.level``; a kernel with its own substrate (the
-    sampled worlds) builds it in ``begin``.  The compiled exact-tail
-    kernels sit below the support engine the analytic kernels call, so no
-    ``evaluate`` knows whether they ran.
+    The driver owns the loop: ``evaluate`` receives a whole
+    :class:`CandidateLevel`, appends the admitted records to
+    ``ctx.records`` and returns the admitted candidates as the level that
+    seeds the next join.  The analytic kernels read the level's statistics
+    through ``ctx.level``; a kernel with its own substrate (the sampled
+    worlds) builds it in ``begin``.  The compiled exact-tail kernels sit
+    below the support engine the analytic kernels call, so no ``evaluate``
+    knows whether they ran.
     """
 
     def begin(self, ctx: SearchContext) -> None:
         """Build per-run state (called once, after seeding decisions)."""
 
-    def evaluate(
-        self, ctx: SearchContext, candidates: List[Candidate]
-    ) -> List[Candidate]:
-        """Score ``candidates``; record the admitted ones; return the survivors."""
+    def evaluate(self, ctx: SearchContext, candidates: CandidateLevel) -> CandidateLevel:
+        """Score ``candidates``; record the admitted ones; return them."""
         raise NotImplementedError
 
 
@@ -273,26 +356,24 @@ class ExpectedSupportKernel(LevelKernel):
     The whole level is evaluated in one pass over its statistics (the
     source gets the bar as its stage-1 kill threshold: ``esup(X) <=
     count(X)``, so a candidate with fewer supporting rows than the bar is
-    already decided).
+    already decided and never reaches the statistics).
     """
 
-    def evaluate(
-        self, ctx: SearchContext, candidates: List[Candidate]
-    ) -> List[Candidate]:
-        level = ctx.level(candidates, ctx.search_min_esup)
-        expected_supports = level.expected_supports()
-        variances = level.variances() if ctx.spec.track_variance else None
-        survivors: List[Candidate] = []
-        for index, candidate in enumerate(candidates):
-            expected = float(expected_supports[index])
-            if expected >= ctx.search_min_esup:
-                ctx.record(
-                    candidate,
-                    expected,
-                    float(variances[index]) if variances is not None else None,
-                )
-                survivors.append(candidate)
-        return survivors
+    def evaluate(self, ctx: SearchContext, candidates: CandidateLevel) -> CandidateLevel:
+        bar = ctx.search_min_esup
+        level = ctx.level(candidates, bar)
+        expected = level.stats.expected_supports()
+        admitted = np.flatnonzero(expected >= bar)
+        variances = (
+            level.stats.variances()[admitted].tolist()
+            if ctx.spec.track_variance
+            else [None] * len(admitted)
+        )
+        for itemset, value, variance in zip(
+            level.itemsets(admitted), expected[admitted].tolist(), variances
+        ):
+            ctx.record(itemset, value, variance)
+        return level.survivors(admitted)
 
 
 class TailEvaluationKernel(LevelKernel):
@@ -300,12 +381,12 @@ class TailEvaluationKernel(LevelKernel):
 
     The full three-stage cascade of the probabilistic miners: the source
     kills candidates whose occupancy count is below ``min_count`` before
-    any float work (stage 1), the survivors' columns come from the
-    cross-level prefix cache (stage 2), and the bound chain runs in cost
-    order — occupancy count, then Markov, then Chernoff — so the tail
-    evaluation only pays for the candidates no bound could decide (stage
-    3).  Every filter is one-sided, so the frequent set is identical to the
-    unfiltered evaluation.
+    any float work (stage 1), the survivors' columns come from one
+    gather over the previous level's column block (stage 2), and the bound
+    chain runs in cost order — occupancy count, then Markov, then Chernoff
+    — so the tail evaluation only pays for the candidates no bound could
+    decide (stage 3).  Every filter is one-sided, so the frequent set is
+    identical to the unfiltered evaluation.
 
     ``batch_tails`` is the miner's kernel binding: ``callable(level,
     min_count) -> ndarray`` of frequent probabilities over the survivor
@@ -316,41 +397,37 @@ class TailEvaluationKernel(LevelKernel):
     def __init__(self, batch_tails: Callable[[Any, int], Any]) -> None:
         self.batch_tails = batch_tails
 
-    def evaluate(
-        self, ctx: SearchContext, candidates: List[Candidate]
-    ) -> List[Candidate]:
-        if not candidates:
-            return []
+    def evaluate(self, ctx: SearchContext, candidates: CandidateLevel) -> CandidateLevel:
+        if not len(candidates):
+            return candidates.select([])
         statistics = ctx.statistics
         level = ctx.level(candidates, ctx.min_count)
-        expected = level.expected_supports()
-        variance = level.variances()
-        survivors = level.undecided_after_bounds(
+        stats = level.stats
+        expected = stats.expected_supports()
+        variance = stats.variances()
+        undecided = stats.undecided_after_bounds(
             ctx.min_count,
             ctx.pft,
             use_bounds="chernoff" in ctx.spec.bound_chain,
             notes=statistics.notes,
         )
-        if not survivors:
-            return []
-
-        statistics.exact_evaluations += len(survivors)
-        probabilities = self.batch_tails(level.subset(survivors), ctx.min_count)
-
-        next_level: List[Candidate] = []
-        for index, probability in zip(survivors, probabilities):
-            if probability > ctx.pft:
-                candidate = candidates[index]
-                ctx.records.append(
-                    FrequentItemset(
-                        Itemset(candidate),
-                        float(expected[index]),
-                        float(variance[index]),
-                        float(probability),
-                    )
+        admitted: List[Tuple[int, float]] = []
+        if undecided:
+            statistics.exact_evaluations += len(undecided)
+            probabilities = self.batch_tails(stats.subset(undecided), ctx.min_count)
+            admitted = [
+                (row, float(probability))
+                for row, probability in zip(undecided, probabilities)
+                if probability > ctx.pft
+            ]
+        rows = np.array([row for row, _ in admitted], dtype=np.int64)
+        for itemset, (row, probability) in zip(level.itemsets(rows), admitted):
+            ctx.records.append(
+                FrequentItemset(
+                    Itemset(itemset), float(expected[row]), float(variance[row]), probability
                 )
-                next_level.append(candidate)
-        return next_level
+            )
+        return level.survivors(rows)
 
 
 class LevelwiseSearch:
@@ -369,24 +446,32 @@ class LevelwiseSearch:
     # -- the one true loop -------------------------------------------------------------
     def drive(
         self,
-        seed_level: Sequence[Candidate],
-        evaluate: Callable[[List[Candidate]], List[Candidate]],
+        seed_level: Any,
+        evaluate: Callable[[CandidateLevel], CandidateLevel],
         statistics: MiningStatistics,
     ) -> None:
         """The levelwise loop: generate -> account -> evaluate -> extend.
 
         Each level is the apriori join of the surviving level with
-        downward-closure subset pruning.  ``evaluate`` scores one level and
-        returns the candidates admitted to the next; the uniform accounting
-        (see :class:`~repro.core.results.MiningStatistics`) charges
+        downward-closure subset pruning, both over the level's item matrix
+        (:func:`~repro.algorithms.common.apriori_join`,
+        :func:`~repro.algorithms.common.has_infrequent_subset`).
+        ``evaluate`` scores one level and returns the candidates admitted
+        to the next; the uniform accounting (see
+        :class:`~repro.core.results.MiningStatistics`) charges
         ``candidates_generated`` for every generated candidate and
         ``candidates_pruned`` for every one not admitted.
 
-        Sort order is maintained once per level: the seed is sorted, the
-        apriori join of a sorted level is sorted, and survivors preserve
-        order — so the join never re-sorts (``presorted=True``).
+        Sort order is maintained once per level: the seed (a
+        :class:`CandidateLevel` or a list of tuples) is sorted, the apriori
+        join of a sorted level is sorted, and survivors preserve order — so
+        no level is ever re-sorted.
         """
-        current_level = list(seed_level)
+        current_level = (
+            seed_level
+            if isinstance(seed_level, CandidateLevel)
+            else CandidateLevel.from_tuples(seed_level)
+        )
         while current_level:
             candidates = self._apriori_candidates(current_level)
             statistics.candidates_generated += len(candidates)
@@ -397,14 +482,11 @@ class LevelwiseSearch:
             current_level = survivors
 
     @staticmethod
-    def _apriori_candidates(current_level: List[Candidate]) -> List[Candidate]:
+    def _apriori_candidates(level: CandidateLevel) -> CandidateLevel:
         common = _common()
-        frequent_keys = set(current_level)
-        return [
-            candidate
-            for candidate in common.apriori_join(current_level, presorted=True)
-            if not common.has_infrequent_subset(candidate, frequent_keys)
-        ]
+        joined = common.apriori_join(level, presorted=True)
+        keep = ~common.has_infrequent_subset(joined.items, level.items)
+        return CandidateLevel(joined.items[keep], joined.parents[keep], level)
 
     # -- batch mining ------------------------------------------------------------------
     def run(self, database: Any) -> MiningResult:
@@ -427,10 +509,7 @@ class LevelwiseSearch:
                     statistics=statistics,
                     executor=executor,
                     n_transactions=len(database),
-                    level=engine_level(
-                        common.make_candidate_source(database, executor=executor),
-                        executor,
-                    ),
+                    level=common.make_level_source(database, executor=executor),
                 )
                 self._prepare(ctx)
                 if spec.kernel is not None:
@@ -490,9 +569,10 @@ class LevelwiseSearch:
         else:
             ctx.search_min_esup = ctx.min_expected_support
 
-    def _seed(self, ctx: SearchContext) -> List[Candidate]:
+    def _seed(self, ctx: SearchContext) -> CandidateLevel:
         """Bring the 1-itemsets into the search according to the seed mode."""
         spec = ctx.spec
+        seed = CandidateLevel.from_tuples([(item,) for item in sorted(ctx.seed_items)])
         if spec.seed_mode == "statistics":
             for item, (expected, variance) in ctx.seed_items.items():
                 ctx.record(
@@ -500,17 +580,15 @@ class LevelwiseSearch:
                     expected,
                     variance if spec.track_variance else None,
                 )
-            return [(item,) for item in sorted(ctx.seed_items)]
+            return seed
         if spec.seed_mode == "evaluate":
-            return spec.kernel.evaluate(
-                ctx, [(item,) for item in sorted(ctx.seed_items)]
-            )
-        return []
+            return spec.kernel.evaluate(ctx, seed)
+        return seed.select([])
 
-    def _drive_levels(self, ctx: SearchContext, seed_level: List[Candidate]) -> None:
+    def _drive_levels(self, ctx: SearchContext, seed_level: CandidateLevel) -> None:
         kernel = ctx.spec.kernel
 
-        def evaluate(candidates: List[Candidate]) -> List[Candidate]:
+        def evaluate(candidates: CandidateLevel) -> CandidateLevel:
             ctx.statistics.database_scans += 1
             return kernel.evaluate(ctx, candidates)
 

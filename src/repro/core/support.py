@@ -955,27 +955,24 @@ class SupportEngine:
         return self._matrix
 
     # -- moments (vectorized) ----------------------------------------------------------
-    # The reductions special-case empty vectors (stage-1 kills arrive as
-    # empty vectors): the empty sum is exactly 0.0, so skipping the NumPy
-    # call is bitwise-neutral and saves one dispatch per killed candidate.
+    # Each vector keeps its own ``np.add.reduce`` (``ndarray.sum`` without
+    # the Python wrapper): one pairwise summation per candidate, whatever
+    # array the vector is a slice of.  An empty vector sums to exactly 0.0.
     def expected_supports(self) -> np.ndarray:
         """``esup(X)`` of every candidate."""
         if self._expected is None:
-            self._expected = np.array(
-                [float(vector.sum()) if vector.size else 0.0 for vector in self._vectors],
-                dtype=float,
+            self._expected = np.fromiter(
+                map(np.add.reduce, self._vectors), dtype=float, count=len(self._vectors)
             )
         return self._expected
 
     def variances(self) -> np.ndarray:
         """``Var[sup(X)]`` of every candidate."""
         if self._variance is None:
-            self._variance = np.array(
-                [
-                    float((vector * (1.0 - vector)).sum()) if vector.size else 0.0
-                    for vector in self._vectors
-                ],
+            self._variance = np.fromiter(
+                (np.add.reduce(vector * (1.0 - vector)) for vector in self._vectors),
                 dtype=float,
+                count=len(self._vectors),
             )
         return self._variance
 

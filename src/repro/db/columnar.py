@@ -11,9 +11,9 @@ row CSR by one stable argsort on item — so that
 * the probability vector ``p_i(X)`` of an itemset becomes a sparse sorted
   intersection of columns with an elementwise product, and
 * a whole Apriori level of candidates is evaluated in one
-  :meth:`batch_vectors` call that reuses shared prefix intersections
-  (candidates produced by the Apriori join share their ``k - 1``-prefix by
-  construction).
+  :meth:`~ColumnarView.level_columns` call: one occupancy kill and one
+  gather-multiply from the previous level's survivors, held as one
+  :class:`ColumnBlock`.
 
 Per-transaction products are accumulated in itemset order, exactly like
 :meth:`UncertainTransaction.itemset_probability
@@ -27,15 +27,15 @@ Because every per-transaction product is row-local, a view can also be
 shards whose results concatenate back bitwise — the primitive behind the
 partition-parallel engine (:mod:`repro.db.partition`).
 
-Level evaluation runs through the **bitset cascade**: per-item occupancy
-is packed into bitmaps (:meth:`ColumnarView.item_bitmap`), a whole level's
-supporting-row counts come from word-wide bitwise AND + popcount
-(:meth:`ColumnarView.level_occupancy_counts`), candidates whose count is
-already below the caller's ``minsup`` are killed before any float work,
-and the survivors resolve their ``k - 1``-prefixes through a cross-level
-byte-budgeted LRU so each costs one gather-and-multiply.  Every surviving
-column equals the non-zeros of the reference oracle's ``p_i(X)`` bit for
-bit.
+Level evaluation runs through the **bitset cascade**: a candidate's
+occupancy bitmap is its parent's bitmap AND its item's
+(:meth:`ColumnarView.level_occupancy_counts`), counted with
+``np.bitwise_count``; candidates whose count is already below the
+caller's ``minsup`` are killed before any float work, and the survivors'
+columns come from one vectorized gather over the previous level's
+column block, through a byte-budgeted LRU of each parent's children that
+a later mine on the same view reuses.  Every surviving column equals the
+non-zeros of the reference oracle's ``p_i(X)`` bit for bit.
 
 >>> from repro.db import UncertainDatabase
 >>> db = UncertainDatabase.from_records([{1: 0.5, 2: 0.8}, {1: 1.0}, {2: 0.4}])
@@ -48,7 +48,7 @@ bit.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,6 +58,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .database import UncertainDatabase
 
 __all__ = [
+    "ColumnBlock",
     "ColumnarView",
     "ItemColumn",
     "RowCSR",
@@ -68,6 +69,7 @@ __all__ = [
     "csr_offsets",
     "csr_row_ids",
     "popcount_rows",
+    "ranges",
 ]
 
 #: One item column: sorted transaction indices and the matching probabilities.
@@ -77,6 +79,10 @@ ItemColumn = Tuple[np.ndarray, np.ndarray]
 #: holds the units ``offsets[r]:offsets[r + 1]`` of the int64 ``items`` and
 #: float64 ``probabilities``, in the row's own item order.
 RowCSR = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+#: The unit arrays a view's columns are slices of, with each item's
+#: ``(start, stop)`` span in them: ``(rows, probs, {item: span})``.
+Units = Tuple[np.ndarray, np.ndarray, Mapping[int, Tuple[int, int]]]
 
 _EMPTY_COLUMN: ItemColumn = (
     np.empty(0, dtype=np.int64),
@@ -102,9 +108,19 @@ DENSE_CROSSOVER_FRACTION = 0.25
 DENSE_CACHE_BYTES = 16 << 20
 #: A bitmap is N/8 bytes, so this is a hard safety bound only.
 BITMAP_CACHE_BYTES = 16 << 20
-#: A prefix column costs 16 * nnz bytes; 32 MiB keeps every frequent level
-#: of the benchmark workloads resident across levels.
+#: A cached child column costs 16 * nnz bytes; 32 MiB keeps every frequent
+#: level of the benchmark workloads resident across mines.
 PREFIX_CACHE_BYTES = 32 << 20
+#: Bound on one chunk of a level's occupancy kill: the candidates' packed
+#: bitmaps (N/8 bytes each) are ANDed and counted this many bytes at a time.
+OCCUPANCY_CHUNK_BYTES = 1 << 20
+#: Bound on one chunk of a level's gather: the dense item columns it
+#: stacks, and the parent rows it probes at 8 bytes each.
+GATHER_CHUNK_BYTES = 4 << 20
+#: A parent at least this long is probed on its own, as slices: its ~20 µs
+#: of per-candidate overhead then costs less than the index arrays a
+#: vectorized chunk builds for its rows (about 25 ns per row).
+LONG_PARENT_ROWS = 1024
 
 
 def csr_offsets(lengths: Sequence[int]) -> np.ndarray:
@@ -121,7 +137,7 @@ def csr_row_ids(offsets: np.ndarray) -> np.ndarray:
 
 def _columns_from_rows(
     offsets: np.ndarray, items: np.ndarray, probabilities: np.ndarray
-) -> Dict[int, ItemColumn]:
+) -> Tuple[Dict[int, ItemColumn], Optional[Units]]:
     """The item columns of a row CSR: the one column builder.
 
     One stable argsort on item groups the units by item while keeping each
@@ -131,9 +147,11 @@ def _columns_from_rows(
     slices of two shared arrays, frozen because columns are handed out
     directly (e.g. single-item candidates in ``batch_columns``): an
     in-place write by a consumer raises instead of corrupting the view.
+    Those arrays and every item's span in them come back as the view's
+    :data:`Units`.
     """
     if len(items) == 0:
-        return {}
+        return {}, None
     row_ids = csr_row_ids(offsets)
     # A stable order depends only on the values, so a narrow key gives the
     # same order; NumPy sorts it by radix, several times faster than int64.
@@ -148,38 +166,127 @@ def _columns_from_rows(
     bounds = np.concatenate(([0], starts, [len(items)])).tolist()
     group_items = sorted_items[bounds[:-1]].tolist()
     first_appearance = np.argsort(order[bounds[:-1]])
-    return {
+    columns = {
         group_items[g]: (rows[bounds[g] : bounds[g + 1]], probs[bounds[g] : bounds[g + 1]])
         for g in first_appearance.tolist()
     }
+    spans = {item: (bounds[g], bounds[g + 1]) for g, item in enumerate(group_items)}
+    return columns, (rows, probs, spans)
+
+
+def ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(starts[j], starts[j] + lengths[j])`` over ``j``.
+
+    >>> ranges(np.array([5, 0]), np.array([2, 3])).tolist()
+    [5, 6, 0, 1, 2]
+    """
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(total, dtype=np.int64)
 
 
 def popcount_rows(packed: np.ndarray) -> np.ndarray:
     """Per-row population count of a packed ``(rows, width)`` uint8 bitmap.
 
-    Rows are zero-padded to a multiple of 8 bytes, reinterpreted as uint64
-    words and counted with the branch-free SWAR reduction — ~4x faster
-    than a 256-entry byte lookup table on whole-level bitmaps.
+    Rows whose width is a multiple of 8 bytes are counted as uint64 words.
 
     >>> popcount_rows(np.array([[0b10110000], [0b11111111]], dtype=np.uint8)).tolist()
     [3, 8]
     """
-    n_rows, width = packed.shape
-    pad = (-width) % 8
-    if pad:
-        padded = np.zeros((n_rows, width + pad), dtype=np.uint8)
-        padded[:, :width] = packed
-    else:
-        padded = np.ascontiguousarray(packed)
-    words = padded.view(np.uint64)
-    m1 = np.uint64(0x5555555555555555)
-    m2 = np.uint64(0x3333333333333333)
-    m4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-    h01 = np.uint64(0x0101010101010101)
-    words = words - ((words >> np.uint64(1)) & m1)
-    words = (words & m2) + ((words >> np.uint64(2)) & m2)
-    words = (words + (words >> np.uint64(4))) & m4
-    return ((words * h01) >> np.uint64(56)).sum(axis=1).astype(np.int64)
+    if packed.shape[1] % 8 == 0 and packed.flags.c_contiguous:
+        packed = packed.view(np.uint64)
+    return np.bitwise_count(packed).sum(axis=1, dtype=np.int64)
+
+
+class _Children:
+    """One prefix-LRU entry: the columns of a parent's computed children.
+
+    ``items`` are the children's extension items, ascending, and ``block``
+    their columns.  Every array is the entry's own frozen copy, so
+    :attr:`payload_nbytes` is exactly what the entry keeps alive.
+    """
+
+    __slots__ = ("items", "block", "payload_nbytes")
+
+    def __init__(self, items: np.ndarray, piece: "ColumnBlock") -> None:
+        lo, hi = int(piece.starts[0]), int(piece.ends[-1])
+        self.items = items.copy()
+        self.block = ColumnBlock(
+            piece.rows[lo:hi].copy(), piece.probs[lo:hi].copy(), piece.starts - lo, piece.ends - lo
+        )
+        for array in (self.items, *self.block.arrays()):
+            array.setflags(write=False)
+        self.payload_nbytes = 24 * len(items) + 16 * (hi - lo)
+
+
+class ColumnBlock:
+    """The columns of a run of itemsets, as spans of shared unit arrays.
+
+    Itemset ``j`` owns ``rows[starts[j]:ends[j]]`` (ascending) and the
+    matching ``probs``.  A gathered level is *compact* (each itemset's
+    units follow the previous one's), so its survivors travel to the next
+    level as one block and are gathered from with a few array operations;
+    a seed level's block can span the database's own column arrays.
+    """
+
+    __slots__ = ("rows", "probs", "starts", "ends")
+
+    def __init__(
+        self, rows: np.ndarray, probs: np.ndarray, starts: np.ndarray, ends: np.ndarray
+    ) -> None:
+        self.rows = rows
+        self.probs = probs
+        self.starts = starts
+        self.ends = ends
+
+    @classmethod
+    def compact(cls, rows: np.ndarray, probs: np.ndarray, lengths) -> "ColumnBlock":
+        offsets = csr_offsets(lengths)
+        return cls(rows, probs, offsets[:-1], offsets[1:])
+
+    @classmethod
+    def of(cls, columns: Sequence[ItemColumn]) -> "ColumnBlock":
+        return cls.compact(
+            np.concatenate([_EMPTY_COLUMN[0]] + [rows for rows, _ in columns]),
+            np.concatenate([_EMPTY_COLUMN[1]] + [probs for _, probs in columns]),
+            [len(rows) for rows, _ in columns],
+        )
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    @property
+    def lengths(self) -> np.ndarray:
+        return self.ends - self.starts
+
+    def arrays(self) -> Tuple[np.ndarray, ...]:
+        return self.rows, self.probs, self.starts, self.ends
+
+    def column(self, j: int) -> ItemColumn:
+        lo, hi = self.starts[j], self.ends[j]
+        return self.rows[lo:hi], self.probs[lo:hi]
+
+    def vectors(self) -> List[np.ndarray]:
+        """Every itemset's probabilities, as slices of the one array."""
+        return [self.probs[lo:hi] for lo, hi in zip(self.starts.tolist(), self.ends.tolist())]
+
+    def units(self) -> np.ndarray:
+        """The positions of every itemset's units, itemset by itemset."""
+        return ranges(self.starts, self.lengths)
+
+    def select(self, positions) -> "ColumnBlock":
+        """Itemsets at ``positions`` (an index array or a slice), sharing this block's arrays."""
+        return ColumnBlock(self.rows, self.probs, self.starts[positions], self.ends[positions])
+
+    @classmethod
+    def concat(cls, blocks: Sequence["ColumnBlock"]) -> "ColumnBlock":
+        """The itemsets of ``blocks`` in order, copied into one compact block."""
+        at = [block.units() for block in blocks]
+        return cls.compact(
+            np.concatenate([block.rows[units] for block, units in zip(blocks, at)]),
+            np.concatenate([block.probs[units] for block, units in zip(blocks, at)]),
+            np.concatenate([block.lengths for block in blocks]),
+        )
 
 
 class ColumnarView:
@@ -206,8 +313,9 @@ class ColumnarView:
     def __init__(self, database: "UncertainDatabase") -> None:
         offsets, items, probabilities = database.row_csr()
         self._n_transactions = len(offsets) - 1
-        self._columns = _columns_from_rows(offsets, items, probabilities)
+        self._columns, units = _columns_from_rows(offsets, items, probabilities)
         self._init_caches()
+        self._units = units
 
     def _init_caches(self) -> None:
         """(Re)build the lazily filled, byte-budgeted derived-array caches.
@@ -216,15 +324,17 @@ class ColumnarView:
         dropping them (fresh view, unpickle, eviction) can only cost time,
         never correctness.
         """
-        #: lazily scattered dense columns, built per item on first dense combine
+        #: lazily scattered dense columns of ``itemset_column``'s combine
         self._dense_columns = ByteBudgetLRU(DENSE_CACHE_BYTES)
         #: packed per-item occupancy bitmaps (stage 1 of the cascade)
         self._bitmaps = ByteBudgetLRU(BITMAP_CACHE_BYTES)
-        #: cross-level prefix columns (stage 2 of the cascade): the frequent
-        #: ``k-1``-columns of one level are exactly the join prefixes of the
-        #: next, so persisting them across ``batch_columns`` calls turns a
-        #: full prefix rebuild into a single gather-and-multiply
+        #: the prefix LRU (stage 2 of the cascade): parent itemset -> the
+        #: columns of the children computed for it (:class:`_Children`), so
+        #: a later mine on the same view gathers none of them again
         self._prefix_cache = ByteBudgetLRU(PREFIX_CACHE_BYTES)
+        #: the shared arrays behind the columns, when the view knows them
+        #: (:meth:`_block_of` then builds a seed block without copying)
+        self._units: Optional[Units] = None
 
     # -- pickling ----------------------------------------------------------------------
     def __getstate__(self):
@@ -489,12 +599,12 @@ class ColumnarView:
         return bitmap
 
     def level_bitmaps(self, candidates: Sequence[Tuple[int, ...]]) -> np.ndarray:
-        """Packed occupancy of a whole level: one AND-of-members row per candidate.
+        """Packed occupancy of a candidate list: one AND-of-members row per candidate.
 
         Returns:
             A ``(len(candidates), ceil(N / 8))`` uint8 array; row ``c`` is
             the bitwise AND of the member bitmaps of ``candidates[c]`` (an
-            empty candidate occupies every row).  The whole level is
+            empty candidate occupies every row).  The whole list is
             evaluated with word-wide NumPy ANDs — no float work at all.
         """
         candidates = [tuple(candidate) for candidate in candidates]
@@ -516,9 +626,9 @@ class ColumnarView:
         stack = np.stack([self.item_bitmap(item) for item in distinct])
         distinct_array = np.asarray(distinct, dtype=np.int64)
         if lengths.min() == lengths.max():
-            # One Apriori level: every candidate has the same length, so the
-            # member lookup is a single (C, k) searchsorted against the
-            # distinct items and the AND reduces over the k id columns.
+            # Equally long candidates: the member lookup is a single (C, k)
+            # searchsorted against the distinct items and the AND reduces
+            # over the k id columns.
             members = np.asarray(candidates, dtype=np.int64)
             ids = np.searchsorted(distinct_array, members)
             acc = stack[ids[:, 0]]
@@ -544,22 +654,36 @@ class ColumnarView:
                 packed[has] &= stack[ids]
         return packed
 
-    def level_occupancy_counts(
-        self, candidates: Sequence[Tuple[int, ...]]
-    ) -> np.ndarray:
+    def level_occupancy_counts(self, candidates) -> np.ndarray:
         """Supporting-row count of every candidate via bitmap AND + popcount.
 
         ``counts[c]`` is the number of transactions containing every member
-        of ``candidates[c]`` with positive probability — each candidate's
-        maximum attainable support, computed without touching a single
-        float.  Row-local, so per-shard counts sum to the global count
-        exactly (the property the partitioned kill phase relies on).
+        of candidate ``c`` with positive probability — its maximum
+        attainable support, computed without touching a single float.
+        Row-local, so per-shard counts sum to the global count exactly (the
+        property the partitioned kill phase relies on).
+
+        ``candidates`` is a list of tuples (each ANDs its members'
+        bitmaps) or a joined :class:`~repro.core.search.CandidateLevel`,
+        where a candidate's bitmap is its parent column's rows AND its
+        extension item's bitmap (:meth:`_child_counts`).  A parent column
+        holds only non-zero products, so that count is lower than the
+        members' AND only where a parent product underflowed to zero — it
+        still bounds the candidate's support from above.
 
         >>> from repro.db import UncertainDatabase
         >>> db = UncertainDatabase.from_records([{1: 0.5, 2: 0.8}, {1: 1.0}])
         >>> db.columnar().level_occupancy_counts([(1,), (2,), (1, 2)]).tolist()
         [2, 1, 1]
         """
+        if getattr(candidates, "parents", None) is not None:
+            source = candidates.source.items
+            return self._child_counts(
+                self._parent_block(candidates),
+                candidates.parents,
+                candidates.items[:, -1],
+                source[:, 0] if source.shape[1] == 1 else None,
+            )
         if not len(candidates):
             return np.zeros(0, dtype=np.int64)
         packed = self.level_bitmaps(candidates)
@@ -567,73 +691,387 @@ class ColumnarView:
             return np.zeros(len(candidates), dtype=np.int64)
         return popcount_rows(packed)
 
+    def _child_counts(
+        self,
+        block: ColumnBlock,
+        parents: np.ndarray,
+        items: np.ndarray,
+        parent_items: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Occupancy of ``block``'s itemset ``parents[c]`` extended by ``items[c]``.
+
+        Each chunk packs the bitmaps of the parents it spans straight from
+        their block rows, then ANDs every candidate's parent bitmap with its
+        item's and counts the bits, so the temporaries stay near
+        :data:`OCCUPANCY_CHUNK_BYTES` (8 times that for the parents' rows
+        before packing) whatever the level's size.  Single-item parents
+        (``parent_items``) take their item bitmaps instead.  The count is
+        exactly the number of rows a gather of the candidate hits.
+        """
+        n = len(parents)
+        counts = np.zeros(n, dtype=np.int64)
+        if n == 0 or self._n_transactions == 0:
+            return counts
+        distinct, which = np.unique(items, return_inverse=True)
+        bitmaps = np.stack([self.item_bitmap(item) for item in distinct.tolist()])
+        # Whole uint64 words: zero padding past row N - 1 adds no bits.
+        width = -(-bitmaps.shape[1] // 8) * 8
+        item_bitmaps = np.zeros((len(distinct), width), dtype=np.uint8)
+        item_bitmaps[:, : bitmaps.shape[1]] = bitmaps
+        step = max(1, OCCUPANCY_CHUNK_BYTES // width)
+        spans = list(zip(block.starts.tolist(), block.ends.tolist()))
+        for start in range(0, n, step):
+            chunk = parents[start : start + step]
+            first, last = int(chunk.min()), int(chunk.max()) + 1
+            if parent_items is not None:
+                packed = [self.item_bitmap(item) for item in parent_items[first:last].tolist()]
+            else:
+                occupied = np.zeros((last - first, self._n_transactions), dtype=bool)
+                for row, (lo, hi) in enumerate(spans[first:last]):
+                    occupied[row, block.rows[lo:hi]] = True
+                packed = np.packbits(occupied, axis=1)
+            parent_bitmaps = np.zeros((last - first, width), dtype=np.uint8)
+            parent_bitmaps[:, : bitmaps.shape[1]] = packed
+            counts[start : start + step] = popcount_rows(
+                parent_bitmaps[chunk - first] & item_bitmaps[which[start : start + step]]
+            )
+        return counts
+
     # -- batched level evaluation ------------------------------------------------------
+    def level_columns(
+        self, level, min_count: float = 0.0
+    ) -> Tuple[np.ndarray, ColumnBlock]:
+        """Kill and gather one :class:`~repro.core.search.CandidateLevel`.
+
+        Returns ``(positions, block)``: the candidates whose occupancy count
+        reaches ``min_count`` (all of them when it is ``0``) and their
+        columns, in candidate order.  Killed candidates allocate nothing.
+        The count is sound for both of the paper's definitions: it is the
+        maximum attainable support, so ``count < minsup`` implies ``esup <
+        minsup`` (each probability is at most 1) and ``Pr[sup >= minsup] =
+        0``.
+
+        A joined level gathers from its source level's block (the previous
+        level's survivors; a seed level's block is built from its item
+        columns on first use), through the prefix LRU
+        (:meth:`_children`).  Every column equals the non-zeros of the
+        reference oracle's ``p_i(X)`` bit for bit.
+        """
+        if level.parents is None:
+            positions = self._alive(level.tuples(), min_count)
+            return positions, self._block_of(level.items[positions])
+        positions, counts = np.arange(len(level)), None
+        if min_count > 0 and len(level) and self._n_transactions:
+            counts = self.level_occupancy_counts(level)
+            positions = np.flatnonzero(counts >= min_count)
+            counts = counts[positions]
+        return positions, self._children(
+            level.source.tuples(),
+            self._parent_block(level),
+            level.parents[positions],
+            level.items[positions, -1],
+            counts,
+        )
+
+    def _parent_block(self, level) -> ColumnBlock:
+        """The column block of ``level``'s source level (built once if absent)."""
+        source = level.source
+        if source.columns is None:
+            source.columns = self._block_of(source.items)
+        return source.columns
+
+    def _block_of(self, items: np.ndarray) -> ColumnBlock:
+        """The columns of the itemsets in the rows of ``items``, as one block.
+
+        Single items span the arrays the view's columns are slices of
+        (:data:`Units`), when the view knows them, instead of copying.
+        """
+        if items.shape[1] != 1 or self._units is None:
+            return ColumnBlock.of(self._itemset_columns([tuple(row) for row in items.tolist()]))
+        rows, probs, spans = self._units
+        bounds = np.array([spans.get(item, (0, 0)) for item in items[:, 0].tolist()], dtype=np.int64)
+        bounds = bounds.reshape(len(items), 2)
+        return ColumnBlock(rows, probs, bounds[:, 0], bounds[:, 1])
+
+    def _alive(self, candidates: List[Tuple[int, ...]], min_count: float) -> np.ndarray:
+        """Positions of the candidates whose occupancy count reaches ``min_count``."""
+        if min_count > 0 and candidates and self._n_transactions:
+            return np.flatnonzero(self.level_occupancy_counts(candidates) >= min_count)
+        return np.arange(len(candidates))
+
     def batch_columns(
         self,
         candidates: Sequence[Tuple[int, ...]],
         min_count: float = 0.0,
     ) -> List[ItemColumn]:
-        """Evaluate one Apriori level of candidates with shared prefix reuse.
+        """Evaluate a list of candidates with shared prefix reuse.
 
-        Candidates are canonical sorted tuples.  Evaluation runs in three
-        stages:
-
-        1. when ``min_count > 0``, the whole level's supporting-row counts
-           are computed by bitmap AND + popcount and candidates whose count
-           is already below ``min_count`` are *killed* — they get the empty
-           column without any float work.  Sound for both of the paper's
-           definitions: the count is the maximum attainable support, so
-           ``count < minsup`` implies ``esup < minsup`` (each probability
-           is at most 1) and ``Pr[sup >= minsup] = 0``;
-        2. each survivor resolves its ``k - 1``-prefix through the
-           cross-level byte-budgeted LRU (the frequent columns of the
-           previous level are exactly this level's join prefixes) and pays
-           one :meth:`_combine_gather` gather-and-multiply;
-        3. that kernel multiplies in itemset order and drops exact-zero
-           products, so every survivor column equals the non-zeros of the
-           reference oracle's ``p_i(X)`` bit for bit.
+        Candidates are canonical sorted tuples, of any lengths.  When
+        ``min_count > 0``, candidates whose supporting-row count is below it
+        are *killed* by bitmap AND + popcount and get the empty column
+        without any float work (see :meth:`level_columns` for why that is
+        sound).  The survivors resolve each distinct ``k - 1``-prefix once
+        (:meth:`_prefix_column`) and are gathered in one block, so every
+        survivor column equals the non-zeros of the reference oracle's
+        ``p_i(X)`` bit for bit.
         """
         candidates = [tuple(candidate) for candidate in candidates]
-        killed = None
-        if min_count > 0 and candidates and self._n_transactions:
-            killed = self.level_occupancy_counts(candidates) < min_count
-        cache: Dict[Tuple[int, ...], ItemColumn] = {}
-        results: List[ItemColumn] = []
-        for position, candidate in enumerate(candidates):
-            if killed is not None and killed[position]:
-                results.append(_EMPTY_COLUMN)
+        alive = self._alive(candidates, min_count).tolist()
+        columns: List[ItemColumn] = [_EMPTY_COLUMN] * len(candidates)
+        for position, column in zip(
+            alive, self._itemset_columns([candidates[p] for p in alive])
+        ):
+            columns[position] = column
+        return columns
+
+    def _itemset_columns(self, itemsets: Sequence[Tuple[int, ...]]) -> List[ItemColumn]:
+        """Columns of arbitrary itemsets, each distinct prefix resolved once."""
+        columns: List[ItemColumn] = [_EMPTY_COLUMN] * len(itemsets)
+        prefixes: Dict[Tuple[int, ...], int] = {}
+        extended = []
+        for position, itemset in enumerate(itemsets):
+            if len(itemset) < 2:
+                columns[position] = self.itemset_column(itemset)
             else:
-                results.append(self._resolve_cascade(candidate, cache))
-        return results
-
-    def _resolve_cascade(
-        self, itemset: Tuple[int, ...], cache: Dict[Tuple[int, ...], ItemColumn]
-    ) -> ItemColumn:
-        """Resolve one candidate column through per-call and cross-level caches.
-
-        Only genuinely computed columns enter the cross-level cache —
-        stage-1 kills never do, so a later run with a lower threshold can
-        never observe a truncated column.
-        """
-        if len(itemset) == 0:
-            return (
-                np.arange(self._n_transactions, dtype=np.int64),
-                np.ones(self._n_transactions, dtype=np.float64),
+                parent = prefixes.setdefault(itemset[:-1], len(prefixes))
+                extended.append((parent, itemset[-1], position))
+        if extended:
+            extended.sort()
+            parents, items, positions = (
+                np.array(values, dtype=np.int64) for values in zip(*extended)
             )
-        if len(itemset) == 1:
-            return self.column(itemset[0])
-        hit = cache.get(itemset)
-        if hit is not None:
-            return hit
-        hit = self._prefix_cache.get(itemset)
-        if hit is None:
-            prefix_rows, prefix_probs = self._resolve_cascade(itemset[:-1], cache)
-            hit = self._combine_gather(prefix_rows, prefix_probs, itemset[-1])
-            hit[0].flags.writeable = False
-            hit[1].flags.writeable = False
-            self._prefix_cache.put(itemset, hit)
-        cache[itemset] = hit
-        return hit
+            keys = list(prefixes)
+            parent_block = ColumnBlock.of([self._prefix_column(key) for key in keys])
+            block = self._children(keys, parent_block, parents, items)
+            for j, position in enumerate(positions.tolist()):
+                columns[position] = block.column(j)
+        return columns
+
+    def _prefix_column(self, itemset: Tuple[int, ...]) -> ItemColumn:
+        """The column of ``itemset``: from its parent's cached children, else computed."""
+        if len(itemset) >= 2:
+            hit = self._prefix_cache.get(itemset[:-1])
+            if hit is not None:
+                at = int(np.searchsorted(hit.items, itemset[-1]))
+                if at < len(hit.items) and hit.items[at] == itemset[-1]:
+                    return hit.block.column(at)
+        return self.itemset_column(itemset)
+
+    def _children(
+        self,
+        keys: Sequence[Tuple[int, ...]],
+        block: ColumnBlock,
+        parents: np.ndarray,
+        items: np.ndarray,
+        counts: Optional[np.ndarray] = None,
+    ) -> ColumnBlock:
+        """Columns of the candidates ``keys[parents[c]] + (items[c],)``.
+
+        Candidates come grouped by parent, items ascending within a parent.
+        The cross-level prefix LRU maps a parent itemset to the columns of
+        the children computed for it, so a later mine on the same view (a
+        served dataset) gathers nothing it has gathered before.  It is
+        looked up once per parent: a parent whose wanted children are all
+        cached is served from its entry, the others are gathered together
+        in one :meth:`_gather` and each enters the LRU as its own copy (the
+        budget charges exactly the bytes an entry keeps alive; a parent
+        whose children would take over an eighth of the budget is not
+        copied, as it would evict much of the cache for one entry).  ``counts``
+        are the candidates' occupancy counts, when the kill computed them.
+        """
+        n = len(parents)
+        if n == 0:
+            return ColumnBlock.of([])
+        starts = np.flatnonzero(np.concatenate(([True], parents[1:] != parents[:-1])))
+        bounds = np.append(starts, n).tolist()
+        group_parents = parents[starts].tolist()
+        cache = self._prefix_cache
+        cached = len(cache) > 0  # a fresh view's first level skips the lookups
+        served: Dict[int, ColumnBlock] = {}
+        missed: List[int] = []
+        for group, parent in enumerate(group_parents):
+            hit = cache.get(keys[parent]) if cached else None
+            if hit is not None:
+                wanted = items[bounds[group] : bounds[group + 1]]
+                at = np.searchsorted(hit.items, wanted)
+                if at[-1] < len(hit.items) and np.array_equal(hit.items[at], wanted):
+                    served[group] = hit.block.select(at)
+                    continue
+            missed.append(group)
+        if not missed:
+            return ColumnBlock.concat([served[group] for group in range(len(starts))])
+        sizes = np.diff(bounds)[missed].tolist()
+        gathered_at = ranges(starts[missed], np.asarray(sizes, dtype=np.int64))
+        gathered = self._gather(
+            block,
+            parents[gathered_at],
+            items[gathered_at],
+            None if counts is None else counts[gathered_at],
+        )
+        piece_starts, piece_ends = gathered.starts.tolist(), gathered.ends.tolist()
+        first = 0
+        for group, size in zip(missed, sizes):
+            piece = gathered.select(slice(first, first + size))
+            if 16 * (piece_ends[first + size - 1] - piece_starts[first]) <= cache.budget_bytes // 8:
+                cache.put(
+                    keys[group_parents[group]],
+                    _Children(items[bounds[group] : bounds[group + 1]], piece),
+                )
+            if served:
+                served[group] = piece
+            first += size
+        if not served:
+            return gathered
+        return ColumnBlock.concat([served[group] for group in range(len(starts))])
+
+    def _gather(
+        self,
+        block: ColumnBlock,
+        parents: np.ndarray,
+        items: np.ndarray,
+        counts: Optional[np.ndarray] = None,
+    ) -> ColumnBlock:
+        """The vectorized combine: ``block``'s itemset ``parents[c]`` times ``items[c]``.
+
+        One gather-multiply per batch, probing the smaller operand into the
+        larger.  Where the item is dense (occupancy at least
+        :data:`DENSE_CROSSOVER_FRACTION` of ``N``) or the parent is the
+        shorter operand, the parent's rows read the item's probabilities off
+        a dense copy of its column (:meth:`_gather_dense`); otherwise the
+        item's rows are looked up in the parent by ``searchsorted``
+        (:meth:`_gather_sparse`).  The occupancy ``counts``
+        (:meth:`_child_counts`, computed here when not given) are exactly
+        the rows each candidate hits, so the output is allocated once and
+        every hit written in its place.  Every multiplication is ``parent *
+        item``, the reference oracle's operand order, and exact-zero
+        products (subnormal underflow) are dropped, exactly like
+        :meth:`_combine_gather`.
+        """
+        if counts is None:
+            counts = self._child_counts(block, parents, items)
+        total = int(counts.sum())
+        out = ColumnBlock.compact(
+            np.empty(total, dtype=np.int64), np.empty(total, dtype=np.float64), counts
+        )
+        starts = block.starts[parents]
+        parent_lengths = block.ends[parents] - starts
+        distinct, which = np.unique(items, return_inverse=True)
+        columns = [self.column(item) for item in distinct.tolist()]
+        item_lengths = np.array([len(rows) for rows, _ in columns], dtype=np.int64)
+        lengths = item_lengths[which]
+        by_parent = (lengths >= int(self._n_transactions * DENSE_CROSSOVER_FRACTION)) | (
+            parent_lengths <= lengths
+        )
+        self._gather_dense(
+            out, block, starts, parent_lengths, which, distinct.tolist(), np.flatnonzero(by_parent)
+        )
+        chosen = np.flatnonzero(~by_parent)
+        if len(chosen):
+            self._gather_sparse(out, block, parents, which, columns, chosen)
+        nonzero = out.probs != 0.0
+        if nonzero.all():
+            return out
+        kept = np.concatenate(([0], np.cumsum(nonzero)))
+        return ColumnBlock.compact(
+            out.rows[nonzero], out.probs[nonzero], kept[out.ends] - kept[out.starts]
+        )
+
+    @staticmethod
+    def _write(
+        out: ColumnBlock, candidates: np.ndarray, hit: np.ndarray, rows: np.ndarray, products
+    ) -> None:
+        """Write the probes of ``candidates`` that ``hit`` into their places.
+
+        Each candidate's probes are one run in row order, and the occupancy
+        counts the output was allocated with say how many of them hit.
+        ``products`` holds the hits' products, or every probe's.
+        """
+        if len(candidates) == 1:
+            at = slice(int(out.starts[candidates[0]]), int(out.ends[candidates[0]]))
+            expected = at.stop - at.start
+        else:
+            at = ranges(out.starts[candidates], out.lengths[candidates])
+            expected = len(at)
+        hits = np.flatnonzero(hit)
+        if len(hits) != expected:
+            raise ValueError("a column holds a zero probability: occupancy and hits disagree")
+        if isinstance(at, slice):
+            np.take(rows, hits, out=out.rows[at])
+        else:
+            out.rows[at] = rows[hits]
+        if len(products) == len(rows) != expected:
+            products = products[hits]
+        out.probs[at] = products
+
+    def _gather_dense(self, out, block, starts, parent_lengths, which, distinct, chosen) -> None:
+        """Parent rows probe dense copies of their items' columns.
+
+        The dense columns come from :meth:`_dense_column`, memoised across
+        levels, mines and requests.  A parent of at least
+        :data:`LONG_PARENT_ROWS` rows is probed on its own, reading its rows
+        in place.  The other candidates are probed together off one stacked
+        ``(items, N)`` matrix; when that matrix, or the parent rows probed
+        at 8 bytes each, would exceed :data:`GATHER_CHUNK_BYTES`, they are
+        taken in item order and cut into chunks that fit, so the
+        temporaries stay bounded on any level.
+        """
+        long = parent_lengths[chosen] >= LONG_PARENT_ROWS
+        for candidate in chosen[long].tolist():
+            at = slice(int(starts[candidate]), int(starts[candidate] + parent_lengths[candidate]))
+            rows = block.rows[at]
+            values = self._dense_column(distinct[which[candidate]])[rows]
+            self._write(out, [candidate], values != 0.0, rows, block.probs[at] * values)
+        chosen = chosen[~long]
+        if not len(chosen):
+            return
+        stride = max(self._n_transactions, 1)
+        max_items = max(1, GATHER_CHUNK_BYTES // (8 * stride))
+        max_probes = max(1, GATHER_CHUNK_BYTES // 8)
+        chunks = [chosen]
+        if len(np.unique(which[chosen])) > max_items or parent_lengths[chosen].sum() > max_probes:
+            order = chosen[np.argsort(which[chosen], kind="stable")]
+            bounds, chunk_items, chunk_probes, previous = [0], 0, 0, -1
+            for position, (item, cost) in enumerate(
+                zip(which[order].tolist(), parent_lengths[order].tolist())
+            ):
+                new_item = item != previous
+                if position > bounds[-1] and (
+                    chunk_probes + cost > max_probes or (new_item and chunk_items == max_items)
+                ):
+                    bounds.append(position)
+                    chunk_items = chunk_probes = 0
+                    new_item = True
+                chunk_items += new_item
+                chunk_probes += cost
+                previous = item
+            bounds.append(len(order))
+            chunks = [order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+        for candidates in chunks:
+            local_items, local = np.unique(which[candidates], return_inverse=True)
+            dense = np.stack([self._dense_column(distinct[index]) for index in local_items.tolist()])
+            counts = parent_lengths[candidates]
+            at = ranges(starts[candidates], counts)
+            rows = block.rows[at]
+            values = dense.reshape(-1)[np.repeat(local * stride, counts) + rows]
+            hit = values != 0.0
+            self._write(out, candidates, hit, rows, block.probs[at[hit]] * values[hit])
+
+    def _gather_sparse(self, out, block, parents, which, columns, chosen) -> None:
+        """Item rows probe their parents by ``searchsorted`` over ``parent * N + row`` keys."""
+        stride = max(self._n_transactions, 1)
+        local_items, local = np.unique(which[chosen], return_inverse=True)
+        items_block = ColumnBlock.of([columns[index] for index in local_items.tolist()])
+        counts = items_block.lengths[local]
+        at = ranges(items_block.starts[local], counts)
+        rows = items_block.rows[at]
+        units = block.units()
+        keys = np.repeat(np.arange(len(block)), block.lengths) * stride + block.rows[units]
+        query = np.repeat(parents[chosen], counts) * stride + rows
+        found = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+        hit = keys[found] == query
+        self._write(
+            out, chosen, hit, rows, block.probs[units[found[hit]]] * items_block.probs[at[hit]]
+        )
 
     def batch_vectors(
         self,

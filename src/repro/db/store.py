@@ -611,6 +611,17 @@ class MappedColumnarView(ColumnarView):
         self._bounds_cache: Dict[int, Tuple[int, int]] = {}
         self._init_caches()
         self._columns = _MappedColumns(self)
+        if self._full:
+            # A full-range column is a slice of the planes: seed blocks span them.
+            offsets = store.offsets.tolist()
+            self._units = (
+                self._rows_plane,
+                self._probs_plane,
+                {
+                    int(item): (offsets[position], offsets[position + 1])
+                    for position, item in enumerate(store.items.tolist())
+                },
+            )
 
     # -- pickling ------------------------------------------------------------------
     @property

@@ -208,6 +208,8 @@ class IncrementalSupportIndex:
         self._pmf_columns: Dict[Candidate, int] = {}
         self._pmf_free: List[int] = []
         self._pmf_allocated = 0
+        #: the moment column of every PMF column (one entry per state row)
+        self._pmf_moment = np.zeros(0, dtype=np.int64)
         self._order: Deque[int] = deque()
         self._front: List[int] = []
         self._evicted = 0
@@ -375,7 +377,11 @@ class IncrementalSupportIndex:
                     )
                     grown[: len(self._states)] = self._states
                     self._states = grown
+                    moment = np.zeros(len(grown), dtype=np.int64)
+                    moment[: len(self._pmf_moment)] = self._pmf_moment
+                    self._pmf_moment = moment
             self._pmf_columns[key] = pmf_column
+            self._pmf_moment[pmf_column] = self._columns[key]
             fresh.append(pmf_column)
         if fresh and self._width and not self._flip_due():
             columns = np.asarray(fresh, dtype=np.int64)
@@ -448,6 +454,9 @@ class IncrementalSupportIndex:
             items[: len(order)] = self._cand_items[remap]
             self._cand_items = items
             self._columns = {key: position for position, key in enumerate(order)}
+            moved = np.zeros(self._n_allocated, dtype=np.int64)
+            moved[remap] = np.arange(len(order))
+            self._pmf_moment = moved[self._pmf_moment]
             self._free = []
             self._n_allocated = len(order)
         if len(self._pmf_free) > max(4, len(self._pmf_columns) // 2):
@@ -459,6 +468,9 @@ class IncrementalSupportIndex:
             states = np.zeros((width, self._states.shape[1]), dtype=float)
             states[: len(order)] = self._states[remap]
             self._states = states
+            moment = np.zeros(width, dtype=np.int64)
+            moment[: len(order)] = self._pmf_moment[remap]
+            self._pmf_moment = moment
             self._pmf_columns = {
                 key: position for position, key in enumerate(order)
             }
@@ -580,11 +592,8 @@ class IncrementalSupportIndex:
     # -- tail stacks --------------------------------------------------------------------
     def _pmf_leaves(self, slots: Sequence[int], columns) -> np.ndarray:
         """``p_i(X)`` of the given slots (rows) x PMF columns, off the moment leaves."""
-        moment = np.zeros(self._pmf_allocated, dtype=np.int64)
-        for key, column in self._pmf_columns.items():
-            moment[column] = self._columns[key]
         rows = self.size + np.asarray(slots, dtype=np.int64)
-        return self.expected[rows][:, moment[columns]]
+        return self.expected[rows][:, self._pmf_moment[columns]]
 
     def _build_front(self, columns) -> None:
         """Kept front states of ``columns`` (a slice or an index array).

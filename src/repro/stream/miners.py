@@ -45,9 +45,11 @@ import numpy as np
 from ..algorithms.common import instrumented_run
 from ..core.results import FrequentItemset, MiningResult, MiningStatistics
 from ..core.search import (
+    CandidateLevel,
     ExpectedSupportKernel,
     LevelwiseSearch,
     MinerSpec,
+    ScoredLevel,
     SearchContext,
     TailEvaluationKernel,
     markov_item_prefilter,
@@ -274,9 +276,15 @@ class StreamingMiner:
         self.index.retain_pmfs(self._pmf_last_queried)
         return MiningResult(records, statistics)
 
-    def _level(self, candidates: Sequence[Candidate], kill: float = 0.0) -> IndexLevel:
-        """The slide's ``level(candidates, kill)``: the index needs no kill."""
+    def _index_level(self, candidates: Sequence[Candidate], kill: float = 0.0) -> IndexLevel:
+        """The slide's top-k ``level(candidates, kill)``: the index needs no kill."""
         return IndexLevel(self, candidates)
+
+    def _level(self, candidates: CandidateLevel, kill: float = 0.0) -> ScoredLevel:
+        """The slide's levelwise ``level(candidates, kill)``."""
+        return ScoredLevel(
+            candidates, self._index_level(candidates.tuples()), np.arange(len(candidates))
+        )
 
     def spec(self) -> MinerSpec:
         """The slide's declarative spec (the threshold miners)."""
@@ -311,13 +319,13 @@ class StreamingMiner:
         items = [(item,) for item in self.window.active_items()]
         if spec.item_prefilter is not None:
             bar = spec.item_prefilter(ctx)
-            expected = self._level(items).expected_supports()
+            expected = self._index_level(items).expected_supports()
             items = [
                 item for position, item in enumerate(items) if expected[position] >= bar
             ]
         kernel = spec.kernel
         search.drive(
-            kernel.evaluate(ctx, items),
+            kernel.evaluate(ctx, CandidateLevel.from_tuples(items)),
             lambda candidates: kernel.evaluate(ctx, candidates),
             statistics,
         )
@@ -524,7 +532,7 @@ class StreamingTopK(StreamingMiner):
         self._last_min_count = min_count
         self._last_statistics = statistics
         evaluate = topk_scorer(
-            self._level,
+            self._index_level,
             self.evaluator,
             min_count,
             statistics,

@@ -15,6 +15,9 @@ from the production registry:
   the full support PMF);
 * :func:`possible_world_expected_support` — a Monte-Carlo estimate of an
   expected support from sampled possible worlds;
+* :func:`apriori_join_tuples` / :func:`has_infrequent_subset_tuples` — frozen
+  copies of the tuple Apriori join and subset check the array join and
+  prune of :mod:`repro.algorithms.common` replaced;
 * :func:`uh_mine_expand_dict` — a frozen copy of the dict-per-cell UH-Mine
   expander the array expander replaced (a ``MinerSpec`` ``expander``):
   tuple-of-cells transactions, one head-table dict per prefix;
@@ -51,9 +54,11 @@ from repro.datasets import (
 from repro.db import UncertainDatabase, UncertainTransaction, sample_worlds
 
 __all__ = [
+    "apriori_join_tuples",
     "exact_frequent_probability",
     "exhaustive_expected",
     "exhaustive_probabilistic",
+    "has_infrequent_subset_tuples",
     "itemset_probabilities",
     "moments",
     "possible_world_expected_support",
@@ -149,6 +154,29 @@ def exhaustive_probabilistic(
                 FrequentItemset(Itemset(itemset), expected, variance, probability)
             )
     return MiningResult(records)
+
+
+def apriori_join_tuples(frequent_itemsets: Sequence[Tuple[int, ...]]) -> List[Tuple[int, ...]]:
+    """The tuple Apriori join: sorted k-itemsets sharing a (k-1)-prefix."""
+    ordered = sorted(frequent_itemsets)
+    candidates: List[Tuple[int, ...]] = []
+    for index, left in enumerate(ordered):
+        prefix = left[:-1]
+        for right in ordered[index + 1 :]:
+            if right[:-1] != prefix:
+                break
+            candidates.append(left + (right[-1],))
+    return candidates
+
+
+def has_infrequent_subset_tuples(
+    candidate: Tuple[int, ...], frequent_itemsets: Iterable[Tuple[int, ...]]
+) -> bool:
+    """True if some (k-1)-subset of ``candidate`` is not frequent (downward closure)."""
+    frequent = set(frequent_itemsets)
+    return any(
+        subset not in frequent for subset in combinations(candidate, len(candidate) - 1)
+    )
 
 
 def possible_world_expected_support(

@@ -1,5 +1,6 @@
 """Tests for the shared miner subroutines (the 'common implementation framework')."""
 
+import numpy as np
 import pytest
 
 from repro.algorithms.common import (
@@ -43,10 +44,11 @@ class TestAprioriJoin:
         assert apriori_join([(1, 2), (3, 4)]) == []
 
     def test_has_infrequent_subset(self):
-        frequent = {(1, 2), (1, 3)}
-        assert has_infrequent_subset((1, 2, 3), frequent)  # (2, 3) missing
-        frequent.add((2, 3))
-        assert not has_infrequent_subset((1, 2, 3), frequent)
+        candidates = np.array([[1, 2, 3]])
+        frequent = np.array([[1, 2], [1, 3]])
+        assert has_infrequent_subset(candidates, frequent).tolist() == [True]  # (2, 3) missing
+        frequent = np.array([[1, 2], [1, 3], [2, 3]])
+        assert has_infrequent_subset(candidates, frequent).tolist() == [False]
 
 
 class TestTrimAndVectors:

@@ -12,7 +12,9 @@ import doctest
 
 import pytest
 
+import repro.algorithms.common
 import repro.core.parallel
+import repro.core.search
 import repro.core.support
 import repro.db.cache
 import repro.db.columnar
@@ -25,7 +27,9 @@ import repro.stream.index
 import repro.stream.window
 
 DOCUMENTED_MODULES = [
+    repro.algorithms.common,
     repro.core.parallel,
+    repro.core.search,
     repro.core.support,
     repro.db.cache,
     repro.db.columnar,

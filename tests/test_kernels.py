@@ -264,4 +264,11 @@ class TestBuildAndFallback:
         blocker = tmp_path / "cache"
         blocker.write_text("a file where the cache directory would go")
         assert self._rebuild(monkeypatch, tmp_path, kernels.COMPILERS) is not None
-        assert [name for name in os.listdir(tmp_path) if name.startswith("repro-kernels-")]
+        # the library was built in a temporary directory, loaded, and the
+        # directory removed: the mapped library keeps working without it
+        assert not [name for name in os.listdir(tmp_path) if name.startswith("repro-kernels-")]
+        assert kernels.library() is not None
+        assert frequent_probabilities_dp_batch([[0.5, 0.5]], 1).tolist() == [0.75]
+        assert shift_convolve(np.array([0.5, 0.5]), np.array([0.5, 0.5])).tolist() == [
+            0.25, 0.5, 0.25,
+        ]

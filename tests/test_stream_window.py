@@ -1,5 +1,6 @@
 """Unit tests of the streaming ingest layer and the incremental support index."""
 
+import itertools
 import random
 
 import numpy as np
@@ -348,6 +349,48 @@ class TestTwoStackTails:
                 atol=1e-12,
             )
         assert index.flips >= 3
+
+    def test_tails_follow_both_column_compactions(self):
+        # Dropping moment-only candidates renumbers the moment columns under
+        # live PMF columns; dropping PMF candidates renumbers the PMF
+        # columns.  The PMF leaves must follow both renumberings.
+        rng = random.Random(12)
+        capacity, items = 30, range(6)
+        index = IncrementalSupportIndex(capacity)
+
+        def fill(start):
+            index.apply(
+                [
+                    (
+                        (start + slot) % capacity,
+                        {i: rng.uniform(0.1, 1.0) for i in items if rng.random() < 0.8},
+                    )
+                    for slot in range(7)
+                ]
+            )
+
+        def assert_exact(candidates):
+            for min_count in (1, 5, 12):
+                assert np.allclose(
+                    index.frequent_probabilities(candidates, min_count),
+                    _reference_tails(index.slot_units(), candidates, min_count),
+                    rtol=0.0,
+                    atol=1e-12,
+                )
+
+        fill(0)
+        tracked = [(i,) for i in items] + list(itertools.combinations(items, 2))
+        index.ensure(list(itertools.combinations(items, 3)))
+        index.ensure_pmfs(tracked)
+        index.retain(tracked)  # frees 20 of 41 moment columns: compacts them
+        assert index._n_allocated == len(tracked)
+        assert_exact(tracked)
+        fill(7)
+        index.retain_pmfs(CANDIDATES)  # frees 18 of 21 PMF columns: compacts them
+        assert index._pmf_allocated == len(CANDIDATES)
+        assert_exact(CANDIDATES)
+        fill(14)
+        assert_exact(CANDIDATES)
 
     def test_spectral_era_inputs_match_the_exact_pmf(self):
         # The capacity-200 random slides that once pinned the spectral PMF

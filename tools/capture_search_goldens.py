@@ -15,7 +15,8 @@ the bitwise contract, so a re-capture is legitimate only when a kernel
 change *intends* to move bits (for example a new summation order), and
 every changed key is then documented with the scores it moved and the
 largest deviation.  ``--check`` prints exactly that report against the
-checked-in file and writes nothing; a plain run rewrites the file:
+checked-in file, writes nothing and exits 1 when any key would change; a
+plain run rewrites the file:
 
     PYTHONPATH=src:tests python tools/capture_search_goldens.py --check
     PYTHONPATH=src:tests python tools/capture_search_goldens.py
@@ -254,8 +255,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     payload = build_payload()
     if args.check:
-        check(payload)
-        return 0
+        return 1 if check(payload) else 0
     os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
     with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=1, sort_keys=True)
