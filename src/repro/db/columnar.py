@@ -117,10 +117,12 @@ OCCUPANCY_CHUNK_BYTES = 1 << 20
 #: Bound on one chunk of a level's gather: the dense item columns it
 #: stacks, and the parent rows it probes at 8 bytes each.
 GATHER_CHUNK_BYTES = 4 << 20
-#: A parent at least this long is probed on its own, as slices: its ~20 µs
-#: of per-candidate overhead then costs less than the index arrays a
-#: vectorized chunk builds for its rows (about 25 ns per row).
-LONG_PARENT_ROWS = 1024
+#: A parent at least this long is probed on its own, as slices: its fixed
+#: per-candidate overhead then costs less than the index arrays a
+#: vectorized chunk builds for its rows.  Measured: t25's parents (about 100
+#: rows) gain from the chunks, a dense database's 500-1,000-row parents
+#: from going one at a time, and 256 serves both.
+LONG_PARENT_ROWS = 256
 
 
 def csr_offsets(lengths: Sequence[int]) -> np.ndarray:
@@ -196,6 +198,12 @@ def popcount_rows(packed: np.ndarray) -> np.ndarray:
     if packed.shape[1] % 8 == 0 and packed.flags.c_contiguous:
         packed = packed.view(np.uint64)
     return np.bitwise_count(packed).sum(axis=1, dtype=np.int64)
+
+
+def _check_hits(found: int, expected: int) -> None:
+    """A gather must hit exactly the rows its occupancy count promised."""
+    if found != expected:
+        raise ValueError("a column holds a zero probability: occupancy and hits disagree")
 
 
 class _Children:
@@ -983,24 +991,12 @@ class ColumnarView:
         """Write the probes of ``candidates`` that ``hit`` into their places.
 
         Each candidate's probes are one run in row order, and the occupancy
-        counts the output was allocated with say how many of them hit.
-        ``products`` holds the hits' products, or every probe's.
+        counts the output was allocated with say how many of them hit;
+        ``products`` are the hits' products.
         """
-        if len(candidates) == 1:
-            at = slice(int(out.starts[candidates[0]]), int(out.ends[candidates[0]]))
-            expected = at.stop - at.start
-        else:
-            at = ranges(out.starts[candidates], out.lengths[candidates])
-            expected = len(at)
-        hits = np.flatnonzero(hit)
-        if len(hits) != expected:
-            raise ValueError("a column holds a zero probability: occupancy and hits disagree")
-        if isinstance(at, slice):
-            np.take(rows, hits, out=out.rows[at])
-        else:
-            out.rows[at] = rows[hits]
-        if len(products) == len(rows) != expected:
-            products = products[hits]
+        at = ranges(out.starts[candidates], out.lengths[candidates])
+        _check_hits(np.count_nonzero(hit), len(at))
+        out.rows[at] = rows[hit]
         out.probs[at] = products
 
     def _gather_dense(self, out, block, starts, parent_lengths, which, distinct, chosen) -> None:
@@ -1015,13 +1011,22 @@ class ColumnarView:
         taken in item order and cut into chunks that fit, so the
         temporaries stay bounded on any level.
         """
-        long = parent_lengths[chosen] >= LONG_PARENT_ROWS
-        for candidate in chosen[long].tolist():
-            at = slice(int(starts[candidate]), int(starts[candidate] + parent_lengths[candidate]))
-            rows = block.rows[at]
-            values = self._dense_column(distinct[which[candidate]])[rows]
-            self._write(out, [candidate], values != 0.0, rows, block.probs[at] * values)
-        chosen = chosen[~long]
+        long = chosen[parent_lengths[chosen] >= LONG_PARENT_ROWS]
+        out_starts, out_ends = out.starts.tolist(), out.ends.tolist()
+        for candidate, lo, hi, index in zip(
+            long.tolist(),
+            starts[long].tolist(),
+            (starts[long] + parent_lengths[long]).tolist(),
+            which[long].tolist(),
+        ):
+            rows = block.rows[lo:hi]
+            values = self._dense_column(distinct[index])[rows]
+            hits = np.flatnonzero(values)
+            into = slice(out_starts[candidate], out_ends[candidate])
+            _check_hits(len(hits), into.stop - into.start)
+            np.take(rows, hits, out=out.rows[into])
+            np.multiply(block.probs[lo:hi][hits], values[hits], out=out.probs[into])
+        chosen = chosen[parent_lengths[chosen] < LONG_PARENT_ROWS]
         if not len(chosen):
             return
         stride = max(self._n_transactions, 1)
