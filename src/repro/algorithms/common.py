@@ -242,7 +242,7 @@ def make_level_source(
     """The levelwise loop's ``level(candidates, kill) -> ScoredLevel``.
 
     Unsharded runs evaluate the level through the columnar view
-    (:meth:`~repro.db.columnar.ColumnarView.level_columns`): the
+    (:meth:`~repro.db.columnar.ColumnarView.batch_vectors`): the
     statistics cover only the candidates that survive the occupancy kill,
     and carry their column block to the next level.  Sharded runs hand the
     level's tuples to the executor's fan-out (:func:`make_candidate_source`),
@@ -261,8 +261,8 @@ def make_level_source(
     view = database.columnar()
 
     def columnar(level: CandidateLevel, kill: float) -> ScoredLevel:
-        positions, block = view.level_columns(level, kill)
-        engine = SupportEngine(block.vectors(), executor=executor)
-        return ScoredLevel(level, engine, positions, block)
+        columns = view.batch_vectors(level, kill)
+        engine = SupportEngine(columns.block.vectors(), executor=executor)
+        return ScoredLevel(level, engine, columns.positions, columns.block)
 
     return columnar

@@ -446,7 +446,7 @@ class LevelwiseSearch:
     # -- the one true loop -------------------------------------------------------------
     def drive(
         self,
-        seed_level: Any,
+        seed_level: CandidateLevel,
         evaluate: Callable[[CandidateLevel], CandidateLevel],
         statistics: MiningStatistics,
     ) -> None:
@@ -462,16 +462,11 @@ class LevelwiseSearch:
         ``candidates_generated`` for every generated candidate and
         ``candidates_pruned`` for every one not admitted.
 
-        Sort order is maintained once per level: the seed (a
-        :class:`CandidateLevel` or a list of tuples) is sorted, the apriori
-        join of a sorted level is sorted, and survivors preserve order — so
-        no level is ever re-sorted.
+        Sort order is maintained once per level: the seed level is sorted,
+        the apriori join of a sorted level is sorted, and survivors preserve
+        order — so no level is ever re-sorted.
         """
-        current_level = (
-            seed_level
-            if isinstance(seed_level, CandidateLevel)
-            else CandidateLevel.from_tuples(seed_level)
-        )
+        current_level = seed_level
         while current_level:
             candidates = self._apriori_candidates(current_level)
             statistics.candidates_generated += len(candidates)
@@ -484,7 +479,7 @@ class LevelwiseSearch:
     @staticmethod
     def _apriori_candidates(level: CandidateLevel) -> CandidateLevel:
         common = _common()
-        joined = common.apriori_join(level, presorted=True)
+        joined = common.apriori_join(level)
         keep = ~common.has_infrequent_subset(joined.items, level.items)
         return CandidateLevel(joined.items[keep], joined.parents[keep], level)
 

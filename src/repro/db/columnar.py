@@ -11,7 +11,7 @@ row CSR by one stable argsort on item — so that
 * the probability vector ``p_i(X)`` of an itemset becomes a sparse sorted
   intersection of columns with an elementwise product, and
 * a whole Apriori level of candidates is evaluated in one
-  :meth:`~ColumnarView.level_columns` call: one occupancy kill and one
+  :meth:`~ColumnarView.batch_vectors` call: one occupancy kill and one
   gather-multiply from the previous level's survivors, held as one
   :class:`ColumnBlock`.
 
@@ -61,6 +61,7 @@ __all__ = [
     "ColumnBlock",
     "ColumnarView",
     "ItemColumn",
+    "LevelColumns",
     "RowCSR",
     "BITMAP_CACHE_BYTES",
     "DENSE_CACHE_BYTES",
@@ -117,12 +118,6 @@ OCCUPANCY_CHUNK_BYTES = 1 << 20
 #: Bound on one chunk of a level's gather: the dense item columns it
 #: stacks, and the parent rows it probes at 8 bytes each.
 GATHER_CHUNK_BYTES = 4 << 20
-#: A parent at least this long is probed on its own, as slices: its fixed
-#: per-candidate overhead then costs less than the index arrays a
-#: vectorized chunk builds for its rows.  Measured: t25's parents (about 100
-#: rows) gain from the chunks, a dense database's 500-1,000-row parents
-#: from going one at a time, and 256 serves both.
-LONG_PARENT_ROWS = 256
 
 
 def csr_offsets(lengths: Sequence[int]) -> np.ndarray:
@@ -295,6 +290,40 @@ class ColumnBlock:
             np.concatenate([block.probs[units] for block, units in zip(blocks, at)]),
             np.concatenate([block.lengths for block in blocks]),
         )
+
+
+class LevelColumns:
+    """The evaluated columns of one candidate level.
+
+    The candidates at ``positions`` survived the occupancy kill and
+    ``block`` holds their columns, in candidate order; the others allocate
+    nothing.  As a sequence it is what :meth:`ColumnarView.batch_vectors`
+    returns for any candidates: one vector per candidate, empty for a
+    killed one.
+    """
+
+    __slots__ = ("positions", "block", "size")
+
+    def __init__(self, positions: np.ndarray, block: ColumnBlock, size: int) -> None:
+        self.positions = positions
+        self.block = block
+        self.size = size
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self):
+        vectors = [_EMPTY_COLUMN[1]] * self.size
+        for position, vector in zip(self.positions.tolist(), self.block.vectors()):
+            vectors[position] = vector
+        return iter(vectors)
+
+
+def _candidate_level():
+    """:class:`~repro.core.search.CandidateLevel`, imported late (``core`` imports ``db``)."""
+    from ..core.search import CandidateLevel
+
+    return CandidateLevel
 
 
 class ColumnarView:
@@ -672,9 +701,9 @@ class ColumnarView:
         property the partitioned kill phase relies on).
 
         ``candidates`` is a list of tuples (each ANDs its members'
-        bitmaps) or a joined :class:`~repro.core.search.CandidateLevel`,
-        where a candidate's bitmap is its parent column's rows AND its
-        extension item's bitmap (:meth:`_child_counts`).  A parent column
+        bitmaps) or a :class:`~repro.core.search.CandidateLevel`; in a
+        joined level a candidate's bitmap is its parent column's rows AND
+        its extension item's bitmap (:meth:`_child_counts`).  A parent column
         holds only non-zero products, so that count is lower than the
         members' AND only where a parent product underflowed to zero — it
         still bounds the candidate's support from above.
@@ -684,7 +713,9 @@ class ColumnarView:
         >>> db.columnar().level_occupancy_counts([(1,), (2,), (1, 2)]).tolist()
         [2, 1, 1]
         """
-        if getattr(candidates, "parents", None) is not None:
+        if isinstance(candidates, _candidate_level()):
+            if candidates.parents is None:
+                return self.level_occupancy_counts(candidates.tuples())
             source = candidates.source.items
             return self._child_counts(
                 self._parent_block(candidates),
@@ -746,40 +777,31 @@ class ColumnarView:
         return counts
 
     # -- batched level evaluation ------------------------------------------------------
-    def level_columns(
-        self, level, min_count: float = 0.0
-    ) -> Tuple[np.ndarray, ColumnBlock]:
+    def _level_columns(self, level, min_count: float) -> LevelColumns:
         """Kill and gather one :class:`~repro.core.search.CandidateLevel`.
 
-        Returns ``(positions, block)``: the candidates whose occupancy count
-        reaches ``min_count`` (all of them when it is ``0``) and their
-        columns, in candidate order.  Killed candidates allocate nothing.
-        The count is sound for both of the paper's definitions: it is the
-        maximum attainable support, so ``count < minsup`` implies ``esup <
-        minsup`` (each probability is at most 1) and ``Pr[sup >= minsup] =
-        0``.
-
-        A joined level gathers from its source level's block (the previous
-        level's survivors; a seed level's block is built from its item
-        columns on first use), through the prefix LRU
-        (:meth:`_children`).  Every column equals the non-zeros of the
-        reference oracle's ``p_i(X)`` bit for bit.
+        The survivors are the candidates whose occupancy count reaches
+        ``min_count`` (all of them when it is ``0``).  A joined level
+        gathers from its source level's block (the previous level's
+        survivors; a seed level's block is built from its item columns on
+        first use), through the prefix LRU (:meth:`_children`).
         """
         if level.parents is None:
             positions = self._alive(level.tuples(), min_count)
-            return positions, self._block_of(level.items[positions])
+            return LevelColumns(positions, self._block_of(level.items[positions]), len(level))
         positions, counts = np.arange(len(level)), None
         if min_count > 0 and len(level) and self._n_transactions:
             counts = self.level_occupancy_counts(level)
             positions = np.flatnonzero(counts >= min_count)
             counts = counts[positions]
-        return positions, self._children(
+        block = self._children(
             level.source.tuples(),
             self._parent_block(level),
             level.parents[positions],
             level.items[positions, -1],
             counts,
         )
+        return LevelColumns(positions, block, len(level))
 
     def _parent_block(self, level) -> ColumnBlock:
         """The column block of ``level``'s source level (built once if absent)."""
@@ -817,7 +839,7 @@ class ColumnarView:
         Candidates are canonical sorted tuples, of any lengths.  When
         ``min_count > 0``, candidates whose supporting-row count is below it
         are *killed* by bitmap AND + popcount and get the empty column
-        without any float work (see :meth:`level_columns` for why that is
+        without any float work (see :meth:`batch_vectors` for why that is
         sound).  The survivors resolve each distinct ``k - 1``-prefix once
         (:meth:`_prefix_column`) and are gathered in one block, so every
         survivor column equals the non-zeros of the reference oracle's
@@ -941,12 +963,12 @@ class ColumnarView:
     ) -> ColumnBlock:
         """The vectorized combine: ``block``'s itemset ``parents[c]`` times ``items[c]``.
 
-        One gather-multiply per batch, probing the smaller operand into the
-        larger.  Where the item is dense (occupancy at least
-        :data:`DENSE_CROSSOVER_FRACTION` of ``N``) or the parent is the
-        shorter operand, the parent's rows read the item's probabilities off
-        a dense copy of its column (:meth:`_gather_dense`); otherwise the
-        item's rows are looked up in the parent by ``searchsorted``
+        One gather-multiply per batch, with the crossover of
+        :meth:`_combine_gather`.  Where the item is dense (occupancy at least
+        :data:`DENSE_CROSSOVER_FRACTION` of ``N``) the parent's rows read the
+        item's probabilities off a dense copy of its column
+        (:meth:`_gather_dense`); otherwise the shorter operand's rows are
+        looked up in the longer one by ``searchsorted``
         (:meth:`_gather_sparse`).  The occupancy ``counts``
         (:meth:`_child_counts`, computed here when not given) are exactly
         the rows each candidate hits, so the output is allocated once and
@@ -967,15 +989,15 @@ class ColumnarView:
         columns = [self.column(item) for item in distinct.tolist()]
         item_lengths = np.array([len(rows) for rows, _ in columns], dtype=np.int64)
         lengths = item_lengths[which]
-        by_parent = (lengths >= int(self._n_transactions * DENSE_CROSSOVER_FRACTION)) | (
-            parent_lengths <= lengths
-        )
+        dense = lengths >= int(self._n_transactions * DENSE_CROSSOVER_FRACTION)
         self._gather_dense(
-            out, block, starts, parent_lengths, which, distinct.tolist(), np.flatnonzero(by_parent)
+            out, block, starts, parent_lengths, which, distinct.tolist(), np.flatnonzero(dense)
         )
-        chosen = np.flatnonzero(~by_parent)
-        if len(chosen):
-            self._gather_sparse(out, block, parents, which, columns, chosen)
+        shorter_parent = parent_lengths <= lengths
+        for parent_probes in (True, False):
+            chosen = np.flatnonzero(~dense & (shorter_parent == parent_probes))
+            if len(chosen):
+                self._gather_sparse(out, block, parents, which, columns, chosen, parent_probes)
         nonzero = out.probs != 0.0
         if nonzero.all():
             return out
@@ -1003,30 +1025,12 @@ class ColumnarView:
         """Parent rows probe dense copies of their items' columns.
 
         The dense columns come from :meth:`_dense_column`, memoised across
-        levels, mines and requests.  A parent of at least
-        :data:`LONG_PARENT_ROWS` rows is probed on its own, reading its rows
-        in place.  The other candidates are probed together off one stacked
-        ``(items, N)`` matrix; when that matrix, or the parent rows probed
-        at 8 bytes each, would exceed :data:`GATHER_CHUNK_BYTES`, they are
-        taken in item order and cut into chunks that fit, so the
+        levels, mines and requests.  The candidates are probed together off
+        one stacked ``(items, N)`` matrix; when that matrix, or the parent
+        rows probed at 8 bytes each, would exceed :data:`GATHER_CHUNK_BYTES`,
+        they are taken in item order and cut into chunks that fit, so the
         temporaries stay bounded on any level.
         """
-        long = chosen[parent_lengths[chosen] >= LONG_PARENT_ROWS]
-        out_starts, out_ends = out.starts.tolist(), out.ends.tolist()
-        for candidate, lo, hi, index in zip(
-            long.tolist(),
-            starts[long].tolist(),
-            (starts[long] + parent_lengths[long]).tolist(),
-            which[long].tolist(),
-        ):
-            rows = block.rows[lo:hi]
-            values = self._dense_column(distinct[index])[rows]
-            hits = np.flatnonzero(values)
-            into = slice(out_starts[candidate], out_ends[candidate])
-            _check_hits(len(hits), into.stop - into.start)
-            np.take(rows, hits, out=out.rows[into])
-            np.multiply(block.probs[lo:hi][hits], values[hits], out=out.probs[into])
-        chosen = chosen[parent_lengths[chosen] < LONG_PARENT_ROWS]
         if not len(chosen):
             return
         stride = max(self._n_transactions, 1)
@@ -1061,52 +1065,64 @@ class ColumnarView:
             hit = values != 0.0
             self._write(out, candidates, hit, rows, block.probs[at[hit]] * values[hit])
 
-    def _gather_sparse(self, out, block, parents, which, columns, chosen) -> None:
-        """Item rows probe their parents by ``searchsorted`` over ``parent * N + row`` keys."""
+    def _gather_sparse(self, out, block, parents, which, columns, chosen, parent_probes) -> None:
+        """Sparse items meet their parents by ``searchsorted``, the shorter side probing.
+
+        The probing side's rows are looked up in the other side's sorted
+        ``itemset * N + row`` keys: an item's rows in the parent block's, or
+        (``parent_probes``) a parent's rows in the keys of the columns of
+        the items it meets.  Nothing is scattered to length ``N``.
+        """
         stride = max(self._n_transactions, 1)
         local_items, local = np.unique(which[chosen], return_inverse=True)
         items_block = ColumnBlock.of([columns[index] for index in local_items.tolist()])
-        counts = items_block.lengths[local]
-        at = ranges(items_block.starts[local], counts)
-        rows = items_block.rows[at]
-        units = block.units()
-        keys = np.repeat(np.arange(len(block)), block.lengths) * stride + block.rows[units]
-        query = np.repeat(parents[chosen], counts) * stride + rows
+        sides = ((block, parents[chosen]), (items_block, local))
+        (probe, probe_ids), (target, target_ids) = sides if parent_probes else sides[::-1]
+        counts = probe.lengths[probe_ids]
+        at = ranges(probe.starts[probe_ids], counts)
+        rows = probe.rows[at]
+        units = target.units()
+        keys = np.repeat(np.arange(len(target)), target.lengths) * stride + target.rows[units]
+        query = np.repeat(target_ids, counts) * stride + rows
         found = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
         hit = keys[found] == query
-        self._write(
-            out, chosen, hit, rows, block.probs[units[found[hit]]] * items_block.probs[at[hit]]
-        )
+        probed, matched = at[hit], units[found[hit]]
+        parent_at, item_at = (probed, matched) if parent_probes else (matched, probed)
+        self._write(out, chosen, hit, rows, block.probs[parent_at] * items_block.probs[item_at])
 
-    def batch_vectors(
-        self,
-        candidates: Sequence[Tuple[int, ...]],
-        min_count: float = 0.0,
-    ) -> List[np.ndarray]:
+    def batch_vectors(self, candidates, min_count: float = 0.0) -> Sequence[np.ndarray]:
         """The compressed probability vectors of a whole candidate level.
 
         Args:
-            candidates: Canonical sorted tuples, typically one Apriori level.
+            candidates: Canonical sorted tuples, or one Apriori level as a
+                :class:`~repro.core.search.CandidateLevel`.
             min_count: Optional stage-1 kill threshold — candidates whose
                 supporting-row count (maximum attainable support) is below
                 it come back as empty vectors without any float work.  Only
                 pass a threshold the caller's decision rule already implies
                 (``minsup`` for the level-wise miners); ``0`` disables
-                killing.
+                killing.  The count is sound for both of the paper's
+                definitions: it is the maximum attainable support, so
+                ``count < minsup`` implies ``esup < minsup`` (each
+                probability is at most 1) and ``Pr[sup >= minsup] = 0``.
 
         Returns:
             One zeros-omitted ``p_i(X)`` vector per candidate, in candidate
             order (the input every :class:`~repro.core.support.SupportEngine`
-            batch consumes).
+            batch consumes), each equal to the non-zeros of the reference
+            oracle's ``p_i(X)`` bit for bit.  A level's answer is a
+            :class:`LevelColumns`, which also holds the survivors' positions
+            and column block: a joined level is evaluated as one block
+            gathered from its source level's, never candidate by candidate.
 
         >>> from repro.db import UncertainDatabase
         >>> db = UncertainDatabase.from_records([{1: 0.5, 2: 0.8}, {2: 1.0}])
         >>> [v.tolist() for v in db.columnar().batch_vectors([(1,), (2,), (1, 2)])]
         [[0.5], [0.8, 1.0], [0.4]]
         """
-        return [
-            probs for _, probs in self.batch_columns(candidates, min_count)
-        ]
+        if isinstance(candidates, _candidate_level()):
+            return self._level_columns(candidates, min_count)
+        return [probs for _, probs in self.batch_columns(candidates, min_count)]
 
     def batch_probabilities(self, candidates: Sequence[Tuple[int, ...]]) -> np.ndarray:
         """Dense probability matrix, one row per candidate.

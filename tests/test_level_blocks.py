@@ -2,7 +2,7 @@
 
 * the array join and prune of :mod:`repro.algorithms.common` against the
   frozen tuple join and subset check of ``tests/reference.py``;
-* :meth:`ColumnarView.level_columns` over joined levels against the
+* :meth:`ColumnarView.batch_vectors` over joined levels against the
   ``itemset_column`` oracle, bit for bit: kills, ``min_count`` 0, both sides
   of the dense crossover, products that underflow to zero, chunked kills
   and gathers, sliced and store-mapped views;
@@ -116,7 +116,7 @@ def databases(draw):
 
 
 def _assert_levels_match_oracle(view, min_count):
-    """Walk every level of ``view`` through ``level_columns``; check each column.
+    """Walk every level of ``view`` through ``batch_vectors``; check each column.
 
     A joined level's occupancy count is the number of rows where its
     parent's column is non-zero and its item occurs: at most the members'
@@ -128,7 +128,8 @@ def _assert_levels_match_oracle(view, min_count):
         joined = apriori_join(level)
         if not len(joined):
             return
-        positions, block = view.level_columns(joined, min_count)
+        columns = view.batch_vectors(joined, min_count)
+        positions, block = columns.positions, columns.block
         itemsets = joined.tuples()
         counts = view.level_occupancy_counts(joined)
         oracle = [view.itemset_column(itemset) for itemset in itemsets]
@@ -137,6 +138,9 @@ def _assert_levels_match_oracle(view, min_count):
         expected = np.flatnonzero(counts >= min_count) if min_count > 0 else np.arange(len(joined))
         assert positions.tolist() == expected.tolist()
         assert len(block) == len(positions)
+        vectors = list(columns)  # the tuple path's shape: one vector per candidate
+        assert len(vectors) == len(joined)
+        assert sum(len(vector) > 0 for vector in vectors) == np.count_nonzero(block.lengths)
         for row, position in enumerate(positions.tolist()):
             rows, probs = block.column(row)
             assert np.array_equal(rows, oracle[position][0]), itemsets[position]
@@ -151,13 +155,11 @@ class TestBlockColumns:
     @example(UncertainDatabase.from_records([{0: 1e-200, 1: 1e-200}] * 3), 1, False)
     @settings(max_examples=100, deadline=None)
     def test_block_columns_equal_the_oracle(self, database, min_count, small_chunks):
-        # Small chunks cut every level into many kill and gather chunks, and
-        # send parents of 3 rows or more down the one-at-a-time path.
+        # Small chunks cut every level into many kill and gather chunks.
         with mock.patch.multiple(
             columnar,
             OCCUPANCY_CHUNK_BYTES=16 if small_chunks else columnar.OCCUPANCY_CHUNK_BYTES,
             GATHER_CHUNK_BYTES=24 if small_chunks else columnar.GATHER_CHUNK_BYTES,
-            LONG_PARENT_ROWS=3 if small_chunks else columnar.LONG_PARENT_ROWS,
         ):
             _assert_levels_match_oracle(ColumnarView(database), min_count)
             n = len(database)
@@ -178,7 +180,8 @@ class TestBlockColumns:
         view = ColumnarView(database)
         pairs = CandidateLevel.from_tuples(list(combinations(view.items(), 2)))
         joined = apriori_join(pairs)
-        positions, block = view.level_columns(joined, 2)
+        columns = view.batch_vectors(joined, 2)
+        positions, block = columns.positions, columns.block
         for row, position in enumerate(positions.tolist()):
             oracle = view.itemset_column(joined.tuples()[position])
             assert block.column(row)[1].tobytes() == oracle[1].tobytes()
@@ -189,7 +192,7 @@ class TestBlockColumns:
             2,
         )
         with pytest.raises(ValueError, match="zero probability"):
-            view.level_columns(apriori_join(CandidateLevel.from_tuples([(0,), (1,)])))
+            view.batch_vectors(apriori_join(CandidateLevel.from_tuples([(0,), (1,)])))
 
     def test_dense_and_sparse_items_in_one_level(self):
         # Item 0 is in every row (dense), item 3 in one row in ten.
@@ -198,6 +201,33 @@ class TestBlockColumns:
             for row in range(100)
         ]
         _assert_levels_match_oracle(ColumnarView(UncertainDatabase.from_records(records)), 0)
+
+
+    def test_sparse_items_are_never_made_dense(self):
+        # At N = 200,000 a dense column is 1.6 MB.  Only item 5 reaches the
+        # dense crossover; pairs of sparse items meet by sorted lookups in
+        # both directions (the shorter operand probing), and a three-item
+        # level gathers from a block of pairs.
+        n = 200_000
+        rng = np.random.default_rng(3)
+        lengths = {1: 9_000, 2: 300, 3: 2_000, 4: 40, 5: 60_000}
+        pool = rng.choice(n, size=12_000, replace=False)
+        columns = {}
+        for item, length in lengths.items():
+            rows = np.sort(rng.choice(n, size=length, replace=False) if item == 5 else pool[:length])
+            columns[item] = (rows, rng.uniform(0.05, 1.0, size=length))
+        view = ColumnarView.from_columns(columns, n)
+        probed = []
+        gather_sparse = ColumnarView._gather_sparse
+
+        def recording(self, *args):
+            probed.append(args[-1])
+            return gather_sparse(self, *args)
+
+        with mock.patch.object(ColumnarView, "_gather_sparse", recording):
+            _assert_levels_match_oracle(view, 0)
+        assert set(probed) == {True, False}
+        assert list(view._dense_columns.keys()) == [5]
 
 
 class TestPrefixReuse:
