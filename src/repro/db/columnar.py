@@ -1010,14 +1010,16 @@ class ColumnarView:
     def _write(
         out: ColumnBlock, candidates: np.ndarray, hit: np.ndarray, rows: np.ndarray, products
     ) -> None:
-        """Write the probes of ``candidates`` that ``hit`` into their places.
+        """Write the probes of ``candidates`` at positions ``hit`` into their places.
 
         Each candidate's probes are one run in row order, and the occupancy
         counts the output was allocated with say how many of them hit;
-        ``products`` are the hits' products.
+        ``products`` are the hits' products.  ``hit`` is an index array:
+        one ``flatnonzero`` costs less than a boolean mask applied to each
+        of the probe arrays.
         """
         at = ranges(out.starts[candidates], out.lengths[candidates])
-        _check_hits(np.count_nonzero(hit), len(at))
+        _check_hits(len(hit), len(at))
         out.rows[at] = rows[hit]
         out.probs[at] = products
 
@@ -1062,7 +1064,7 @@ class ColumnarView:
             at = ranges(starts[candidates], counts)
             rows = block.rows[at]
             values = dense.reshape(-1)[np.repeat(local * stride, counts) + rows]
-            hit = values != 0.0
+            hit = np.flatnonzero(values)
             self._write(out, candidates, hit, rows, block.probs[at[hit]] * values[hit])
 
     def _gather_sparse(self, out, block, parents, which, columns, chosen, parent_probes) -> None:
@@ -1085,7 +1087,7 @@ class ColumnarView:
         keys = np.repeat(np.arange(len(target)), target.lengths) * stride + target.rows[units]
         query = np.repeat(target_ids, counts) * stride + rows
         found = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
-        hit = keys[found] == query
+        hit = np.flatnonzero(keys[found] == query)
         probed, matched = at[hit], units[found[hit]]
         parent_at, item_at = (probed, matched) if parent_probes else (matched, probed)
         self._write(out, chosen, hit, rows, block.probs[parent_at] * items_block.probs[item_at])
