@@ -32,6 +32,18 @@ class Itemset:
                 raise ValueError(f"item identifiers must be non-negative, got {item}")
         self._items = tuple(unique)
 
+    @classmethod
+    def _canonical(cls, items: Tuple[int, ...]) -> "Itemset":
+        """The itemset of ``items``, which must already be distinct non-negative ints, ascending.
+
+        Unchecked: the search records itemsets whose items come from the
+        database's validated columns, so de-duplicating and re-validating
+        them would only cost time.
+        """
+        itemset = cls.__new__(cls)
+        itemset._items = items
+        return itemset
+
     # -- container protocol ---------------------------------------------------------
     def __len__(self) -> int:
         return len(self._items)

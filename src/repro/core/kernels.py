@@ -1,13 +1,18 @@
-"""Compiled fixed-order kernels for the exact-tail recurrences.
+"""Compiled fixed-order kernels: the exact-tail recurrences and the level gather.
 
 The exact miners spend their time in the Poisson-binomial recurrence: the
 DP sweep of :func:`~repro.core.support.frequent_probabilities_dp_batch`,
 the DC walker's direct merges (:func:`~repro.core.support.shift_convolve`)
-and the streaming index's tail and PMF steps.  In NumPy each of them is a
-chain of small ufunc calls, so the cost is dispatch and temporaries, not
-arithmetic.  This module holds the same loops in C, performing every
-cell's operations on the same operands in the same order, so every result
-is bitwise the NumPy kernel's:
+and the streaming index's tail and PMF steps.  The level-wise miners spend
+theirs resolving candidate columns: the gather of
+:meth:`~repro.db.columnar.ColumnarView._gather`, which meets each parent
+column with its extension item's column and multiplies the common rows
+(:func:`gather`, a two-pointer merge that gallops over a long span).  In
+NumPy each of them is a chain of small ufunc calls and index arrays, so
+the cost is dispatch and temporaries, not arithmetic.  This module holds
+the same loops in C, performing every cell's operations on the same
+operands in the same order, so every result is bitwise the NumPy
+kernel's:
 
 * no fused multiply-add (``-ffp-contract=off``) and never ``-ffast-math``
   (which would reassociate sums and flush subnormals to zero);
@@ -46,7 +51,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-__all__ = ["library", "dp_tails", "shift_convolve", "tail_steps", "pmf_steps"]
+__all__ = ["library", "dp_tails", "shift_convolve", "tail_steps", "pmf_steps", "gather"]
 
 SOURCE = r"""
 #include <stdint.h>
@@ -162,6 +167,95 @@ void repro_pmf_steps(double *states, int64_t n, int64_t stride, int64_t cap,
         }
     }
 }
+
+/* First position in [lo, hi) of the ascending a whose value is >= key:
+   steps of 1, 2, 4, ... from lo, then a binary search of the last step. */
+static int64_t gallop(const int64_t *a, int64_t lo, int64_t hi, int64_t key)
+{
+    if (lo >= hi || a[lo] >= key)
+        return lo;
+    int64_t step = 1;
+    while (lo + step < hi && a[lo + step] < key) {
+        lo += step;
+        step <<= 1;
+    }
+    int64_t top = lo + step < hi ? lo + step : hi;
+    for (lo++; lo < top;) {
+        int64_t mid = lo + (top - lo) / 2;
+        if (a[mid] < key)
+            lo = mid + 1;
+        else
+            top = mid;
+    }
+    return lo;
+}
+
+/* Candidate c is the parent span [parent_starts[c], parent_ends[c]) times
+   the item span [item_starts[c], item_ends[c]), both ascending in row.
+   Their common rows whose item probability is not zero are written in row
+   order, with the products parent * item, to the counts[c] places from
+   out_starts[c].  Spans within 8x of each other meet by a branch-free
+   two-pointer merge, which stores every step's row and product at the
+   next place and moves on from it only on a hit; otherwise the shorter
+   span steps row by row and the longer one gallops.  Returns the first
+   candidate whose hits are not counts[c] (having written nothing past its
+   places), else -1. */
+int64_t repro_gather(const int64_t *parent_rows, const double *parent_probs,
+                     const int64_t *parent_starts, const int64_t *parent_ends,
+                     const int64_t *item_rows, const double *item_probs,
+                     const int64_t *item_starts, const int64_t *item_ends,
+                     int64_t n, const int64_t *out_starts, const int64_t *counts,
+                     int64_t *out_rows, double *out_probs)
+{
+    for (int64_t c = 0; c < n; c++) {
+        int64_t p = parent_starts[c], p_end = parent_ends[c];
+        int64_t i = item_starts[c], i_end = item_ends[c];
+        int64_t o = out_starts[c], o_end = o + counts[c];
+        int64_t p_length = p_end - p, i_length = i_end - i;
+        if (p_length > 8 * i_length || i_length > 8 * p_length) {
+            int parent_steps = p_length < i_length;
+            while (p < p_end && i < i_end) {
+                if (parent_steps)
+                    i = gallop(item_rows, i, i_end, parent_rows[p]);
+                else
+                    p = gallop(parent_rows, p, p_end, item_rows[i]);
+                if (p == p_end || i == i_end)
+                    break;
+                if (parent_rows[p] != item_rows[i]) {
+                    p += parent_steps;
+                    i += !parent_steps;
+                    continue;
+                }
+                if (item_probs[i] != 0.0) {
+                    if (o == o_end)
+                        return c;
+                    out_rows[o] = parent_rows[p];
+                    out_probs[o] = parent_probs[p] * item_probs[i];
+                    o++;
+                }
+                p++;
+                i++;
+            }
+        } else {
+            /* o passes o_end only on a hit with no place left; from then on
+               nothing is stored and the count check below fails */
+            while (p < p_end && i < i_end) {
+                int64_t a = parent_rows[p], b = item_rows[i];
+                double product = parent_probs[p] * item_probs[i];
+                if (o < o_end) {
+                    out_rows[o] = a;
+                    out_probs[o] = product;
+                }
+                o += (a == b) & (item_probs[i] != 0.0);
+                p += a <= b;
+                i += b <= a;
+            }
+        }
+        if (o != o_end)
+            return c;
+    }
+    return -1;
+}
 """
 
 #: the only flags the library is built with; see the module docstring
@@ -171,11 +265,13 @@ FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 COMPILERS = ("/usr/bin/cc", "cc")
 
 _POINTER, _INT = ctypes.c_void_p, ctypes.c_int64
+#: each function's argument types and return type
 _SIGNATURES = {
-    "repro_dp_tails": (_POINTER, _POINTER, _INT, _INT, _POINTER, _POINTER),
-    "repro_shift_convolve": (_POINTER, _INT, _POINTER, _INT, _INT, _POINTER),
-    "repro_tail_steps": (_POINTER, _INT, _INT, _INT, _POINTER, _INT, _INT),
-    "repro_pmf_steps": (_POINTER, _INT, _INT, _INT, _POINTER, _INT, _INT),
+    "repro_dp_tails": ((_POINTER, _POINTER, _INT, _INT, _POINTER, _POINTER), None),
+    "repro_shift_convolve": ((_POINTER, _INT, _POINTER, _INT, _INT, _POINTER), None),
+    "repro_tail_steps": ((_POINTER, _INT, _INT, _INT, _POINTER, _INT, _INT), None),
+    "repro_pmf_steps": ((_POINTER, _INT, _INT, _INT, _POINTER, _INT, _INT), None),
+    "repro_gather": ((_POINTER,) * 8 + (_INT,) + (_POINTER,) * 4, _INT),
 }
 
 _UNLOADED = object()
@@ -254,10 +350,10 @@ def _load() -> Optional[ctypes.CDLL]:
 
 
 def _bind(handle: ctypes.CDLL) -> ctypes.CDLL:
-    for name, argtypes in _SIGNATURES.items():
+    for name, (argtypes, restype) in _SIGNATURES.items():
         function = getattr(handle, name)
         function.argtypes = argtypes
-        function.restype = None
+        function.restype = restype
     return handle
 
 
@@ -349,3 +445,79 @@ def pmf_steps(states: np.ndarray, probabilities: np.ndarray, rows: int) -> None:
     Bitwise equal to repeated ``repro.stream.index._pmf_step``.
     """
     _steps("repro_pmf_steps", states, probabilities, rows)
+
+
+def gather(
+    parent_rows: np.ndarray,
+    parent_probs: np.ndarray,
+    parent_starts: np.ndarray,
+    parent_ends: np.ndarray,
+    item_rows: np.ndarray,
+    item_probs: np.ndarray,
+    item_starts: np.ndarray,
+    item_ends: np.ndarray,
+    out_rows: np.ndarray,
+    out_probs: np.ndarray,
+    out_starts: np.ndarray,
+    counts: np.ndarray,
+) -> int:
+    """Merge each candidate's parent span with its item span into its output places.
+
+    Candidate ``c`` meets ``parent_rows[parent_starts[c]:parent_ends[c]]``
+    with ``item_rows[item_starts[c]:item_ends[c]]`` (both ascending) and
+    writes every common row whose item probability is not zero, with the
+    product ``parent * item``, to the ``counts[c]`` places of ``out_rows``
+    and ``out_probs`` from ``out_starts[c]``.  Returns the first candidate
+    whose hits are not ``counts[c]``, or ``-1``; nothing is written past a
+    candidate's places.  Bitwise equal to the NumPy gathers of
+    :meth:`~repro.db.columnar.ColumnarView._gather`.
+
+    Every array must already be one-dimensional and contiguous, rows and
+    spans int64 and probabilities float64, and every span must lie inside
+    its arrays: anything else raises ``ValueError`` before C reads a byte.
+    """
+    arrays = {
+        "parent_rows": (parent_rows, np.int64),
+        "parent_probs": (parent_probs, np.float64),
+        "parent_starts": (parent_starts, np.int64),
+        "parent_ends": (parent_ends, np.int64),
+        "item_rows": (item_rows, np.int64),
+        "item_probs": (item_probs, np.float64),
+        "item_starts": (item_starts, np.int64),
+        "item_ends": (item_ends, np.int64),
+        "out_rows": (out_rows, np.int64),
+        "out_probs": (out_probs, np.float64),
+        "out_starts": (out_starts, np.int64),
+        "counts": (counts, np.int64),
+    }
+    for name, (array, dtype) in arrays.items():
+        if not (
+            isinstance(array, np.ndarray)
+            and array.ndim == 1
+            and array.dtype == dtype
+            and array.flags.c_contiguous
+        ):
+            raise ValueError(f"{name} must be a contiguous one-dimensional {np.dtype(dtype)} array")
+    if not (out_rows.flags.writeable and out_probs.flags.writeable):
+        raise ValueError("the output arrays must be writable")
+    n = len(counts)
+    spans = (
+        (parent_starts, parent_ends, parent_rows, parent_probs),
+        (item_starts, item_ends, item_rows, item_probs),
+        (out_starts, out_starts + counts, out_rows, out_probs),
+    )
+    for starts, ends, rows, probs in spans:
+        if len(starts) != n or len(ends) != n or len(rows) != len(probs):
+            raise ValueError("spans need one entry per candidate, rows one per probability")
+        if n and not (
+            (starts >= 0).all() and (starts <= ends).all() and (ends <= len(rows)).all()
+        ):
+            raise ValueError("a span lies outside its arrays")
+    if not n:
+        return -1
+    return library().repro_gather(
+        *map(_address, (parent_rows, parent_probs, parent_starts, parent_ends)),
+        *map(_address, (item_rows, item_probs, item_starts, item_ends)),
+        n,
+        *map(_address, (out_starts, counts, out_rows, out_probs)),
+    )

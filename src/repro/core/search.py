@@ -321,12 +321,16 @@ class SearchContext:
         variance: Optional[float] = None,
         probability: Optional[float] = None,
     ) -> None:
-        """Append one frequent itemset, applying the spec's record hooks."""
+        """Append one frequent itemset, applying the spec's record hooks.
+
+        ``candidate`` holds distinct database items (ints), in any order: a
+        depth-first miner's prefixes follow its item ranking.  Sorted, it is
+        adopted without the public constructor's de-duplication and checks.
+        """
         if probability is None and self.spec.record_probability is not None:
             probability = self.spec.record_probability(self, expected)
-        self.records.append(
-            FrequentItemset(Itemset(tuple(candidate)), expected, variance, probability)
-        )
+        itemset = Itemset._canonical(tuple(sorted(candidate)))
+        self.records.append(FrequentItemset(itemset, expected, variance, probability))
 
 
 class LevelKernel:

@@ -32,10 +32,12 @@ occupancy bitmap is its parent's bitmap AND its item's
 (:meth:`ColumnarView.level_occupancy_counts`), counted with
 ``np.bitwise_count``; candidates whose count is already below the
 caller's ``minsup`` are killed before any float work, and the survivors'
-columns come from one vectorized gather over the previous level's
-column block, through a byte-budgeted LRU of each parent's children that
-a later mine on the same view reuses.  Every surviving column equals the
-non-zeros of the reference oracle's ``p_i(X)`` bit for bit.
+columns come from one gather over the previous level's column block (a
+compiled merge of each parent's span with its item's, or the NumPy
+gathers without a C compiler), through a byte-budgeted LRU of each
+parent's children that a later mine on the same view reuses.  Every
+surviving column equals the non-zeros of the reference oracle's
+``p_i(X)`` bit for bit.
 
 >>> from repro.db import UncertainDatabase
 >>> db = UncertainDatabase.from_records([{1: 0.5, 2: 0.8}, {1: 1.0}, {2: 0.4}])
@@ -52,6 +54,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Seque
 
 import numpy as np
 
+from ..core import kernels
 from .cache import ByteBudgetLRU
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -195,10 +198,14 @@ def popcount_rows(packed: np.ndarray) -> np.ndarray:
     return np.bitwise_count(packed).sum(axis=1, dtype=np.int64)
 
 
+#: A gather must hit exactly the rows its occupancy count promised; a
+#: stored zero probability is the one way it cannot.
+_HITS_DISAGREE = "a column holds a zero probability: occupancy and hits disagree"
+
+
 def _check_hits(found: int, expected: int) -> None:
-    """A gather must hit exactly the rows its occupancy count promised."""
     if found != expected:
-        raise ValueError("a column holds a zero probability: occupancy and hits disagree")
+        raise ValueError(_HITS_DISAGREE)
 
 
 class _Children:
@@ -963,18 +970,24 @@ class ColumnarView:
     ) -> ColumnBlock:
         """The vectorized combine: ``block``'s itemset ``parents[c]`` times ``items[c]``.
 
-        One gather-multiply per batch, with the crossover of
-        :meth:`_combine_gather`.  Where the item is dense (occupancy at least
+        The occupancy ``counts`` (:meth:`_child_counts`, computed here when
+        not given) are exactly the rows each candidate hits, so the output
+        is allocated once and every hit written in its place.  With the
+        compiled kernels, one C loop (:func:`repro.core.kernels.gather`)
+        merges each parent's span with its item's span, read in place from
+        the view's :data:`Units` (:meth:`_item_spans`).  Without them, the
+        NumPy gathers run, with the crossover of :meth:`_combine_gather`:
+        where the item is dense (occupancy at least
         :data:`DENSE_CROSSOVER_FRACTION` of ``N``) the parent's rows read the
         item's probabilities off a dense copy of its column
         (:meth:`_gather_dense`); otherwise the shorter operand's rows are
         looked up in the longer one by ``searchsorted``
-        (:meth:`_gather_sparse`).  The occupancy ``counts``
-        (:meth:`_child_counts`, computed here when not given) are exactly
-        the rows each candidate hits, so the output is allocated once and
-        every hit written in its place.  Every multiplication is ``parent *
-        item``, the reference oracle's operand order, and exact-zero
-        products (subnormal underflow) are dropped, exactly like
+        (:meth:`_gather_sparse`).  Both paths give the same bits.  A row
+        whose item probability is a stored zero is a miss on every path, so
+        the hits fall short of the count and the gather raises
+        ``ValueError``.  Every multiplication is ``parent * item``, the
+        reference oracle's operand order, and exact-zero products
+        (subnormal underflow) are dropped, exactly like
         :meth:`_combine_gather`.
         """
         if counts is None:
@@ -984,20 +997,30 @@ class ColumnarView:
             np.empty(total, dtype=np.int64), np.empty(total, dtype=np.float64), counts
         )
         starts = block.starts[parents]
-        parent_lengths = block.ends[parents] - starts
         distinct, which = np.unique(items, return_inverse=True)
-        columns = [self.column(item) for item in distinct.tolist()]
-        item_lengths = np.array([len(rows) for rows, _ in columns], dtype=np.int64)
-        lengths = item_lengths[which]
-        dense = lengths >= int(self._n_transactions * DENSE_CROSSOVER_FRACTION)
-        self._gather_dense(
-            out, block, starts, parent_lengths, which, distinct.tolist(), np.flatnonzero(dense)
-        )
-        shorter_parent = parent_lengths <= lengths
-        for parent_probes in (True, False):
-            chosen = np.flatnonzero(~dense & (shorter_parent == parent_probes))
-            if len(chosen):
-                self._gather_sparse(out, block, parents, which, columns, chosen, parent_probes)
+        if kernels.library() is not None:
+            spans = self._item_spans(distinct)
+            failed = kernels.gather(
+                block.rows, block.probs, starts, block.ends[parents],
+                spans.rows, spans.probs, spans.starts[which], spans.ends[which],
+                out.rows, out.probs, out.starts, counts,
+            )
+            if failed >= 0:
+                raise ValueError(_HITS_DISAGREE)
+        else:
+            parent_lengths = block.ends[parents] - starts
+            columns = [self.column(item) for item in distinct.tolist()]
+            item_lengths = np.array([len(rows) for rows, _ in columns], dtype=np.int64)
+            lengths = item_lengths[which]
+            dense = lengths >= int(self._n_transactions * DENSE_CROSSOVER_FRACTION)
+            self._gather_dense(
+                out, block, starts, parent_lengths, which, distinct.tolist(), np.flatnonzero(dense)
+            )
+            shorter_parent = parent_lengths <= lengths
+            for parent_probes in (True, False):
+                chosen = np.flatnonzero(~dense & (shorter_parent == parent_probes))
+                if len(chosen):
+                    self._gather_sparse(out, block, parents, which, columns, chosen, parent_probes)
         nonzero = out.probs != 0.0
         if nonzero.all():
             return out
@@ -1090,7 +1113,22 @@ class ColumnarView:
         hit = np.flatnonzero(keys[found] == query)
         probed, matched = at[hit], units[found[hit]]
         parent_at, item_at = (probed, matched) if parent_probes else (matched, probed)
-        self._write(out, chosen, hit, rows, block.probs[parent_at] * items_block.probs[item_at])
+        item_probs = items_block.probs[item_at]
+        live = np.flatnonzero(item_probs)  # a zero item probability is a miss
+        if len(live) < len(hit):
+            hit, parent_at, item_probs = hit[live], parent_at[live], item_probs[live]
+        self._write(out, chosen, hit, rows, block.probs[parent_at] * item_probs)
+
+    def _item_spans(self, items: np.ndarray) -> ColumnBlock:
+        """The columns of ``items`` (ascending) as one block, for the compiled gather.
+
+        A view that knows its :data:`Units` (built from rows, or a
+        full-range mapped store) spans them in place; any other view, such
+        as a row-ranged shard, copies the items' columns into one block.
+        """
+        if self._units is not None:
+            return self._block_of(items[:, None])
+        return ColumnBlock.of([self.column(item) for item in items.tolist()])
 
     def batch_vectors(self, candidates, min_count: float = 0.0) -> Sequence[np.ndarray]:
         """The compressed probability vectors of a whole candidate level.

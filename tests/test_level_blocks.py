@@ -23,10 +23,11 @@ from hypothesis import strategies as st
 
 from repro import mine
 from repro.algorithms.common import apriori_join, has_infrequent_subset
+from repro.core import kernels
 from repro.core.search import CandidateLevel, LevelwiseSearch
 from repro.db import UncertainDatabase, columnar
 from repro.db.cache import ByteBudgetLRU
-from repro.db.columnar import ColumnarView
+from repro.db.columnar import ColumnBlock, ColumnarView
 from repro.db.store import ColumnarStore
 
 from helpers import make_random_database
@@ -186,13 +187,24 @@ class TestBlockColumns:
             oracle = view.itemset_column(joined.tuples()[position])
             assert block.column(row)[1].tobytes() == oracle[1].tobytes()
 
-    def test_zero_probability_units_are_refused(self):
-        view = ColumnarView.from_columns(
-            {0: (np.array([0, 1]), np.array([0.5, 0.5])), 1: (np.array([0, 1]), np.array([0.5, 0.0]))},
-            2,
-        )
-        with pytest.raises(ValueError, match="zero probability"):
-            view.batch_vectors(apriori_join(CandidateLevel.from_tuples([(0,), (1,)])))
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_zero_probability_units_are_refused(self, compiled, monkeypatch):
+        if compiled and kernels.library() is None:
+            pytest.skip("no compiled kernels")
+        if not compiled:
+            monkeypatch.setattr(kernels, "_library", None)
+        dense = {0: (np.array([0, 1]), np.array([0.5, 0.5])), 1: (np.array([0, 1]), np.array([0.5, 0.0]))}
+        # item 1 is sparse: in 10 of 100 rows, one unit stored at 0.0
+        sparse = {
+            0: (np.arange(100), np.full(100, 0.5)),
+            1: (np.arange(0, 100, 10), np.array([0.5] * 9 + [0.0])),
+        }
+        for columns, n in ((dense, 2), (sparse, 100)):
+            view = ColumnarView.from_columns(columns, n)
+            with pytest.raises(ValueError, match="zero probability"):
+                view.batch_vectors(apriori_join(CandidateLevel.from_tuples([(0,), (1,)])))
+            with pytest.raises(ValueError, match="zero probability"):
+                view.batch_columns([(0, 1)])
 
     def test_dense_and_sparse_items_in_one_level(self):
         # Item 0 is in every row (dense), item 3 in one row in ten.
@@ -203,11 +215,12 @@ class TestBlockColumns:
         _assert_levels_match_oracle(ColumnarView(UncertainDatabase.from_records(records)), 0)
 
 
-    def test_sparse_items_are_never_made_dense(self):
-        # At N = 200,000 a dense column is 1.6 MB.  Only item 5 reaches the
-        # dense crossover; pairs of sparse items meet by sorted lookups in
-        # both directions (the shorter operand probing), and a three-item
-        # level gathers from a block of pairs.
+    def test_sparse_items_are_never_made_dense(self, numpy_kernels):
+        # The NumPy gather's structure (the compiled gather makes no dense
+        # column at all).  At N = 200,000 a dense column is 1.6 MB.  Only
+        # item 5 reaches the dense crossover; pairs of sparse items meet by
+        # sorted lookups in both directions (the shorter operand probing),
+        # and a three-item level gathers from a block of pairs.
         n = 200_000
         rng = np.random.default_rng(3)
         lengths = {1: 9_000, 2: 300, 3: 2_000, 4: 40, 5: 60_000}
@@ -228,6 +241,185 @@ class TestBlockColumns:
             _assert_levels_match_oracle(view, 0)
         assert set(probed) == {True, False}
         assert list(view._dense_columns.keys()) == [5]
+
+
+def _on_numpy(function, *args):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "_library", None)
+        return function(*args)
+
+
+def _same_block(left, right) -> bool:
+    return all(
+        a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        for a, b in zip(left.arrays(), right.arrays())
+    )
+
+
+#: occupancy fractions from empty to full, so that spans differ in length by
+#: more than 8x in either direction (galloping) or not at all
+_DENSITIES = [0.0, 0.01, 0.03, 0.2, 0.5, 0.9, 1.0]
+
+
+@st.composite
+def gather_cases(draw):
+    """A view, a parent block and candidates ``(parent, item)`` to gather."""
+    n = draw(st.integers(min_value=1, max_value=300))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    values = np.array(_PROBABILITIES)
+
+    def column(density):
+        rows = np.flatnonzero(rng.uniform(size=n) < density)
+        return rows, values[rng.integers(len(values), size=len(rows))]
+
+    n_items = draw(st.integers(min_value=1, max_value=6))
+    columns = {
+        item: column(draw(st.sampled_from(_DENSITIES))) for item in range(n_items)
+    }
+    block = ColumnBlock.of(
+        [column(draw(st.sampled_from(_DENSITIES))) for _ in range(draw(st.integers(1, 5)))]
+    )
+    pairs = sorted(
+        draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, len(block) - 1), st.integers(0, n_items - 1)
+                ),
+                min_size=1,
+                max_size=12,
+                unique=True,
+            )
+        )
+    )
+    parents, items = (np.array(values, dtype=np.int64) for values in zip(*pairs))
+    return ColumnarView.from_columns(columns, n), block, parents, items
+
+
+@pytest.mark.skipif(
+    "sys.modules['repro.core.kernels'].library() is None",
+    reason="no compiled kernels (no C compiler, or --numpy-kernels)",
+)
+class TestCompiledGather:
+    """``kernels.gather`` against the NumPy dense and sparse gathers, bit for bit."""
+
+    @given(gather_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_gather_matches_numpy(self, case):
+        # Empty parents and zero-hit survivors (count 0) are drawn at
+        # density 0; 1e-200 * 1e-200 underflows and is dropped after both.
+        view, block, parents, items = case
+        compiled = view._gather(block, parents, items)
+        reference = _on_numpy(view._gather, block, parents, items)
+        assert _same_block(compiled, reference)
+
+    def test_gallops_both_ways_and_merges_equal_lengths(self):
+        n = 4000
+        rows = np.arange(n)
+        columns = {
+            0: (rows, np.full(n, 0.5)),
+            1: (rows[::500], np.full(8, 0.25)),
+            2: (rows[::2], np.full(n // 2, 1e-200)),
+        }
+        view = ColumnarView.from_columns(columns, n)
+        block = ColumnBlock.of([columns[1], columns[0], columns[2], view.column(9)])
+        # short parent into a long item, long into short, equal lengths,
+        # 1e-200 * 1e-200 (every product dropped), an empty parent
+        parents = np.array([0, 1, 1, 2, 2, 3])
+        items = np.array([0, 0, 1, 1, 2, 0])
+        compiled = view._gather(block, parents, items)
+        assert _same_block(compiled, _on_numpy(view._gather, block, parents, items))
+        assert compiled.lengths.tolist() == [8, n, 8, 8, 0, 0]
+
+    @given(databases(), st.sampled_from([0, 2]))
+    @settings(max_examples=25, deadline=None)
+    def test_levels_of_sliced_and_mapped_views(self, database, min_count):
+        n = len(database)
+        with tempfile.TemporaryDirectory() as directory:
+            store = ColumnarStore.save(database, directory)
+            makers = [
+                lambda: ColumnarView(database),
+                lambda: ColumnarView(database).slice_rows(n // 3, n),
+                lambda: store.view(),
+                lambda: store.view(n // 4, n),
+            ]
+            for make in makers:
+                self._assert_levels_equal(make(), _on_numpy(make), min_count)
+
+    @staticmethod
+    def _assert_levels_equal(view, reference_view, min_count):
+        level = CandidateLevel.from_tuples([(item,) for item in view.items()])
+        reference = level
+        while len(level):
+            level, reference = apriori_join(level), apriori_join(reference)
+            columns = view.batch_vectors(level, min_count)
+            expected = _on_numpy(reference_view.batch_vectors, reference, min_count)
+            assert columns.positions.tolist() == expected.positions.tolist()
+            assert _same_block(columns.block, expected.block)
+            level = level.select(columns.positions, columns.block)
+            reference = reference.select(expected.positions, expected.block)
+
+    @given(databases(), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_candidate_lists(self, database, data):
+        items = ColumnarView(database).items()
+        candidates = data.draw(
+            st.lists(
+                st.lists(st.sampled_from(items), min_size=1, max_size=4, unique=True).map(
+                    lambda chosen: tuple(sorted(chosen))
+                ),
+                max_size=15,
+            )
+        ) if items else []
+        compiled = ColumnarView(database).batch_columns(candidates)
+        reference = _on_numpy(ColumnarView(database).batch_columns, candidates)
+        for (rows, probs), (expected_rows, expected_probs) in zip(compiled, reference):
+            assert rows.tobytes() == expected_rows.tobytes()
+            assert probs.tobytes() == expected_probs.tobytes()
+
+    def test_never_writes_past_a_candidates_places(self):
+        rows, probs = np.arange(6), np.full(6, 0.5)
+        spans = np.array([0]), np.array([6])
+        out_rows, out_probs = np.full(10, -1), np.full(10, -1.0)
+        # six hits, four places: the first failing candidate comes back
+        failed = kernels.gather(
+            rows, probs, *spans, rows, probs, *spans,
+            out_rows, out_probs, np.array([2]), np.array([4]),
+        )
+        assert failed == 0
+        assert out_rows[6:].tolist() == [-1] * 4 and out_rows[:2].tolist() == [-1] * 2
+
+    def test_wrapper_refuses_bad_input_before_calling_c(self, monkeypatch):
+        class Unreachable:
+            def repro_gather(self, *args):
+                raise AssertionError("called C")
+
+        monkeypatch.setattr(kernels, "_library", Unreachable())
+        rows, probs = np.arange(4), np.full(4, 0.5)
+        one, four = np.array([0]), np.array([4])
+        good = dict(
+            parent_rows=rows, parent_probs=probs, parent_starts=one * 0, parent_ends=four,
+            item_rows=rows, item_probs=probs, item_starts=one * 0, item_ends=four,
+            out_rows=np.empty(4, dtype=np.int64), out_probs=np.empty(4),
+            out_starts=one * 0, counts=four,
+        )
+        bad = [
+            {"parent_ends": np.array([5])},  # past the end
+            {"item_starts": np.array([-1])},  # before the start
+            {"item_starts": np.array([3]), "item_ends": np.array([2])},  # reversed
+            {"counts": np.array([5])},  # output places past the end
+            {"parent_rows": rows.astype(np.int32)},  # not int64
+            {"item_probs": probs.astype(np.float32)},  # not float64
+            {"parent_rows": np.arange(8)[::2]},  # not contiguous
+            {"out_starts": np.array([[0]])},  # not one-dimensional
+            {"item_ends": np.array([4, 4])},  # one span too many
+        ]
+        for change in bad:
+            with pytest.raises(ValueError):
+                kernels.gather(**{**good, **change})
+        frozen = np.empty(4)
+        frozen.flags.writeable = False
+        with pytest.raises(ValueError):
+            kernels.gather(**{**good, "out_probs": frozen})
 
 
 class TestPrefixReuse:
