@@ -208,6 +208,24 @@ def _check_hits(found: int, expected: int) -> None:
         raise ValueError(_HITS_DISAGREE)
 
 
+def _refuse_zero_parents(
+    block: "ColumnBlock", parents: np.ndarray, out: "ColumnBlock", dropped: np.ndarray
+) -> None:
+    """Raise if a zero product at output positions ``dropped`` has a zero parent.
+
+    A zero product is either a subnormal underflow, which is dropped like
+    the reference oracle drops it, or a stored zero operand.  The gathers
+    already refuse a stored zero item probability as a miss, so only the
+    parent operand is looked up here, in its span of ``block``.
+    """
+    owners = np.searchsorted(out.ends, dropped, side="right")
+    for position, owner in zip(dropped.tolist(), owners.tolist()):
+        lo, hi = int(block.starts[parents[owner]]), int(block.ends[parents[owner]])
+        at = lo + int(np.searchsorted(block.rows[lo:hi], out.rows[position]))
+        if block.probs[at] == 0.0:
+            raise ValueError(_HITS_DISAGREE)
+
+
 class _Children:
     """One prefix-LRU entry: the columns of a parent's computed children.
 
@@ -985,7 +1003,9 @@ class ColumnarView:
         (:meth:`_gather_sparse`).  Both paths give the same bits.  A row
         whose item probability is a stored zero is a miss on every path, so
         the hits fall short of the count and the gather raises
-        ``ValueError``.  Every multiplication is ``parent * item``, the
+        ``ValueError``; a stored zero on the parent side (a single item's
+        own column) is found where its product came out zero, and raises
+        too.  Every multiplication is ``parent * item``, the
         reference oracle's operand order, and exact-zero products
         (subnormal underflow) are dropped, exactly like
         :meth:`_combine_gather`.
@@ -1024,6 +1044,7 @@ class ColumnarView:
         nonzero = out.probs != 0.0
         if nonzero.all():
             return out
+        _refuse_zero_parents(block, parents, out, np.flatnonzero(~nonzero))
         kept = np.concatenate(([0], np.cumsum(nonzero)))
         return ColumnBlock.compact(
             out.rows[nonzero], out.probs[nonzero], kept[out.ends] - kept[out.starts]
@@ -1196,6 +1217,8 @@ class ColumnarView:
         if dense is None:
             dense = np.zeros(self._n_transactions, dtype=np.float64)
             rows, probs = self.column(item)
+            # A stored zero would read as an absent row once scattered.
+            _check_hits(np.count_nonzero(probs), len(probs))
             dense[rows] = probs
             dense.flags.writeable = False
             self._dense_columns.put(item, dense)
@@ -1213,24 +1236,35 @@ class ColumnarView:
         Every multiplication is ``running * item``, the reference oracle's
         operand order, and exact-zero products (subnormal underflow) are
         dropped, so the column equals the non-zeros of the oracle's
-        ``p_i(X)`` bit for bit.
+        ``p_i(X)`` bit for bit.  A stored zero probability on either side
+        is refused with ``ValueError``, as the level gathers refuse it: a
+        dense item is checked when it is scattered, and a running or sparse
+        operand where a product came out zero.
         """
         other_rows, other_probs = self.column(item)
         if len(rows) == 0 or len(other_rows) == 0:
             return _EMPTY_COLUMN
-        if len(other_rows) >= int(self._n_transactions * DENSE_CROSSOVER_FRACTION):
-            out_rows, product = rows, probs * self._dense_column(item)[rows]
+        dense = len(other_rows) >= int(self._n_transactions * DENSE_CROSSOVER_FRACTION)
+        if dense:
+            out_rows, running, factor = rows, probs, self._dense_column(item)[rows]
         elif len(rows) > len(other_rows):
             positions = np.searchsorted(rows, other_rows)
             positions[positions == len(rows)] = 0
             mask = rows[positions] == other_rows
-            out_rows, product = other_rows[mask], probs[positions[mask]] * other_probs[mask]
+            out_rows, running, factor = other_rows[mask], probs[positions[mask]], other_probs[mask]
         else:
             positions = np.searchsorted(other_rows, rows)
             positions[positions == len(other_rows)] = 0
             mask = other_rows[positions] == rows
-            out_rows, product = rows[mask], probs[mask] * other_probs[positions[mask]]
-        if np.count_nonzero(product) != len(product):
+            out_rows, running, factor = rows[mask], probs[mask], other_probs[positions[mask]]
+        product = running * factor
+        zeros = len(product) - np.count_nonzero(product)
+        if zeros:
             keep = product != 0.0
+            # A dense factor of zero is an absent row; the scatter refused
+            # stored zeros.  Any other zero operand is a stored zero.
+            _check_hits(np.count_nonzero(running[~keep]), zeros)
+            if not dense:
+                _check_hits(np.count_nonzero(factor[~keep]), zeros)
             out_rows, product = out_rows[keep], product[keep]
         return out_rows, product

@@ -40,6 +40,12 @@ Entries live in a :class:`~repro.db.cache.ByteBudgetLRU`
 their own threshold so repeats become exact hits.  Every group key carries
 the dataset name **and revision** — re-registering a dataset bumps the
 revision, so stale answers are unreachable by construction.
+
+Each entry keeps its records as an
+:class:`~repro.service.protocol.EncodedRecords` whose wire bytes are
+computed once, outside the cache lock, before the entry is stored; an
+exact hit hands back records whose reply bytes are already made.  The
+stored bytes are charged to the budget on top of the records' estimate.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 from ..core.results import FrequentItemset
 from ..core.support import poisson_lambda_for_threshold
 from ..core.thresholds import ExpectedSupportThreshold, ProbabilisticThreshold
-from .protocol import ServiceError
+from .protocol import EncodedRecords, ServiceError
 
 __all__ = [
     "RESULT_BYTES_ENV",
@@ -176,19 +182,28 @@ def plan_topk(
 
 
 class _CachedEntry:
-    """One cached answer: records plus its LRU byte charge."""
+    """One cached answer: records, their wire bytes, and its LRU byte charge.
+
+    Building an entry encodes its records (unless they already carry their
+    bytes), so build it outside the cache lock.
+    """
 
     __slots__ = ("records", "k", "exhausted", "payload_nbytes")
 
     def __init__(
         self, records: List[FrequentItemset], k: Optional[int] = None
     ) -> None:
+        if not isinstance(records, EncodedRecords):
+            records = EncodedRecords(records)
         self.records = records
         self.k = k
         #: a top-k answer shorter than its k holds *every* rankable itemset
         self.exhausted = k is not None and len(records) < k
         items = sum(len(record.itemset) for record in records)
-        self.payload_nbytes = 256 + 120 * len(records) + 8 * items
+        # The records' estimate plus the real length of their stored bytes.
+        self.payload_nbytes = (
+            256 + 120 * len(records) + 8 * items + len(records.encoded)
+        )
 
 
 class ResultCache:
@@ -211,32 +226,36 @@ class ResultCache:
         self, plan: MinePlan
     ) -> Optional[Tuple[List[FrequentItemset], str]]:
         """Serve ``plan`` from cache: exact hit, monotone filter, or ``None``."""
+        exact_key = plan.group + ("axis", plan.axis)
         with self._lock:
-            exact_key = plan.group + ("axis", plan.axis)
             entry = self._lru.get(exact_key)
             if entry is not None:
                 self.exact_hits += 1
                 return entry.records, "hit"
-            if plan.axis is None:
-                self.misses += 1
-                return None
-            source = self._best_filter_source(plan.group, plan.axis)
+            source = (
+                None
+                if plan.axis is None
+                else self._best_filter_source(plan.group, plan.axis)
+            )
             if source is None:
                 self.misses += 1
                 return None
-            filtered = [record for record in source.records if plan.keep(record)]
             self.filter_hits += 1
-            # Re-insert under the requested threshold: the next identical
-            # request is an exact hit, and the entry is smaller than its
-            # source so the marginal budget cost is low.
-            self._store(exact_key, plan.group, _CachedEntry(filtered))
-            return filtered, "filter"
+        # Cached records are never mutated, so the filter and its encoding
+        # run outside the lock.  Re-insert under the requested threshold:
+        # the next identical request is an exact hit, and the entry is
+        # smaller than its source so the marginal budget cost is low.
+        filtered = _CachedEntry(
+            [record for record in source.records if plan.keep(record)]
+        )
+        with self._lock:
+            self._store(exact_key, plan.group, filtered)
+        return filtered.records, "filter"
 
     def store_mine(self, plan: MinePlan, records: List[FrequentItemset]) -> None:
+        entry = _CachedEntry(records)
         with self._lock:
-            self._store(
-                plan.group + ("axis", plan.axis), plan.group, _CachedEntry(records)
-            )
+            self._store(plan.group + ("axis", plan.axis), plan.group, entry)
 
     def _best_filter_source(
         self, group: Tuple[Any, ...], axis: float
@@ -265,8 +284,8 @@ class ResultCache:
         self, group: Tuple[Any, ...], k: int
     ) -> Optional[Tuple[List[FrequentItemset], str]]:
         """Serve a top-k request: exact hit, prefix of a larger k, or ``None``."""
+        exact_key = group + ("k", int(k))
         with self._lock:
-            exact_key = group + ("k", int(k))
             entry = self._lru.get(exact_key)
             if entry is not None:
                 self.exact_hits += 1
@@ -283,23 +302,22 @@ class ResultCache:
                 if best_k is None or cached.k < best_k:
                     best_k = cached.k
                     best_key = full_key
-            if best_key is None:
+            source = None if best_key is None else self._lru.get(best_key)
+            if source is None:
                 self.misses += 1
                 return None
-            source = self._lru.get(best_key)
-            if source is None:  # pragma: no cover - racing eviction
-                self.misses += 1
-                return None
-            prefix = source.records[: int(k)]
             self.filter_hits += 1
-            self._store(exact_key, group, _CachedEntry(prefix, k=int(k)))
-            return prefix, "filter"
+        prefix = _CachedEntry(source.records[: int(k)], k=int(k))
+        with self._lock:
+            self._store(exact_key, group, prefix)
+        return prefix.records, "filter"
 
     def store_topk(
         self, group: Tuple[Any, ...], k: int, records: List[FrequentItemset]
     ) -> None:
+        entry = _CachedEntry(records, k=int(k))
         with self._lock:
-            self._store(group + ("k", int(k)), group, _CachedEntry(records, k=int(k)))
+            self._store(group + ("k", int(k)), group, entry)
 
     # -- shared plumbing ---------------------------------------------------------
     def _store(
@@ -329,9 +347,13 @@ class ResultCache:
 
     def describe(self) -> Dict[str, Any]:
         with self._lock:
+            encoded = sum(
+                len(self._lru.peek(key).records.encoded) for key in self._lru.keys()
+            )
             return {
                 "entries": len(self._lru),
                 "nbytes": self._lru.nbytes,
+                "encoded_bytes": encoded,
                 "budget_bytes": self._lru.budget_bytes,
                 "exact_hits": self.exact_hits,
                 "filter_hits": self.filter_hits,

@@ -22,6 +22,16 @@ Floats round-trip bitwise: Python's ``json`` emits ``repr``-shortest
 decimal forms, which parse back to the identical IEEE-754 double — the
 property the result cache's "bitwise-equal to a fresh mine" contract
 rides on (pinned by ``tests/test_service.py``).
+
+Pre-encoded ``itemsets``: a ``mine`` or ``mine-topk`` answer's record list
+is the bulk of its reply, so it travels as an :class:`EncodedRecords` — a
+list of records that memoizes its :func:`encode_itemsets` bytes.  The
+result cache encodes an answer once, when it is stored, and every later
+reply reuses those bytes.  A document returned by the server's
+``handle_line`` may therefore carry one as ``result.itemsets``;
+:func:`encode_line` splices its bytes between the separately encoded keys
+before and after it, so the framed line is byte-identical to encoding the
+whole document with the records in their :func:`encode_records` form.
 """
 
 from __future__ import annotations
@@ -36,11 +46,13 @@ __all__ = [
     "MAX_LINE_BYTES",
     "ERROR_TYPES",
     "ServiceError",
+    "EncodedRecords",
     "encode_line",
     "decode_line",
     "error_reply",
     "ok_reply",
     "encode_records",
+    "encode_itemsets",
     "decode_records",
     "encode_statistics",
     "record_keys",
@@ -104,9 +116,51 @@ class ServiceError(Exception):
         return payload
 
 
+def _dumps(value: Any) -> str:
+    return json.dumps(value, separators=(",", ":"))
+
+
 def encode_line(document: Dict[str, Any]) -> bytes:
-    """Frame one protocol document as a single JSON line (UTF-8)."""
-    return (json.dumps(document, separators=(",", ":")) + "\n").encode("utf-8")
+    """Frame one protocol document as a single JSON line (UTF-8).
+
+    An :class:`EncodedRecords` at ``document["result"]["itemsets"]`` is
+    written as its memoized :func:`encode_itemsets` bytes; the keys around
+    it keep their order and their own encoding.
+    """
+    result = document.get("result")
+    itemsets = result.get("itemsets") if isinstance(result, dict) else None
+    if not isinstance(itemsets, EncodedRecords):
+        return (_dumps(document) + "\n").encode("utf-8")
+    body = _splice(result, "itemsets", itemsets.encoded)
+    return _splice(document, "result", body) + b"\n"
+
+
+def _splice(mapping: Dict[str, Any], key: str, encoded: bytes) -> bytes:
+    """``mapping`` as a JSON object whose ``key`` holds the ``encoded`` bytes.
+
+    The keys before and after ``key`` are encoded as two objects of their
+    own and joined around it — no marker is searched for, so no string in
+    the document can collide with the splice point.
+    """
+    before: Dict[str, Any] = {}
+    after: Dict[str, Any] = {}
+    side = before
+    for name, value in mapping.items():
+        if name == key:
+            side = after
+        else:
+            side[name] = value
+    return b"".join(
+        (
+            _dumps(before)[:-1].encode("utf-8"),
+            b"," if before else b"",
+            _dumps(key).encode("utf-8"),
+            b":",
+            encoded,
+            b"," if after else b"",
+            _dumps(after)[1:].encode("utf-8"),
+        )
+    )
 
 
 def decode_line(line: bytes) -> Dict[str, Any]:
@@ -152,6 +206,33 @@ def encode_records(records) -> List[Dict[str, Any]]:
         }
         for record in records
     ]
+
+
+def encode_itemsets(records) -> bytes:
+    """The JSON bytes of :func:`encode_records`, as a reply carries them."""
+    return _dumps(encode_records(records)).encode("utf-8")
+
+
+class EncodedRecords(list):
+    """Mining records that memoize their :func:`encode_itemsets` bytes.
+
+    A plain list to every reader; :attr:`encoded` is computed on first use
+    and kept, so the list must not change once it has been encoded.  The
+    result cache stores these, which is what lets a repeated answer reuse
+    its bytes.
+    """
+
+    __slots__ = ("_encoded",)
+
+    def __init__(self, records=()) -> None:
+        super().__init__(records)
+        self._encoded: Optional[bytes] = None
+
+    @property
+    def encoded(self) -> bytes:
+        if self._encoded is None:
+            self._encoded = encode_itemsets(self)
+        return self._encoded
 
 
 def decode_records(payload: List[Dict[str, Any]]) -> List[FrequentItemset]:

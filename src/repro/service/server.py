@@ -28,6 +28,14 @@ The serving contract, pinned by ``tests/test_service*.py``:
   error.
 * **Bitwise answers.**  Cached (exact-hit or monotone-filtered) responses
   are byte-identical to a fresh mine of the same request.
+
+A reply's ``itemsets`` travel as an
+:class:`~repro.service.protocol.EncodedRecords`: an exact hit carries the
+bytes the result cache made when it stored the answer, a miss carries the
+bytes its store just made, and a ``cache: false`` answer or a ``limit``
+cut is encoded once, by ``encode_line``, as it is written.
+``encode_records`` stays importable from this module, where callers and
+tracers have always found it.
 """
 
 from __future__ import annotations
@@ -51,10 +59,11 @@ from ..plan import ExecutionPlan, materialize_plan
 from .cache import ResultCache, plan_mine, plan_topk
 from .protocol import (
     MAX_LINE_BYTES,
+    EncodedRecords,
     ServiceError,
     decode_line,
     encode_line,
-    encode_records,
+    encode_records,  # noqa: F401 - kept importable from this module
     encode_statistics,
     error_reply,
     ok_reply,
@@ -630,13 +639,15 @@ class MiningServer:
                     )
             except (TypeError, ValueError) as error:
                 raise ServiceError("bad-params", str(error)) from None
-            records = result.itemsets
+            records = EncodedRecords(result.itemsets)
             statistics = encode_statistics(result.statistics)
             if use_cache:
                 self.result_cache.store_mine(cache_plan, records)
 
         limit = params.get("limit")
-        shown = records if limit is None else records[: int(limit)]
+        shown = records
+        if limit is not None and int(limit) < len(records):
+            shown = EncodedRecords(records[: int(limit)])
         return {
             "dataset": handle.name,
             "revision": handle.revision,
@@ -644,7 +655,7 @@ class MiningServer:
             "n": len(records),
             "cache": status,
             "plan": exec_plan.to_dict(),
-            "itemsets": encode_records(shown),
+            "itemsets": shown,
             "truncated": len(shown) < len(records),
             "statistics": statistics,
         }
@@ -698,7 +709,7 @@ class MiningServer:
                 )
             except (TypeError, ValueError) as error:
                 raise ServiceError("bad-params", str(error)) from None
-            records = result.itemsets
+            records = EncodedRecords(result.itemsets)
             statistics = encode_statistics(result.statistics)
             if use_cache:
                 self.result_cache.store_topk(group, k, records)
@@ -712,7 +723,7 @@ class MiningServer:
             "n": len(records),
             "cache": status,
             "plan": exec_plan.to_dict(),
-            "itemsets": encode_records(records),
+            "itemsets": records,
             "statistics": statistics,
         }
 

@@ -206,6 +206,41 @@ class TestBlockColumns:
             with pytest.raises(ValueError, match="zero probability"):
                 view.batch_columns([(0, 1)])
 
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_itemset_column_refuses_stored_zeros_like_the_gathers(self, compiled, monkeypatch):
+        if compiled and kernels.library() is None:
+            pytest.skip("no compiled kernels")
+        if not compiled:
+            monkeypatch.setattr(kernels, "_library", None)
+        every_row = (np.arange(100), np.full(100, 0.5))
+        sparse_zero = (np.arange(0, 100, 10), np.array([0.5] * 3 + [0.0] + [0.5] * 6))
+        dense_zero = (np.arange(100), np.array([0.5] * 99 + [0.0]))
+        for zero in (sparse_zero, dense_zero):
+            # The zero on the item side, then on the parent (running) side.
+            for columns in ({0: every_row, 1: zero}, {0: zero, 1: every_row}):
+                view = ColumnarView.from_columns(columns, 100)
+                level = apriori_join(CandidateLevel.from_tuples([(0,), (1,)]))
+                with pytest.raises(ValueError, match="zero probability"):
+                    view.batch_vectors(level)
+                with pytest.raises(ValueError, match="zero probability"):
+                    view.batch_columns([(0, 1)])
+                for itemset in ((0, 1), (1, 0)):
+                    with pytest.raises(ValueError, match="zero probability"):
+                        view.itemset_column(itemset)
+                    with pytest.raises(ValueError, match="zero probability"):
+                        view.expected_support(itemset)
+
+    def test_itemset_column_still_drops_underflowed_products(self):
+        # 5e-324 * 0.5 rounds to an exact zero: a product, not a stored zero.
+        columns = {
+            0: (np.array([0, 1, 2]), np.array([5e-324, 0.5, 0.25])),
+            1: (np.array([0, 1, 2]), np.array([0.5, 0.5, 0.5])),
+        }
+        view = ColumnarView.from_columns(columns, 3)
+        for itemset in ((0, 1), (1, 0)):
+            rows, probs = view.itemset_column(itemset)
+            assert rows.tolist() == [1, 2] and probs.tolist() == [0.25, 0.125]
+
     def test_dense_and_sparse_items_in_one_level(self):
         # Item 0 is in every row (dense), item 3 in one row in ten.
         records = [

@@ -30,9 +30,14 @@ from repro.service import (
     ServiceError,
     record_keys,
 )
+from repro.core.itemset import Itemset
+from repro.core.results import FrequentItemset
+from repro.service import protocol
 from repro.service.protocol import (
+    EncodedRecords,
     decode_line,
     decode_records,
+    encode_itemsets,
     encode_line,
     encode_records,
     error_reply,
@@ -103,6 +108,151 @@ class TestProtocol:
             "ok": False,
             "error": {"type": "unknown-op", "message": "what"},
         }
+
+
+def _reference_line(document) -> bytes:
+    """A reply framed the one-pass way: the whole document in one ``json.dumps``,
+    its records in :func:`encode_records` form."""
+
+    def plain(value):
+        if isinstance(value, EncodedRecords):
+            return encode_records(value)
+        if isinstance(value, dict):
+            return {key: plain(item) for key, item in value.items()}
+        return value
+
+    return (json.dumps(plain(document), separators=(",", ":")) + "\n").encode("utf-8")
+
+
+#: dataset names that would break a splice that searched for a marker
+WIRE_NAMES = [
+    "plain",
+    'q"uote',
+    "back\\slash",
+    "nul\x00byte",
+    "ünï€\U0001f600",
+    '"itemsets":[1,2]',
+    "itemsets",
+]
+
+
+class TestPreencodedReplies:
+    """Spliced replies equal the one-pass encoding, byte for byte, in every shape."""
+
+    def test_encode_itemsets_is_the_compact_dump(self, database):
+        records = mine(database, algorithm="dpb", min_sup=0.3, pft=0.5).itemsets
+        assert encode_itemsets(records) == json.dumps(
+            encode_records(records), separators=(",", ":")
+        ).encode("utf-8")
+        assert EncodedRecords(records).encoded == encode_itemsets(records)
+        assert EncodedRecords().encoded == b"[]"
+
+    def test_none_fields_and_awkward_keys(self):
+        records = EncodedRecords(
+            [
+                FrequentItemset(Itemset((0, 3)), 1.5, None, None),
+                FrequentItemset(Itemset((2,)), 0.1 + 0.2, 2.5e-310, None),
+                FrequentItemset(Itemset((1,)), 1e-300, None, 0.9999999999999999),
+            ]
+        )
+        for name in WIRE_NAMES:
+            # A key equal to the name sits before "itemsets" (or is it).
+            result = {name: [name], "dataset": name, "itemsets": records, "z": None}
+            for document in (
+                ok_reply(name, result),
+                ok_reply(1, {"itemsets": records}),
+                {"result": {"n": 3, "itemsets": records}, "id": name, "tail": {"k": name}},
+            ):
+                line = encode_line(document)
+                assert line == _reference_line(document)
+                decoded = decode_line(line)
+                assert decoded["result"]["itemsets"] == encode_records(records)
+
+    @pytest.mark.parametrize("name", WIRE_NAMES)
+    def test_every_reply_shape_matches_one_pass_encoding(self, database, name):
+        plan = [
+            ("mine", {"algorithm": "uapriori", "min_esup": 0.15}, "miss"),
+            ("mine", {"algorithm": "uapriori", "min_esup": 0.15}, "hit"),
+            ("mine", {"algorithm": "uapriori", "min_esup": 0.3}, "filter"),
+            ("mine", {"algorithm": "uapriori", "min_esup": 0.3}, "hit"),
+            ("mine", {"algorithm": "uapriori", "min_esup": 0.15, "cache": False}, "off"),
+            ("mine", {"algorithm": "uapriori", "min_esup": 0.15, "limit": 2}, "hit"),
+            ("mine", {"algorithm": "uapriori", "min_esup": 0.15, "limit": 10**6}, "hit"),
+            ("mine", {"algorithm": "dpnb", "min_sup": 0.3, "pft": 0.5}, "miss"),
+            ("mine", {"algorithm": "dpnb", "min_sup": 0.3, "pft": 0.7}, "filter"),
+            ("mine-topk", {"algorithm": "uapriori", "k": 6}, "miss"),
+            ("mine-topk", {"algorithm": "uapriori", "k": 3}, "filter"),
+            ("mine-topk", {"algorithm": "uapriori", "k": 3}, "hit"),
+            ("mine-topk", {"algorithm": "uapriori", "k": 10_000}, "miss"),
+            ("mine-topk", {"algorithm": "uapriori", "k": 20_000}, "filter"),
+            ("mine-topk", {"algorithm": "dpb", "k": 4, "min_sup": 0.3}, "miss"),
+            ("mine-topk", {"algorithm": "uapriori", "k": 2, "cache": False}, "off"),
+        ]
+        with MiningServer(max_workers=2, max_queue=4) as server:
+            server.registry.register(name, _inline_spec(database))
+            for request_id, (op, params, status) in enumerate(plan):
+                line = json.dumps(
+                    {"id": request_id, "op": op, "params": {"dataset": name, **params}}
+                ).encode("utf-8")
+                reply = server.handle_line(line)
+                assert reply["ok"], reply
+                assert reply["result"]["cache"] == status, (op, params)
+                assert isinstance(reply["result"]["itemsets"], EncodedRecords)
+                assert encode_line(reply) == _reference_line(reply)
+            for bad in (
+                {"id": 1, "op": "mine", "params": {"dataset": name + "?"}},
+                {"id": name, "op": "mine-topk", "params": {"dataset": name, "k": 0}},
+                {"id": None, "op": "no-such-op", "params": {}},
+            ):
+                reply = server.handle_line(json.dumps(bad).encode("utf-8"))
+                assert not reply["ok"]
+                assert encode_line(reply) == _reference_line(reply)
+
+    def test_hits_serve_stored_bytes_and_misses_encode_once(self, database, monkeypatch):
+        calls = []
+        original = protocol.encode_itemsets
+
+        def counted(records):
+            calls.append(len(records))
+            return original(records)
+
+        monkeypatch.setattr(protocol, "encode_itemsets", counted)
+        with MiningServer(max_workers=2, max_queue=4) as server:
+            server.registry.register("d", _inline_spec(database))
+
+            def encodings(op, **params):
+                del calls[:]
+                line = json.dumps({"id": 1, "op": op, "params": {"dataset": "d", **params}})
+                encode_line(server.handle_line(line.encode("utf-8")))
+                return len(calls)
+
+            assert encodings("mine", min_esup=0.15) == 1  # miss: stored once
+            assert encodings("mine", min_esup=0.15) == 0  # hit: stored bytes
+            assert encodings("mine", min_esup=0.15, limit=10**6) == 0
+            assert encodings("mine", min_esup=0.15, limit=1) == 1  # a cut answer
+            assert encodings("mine", min_esup=0.3) == 1  # filter: stored once
+            assert encodings("mine", min_esup=0.3) == 0
+            assert encodings("mine", min_esup=0.3, cache=False) == 1  # fresh
+            assert encodings("mine-topk", k=5) == 1
+            assert encodings("mine-topk", k=2) == 1  # prefix: stored once
+            assert encodings("mine-topk", k=2) == 0
+
+    def test_stats_report_the_stored_encodings(self, database):
+        with MiningServer(max_workers=2, max_queue=4) as server:
+            host, port = server.address
+            with MiningClient(host, port) as client:
+                client.register("d", **_inline_spec(database))
+                assert client.stats()["result_cache"]["encoded_bytes"] == 0
+                first = client.mine("d", algorithm="uapriori", min_esup=0.15)
+                second = client.mine("d", algorithm="uapriori", min_esup=0.3)
+                cache = client.stats()["result_cache"]
+                wire = sum(
+                    len(json.dumps(reply["itemsets"], separators=(",", ":")))
+                    for reply in (first, second)
+                )
+                assert cache["entries"] == 2
+                assert cache["encoded_bytes"] == wire
+                assert wire < cache["nbytes"] <= cache["budget_bytes"]
 
 
 class TestRegistryLifecycle:

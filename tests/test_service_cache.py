@@ -19,13 +19,23 @@ tests sweep every registered algorithm over a threshold grid and pin:
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.core.miner import mine
 from repro.core.registry import algorithm_names, get_algorithm
 from repro.core.topk import mine_topk, ranking_of, resolve_evaluator
 from repro.service import ResultCache, ServiceError, plan_mine, plan_topk, record_keys
+from repro.service import cache as service_cache
 from repro.service.cache import _EXACT_PFT_ALGORITHMS, _POISSON_ALGORITHMS
+from repro.service.protocol import (
+    EncodedRecords,
+    encode_itemsets,
+    encode_line,
+    encode_records,
+    ok_reply,
+)
 
 from helpers import make_random_database
 
@@ -347,3 +357,138 @@ class TestEvictionBehaviour:
         served = cache.fetch_mine(_plan(database, "uapriori", min_esup=0.5))
         assert served is not None
         assert record_keys(served[0]) == record_keys(result.itemsets)
+
+
+def _reply_line(records) -> bytes:
+    """The framed reply of an answer, as the server writes it."""
+    return encode_line(ok_reply(1, {"dataset": "d", "n": len(records), "itemsets": records}))
+
+
+def _fresh_reply_line(records) -> bytes:
+    """The framed reply of a fresh answer, encoded in one pass."""
+    document = ok_reply(1, {"dataset": "d", "n": len(records), "itemsets": encode_records(records)})
+    return (json.dumps(document, separators=(",", ":")) + "\n").encode("utf-8")
+
+
+def _assert_served_bytes(served, fresh_records, status):
+    assert served is not None and served[1] == status
+    assert isinstance(served[0], EncodedRecords)
+    assert served[0].encoded == encode_itemsets(fresh_records)
+    assert _reply_line(served[0]) == _fresh_reply_line(fresh_records)
+
+
+class TestServedReplyBytes:
+    """A served reply's bytes equal a fresh mine's, across the monotonicity sweep."""
+
+    @pytest.mark.parametrize("algorithm", EXPECTED_ALGORITHMS)
+    def test_expected_sweep(self, database, algorithm):
+        cache = ResultCache()
+        loosest = ESUP_GRID[0]
+        base = _fresh(database, algorithm, min_esup=loosest)
+        cache.store_mine(_plan(database, algorithm, min_esup=loosest), base.itemsets)
+        _assert_served_bytes(
+            cache.fetch_mine(_plan(database, algorithm, min_esup=loosest)),
+            base.itemsets,
+            "hit",
+        )
+        for threshold in ESUP_GRID[1:]:
+            plan = _plan(database, algorithm, min_esup=threshold)
+            fresh = _fresh(database, algorithm, min_esup=threshold)
+            served = cache.fetch_mine(plan)
+            _assert_served_bytes(served, fresh.itemsets, "filter")
+            again = cache.fetch_mine(plan)
+            _assert_served_bytes(again, fresh.itemsets, "hit")
+            # The repeat serves the bytes stored with the filtered entry.
+            assert again[0].encoded is served[0].encoded
+
+    @pytest.mark.parametrize("algorithm", EXACT_ALGORITHMS + POISSON_ALGORITHMS)
+    def test_pft_sweep(self, database, algorithm):
+        cache = ResultCache()
+        base = _fresh(database, algorithm, min_sup=FIXED_MIN_SUP, pft=PFT_GRID[0])
+        cache.store_mine(
+            _plan(database, algorithm, min_sup=FIXED_MIN_SUP, pft=PFT_GRID[0]),
+            base.itemsets,
+        )
+        for pft in PFT_GRID[1:]:
+            plan = _plan(database, algorithm, min_sup=FIXED_MIN_SUP, pft=pft)
+            fresh = _fresh(database, algorithm, min_sup=FIXED_MIN_SUP, pft=pft)
+            _assert_served_bytes(cache.fetch_mine(plan), fresh.itemsets, "filter")
+            _assert_served_bytes(cache.fetch_mine(plan), fresh.itemsets, "hit")
+
+    @pytest.mark.parametrize("algorithm", EXACT_KEY_ONLY)
+    def test_exact_key_sweep(self, database, algorithm):
+        cache = ResultCache()
+        plan = _plan(database, algorithm, min_sup=FIXED_MIN_SUP, pft=0.5)
+        fresh = _fresh(database, algorithm, min_sup=FIXED_MIN_SUP, pft=0.5)
+        cache.store_mine(plan, fresh.itemsets)
+        _assert_served_bytes(cache.fetch_mine(plan), fresh.itemsets, "hit")
+
+    @pytest.mark.parametrize("evaluator,min_sup", [("esup", None), ("dp", FIXED_MIN_SUP)])
+    def test_topk_prefixes_and_exhausted(self, database, evaluator, min_sup):
+        group = plan_topk(
+            "d", "r1", evaluator, ranking_of(evaluator), len(database), min_sup
+        )
+        cache = ResultCache()
+        big = mine_topk(database, 12, algorithm=evaluator, min_sup=min_sup)
+        cache.store_topk(group, 12, big.itemsets)
+        _assert_served_bytes(cache.fetch_topk(group, 12), big.itemsets, "hit")
+        for k in (1, 5):
+            fresh = mine_topk(database, k, algorithm=evaluator, min_sup=min_sup)
+            _assert_served_bytes(cache.fetch_topk(group, k), fresh.itemsets, "filter")
+            _assert_served_bytes(cache.fetch_topk(group, k), fresh.itemsets, "hit")
+        everything = mine_topk(database, 10_000, algorithm=evaluator, min_sup=min_sup)
+        cache.store_topk(group, 10_000, everything.itemsets)
+        fresh = mine_topk(database, 50_000, algorithm=evaluator, min_sup=min_sup)
+        _assert_served_bytes(cache.fetch_topk(group, 50_000), fresh.itemsets, "filter")
+
+
+class TestEncodedAccounting:
+    """Stored encodings are charged to the budget and leave with their entry."""
+
+    @staticmethod
+    def _encoded_total(cache) -> int:
+        return sum(len(cache._lru.peek(key).records.encoded) for key in cache._lru.keys())
+
+    def test_entry_charges_its_encoding(self, database):
+        records = _fresh(database, "uapriori", min_esup=0.15).itemsets
+        items = sum(len(record.itemset) for record in records)
+        estimate = 256 + 120 * len(records) + 8 * items
+        charge = service_cache._CachedEntry(records).payload_nbytes
+        assert charge == estimate + len(encode_itemsets(records))
+
+    def test_small_budget_holds_with_encodings(self, database, monkeypatch):
+        answers = {
+            threshold: _fresh(database, "uapriori", min_esup=threshold).itemsets
+            for threshold in ESUP_GRID
+        }
+        largest = service_cache._CachedEntry(answers[ESUP_GRID[0]]).payload_nbytes
+        budget = largest * 2 + 10
+        monkeypatch.setenv(service_cache.RESULT_BYTES_ENV, str(budget))
+        cache = ResultCache()
+        assert cache.describe()["budget_bytes"] == budget
+        for round_index in range(3):
+            for algorithm in ("uapriori", "ufp-growth", "uh-mine"):
+                for threshold, records in answers.items():
+                    cache.store_mine(_plan(database, algorithm, min_esup=threshold), records)
+                    cache.fetch_mine(_plan(database, algorithm, min_esup=threshold + 0.05))
+                    described = cache.describe()
+                    assert described["nbytes"] <= budget
+                    assert described["encoded_bytes"] == self._encoded_total(cache)
+                    assert 0 < described["encoded_bytes"] < described["nbytes"]
+        assert cache.describe()["evictions"] > 0
+
+    def test_eviction_frees_the_stored_bytes(self, database):
+        small = _fresh(database, "uapriori", min_esup=0.5).itemsets
+        large = _fresh(database, "uapriori", min_esup=0.15).itemsets
+        cache = ResultCache(budget_bytes=service_cache._CachedEntry(large).payload_nbytes)
+        cache.store_mine(_plan(database, "uapriori", min_esup=0.5), small)
+        assert cache.describe()["encoded_bytes"] == len(encode_itemsets(small))
+        # The large answer fills the whole budget: the small one is evicted.
+        cache.store_mine(_plan(database, "ufp-growth", min_esup=0.15), large)
+        described = cache.describe()
+        assert described["entries"] == 1 and described["evictions"] == 1
+        assert described["encoded_bytes"] == len(encode_itemsets(large))
+        assert described["nbytes"] == service_cache._CachedEntry(large).payload_nbytes
+        cache.clear()
+        assert cache.describe()["encoded_bytes"] == 0
+        assert cache.describe()["nbytes"] == 0
