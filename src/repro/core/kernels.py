@@ -1,25 +1,31 @@
-"""Compiled fixed-order kernels: the exact-tail recurrences and the level gather.
+"""Compiled fixed-order kernels: the exact-tail recurrences, the level kill and gather.
 
 The exact miners spend their time in the Poisson-binomial recurrence: the
 DP sweep of :func:`~repro.core.support.frequent_probabilities_dp_batch`,
 the DC walker's direct merges (:func:`~repro.core.support.shift_convolve`)
 and the streaming index's tail and PMF steps.  The level-wise miners spend
-theirs resolving candidate columns: the gather of
-:meth:`~repro.db.columnar.ColumnarView._gather`, which meets each parent
-column with its extension item's column and multiplies the common rows
-(:func:`gather`, a two-pointer merge that gallops over a long span).  In
-NumPy each of them is a chain of small ufunc calls and index arrays, so
-the cost is dispatch and temporaries, not arithmetic.  This module holds
-the same loops in C, performing every cell's operations on the same
-operands in the same order, so every result is bitwise the NumPy
-kernel's:
+theirs on a joined level's candidates: the occupancy kill of
+:meth:`~repro.db.columnar.ColumnarView._child_counts`, which ANDs each
+parent's occupancy bitmap with its extension item's and counts the bits
+(:func:`child_counts`, both bitmaps packed from the columns' spans), and
+the gather of :meth:`~repro.db.columnar.ColumnarView._gather`, which
+meets each surviving parent column with its item's column and multiplies
+the common rows (:func:`gather`, a two-pointer merge that gallops over a
+long span).  In NumPy each of them is a chain of small ufunc calls and
+index arrays, so the cost is dispatch and temporaries, not arithmetic.
+This module holds the same loops in C, performing every cell's operations
+on the same operands in the same order, so every result is bitwise the
+NumPy kernel's:
 
 * no fused multiply-add (``-ffp-contract=off``) and never ``-ffast-math``
   (which would reassociate sums and flush subnormals to zero);
 * no ``-march=native``: the library is built for the baseline of the
   compiler's target.  Two-lane vectors (SSE2 on x86-64) take two cells
   per instruction, each lane an ordinary IEEE multiply or add, so they
-  round exactly like the scalar loop.
+  round exactly like the scalar loop.  The kill's bit counts are integer
+  work: on x86-64 a CPU that has the ``popcnt`` instruction (which the
+  baseline lacks) is detected at run time and counts with it; elsewhere
+  a portable loop counts the same bits.
 
 The source is compiled on first use, never at import, with the system C
 compiler (``/usr/bin/cc``, else ``cc`` on ``PATH``; GCC or Clang, whose
@@ -51,7 +57,9 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-__all__ = ["library", "dp_tails", "shift_convolve", "tail_steps", "pmf_steps", "gather"]
+__all__ = [
+    "library", "dp_tails", "shift_convolve", "tail_steps", "pmf_steps", "gather", "child_counts"
+]
 
 SOURCE = r"""
 #include <stdint.h>
@@ -256,6 +264,108 @@ int64_t repro_gather(const int64_t *parent_rows, const double *parent_probs,
     }
     return -1;
 }
+
+/* Occupancy bitmaps are np.packbits rows (bit 7 of byte 0 is row 0) of
+   `words` uint64 words, zero past the last row.  Sets the bits of
+   rows[lo .. hi) and widens [*first, *last] to the words they touch;
+   returns 0, or 1 (having set nothing more) at a row outside [0, n_rows). */
+static int set_rows(uint64_t *bitmap, const int64_t *rows, int64_t lo, int64_t hi,
+                    int64_t n_rows, int64_t *first, int64_t *last)
+{
+    uint8_t *bytes = (uint8_t *)bitmap;
+    for (int64_t u = lo; u < hi; u++) {
+        int64_t r = rows[u];
+        if ((uint64_t)r >= (uint64_t)n_rows)
+            return 1;
+        bytes[r >> 3] |= (uint8_t)(0x80u >> (r & 7));
+        if (r >> 6 < *first)
+            *first = r >> 6;
+        if (r >> 6 > *last)
+            *last = r >> 6;
+    }
+    return 0;
+}
+
+/* The set bits of a AND b over words [first, last]. */
+static int64_t and_count(const uint64_t *a, const uint64_t *b, int64_t first, int64_t last)
+{
+    int64_t total = 0;
+    for (int64_t w = first; w <= last; w++) {
+        uint64_t x = a[w] & b[w];
+        x -= (x >> 1) & 0x5555555555555555ull;
+        x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
+        x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0full;
+        total += (int64_t)((x * 0x0101010101010101ull) >> 56);
+    }
+    return total;
+}
+
+typedef int64_t (*and_counter)(const uint64_t *, const uint64_t *, int64_t, int64_t);
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+
+/* The same count by the popcnt instruction, which the x86-64 baseline
+   lacks: chosen at run time, only on a CPU that has it. */
+__attribute__((target("popcnt")))
+static int64_t and_count_popcnt(const uint64_t *a, const uint64_t *b, int64_t first,
+                                int64_t last)
+{
+    int64_t total = 0;
+    for (int64_t w = first; w <= last; w++)
+        total += __builtin_popcountll(a[w] & b[w]);
+    return total;
+}
+
+static and_counter pick_and_count(void)
+{
+    unsigned int eax, ebx, ecx, edx;
+    if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) && (ecx & bit_POPCNT))
+        return and_count_popcnt;
+    return and_count;
+}
+#else
+static and_counter pick_and_count(void)
+{
+    return and_count;
+}
+#endif
+
+/* counts[c] = the rows of parent parents[c] that item which[c] occupies.
+   Parent p's rows are parent_rows[parent_starts[p] .. parent_ends[p]) and
+   item i's are item_rows[item_starts[i] .. item_ends[i]).  Every item's
+   bitmap is built first, in item_bitmaps (n_items * words, zeroed by the
+   caller); then each run of candidates sharing a parent sets the parent's
+   rows in parent_bitmap (words, zeroed), ANDs it with each candidate's
+   item bitmap over the words the parent touches, counts the bits, and
+   clears them again.  Returns 0, or 1 at a row outside [0, n_rows). */
+int64_t repro_child_counts(const int64_t *parent_rows, const int64_t *parent_starts,
+                           const int64_t *parent_ends, const int64_t *parents,
+                           const int64_t *item_rows, const int64_t *item_starts,
+                           const int64_t *item_ends, int64_t n_items, const int64_t *which,
+                           int64_t n, int64_t n_rows, uint64_t *parent_bitmap,
+                           uint64_t *item_bitmaps, int64_t *counts)
+{
+    int64_t words = (n_rows + 63) >> 6, first, last;
+    and_counter count = pick_and_count();
+    for (int64_t i = 0; i < n_items; i++)
+        if (set_rows(item_bitmaps + i * words, item_rows, item_starts[i], item_ends[i], n_rows,
+                     &first, &last))
+            return 1;
+    for (int64_t c = 0; c < n;) {
+        int64_t p = parents[c];
+        first = words;
+        last = -1;
+        if (set_rows(parent_bitmap, parent_rows, parent_starts[p], parent_ends[p], n_rows,
+                     &first, &last))
+            return 1;
+        for (; c < n && parents[c] == p; c++)
+            counts[c] = count(parent_bitmap, item_bitmaps + which[c] * words, first, last);
+        for (int64_t w = first; w <= last; w++)
+            parent_bitmap[w] = 0;
+    }
+    return 0;
+}
 """
 
 #: the only flags the library is built with; see the module docstring
@@ -272,6 +382,7 @@ _SIGNATURES = {
     "repro_tail_steps": ((_POINTER, _INT, _INT, _INT, _POINTER, _INT, _INT), None),
     "repro_pmf_steps": ((_POINTER, _INT, _INT, _INT, _POINTER, _INT, _INT), None),
     "repro_gather": ((_POINTER,) * 8 + (_INT,) + (_POINTER,) * 4, _INT),
+    "repro_child_counts": ((_POINTER,) * 7 + (_INT, _POINTER, _INT, _INT) + (_POINTER,) * 3, _INT),
 }
 
 _UNLOADED = object()
@@ -359,6 +470,26 @@ def _bind(handle: ctypes.CDLL) -> ctypes.CDLL:
 
 def _address(array: np.ndarray) -> int:
     return array.__array_interface__["data"][0]
+
+
+def _check_arrays(arrays) -> None:
+    """Refuse any of ``{name: (array, dtype)}`` that is not a contiguous 1-D array of its dtype."""
+    for name, (array, dtype) in arrays.items():
+        if not (
+            isinstance(array, np.ndarray)
+            and array.ndim == 1
+            and array.dtype == dtype
+            and array.flags.c_contiguous
+        ):
+            raise ValueError(f"{name} must be a contiguous one-dimensional {np.dtype(dtype)} array")
+
+
+def _check_spans(starts: np.ndarray, ends: np.ndarray, length: int) -> None:
+    """Refuse spans ``[starts[j], ends[j])`` that do not lie inside ``length`` places."""
+    if len(starts) and not (
+        (starts >= 0).all() and (starts <= ends).all() and (ends <= length).all()
+    ):
+        raise ValueError("a span lies outside its arrays")
 
 
 def dp_tails(flat: np.ndarray, offsets: np.ndarray, min_count: int) -> np.ndarray:
@@ -490,14 +621,7 @@ def gather(
         "out_starts": (out_starts, np.int64),
         "counts": (counts, np.int64),
     }
-    for name, (array, dtype) in arrays.items():
-        if not (
-            isinstance(array, np.ndarray)
-            and array.ndim == 1
-            and array.dtype == dtype
-            and array.flags.c_contiguous
-        ):
-            raise ValueError(f"{name} must be a contiguous one-dimensional {np.dtype(dtype)} array")
+    _check_arrays(arrays)
     if not (out_rows.flags.writeable and out_probs.flags.writeable):
         raise ValueError("the output arrays must be writable")
     n = len(counts)
@@ -509,10 +633,7 @@ def gather(
     for starts, ends, rows, probs in spans:
         if len(starts) != n or len(ends) != n or len(rows) != len(probs):
             raise ValueError("spans need one entry per candidate, rows one per probability")
-        if n and not (
-            (starts >= 0).all() and (starts <= ends).all() and (ends <= len(rows)).all()
-        ):
-            raise ValueError("a span lies outside its arrays")
+        _check_spans(starts, ends, len(rows))
     if not n:
         return -1
     return library().repro_gather(
@@ -521,3 +642,78 @@ def gather(
         n,
         *map(_address, (out_starts, counts, out_rows, out_probs)),
     )
+
+
+def child_counts(
+    parent_rows: np.ndarray,
+    parent_starts: np.ndarray,
+    parent_ends: np.ndarray,
+    parents: np.ndarray,
+    item_rows: np.ndarray,
+    item_starts: np.ndarray,
+    item_ends: np.ndarray,
+    which: np.ndarray,
+    n_rows: int,
+) -> np.ndarray:
+    """The rows of parent ``parents[c]`` that item ``which[c]`` occupies, per candidate ``c``.
+
+    Parent ``p`` is ``parent_rows[parent_starts[p]:parent_ends[p]]`` and
+    item ``i`` is ``item_rows[item_starts[i]:item_ends[i]]``, both
+    ascending rows in ``[0, n_rows)``.  One C loop packs every item's
+    occupancy bitmap, then ANDs each parent's bitmap with its candidates'
+    item bitmaps and counts the bits; candidates grouped by parent pack
+    each parent once.  Equal to
+    :meth:`~repro.db.columnar.ColumnarView._child_counts`'s NumPy count.
+
+    Every array must already be one-dimensional, contiguous and int64,
+    every span must lie inside its rows, every parent and item index
+    inside its spans and the first and last row of every span inside
+    ``[0, n_rows)``: anything else raises ``ValueError`` before C reads a
+    byte.  A row out of range inside a span that is not ascending makes C
+    stop before it writes out of its bitmaps, and raises too.
+    """
+    arrays = {
+        "parent_rows": parent_rows,
+        "parent_starts": parent_starts,
+        "parent_ends": parent_ends,
+        "parents": parents,
+        "item_rows": item_rows,
+        "item_starts": item_starts,
+        "item_ends": item_ends,
+        "which": which,
+    }
+    _check_arrays({name: (array, np.int64) for name, array in arrays.items()})
+    n, n_rows = len(parents), int(n_rows)
+    if len(which) != n:
+        raise ValueError("parents and which need one entry per candidate")
+    for starts, ends, rows, indices in (
+        (parent_starts, parent_ends, parent_rows, parents),
+        (item_starts, item_ends, item_rows, which),
+    ):
+        if len(starts) != len(ends):
+            raise ValueError("spans need a start and an end each")
+        _check_spans(starts, ends, len(rows))
+        if n and not (indices.min() >= 0 and indices.max() < len(starts)):
+            raise ValueError("a parent or item index lies outside its spans")
+        filled = starts < ends
+        if filled.any():
+            edges = np.concatenate((rows[starts[filled]], rows[ends[filled] - 1]))
+            if not (edges.min() >= 0 and edges.max() < n_rows):
+                raise ValueError(f"a row lies outside [0, {n_rows})")
+    counts = np.zeros(n, dtype=np.int64)
+    if not n:
+        return counts
+    words = (n_rows + 63) // 64
+    parent_bitmap = np.zeros(words, dtype=np.uint64)
+    item_bitmaps = np.zeros(len(item_starts) * words, dtype=np.uint64)
+    if library().repro_child_counts(
+        *map(_address, (parent_rows, parent_starts, parent_ends, parents)),
+        *map(_address, (item_rows, item_starts, item_ends)),
+        len(item_starts),
+        _address(which),
+        n,
+        n_rows,
+        *map(_address, (parent_bitmap, item_bitmaps, counts)),
+    ):
+        raise ValueError(f"a row lies outside [0, {n_rows})")
+    return counts

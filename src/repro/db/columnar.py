@@ -29,8 +29,9 @@ partition-parallel engine (:mod:`repro.db.partition`).
 
 Level evaluation runs through the **bitset cascade**: a candidate's
 occupancy bitmap is its parent's bitmap AND its item's
-(:meth:`ColumnarView.level_occupancy_counts`), counted with
-``np.bitwise_count``; candidates whose count is already below the
+(:meth:`ColumnarView.level_occupancy_counts`), packed from their spans
+and counted in one compiled loop per level (NumPy's ``np.bitwise_count``
+without a C compiler); candidates whose count is already below the
 caller's ``minsup`` are killed before any float work, and the survivors'
 columns come from one gather over the previous level's column block (a
 compiled merge of each parent's span with its item's, or the NumPy
@@ -229,22 +230,26 @@ def _refuse_zero_parents(
 class _Children:
     """One prefix-LRU entry: the columns of a parent's computed children.
 
-    ``items`` are the children's extension items, ascending, and ``block``
-    their columns.  Every array is the entry's own frozen copy, so
-    :attr:`payload_nbytes` is exactly what the entry keeps alive.
+    ``items`` are the children's extension items, ascending; child ``j``
+    owns ``rows[starts[j]:ends[j]]`` and the matching ``probs``.  Every
+    array is the entry's own copy, so :attr:`payload_nbytes` is exactly
+    what the entry keeps alive; the rows and probabilities, which hits
+    hand out, are frozen.  The :attr:`block` is built on a hit.
     """
 
-    __slots__ = ("items", "block", "payload_nbytes")
+    __slots__ = ("items", "rows", "probs", "starts", "ends", "payload_nbytes")
 
-    def __init__(self, items: np.ndarray, piece: "ColumnBlock") -> None:
-        lo, hi = int(piece.starts[0]), int(piece.ends[-1])
-        self.items = items.copy()
-        self.block = ColumnBlock(
-            piece.rows[lo:hi].copy(), piece.probs[lo:hi].copy(), piece.starts - lo, piece.ends - lo
-        )
-        for array in (self.items, *self.block.arrays()):
-            array.setflags(write=False)
-        self.payload_nbytes = 24 * len(items) + 16 * (hi - lo)
+    def __init__(
+        self, items: np.ndarray, rows: np.ndarray, probs: np.ndarray, starts: np.ndarray, ends: np.ndarray
+    ) -> None:
+        self.items, self.starts, self.ends = items.copy(), starts.copy(), ends.copy()
+        self.rows, self.probs = rows.copy(), probs.copy()
+        self.rows.flags.writeable = self.probs.flags.writeable = False
+        self.payload_nbytes = 24 * len(items) + 16 * len(rows)
+
+    @property
+    def block(self) -> "ColumnBlock":
+        return ColumnBlock(self.rows, self.probs, self.starts, self.ends)
 
 
 class ColumnBlock:
@@ -388,7 +393,8 @@ class ColumnarView:
         """
         #: lazily scattered dense columns of ``itemset_column``'s combine
         self._dense_columns = ByteBudgetLRU(DENSE_CACHE_BYTES)
-        #: packed per-item occupancy bitmaps (stage 1 of the cascade)
+        #: packed per-item occupancy bitmaps: the kill of tuple candidates
+        #: (and of joined levels without the compiled kernels)
         self._bitmaps = ByteBudgetLRU(BITMAP_CACHE_BYTES)
         #: the prefix LRU (stage 2 of the cascade): parent itemset -> the
         #: columns of the children computed for it (:class:`_Children`), so
@@ -764,19 +770,30 @@ class ColumnarView:
     ) -> np.ndarray:
         """Occupancy of ``block``'s itemset ``parents[c]`` extended by ``items[c]``.
 
-        Each chunk packs the bitmaps of the parents it spans straight from
-        their block rows, then ANDs every candidate's parent bitmap with its
-        item's and counts the bits, so the temporaries stay near
-        :data:`OCCUPANCY_CHUNK_BYTES` (8 times that for the parents' rows
-        before packing) whatever the level's size.  Single-item parents
-        (``parent_items``) take their item bitmaps instead.  The count is
-        exactly the number of rows a gather of the candidate hits.
+        The count is exactly the number of rows a gather of the candidate
+        hits.  With the compiled kernels, one C loop
+        (:func:`repro.core.kernels.child_counts`) packs the bitmaps of the
+        distinct items from their spans (:meth:`_item_spans`) and each
+        parent's from its span of ``block``, then ANDs and counts them.
+        Without them, NumPy does the same in chunks: each packs the bitmaps
+        of the parents it spans straight from their block rows, then ANDs
+        every candidate's parent bitmap with its item's and counts the bits,
+        so the temporaries stay near :data:`OCCUPANCY_CHUNK_BYTES` (8 times
+        that for the parents' rows before packing) whatever the level's
+        size.  There, single-item parents (``parent_items``) take their item
+        bitmaps from the per-item LRU (:meth:`item_bitmap`) instead.
         """
         n = len(parents)
         counts = np.zeros(n, dtype=np.int64)
         if n == 0 or self._n_transactions == 0:
             return counts
         distinct, which = np.unique(items, return_inverse=True)
+        if kernels.library() is not None:
+            spans = self._item_spans(distinct)
+            return kernels.child_counts(
+                block.rows, block.starts, block.ends, parents,
+                spans.rows, spans.starts, spans.ends, which, self._n_transactions,
+            )
         bitmaps = np.stack([self.item_bitmap(item) for item in distinct.tolist()])
         # Whole uint64 words: zero padding past row N - 1 adds no bits.
         width = -(-bitmaps.shape[1] // 8) * 8
@@ -845,8 +862,8 @@ class ColumnarView:
             return ColumnBlock.of(self._itemset_columns([tuple(row) for row in items.tolist()]))
         rows, probs, spans = self._units
         bounds = np.array([spans.get(item, (0, 0)) for item in items[:, 0].tolist()], dtype=np.int64)
-        bounds = bounds.reshape(len(items), 2)
-        return ColumnBlock(rows, probs, bounds[:, 0], bounds[:, 1])
+        starts, ends = bounds.reshape(len(items), 2).T.copy()
+        return ColumnBlock(rows, probs, starts, ends)
 
     def _alive(self, candidates: List[Tuple[int, ...]], min_count: float) -> np.ndarray:
         """Positions of the candidates whose occupancy count reaches ``min_count``."""
@@ -955,26 +972,36 @@ class ColumnarView:
             missed.append(group)
         if not missed:
             return ColumnBlock.concat([served[group] for group in range(len(starts))])
-        sizes = np.diff(bounds)[missed].tolist()
-        gathered_at = ranges(starts[missed], np.asarray(sizes, dtype=np.int64))
+        sizes = np.diff(bounds)[missed]
+        gathered_at = ranges(starts[missed], sizes)
+        gathered_items = items[gathered_at]
         gathered = self._gather(
             block,
             parents[gathered_at],
-            items[gathered_at],
+            gathered_items,
             None if counts is None else counts[gathered_at],
         )
-        piece_starts, piece_ends = gathered.starts.tolist(), gathered.ends.tolist()
-        first = 0
-        for group, size in zip(missed, sizes):
-            piece = gathered.select(slice(first, first + size))
-            if 16 * (piece_ends[first + size - 1] - piece_starts[first]) <= cache.budget_bytes // 8:
+        # Each missed parent's children are one run of the compact block:
+        # their spans relative to the run's first unit, for all runs at once.
+        runs = csr_offsets(sizes)
+        run_lo = gathered.starts[runs[:-1]]
+        run_hi = gathered.ends[runs[1:] - 1]
+        shift = np.repeat(run_lo, sizes)
+        local_starts, local_ends = gathered.starts - shift, gathered.ends - shift
+        limit = cache.budget_bytes // 8
+        runs, run_lo, run_hi = runs.tolist(), run_lo.tolist(), run_hi.tolist()
+        for run, group in enumerate(missed):
+            a, b, lo, hi = runs[run], runs[run + 1], run_lo[run], run_hi[run]
+            if 16 * (hi - lo) <= limit:
                 cache.put(
                     keys[group_parents[group]],
-                    _Children(items[bounds[group] : bounds[group + 1]], piece),
+                    _Children(
+                        gathered_items[a:b], gathered.rows[lo:hi], gathered.probs[lo:hi],
+                        local_starts[a:b], local_ends[a:b],
+                    ),
                 )
             if served:
-                served[group] = piece
-            first += size
+                served[group] = gathered.select(slice(a, b))
         if not served:
             return gathered
         return ColumnBlock.concat([served[group] for group in range(len(starts))])

@@ -6,6 +6,8 @@
   ``itemset_column`` oracle, bit for bit: kills, ``min_count`` 0, both sides
   of the dense crossover, products that underflow to zero, chunked kills
   and gathers, sliced and store-mapped views;
+* the compiled kill and gather against their NumPy references, and the
+  kill against the tuple candidates' bitmaps;
 * a second mine on one view served from the prefix LRU, whose entries own
   exactly the bytes they are charged.
 """
@@ -21,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro import mine
+from repro import datasets, mine
 from repro.algorithms.common import apriori_join, has_infrequent_subset
 from repro.core import kernels
 from repro.core.search import CandidateLevel, LevelwiseSearch
@@ -455,6 +457,156 @@ class TestCompiledGather:
         frozen.flags.writeable = False
         with pytest.raises(ValueError):
             kernels.gather(**{**good, "out_probs": frozen})
+
+
+@st.composite
+def kill_databases(draw):
+    """Databases of 0-200 rows (padding bits in the last byte and word), items rare to full.
+
+    ``tiny`` draws 1e-200 among the probabilities, whose products underflow
+    to zero and leave a parent column shorter than its members' AND.
+    """
+    n = draw(st.one_of(st.sampled_from([0, 1, 7, 8, 9, 63, 64, 65, 129]), st.integers(0, 200)))
+    tiny = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    values = np.array(_PROBABILITIES if tiny else _PROBABILITIES[:-1])
+    records = [{} for _ in range(n)]
+    for item in range(draw(st.integers(min_value=1, max_value=6))):
+        density = draw(st.sampled_from(_DENSITIES))
+        for row in np.flatnonzero(rng.uniform(size=n) < density).tolist():
+            records[row][item] = float(values[rng.integers(len(values))])
+    return UncertainDatabase.from_records(records), tiny
+
+
+@pytest.mark.skipif(
+    "sys.modules['repro.core.kernels'].library() is None",
+    reason="no compiled kernels (no C compiler, or --numpy-kernels)",
+)
+class TestCompiledKill:
+    """``kernels.child_counts`` against the NumPy kill and the tuple bitmaps, count for count."""
+
+    @given(gather_cases())
+    @example(
+        (
+            ColumnarView.from_columns({0: (np.array([5]), np.array([0.5]))}, 65),
+            ColumnBlock.of([columnar._EMPTY_COLUMN, (np.array([64]), np.array([0.5])), (np.array([5]), np.array([1.0]))]),
+            np.array([0, 1, 2]),
+            np.array([0, 0, 0]),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_counts_match_numpy(self, case):
+        # Empty parents at density 0, one-row ones at density .01, and
+        # rows from 1 to 300, most not a multiple of 8 or 64.
+        view, block, parents, items = case
+        counts = view._child_counts(block, parents, items)
+        assert counts.tolist() == _on_numpy(view._child_counts, block, parents, items).tolist()
+
+    @given(kill_databases(), st.sampled_from([0, 1, 2]))
+    @settings(max_examples=60, deadline=None)
+    def test_levels_of_sliced_and_mapped_views(self, drawn, min_count):
+        database, tiny = drawn
+        n = len(database)
+        with tempfile.TemporaryDirectory() as directory:
+            store = ColumnarStore.save(database, directory)
+            for view in (
+                ColumnarView(database),
+                ColumnarView(database).slice_rows(n // 3, n),
+                store.view(),
+                store.view(n // 4, n),
+            ):
+                self._assert_level_counts(view, min_count, exact=not tiny)
+
+    @staticmethod
+    def _assert_level_counts(view, min_count, exact):
+        """Every level's compiled counts: the NumPy kill's, and the tuple bitmaps' unless underflow."""
+        level = CandidateLevel.from_tuples([(item,) for item in view.items()])
+        while len(level):
+            level = apriori_join(level)
+            counts = view.level_occupancy_counts(level)
+            assert counts.tolist() == _on_numpy(view.level_occupancy_counts, level).tolist()
+            members = view.level_occupancy_counts(level.tuples())
+            assert (counts == members).all() if exact else (counts <= members).all()
+            columns = view.batch_vectors(level, min_count)
+            level = level.select(columns.positions, columns.block)
+
+    @pytest.mark.parametrize(
+        "build, algorithm, params, mapped",
+        [
+            (lambda: datasets.make_t25i15d(n_transactions=3200, seed=11), "uapriori", {"min_esup": 0.02}, False),
+            (lambda: datasets.make_accident(scale=0.01, seed=11), "dpnb", {"min_sup": 0.1, "pft": 0.9}, False),
+            (lambda: datasets.make_kosarak(scale=0.003, seed=11), "uapriori", {"min_esup": 0.003}, True),
+        ],
+        ids=["t25i15d-uapriori", "accident-dpnb", "kosarak-store-uapriori"],
+    )
+    def test_every_level_of_the_benchmark_mines(self, build, algorithm, params, mapped, tmp_path):
+        database = build()
+        if mapped:
+            database = ColumnarStore.save(database, str(tmp_path)).database()
+        levels = []
+        counts = ColumnarView.level_occupancy_counts
+
+        def checked(view, candidates):
+            compiled = counts(view, candidates)
+            if isinstance(candidates, CandidateLevel) and candidates.parents is not None:
+                levels.append(len(candidates))
+                assert compiled.tolist() == _on_numpy(counts, view, candidates).tolist()
+            return compiled
+
+        with mock.patch.object(ColumnarView, "level_occupancy_counts", checked):
+            mine(database, algorithm=algorithm, **params)
+        assert len(levels) >= 2
+
+    def test_a_stored_zero_is_counted_and_the_level_raises(self):
+        # Item 1's unit in row 90 is stored at 0.0: its bit is set, so the
+        # kill counts the row, the gather misses it, and the level raises.
+        columns = {
+            0: (np.arange(100), np.full(100, 0.5)),
+            1: (np.arange(0, 100, 10), np.array([0.5] * 9 + [0.0])),
+        }
+        view = ColumnarView.from_columns(columns, 100)
+        level = apriori_join(CandidateLevel.from_tuples([(0,), (1,)]))
+        assert view.level_occupancy_counts(level).tolist() == [10]
+        assert _on_numpy(view.level_occupancy_counts, level).tolist() == [10]
+        with pytest.raises(ValueError, match="zero probability"):
+            view.batch_vectors(level, 2)
+
+    def test_an_unsorted_span_with_a_row_out_of_range_raises_in_c(self):
+        # The wrapper checks each span's first and last row; C checks the rest.
+        rows = np.array([0, 9, 3])
+        spans = np.array([0]), np.array([3])
+        with pytest.raises(ValueError, match="outside"):
+            kernels.child_counts(rows, *spans, np.array([0]), rows, *spans, np.array([0]), 4)
+
+    def test_wrapper_refuses_bad_input_before_calling_c(self, monkeypatch):
+        class Unreachable:
+            def repro_child_counts(self, *args):
+                raise AssertionError("called C")
+
+        monkeypatch.setattr(kernels, "_library", Unreachable())
+        rows, zero, four, pair = np.arange(4), np.array([0]), np.array([4]), np.array([0, 0])
+        good = dict(
+            parent_rows=rows, parent_starts=zero, parent_ends=four, parents=pair,
+            item_rows=rows, item_starts=zero, item_ends=four, which=pair, n_rows=4,
+        )
+        bad = [
+            {"parents": np.array([0, 1])},  # a parent past the spans
+            {"parents": np.array([-1, 0])},  # a parent before them
+            {"which": np.array([0, 1])},  # an item past the spans
+            {"n_rows": 3},  # a last row past the rows
+            {"item_rows": np.array([-1, 1, 2, 3])},  # a first row before them
+            {"parent_ends": np.array([5])},  # a span past its rows
+            {"item_starts": np.array([3]), "item_ends": np.array([2])},  # reversed
+            {"item_ends": np.array([4, 4])},  # one end too many
+            {"which": np.array([0])},  # one candidate short
+            {"parent_rows": rows.astype(np.int32)},  # not int64
+            {"which": pair.astype(np.uint64)},  # not int64
+            {"item_rows": np.arange(8)[::2]},  # not contiguous
+            {"parents": np.array([[0, 0]])},  # not one-dimensional
+        ]
+        for change in bad:
+            with pytest.raises(ValueError):
+                kernels.child_counts(**{**good, **change})
 
 
 class TestPrefixReuse:
