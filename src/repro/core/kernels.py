@@ -23,9 +23,8 @@ NumPy kernel's:
   compiler's target.  Two-lane vectors (SSE2 on x86-64) take two cells
   per instruction, each lane an ordinary IEEE multiply or add, so they
   round exactly like the scalar loop.  The kill's bit counts are integer
-  work: on x86-64 a CPU that has the ``popcnt`` instruction (which the
-  baseline lacks) is detected at run time and counts with it; elsewhere
-  a portable loop counts the same bits.
+  work, done by one portable loop (no ``popcnt`` instruction, which the
+  x86-64 baseline lacks).
 
 The source is compiled on first use, never at import, with the system C
 compiler (``/usr/bin/cc``, else ``cc`` on ``PATH``; GCC or Clang, whose
@@ -300,37 +299,6 @@ static int64_t and_count(const uint64_t *a, const uint64_t *b, int64_t first, in
     return total;
 }
 
-typedef int64_t (*and_counter)(const uint64_t *, const uint64_t *, int64_t, int64_t);
-
-#if defined(__x86_64__)
-#include <cpuid.h>
-
-/* The same count by the popcnt instruction, which the x86-64 baseline
-   lacks: chosen at run time, only on a CPU that has it. */
-__attribute__((target("popcnt")))
-static int64_t and_count_popcnt(const uint64_t *a, const uint64_t *b, int64_t first,
-                                int64_t last)
-{
-    int64_t total = 0;
-    for (int64_t w = first; w <= last; w++)
-        total += __builtin_popcountll(a[w] & b[w]);
-    return total;
-}
-
-static and_counter pick_and_count(void)
-{
-    unsigned int eax, ebx, ecx, edx;
-    if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) && (ecx & bit_POPCNT))
-        return and_count_popcnt;
-    return and_count;
-}
-#else
-static and_counter pick_and_count(void)
-{
-    return and_count;
-}
-#endif
-
 /* counts[c] = the rows of parent parents[c] that item which[c] occupies.
    Parent p's rows are parent_rows[parent_starts[p] .. parent_ends[p]) and
    item i's are item_rows[item_starts[i] .. item_ends[i]).  Every item's
@@ -346,8 +314,7 @@ int64_t repro_child_counts(const int64_t *parent_rows, const int64_t *parent_sta
                            int64_t n, int64_t n_rows, uint64_t *parent_bitmap,
                            uint64_t *item_bitmaps, int64_t *counts)
 {
-    int64_t words = (n_rows + 63) >> 6, first, last;
-    and_counter count = pick_and_count();
+    int64_t words = (n_rows + 63) >> 6, first = words, last = -1;
     for (int64_t i = 0; i < n_items; i++)
         if (set_rows(item_bitmaps + i * words, item_rows, item_starts[i], item_ends[i], n_rows,
                      &first, &last))
@@ -360,7 +327,7 @@ int64_t repro_child_counts(const int64_t *parent_rows, const int64_t *parent_sta
                      &first, &last))
             return 1;
         for (; c < n && parents[c] == p; c++)
-            counts[c] = count(parent_bitmap, item_bitmaps + which[c] * words, first, last);
+            counts[c] = and_count(parent_bitmap, item_bitmaps + which[c] * words, first, last);
         for (int64_t w = first; w <= last; w++)
             parent_bitmap[w] = 0;
     }

@@ -767,6 +767,7 @@ class ColumnarView:
         parents: np.ndarray,
         items: np.ndarray,
         parent_items: Optional[np.ndarray] = None,
+        looked_up: Optional[Tuple[np.ndarray, np.ndarray, Optional[ColumnBlock]]] = None,
     ) -> np.ndarray:
         """Occupancy of ``block``'s itemset ``parents[c]`` extended by ``items[c]``.
 
@@ -782,14 +783,15 @@ class ColumnarView:
         that for the parents' rows before packing) whatever the level's
         size.  There, single-item parents (``parent_items``) take their item
         bitmaps from the per-item LRU (:meth:`item_bitmap`) instead.
+        ``looked_up`` is :meth:`_distinct_items` of ``items`` when the
+        caller has it already.
         """
         n = len(parents)
         counts = np.zeros(n, dtype=np.int64)
         if n == 0 or self._n_transactions == 0:
             return counts
-        distinct, which = np.unique(items, return_inverse=True)
-        if kernels.library() is not None:
-            spans = self._item_spans(distinct)
+        distinct, which, spans = looked_up or self._distinct_items(items)
+        if spans is not None:
             return kernels.child_counts(
                 block.rows, block.starts, block.ends, parents,
                 spans.rows, spans.starts, spans.ends, which, self._n_transactions,
@@ -1037,16 +1039,16 @@ class ColumnarView:
         (subnormal underflow) are dropped, exactly like
         :meth:`_combine_gather`.
         """
+        looked_up = self._distinct_items(items)
         if counts is None:
-            counts = self._child_counts(block, parents, items)
+            counts = self._child_counts(block, parents, items, looked_up=looked_up)
         total = int(counts.sum())
         out = ColumnBlock.compact(
             np.empty(total, dtype=np.int64), np.empty(total, dtype=np.float64), counts
         )
         starts = block.starts[parents]
-        distinct, which = np.unique(items, return_inverse=True)
-        if kernels.library() is not None:
-            spans = self._item_spans(distinct)
+        distinct, which, spans = looked_up
+        if spans is not None:
             failed = kernels.gather(
                 block.rows, block.probs, starts, block.ends[parents],
                 spans.rows, spans.probs, spans.starts[which], spans.ends[which],
@@ -1166,6 +1168,18 @@ class ColumnarView:
         if len(live) < len(hit):
             hit, parent_at, item_probs = hit[live], parent_at[live], item_probs[live]
         self._write(out, chosen, hit, rows, block.probs[parent_at] * item_probs)
+
+    def _distinct_items(
+        self, items: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, Optional[ColumnBlock]]:
+        """``items``' distinct values, each entry's index among them, and their spans.
+
+        The spans (:meth:`_item_spans`) are what the compiled kill and
+        gather read, so they are ``None`` without the compiled kernels.
+        """
+        distinct, which = np.unique(items, return_inverse=True)
+        spans = self._item_spans(distinct) if kernels.library() is not None else None
+        return distinct, which, spans
 
     def _item_spans(self, items: np.ndarray) -> ColumnBlock:
         """The columns of ``items`` (ascending) as one block, for the compiled gather.

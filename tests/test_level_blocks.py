@@ -571,6 +571,20 @@ class TestCompiledKill:
         with pytest.raises(ValueError, match="zero probability"):
             view.batch_vectors(level, 2)
 
+    def test_a_gather_without_counts_spans_its_items_once(self, monkeypatch):
+        # The kill and the merge of one gather share the items' spans, which
+        # a view without units (a row-ranged shard) builds by copying.
+        columns = {0: (np.arange(0, 40, 2), np.full(20, 0.5)), 1: (np.arange(0, 40, 3), np.full(14, 0.25))}
+        view = ColumnarView.from_columns(columns, 40)
+        block = ColumnBlock.of([columns[0], columns[1]])
+        parents, items = np.array([0, 0, 1]), np.array([0, 1, 1])
+        expected = view._gather(block, parents, items, view._child_counts(block, parents, items))
+        calls = []
+        spans = view._item_spans
+        monkeypatch.setattr(view, "_item_spans", lambda distinct: calls.append(1) or spans(distinct))
+        assert _same_block(view._gather(block, parents, items), expected)
+        assert len(calls) == 1
+
     def test_an_unsorted_span_with_a_row_out_of_range_raises_in_c(self):
         # The wrapper checks each span's first and last row; C checks the rest.
         rows = np.array([0, 9, 3])
