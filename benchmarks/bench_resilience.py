@@ -1,4 +1,4 @@
-"""Resilience benchmark: serving throughput and recovery under faults.
+"""Resilience benchmark: serving throughput under dropped connections.
 
 Boots a :class:`repro.service.MiningServer`, then measures the same
 request stream twice:
@@ -9,16 +9,11 @@ request stream twice:
   plan: every tenth reply (deterministically chosen) is eaten by an RST
   and transparently re-requested by the client's retry loop.
 
-Separately, one mine is timed with a ``worker-crash@1`` plan active —
-the pool loses a worker mid-batch, rebuilds, and resubmits — to bound
-the recovery latency of the parallel layer.
-
 Asserted contracts (the acceptance bar of the robustness PR):
 
 * every faulted-run reply is **bitwise identical** to its fault-free
   golden twin (retries never change answers),
-* throughput under the 10% fault rate stays >= 0.5x fault-free,
-* crash recovery completes within the per-request timeout ceiling.
+* throughput under the 10% fault rate stays >= 0.5x fault-free.
 
 Sizing knobs (environment): ``REPRO_RESILIENCE_BENCH_ROWS`` (default
 5000), ``REPRO_RESILIENCE_BENCH_ITEMS`` (default 16),
@@ -49,8 +44,8 @@ DEFAULT_ITEMS = 16
 DEFAULT_REQUESTS = 40
 DEFAULT_DROP_RATE = 0.1
 
-#: per-request ceiling the crash-recovery mine must come in under
-RECOVERY_TIMEOUT_SECONDS = 30.0
+#: per-request timeout of the server
+REQUEST_TIMEOUT_SECONDS = 30.0
 
 
 def _env_int(name: str, default: int) -> int:
@@ -112,7 +107,7 @@ def collect() -> Dict[str, Any]:
         _build_store(store_dir, n_rows, n_items)
 
         with MiningServer(
-            max_workers=4, max_queue=64, timeout_seconds=RECOVERY_TIMEOUT_SECONDS
+            max_workers=4, max_queue=64, timeout_seconds=REQUEST_TIMEOUT_SECONDS
         ) as server:
             host, port = server.address
             with MiningClient(
@@ -145,29 +140,6 @@ def collect() -> Dict[str, Any]:
                     "bitwise identical to its fault-free twin"
                 )
 
-            # Crash recovery: one parallel mine with a worker SIGKILLed
-            # mid-batch must finish (pool rebuild + resubmit) inside the
-            # per-request timeout ceiling.
-            with MiningClient(host, port, timeout_seconds=300.0) as client:
-                params = dict(requests[0], workers=2, shards=2)
-                started = time.perf_counter()
-                baseline_parallel = client.mine(cache=False, **params)
-                parallel_seconds = time.perf_counter() - started
-                with faults.faults_active("worker-crash=@1") as injector:
-                    started = time.perf_counter()
-                    recovered = client.mine(cache=False, **params)
-                    recovery_seconds = time.perf_counter() - started
-                    crashes_fired = injector.counters()["worker-crash"]["fired"]
-                assert recovered["itemsets"] == baseline_parallel["itemsets"], (
-                    "post-crash mine is not bitwise identical to the baseline"
-                )
-
-    assert crashes_fired >= 1, "the worker-crash site never fired"
-    assert recovery_seconds <= RECOVERY_TIMEOUT_SECONDS, (
-        f"crash recovery took {recovery_seconds:.2f}s, above the "
-        f"{RECOVERY_TIMEOUT_SECONDS:.0f}s request-timeout ceiling"
-    )
-
     fault_free_rps = len(requests) / fault_free_seconds
     faulted_rps = len(requests) / faulted_seconds
     throughput_ratio = faulted_rps / fault_free_rps
@@ -185,18 +157,14 @@ def collect() -> Dict[str, Any]:
             "min_esup_grid": MIN_ESUP_GRID,
             "drops_fired": drops_fired,
             "client_retries": retries_performed,
-            "crashes_fired": crashes_fired,
         },
         "timings": {
             "fault_free_seconds": fault_free_seconds,
             "faulted_seconds": faulted_seconds,
-            "parallel_baseline_seconds": parallel_seconds,
-            "crash_recovery_seconds": recovery_seconds,
         },
         "metrics": {
             "fault_free_throughput_rps": fault_free_rps,
             "faulted_throughput_rps": faulted_rps,
-            "recovery_timeout_ceiling_seconds": RECOVERY_TIMEOUT_SECONDS,
         },
         "speedups": {
             "faulted_vs_fault_free_throughput": throughput_ratio,

@@ -1,11 +1,7 @@
-"""Out-of-core store benchmark: dispatch payload, cold/warm mapped mining.
+"""Out-of-core store benchmark: cold/warm mapped mining, a memory-capped mine.
 
-Three claims of the memory-mapped columnar store are measured and pinned:
+Two claims of the memory-mapped columnar store are measured and pinned:
 
-* **Zero-copy fan-out** — the bytes a shard dispatch ships through the pool
-  initializer drop by >= 100x (asserted) when in-RAM shards travel as
-  shared-memory descriptors and mapped shards as ``(directory, start,
-  stop)`` store sources, instead of whole-view pickles.
 * **Mapped mining latency** — a full mine straight off the mapped planes,
   both cold (manifest open + first page faults) and warm (planes mapped,
   caches primed), against the same mine on the in-RAM columnar view, with
@@ -32,7 +28,6 @@ from __future__ import annotations
 
 import json
 import os
-import pickle
 import subprocess
 import sys
 import tempfile
@@ -95,35 +90,23 @@ def _result_signature(result) -> list:
     ]
 
 
-def _payload_bytes(shard_views) -> int:
-    from repro.core.parallel import ParallelExecutor
-
-    executor = ParallelExecutor(2, shard_views=shard_views)
-    try:
-        return executor.dispatch_payload_nbytes()
-    finally:
-        executor.close()
-
-
 def collect() -> Dict[str, Any]:
     import numpy as np
 
     from repro.db.columnar import ColumnarView
-    from repro.db.partition import ColumnarPartition
     from repro.db.store import ColumnarStore
     from repro.db import store as store_module
 
     n_rows = _env_int("REPRO_STORE_BENCH_ROWS", DEFAULT_ROWS)
     n_items = _env_int("REPRO_STORE_BENCH_ITEMS", DEFAULT_ITEMS)
-    n_shards = 4
 
     with tempfile.TemporaryDirectory(prefix="repro-store-bench-") as directory:
         started = time.perf_counter()
         store = build_synthetic_store(directory, n_rows, n_items)
         build_seconds = time.perf_counter() - started
 
-        # In-RAM twin of the mapped data: the payload baseline and the
-        # bitwise reference for the mapped mine.
+        # In-RAM twin of the mapped data: the bitwise reference for the
+        # mapped mine.
         mapped_view = store.view()
         columns = {
             item: (
@@ -133,23 +116,6 @@ def collect() -> Dict[str, Any]:
             for item in mapped_view.items()
         }
         inram_view = ColumnarView.from_columns(columns, n_rows)
-        inram_shards = ColumnarPartition(inram_view, n_shards).shards
-        mapped_shards = ColumnarPartition(mapped_view, n_shards).shards
-
-        # Baseline: the bytes of shipping the in-RAM shard views whole.
-        pickle_bytes = len(pickle.dumps(inram_shards))
-        shm_bytes = _payload_bytes(inram_shards)
-        mapped_bytes = _payload_bytes(mapped_shards)
-        shm_reduction = pickle_bytes / shm_bytes
-        mapped_reduction = pickle_bytes / mapped_bytes
-        assert shm_reduction >= 100.0, (
-            f"shared-memory dispatch payload only {shm_reduction:.1f}x smaller "
-            f"({pickle_bytes} -> {shm_bytes} bytes); contract is >= 100x"
-        )
-        assert mapped_reduction >= 100.0, (
-            f"store-descriptor dispatch payload only {mapped_reduction:.1f}x "
-            f"smaller ({pickle_bytes} -> {mapped_bytes} bytes); contract is >= 100x"
-        )
 
         # Cold open: a fresh manifest parse and first-touch page faults.
         store_module._OPEN_STORES.clear()
@@ -177,7 +143,6 @@ def collect() -> Dict[str, Any]:
             "config": {
                 "n_transactions": n_rows,
                 "n_items": n_items,
-                "n_shards": n_shards,
                 "nnz": store.nnz,
                 "store_bytes": store.data_nbytes,
                 "manifest_bytes": store.manifest_nbytes,
@@ -189,15 +154,6 @@ def collect() -> Dict[str, Any]:
                 "cold_open_mine_seconds": cold_seconds,
                 "warm_map_mine_seconds": warm_seconds,
                 "inram_mine_seconds": inram_seconds,
-            },
-            "speedups": {
-                "payload_reduction_shm": shm_reduction,
-                "payload_reduction_store": mapped_reduction,
-            },
-            "ratios": {
-                "payload_pickle_bytes": pickle_bytes,
-                "payload_shm_bytes": shm_bytes,
-                "payload_store_bytes": mapped_bytes,
             },
         }
 
@@ -218,7 +174,6 @@ def _reference_mine(view) -> Any:
             self._columnar = columnar_view
             self.vocabulary = None
             self.name = "inram-reference"
-            self._partitions = {}
 
         def __len__(self):
             return len(self._columnar)

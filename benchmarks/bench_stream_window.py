@@ -8,7 +8,7 @@ flip every ``W / k`` slides), against the ``O(W)`` (expected support) /
 from scratch.  This
 benchmark measures that claim on the dense regime the claim matters most
 for: a replayed dense stream of ``N >= 2000`` transactions (the same shape
-as the parallel and top-k benchmarks) flowing through a half-stream window.
+as the top-k benchmark) flowing through a half-stream window.
 
 Two workloads, matching the two streaming miners:
 

@@ -9,7 +9,7 @@ enough to be sure of covering the top k — and then pays for the entire
 frequent set above it.
 
 This benchmark measures that claim on the paper's dense regime (the same
-``N >= 2000``, 24-item synthetic database as the parallel and streaming
+``N >= 2000``, 24-item synthetic database as the streaming
 benchmarks), at ``k = 10``, under both rankings:
 
 * ``esup`` — Definition 2 ordering; the truncate baseline is a full

@@ -9,10 +9,9 @@ ratio, ``speedups`` — and routes its ``__main__`` through
     python benchmarks/bench_<name>.py --json [--json-dir DIR]
 
 ``--json`` writes ``BENCH_<name>.json`` (default directory:
-``benchmarks/results``).  ``benchmarks/run_all.py`` drives any subset of
-the benchmarks in this mode and folds the individual documents into a
-repo-root ``BENCH_summary.json`` so the performance trajectory of the
-repository is tracked in one machine-readable place across PRs.
+``benchmarks/results``, git-ignored).  ``benchmarks/run_all.py`` drives any
+subset of the benchmarks in this mode; CI uploads the documents it writes
+as artifacts.
 """
 
 from __future__ import annotations
@@ -68,7 +67,7 @@ def make_dense_database(
 ):
     """A dense uniform-probability database (the paper's dense regime).
 
-    The shared workload of the parallel, streaming and top-k benchmarks.
+    The shared workload of the streaming and top-k benchmarks.
     """
     from repro.db import UncertainDatabase
 

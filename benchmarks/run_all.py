@@ -1,19 +1,15 @@
-"""Benchmark trajectory driver: run bench modules in --json mode, aggregate.
+"""Benchmark driver: run bench modules in --json mode.
 
 Runs any subset of the ``bench_*.py`` modules through their uniform
-``--json`` entry points (each writes ``BENCH_<name>.json`` under
-``benchmarks/results``) and folds the documents of the benches that ran
-into one repo-root ``BENCH_summary.json`` — the machine-readable record
-future PRs diff to track performance over time.  A history point holds only
-the benches its invocation ran; a document left over from an earlier run is
-never folded into a new point.
+``--json`` entry points; each writes ``BENCH_<name>.json`` under
+``benchmarks/results`` (git-ignored: every document is a fresh run on the
+machine at hand, never a record carried between commits).
 
 Usage::
 
     PYTHONPATH=src python benchmarks/run_all.py            # quick set
     PYTHONPATH=src python benchmarks/run_all.py --all      # every benchmark
     PYTHONPATH=src python benchmarks/run_all.py --only store_fanout topk
-    PYTHONPATH=src python benchmarks/run_all.py --aggregate-only
 
 The quick set covers the micro-benchmarks with asserted floors (seconds
 each); the full set also replays every figure/table sweep (minutes at the
@@ -23,19 +19,17 @@ default ``REPRO_SCALE``).  ``--max-points`` is forwarded to the sweeps.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-from benchio import REPO_ROOT, RESULTS_DIR, SCHEMA_VERSION, environment_stamp
+from benchio import REPO_ROOT
 
 BENCH_DIR = Path(__file__).resolve().parent
 
 #: module stem -> BENCH_<name>.json stem
 BENCHES = {
-    "bench_parallel_scaling": "parallel_scaling",
     "bench_stream_window": "stream_window",
     "bench_store_fanout": "store_fanout",
     "bench_service": "service",
@@ -87,83 +81,6 @@ def run_bench(module: str, max_points: int | None) -> bool:
     return completed.returncode == 0
 
 
-def _condense(document: dict) -> dict:
-    """The trajectory-relevant slice of one benchmark document.
-
-    History points keep only the measured numbers (timings, speedups and
-    any asserted ratios); the full latest documents — configs included —
-    live under the summary's ``benches`` key.
-    """
-    return {
-        key: document[key]
-        for key in ("timings", "speedups", "ratios", "metrics")
-        if key in document
-    }
-
-
-def _documents(names) -> dict:
-    """The ``BENCH_<name>.json`` documents of ``names`` that exist."""
-    documents = {}
-    for name in names:
-        path = RESULTS_DIR / f"BENCH_{name}.json"
-        if path.exists():
-            documents[name] = json.loads(path.read_text())
-    return documents
-
-
-def aggregate(
-    summary_path: Path, ran: list | None, max_points: int | None = None
-) -> int:
-    """Fold the documents of the benches that ran into the summary.
-
-    ``ran`` lists the short names of the benches this invocation ran
-    successfully; their documents replace the latest ones under ``benches``
-    and form one condensed point *appended* under ``history`` with a
-    monotonically increasing ``run`` index.  ``ran=None`` (aggregate-only)
-    refreshes ``benches`` from every known bench's document on disk and
-    appends no point.  Entries of benches no longer in :data:`BENCHES` are
-    dropped.  ``max_points`` (the ``--max-history`` flag — distinct from
-    ``--max-points``, which truncates the *sweeps*) trims the history to its
-    most recent points.
-    """
-    known = set(BENCHES.values())
-    benches, history = {}, []
-    if summary_path.exists():
-        try:
-            previous = json.loads(summary_path.read_text())
-            benches = dict(previous.get("benches", {}))
-            history = list(previous.get("history", []))
-        except (json.JSONDecodeError, AttributeError):
-            benches, history = {}, []
-    benches = {name: doc for name, doc in benches.items() if name in known}
-    fresh = _documents(sorted(known) if ran is None else ran)
-    benches.update(fresh)
-    if ran is not None:
-        last_run = max((int(point.get("run", 0)) for point in history), default=0)
-        history.append(
-            {
-                "run": last_run + 1,
-                "environment": environment_stamp(),
-                "benches": {name: _condense(doc) for name, doc in fresh.items()},
-            }
-        )
-    if max_points is not None and max_points > 0:
-        history = history[-max_points:]
-    summary = {
-        "schema": SCHEMA_VERSION,
-        "environment": environment_stamp(),
-        "n_benches": len(benches),
-        "benches": benches,
-        "history": history,
-    }
-    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    print(
-        f"folded {len(fresh)} benchmark documents into {summary_path} "
-        f"({len(history)} history points retained)"
-    )
-    return len(fresh)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="run_all")
     parser.add_argument("--all", action="store_true", help="run every benchmark")
@@ -175,49 +92,23 @@ def main(argv=None) -> int:
         help="run only these benches (module stem or short name)",
     )
     parser.add_argument(
-        "--aggregate-only",
-        action="store_true",
-        help="skip running; only refresh the latest documents from BENCH_*.json",
-    )
-    parser.add_argument(
         "--max-points", type=int, default=None, help="truncate sweeps (quick mode)"
-    )
-    parser.add_argument(
-        "--max-history",
-        type=int,
-        default=50,
-        help="retain at most this many trajectory points in the summary history",
-    )
-    parser.add_argument(
-        "--summary",
-        default=str(REPO_ROOT / "BENCH_summary.json"),
-        help="summary path (default: repo-root BENCH_summary.json)",
     )
     args = parser.parse_args(argv)
 
-    failures = []
-    ran = None
-    if not args.aggregate_only:
-        if args.only:
-            by_short = {short: module for module, short in BENCHES.items()}
-            selected = []
-            for name in args.only:
-                module = name if name in BENCHES else by_short.get(name)
-                if module is None:
-                    parser.error(f"unknown benchmark {name!r}")
-                selected.append(module)
-        elif args.all:
-            selected = list(BENCHES)
-        else:
-            selected = list(QUICK)
-        ran = []
-        for module in selected:
-            if run_bench(module, args.max_points):
-                ran.append(BENCHES[module])
-            else:
-                failures.append(module)
-
-    aggregate(Path(args.summary), ran, args.max_history)
+    if args.only:
+        by_short = {short: module for module, short in BENCHES.items()}
+        selected = []
+        for name in args.only:
+            module = name if name in BENCHES else by_short.get(name)
+            if module is None:
+                parser.error(f"unknown benchmark {name!r}")
+            selected.append(module)
+    elif args.all:
+        selected = list(BENCHES)
+    else:
+        selected = list(QUICK)
+    failures = [module for module in selected if not run_bench(module, args.max_points)]
     if failures:
         print(f"FAILED: {', '.join(failures)}")
         return 1

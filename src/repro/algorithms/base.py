@@ -24,7 +24,6 @@ from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from typing import Any, Mapping, Optional, Union
 
-from ..core.parallel import ParallelExecutor, resolve_shards, resolve_workers
 from ..core.results import MiningResult, MiningStatistics
 from ..core.search import LevelwiseSearch, MinerSpec
 from ..core.thresholds import ExpectedSupportThreshold, ProbabilisticThreshold
@@ -42,23 +41,10 @@ class MinerBase(ABC):
     track_memory:
         When True the run records its peak Python-heap allocation in the
         result statistics (used by the memory-cost experiments).
-        ``tracemalloc`` observes the coordinator process only: with
-        ``workers > 1`` the allocations made inside pool workers (chunked DP
-        matrices, per-shard vectors) are not counted, so memory experiments
-        should be run with the default single-process configuration.
-    workers:
-        Worker-process count for the partition-parallel engine.  ``None``
-        resolves the plan's ``workers`` knob (default 1); ``0`` means one
-        worker per available CPU.  Results are byte-identical for every worker count.
-    shards:
-        Row-shard count for the columnar view.  ``None`` resolves the
-        plan's ``shards`` knob and falls back to the worker count, so raising
-        ``workers`` automatically engages the partitioned path.
     plan:
         An :class:`~repro.plan.ExecutionPlan` (or a plan-spec string /
         mapping — see :func:`repro.plan.ensure_plan`) carrying any subset
-        of the tuning knobs.  Explicit ``workers``/``shards`` arguments
-        still win; the plan fills the rest at the scope tier.
+        of the tuning knobs, at the scope tier.
         The materialized configuration is pinned for the whole run
         (exposed afterwards as :attr:`plan`).
     """
@@ -69,18 +55,10 @@ class MinerBase(ABC):
     def __init__(
         self,
         track_memory: bool = False,
-        workers: Optional[int] = None,
-        shards: Optional[int] = None,
         plan: Union[None, str, Mapping[str, Any], ExecutionPlan] = None,
     ) -> None:
         self.track_memory = track_memory
         self.plan_request = ensure_plan(plan)
-        self._explicit_knobs = {"workers": workers, "shards": shards}
-        # Eager resolution keeps the attributes meaningful before mine();
-        # mine() re-materializes them, so later environment changes apply.
-        with plan_scope(self.plan_request):
-            self.workers = resolve_workers(workers)
-            self.shards = resolve_shards(shards, self.workers)
         #: the fully-materialized plan of the latest run (set by mine())
         self.plan: Optional[ExecutionPlan] = None
 
@@ -88,41 +66,23 @@ class MinerBase(ABC):
     def _planned(self):
         """Materialize and pin this run's :class:`ExecutionPlan`.
 
-        Every knob is resolved once, up front (explicit constructor
-        arguments > the constructor's plan > ``REPRO_PLAN`` > default) —
-        then the complete plan is pinned with :func:`~repro.plan.plan_scope`
-        for the duration of the mine, so every downstream consumer
-        (SupportEngine, the columnar kernels, the parallel executor) sees
-        one immutable configuration, immune to concurrent environment
+        Every knob is resolved once, up front (the constructor's plan >
+        ``REPRO_PLAN`` > default) — then the complete plan is pinned with
+        :func:`~repro.plan.plan_scope` for the duration of the mine, so
+        every downstream consumer (SupportEngine, the columnar kernels)
+        sees one immutable configuration, immune to concurrent environment
         changes or other threads' scopes.
         """
-        plan = materialize_plan(self.plan_request, explicit=self._explicit_knobs)
+        plan = materialize_plan(self.plan_request)
         self.plan = plan
-        self.workers = plan.workers
-        self.shards = plan.shards
         with plan_scope(plan):
             yield plan
 
     def _new_statistics(self) -> MiningStatistics:
         statistics = MiningStatistics(algorithm=self.name)
-        statistics.notes["workers"] = float(self.workers)
-        statistics.notes["shards"] = float(self.shards)
         if self.plan is not None:
             statistics.notes["conv_span"] = float(self.plan.conv_span)
         return statistics
-
-    def _open_executor(self, database: UncertainDatabase) -> ParallelExecutor:
-        """Build this run's executor, sharding the database when requested.
-
-        Shard views are attached only with ``shards > 1``; otherwise the
-        executor still distributes candidate chunks (the exact tails) when
-        ``workers > 1``.  Callers must ``close()`` the executor (or use it
-        as a context manager) so worker pools never outlive the run.
-        """
-        shard_views = None
-        if self.shards > 1 and len(database) > 0:
-            shard_views = database.partition(self.shards).shards
-        return ParallelExecutor(self.workers, shard_views=shard_views)
 
     def _run_search(self, database: UncertainDatabase, threshold: Any) -> MiningResult:
         """Build this miner's spec and execute it under the pinned plan."""

@@ -15,11 +15,10 @@ from __future__ import annotations
 import time
 import tracemalloc
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from ..core.parallel import ParallelExecutor
 from ..core.results import MiningStatistics
 from ..core.search import CandidateLevel, ScoredLevel
 from ..core.support import SupportEngine
@@ -217,52 +216,36 @@ def trim_transactions(
 
 
 def make_candidate_source(
-    database: UncertainDatabase, executor: Optional[ParallelExecutor] = None
+    database: UncertainDatabase,
 ) -> Callable[[Sequence[Tuple[int, ...]], float], List[np.ndarray]]:
     """The level evaluator of a run: ``(candidates, min_count) -> vectors``.
 
-    Unsharded runs evaluate through the database's columnar view
-    (:meth:`~repro.db.columnar.ColumnarView.batch_vectors`), sharded ones
-    through the executor's per-shard fan-out
-    (:meth:`~repro.core.parallel.ParallelExecutor.shard_vectors`) — same
-    vectors, bit for bit.  ``min_count`` is the caller's sound stage-1 kill
-    threshold: a candidate with fewer supporting rows may come back as an
-    empty vector, because the caller's decision rule already rejects it
-    (``esup <= count`` for Definition 2; ``Pr[sup >= minsup] = 0`` for
-    Definition 4).  Pass ``0`` when every score matters.
+    Candidates evaluate through the database's columnar view
+    (:meth:`~repro.db.columnar.ColumnarView.batch_vectors`).  ``min_count``
+    is the caller's sound stage-1 kill threshold: a candidate with fewer
+    supporting rows may come back as an empty vector, because the caller's
+    decision rule already rejects it (``esup <= count`` for Definition 2;
+    ``Pr[sup >= minsup] = 0`` for Definition 4).  Pass ``0`` when every
+    score matters.
     """
-    if executor is not None and executor.n_shards > 1:
-        return executor.shard_vectors
     return database.columnar().batch_vectors
 
 
 def make_level_source(
-    database: UncertainDatabase, executor: Optional[ParallelExecutor] = None
+    database: UncertainDatabase,
 ) -> Callable[[CandidateLevel, float], ScoredLevel]:
     """The levelwise loop's ``level(candidates, kill) -> ScoredLevel``.
 
-    Unsharded runs evaluate the level through the columnar view
+    The level evaluates through the columnar view
     (:meth:`~repro.db.columnar.ColumnarView.batch_vectors`): the
     statistics cover only the candidates that survive the occupancy kill,
-    and carry their column block to the next level.  Sharded runs hand the
-    level's tuples to the executor's fan-out (:func:`make_candidate_source`),
-    which returns one vector per candidate — empty for the killed ones —
-    and no block.  The executor rides on the engine to the survivor
-    batch's exact tails.
+    and carry their column block to the next level.
     """
-    if executor is not None and executor.n_shards > 1:
-
-        def sharded(level: CandidateLevel, kill: float) -> ScoredLevel:
-            vectors = executor.shard_vectors(level.tuples(), kill)
-            engine = SupportEngine(vectors, executor=executor)
-            return ScoredLevel(level, engine, np.arange(len(level)))
-
-        return sharded
     view = database.columnar()
 
     def columnar(level: CandidateLevel, kill: float) -> ScoredLevel:
         columns = view.batch_vectors(level, kill)
-        engine = SupportEngine(columns.block.vectors(), executor=executor)
+        engine = SupportEngine(columns.block.vectors())
         return ScoredLevel(level, engine, columns.positions, columns.block)
 
     return columnar

@@ -10,7 +10,6 @@ configurations: ``dcb`` (with Chernoff-bound pruning) and ``dcnb`` (without).
 
 from __future__ import annotations
 
-from typing import Optional
 
 import numpy as np
 
@@ -42,16 +41,12 @@ class DCMiner(ProbabilisticAprioriMiner):
         use_pruning: bool = True,
         item_prefilter: bool = True,
         track_memory: bool = False,
-        workers: Optional[int] = None,
-        shards: Optional[int] = None,
         plan=None,
     ) -> None:
         super().__init__(
             use_pruning=use_pruning,
             item_prefilter=item_prefilter,
             track_memory=track_memory,
-            workers=workers,
-            shards=shards,
             plan=plan,
         )
         self.name = "dcb" if use_pruning else "dcnb"

@@ -10,7 +10,6 @@ paper's experiments: ``dpb`` (with Chernoff-bound pruning) and ``dpnb``
 
 from __future__ import annotations
 
-from typing import Optional
 
 import numpy as np
 
@@ -38,16 +37,12 @@ class DPMiner(ProbabilisticAprioriMiner):
         use_pruning: bool = True,
         item_prefilter: bool = True,
         track_memory: bool = False,
-        workers: Optional[int] = None,
-        shards: Optional[int] = None,
         plan=None,
     ) -> None:
         super().__init__(
             use_pruning=use_pruning,
             item_prefilter=item_prefilter,
             track_memory=track_memory,
-            workers=workers,
-            shards=shards,
             plan=plan,
         )
         self.name = "dpb" if use_pruning else "dpnb"

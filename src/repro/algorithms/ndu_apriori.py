@@ -12,7 +12,6 @@ definitions can be unified.
 
 from __future__ import annotations
 
-from typing import Optional
 
 import numpy as np
 
@@ -38,16 +37,12 @@ class NDUApriori(ProbabilisticAprioriMiner):
         use_pruning: bool = False,
         item_prefilter: bool = True,
         track_memory: bool = False,
-        workers: Optional[int] = None,
-        shards: Optional[int] = None,
         plan=None,
     ) -> None:
         super().__init__(
             use_pruning=use_pruning,
             item_prefilter=item_prefilter,
             track_memory=track_memory,
-            workers=workers,
-            shards=shards,
             plan=plan,
         )
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from statistics import NormalDist
-from typing import Optional
 
 from ..core.results import FrequentItemset
 from ..core.search import MinerSpec, SearchContext
@@ -41,14 +40,10 @@ class NDUHMine(ProbabilisticMiner):
     def __init__(
         self,
         track_memory: bool = False,
-        workers: Optional[int] = None,
-        shards: Optional[int] = None,
         plan=None,
     ) -> None:
         super().__init__(
             track_memory=track_memory,
-            workers=workers,
-            shards=shards,
             plan=plan,
         )
 

@@ -43,14 +43,10 @@ class PDUApriori(ProbabilisticMiner):
         self,
         report_probabilities: bool = False,
         track_memory: bool = False,
-        workers: Optional[int] = None,
-        shards: Optional[int] = None,
         plan=None,
     ) -> None:
         super().__init__(
             track_memory=track_memory,
-            workers=workers,
-            shards=shards,
             plan=plan,
         )
         self.report_probabilities = report_probabilities

@@ -22,7 +22,6 @@ rides on the vectorized moments).
 from __future__ import annotations
 
 from abc import abstractmethod
-from typing import Optional
 
 import numpy as np
 
@@ -50,10 +49,6 @@ class ProbabilisticAprioriMiner(ProbabilisticMiner):
         probability of such an item is necessarily below ``pft`` by Markov's
         inequality) keeps the scaled-down benchmark runs honest without
         changing results; it can be disabled for strict faithfulness.
-    workers, shards:
-        Partition-parallel knobs; see :class:`MinerBase`.  Shards evaluate
-        the level's probability vectors in parallel; workers additionally
-        split the exact tail evaluation into candidate chunks.
     """
 
     #: whether the evaluator returns exact probabilities (drives statistics only)
@@ -64,14 +59,10 @@ class ProbabilisticAprioriMiner(ProbabilisticMiner):
         use_pruning: bool = True,
         item_prefilter: bool = True,
         track_memory: bool = False,
-        workers: Optional[int] = None,
-        shards: Optional[int] = None,
         plan=None,
     ) -> None:
         super().__init__(
             track_memory=track_memory,
-            workers=workers,
-            shards=shards,
             plan=plan,
         )
         self.use_pruning = use_pruning

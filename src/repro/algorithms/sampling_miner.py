@@ -65,19 +65,9 @@ class WorldSamplingMiner(ProbabilisticMiner):
         seed: int = 0,
         slack: float = 0.05,
         track_memory: bool = False,
-        workers: Optional[int] = None,
-        shards: Optional[int] = None,
         plan=None,
     ) -> None:
-        # workers/shards are accepted for interface uniformity; the sampler
-        # stays serial because its single random stream is part of the
-        # deterministic contract (identical estimates for a given seed).
-        super().__init__(
-            track_memory=track_memory,
-            workers=workers,
-            shards=shards,
-            plan=plan,
-        )
+        super().__init__(track_memory=track_memory, plan=plan)
         if n_worlds <= 0:
             raise ValueError("n_worlds must be positive")
         if not 0.0 <= slack < 1.0:
@@ -208,9 +198,6 @@ class WorldSamplingMiner(ProbabilisticMiner):
             kernel=_WorldKernel(self),
             item_prefilter=self._expansion_bar,
             seed_mode="evaluate",
-            # The sampler stays serial: its single random stream is part of
-            # the deterministic contract (identical estimates for a seed).
-            uses_executor=False,
         )
 
 

@@ -4,9 +4,7 @@
 :func:`repro.core.topk.run_topk_search` over the same batched evaluation
 substrate the threshold miners use — the level evaluator of
 :func:`~repro.algorithms.common.make_candidate_source` feeding a
-:class:`~repro.core.support.SupportEngine` (columnar vectors, per-shard
-fan-out through the :class:`~repro.core.parallel.ParallelExecutor`
-when sharded, candidate-chunked exact tails when workers are attached).
+:class:`~repro.core.support.SupportEngine` over columnar vectors.
 Scores therefore come out bitwise identical to the corresponding threshold
 miner's, which is what pins ``mine_topk(k)`` byte-identical to
 mine-everything-then-truncate.
@@ -63,7 +61,7 @@ class TopKMiner(MinerBase):
         Also report support variances under the expected-support ranking
         (probability evaluators always carry them, as their threshold
         counterparts do).
-    workers, shards, track_memory:
+    track_memory, plan:
         As for every miner; see :class:`~repro.algorithms.base.MinerBase`.
     """
 
@@ -75,16 +73,9 @@ class TopKMiner(MinerBase):
         use_pruning: bool = True,
         track_variance: bool = False,
         track_memory: bool = False,
-        workers: Optional[int] = None,
-        shards: Optional[int] = None,
         plan=None,
     ) -> None:
-        super().__init__(
-            track_memory=track_memory,
-            workers=workers,
-            shards=shards,
-            plan=plan,
-        )
+        super().__init__(track_memory=track_memory, plan=plan)
         self.evaluator = resolve_evaluator(evaluator)
         self.ranking = EVALUATOR_RANKINGS[self.evaluator]
         self.use_pruning = use_pruning

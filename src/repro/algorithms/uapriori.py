@@ -23,7 +23,6 @@ space stays small.
 
 from __future__ import annotations
 
-from typing import Optional
 
 from ..core.search import ExpectedSupportKernel, MinerSpec
 from .base import ExpectedSupportMiner
@@ -42,7 +41,7 @@ class UApriori(ExpectedSupportMiner):
         approximation miners).
     track_memory:
         Record peak heap allocation in the result statistics.
-    workers, shards, plan:
+    plan:
         Execution knobs; see :class:`MinerBase`.
     """
 
@@ -52,16 +51,9 @@ class UApriori(ExpectedSupportMiner):
         self,
         track_variance: bool = False,
         track_memory: bool = False,
-        workers: Optional[int] = None,
-        shards: Optional[int] = None,
         plan=None,
     ) -> None:
-        super().__init__(
-            track_memory=track_memory,
-            workers=workers,
-            shards=shards,
-            plan=plan,
-        )
+        super().__init__(track_memory=track_memory, plan=plan)
         self.track_variance = track_variance
 
     def spec(self, threshold) -> MinerSpec:

@@ -153,14 +153,10 @@ class UFPGrowth(ExpectedSupportMiner):
         probability_precision: Optional[int] = None,
         track_variance: bool = False,
         track_memory: bool = False,
-        workers: Optional[int] = None,
-        shards: Optional[int] = None,
         plan=None,
     ) -> None:
         super().__init__(
             track_memory=track_memory,
-            workers=workers,
-            shards=shards,
             plan=plan,
         )
         if probability_precision is not None and probability_precision < 1:
@@ -195,7 +191,6 @@ class UFPGrowth(ExpectedSupportMiner):
         self,
         database: UncertainDatabase,
         frequent_items: Dict[int, Tuple[float, float]],
-        executor=None,
     ) -> UFPTree:
         order = {
             item: rank
@@ -204,21 +199,7 @@ class UFPGrowth(ExpectedSupportMiner):
             )
         }
         tree = UFPTree(order)
-        # Shard-parallel projection: each shard returns its rows' rank-ordered
-        # unit lists; the concatenation in shard order is exactly the serial
-        # projection, so the tree inserts (which stay sequential — the tree
-        # is one shared structure) see identical input either way.
-        if executor is not None and executor.n_shards > 1:
-            rows_in_order = [
-                units
-                for shard_units in executor.map_shard_method(
-                    "rows_as_ordered_units", order
-                )
-                for units in shard_units
-            ]
-        else:
-            rows_in_order = database.columnar().rows_as_ordered_units(order)
-        for units in rows_in_order:
+        for units in database.columnar().rows_as_ordered_units(order):
             if not units:
                 continue
             if self.probability_precision is not None:
@@ -321,7 +302,7 @@ class UFPGrowth(ExpectedSupportMiner):
         """
         if not ctx.seed_items:
             return
-        tree = self._build_global_tree(ctx.database, ctx.seed_items, ctx.executor)
+        tree = self._build_global_tree(ctx.database, ctx.seed_items)
         ctx.statistics.database_scans += 1  # the tree-construction pass
         ctx.statistics.notes["global_tree_nodes"] = float(tree.node_count)
         self._mine_tree(

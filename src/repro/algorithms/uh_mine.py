@@ -24,7 +24,7 @@ same expander under its Normal-approximation spec.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -176,11 +176,6 @@ class UHMine(ExpectedSupportMiner):
         This is the hook the paper's NDUH-Mine proposal relies on: variance
         costs one extra multiply-add per visited cell, keeping the O(N)
         per-itemset complexity intact.
-    workers, shards:
-        Partition-parallel knobs (see :class:`MinerBase`).  They do not
-        change how UH-Mine runs: the UH-Struct is built once from the whole
-        database's columns in every layout, and the depth-first search
-        walks that one in-memory structure sequentially.
     """
 
     name = "uh-mine"
@@ -189,16 +184,9 @@ class UHMine(ExpectedSupportMiner):
         self,
         track_variance: bool = False,
         track_memory: bool = False,
-        workers: Optional[int] = None,
-        shards: Optional[int] = None,
         plan=None,
     ) -> None:
-        super().__init__(
-            track_memory=track_memory,
-            workers=workers,
-            shards=shards,
-            plan=plan,
-        )
+        super().__init__(track_memory=track_memory, plan=plan)
         self.track_variance = track_variance
 
     def spec(self, threshold) -> MinerSpec:

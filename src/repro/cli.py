@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     mine_parser.add_argument("--min-sup", type=float, default=None, help="minimum support")
     mine_parser.add_argument("--pft", type=float, default=0.9, help="probabilistic frequent threshold")
     mine_parser.add_argument("--limit", type=int, default=20, help="print at most this many itemsets")
-    _add_parallel_arguments(mine_parser)
+    _add_plan_argument(mine_parser)
 
     topk_parser = subparsers.add_parser(
         "mine-topk", help="mine the k highest-ranked itemsets of one dataset"
@@ -128,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
             "truncate to k, and check the two results agree"
         ),
     )
-    _add_parallel_arguments(topk_parser)
+    _add_plan_argument(topk_parser)
 
     experiment_parser = subparsers.add_parser(
         "experiment", help="run one of the paper's experiment scenarios"
@@ -142,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiment_parser.add_argument(
         "--max-points", type=int, default=None, help="truncate each sweep to this many points"
     )
-    _add_parallel_arguments(experiment_parser)
+    _add_plan_argument(experiment_parser)
 
     stream_parser = subparsers.add_parser(
         "stream-mine",
@@ -173,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="batch-mine every window from scratch and check the frequent sets agree",
     )
-    _add_parallel_arguments(stream_parser)
+    _add_plan_argument(stream_parser)
 
     store_parser = subparsers.add_parser(
         "store-build",
@@ -268,34 +268,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_parallel_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help=(
-            "worker processes for the partition-parallel engine "
-            "(default: the plan's workers knob, 1; 0 = one per CPU)"
-        ),
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help=(
-            "row shards of the columnar view "
-            "(default: the plan's shards knob, else the worker count)"
-        ),
-    )
+def _add_plan_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--plan",
         default=None,
         metavar="SPEC",
         help=(
             "execution plan: a comma-separated knob spec such as "
-            "'workers=4,conv_span=256' "
-            "(default: REPRO_PLAN; --workers/--shards stay the "
-            "strongest tier, and a knob named in --plan beats REPRO_PLAN)"
+            "'conv_span=256' (default: REPRO_PLAN; a knob named in --plan "
+            "beats REPRO_PLAN)"
         ),
     )
 
@@ -330,8 +311,6 @@ def _command_mine(args: argparse.Namespace) -> int:
             database,
             algorithm=args.algorithm,
             min_esup=threshold,
-            workers=args.workers,
-            shards=args.shards,
             plan=args.plan,
         )
     else:
@@ -341,8 +320,6 @@ def _command_mine(args: argparse.Namespace) -> int:
             algorithm=args.algorithm,
             min_sup=threshold,
             pft=args.pft,
-            workers=args.workers,
-            shards=args.shards,
             plan=args.plan,
         )
 
@@ -385,8 +362,6 @@ def _command_mine_topk(args: argparse.Namespace) -> int:
         args.k,
         algorithm=args.algorithm,
         min_sup=min_sup,
-        workers=args.workers,
-        shards=args.shards,
         plan=args.plan,
     )
     statistics = result.statistics
@@ -413,8 +388,6 @@ def _command_mine_topk(args: argparse.Namespace) -> int:
             evaluator,
             min_sup=min_sup,
             reference=result,
-            workers=args.workers,
-            shards=args.shards,
             plan=args.plan,
         )
         matches = result.ranked_keys() == baseline.ranked_keys()
@@ -435,8 +408,6 @@ def _command_experiment(args: argparse.Namespace) -> int:
                 spec,
                 verify=True,
                 max_points=args.max_points,
-                workers=args.workers,
-                shards=args.shards,
                 plan=args.plan,
             )
             rows = [point.as_dict() for point in points]
@@ -473,8 +444,6 @@ def _command_experiment(args: argparse.Namespace) -> int:
             points = runner.run_accuracy_experiment(
                 spec,
                 max_points=args.max_points,
-                workers=args.workers,
-                shards=args.shards,
                 plan=args.plan,
             )
             print(reporting.format_accuracy_table(points))
@@ -482,8 +451,6 @@ def _command_experiment(args: argparse.Namespace) -> int:
             points = runner.run_experiment(
                 spec,
                 max_points=args.max_points,
-                workers=args.workers,
-                shards=args.shards,
                 plan=args.plan,
             )
             print(reporting.format_sweep_table(points))
@@ -530,8 +497,6 @@ def _command_stream_mine(args: argparse.Namespace) -> int:
             batch = mine(
                 miner.window.contents(),
                 algorithm=batch_algorithm,
-                workers=args.workers,
-                shards=args.shards,
                 plan=args.plan,
                 **batch_kwargs,
             )

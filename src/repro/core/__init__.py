@@ -2,7 +2,6 @@
 
 from .itemset import Itemset
 from .miner import mine
-from .parallel import ParallelExecutor, resolve_shards, resolve_workers
 from .registry import (
     AlgorithmInfo,
     algorithm_names,
@@ -43,7 +42,6 @@ __all__ = [
     "Itemset",
     "MiningResult",
     "MiningStatistics",
-    "ParallelExecutor",
     "ProbabilisticThreshold",
     "SupportDistribution",
     "SupportEngine",
@@ -69,6 +67,4 @@ __all__ = [
     "poisson_lambda_for_threshold",
     "poisson_tail_probability",
     "register_algorithm",
-    "resolve_shards",
-    "resolve_workers",
 ]

@@ -51,9 +51,7 @@ def mine(
     options:
         Extra keyword arguments forwarded to the algorithm constructor
         (e.g. ``use_pruning=False`` for the exact miners,
-        ``track_memory=True`` for any miner, or ``workers=4`` /
-        ``shards=4`` to engage the partition-parallel
-        engine — results are byte-identical for every setting).
+        ``track_memory=True`` or ``plan="conv_span=64"`` for any miner).
 
     Returns
     -------

@@ -37,8 +37,8 @@ only threshold scorers, and :func:`repro.core.topk.topk_scorer` the only
 top-k scorer, batch or streaming.
 
 Everything the engine does is held to the bitwise contract pinned by
-``tests/test_search_engine.py``: for every miner x (workers, shards)
-configuration the results are byte-identical to the checked-in goldens.
+``tests/test_search_engine.py``: for every miner the results are
+byte-identical to the checked-in goldens.
 
 The compiled kernels (:mod:`repro.core.kernels`) sit below
 :class:`~repro.core.support.SupportEngine`, inside the exact-tail
@@ -171,17 +171,16 @@ class ScoredLevel:
         return self.candidates.select(self.positions[rows], columns)
 
 
-def engine_level(source: Callable, executor: Any = None) -> Callable:
+def engine_level(source: Callable) -> Callable:
     """The batch ``level(candidates, kill)`` callable over a tuple source.
 
     ``source`` is :func:`~repro.algorithms.common.make_candidate_source`'s
     evaluator of an arbitrary candidate list (the top-k search's
-    children); ``kill`` is its stage-1 kill threshold.  The executor rides
-    on the engine to the survivor batch's exact tails.
+    children); ``kill`` is its stage-1 kill threshold.
     """
 
     def level(candidates: Sequence[Candidate], kill: float) -> SupportEngine:
-        return SupportEngine(source(candidates, min_count=kill), executor=executor)
+        return SupportEngine(source(candidates, min_count=kill))
 
     return level
 
@@ -254,9 +253,6 @@ class MinerSpec:
     finalize:
         ``callable(ctx) -> None`` run after the search (post-filters,
         run-level notes).
-    uses_executor:
-        Whether the run opens the partition-parallel executor.  The
-        deliberately-serial sampling miner leaves it off.
     """
 
     name: str
@@ -273,7 +269,6 @@ class MinerSpec:
     ] = None
     expander: Optional[Callable[["SearchContext"], None]] = None
     finalize: Optional[Callable[["SearchContext"], None]] = None
-    uses_executor: bool = True
 
     def __post_init__(self) -> None:
         if self.definition not in _DEFINITIONS:
@@ -292,7 +287,6 @@ class SearchContext:
     database: Any
     spec: MinerSpec
     statistics: MiningStatistics
-    executor: Any = None
     n_transactions: int = 0
     #: ``{item: (expected_support, variance)}`` from the opening scan
     item_stats: Dict[int, Tuple[float, float]] = field(default_factory=dict)
@@ -496,30 +490,23 @@ class LevelwiseSearch:
         statistics = miner._new_statistics()
         statistics.algorithm = spec.name
         with common.instrumented_run(statistics, miner.track_memory):
-            executor_scope = (
-                miner._open_executor(database)
-                if spec.uses_executor
-                else _NullExecutorScope()
+            ctx = SearchContext(
+                database=database,
+                spec=spec,
+                statistics=statistics,
+                n_transactions=len(database),
+                level=common.make_level_source(database),
             )
-            with executor_scope as executor:
-                ctx = SearchContext(
-                    database=database,
-                    spec=spec,
-                    statistics=statistics,
-                    executor=executor,
-                    n_transactions=len(database),
-                    level=common.make_level_source(database, executor=executor),
-                )
-                self._prepare(ctx)
-                if spec.kernel is not None:
-                    spec.kernel.begin(ctx)
-                seed_level = self._seed(ctx)
-                if spec.expander is not None:
-                    spec.expander(ctx)
-                else:
-                    self._drive_levels(ctx, seed_level)
-                if spec.finalize is not None:
-                    spec.finalize(ctx)
+            self._prepare(ctx)
+            if spec.kernel is not None:
+                spec.kernel.begin(ctx)
+            seed_level = self._seed(ctx)
+            if spec.expander is not None:
+                spec.expander(ctx)
+            else:
+                self._drive_levels(ctx, seed_level)
+            if spec.finalize is not None:
+                spec.finalize(ctx)
         return MiningResult(ctx.records, statistics)
 
     def _require_miner(self) -> Any:
@@ -530,10 +517,6 @@ class LevelwiseSearch:
     def _prepare(self, ctx: SearchContext) -> None:
         """Resolve thresholds, scan item statistics, apply the prefilter."""
         spec = ctx.spec
-        # Item statistics always come from the unpartitioned view: the
-        # full-column reductions are cheap, and reusing them keeps the
-        # frequent-1-item decisions byte-identical for every (workers,
-        # shards) configuration.
         ctx.item_stats = _common().item_statistics(ctx.database)
         ctx.statistics.database_scans += 1
         self.resolve_thresholds(ctx)
@@ -598,7 +581,7 @@ class LevelwiseSearch:
         """The floor-driven best-first ranked search, on the same substrate.
 
         The driver owns the prologue — item statistics, universe, level
-        statistics, executor — and the accounting, exactly as for
+        statistics — and the accounting, exactly as for
         threshold mining; :func:`~repro.core.topk.topk_scorer` scores each
         expanded node's children under the miner's evaluator.
         """
@@ -608,19 +591,14 @@ class LevelwiseSearch:
         common = _common()
         statistics = miner._new_statistics()
         statistics.algorithm = self.spec.name
-        with common.instrumented_run(statistics, miner.track_memory), (
-            miner._open_executor(database)
-        ) as executor:
+        with common.instrumented_run(statistics, miner.track_memory):
             stats_by_item = common.item_statistics(database)
             statistics.database_scans += 1
             universe = sorted(
                 item for item, stats in stats_by_item.items() if stats[0] > 0.0
             )
             evaluate = topk_scorer(
-                engine_level(
-                    common.make_candidate_source(database, executor=executor),
-                    executor,
-                ),
+                engine_level(common.make_candidate_source(database)),
                 miner.evaluator,
                 min_count,
                 statistics,
@@ -641,12 +619,3 @@ class LevelwiseSearch:
             records, k, miner.ranking, min_count=min_count, statistics=statistics
         )
 
-
-class _NullExecutorScope:
-    """Context manager yielding no executor (specs with ``uses_executor=False``)."""
-
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc_info):
-        return False

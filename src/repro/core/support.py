@@ -21,15 +21,12 @@ the module-level functions expose the raw numerics for reuse and testing.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..plan.spec import resolve_knob
 from . import kernels
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .parallel import ParallelExecutor
 
 __all__ = [
     "SupportDistribution",
@@ -300,7 +297,7 @@ def _dc_pmfs(
     to non-negative PMFs, ``rfft`` pads with zeros anyway, and FFT
     round-off beyond each node's true length is zeroed, so every PMF is
     bitwise the recursive definition over :func:`convolve_pmfs` — whatever
-    the batch, and so whatever the parallel executor's candidate chunks.
+    the batch.
     A height's buffer (coefficient-major: one column per node) is freed
     once its parents, at most two heights up, have been merged.  Bottom
     nodes are capped at ``span`` rows, so they never hide an FFT merge.
@@ -841,23 +838,17 @@ def dc_tail_probabilities(
 ) -> np.ndarray:
     """Per-candidate ``Pr[sup(X) >= min_count]`` via divide-and-conquer PMFs.
 
-    The single kernel shared by the serial engine path and the parallel
-    executor's candidate chunks — one implementation, so the two paths
-    cannot drift apart.  Every candidate that can reach ``min_count`` goes
-    through one walk of :func:`exact_pmf_divide_conquer`'s midpoint trees,
-    merged a tree height at a time across the whole batch.  Each PMF is
-    bitwise independent of the batch it came in, so the executor's chunks
-    agree with the serial path, and of the CPU: no step goes through BLAS
-    or a SIMD-dependent complex multiply.
+    Every candidate that can reach ``min_count`` goes through one walk of
+    :func:`exact_pmf_divide_conquer`'s midpoint trees, merged a tree height
+    at a time across the whole batch.  Each PMF is bitwise independent of
+    the batch it came in, and of the CPU: no step goes through BLAS or a
+    SIMD-dependent complex multiply.
 
     Args:
         vectors: One zeros-omitted probability vector per candidate.
         min_count: Absolute support threshold.
         span: Explicit direct-vs-FFT crossover; resolved once through
-            :func:`resolve_conv_span` when omitted.  The parallel executor
-            resolves it on the coordinator and ships it inside the task
-            payloads, so worker processes use the coordinator's plan even
-            though contextvar scopes do not cross the fork.
+            :func:`resolve_conv_span` when omitted.
 
     Far below the mean the FFT merges' round-off can exceed the true tail
     by orders of magnitude, so each tail is capped by the candidate's own
@@ -914,12 +905,6 @@ class SupportEngine:
         Optional precomputed per-candidate moments.  A caller subsetting an
         already-evaluated level (the survivor batch of the Apriori miners)
         passes them to avoid re-deriving the reductions.
-    executor:
-        Optional :class:`~repro.core.parallel.ParallelExecutor`.  When it is
-        present and parallel, the exact tail evaluations are distributed as
-        candidate chunks across its worker pool; every chunk runs the same
-        serial kernel, so the results stay bitwise identical to the
-        single-process path.
     """
 
     def __init__(
@@ -927,7 +912,6 @@ class SupportEngine:
         vectors: Sequence[Sequence[float]],
         expected: Optional[Sequence[float]] = None,
         variances: Optional[Sequence[float]] = None,
-        executor: Optional["ParallelExecutor"] = None,
     ) -> None:
         self._vectors = [np.asarray(vector, dtype=float) for vector in vectors]
         self._matrix: Optional[np.ndarray] = None
@@ -938,7 +922,6 @@ class SupportEngine:
             np.asarray(variances, dtype=float) if variances is not None else None
         )
         self._counts: Optional[np.ndarray] = None
-        self._executor = executor
 
     def __len__(self) -> int:
         return len(self._vectors)
@@ -1004,18 +987,10 @@ class SupportEngine:
         ``"divide_conquer"`` walks every candidate's convolution tree
         through :func:`dc_tail_probabilities`, which merges the whole
         level's trees a height at a time (FFT above the ``conv_span``
-        knob).  With a
-        parallel executor attached, either evaluation is split into
-        candidate chunks across the worker pool (bitwise-identical
-        results).
+        knob).
         """
         min_count = int(min_count)
-        distribute = self._executor is not None and self._executor.should_distribute(
-            len(self._vectors)
-        )
         if method == "dynamic_programming":
-            if distribute:
-                return self._executor.dp_tails(self._vectors, min_count)
             # The sweep's transient buffer holds the block's total vector
             # length; on out-of-core databases (``repro.db.store``) vector
             # lengths scale with the full row count, so the level is
@@ -1035,8 +1010,6 @@ class SupportEngine:
                 ]
             )
         if method == "divide_conquer":
-            if distribute:
-                return self._executor.dc_tails(self._vectors, min_count)
             return dc_tail_probabilities(self._vectors, min_count)
         raise ValueError(f"unknown method {method!r}")
 
@@ -1093,14 +1066,12 @@ class SupportEngine:
     def subset(self, indices: Sequence[int]) -> "SupportEngine":
         """The engine over the candidates at ``indices`` (the survivor batch).
 
-        The moments are sliced, not re-derived, and the executor carries
-        over to the batch's exact tails.
+        The moments are sliced, not re-derived.
         """
         return SupportEngine(
             [self._vectors[index] for index in indices],
             expected=self.expected_supports()[indices],
             variances=self.variances()[indices],
-            executor=self._executor,
         )
 
 

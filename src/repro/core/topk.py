@@ -546,7 +546,7 @@ def mine_topk(
         expected-support ones.
     options:
         Forwarded to :class:`~repro.algorithms.topk.TopKMiner`
-        (``workers=``, ``shards=``, ``use_pruning=``, ...).
+        (``use_pruning=``, ``track_variance=``, ...).
 
     Returns
     -------

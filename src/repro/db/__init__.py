@@ -10,7 +10,6 @@ from .builder import DatabaseBuilder, paper_example_database
 from .cache import ByteBudgetLRU
 from .columnar import ColumnarView
 from .database import DatabaseStats, UncertainDatabase
-from .partition import ColumnarPartition, shard_bounds
 from .io import read_fimi, read_uncertain, write_fimi, write_uncertain
 from .sampling import (
     enumerate_worlds,
@@ -33,7 +32,6 @@ from .vocabulary import Vocabulary
 
 __all__ = [
     "ByteBudgetLRU",
-    "ColumnarPartition",
     "ColumnarStore",
     "ColumnarView",
     "DatabaseBuilder",
@@ -55,7 +53,6 @@ __all__ = [
     "resolve_store_path",
     "sample_world",
     "sample_worlds",
-    "shard_bounds",
     "validate_database",
     "world_count",
     "write_fimi",

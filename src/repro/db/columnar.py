@@ -22,11 +22,6 @@ per-transaction reference oracle of the test-suite), so the non-zero
 probabilities are bitwise identical to the oracle's; only full-vector
 reductions may differ in the last ulp (different summation orders).
 
-Because every per-transaction product is row-local, a view can also be
-:meth:`sliced by row range <ColumnarView.slice_rows>` into independent
-shards whose results concatenate back bitwise — the primitive behind the
-partition-parallel engine (:mod:`repro.db.partition`).
-
 Level evaluation runs through the **bitset cascade**: a candidate's
 occupancy bitmap is its parent's bitmap AND its item's
 (:meth:`ColumnarView.level_occupancy_counts`), packed from their spans
@@ -388,7 +383,7 @@ class ColumnarView:
         """(Re)build the lazily filled, byte-budgeted derived-array caches.
 
         All three caches memoise pure functions of the immutable columns, so
-        dropping them (fresh view, unpickle, eviction) can only cost time,
+        dropping them (fresh view, eviction) can only cost time,
         never correctness.
         """
         #: lazily scattered dense columns of ``itemset_column``'s combine
@@ -404,18 +399,6 @@ class ColumnarView:
         #: (:meth:`_block_of` then builds a seed block without copying)
         self._units: Optional[Units] = None
 
-    # -- pickling ----------------------------------------------------------------------
-    def __getstate__(self):
-        # Shard views are shipped to worker processes once per pool; the
-        # derived-array caches are cheap to rebuild and would only bloat the
-        # pickle, so only the authoritative columns travel.
-        return {"n_transactions": self._n_transactions, "columns": self._columns}
-
-    def __setstate__(self, state) -> None:
-        self._n_transactions = state["n_transactions"]
-        self._columns = state["columns"]
-        self._init_caches()
-
     @classmethod
     def from_columns(
         cls, columns: Mapping[int, ItemColumn], n_transactions: int
@@ -425,8 +408,7 @@ class ColumnarView:
         Args:
             columns: ``{item: (row_indices, probabilities)}`` with row
                 indices sorted ascending within each column.  The arrays
-                are adopted as-is (callers hand over ownership) — including
-                zero-copy sources such as shared-memory buffer slices.
+                are adopted as-is (callers hand over ownership).
             n_transactions: Number of rows the columns index into.
 
         Returns:
@@ -437,44 +419,6 @@ class ColumnarView:
         view._columns = dict(columns)
         view._init_caches()
         return view
-
-    def slice_rows(self, start: int, stop: int) -> "ColumnarView":
-        """An independent view of the row range ``[start, stop)``.
-
-        Row indices are re-based to the slice, so the shard is a
-        self-contained columnar database of ``stop - start`` transactions.
-        Because per-transaction products are row-local, any candidate's
-        compressed probability vector over the shard is exactly the
-        corresponding slice of its full-view vector — the exactness
-        guarantee the partition-parallel engine builds on.
-
-        Args:
-            start: First row (inclusive), ``0 <= start <= stop``.
-            stop: Last row (exclusive), ``stop <= n_transactions``.
-
-        Returns:
-            A new :class:`ColumnarView` over the selected rows.
-
-        >>> from repro.db import UncertainDatabase
-        >>> db = UncertainDatabase.from_records([{1: 0.5}, {1: 1.0}, {1: 0.2}])
-        >>> db.columnar().slice_rows(1, 3).itemset_probabilities((1,)).tolist()
-        [1.0, 0.2]
-        """
-        if not 0 <= start <= stop <= self._n_transactions:
-            raise ValueError(
-                f"invalid row range [{start}, {stop}) for {self._n_transactions} rows"
-            )
-        columns: Dict[int, ItemColumn] = {}
-        for item, (rows, probs) in self._columns.items():
-            lo = int(np.searchsorted(rows, start, side="left"))
-            hi = int(np.searchsorted(rows, stop, side="left"))
-            if lo == hi:
-                continue
-            sub_rows = rows[lo:hi] - start
-            sub_probs = probs[lo:hi]
-            sub_rows.flags.writeable = False
-            columns[item] = (sub_rows, sub_probs)
-        return ColumnarView.from_columns(columns, stop - start)
 
     # -- shape -------------------------------------------------------------------------
     @property
@@ -728,8 +672,6 @@ class ColumnarView:
         ``counts[c]`` is the number of transactions containing every member
         of candidate ``c`` with positive probability — its maximum
         attainable support, computed without touching a single float.
-        Row-local, so per-shard counts sum to the global count exactly (the
-        property the partitioned kill phase relies on).
 
         ``candidates`` is a list of tuples (each ANDs its members'
         bitmaps) or a :class:`~repro.core.search.CandidateLevel`; in a
@@ -1184,9 +1126,9 @@ class ColumnarView:
     def _item_spans(self, items: np.ndarray) -> ColumnBlock:
         """The columns of ``items`` (ascending) as one block, for the compiled gather.
 
-        A view that knows its :data:`Units` (built from rows, or a
-        full-range mapped store) spans them in place; any other view, such
-        as a row-ranged shard, copies the items' columns into one block.
+        A view that knows its :data:`Units` (built from rows, or a mapped
+        store) spans them in place; any other view, such as one built by
+        :meth:`from_columns`, copies the items' columns into one block.
         """
         if self._units is not None:
             return self._block_of(items[:, None])

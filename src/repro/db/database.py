@@ -19,7 +19,6 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 import numpy as np
 
 from .columnar import ColumnarView, RowCSR, csr_offsets, csr_row_ids
-from .partition import ColumnarPartition
 from .transaction import UncertainTransaction, _validated_units
 from .vocabulary import Vocabulary
 
@@ -133,7 +132,6 @@ class UncertainDatabase:
         self.vocabulary = vocabulary
         self.name = name
         self._columnar: Optional[ColumnarView] = None
-        self._partitions: Dict[int, ColumnarPartition] = {}
 
     @property
     def _transactions(self) -> List[UncertainTransaction]:
@@ -200,22 +198,6 @@ class UncertainDatabase:
         if self._columnar is None:
             self._columnar = ColumnarView(self)
         return self._columnar
-
-    def partition(self, n_shards: int) -> ColumnarPartition:
-        """Row-shard the columnar view into ``n_shards`` independent shards.
-
-        Partitions are built lazily from the cached columnar view and
-        cached per shard count, so repeated parallel runs over the same
-        database reuse the shard views (and the worker pools reuse their
-        pickled copies).  See :mod:`repro.db.partition` for the exactness
-        guarantees of the split.
-        """
-        n_shards = int(n_shards)
-        partition = self._partitions.get(n_shards)
-        if partition is None:
-            partition = ColumnarPartition(self.columnar(), n_shards)
-            self._partitions[n_shards] = partition
-        return partition
 
     def itemset_probabilities(self, itemset: Iterable[int]) -> np.ndarray:
         """Return the vector ``p_i(X)`` of per-transaction probabilities of ``itemset``.

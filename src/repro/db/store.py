@@ -1,10 +1,9 @@
-"""Out-of-core columnar store: memory-mapped planes + zero-copy shard fan-out.
+"""Out-of-core columnar store: memory-mapped planes.
 
 The in-RAM :class:`~repro.db.columnar.ColumnarView` keeps every CSR plane as
-live NumPy arrays, which caps dataset scale at physical memory and makes
-every parallel shard a full pickle through the pool initializer.  This
-module removes both limits while preserving the repository's bitwise
-contract (rows == columnar == memmap == shared-memory-sharded):
+live NumPy arrays, which caps dataset scale at physical memory.  This
+module removes that limit while preserving the repository's bitwise
+contract (rows == columnar == memmap):
 
 **On-disk layout.**  :meth:`ColumnarStore.save` persists a view into a
 directory holding one binary file per CSR plane plus a small JSON manifest::
@@ -17,28 +16,13 @@ directory holding one binary file per CSR plane plus a small JSON manifest::
 :meth:`ColumnarStore.open` maps the planes with ``np.memmap(mode="r")`` and
 returns a :class:`MappedColumnarView` whose columns are resolved as
 *slices* of the mapped planes on demand — no plane is ever read eagerly, so
-databases far larger than RAM stream row ranges through the unchanged
-bitset cascade while the OS pages plane data in and out.  The layout is
-deliberately the cascade's access pattern: per-item contiguous runs, so
-column gathers are sequential reads.  Occupancy bitmaps are built from the
-columns, like the in-RAM view's.  Stores written before the bitmap plane
-was dropped still carry ``bitmaps.bin``: they open, verify it through the
-same checksum loop, and never read it.
-
-**Zero-copy fan-out.**  A shard crossing a process boundary travels as an
-O(manifest-bytes) descriptor, never as data:
-
-* a :class:`MappedColumnarView` pickles as ``(directory, start, stop)`` and
-  re-opens the manifest on arrival (the on-disk case);
-* an in-RAM view is packed once into one ``multiprocessing.shared_memory``
-  segment (:func:`export_shard_segment`) that every worker attaches to
-  read-only (:func:`attach_shard_segment`), so all workers share a single
-  physical copy (the in-RAM case).
-
-Both attach paths fail fast with a clear :class:`StoreError` when the
-segment or store directory has vanished; segment lifetime is owned by the
-coordinating :class:`~repro.core.parallel.ParallelExecutor`, which unlinks
-on ``close()``/``terminate()``.
+databases far larger than RAM stream through the unchanged bitset cascade
+while the OS pages plane data in and out.  The layout is deliberately the
+cascade's access pattern: per-item contiguous runs, so column gathers are
+sequential reads.  Occupancy bitmaps are built from the columns, like the
+in-RAM view's.  Stores written before the bitmap plane was dropped still
+carry ``bitmaps.bin``: they open, verify it through the same checksum
+loop, and never read it.
 
 >>> import tempfile
 >>> from repro.db import UncertainDatabase
@@ -54,7 +38,6 @@ from __future__ import annotations
 
 import json
 import os
-import secrets
 import zlib
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -71,9 +54,6 @@ __all__ = [
     "StoreDatabase",
     "StoreError",
     "StoreWriter",
-    "ShardSegment",
-    "attach_shard_segment",
-    "export_shard_segment",
     "resolve_store_path",
     "STORE_ENV",
     "STORE_VERIFY_ENV",
@@ -94,13 +74,8 @@ STORE_VERSION = 1
 _PLANE_FILES = {"rows": "rows.bin", "probs": "probs.bin"}
 _PLANE_DTYPES = {"rows": np.int64, "probs": np.float64}
 
-#: shared-memory segment layout: 3 int64 header words (n_transactions,
-#: n_items, nnz) followed by the items, offsets, rows and probs planes
-_SHM_HEADER_BYTES = 24
-
-
 class StoreError(RuntimeError):
-    """A columnar store (or shared-memory segment) is missing or malformed."""
+    """A columnar store is missing or malformed."""
 
 
 def resolve_store_path(path: Optional[str] = None) -> str:
@@ -264,7 +239,7 @@ class StoreWriter:
 
 
 #: per-process cache of opened stores, keyed by real path + manifest stamp so
-#: shards of one store share a single manifest parse and memmap set
+#: re-opens of one store share a single manifest parse and memmap set
 _OPEN_STORES: Dict[Tuple[str, int, int], "ColumnarStore"] = {}
 
 
@@ -531,9 +506,9 @@ class ColumnarStore:
         return self._planes
 
     # -- views -------------------------------------------------------------------
-    def view(self, start: int = 0, stop: Optional[int] = None) -> "MappedColumnarView":
-        """A lazily mapped columnar view of rows ``[start, stop)``."""
-        return MappedColumnarView(self, start, stop)
+    def view(self) -> "MappedColumnarView":
+        """A lazily mapped columnar view of the whole store."""
+        return MappedColumnarView(self)
 
     def database(self) -> "StoreDatabase":
         """A database adapter mining straight off the mapped planes."""
@@ -543,10 +518,7 @@ class ColumnarStore:
 class _MappedColumns(Mapping):
     """Lazy ``{item: (rows, probs)}`` over the CSR planes of an open store.
 
-    Items whose column is empty within the view's row range are absent —
-    exactly the observable behaviour of
-    :meth:`~repro.db.columnar.ColumnarView.slice_rows`, which drops empty
-    columns from its materialised dict.
+    Items whose column is empty are absent, as in an in-RAM view.
     """
 
     __slots__ = ("_view",)
@@ -561,10 +533,9 @@ class _MappedColumns(Mapping):
         return column
 
     def __iter__(self) -> Iterator[int]:
-        view = self._view
-        for position, item in enumerate(view._store.items):
-            lo, hi = view._resolve_bounds(position)
-            if hi > lo:
+        offsets = self._view._store.offsets
+        for position, item in enumerate(self._view._store.items):
+            if offsets[position + 1] > offsets[position]:
                 yield int(item)
 
     def __len__(self) -> int:
@@ -574,135 +545,63 @@ class _MappedColumns(Mapping):
 class MappedColumnarView(ColumnarView):
     """A :class:`ColumnarView` whose columns lazily map an on-disk store.
 
-    The view holds a row range ``[start, stop)`` of its store; a column
-    access performs at most two binary searches into the mapped rows plane
-    and returns slices of the mapped planes (full-range views) or re-based
-    copies of just that column's in-range run (sharded views).  Everything
+    A column access returns slices of the mapped planes.  Everything
     else — the bitset cascade, occupancy bitmaps, prefix caching, batched
     level evaluation — is the unchanged base-class code operating on the
     lazy mapping, which is what keeps mapped results bitwise identical to
     in-RAM results.
-
-    Pickling ships ``(directory, start, stop)`` only; unpickling re-opens
-    the manifest (and raises a clear :class:`StoreError` if the store has
-    vanished), which is what makes sharded fan-out of mapped views an
-    O(manifest-bytes) dispatch.
     """
 
-    def __init__(self, store: ColumnarStore, start: int = 0, stop: Optional[int] = None) -> None:
-        self._bind(store, start, stop)
-
-    def _bind(self, store: ColumnarStore, start: int, stop: Optional[int]) -> None:
-        total = store.n_transactions
-        stop = total if stop is None else int(stop)
-        start = int(start)
-        if not 0 <= start <= stop <= total:
-            raise ValueError(f"invalid row range [{start}, {stop}) for {total} rows")
+    def __init__(self, store: ColumnarStore) -> None:
         self._store = store
-        self._start = start
-        self._stop = stop
-        self._full = start == 0 and stop == total
-        self._n_transactions = stop - start
+        self._n_transactions = store.n_transactions
         # Plain-ndarray views of the memmaps: slicing one skips the memmap
         # subclass's per-slice bookkeeping, so a column costs a fifth as much.
         rows_plane, probs_plane = store.planes()
         self._rows_plane = np.asarray(rows_plane)
         self._probs_plane = np.asarray(probs_plane)
-        self._bounds_cache: Dict[int, Tuple[int, int]] = {}
         self._init_caches()
         self._columns = _MappedColumns(self)
-        if self._full:
-            # A full-range column is a slice of the planes: seed blocks span them.
-            offsets = store.offsets.tolist()
-            self._units = (
-                self._rows_plane,
-                self._probs_plane,
-                {
-                    int(item): (offsets[position], offsets[position + 1])
-                    for position, item in enumerate(store.items.tolist())
-                },
-            )
-
-    # -- pickling ------------------------------------------------------------------
-    @property
-    def store_source(self) -> Tuple[str, int, int]:
-        """``(directory, start, stop)`` — the view's O(1)-size fan-out descriptor."""
-        return (self._store.directory, self._start, self._stop)
-
-    def __getstate__(self):
-        directory, start, stop = self.store_source
-        return {"directory": directory, "start": start, "stop": stop}
-
-    def __setstate__(self, state) -> None:
-        store = ColumnarStore.open(state["directory"])
-        self._bind(store, state["start"], state["stop"])
+        # A column is a slice of the planes: seed blocks span them.
+        offsets = store.offsets.tolist()
+        self._units = (
+            self._rows_plane,
+            self._probs_plane,
+            {
+                int(item): (offsets[position], offsets[position + 1])
+                for position, item in enumerate(store.items.tolist())
+            },
+        )
 
     # -- lazy column resolution ------------------------------------------------------
-    def _resolve_bounds(self, position: int) -> Tuple[int, int]:
-        """Absolute ``[lo, hi)`` run of manifest item ``position`` within the range."""
-        offsets = self._store.offsets
-        lo, hi = int(offsets[position]), int(offsets[position + 1])
-        if self._full:
-            return lo, hi
-        bounds = self._bounds_cache.get(position)
-        if bounds is None:
-            run = self._rows_plane[lo:hi]
-            bounds = (
-                lo + int(np.searchsorted(run, self._start, side="left")),
-                lo + int(np.searchsorted(run, self._stop, side="left")),
-            )
-            self._bounds_cache[position] = bounds
-        return bounds
-
     def _mapped_column(self, item: int) -> Optional[ItemColumn]:
         position = self._store.item_index().get(item)
         if position is None:
             return None
-        lo, hi = self._resolve_bounds(position)
+        offsets = self._store.offsets
+        lo, hi = int(offsets[position]), int(offsets[position + 1])
         if lo == hi:
             return None
-        rows = self._rows_plane[lo:hi]
-        if self._start:
-            rows = rows - np.int64(self._start)
-            rows.flags.writeable = False
-        return rows, self._probs_plane[lo:hi]
+        return self._rows_plane[lo:hi], self._probs_plane[lo:hi]
 
     # -- shape overrides ---------------------------------------------------------
     def nnz(self) -> int:
-        if self._full:
-            return self._store.nnz
-        return sum(
-            hi - lo
-            for lo, hi in (
-                self._resolve_bounds(position) for position in range(self._store.n_items)
-            )
-        )
+        return self._store.nnz
 
     def item_statistics(self) -> Dict[int, Tuple[float, float]]:
-        """Per-item moments — read from the manifest on full-range views.
+        """Per-item moments, read from the manifest.
 
         The manifest records ``float(probs.sum())`` / the Bernoulli variance
         sum computed at save time from the very arrays now mapped, and JSON
         round-trips IEEE doubles exactly, so the values are bitwise equal to
-        recomputing.  Ranged (shard) views fall back to the base-class
-        reduction over their lazily resolved columns.
+        recomputing.
         """
-        if not self._full:
-            return super().item_statistics()
         offsets = self._store.offsets
         return {
             int(item): self._store.item_statistics_at(position)
             for position, item in enumerate(self._store.items)
             if offsets[position + 1] > offsets[position]
         }
-
-    def slice_rows(self, start: int, stop: int) -> "MappedColumnarView":
-        """A lazily mapped shard of rows ``[start, stop)`` (no materialisation)."""
-        if not 0 <= start <= stop <= self._n_transactions:
-            raise ValueError(
-                f"invalid row range [{start}, {stop}) for {self._n_transactions} rows"
-            )
-        return MappedColumnarView(self._store, self._start + start, self._start + stop)
 
 
 class StoreDatabase(UncertainDatabase):
@@ -737,178 +636,3 @@ class StoreDatabase(UncertainDatabase):
         density = average_length / n_items if n_items else 0.0
         average_probability = total_probability / total_units if total_units else 0.0
         return DatabaseStats(n, n_items, average_length, density, average_probability)
-
-
-# -- shared-memory shard fan-out ---------------------------------------------------
-
-
-class ShardSegment:
-    """Coordinator-side handle of one exported shared-memory shard.
-
-    The coordinator (the parallel executor) owns the segment's lifetime:
-    :meth:`destroy` closes and unlinks it, tolerantly and idempotently, on
-    ``close()``/``terminate()`` — segments must never outlive their run.
-    """
-
-    def __init__(self, shm: Any, descriptor: Dict[str, Any]) -> None:
-        self.shm = shm
-        self.descriptor = descriptor
-
-    @property
-    def name(self) -> str:
-        return self.descriptor["name"]
-
-    @property
-    def nbytes(self) -> int:
-        return int(self.descriptor["size"])
-
-    def destroy(self) -> None:
-        if self.shm is None:
-            return
-        try:
-            self.shm.close()
-        except Exception:
-            pass
-        try:
-            self.shm.unlink()
-        except FileNotFoundError:
-            pass
-        except Exception:
-            pass
-        self.shm = None
-
-
-def export_shard_segment(view: ColumnarView, name_prefix: str = "repro") -> ShardSegment:
-    """Pack an in-RAM shard view into one shared-memory segment.
-
-    Layout: three int64 header words ``(n_transactions, n_items, nnz)``
-    followed by the items, offsets, rows and probs planes, all naturally
-    aligned.  The data is copied exactly once (into the segment); every
-    attaching worker then reads the same physical pages.
-    """
-    from multiprocessing import shared_memory
-
-    items = view.items()
-    columns = [view.column(item) for item in items]
-    n_transactions = len(view)
-    n_items = len(items)
-    nnz = sum(len(rows) for rows, _ in columns)
-    items_off = _SHM_HEADER_BYTES
-    offsets_off = items_off + 8 * n_items
-    rows_off = offsets_off + 8 * (n_items + 1)
-    probs_off = rows_off + 8 * nnz
-    total = probs_off + 8 * nnz
-    name = f"{name_prefix}_{os.getpid()}_{secrets.token_hex(4)}"
-    shm = shared_memory.SharedMemory(name=name, create=True, size=max(total, 8))
-    try:
-        header = np.frombuffer(shm.buf, dtype=np.int64, count=3)
-        header[:] = (n_transactions, n_items, nnz)
-        items_plane = np.frombuffer(shm.buf, np.int64, n_items, items_off)
-        items_plane[:] = items
-        offsets_plane = np.frombuffer(shm.buf, np.int64, n_items + 1, offsets_off)
-        rows_plane = np.frombuffer(shm.buf, np.int64, nnz, rows_off)
-        probs_plane = np.frombuffer(shm.buf, np.float64, nnz, probs_off)
-        cursor = 0
-        offsets_plane[0] = 0
-        for position, (rows, probs) in enumerate(columns):
-            rows_plane[cursor : cursor + len(rows)] = rows
-            probs_plane[cursor : cursor + len(rows)] = probs
-            cursor += len(rows)
-            offsets_plane[position + 1] = cursor
-        # Drop the buffer exports so close() cannot raise BufferError later.
-        del header, items_plane, offsets_plane, rows_plane, probs_plane
-    except BaseException:
-        shm.close()
-        try:
-            shm.unlink()
-        except FileNotFoundError:
-            pass
-        raise
-    descriptor = {
-        "name": name,
-        "n_transactions": n_transactions,
-        "n_items": n_items,
-        "nnz": nnz,
-        "size": total,
-    }
-    return ShardSegment(shm, descriptor)
-
-
-#: process-lifetime pins of attached segments.  The attaching process (a
-#: pool worker, or the coordinator itself on the in-process fallback path)
-#: holds its mapping until exit: letting the ``SharedMemory`` handle be
-#: garbage-collected while NumPy column slices still export its buffer
-#: would raise ``BufferError`` from its finalizer.  Unlinking remains the
-#: coordinator's job — pinning a handle does not keep a segment alive in
-#: ``/dev/shm`` past ``ShardSegment.destroy()``.
-_ATTACHED_SEGMENTS: List[Any] = []
-
-
-def attach_shard_segment(descriptor: Dict[str, Any]) -> ColumnarView:
-    """Attach a worker-side, read-only view of an exported shard segment.
-
-    Fails fast with a descriptive :class:`StoreError` when the segment has
-    vanished (coordinator closed, crashed, or unlinked early) instead of
-    letting workers fall over on undefined reads.  The returned view's
-    column arrays are zero-copy slices of the shared buffer.
-
-    Resource-tracker ownership: the *creating* process registered the
-    segment, and pool children — fork and spawn alike — inherit that same
-    tracker through the multiprocessing preparation data, so the implicit
-    attach-side ``register`` (pre-3.13, bpo-38119) is an idempotent no-op
-    there and must **not** be undone: unregistering would strip the
-    creator's only crash-cleanup entry.  On 3.13+ the redundant
-    registration is skipped outright with ``track=False``.
-    """
-    from multiprocessing import shared_memory
-
-    name = descriptor["name"]
-    try:
-        try:
-            shm = shared_memory.SharedMemory(name=name, track=False)
-        except TypeError:  # Python < 3.13: no track parameter
-            shm = shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:
-        raise StoreError(
-            f"shared-memory segment {name!r} has vanished — the coordinating "
-            "executor was closed or its segments were unlinked before fan-out"
-        ) from None
-    if shm.size < descriptor["size"]:
-        shm.close()
-        raise StoreError(
-            f"shared-memory segment {name!r} is {shm.size} bytes, "
-            f"descriptor expects {descriptor['size']}"
-        )
-    n_items = int(descriptor["n_items"])
-    nnz = int(descriptor["nnz"])
-    n_transactions = int(descriptor["n_transactions"])
-    items_off = _SHM_HEADER_BYTES
-    offsets_off = items_off + 8 * n_items
-    rows_off = offsets_off + 8 * (n_items + 1)
-    probs_off = rows_off + 8 * nnz
-    header = np.frombuffer(shm.buf, dtype=np.int64, count=3)
-    if tuple(header) != (n_transactions, n_items, nnz):
-        shm.close()
-        raise StoreError(
-            f"shared-memory segment {name!r} header {tuple(header)} does not "
-            f"match its descriptor ({n_transactions}, {n_items}, {nnz})"
-        )
-    items_plane = np.frombuffer(shm.buf, np.int64, n_items, items_off)
-    offsets_plane = np.frombuffer(shm.buf, np.int64, n_items + 1, offsets_off)
-    rows_plane = np.frombuffer(shm.buf, np.int64, nnz, rows_off)
-    probs_plane = np.frombuffer(shm.buf, np.float64, nnz, probs_off)
-    rows_plane.flags.writeable = False
-    probs_plane.flags.writeable = False
-    columns: Dict[int, ItemColumn] = {}
-    for position in range(n_items):
-        lo, hi = int(offsets_plane[position]), int(offsets_plane[position + 1])
-        if lo == hi:
-            continue
-        columns[int(items_plane[position])] = (rows_plane[lo:hi], probs_plane[lo:hi])
-    view = ColumnarView.from_columns(columns, n_transactions)
-    # The column slices reference the shared buffer, so the mapping must
-    # outlive every view carved from it: pin the handle for process
-    # lifetime (see _ATTACHED_SEGMENTS) and on the view itself.
-    _ATTACHED_SEGMENTS.append(shm)
-    view._shm = shm
-    return view

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..core.miner import mine
-from ..core.parallel import resolve_shards, resolve_workers
 from ..core.registry import get_algorithm
 from ..core.results import MiningResult
 from ..core.topk import mine_topk, truncation_baseline
@@ -174,19 +173,13 @@ def _mine_point(
     algorithm: str,
     thresholds: Dict[str, float],
     track_memory: bool,
-    workers: Optional[int] = None,
-    shards: Optional[int] = None,
     plan=None,
 ) -> MiningResult:
     info = get_algorithm(algorithm)
-    # Warm the shared columnar view (and, when sharding is requested, the
-    # cached partition) outside the instrumented run so the one-time build
-    # cost is not charged to whichever algorithm happens to mine the
-    # database first (the sweep compares algorithms).
+    # Warm the shared columnar view outside the instrumented run so the
+    # one-time build cost is not charged to whichever algorithm happens to
+    # mine the database first (the sweep compares algorithms).
     database.columnar()
-    resolved_shards = resolve_shards(shards, resolve_workers(workers))
-    if resolved_shards > 1:
-        database.partition(resolved_shards)
     kwargs: Dict[str, float] = {}
     if info.family == "expected":
         kwargs["min_esup"] = thresholds.get("min_esup", thresholds.get("min_sup", 0.5))
@@ -197,8 +190,6 @@ def _mine_point(
         database,
         algorithm=algorithm,
         track_memory=track_memory,
-        workers=workers,
-        shards=shards,
         plan=plan,
         **kwargs,
     )
@@ -207,17 +198,12 @@ def _mine_point(
 def run_experiment(
     spec: ExperimentSpec,
     max_points: Optional[int] = None,
-    workers: Optional[int] = None,
-    shards: Optional[int] = None,
     plan=None,
 ) -> List[SweepPoint]:
     """Run the full sweep of ``spec`` and return one row per (algorithm, value).
 
     ``max_points`` truncates the sweep (used by the smoke tests and by
-    benchmark quick modes).  ``workers`` / ``shards`` engage
-    the partition-parallel engine for every mined point (``None`` resolves
-    the plan's ``workers`` / ``shards`` knobs); results are byte-identical for
-    any setting, only the timings change.
+    benchmark quick modes).
     """
     values = list(spec.values)
     if max_points is not None:
@@ -237,8 +223,6 @@ def run_experiment(
                 algorithm,
                 thresholds,
                 spec.track_memory,
-                workers,
-                shards,
                 plan=plan,
             )
             points.append(
@@ -260,8 +244,6 @@ def run_streaming_scenario(
     spec: StreamingScenario,
     verify: bool = False,
     max_slides: Optional[int] = None,
-    workers: Optional[int] = None,
-    shards: Optional[int] = None,
     plan=None,
 ) -> List[StreamPoint]:
     """Replay ``spec``'s dataset through a sliding window and mine every slide.
@@ -270,8 +252,7 @@ def run_streaming_scenario(
     the initial window fill, subsequent points are slides of ``spec.step``
     arrivals.  With ``verify=True`` every slide is additionally batch-mined
     from scratch over the window contents (``BATCH_EQUIVALENTS`` names the
-    static counterpart; ``workers``/``shards`` parameterise that
-    batch run), recording the batch wall-clock and whether the frequent sets
+    static counterpart), recording the batch wall-clock and whether the frequent sets
     agree — the incremental-vs-recompute comparison of the windowed
     benchmark, available on live scenarios.
     """
@@ -297,8 +278,6 @@ def run_streaming_scenario(
                 batch_algorithm,
                 dict(spec.thresholds),
                 False,
-                workers,
-                shards,
                 plan=plan,
             )
             batch_seconds = time.perf_counter() - started
@@ -325,8 +304,6 @@ def run_topk_scenario(
     spec: TopKScenario,
     verify: bool = False,
     max_points: Optional[int] = None,
-    workers: Optional[int] = None,
-    shards: Optional[int] = None,
     plan=None,
 ) -> List[TopKPoint]:
     """Run the k-sweep of ``spec`` and return one row per value of k.
@@ -338,12 +315,9 @@ def run_topk_scenario(
     ``max_points`` truncates the k grid (smoke runs).
     """
     database = load_dataset(spec.dataset, **spec.dataset_kwargs)
-    # Warm the shared view (and partition) outside the timed mining, as the
-    # sweep runner does for the threshold algorithms.
+    # Warm the shared view outside the timed mining, as the sweep runner
+    # does for the threshold algorithms.
     database.columnar()
-    resolved_shards = resolve_shards(shards, resolve_workers(workers))
-    if resolved_shards > 1:
-        database.partition(resolved_shards)
 
     ks = list(spec.ks)
     if max_points is not None:
@@ -356,8 +330,6 @@ def run_topk_scenario(
             int(k),
             algorithm=spec.algorithm,
             min_sup=spec.min_sup,
-            workers=workers,
-            shards=shards,
             plan=plan,
         )
         scores = result.scores()
@@ -371,8 +343,6 @@ def run_topk_scenario(
                 spec.algorithm,
                 min_sup=spec.min_sup,
                 reference=result,
-                workers=workers,
-                shards=shards,
                 plan=plan,
             )
             baseline_seconds = time.perf_counter() - started
@@ -397,8 +367,6 @@ def run_accuracy_experiment(
     spec: ExperimentSpec,
     reference_algorithm: str = "dcb",
     max_points: Optional[int] = None,
-    workers: Optional[int] = None,
-    shards: Optional[int] = None,
     plan=None,
 ) -> List[AccuracyPoint]:
     """Run an accuracy sweep (Tables 8/9): approximate miners vs an exact reference."""
@@ -419,8 +387,6 @@ def run_accuracy_experiment(
             reference_algorithm,
             thresholds,
             False,
-            workers,
-            shards,
             plan=plan,
         )
         for algorithm in spec.algorithms:
@@ -429,8 +395,6 @@ def run_accuracy_experiment(
                 algorithm,
                 thresholds,
                 False,
-                workers,
-                shards,
                 plan=plan,
             )
             report = compare_results(approximate, exact)

@@ -13,9 +13,6 @@ exactly.
 exercises (the probe is a no-op unless a plan is active):
 
 ===================  ==============================================================
-``worker-crash``     :class:`~repro.core.parallel.ParallelExecutor` SIGKILLs one
-                     pool worker right after dispatching a parallel batch
-``task-latency``     the executor sleeps ``latency-seconds`` before a dispatch
 ``socket-drop``      the server closes a connection (RST) instead of replying
 ``socket-truncate``  the server sends half the reply bytes, then closes
 ``store-corrupt``    :meth:`~repro.db.store.ColumnarStore.open` flips one byte
@@ -28,13 +25,13 @@ exercises (the probe is a no-op unless a plan is active):
 environment variable, the ``faults`` :class:`~repro.plan.spec.ExecutionPlan`
 knob, or :func:`install_faults`)::
 
-    REPRO_FAULTS="seed=7,worker-crash=@1,socket-drop=0.1"
+    REPRO_FAULTS="seed=7,store-corrupt=@1,socket-drop=0.1"
 
 Per-site triggers are either **probe indices** (``@1`` = the site's first
 probe; ``@1+3`` = its first and third) or a **rate** in ``[0, 1]`` — rate
 firing hashes ``(seed, site, probe index)`` through BLAKE2, so a 10% rate
 fires on the *same* 10% of probes every run.  ``seed=N`` reseeds every
-rate, ``latency-seconds=F`` configures the ``task-latency`` sleep.
+rate.
 
 **State.**  Probe/fired counters live on a process-global
 :class:`FaultInjector`, one per distinct active spec, so a long-lived
@@ -73,7 +70,6 @@ __all__ = [
     "fire",
     "faults_active",
     "install_faults",
-    "latency_seconds",
 ]
 
 #: environment variable supplying the default fault plan spec
@@ -81,17 +77,11 @@ FAULTS_ENV = "REPRO_FAULTS"
 
 #: the closed vocabulary of injection sites
 SITES = (
-    "worker-crash",
-    "task-latency",
     "socket-drop",
     "socket-truncate",
     "store-corrupt",
     "registry-evict",
 )
-
-#: default sleep of a fired ``task-latency`` probe
-DEFAULT_LATENCY_SECONDS = 0.05
-
 
 @dataclass(frozen=True)
 class FaultRule:
@@ -152,7 +142,6 @@ class FaultPlan:
     """A parsed, immutable fault-injection schedule."""
 
     seed: int = 0
-    latency_seconds: float = DEFAULT_LATENCY_SECONDS
     rules: Mapping[str, FaultRule] = field(default_factory=dict)
     spec: str = ""
 
@@ -160,16 +149,15 @@ class FaultPlan:
     def parse(cls, spec: str) -> "FaultPlan":
         """Parse a ``seed=N,site=trigger,...`` spec (see the module docstring).
 
-        >>> plan = FaultPlan.parse("seed=9,worker-crash=@1,socket-drop=0.25")
+        >>> plan = FaultPlan.parse("seed=9,store-corrupt=@1,socket-drop=0.25")
         >>> plan.seed, sorted(plan.rules)
-        (9, ['socket-drop', 'worker-crash'])
+        (9, ['socket-drop', 'store-corrupt'])
         >>> FaultPlan.parse("teleport=1")
         Traceback (most recent call last):
             ...
-        ValueError: unknown fault site 'teleport' (known: latency-seconds, registry-evict, seed, socket-drop, socket-truncate, store-corrupt, task-latency, worker-crash)
+        ValueError: unknown fault site 'teleport' (known: registry-evict, seed, socket-drop, socket-truncate, store-corrupt)
         """
         seed = 0
-        latency = DEFAULT_LATENCY_SECONDS
         rules: Dict[str, FaultRule] = {}
         # ';' is an alternate token separator so a whole fault spec can ride
         # inside one comma-separated REPRO_PLAN token ("faults=seed=1;...").
@@ -189,18 +177,12 @@ class FaultPlan:
                 )
             if name == "seed":
                 seed = int(raw)
-            elif name == "latency-seconds":
-                latency = float(raw)
-                if latency < 0.0:
-                    raise ValueError(f"latency-seconds must be >= 0, got {latency}")
             elif name in SITES:
                 rules[name] = _parse_trigger(name, raw)
             else:
-                known = ", ".join(sorted(SITES + ("seed", "latency-seconds")))
+                known = ", ".join(sorted(SITES + ("seed",)))
                 raise ValueError(f"unknown fault site {name!r} (known: {known})")
-        return cls(
-            seed=seed, latency_seconds=latency, rules=rules, spec=str(spec).strip()
-        )
+        return cls(seed=seed, rules=rules, spec=str(spec).strip())
 
     def is_empty(self) -> bool:
         return not self.rules
@@ -210,7 +192,7 @@ class FaultInjector:
     """Stateful probe counters over one :class:`FaultPlan` (thread-safe).
 
     One injector instance accumulates counters for the lifetime of its
-    plan's activation — across requests, pools and connections — which is
+    plan's activation — across requests and connections — which is
     what makes fault activity observable from the service ``health`` op.
     """
 
@@ -254,16 +236,6 @@ _INSTALLED: Optional[FaultInjector] = None
 #: per-spec injector cache so knob/env-resolved plans keep their counters
 _BY_SPEC: Dict[str, FaultInjector] = {}
 _STATE_LOCK = threading.Lock()
-#: set in pool worker processes: probes belong to the coordinator — a
-#: forked worker inheriting an active plan must never fire faults of its
-#: own (its counters would be invisible and its schedule unreproducible)
-_DISABLED = False
-
-
-def disable_in_process() -> None:
-    """Turn every probe in this process into a no-op (worker processes)."""
-    global _DISABLED
-    _DISABLED = True
 
 
 def install_faults(plan: Union[str, FaultPlan]) -> FaultInjector:
@@ -308,8 +280,6 @@ def active_injector() -> Optional[FaultInjector]:
     calls.  With no plan anywhere this is two dictionary lookups — the
     happy-path overhead of a compiled-in probe site.
     """
-    if _DISABLED:
-        return None
     installed = _INSTALLED
     if installed is not None:
         return installed
@@ -346,14 +316,6 @@ def fire(site: str) -> bool:
     if injector is None:
         return False
     return injector.probe(site)
-
-
-def latency_seconds() -> float:
-    """The configured ``task-latency`` sleep of the active plan."""
-    injector = active_injector()
-    if injector is None:
-        return 0.0
-    return injector.plan.latency_seconds
 
 
 def fault_counters() -> Dict[str, Dict[str, int]]:

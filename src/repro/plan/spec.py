@@ -5,26 +5,25 @@ one pipeline of three tiers, falling back to the knob's static default::
 
     explicit argument  >  scoped plan  >  environment  >  default
 
-* **explicit argument** — the value handed to a function or constructor
-  (``TopKMiner(workers=4)``, ``resolve_knob("workers", 4)``).
+* **explicit argument** — the value handed to a function
+  (``resolve_knob("conv_span", 64)``).
 * **scoped plan** — the innermost :func:`plan_scope` context manager.
   Scopes are backed by :mod:`contextvars`, so concurrent threads (the
   mining service's request executors) never observe each other's plans.
 * **environment** — the knob's entry in the composite ``REPRO_PLAN`` spec
-  (``REPRO_PLAN=workers=4,conv_span=256``).  The ``faults`` knob also
+  (``REPRO_PLAN=conv_span=256``).  The ``faults`` knob also
   reads ``REPRO_FAULTS``, the documented chaos switch, which beats its
   ``REPRO_PLAN`` entry.
-* **default** — the static default from the registry below (``shards``
-  follows the resolved worker count).
+* **default** — the static default from the registry below.
 
 The pipeline is *pure resolution*: no tier ever writes to ``os.environ``.
 
->>> plan = ExecutionPlan(workers=4, conv_span=64)
+>>> plan = ExecutionPlan(conv_span=64)
 >>> with plan_scope(plan):
-...     resolve_knob("workers"), resolve_knob("conv_span")
-(4, 64)
->>> resolve_knob("workers", 2)  # explicit beats everything
-2
+...     resolve_knob("conv_span")
+64
+>>> resolve_knob("conv_span", 16)  # explicit beats everything
+16
 """
 
 from __future__ import annotations
@@ -52,39 +51,10 @@ __all__ = [
 #: composite plan environment variable: a ``k=v,k=v`` spec
 PLAN_ENV = "REPRO_PLAN"
 
-def _available_cpus() -> int:
-    """Number of CPUs the process may actually use (affinity-aware)."""
-    try:
-        return max(1, len(os.sched_getaffinity(0)))
-    except AttributeError:  # pragma: no cover - non-Linux fallback
-        return max(1, os.cpu_count() or 1)
-
-
 # -- per-knob parsers ------------------------------------------------------------------
 # Each parser normalizes an explicit value (bool/int/float/str, including the
 # raw strings arriving from ``k=v`` plan specs) into the knob's canonical
 # representation, raising ``ValueError`` on an invalid value.
-
-
-def _parse_workers(value: Any) -> int:
-    if isinstance(value, str):
-        lowered = value.strip().lower()
-        if lowered == "auto":
-            return _available_cpus()
-        value = int(lowered)
-    workers = int(value)
-    if workers == 0:
-        return _available_cpus()
-    if workers < 0:
-        raise ValueError(f"workers must be >= 0, got {workers}")
-    return workers
-
-
-def _parse_shards(value: Any) -> int:
-    shards = int(value)
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    return shards
 
 
 def _parse_conv_span(value: Any) -> int:
@@ -123,8 +93,7 @@ class Knob:
     name:
         The :class:`ExecutionPlan` field name.
     default:
-        The static default, or ``None`` when the default is computed
-        dynamically (shards follow the resolved worker count).
+        The static default.
     parse:
         Normalizer/validator applied to every explicit, scoped and spec
         value.
@@ -143,14 +112,6 @@ class Knob:
 KNOBS: Dict[str, Knob] = {
     knob.name: knob
     for knob in (
-        Knob(
-            "workers", 1, _parse_workers,
-            "worker processes for the partition-parallel engine (0/auto = CPUs)",
-        ),
-        Knob(
-            "shards", None, _parse_shards,
-            "row shards of the columnar view (default: the worker count)",
-        ),
         Knob(
             "conv_span", 32, _parse_conv_span,
             "PMF operand length above which convolutions go through the FFT "
@@ -175,17 +136,15 @@ class ExecutionPlan:
 
     ``None`` fields are *unset*: resolution falls through to the next tier.
     Set fields are normalized at construction time through the knob parsers
-    (so ``ExecutionPlan(workers="2").workers == 2``).
+    (so ``ExecutionPlan(conv_span="64").conv_span == 64``).
 
-    >>> plan = ExecutionPlan(workers="auto", conv_span="64")
-    >>> plan.conv_span, plan.workers >= 1
-    (64, True)
+    >>> plan = ExecutionPlan(conv_span="64")
+    >>> plan.conv_span
+    64
     >>> ExecutionPlan.from_dict(plan.to_dict()) == plan
     True
     """
 
-    workers: Optional[int] = None
-    shards: Optional[int] = None
     conv_span: Optional[int] = None
     faults: Optional[str] = None
 
@@ -200,12 +159,12 @@ class ExecutionPlan:
     def from_dict(cls, mapping: Mapping[str, Any]) -> "ExecutionPlan":
         """Build a plan from a mapping, rejecting unknown keys.
 
-        >>> ExecutionPlan.from_dict({"workers": 2}).workers
+        >>> ExecutionPlan.from_dict({"conv_span": 2}).conv_span
         2
-        >>> ExecutionPlan.from_dict({"wrokers": 2})
+        >>> ExecutionPlan.from_dict({"workers": 2})
         Traceback (most recent call last):
             ...
-        ValueError: unknown plan knob(s): 'wrokers' (known: conv_span, faults, ...)
+        ValueError: unknown plan knob(s): 'workers' (known: conv_span, faults, ...)
         """
         unknown = sorted(set(mapping) - set(KNOBS))
         if unknown:
@@ -244,7 +203,7 @@ def ensure_plan(
     """Coerce the common plan spellings into an :class:`ExecutionPlan`.
 
     Accepts ``None`` (no plan), an existing plan, a mapping, or a spec
-    string (``"workers=2,conv_span=256"``).
+    string (``"conv_span=256,faults=seed=1"``).
     """
     if plan is None or isinstance(plan, ExecutionPlan):
         return plan
@@ -256,8 +215,8 @@ def ensure_plan(
 def parse_plan_spec(spec: str) -> ExecutionPlan:
     """Parse a ``k=v,k=v`` plan spec (the ``--plan`` / ``REPRO_PLAN`` syntax).
 
-    >>> parse_plan_spec("workers=2,conv_span=64").workers
-    2
+    >>> parse_plan_spec("conv_span=64").conv_span
+    64
     >>> parse_plan_spec("auto")
     Traceback (most recent call last):
         ...
@@ -354,27 +313,15 @@ def _env_value(knob: Knob) -> Optional[Any]:
 # -- the resolution pipeline -----------------------------------------------------------
 
 
-def _dynamic_default(name: str, workers: Optional[int]) -> Any:
-    if name == "shards":
-        if workers is None:
-            workers = resolve_knob("workers")
-        return max(1, int(workers))
-    raise AssertionError(f"knob {name!r} has no dynamic default")  # pragma: no cover
-
-
-def resolve_knob(name: str, explicit: Any = None, *, workers: Optional[int] = None) -> Any:
+def resolve_knob(name: str, explicit: Any = None) -> Any:
     """Resolve one knob: explicit > scoped plan > environment > default.
 
     Args:
         name: A knob name from :data:`KNOBS`.
         explicit: Tier-1 explicit value (``None`` = unset).
-        workers: The already-resolved worker count, consulted only for the
-            ``shards`` dynamic default.
 
     >>> resolve_knob("conv_span")
     32
-    >>> resolve_knob("workers", "auto") >= 1
-    True
     """
     knob = KNOBS[name]
     if explicit is not None:
@@ -387,9 +334,7 @@ def resolve_knob(name: str, explicit: Any = None, *, workers: Optional[int] = No
     value = _env_value(knob)
     if value is not None:
         return value
-    if knob.default is not None:
-        return knob.default
-    return _dynamic_default(name, workers)
+    return knob.default
 
 
 def resolve_all(explicit: Optional[Mapping[str, Any]] = None) -> ExecutionPlan:
@@ -400,13 +345,9 @@ def resolve_all(explicit: Optional[Mapping[str, Any]] = None) -> ExecutionPlan:
     for :func:`plan_scope` pinning, cache keys and reporting.
     """
     explicit = explicit or {}
-    values: Dict[str, Any] = {"workers": resolve_knob("workers", explicit.get("workers"))}
-    for name in KNOBS:
-        if name != "workers":
-            values[name] = resolve_knob(
-                name, explicit.get(name), workers=values["workers"]
-            )
-    return ExecutionPlan(**values)
+    return ExecutionPlan(
+        **{name: resolve_knob(name, explicit.get(name)) for name in KNOBS}
+    )
 
 
 def materialize_plan(
@@ -417,14 +358,13 @@ def materialize_plan(
 
     The run-level entry point of the pipeline: the miners, the streaming
     miners and the service all funnel through it.  ``explicit`` carries
-    tier-1 per-knob arguments (a miner's ``workers=``/``shards=``
-    constructor parameters); ``plan`` enters at the scope tier; the
+    tier-1 per-knob arguments; ``plan`` enters at the scope tier; the
     environment and the defaults fill the rest.  Pinning the result with
     :func:`plan_scope` freezes the whole configuration for the run, immune
     to concurrent env changes or other threads' plans.
 
-    >>> materialize_plan("workers=2", {"workers": 3}).workers
-    3
+    >>> materialize_plan("conv_span=64", {"conv_span": 16}).conv_span
+    16
     """
     with plan_scope(plan):
         return resolve_all(explicit)

@@ -111,9 +111,8 @@ def plan_mine(
     :mod:`repro.algorithms.base` exactly — same helpers, same floats — so
     the ``keep`` predicate reproduces the miner's own admission comparison
     bit for bit.  The group carries the one bitwise-relevant execution knob
-    (``conv_span``); the bitwise-neutral ones (workers,
-    shards, cache budgets) are deliberately excluded so answers are shared
-    across them.
+    (``conv_span``); the ``faults`` knob moves no result bit, so answers are
+    shared across it.
     """
     if conv_span is None:
         from ..plan.spec import resolve_knob

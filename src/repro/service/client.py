@@ -279,7 +279,7 @@ class MiningClient:
         return self.call("stats")
 
     def health(self) -> Dict[str, Any]:
-        """Degraded-state report: queue depth, pool restarts, fault counters."""
+        """Degraded-state report: queue depth, rebuilds, fault counters."""
         return self.call("health")
 
     def mine(self, dataset: str, **params) -> Dict[str, Any]:

@@ -52,7 +52,6 @@ from typing import Any, Dict, Optional, Tuple
 
 from .. import faults
 from ..core.miner import mine
-from ..core.parallel import live_pool_count, pool_restart_count
 from ..core.registry import get_algorithm
 from ..core.topk import mine_topk, ranking_of, resolve_evaluator
 from ..plan import ExecutionPlan, materialize_plan
@@ -501,8 +500,6 @@ class MiningServer:
             "registry": self.registry.describe(),
             "result_cache": self.result_cache.describe(),
             "requests": counters,
-            "live_pools": live_pool_count(),
-            "pool_restarts": pool_restart_count(),
             "faults": faults.fault_counters(),
             "max_workers": self.max_workers,
             "max_queue": self.max_queue,
@@ -539,8 +536,6 @@ class MiningServer:
             "max_queue": self.max_queue,
             "rejected": rejected,
             "timed_out": timed_out,
-            "live_pools": live_pool_count(),
-            "pool_restarts": pool_restart_count(),
             "registry_rebuilds": registry.get("rebuilds", 0),
             "store_rebuilds": registry.get("store_rebuilds", 0),
             "fault_evictions": registry.get("fault_evictions", 0),
@@ -548,33 +543,24 @@ class MiningServer:
             "faults": faults.fault_counters(),
         }
 
-    def _mine_options(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        options: Dict[str, Any] = {}
-        if params.get("workers") is not None:
-            options["workers"] = int(params["workers"])
-        if params.get("shards") is not None:
-            options["shards"] = int(params["shards"])
-        return options
-
-    def _materialize_request_plan(
-        self, params: Dict[str, Any], options: Dict[str, Any]
-    ) -> ExecutionPlan:
+    def _materialize_request_plan(self, params: Dict[str, Any]) -> ExecutionPlan:
         """Resolve the request's execution plan to concrete knobs, server-side.
 
         The returned plan is fully specified, so passing it into the miner
         pins every knob through a thread-local scope — concurrent requests
         with different plans never observe each other's configuration (no
         process-global state is touched), and the resolved bitwise-relevant
-        knobs are available up front for the cache key.
+        knobs are available up front for the cache key.  Mining is serial:
+        a request naming ``workers`` or ``shards`` is refused, like a plan
+        naming them, rather than served as if it had not asked.
         """
+        for key in ("workers", "shards"):
+            if key in params:
+                raise ServiceError(
+                    "bad-params", f"params.{key} is not supported: mining is serial"
+                )
         try:
-            return materialize_plan(
-                params.get("plan"),
-                explicit={
-                    "workers": options.get("workers"),
-                    "shards": options.get("shards"),
-                },
-            )
+            return materialize_plan(params.get("plan"))
         except (TypeError, ValueError, KeyError) as error:
             raise ServiceError("bad-params", f"invalid plan: {error}") from None
 
@@ -586,8 +572,7 @@ class MiningServer:
         except KeyError as error:
             raise ServiceError("unknown-algorithm", str(error)) from None
         handle, database = self.registry.checkout(name)
-        options = self._mine_options(params)
-        exec_plan = self._materialize_request_plan(params, options)
+        exec_plan = self._materialize_request_plan(params)
         use_cache = self.use_cache and bool(params.get("cache", True))
 
         try:
@@ -626,7 +611,6 @@ class MiningServer:
                         algorithm=info.name,
                         min_esup=min_esup,
                         plan=exec_plan,
-                        **options,
                     )
                 else:
                     result = mine(
@@ -635,7 +619,6 @@ class MiningServer:
                         min_sup=min_sup,
                         pft=pft,
                         plan=exec_plan,
-                        **options,
                     )
             except (TypeError, ValueError) as error:
                 raise ServiceError("bad-params", str(error)) from None
@@ -675,8 +658,7 @@ class MiningServer:
         if k < 1:
             raise ServiceError("bad-params", f"k must be >= 1, got {k}")
         handle, database = self.registry.checkout(name)
-        options = self._mine_options(params)
-        exec_plan = self._materialize_request_plan(params, options)
+        exec_plan = self._materialize_request_plan(params)
         use_cache = self.use_cache and bool(params.get("cache", True))
 
         min_sup: Optional[float] = None
@@ -705,7 +687,6 @@ class MiningServer:
                     algorithm=evaluator,
                     min_sup=min_sup,
                     plan=exec_plan,
-                    **options,
                 )
             except (TypeError, ValueError) as error:
                 raise ServiceError("bad-params", str(error)) from None

@@ -12,7 +12,6 @@ import warnings
 
 import pytest
 
-from repro import faults
 from repro.core import kernels
 from repro.db import DatabaseBuilder, UncertainDatabase, paper_example_database
 
@@ -51,19 +50,6 @@ def pytest_configure(config):
 def numpy_kernels(monkeypatch):
     """Run this test on the NumPy kernels, as without a C compiler."""
     monkeypatch.setattr(kernels, "_library", None)
-
-
-@pytest.fixture(autouse=True)
-def _fault_injection_stays_enabled():
-    """Fail any test that leaves fault injection disabled in this process.
-
-    ``faults.disable_in_process()`` is meant for pool workers; left set in
-    the pytest process it turns every later test's fault probes into no-ops.
-    """
-    yield
-    if faults._DISABLED:
-        faults._DISABLED = False
-        pytest.fail("test left fault injection disabled in the pytest process")
 
 
 @pytest.fixture

@@ -218,20 +218,11 @@ def uh_mine_expand_dict(ctx: SearchContext) -> None:
             sorted(frequent_items.items(), key=lambda kv: (-kv[1][0], kv[0]))
         )
     }
-    if ctx.executor.n_shards > 1:
-        # Each shard yields its rows' ordered unit lists; shard order is row
-        # order, so the concatenation matches the serial struct exactly.
-        struct: List[UHTransaction] = []
-        for shard_units in ctx.executor.map_shard_method(
-            "rows_as_ordered_units", item_order
-        ):
-            struct.extend(tuple(cells) for cells in shard_units if cells)
-    else:
-        struct = [
-            tuple(cells)
-            for cells in ctx.database.columnar().rows_as_ordered_units(item_order)
-            if cells
-        ]
+    struct: List[UHTransaction] = [
+        tuple(cells)
+        for cells in ctx.database.columnar().rows_as_ordered_units(item_order)
+        if cells
+    ]
     statistics.database_scans += 1
     statistics.notes["uh_struct_cells"] = float(sum(len(cells) for cells in struct))
 

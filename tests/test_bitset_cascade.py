@@ -1,4 +1,4 @@
-"""The bitset evaluation cascade: bitmaps, kills, caches, sharding.
+"""The bitset evaluation cascade: bitmaps, kills, caches.
 
 Pins the three stages of the cascade against the reference oracle (the
 non-zeros of ``reference.itemset_probabilities(db, c)``, compared bitwise):
@@ -11,7 +11,6 @@ non-zeros of ``reference.itemset_probabilities(db, c)``, compared bitwise):
 from __future__ import annotations
 
 import math
-import pickle
 from itertools import combinations
 
 import numpy as np
@@ -19,7 +18,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.parallel import ParallelExecutor
 from repro.core.support import (
     SupportEngine,
     chernoff_upper_bound,
@@ -220,79 +218,6 @@ class TestCascadeEquivalence:
                 _assert_oracle_column(column, database, candidate)
             for candidate in level:
                 _assert_oracle_column(view.itemset_column(candidate), database, candidate)
-
-
-#: (rows, requested shards) of the executor fan-out layouts: even shards,
-#: uneven shards, and more shards than rows (clamped to one row each)
-SHARD_LAYOUTS = [
-    pytest.param(80, 2, id="2-shards"),
-    pytest.param(80, 3, id="3-uneven-shards"),
-    pytest.param(5, 8, id="more-shards-than-rows"),
-]
-
-
-class TestShardedCascade:
-    """The executor's fan-out (in-process and pooled) against the serial view."""
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("n_transactions,shards", SHARD_LAYOUTS)
-    def test_executor_counts_sum_to_global(self, workers, n_transactions, shards):
-        database = make_random_database(
-            n_transactions=n_transactions, n_items=9, density=0.5, seed=31
-        )
-        view = database.columnar()
-        candidates = _all_levels(view)
-        with ParallelExecutor(
-            workers, shard_views=database.partition(shards).shards
-        ) as executor:
-            counts = executor.shard_occupancy_counts(candidates)
-        assert np.array_equal(counts, view.level_occupancy_counts(candidates))
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_executor_kill_uses_global_counts(self, workers):
-        # Candidate (1,) has one supporting row in each of two shards; a
-        # min_count of 2 is only reachable globally — per-shard evidence
-        # alone would kill it and corrupt the concatenated vector.
-        db = UncertainDatabase.from_records(
-            [{1: 0.5}, {2: 0.25}, {1: 0.75}, {2: 1.0}]
-        )
-        with ParallelExecutor(workers, shard_views=db.partition(2).shards) as executor:
-            vectors = executor.shard_vectors([(1,), (1, 2)], min_count=2)
-        assert vectors[0].tolist() == [0.5, 0.75]
-        assert vectors[1].tolist() == []  # truly below min_count globally
-
-    @pytest.mark.parametrize("min_count", [0, 2, 5])
-    @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("n_transactions,shards", SHARD_LAYOUTS)
-    def test_executor_shard_vectors_with_kill(
-        self, workers, n_transactions, shards, min_count
-    ):
-        database = make_random_database(
-            n_transactions=n_transactions, n_items=9, density=0.5, seed=31
-        )
-        candidates = _all_levels(database.columnar())
-        serial = database.columnar().batch_vectors(candidates, min_count=min_count)
-        with ParallelExecutor(
-            workers, shard_views=database.partition(shards).shards
-        ) as executor:
-            fanned = executor.shard_vectors(candidates, min_count=min_count)
-        assert len(fanned) == len(serial)
-        for left, right in zip(serial, fanned):
-            assert np.array_equal(left, right)
-
-    def test_shard_pickling_drops_caches(self, database):
-        view = database.columnar()
-        view.batch_vectors(_all_levels(view), min_count=3)  # fill every cache
-        assert len(view._prefix_cache) > 0 and len(view._bitmaps) > 0
-        clone = pickle.loads(pickle.dumps(view))
-        assert len(clone._prefix_cache) == 0
-        assert len(clone._bitmaps) == 0
-        assert len(clone._dense_columns) == 0
-        candidates = _all_levels(view)
-        for left, right in zip(
-            clone.batch_vectors(candidates), view.batch_vectors(candidates)
-        ):
-            assert np.array_equal(left, right)
 
 
 class TestByteBudgetCaches:

@@ -6,11 +6,12 @@ probability-grid variations):
 * every candidate column of the cascade (``batch_columns`` and
   ``itemset_column``) must equal the non-zeros of the per-transaction
   reference oracle's ``p_i(X)`` **bitwise**;
-* every sampled miner runs serial and row-sharded.  The two runs must agree
-  **bitwise**; the brute-force reference (every itemset enumerated and
-  scored from the oracle) must agree exactly on the frequent sets and to
-  1e-12 on every score (full-vector reductions may differ in the last ulp
-  between the reference's dense sums and the engine's).
+* every sampled miner must agree with the brute-force reference (every
+  itemset enumerated and scored from the oracle) exactly on the frequent
+  sets and to 1e-12 on every score (full-vector reductions may differ in
+  the last ulp between the reference's dense sums and the engine's);
+* every sampled miner mined off a store-mapped copy must agree with the
+  in-RAM run **bitwise**.
 
 Top-k rankings are pinned the same way, against the reference's scored
 itemsets ranked and truncated.  Seeds are fixed so every failure replays.
@@ -28,6 +29,7 @@ from repro.core.miner import mine
 from repro.core.support import normal_tail_probability, poisson_tail_probability
 from repro.core.topk import mine_topk, rank_itemsets
 from repro.db import UncertainDatabase
+from repro.db.store import ColumnarStore
 from repro.db.columnar import ColumnarView
 
 import reference
@@ -106,6 +108,10 @@ def _assert_bitwise(result, reference, label):
         )
 
 
+def _store_mapped(database, directory):
+    return ColumnarStore.save(database, str(directory / "store")).database()
+
+
 def _assert_close(result, reference, label, tolerance=1e-12):
     assert result.itemset_keys() == reference.itemset_keys(), label
     twins = _records_by_key(reference)
@@ -159,12 +165,17 @@ def test_fuzz_miner_equivalence(config, miner, thresholds, score):
     label = (miner, config[-1])
 
     cascade = mine(database, algorithm=miner, **thresholds)
-    sharded = mine(database, algorithm=miner, shards=3, **thresholds)
-
-    # serial cascade == sharded cascade, bitwise
-    _assert_bitwise(sharded, cascade, label)
     # cascade == brute-force reference: exact frequent sets, scores to 1e-12
     _assert_close(cascade, _reference(config, score, thresholds), label)
+
+
+@pytest.mark.parametrize("config", FUZZ_CONFIGS, ids=[str(c[-1]) for c in FUZZ_CONFIGS])
+@pytest.mark.parametrize("miner,thresholds,score", MINERS)
+def test_fuzz_store_mapped_equivalence(config, miner, thresholds, score, tmp_path):
+    database = fuzz_database(*config)
+    in_ram = mine(database, algorithm=miner, **thresholds)
+    mapped = mine(_store_mapped(database, tmp_path), algorithm=miner, **thresholds)
+    _assert_bitwise(mapped, in_ram, (miner, config[-1]))
 
 
 def _topk_normal_score(probabilities, min_count):
@@ -201,13 +212,8 @@ def test_fuzz_topk_rankings(config, evaluator, min_sup):
     k = 8
 
     cascade = mine_topk(database, k, algorithm=evaluator, min_sup=min_sup)
-    sharded = mine_topk(database, k, algorithm=evaluator, min_sup=min_sup, shards=3)
     expected = _reference_topk(database, evaluator, min_sup, k)
 
-    assert sharded.ranked_keys() == cascade.ranked_keys()
-    for ours, theirs in zip(sharded, cascade):
-        assert ours.expected_support == theirs.expected_support
-        assert ours.frequent_probability == theirs.frequent_probability
     assert [record.itemset for record in cascade] == [
         record.itemset for record in expected
     ]
@@ -217,3 +223,17 @@ def test_fuzz_topk_rankings(config, evaluator, min_sup):
             assert ours.frequent_probability == pytest.approx(
                 truth.frequent_probability, abs=1e-12
             )
+
+
+@pytest.mark.parametrize("config", FUZZ_CONFIGS[:3], ids=[str(c[-1]) for c in FUZZ_CONFIGS[:3]])
+@pytest.mark.parametrize("evaluator,min_sup", [("esup", None), ("dp", 0.3), ("normal", 0.3)])
+def test_fuzz_store_mapped_topk(config, evaluator, min_sup, tmp_path):
+    database = fuzz_database(*config)
+    in_ram = mine_topk(database, 8, algorithm=evaluator, min_sup=min_sup)
+    mapped = mine_topk(
+        _store_mapped(database, tmp_path), 8, algorithm=evaluator, min_sup=min_sup
+    )
+    assert mapped.ranked_keys() == in_ram.ranked_keys()
+    for ours, theirs in zip(mapped, in_ram):
+        assert ours.expected_support == theirs.expected_support
+        assert ours.frequent_probability == theirs.frequent_probability

@@ -4,9 +4,6 @@ Pins the PR-10 resilience contract end to end:
 
 * fault plans parse, fire deterministically, and activate through every
   tier (install > plan scope > ``REPRO_FAULTS``),
-* a SIGKILLed pool worker never loses a batch: the executor rebuilds the
-  pool, resubmits, and returns results **bitwise identical** to a
-  fault-free run — with zero leaked pools or ``/dev/shm`` segments,
 * dropped and truncated service connections surface as typed
   ``connection-lost`` errors that the retrying client transparently
   absorbs for idempotent ops,
@@ -14,23 +11,20 @@ Pins the PR-10 resilience contract end to end:
   (``verify`` / ``corrupt-dataset``) and — when the spec names a
   ``source`` — *repaired* by a transparent rebuild,
 * an eviction storm degrades to cold rebuilds, never to errors,
-* the combined acceptance scenario (one worker kill + one dropped
-  connection + one corrupted plane in one seeded plan) ends with every
-  request answered bitwise-equal to fault-free or failed structurally.
+* the combined acceptance scenario (one dropped connection + one
+  corrupted plane in one seeded plan) ends with every request answered
+  bitwise-equal to fault-free or failed structurally.
 """
 
 from __future__ import annotations
 
-import glob
 import threading
 import time
 
-import numpy as np
 import pytest
 
 from repro import faults
 from repro.core.miner import mine
-from repro.core.parallel import ParallelExecutor, live_pool_count, pool_restart_count
 from repro.db.store import STORE_VERIFY_ENV, ColumnarStore, StoreError
 from repro.db.store import _OPEN_STORES
 from repro.faults import FaultInjector, FaultPlan
@@ -45,10 +39,6 @@ from repro.service import (
 from repro.service.protocol import decode_records
 
 from helpers import make_random_database
-
-
-def _shm_segments() -> set:
-    return set(glob.glob("/dev/shm/repro_*"))
 
 
 @pytest.fixture(autouse=True)
@@ -75,13 +65,10 @@ def _inline_spec(database) -> dict:
 
 
 class TestFaultPlanParsing:
-    def test_sites_seed_and_latency(self):
-        plan = FaultPlan.parse(
-            "seed=9, worker-crash=@1+3, socket-drop=0.25, latency-seconds=0.5"
-        )
+    def test_sites_and_seed(self):
+        plan = FaultPlan.parse("seed=9, registry-evict=@1+3, socket-drop=0.25")
         assert plan.seed == 9
-        assert plan.latency_seconds == 0.5
-        assert plan.rules["worker-crash"].probes == frozenset({1, 3})
+        assert plan.rules["registry-evict"].probes == frozenset({1, 3})
         assert plan.rules["socket-drop"].rate == 0.25
 
     def test_semicolon_and_shorthand(self):
@@ -105,6 +92,8 @@ class TestFaultPlanParsing:
             "socket-drop=@x",
             "worker-crash",
             "latency-seconds=-1",
+            "worker-crash=@1",
+            "task-latency=@1",
         ],
     )
     def test_bad_specs_raise(self, spec):
@@ -114,10 +103,10 @@ class TestFaultPlanParsing:
 
 class TestDeterminism:
     def test_probe_indices_fire_exactly(self):
-        injector = FaultInjector(FaultPlan.parse("worker-crash=@2+4"))
-        fired = [injector.probe("worker-crash") for _ in range(5)]
+        injector = FaultInjector(FaultPlan.parse("registry-evict=@2+4"))
+        fired = [injector.probe("registry-evict") for _ in range(5)]
         assert fired == [False, True, False, True, False]
-        assert injector.counters()["worker-crash"] == {"probes": 5, "fired": 2}
+        assert injector.counters()["registry-evict"] == {"probes": 5, "fired": 2}
 
     def test_rate_schedule_is_reproducible(self):
         first = FaultInjector(FaultPlan.parse("seed=5,socket-drop=0.3"))
@@ -143,7 +132,7 @@ class TestDeterminism:
 class TestActivation:
     def test_no_plan_means_no_fire(self):
         assert faults.active_injector() is None
-        assert faults.fire("worker-crash") is False
+        assert faults.fire("socket-drop") is False
         assert faults.fault_counters() == {}
 
     def test_install_and_clear(self):
@@ -154,8 +143,8 @@ class TestActivation:
         assert faults.active_injector() is None
 
     def test_faults_active_context(self):
-        with faults.faults_active("worker-crash=@1") as injector:
-            assert faults.fire("worker-crash") is True
+        with faults.faults_active("registry-evict=@1") as injector:
+            assert faults.fire("registry-evict") is True
             assert injector.total_fired() == 1
         assert faults.active_injector() is None
 
@@ -172,91 +161,6 @@ class TestActivation:
             assert injector is not None
             assert injector.plan.rules["socket-truncate"].probes == frozenset({1})
         assert faults.active_injector() is None
-
-    def test_disable_in_process(self, monkeypatch):
-        faults.install_faults("socket-drop=1.0")
-        monkeypatch.setattr(faults, "_DISABLED", True)
-        assert faults.active_injector() is None
-        assert faults.fire("socket-drop") is False
-
-
-class TestWorkerCrashRecovery:
-    def _vectors(self, seed=21):
-        database = make_random_database(n_transactions=50, n_items=6, seed=seed)
-        return database.columnar().batch_vectors([(0,), (1,), (0, 1), (2, 3)])
-
-    def test_killed_worker_recovers_bitwise(self):
-        vectors = self._vectors()
-        with ParallelExecutor(workers=2) as executor:
-            golden = executor.dp_tails(vectors, 6)
-        shm_before = _shm_segments()
-        restarts_before = pool_restart_count()
-        with faults.faults_active("worker-crash=@1"):
-            with ParallelExecutor(workers=2) as executor:
-                recovered = executor.dp_tails(vectors, 6)
-                assert executor.pool_restarts >= 1
-        assert np.array_equal(recovered, golden)
-        assert pool_restart_count() > restarts_before
-        assert live_pool_count() == 0
-        assert _shm_segments() == shm_before
-
-    def test_killed_worker_recovers_shard_fanout(self):
-        database = make_random_database(n_transactions=40, n_items=6, seed=23)
-        partition = database.partition(2)
-        candidates = [(0,), (1,), (0, 1)]
-        with ParallelExecutor(workers=2, shard_views=partition.shards) as executor:
-            golden = executor.shard_vectors(candidates)
-        shm_before = _shm_segments()
-        with faults.faults_active("worker-crash=@1"):
-            with ParallelExecutor(
-                workers=2, shard_views=partition.shards
-            ) as executor:
-                recovered = executor.shard_vectors(candidates)
-                assert executor.pool_restarts >= 1
-        for left, right in zip(golden, recovered):
-            assert np.array_equal(left, right)
-        assert live_pool_count() == 0
-        assert _shm_segments() == shm_before
-
-    def test_sustained_crashes_bounded_and_clean(self):
-        """A worker killed on *every* batch either still completes (the
-        batch finished on survivors) or fails loudly after the bounded
-        rebuild budget — never a hang, never a leaked pool or segment."""
-        vectors = self._vectors(seed=29)
-        shm_before = _shm_segments()
-        with faults.faults_active("worker-crash=1.0"):
-            executor = ParallelExecutor(workers=2)
-            try:
-                executor.dp_tails(vectors, 6)
-            except RuntimeError as error:
-                assert "worker pool" in str(error)
-            finally:
-                executor.close()
-        assert live_pool_count() == 0
-        assert _shm_segments() == shm_before
-
-    def test_task_latency_fires_and_counts(self):
-        vectors = self._vectors(seed=31)
-        with faults.faults_active(
-            "task-latency=@1,latency-seconds=0.01"
-        ) as injector:
-            with ParallelExecutor(workers=2) as executor:
-                executor.dp_tails(vectors, 6)
-            assert injector.counters()["task-latency"]["fired"] == 1
-
-
-class TestMiningUnderFaults:
-    def test_mine_is_bitwise_identical_under_crash(self, database):
-        # min_esup=0.2 keeps the search alive past level 1, so the miner
-        # actually fans out to the pool the crash site lives in
-        golden = mine(database, algorithm="uapriori", min_esup=0.2, workers=2, shards=2)
-        with faults.faults_active("worker-crash=@1") as injector:
-            chaotic = mine(
-                database, algorithm="uapriori", min_esup=0.2, workers=2, shards=2
-            )
-            assert injector.counters()["worker-crash"]["fired"] == 1
-        assert record_keys(chaotic.itemsets) == record_keys(golden.itemsets)
-        assert live_pool_count() == 0
 
 
 class TestSocketFaults:
@@ -432,33 +336,29 @@ class TestOverloadAndHealth:
         assert health["queue_depth"] == 0
         for key in (
             "in_flight",
-            "pool_restarts",
-            "live_pools",
             "cache_evictions",
             "fault_evictions",
             "store_rebuilds",
             "faults",
         ):
             assert key in health
-        assert "pool_restarts" in stats and "faults" in stats
+        assert "faults" in stats
+        for key in ("live_pools", "pool_restarts"):
+            assert key not in health and key not in stats
         assert "socket-drop" in health["faults"]
 
 
 class TestCombinedAcceptance:
-    """The ISSUE acceptance scenario: one seeded plan combining a worker
-    kill, a dropped connection and a corrupted store plane.  Every client
-    request either succeeds bitwise-equal to the fault-free answer or
-    fails with a structured ServiceError — no hangs, no silent wrong
-    answers, no leaked pools or shared-memory segments."""
+    """The acceptance scenario: one seeded plan combining a dropped
+    connection and a corrupted store plane.  Every client request either
+    succeeds bitwise-equal to the fault-free answer or fails with a
+    structured ServiceError — no hangs, no silent wrong answers."""
 
     def test_combined_faults_end_to_end(self, database, tmp_path):
         directory = str(tmp_path / "store")
         ColumnarStore.save(database, directory)
-        golden = mine(
-            database, algorithm="uapriori", min_esup=0.2, workers=2, shards=2
-        )
-        shm_before = _shm_segments()
-        spec = "seed=11;worker-crash@1;socket-drop@2;store-corrupt@1"
+        golden = mine(database, algorithm="uapriori", min_esup=0.2)
+        spec = "seed=11;socket-drop@2;store-corrupt@1"
         with faults.faults_active(spec) as injector:
             _OPEN_STORES.clear()
             with MiningServer(max_workers=2, use_cache=False) as server:
@@ -473,16 +373,10 @@ class TestCombinedAcceptance:
                         directory=directory,
                         source=_inline_spec(database),
                     )
-                    # mine: worker-crash kills a pool worker (recovered by a
-                    # pool rebuild), socket-drop eats the reply (recovered
-                    # by a client retry)
+                    # mine: socket-drop eats the reply (recovered by a
+                    # client retry)
                     reply = client.mine(
-                        "d",
-                        algorithm="uapriori",
-                        min_esup=0.2,
-                        workers=2,
-                        shards=2,
-                        limit=None,
+                        "d", algorithm="uapriori", min_esup=0.2, limit=None
                     )
                     assert client.retries_performed >= 1
                     health = client.health()
@@ -492,10 +386,6 @@ class TestCombinedAcceptance:
         )
         assert counters["store-corrupt"]["fired"] == 1
         assert counters["socket-drop"]["fired"] == 1
-        assert counters["worker-crash"]["fired"] == 1
         assert health["store_rebuilds"] == 1
-        assert health["pool_restarts"] >= 1
-        assert live_pool_count() == 0
-        assert _shm_segments() == shm_before
         # the repaired store still verifies clean after the dust settles
         assert ColumnarStore.open(directory).verify()["ok"]

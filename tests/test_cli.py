@@ -121,21 +121,10 @@ class TestStoreCommands:
         assert code == 0
         assert "2 frequent itemsets" in capsys.readouterr().out
 
-    def test_mine_sharded_across_workers(self, tmp_path, capsys):
-        source = tmp_path / "paper.txt"
-        write_uncertain(paper_example_database(), source)
-        code = main(
-            [
-                "mine",
-                "-d",
-                str(source),
-                "--min-esup",
-                "0.5",
-                "--workers",
-                "2",
-                "--shards",
-                "2",
-            ]
-        )
-        assert code == 0
-        assert "2 frequent itemsets" in capsys.readouterr().out
+    @pytest.mark.parametrize("command", ["mine", "mine-topk", "experiment fig5", "stream-mine"])
+    @pytest.mark.parametrize("flag", ["--workers", "--shards"])
+    def test_retired_parallel_flags_are_rejected(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(command.split() + [flag, "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -13,13 +13,11 @@ import doctest
 import pytest
 
 import repro.algorithms.common
-import repro.core.parallel
 import repro.core.search
 import repro.core.support
 import repro.db.cache
 import repro.db.columnar
 import repro.db.database
-import repro.db.partition
 import repro.db.store
 import repro.faults
 import repro.plan.spec
@@ -28,13 +26,11 @@ import repro.stream.window
 
 DOCUMENTED_MODULES = [
     repro.algorithms.common,
-    repro.core.parallel,
     repro.core.search,
     repro.core.support,
     repro.db.cache,
     repro.db.columnar,
     repro.db.database,
-    repro.db.partition,
     repro.db.store,
     repro.faults,
     repro.plan.spec,

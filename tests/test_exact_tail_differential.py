@@ -10,8 +10,7 @@ probabilities:
 * the DP batch against :func:`frequent_probability_dynamic_programming`
   applied vector by vector;
 * the DC tails and PMFs against :func:`_recursive_pmf`, a frozen copy of
-  the recursive divide-and-conquer the walker replaced;
-* the parallel executor's candidate chunks against the serial kernels.
+  the recursive divide-and-conquer the walker replaced.
 """
 
 from __future__ import annotations
@@ -20,12 +19,10 @@ import sys
 from typing import Optional
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import support
-from repro.core.parallel import ParallelExecutor
 from repro.core.support import (
     SupportDistribution,
     chernoff_upper_bound,
@@ -159,25 +156,3 @@ def test_dc_pmfs_equal_the_recursive_reference(batch, span):
         for vector, pmf in zip(vectors, list(support._dc_pmfs(vectors))):
             assert np.array_equal(pmf, _recursive_pmf(vector))
             assert np.array_equal(SupportDistribution(vector).pmf(), pmf)
-
-
-@pytest.fixture(scope="module")
-def executor():
-    with ParallelExecutor(workers=2) as pool:
-        yield pool
-
-
-@given(batches(min_size=2), st.sampled_from([4, 512]))
-@example(_WIDE_AND_NARROW, 4)
-@settings(max_examples=25, deadline=None)
-def test_parallel_chunks_equal_the_serial_kernels(executor, batch, span):
-    vectors, min_count = batch
-    assert np.array_equal(
-        executor.dp_tails(vectors, min_count),
-        frequent_probabilities_dp_batch(vectors, min_count),
-    )
-    with plan_scope(f"conv_span={span}"):
-        assert np.array_equal(
-            executor.dc_tails(vectors, min_count),
-            dc_tail_probabilities(vectors, min_count, span=span),
-        )

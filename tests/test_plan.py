@@ -51,6 +51,8 @@ from helpers import make_random_database
 #: budgets are now constants of repro.db.columnar, the DP block budget is
 #: repro.core.support.DP_BLOCK_BYTES)
 RETIRED_KNOBS = {
+    "workers": "2",
+    "shards": "2",
     "backend": "rows",
     "bitset": "off",
     "fanout": "shm",
@@ -88,8 +90,6 @@ def _clean_plan_env(monkeypatch):
 
 def _default(name):
     """The default tier of ``name`` with nothing set anywhere."""
-    if name == "shards":
-        return KNOBS["workers"].default
     return KNOBS[name].default
 
 
@@ -100,8 +100,6 @@ def _default(name):
 # values are the raw strings of a REPRO_PLAN token.
 
 MATRIX = {
-    "workers": ((5, 5), (4, 4), ("3", 3)),
-    "shards": ((6, 6), (5, 5), ("4", 4)),
     "conv_span": ((96, 96), (128, 128), ("192", 192)),
     "faults": (("seed=1", "seed=1"), ("seed=2", "seed=2"), ("seed=3", "seed=3")),
 }
@@ -121,23 +119,15 @@ class TestPrecedenceMatrix:
         assert resolve_knob(name) == _default(name)
         assert _default(name) != env[1]
 
-    @pytest.mark.parametrize(
-        "name", [name for name, knob in KNOBS.items() if knob.default is not None]
-    )
+    @pytest.mark.parametrize("name", list(KNOBS))
     def test_static_default_tier(self, name):
         assert resolve_knob(name) == KNOBS[name].default
 
-    def test_dynamic_defaults(self):
-        # shards follow the resolved worker count
-        with plan_scope(ExecutionPlan(workers=3)):
-            assert resolve_knob("shards") == 3
-        assert resolve_knob("shards", workers=5) == 5
-
     def test_faults_variable_beats_its_plan_entry(self, monkeypatch):
-        monkeypatch.setenv(PLAN_ENV, "faults=seed=1,workers=2")
+        monkeypatch.setenv(PLAN_ENV, "faults=seed=1,conv_span=64")
         monkeypatch.setenv("REPRO_FAULTS", "seed=2")
         assert resolve_knob("faults") == "seed=2"
-        assert resolve_knob("workers") == 2
+        assert resolve_knob("conv_span") == 64
         # An *empty* REPRO_FAULTS counts as unset.
         monkeypatch.setenv("REPRO_FAULTS", "")
         assert resolve_knob("faults") == "seed=1"
@@ -151,12 +141,12 @@ class TestPrecedenceMatrix:
         assert resolved == ExecutionPlan(**{name: _default(name) for name in KNOBS})
 
     def test_resolution_never_mutates_environ(self, monkeypatch):
-        monkeypatch.setenv(PLAN_ENV, "workers=4")
+        monkeypatch.setenv(PLAN_ENV, "conv_span=48")
         before = dict(os.environ)
-        with plan_scope(ExecutionPlan(conv_span=64, shards=2)):
+        with plan_scope(ExecutionPlan(conv_span=64, faults="seed=2")):
             for name in KNOBS:
                 resolve_knob(name)
-        materialize_plan("workers=2,conv_span=64")
+        materialize_plan("faults=seed=1,conv_span=64")
         assert dict(os.environ) == before
 
 
@@ -164,9 +154,9 @@ class TestPrecedenceMatrix:
 
 
 class TestExecutionPlan:
-    def test_four_knobs(self):
+    def test_two_knobs(self):
         assert [field.name for field in fields(ExecutionPlan)] == [
-            "workers", "shards", "conv_span", "faults",
+            "conv_span", "faults",
         ]
         assert list(KNOBS) == [field.name for field in fields(ExecutionPlan)]
         for name, value in RETIRED_KNOBS.items():
@@ -176,17 +166,16 @@ class TestExecutionPlan:
                 ExecutionPlan(**{name: value})
 
     def test_construction_normalizes_values(self):
-        plan = ExecutionPlan(conv_span="64", workers="auto", shards="3")
+        plan = ExecutionPlan(conv_span="64", faults=" seed=1 ")
         assert plan.conv_span == 64
-        assert plan.workers >= 1
-        assert plan.shards == 3
-        assert parse_plan_spec("workers=auto").workers == plan.workers
+        assert plan.faults == "seed=1"
+        assert parse_plan_spec("conv_span=64").conv_span == plan.conv_span
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"workers": -1},
-            {"shards": 0},
+            {"conv_span": "x"},
+            {"faults": "teleport=1"},
             {"conv_span": -1},
             {"faults": "seed=1,no-such-site=0.5"},
         ],
@@ -196,13 +185,11 @@ class TestExecutionPlan:
             ExecutionPlan(**kwargs)
 
     def test_round_trip_through_dict(self):
-        plan = ExecutionPlan(
-            workers=2, shards=4, conv_span=128, faults="seed=1",
-        )
+        plan = ExecutionPlan(conv_span=128, faults="seed=1")
         assert ExecutionPlan.from_dict(plan.to_dict()) == plan
-        partial = ExecutionPlan(workers=2)
+        partial = ExecutionPlan(conv_span=2)
         assert ExecutionPlan.from_dict(partial.to_dict()) == partial
-        assert partial.to_dict() == {"workers": 2}
+        assert partial.to_dict() == {"conv_span": 2}
 
     @pytest.mark.parametrize(
         "mapping",
@@ -217,6 +204,8 @@ class TestExecutionPlan:
             {"bitmap_cache_bytes": 1 << 20},
             {"prefix_cache_bytes": 1 << 20},
             {"mapped_cache_bytes": 1 << 20},
+            {"workers": 2},
+            {"shards": 2},
         ],
     )
     def test_from_dict_rejects_unknown_keys(self, mapping):
@@ -224,19 +213,19 @@ class TestExecutionPlan:
             ExecutionPlan.from_dict(mapping)
 
     def test_merged_over_layers_set_fields(self):
-        base = ExecutionPlan(workers=2, conv_span=64)
+        base = ExecutionPlan(faults="seed=2", conv_span=64)
         over = ExecutionPlan(conv_span=128)
         merged = over.merged_over(base)
-        assert merged.workers == 2 and merged.conv_span == 128
+        assert merged.faults == "seed=2" and merged.conv_span == 128
         assert ExecutionPlan().is_empty()
         assert not base.is_empty()
 
     @pytest.mark.parametrize(
         ("spec", "expected"),
         [
-            ("workers=2,conv_span=64", {"workers": 2, "conv_span": 64}),
+            ("faults=seed=2,conv_span=64", {"faults": "seed=2", "conv_span": 64}),
             ("faults=seed=1;socket-drop=0.1", {"faults": "seed=1;socket-drop=0.1"}),
-            (" workers = 2 , ", {"workers": 2}),
+            (" conv_span = 2 , ", {"conv_span": 2}),
         ],
     )
     def test_parse_plan_spec(self, spec, expected):
@@ -257,6 +246,8 @@ class TestExecutionPlan:
             "bitmap_cache_bytes=4m",
             "prefix_cache_bytes=8m",
             "mapped_cache_bytes=8m",
+            "workers=2",
+            "shards=2",
         ],
     )
     def test_parse_plan_spec_rejects(self, spec):
@@ -286,10 +277,10 @@ class TestExecutionPlan:
 
     def test_ensure_plan_spellings(self):
         assert ensure_plan(None) is None
-        plan = ExecutionPlan(workers=2)
+        plan = ExecutionPlan(conv_span=2)
         assert ensure_plan(plan) is plan
-        assert ensure_plan({"workers": 2}) == plan
-        assert ensure_plan("workers=2") == plan
+        assert ensure_plan({"conv_span": 2}) == plan
+        assert ensure_plan("conv_span=2") == plan
 
 
 # -- scoping: nesting and thread isolation ---------------------------------------------
@@ -297,9 +288,9 @@ class TestExecutionPlan:
 
 class TestPlanScope:
     def test_scopes_nest_and_inner_shadows(self):
-        with plan_scope(ExecutionPlan(workers=2, conv_span=64)):
+        with plan_scope(ExecutionPlan(faults="seed=2", conv_span=64)):
             with plan_scope(ExecutionPlan(conv_span=128)):
-                assert resolve_knob("workers") == 2  # inherited from outer
+                assert resolve_knob("faults") == "seed=2"  # inherited from outer
                 assert resolve_knob("conv_span") == 128  # shadowed by inner
             assert resolve_knob("conv_span") == 64
         assert active_plan() is None
@@ -312,11 +303,11 @@ class TestPlanScope:
         barrier = threading.Barrier(2)
         observed = {}
 
-        def worker(label: str, workers: int, pause: float) -> None:
-            with plan_scope(ExecutionPlan(workers=workers)):
+        def worker(label: str, span: int, pause: float) -> None:
+            with plan_scope(ExecutionPlan(conv_span=span)):
                 barrier.wait(timeout=10.0)
                 time.sleep(pause)  # interleave: both scopes live at once
-                observed[label] = resolve_knob("workers")
+                observed[label] = resolve_knob("conv_span")
 
         threads = [
             threading.Thread(target=worker, args=("a", 3, 0.01)),
@@ -339,12 +330,14 @@ class TestMaterialize:
         assert all(getattr(plan, name) is not None for name in KNOBS)
 
     def test_explicit_beats_request_beats_env(self, monkeypatch):
-        monkeypatch.setenv(PLAN_ENV, "conv_span=99,shards=3")
-        plan = materialize_plan("workers=2,shards=2", explicit={"workers": 6})
-        assert plan.workers == 6  # explicit
-        assert plan.shards == 2  # the request
-        assert plan.conv_span == 99  # REPRO_PLAN
-        assert plan.faults == KNOBS["faults"].default
+        monkeypatch.setenv(PLAN_ENV, "conv_span=99,faults=seed=3")
+        plan = materialize_plan("conv_span=64", explicit={"conv_span": 6})
+        assert plan.conv_span == 6  # explicit
+        plan = materialize_plan("conv_span=64")
+        assert plan.conv_span == 64  # the request
+        assert plan.faults == "seed=3"  # REPRO_PLAN
+        monkeypatch.delenv(PLAN_ENV)
+        assert materialize_plan().faults == KNOBS["faults"].default
 
     def test_materialized_mine_bitwise_equals_default_mine(self):
         database = make_random_database(
@@ -380,8 +373,8 @@ class TestServicePlanIsolation:
             mine(database, algorithm="uapriori", min_esup=0.2).itemsets
         )
         plans = [
-            {"conv_span": 0, "shards": 1},
-            {"conv_span": 1 << 12, "shards": 2},
+            {"conv_span": 0},
+            {"conv_span": 1 << 12},
         ]
         env_before = dict(os.environ)
         barrier = threading.Barrier(len(plans))

@@ -74,12 +74,12 @@ def _portable_results() -> dict:
         n_transactions=50, n_items=9, density=0.7, seed=7, name="golden"
     )
     for algorithm in ("dcb", "dcnb"):
-        result = mine(database, algorithm, min_sup=0.07, pft=0.5, workers=1, shards=1)
+        result = mine(database, algorithm, min_sup=0.07, pft=0.5)
         results[algorithm] = [
             [list(record.itemset.items), float(record.frequent_probability).hex()]
             for record in result
         ]
-    topk = TopKMiner(evaluator="dc", workers=1, shards=1).mine(database, 10, min_sup=0.07)
+    topk = TopKMiner(evaluator="dc").mine(database, 10, min_sup=0.07)
     results["topk-dc"] = [
         [list(record.itemset.items), float(record.frequent_probability).hex()]
         for record in topk.itemsets

@@ -6,7 +6,9 @@ tests (:mod:`reference`).  These tests pin the contract between them on the
 paper's example, the tiny enumeration database and randomized dense and
 sparse databases: identical frequent itemset sets, matching expected
 supports, variances and frequent probabilities, and probability vectors
-equal to the oracle's bit for bit.
+equal to the oracle's bit for bit.  The miners are checked twice: on the
+in-RAM databases and on store-mapped copies of them, which mine off the
+memory-mapped planes of :mod:`repro.db.store`.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from repro.core.miner import mine
 from repro.core.registry import algorithm_names, get_algorithm
 from repro.core.support import normal_tail_probability, poisson_tail_probability
 from repro.core.topk import mine_topk, rank_itemsets, ranking_of, score_of
+from repro.db.store import ColumnarStore
 
 import reference
 from helpers import make_random_database
@@ -70,8 +73,7 @@ PROBABILISTIC_THRESHOLDS = [(0.3, 0.7), (0.5, 0.9)]
 SAMPLING_DELTA = 1e-4
 
 
-@pytest.fixture(params=DATABASES)
-def any_db(request):
+def _named_database(request):
     if request.param == "dense_random_db":
         database = make_random_database(n_transactions=40, n_items=6, density=0.8, seed=11)
     elif request.param == "sparse_random_db":
@@ -79,6 +81,27 @@ def any_db(request):
     else:
         database = request.getfixturevalue(request.param)
     return request.param, database
+
+
+@pytest.fixture(params=DATABASES)
+def any_db(request):
+    return _named_database(request)
+
+
+class _OnStoreMappedDatabases:
+    """Runs the inherited tests on a store-mapped copy of every database.
+
+    The copy holds the same units, so the brute-force references (shared
+    by database name) are the same; the miners read its columns as slices
+    of the store's memory-mapped planes and its item statistics from the
+    manifest.
+    """
+
+    @pytest.fixture(params=DATABASES)
+    def any_db(self, request, tmp_path):
+        name, database = _named_database(request)
+        store = ColumnarStore.save(database, str(tmp_path / "store"))
+        return name, store.database()
 
 
 _REFERENCES = {}
@@ -233,6 +256,23 @@ class TestTopKEvaluators:
         floor = (top.scores()[-1] if len(top) == k else 0.0) + 1e-9
         chosen = {items for items, _ in top.ranked_keys()}
         assert {items for items, value in truth.items() if value > floor} <= chosen
+
+
+class TestStoreMappedExpectedSupportMiners(
+    _OnStoreMappedDatabases, TestExpectedSupportMiners
+):
+    pass
+
+
+class TestStoreMappedProbabilisticMiners(
+    _OnStoreMappedDatabases, TestProbabilisticMiners
+):
+    #: builds its own in-RAM databases, so a store adds nothing to it
+    test_sampling_storages_identical_given_seed = None
+
+
+class TestStoreMappedTopKEvaluators(_OnStoreMappedDatabases, TestTopKEvaluators):
+    pass
 
 
 class TestDatabasePrimitives:

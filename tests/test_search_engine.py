@@ -1,17 +1,16 @@
 """Golden-equivalence suite: the MinerSpec engine is held to a bitwise contract.
 
 ``tests/goldens/search_engine_goldens.json`` was captured by
-``tools/capture_search_goldens.py``: every registered miner over the
-equivalence grid ((workers, shards) in {(1, 1), (2, 2)}), the five top-k
-evaluators over the same grid, and the streaming miners' per-slide record
-series — all serialized with ``repr`` floats, so equality of the serialized
-form is bitwise equality of the mining results.
+``tools/capture_search_goldens.py``: every registered miner, the five top-k
+evaluators and the streaming miners' per-slide record series — all
+serialized with ``repr`` floats, so equality of the serialized form is
+bitwise equality of the mining results.
 
-This module replays the exact same grid through the
+This module replays the exact same captures through the
 :class:`~repro.core.search.LevelwiseSearch` engine and asserts byte
-equality.  It also replays the ``w1s1`` goldens under layouts the grid
-does not capture (uneven shards, more shards than workers, store-mapped
-shards), plus the two satellites that ride on the engine:
+equality.  It also replays the goldens under layouts the captures do not
+cover (store-mapped, NumPy kernels, a view built from columns), plus the
+two satellites that ride on the engine:
 
 * the apriori join's maintained-sort-order contract (``presorted=True``
   produces the identical candidate list the sorting join produced); and
@@ -54,9 +53,7 @@ STREAMING_KEYS = sorted(GOLDENS["streaming"])
 
 
 def _parse_key(key):
-    algorithm, _, ws, _ = key.split("|")
-    workers, shards = ws[1:].split("s")
-    return algorithm, int(workers), int(shards)
+    return key.split("|")[0]
 
 
 @pytest.fixture(scope="module")
@@ -64,20 +61,20 @@ def database():
     return make_random_database(**GOLDENS["dataset"])
 
 
-def _mine_threshold(database, algorithm, workers, shards):
+def _mine_threshold(database, algorithm):
     from repro.core.miner import mine
     from repro.core.registry import get_algorithm
 
-    kwargs = dict(harness.MINER_OPTIONS[algorithm], workers=workers, shards=shards)
+    kwargs = harness.MINER_OPTIONS[algorithm]
     if get_algorithm(algorithm).family == "expected":
         return mine(database, algorithm, min_esup=harness.MIN_ESUP, **kwargs)
     return mine(database, algorithm, min_sup=harness.MIN_SUP, pft=harness.PFT, **kwargs)
 
 
-def _mine_topk(database, evaluator, workers, shards):
+def _mine_topk(database, evaluator):
     from repro.algorithms.topk import TopKMiner
 
-    miner = TopKMiner(evaluator=evaluator, workers=workers, shards=shards)
+    miner = TopKMiner(evaluator=evaluator)
     min_sup = None if evaluator == "esup" else harness.MIN_SUP
     return miner.mine(database, GOLDENS["topk_k"], min_sup=min_sup)
 
@@ -124,26 +121,21 @@ def _counters(statistics):
 class TestGoldenEquivalence:
     def test_golden_keys_are_the_capture_grid(self):
         assert THRESHOLD_KEYS == sorted(
-            harness.config_key(algorithm, config)
-            for algorithm in harness.MINER_OPTIONS
-            for config in harness.GRID
+            harness.config_key(algorithm) for algorithm in harness.MINER_OPTIONS
         )
         assert TOPK_KEYS == sorted(
-            harness.config_key(f"topk-{evaluator}", config)
+            harness.config_key(f"topk-{evaluator}")
             for evaluator in harness.TOPK_EVALUATORS
-            for config in harness.GRID
         )
 
     @pytest.mark.parametrize("key", THRESHOLD_KEYS)
     def test_threshold_grid_bitwise(self, database, key):
-        algorithm, workers, shards = _parse_key(key)
-        result = _mine_threshold(database, algorithm, workers, shards)
+        result = _mine_threshold(database, _parse_key(key))
         assert harness.serialize_records(result) == GOLDENS["threshold_grid"][key]
 
     @pytest.mark.parametrize("key", TOPK_KEYS)
     def test_topk_grid_bitwise(self, database, key):
-        name, workers, shards = _parse_key(key)
-        result = _mine_topk(database, name[len("topk-"):], workers, shards)
+        result = _mine_topk(database, _parse_key(key)[len("topk-"):])
         assert harness.serialize_records(result) == GOLDENS["topk_grid"][key]
 
     @pytest.mark.parametrize("key", STREAMING_KEYS)
@@ -155,57 +147,76 @@ class TestGoldenEquivalence:
         assert per_slide == GOLDENS["streaming"][key]
 
 
-# -- layouts outside the capture grid --------------------------------------------------
-#: (label, store-backed, workers, shards): uneven in-process shards, more
-#: shards than pool workers over shared-memory segments, a store-mapped
-#: database mined serially and in uneven in-process shards, and store-mapped
-#: shards shipped to the pool as store descriptors.
+# -- layouts outside the captures ------------------------------------------------------
+#: (label, data, NumPy kernels): a store-mapped database, mined off its
+#: mapped planes; the in-RAM and store-mapped databases on the NumPy kernels
+#: (the fallback without a C compiler); and a database whose view is built
+#: from its columns, so it knows no unit arrays and copies every block
 LAYOUTS = [
-    ("ram-w1s3", False, 1, 3),
-    ("ram-w2s3", False, 2, 3),
-    ("store-w1s1", True, 1, 1),
-    ("store-w1s3", True, 1, 3),
-    ("store-w2s3", True, 2, 3),
+    ("store-w1s1", "store", False),
+    ("ram-numpy", "ram", True),
+    ("store-numpy", "store", True),
+    ("ram-column-built", "column-built", False),
 ]
-
-#: the capture-grid config whose goldens the extra layouts replay
-REFERENCE_CONFIG = {"workers": 1, "shards": 1}
 
 
 @pytest.fixture(scope="module")
-def store_database(database, tmp_path_factory):
+def golden_store(database, tmp_path_factory):
     from repro.db.store import ColumnarStore
 
     directory = tmp_path_factory.mktemp("golden-store") / "store"
-    return ColumnarStore.save(database, str(directory)).database()
+    return ColumnarStore.save(database, str(directory))
+
+
+def _column_built(database):
+    """A copy of ``database`` whose view is built from its columns."""
+    from repro.db import UncertainDatabase
+    from repro.db.columnar import ColumnarView
+
+    view = database.columnar()
+    copy = UncertainDatabase.from_rows(*database.row_csr())
+    copy._columnar = ColumnarView.from_columns(
+        {item: view.column(item) for item in view.items()}, len(database)
+    )
+    return copy
 
 
 class TestLayoutInvariance:
-    """Every miner's results are the same bytes under every layout, so any
-    layout the grid does not capture must replay the ``w1s1`` golden too.
-    The golden file keeps the capture grid, and this class replays its
-    ``w1s1`` entries."""
+    """Every miner's results are the same bytes under every layout, so a
+    layout the captures do not cover must replay the goldens too."""
 
-    def _data(self, request, store_backed):
-        return request.getfixturevalue("store_database" if store_backed else "database")
+    @staticmethod
+    def _data(request, layout):
+        """Fresh data for one test, so no view cache carries over between layouts."""
+        _, data, numpy = layout
+        if numpy:
+            request.getfixturevalue("numpy_kernels")
+        if data == "store":
+            return request.getfixturevalue("golden_store").database()
+        database = make_random_database(**GOLDENS["dataset"])
+        return _column_built(database) if data == "column-built" else database
 
     @pytest.mark.parametrize("layout", LAYOUTS, ids=[layout[0] for layout in LAYOUTS])
     @pytest.mark.parametrize("algorithm", sorted(harness.MINER_OPTIONS))
     def test_threshold_miner_layout_invariant(self, request, algorithm, layout):
-        _, store_backed, workers, shards = layout
-        data = self._data(request, store_backed)
-        result = _mine_threshold(data, algorithm, workers, shards)
-        key = harness.config_key(algorithm, REFERENCE_CONFIG)
+        result = _mine_threshold(self._data(request, layout), algorithm)
+        key = harness.config_key(algorithm)
         assert harness.serialize_records(result) == GOLDENS["threshold_grid"][key]
 
     @pytest.mark.parametrize("layout", LAYOUTS, ids=[layout[0] for layout in LAYOUTS])
     @pytest.mark.parametrize("evaluator", harness.TOPK_EVALUATORS)
     def test_topk_layout_invariant(self, request, evaluator, layout):
-        _, store_backed, workers, shards = layout
-        data = self._data(request, store_backed)
-        result = _mine_topk(data, evaluator, workers, shards)
-        key = harness.config_key(f"topk-{evaluator}", REFERENCE_CONFIG)
+        result = _mine_topk(self._data(request, layout), evaluator)
+        key = harness.config_key(f"topk-{evaluator}")
         assert harness.serialize_records(result) == GOLDENS["topk_grid"][key]
+
+    @pytest.mark.parametrize("key", STREAMING_KEYS)
+    def test_streaming_on_numpy_kernels(self, database, numpy_kernels, key):
+        per_slide = [
+            harness.serialize_records(result)
+            for result in _stream_results(database, key)
+        ]
+        assert per_slide == GOLDENS["streaming"][key]
 
 
 # -- satellite: the maintained-sort-order join ------------------------------------------
@@ -246,7 +257,7 @@ class TestAprioriJoinPresorted:
 
 # -- satellite: uniform statistics accounting -------------------------------------------
 #: (database_scans, candidates_generated, candidates_pruned, exact_evaluations)
-#: per miner on the golden dataset, workers=1, shards=1 —
+#: per miner on the golden dataset —
 #: the uniform accounting of the engine (rules documented on
 #: ``MiningStatistics``).  A change here means the accounting contract moved:
 #: update the docstring and these pins together, deliberately.
@@ -265,8 +276,7 @@ COUNTER_PINS = {
 }
 
 
-#: the same four counters for the five top-k evaluators (k=10, workers=1,
-#: shards=1).  Every candidate whose score kernel runs is an exact
+#: the same four counters for the five top-k evaluators (k=10).  Every candidate whose score kernel runs is an exact
 #: evaluation, so ``normal`` and ``poisson`` count theirs like ``dp``/``dc``.
 TOPK_COUNTER_PINS = {
     "esup": (1, 45, 35, 0),
@@ -296,7 +306,7 @@ class TestUniformAccounting:
         from repro.core.miner import mine
         from repro.core.registry import get_algorithm
 
-        kwargs = dict(harness.MINER_OPTIONS[algorithm], workers=1, shards=1)
+        kwargs = harness.MINER_OPTIONS[algorithm]
         if get_algorithm(algorithm).family == "expected":
             result = mine(database, algorithm, min_esup=harness.MIN_ESUP, **kwargs)
         else:
@@ -314,7 +324,7 @@ class TestUniformAccounting:
 
     @pytest.mark.parametrize("evaluator", sorted(TOPK_COUNTER_PINS))
     def test_topk_counters_pinned(self, database, evaluator):
-        result = _mine_topk(database, evaluator, 1, 1)
+        result = _mine_topk(database, evaluator)
         assert _counters(result.statistics) == TOPK_COUNTER_PINS[evaluator]
 
     @pytest.mark.parametrize("key", sorted(STREAMING_COUNTER_PINS))

@@ -22,6 +22,8 @@ import time
 import pytest
 
 from repro.core.miner import mine
+from repro.core.registry import algorithm_names, get_algorithm
+from repro.core.topk import mine_topk
 from repro.db.store import ColumnarStore
 from repro.service import (
     DatasetRegistry,
@@ -416,11 +418,11 @@ class TestServerErrors:
                 client.mine("d", min_esup=0.2, plan="auto")
             assert excinfo.value.type == "bad-params"
             assert "knob=value" in str(excinfo.value)
-            reply = client.mine("d", min_esup=0.2, plan="workers=auto")
-            assert reply["plan"]["workers"] >= 1
 
     def test_retired_backend_knob_is_a_bad_param(self, server):
         retired = {
+            "workers": "auto",
+            "shards": "2",
             "backend": "rows",
             "dense_cache_bytes": "4m",
             "bitmap_cache_bytes": "4m",
@@ -438,6 +440,20 @@ class TestServerErrors:
                 reply = client.mine("d", min_esup=0.2)
                 assert name not in reply["plan"]
                 assert reply["n"] > 0
+
+    @pytest.mark.parametrize("field", ["workers", "shards"])
+    @pytest.mark.parametrize("op", ["mine", "mine-topk"])
+    def test_parallel_request_fields_are_bad_params(self, server, op, field):
+        # Mining is serial: a request asking for workers or shards is refused
+        # with a structured error, never served as if it had not asked.
+        params = {"dataset": "d", "min_esup": 0.2, "k": 3, field: 1}
+        host, port = server.address
+        with MiningClient(host, port) as client:
+            with pytest.raises(ServiceError) as excinfo:
+                client.call(op, params)
+            assert excinfo.value.type == "bad-params"
+            assert field in str(excinfo.value)
+            assert client.call(op, {"dataset": "d", "min_esup": 0.2, "k": 3})["n"] > 0
 
     def test_errors_do_not_poison_the_connection(self, server):
         host, port = server.address
@@ -531,6 +547,42 @@ class TestServeEndToEnd:
                 assert record_keys(decode_records(second["itemsets"])) == record_keys(
                     expected.itemsets
                 )
+
+
+class TestServedStoreMatchesLibrary:
+    """Every registered miner and top-k evaluator, served off a registered
+    store, answers with the records of a library mine of the same data,
+    bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def client(self, database, tmp_path_factory):
+        directory = str(tmp_path_factory.mktemp("served") / "store")
+        ColumnarStore.save(database, directory)
+        with MiningServer(max_workers=2, max_queue=4) as server:
+            server.registry.register("s", {"kind": "store", "directory": directory})
+            with MiningClient(*server.address) as client:
+                yield client
+
+    @pytest.mark.parametrize("algorithm", algorithm_names())
+    def test_mine(self, client, database, algorithm):
+        if get_algorithm(algorithm).family == "expected":
+            thresholds = {"min_esup": 0.2}
+        else:
+            thresholds = {"min_sup": 0.3, "pft": 0.7}
+        reply = client.mine("s", algorithm=algorithm, cache=False, **thresholds)
+        expected = mine(database, algorithm=algorithm, **thresholds)
+        assert record_keys(decode_records(reply["itemsets"])) == record_keys(
+            expected.itemsets
+        )
+
+    @pytest.mark.parametrize("evaluator", ["esup", "dp", "dc", "normal", "poisson"])
+    def test_mine_topk(self, client, database, evaluator):
+        min_sup = None if evaluator == "esup" else 0.3
+        reply = client.mine_topk("s", 6, algorithm=evaluator, min_sup=min_sup, cache=False)
+        expected = mine_topk(database, 6, algorithm=evaluator, min_sup=min_sup)
+        assert record_keys(decode_records(reply["itemsets"])) == record_keys(
+            expected.itemsets
+        )
 
 
 class TestTransportEdges:

@@ -5,8 +5,6 @@
 * admission is bounded: with workers=1 and queue=1 a third concurrent
   request is rejected immediately with ``overloaded``,
 * per-request timeouts produce a structured ``timeout`` reply,
-* a serve session leaves nothing behind: no live worker pools, no
-  ``/dev/shm/repro_*`` segments (the PR-6 leak-check pattern),
 * :class:`~repro.db.cache.ByteBudgetLRU` survives a multi-threaded
   hammer with exact byte accounting — the reentrancy regression test for
   the lock added alongside the service layer.
@@ -14,7 +12,6 @@
 
 from __future__ import annotations
 
-import glob
 import random
 import threading
 import time
@@ -23,7 +20,6 @@ import numpy as np
 import pytest
 
 from repro.core.miner import mine
-from repro.core.parallel import live_pool_count
 from repro.db.cache import ByteBudgetLRU, _payload_nbytes
 from repro.service import (
     MiningClient,
@@ -34,10 +30,6 @@ from repro.service import (
 )
 
 from helpers import make_random_database
-
-
-def _shm_segments() -> set:
-    return set(glob.glob("/dev/shm/repro_*"))
 
 
 def _inline_spec(database) -> dict:
@@ -233,30 +225,6 @@ class TestTimeouts:
                 with pytest.raises(ServiceError) as excinfo:
                     client.ping(delay_seconds=0.8, timeout_seconds=0.1)
                 assert excinfo.value.type == "timeout"
-
-
-class TestLeaks:
-    def test_serve_session_leaves_no_pools_or_segments(self, databases):
-        pools_before = live_pool_count()
-        segments_before = _shm_segments()
-        server = MiningServer(max_workers=2, max_queue=8).start()
-        try:
-            server.registry.register("low", _inline_spec(databases["low"]))
-            host, port = server.address
-            with MiningClient(host, port) as client:
-                # workers=2 engages the partition-parallel engine (process
-                # pool + shared-memory fan-out) inside the request.
-                reply = client.mine(
-                    "low", algorithm="uapriori", min_esup=0.2, workers=2, shards=2
-                )
-                sequential = client.mine(
-                    "low", algorithm="uapriori", min_esup=0.2, cache=False
-                )
-                assert reply["itemsets"] == sequential["itemsets"]
-        finally:
-            server.close()
-        assert live_pool_count() == pools_before
-        assert _shm_segments() == segments_before
 
 
 class TestByteBudgetLRUThreadSafety:

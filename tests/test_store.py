@@ -2,19 +2,17 @@
 
 The store's contract is *bitwise*: a database persisted with
 :meth:`ColumnarStore.save` and reopened as a lazily mapped view must be
-indistinguishable — columns, statistics, bitmaps, slices and every miner's
+indistinguishable — columns, statistics, bitmaps and every miner's
 output — from the in-RAM :class:`ColumnarView` it was built from.  The
-equivalence grid at the bottom runs every registered miner over
-``(workers, shards)`` configurations against the in-RAM serial run
-(bitwise), which ``test_reference_equivalence`` pins to the brute-force
-references.
+equivalence grid at the bottom runs every registered miner on the store
+against the in-RAM run (bitwise), which ``test_reference_equivalence``
+pins to the brute-force references.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import pickle
 import shutil
 import zlib
 
@@ -23,6 +21,7 @@ import pytest
 
 from repro.core.miner import mine
 from repro.core.registry import algorithm_names, get_algorithm
+from repro.core.topk import mine_topk
 from repro.db import UncertainDatabase
 from repro.db.store import (
     STORE_ENV,
@@ -149,55 +148,6 @@ class TestMappedView:
         assert np.shares_memory(probs, probs_plane)
         assert not rows.flags.writeable and not probs.flags.writeable
 
-    def test_slices_match_in_ram_slices(self, database, store):
-        view = database.columnar()
-        mapped = store.view()
-        for start, stop in [(0, 20), (15, 45), (30, 60), (7, 8)]:
-            expected = view.slice_rows(start, stop)
-            sliced = mapped.slice_rows(start, stop)
-            assert isinstance(sliced, MappedColumnarView)
-            assert len(sliced) == len(expected)
-            assert sliced.items() == expected.items()
-            assert sliced.nnz() == expected.nnz()
-            for item in expected.items():
-                rows, probs = expected.column(item)
-                mapped_rows, mapped_probs = sliced.column(item)
-                assert np.array_equal(np.asarray(mapped_rows), rows)
-                assert np.array_equal(np.asarray(mapped_probs), probs)
-            assert sliced.item_statistics() == expected.item_statistics()
-            for item in expected.items():
-                assert np.array_equal(
-                    np.asarray(sliced.item_bitmap(item)),
-                    expected.item_bitmap(item),
-                )
-
-    def test_nested_slicing(self, database, store):
-        expected = database.columnar().slice_rows(10, 50).slice_rows(5, 30)
-        sliced = store.view().slice_rows(10, 50).slice_rows(5, 30)
-        for item in expected.items():
-            rows, probs = expected.column(item)
-            mapped_rows, mapped_probs = sliced.column(item)
-            assert np.array_equal(np.asarray(mapped_rows), rows)
-            assert np.array_equal(np.asarray(mapped_probs), probs)
-
-    def test_pickles_as_descriptor(self, database, store):
-        view = store.view()
-        payload = pickle.dumps(view)
-        # The whole point: a mapped view travels as (directory, start, stop),
-        # not as its data planes.
-        assert len(payload) < 512
-        clone = pickle.loads(payload)
-        for item in view.items():
-            rows, probs = view.column(item)
-            clone_rows, clone_probs = clone.column(item)
-            assert np.array_equal(np.asarray(clone_rows), np.asarray(rows))
-            assert np.array_equal(np.asarray(clone_probs), np.asarray(probs))
-
-    def test_store_source_round_trip(self, store):
-        directory, start, stop = store.view().slice_rows(5, 25).store_source
-        assert directory == store.directory
-        assert (start, stop) == (5, 25)
-
 
 def _add_legacy_bitmap_plane(directory) -> None:
     """Give a store the ``bitmaps.bin`` plane that older writers emitted.
@@ -307,18 +257,20 @@ def _assert_bitwise(result, reference):
 
 
 class TestMinerEquivalenceGrid:
-    """in-RAM columnar == memmap-store for every registered miner."""
+    """in-RAM columnar == memmap-store for every registered miner and
+    top-k evaluator."""
 
-    @pytest.mark.parametrize("workers,shards", [(1, 1), (1, 3), (2, 2)])
     @pytest.mark.parametrize("algorithm", algorithm_names())
-    def test_store_grid(self, database, store, algorithm, workers, shards):
+    def test_store_grid(self, database, store, algorithm):
         thresholds = _thresholds(algorithm)
         columnar = mine(database, algorithm=algorithm, **thresholds)
-        mapped = mine(
-            store.database(),
-            algorithm=algorithm,
-            workers=workers,
-            shards=shards,
-            **thresholds,
-        )
+        mapped = mine(store.database(), algorithm=algorithm, **thresholds)
+        _assert_bitwise(mapped, columnar)
+
+    @pytest.mark.parametrize("evaluator", ["esup", "dp", "dc", "normal", "poisson"])
+    def test_store_topk_grid(self, database, store, evaluator):
+        min_sup = None if evaluator == "esup" else 0.3
+        columnar = mine_topk(database, 8, algorithm=evaluator, min_sup=min_sup)
+        mapped = mine_topk(store.database(), 8, algorithm=evaluator, min_sup=min_sup)
+        assert mapped.ranked_keys() == columnar.ranked_keys()
         _assert_bitwise(mapped, columnar)

@@ -6,7 +6,7 @@ with one ``np.bincount`` over a flat-array UH-Struct.  It must reproduce
 replaced, bit for bit: the same records in the same order, the same
 expected supports and variances, and the same candidate counters.  Both
 run through ``uh-mine`` (with and without variance tracking) and
-``nduh-mine``, serially, in two shards and in three uneven shards.
+``nduh-mine``.
 """
 
 from __future__ import annotations
@@ -20,9 +20,6 @@ from repro.algorithms import NDUHMine, UHMine
 from repro.db import UncertainDatabase
 
 from reference import uh_mine_expand_dict
-
-#: (workers, shards): serial, two shards, three shards (made uneven below)
-LAYOUTS = [(1, 1), (1, 2), (1, 3)]
 
 N_ITEMS = 6
 
@@ -42,8 +39,6 @@ def databases(draw):
     rows.insert(draw(st.integers(0, len(rows))), {})
     single = {draw(st.integers(0, N_ITEMS - 1)): draw(_probability)}
     rows.insert(draw(st.integers(0, len(rows))), single)
-    if len(rows) % 3 == 0:
-        rows.append({})
     return UncertainDatabase.from_records(rows)
 
 
@@ -83,11 +78,11 @@ def _outcome(result):
     track_variance=st.booleans(),
 )
 def test_uh_mine_matches_dict_expander(database, min_esup, track_variance):
-    for workers, shards in LAYOUTS:
-        options = dict(track_variance=track_variance, workers=workers, shards=shards)
-        arrays = UHMine(**options).mine(database, min_esup=min_esup)
-        frozen = _with_dict_expander(UHMine)(**options).mine(database, min_esup=min_esup)
-        assert _outcome(arrays) == _outcome(frozen), (workers, shards)
+    arrays = UHMine(track_variance=track_variance).mine(database, min_esup=min_esup)
+    frozen = _with_dict_expander(UHMine)(track_variance=track_variance).mine(
+        database, min_esup=min_esup
+    )
+    assert _outcome(arrays) == _outcome(frozen)
 
 
 @settings(max_examples=80, deadline=None)
@@ -97,10 +92,6 @@ def test_uh_mine_matches_dict_expander(database, min_esup, track_variance):
     pft=st.sampled_from([0.1, 0.5, 0.9]),
 )
 def test_nduh_mine_matches_dict_expander(database, min_sup, pft):
-    for workers, shards in LAYOUTS:
-        options = dict(workers=workers, shards=shards)
-        arrays = NDUHMine(**options).mine(database, min_sup=min_sup, pft=pft)
-        frozen = _with_dict_expander(NDUHMine)(**options).mine(
-            database, min_sup=min_sup, pft=pft
-        )
-        assert _outcome(arrays) == _outcome(frozen), (workers, shards)
+    arrays = NDUHMine().mine(database, min_sup=min_sup, pft=pft)
+    frozen = _with_dict_expander(NDUHMine)().mine(database, min_sup=min_sup, pft=pft)
+    assert _outcome(arrays) == _outcome(frozen)

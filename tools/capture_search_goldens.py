@@ -1,11 +1,7 @@
 """Capture the golden-result grid pinning the MinerSpec engine migration.
 
-Runs every registered miner over the equivalence grid
-
-    miner x (workers, shards) {(1,1), (2,2)}
-
-plus the streaming miners (per-slide records) and the top-k evaluators,
-on a fixed seeded database, and serializes every ``MiningResult`` record
+Runs every registered miner, the top-k evaluators and the streaming
+miners (per-slide records) on a fixed seeded database, and serializes every ``MiningResult`` record
 with exact ``repr`` floats (``repr`` round-trips binary64, so equality of
 the serialized form is bitwise equality of the results).
 
@@ -59,11 +55,6 @@ MINER_OPTIONS: Dict[str, Dict[str, object]] = {
     "world-sampling": {"n_worlds": 120, "seed": 3},
 }
 
-GRID = [
-    {"workers": 1, "shards": 1},
-    {"workers": 2, "shards": 2},
-]
-
 TOPK_EVALUATORS = ("esup", "dp", "dc", "normal", "poisson")
 TOPK_K = 10
 
@@ -89,11 +80,11 @@ def serialize_records(records) -> List[List[object]]:
     ]
 
 
-def config_key(algorithm: str, config: Dict[str, object]) -> str:
-    # "columnar" and the trailing "|bitset=on" are fixed labels kept from
-    # the grid's former backend and bitset axes, so the checked-in key
-    # names stay unchanged.
-    return f"{algorithm}|columnar|w{config['workers']}s{config['shards']}|bitset=on"
+def config_key(algorithm: str) -> str:
+    # "columnar", "w1s1" and the trailing "|bitset=on" are fixed labels kept
+    # from the grid's former backend, (workers, shards) and bitset axes, so
+    # the checked-in key names stay unchanged.
+    return f"{algorithm}|columnar|w1s1|bitset=on"
 
 
 def make_database():
@@ -108,15 +99,12 @@ def capture_threshold_grid(database) -> Dict[str, List[List[object]]]:
 
     goldens: Dict[str, List[List[object]]] = {}
     for algorithm, options in MINER_OPTIONS.items():
-        family = get_algorithm(algorithm).family
-        for config in GRID:
-            kwargs = dict(options, workers=config["workers"], shards=config["shards"])
-            if family == "expected":
-                result = mine(database, algorithm, min_esup=MIN_ESUP, **kwargs)
-            else:
-                result = mine(database, algorithm, min_sup=MIN_SUP, pft=PFT, **kwargs)
-            goldens[config_key(algorithm, config)] = serialize_records(result)
-            print(f"  {config_key(algorithm, config)}: {len(result)} records")
+        if get_algorithm(algorithm).family == "expected":
+            result = mine(database, algorithm, min_esup=MIN_ESUP, **options)
+        else:
+            result = mine(database, algorithm, min_sup=MIN_SUP, pft=PFT, **options)
+        goldens[config_key(algorithm)] = serialize_records(result)
+        print(f"  {config_key(algorithm)}: {len(result)} records")
     return goldens
 
 
@@ -125,18 +113,10 @@ def capture_topk(database) -> Dict[str, List[List[object]]]:
 
     goldens: Dict[str, List[List[object]]] = {}
     for evaluator in TOPK_EVALUATORS:
-        for config in GRID:
-            miner = TopKMiner(
-                evaluator=evaluator,
-                workers=config["workers"],
-                shards=config["shards"],
-            )
-            min_sup = None if evaluator == "esup" else MIN_SUP
-            result = miner.mine(database, TOPK_K, min_sup=min_sup)
-            goldens[config_key(f"topk-{evaluator}", config)] = serialize_records(
-                result.itemsets
-            )
-            print(f"  {config_key(f'topk-{evaluator}', config)}: {len(result)} records")
+        min_sup = None if evaluator == "esup" else MIN_SUP
+        result = TopKMiner(evaluator=evaluator).mine(database, TOPK_K, min_sup=min_sup)
+        goldens[config_key(f"topk-{evaluator}")] = serialize_records(result.itemsets)
+        print(f"  {config_key(f'topk-{evaluator}')}: {len(result)} records")
     return goldens
 
 
