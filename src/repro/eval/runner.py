@@ -252,9 +252,9 @@ def run_streaming_scenario(
     the initial window fill, subsequent points are slides of ``spec.step``
     arrivals.  With ``verify=True`` every slide is additionally batch-mined
     from scratch over the window contents (``BATCH_EQUIVALENTS`` names the
-    static counterpart), recording the batch wall-clock and whether the frequent sets
-    agree — the incremental-vs-recompute comparison of the windowed
-    benchmark, available on live scenarios.
+    static counterpart), recording the batch wall-clock and whether the
+    frequent sets agree — the incremental-vs-recompute comparison of the
+    windowed benchmark, available on live scenarios.
     """
     database = load_dataset(spec.dataset, **spec.dataset_kwargs)
     stream = TransactionStream.from_database(database)

@@ -164,11 +164,11 @@ class ExecutionPlan:
         >>> ExecutionPlan.from_dict({"workers": 2})
         Traceback (most recent call last):
             ...
-        ValueError: unknown plan knob(s): 'workers' (known: conv_span, faults, ...)
+        ValueError: unknown plan knob(s): 'workers' (known: conv_span, faults)
         """
         unknown = sorted(set(mapping) - set(KNOBS))
         if unknown:
-            known = ", ".join(sorted(KNOBS)[:2]) + ", ..."
+            known = ", ".join(sorted(KNOBS))
             listed = ", ".join(repr(key) for key in unknown)
             raise ValueError(f"unknown plan knob(s): {listed} (known: {known})")
         return cls(**dict(mapping))
@@ -337,34 +337,29 @@ def resolve_knob(name: str, explicit: Any = None) -> Any:
     return knob.default
 
 
-def resolve_all(explicit: Optional[Mapping[str, Any]] = None) -> ExecutionPlan:
+def resolve_all() -> ExecutionPlan:
     """Resolve every knob, returning a fully-specified plan.
 
-    ``explicit`` supplies tier-1 values per knob.  The result has every
-    field set — it is the *materialized* configuration of a run, suitable
-    for :func:`plan_scope` pinning, cache keys and reporting.
+    The result has every field set — it is the *materialized*
+    configuration of a run, suitable for :func:`plan_scope` pinning, cache
+    keys and reporting.
     """
-    explicit = explicit or {}
-    return ExecutionPlan(
-        **{name: resolve_knob(name, explicit.get(name)) for name in KNOBS}
-    )
+    return ExecutionPlan(**{name: resolve_knob(name) for name in KNOBS})
 
 
 def materialize_plan(
     plan: Union[None, str, Mapping[str, Any], ExecutionPlan] = None,
-    explicit: Optional[Mapping[str, Any]] = None,
 ) -> ExecutionPlan:
     """Resolve a plan request into a fully-specified :class:`ExecutionPlan`.
 
     The run-level entry point of the pipeline: the miners, the streaming
-    miners and the service all funnel through it.  ``explicit`` carries
-    tier-1 per-knob arguments; ``plan`` enters at the scope tier; the
-    environment and the defaults fill the rest.  Pinning the result with
-    :func:`plan_scope` freezes the whole configuration for the run, immune
-    to concurrent env changes or other threads' plans.
+    miners and the service all funnel through it.  ``plan`` enters at the
+    scope tier; the environment and the defaults fill the rest.  Pinning
+    the result with :func:`plan_scope` freezes the whole configuration for
+    the run, immune to concurrent env changes or other threads' plans.
 
-    >>> materialize_plan("conv_span=64", {"conv_span": 16}).conv_span
-    16
+    >>> materialize_plan("conv_span=64").conv_span
+    64
     """
     with plan_scope(plan):
-        return resolve_all(explicit)
+        return resolve_all()

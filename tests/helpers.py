@@ -35,3 +35,13 @@ def make_random_database(
                 units[item] = round(rng.uniform(0.05, 1.0), 3)
         records.append(units)
     return UncertainDatabase.from_records(records, name=name)
+
+
+def column_built_view(database: UncertainDatabase):
+    """``database``'s view rebuilt from its columns: it knows no unit arrays,
+    so its seed blocks and item spans are copies, not spans of shared arrays."""
+    from repro.db.columnar import ColumnarView
+
+    view = ColumnarView(database)
+    columns = {item: view.column(item) for item in view.items()}
+    return ColumnarView.from_columns(columns, len(database))

@@ -32,7 +32,7 @@ from repro.db.cache import ByteBudgetLRU
 from repro.db.columnar import ColumnBlock, ColumnarView
 from repro.db.store import ColumnarStore
 
-from helpers import make_random_database
+from helpers import column_built_view, make_random_database
 from reference import apriori_join_tuples, has_infrequent_subset_tuples
 
 
@@ -118,14 +118,6 @@ def databases(draw):
     return UncertainDatabase.from_records(records)
 
 
-def _column_built(database) -> ColumnarView:
-    """``database``'s view rebuilt from its columns: it knows no unit arrays,
-    so its seed blocks and item spans are copies, not spans of shared arrays."""
-    view = ColumnarView(database)
-    columns = {item: view.column(item) for item in view.items()}
-    return ColumnarView.from_columns(columns, len(database))
-
-
 def _assert_levels_match_oracle(view, min_count):
     """Walk every level of ``view`` through ``batch_vectors``; check each column.
 
@@ -173,7 +165,7 @@ class TestBlockColumns:
             GATHER_CHUNK_BYTES=24 if small_chunks else columnar.GATHER_CHUNK_BYTES,
         ):
             _assert_levels_match_oracle(ColumnarView(database), min_count)
-            _assert_levels_match_oracle(_column_built(database), min_count)
+            _assert_levels_match_oracle(column_built_view(database), min_count)
 
     @given(databases(), st.sampled_from([0, 2]))
     @settings(max_examples=25, deadline=None)
@@ -379,7 +371,7 @@ class TestCompiledGather:
             store = ColumnarStore.save(database, directory)
             makers = [
                 lambda: ColumnarView(database),
-                lambda: _column_built(database),
+                lambda: column_built_view(database),
                 lambda: store.view(),
             ]
             for make in makers:
@@ -513,7 +505,7 @@ class TestCompiledKill:
             store = ColumnarStore.save(database, directory)
             for view in (
                 ColumnarView(database),
-                _column_built(database),
+                column_built_view(database),
                 store.view(),
             ):
                 self._assert_level_counts(view, min_count, exact=not tiny)

@@ -329,10 +329,8 @@ class TestMaterialize:
         plan = materialize_plan()
         assert all(getattr(plan, name) is not None for name in KNOBS)
 
-    def test_explicit_beats_request_beats_env(self, monkeypatch):
+    def test_request_beats_env(self, monkeypatch):
         monkeypatch.setenv(PLAN_ENV, "conv_span=99,faults=seed=3")
-        plan = materialize_plan("conv_span=64", explicit={"conv_span": 6})
-        assert plan.conv_span == 6  # explicit
         plan = materialize_plan("conv_span=64")
         assert plan.conv_span == 64  # the request
         assert plan.faults == "seed=3"  # REPRO_PLAN

@@ -27,7 +27,7 @@ import random
 
 import pytest
 
-from helpers import make_random_database
+from helpers import column_built_view, make_random_database
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _GOLDEN_PATH = os.path.join(
@@ -171,13 +171,9 @@ def golden_store(database, tmp_path_factory):
 def _column_built(database):
     """A copy of ``database`` whose view is built from its columns."""
     from repro.db import UncertainDatabase
-    from repro.db.columnar import ColumnarView
 
-    view = database.columnar()
     copy = UncertainDatabase.from_rows(*database.row_csr())
-    copy._columnar = ColumnarView.from_columns(
-        {item: view.column(item) for item in view.items()}, len(database)
-    )
+    copy._columnar = column_built_view(database)
     return copy
 
 
@@ -276,8 +272,9 @@ COUNTER_PINS = {
 }
 
 
-#: the same four counters for the five top-k evaluators (k=10).  Every candidate whose score kernel runs is an exact
-#: evaluation, so ``normal`` and ``poisson`` count theirs like ``dp``/``dc``.
+#: the same four counters for the five top-k evaluators (k=10).  Every
+#: candidate whose score kernel runs is an exact evaluation, so ``normal``
+#: and ``poisson`` count theirs like ``dp``/``dc``.
 TOPK_COUNTER_PINS = {
     "esup": (1, 45, 35, 0),
     "dp": (1, 45, 28, 45),
