@@ -566,7 +566,7 @@ class TestCompiledKill:
 
     def test_a_gather_without_counts_spans_its_items_once(self, monkeypatch):
         # The kill and the merge of one gather share the items' spans, which
-        # a view without units (a row-ranged shard) builds by copying.
+        # a view without units (one built from columns) builds by copying.
         columns = {0: (np.arange(0, 40, 2), np.full(20, 0.5)), 1: (np.arange(0, 40, 3), np.full(14, 0.25))}
         view = ColumnarView.from_columns(columns, 40)
         block = ColumnBlock.of([columns[0], columns[1]])
