@@ -15,7 +15,7 @@ from __future__ import annotations
 import time
 import tracemalloc
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -64,11 +64,12 @@ def instrumented_run(statistics: MiningStatistics, track_memory: bool = False):
                 tracemalloc.stop()
 
 
-def item_statistics(database: UncertainDatabase) -> Dict[int, Tuple[float, float]]:
+def item_statistics(database: UncertainDatabase) -> Mapping[int, Tuple[float, float]]:
     """Return ``{item: (expected_support, variance)}`` for every item.
 
     One full database scan; the first step of every miner in the paper,
-    computed as a pair of NumPy reductions per item column.
+    computed as a pair of NumPy reductions per item column, once per view
+    (the read-only mapping is the view's memo).
     """
     return database.columnar().item_statistics()
 

@@ -50,7 +50,7 @@ and the NumPy path, and so are the bits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -289,7 +289,7 @@ class SearchContext:
     statistics: MiningStatistics
     n_transactions: int = 0
     #: ``{item: (expected_support, variance)}`` from the opening scan
-    item_stats: Dict[int, Tuple[float, float]] = field(default_factory=dict)
+    item_stats: Mapping[int, Tuple[float, float]] = field(default_factory=dict)
     #: the items surviving the prefilter, with their statistics
     seed_items: Dict[int, Tuple[float, float]] = field(default_factory=dict)
     records: List[FrequentItemset] = field(default_factory=list)

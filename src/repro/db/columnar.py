@@ -30,10 +30,12 @@ without a C compiler); candidates whose count is already below the
 caller's ``minsup`` are killed before any float work, and the survivors'
 columns come from one gather over the previous level's column block (a
 compiled merge of each parent's span with its item's, or the NumPy
-gathers without a C compiler), through a byte-budgeted LRU of each
-parent's children that a later mine on the same view reuses.  Every
-surviving column equals the non-zeros of the reference oracle's
-``p_i(X)`` bit for bit.
+gathers without a C compiler), straight into the next level's block.  A
+view that will be mined again (a served dataset's, see
+:meth:`ColumnarView.keep_level_columns`) gathers through a byte-budgeted
+LRU of each parent's children instead, so a later mine on it reuses
+them.  Every surviving column equals the non-zeros of the reference
+oracle's ``p_i(X)`` bit for bit.
 
 >>> from repro.db import UncertainDatabase
 >>> db = UncertainDatabase.from_records([{1: 0.5, 2: 0.8}, {1: 1.0}, {2: 0.4}])
@@ -46,6 +48,7 @@ surviving column equals the non-zeros of the reference oracle's
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -109,7 +112,8 @@ DENSE_CACHE_BYTES = 16 << 20
 #: A bitmap is N/8 bytes, so this is a hard safety bound only.
 BITMAP_CACHE_BYTES = 16 << 20
 #: A cached child column costs 16 * nnz bytes; 32 MiB keeps every frequent
-#: level of the benchmark workloads resident across mines.
+#: level of the benchmark workloads resident across the mines of a served
+#: view (and a tuple-candidate mine's prefixes within it).
 PREFIX_CACHE_BYTES = 32 << 20
 #: Bound on one chunk of a level's occupancy kill: the candidates' packed
 #: bitmaps (N/8 bytes each) are ANDed and counted this many bytes at a time.
@@ -380,11 +384,11 @@ class ColumnarView:
         self._units = units
 
     def _init_caches(self) -> None:
-        """(Re)build the lazily filled, byte-budgeted derived-array caches.
+        """(Re)build the lazily filled derived state of the view.
 
-        All three caches memoise pure functions of the immutable columns, so
-        dropping them (fresh view, eviction) can only cost time,
-        never correctness.
+        The three byte-budgeted caches and the item statistics memoise pure
+        functions of the immutable columns, so dropping them (fresh view,
+        eviction) can only cost time, never correctness.
         """
         #: lazily scattered dense columns of ``itemset_column``'s combine
         self._dense_columns = ByteBudgetLRU(DENSE_CACHE_BYTES)
@@ -392,9 +396,16 @@ class ColumnarView:
         #: (and of joined levels without the compiled kernels)
         self._bitmaps = ByteBudgetLRU(BITMAP_CACHE_BYTES)
         #: the prefix LRU (stage 2 of the cascade): parent itemset -> the
-        #: columns of the children computed for it (:class:`_Children`), so
-        #: a later mine on the same view gathers none of them again
+        #: columns of the children computed for it (:class:`_Children`).
+        #: Tuple candidates (``batch_columns``) always read and fill it;
+        #: joined levels only on a view that keeps them
+        #: (:meth:`keep_level_columns`), so a later mine on it gathers none
+        #: of them again.  A one-shot mine's levels gather straight into
+        #: the next level and leave it empty.
         self._prefix_cache = ByteBudgetLRU(PREFIX_CACHE_BYTES)
+        self._keep_levels = False
+        #: :meth:`item_statistics`, read-only, computed on first use
+        self._item_stats: Optional[Mapping[int, Tuple[float, float]]] = None
         #: the shared arrays behind the columns, when the view knows them
         #: (:meth:`_block_of` then builds a seed block without copying)
         self._units: Optional[Units] = None
@@ -419,6 +430,19 @@ class ColumnarView:
         view._columns = dict(columns)
         view._init_caches()
         return view
+
+    def keep_level_columns(self) -> None:
+        """Keep every joined level's gathered columns for later mines on this view.
+
+        From now on a level's children enter the prefix LRU as they are
+        gathered, and a later mine serves every parent it finds there
+        instead of gathering it again.  Filling costs one copy per parent,
+        which repays only on a view that will be mined again: the service
+        registry opts each registered dataset's view in, and a one-shot
+        ``repro.mine`` view does not.  The answers are the same bits either
+        way.
+        """
+        self._keep_levels = True
 
     # -- shape -------------------------------------------------------------------------
     @property
@@ -462,12 +486,14 @@ class ColumnarView:
         return offsets, item_ids[order], probs[order]
 
     # -- item statistics ---------------------------------------------------------------
-    def item_statistics(self) -> Dict[int, Tuple[float, float]]:
+    def item_statistics(self) -> Mapping[int, Tuple[float, float]]:
         """Expected support and variance of every single item.
 
         Implements Definition 1 of the paper per item: ``esup({x}) =
         sum_i p_i(x)`` and, since the support is a sum of independent
         Bernoulli variables, ``Var[sup({x})] = sum_i p_i(x)(1 - p_i(x))``.
+        The view is immutable, so the reductions run once per view; every
+        call hands out the same read-only mapping.
 
         Returns:
             ``{item: (expected_support, variance)}`` for every item that
@@ -479,13 +505,15 @@ class ColumnarView:
         >>> stats[7]
         (1.0, 0.5)
         """
-        return {
-            item: (
-                float(probs.sum()),
-                float((probs * (1.0 - probs)).sum()),
-            )
-            for item, (_, probs) in self._columns.items()
-        }
+        if self._item_stats is None:
+            self._item_stats = MappingProxyType({
+                item: (
+                    float(probs.sum()),
+                    float((probs * (1.0 - probs)).sum()),
+                )
+                for item, (_, probs) in self._columns.items()
+            })
+        return self._item_stats
 
     def item_probabilities(self, item: int) -> np.ndarray:
         """Dense per-transaction probability vector of a single item."""
@@ -770,7 +798,10 @@ class ColumnarView:
         ``min_count`` (all of them when it is ``0``).  A joined level
         gathers from its source level's block (the previous level's
         survivors; a seed level's block is built from its item columns on
-        first use), through the prefix LRU (:meth:`_children`).
+        first use) in one :meth:`_gather`, straight into the block the next
+        level joins from; a view that keeps its levels
+        (:meth:`keep_level_columns`) gathers through the prefix LRU
+        (:meth:`_children`) instead.
         """
         if level.parents is None:
             positions = self._alive(level.tuples(), min_count)
@@ -780,13 +811,12 @@ class ColumnarView:
             counts = self.level_occupancy_counts(level)
             positions = np.flatnonzero(counts >= min_count)
             counts = counts[positions]
-        block = self._children(
-            level.source.tuples(),
-            self._parent_block(level),
-            level.parents[positions],
-            level.items[positions, -1],
-            counts,
-        )
+        parent_block = self._parent_block(level)
+        parents, items = level.parents[positions], level.items[positions, -1]
+        if self._keep_levels:
+            block = self._children(level.source.tuples(), parent_block, parents, items, counts)
+        else:
+            block = self._gather(parent_block, parents, items, counts)
         return LevelColumns(positions, block, len(level))
 
     def _parent_block(self, level) -> ColumnBlock:
@@ -885,8 +915,10 @@ class ColumnarView:
 
         Candidates come grouped by parent, items ascending within a parent.
         The cross-level prefix LRU maps a parent itemset to the columns of
-        the children computed for it, so a later mine on the same view (a
-        served dataset) gathers nothing it has gathered before.  It is
+        the children computed for it, so a later batch of tuple candidates,
+        or a later mine on a view that keeps its levels
+        (:meth:`keep_level_columns`, a served dataset), gathers nothing it
+        has gathered before.  It is
         looked up once per parent: a parent whose wanted children are all
         cached is served from its entry, the others are gathered together
         in one :meth:`_gather` and each enters the LRU as its own copy (the

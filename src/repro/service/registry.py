@@ -320,6 +320,11 @@ class DatasetRegistry:
 
 
 def _warm_database(database: UncertainDatabase) -> None:
-    """Eagerly build the derived state a first mine would otherwise pay for."""
+    """Eagerly build the derived state a first mine would otherwise pay for.
+
+    A served dataset is mined again and again, so its view also keeps
+    every level it gathers for the next mine.
+    """
     view = database.columnar()
+    view.keep_level_columns()
     view.item_statistics()

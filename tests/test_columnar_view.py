@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.db import UncertainDatabase
+from repro.db.store import ColumnarStore
 
 import reference
 from helpers import make_random_database
@@ -61,6 +64,42 @@ class TestColumns:
             )
             assert columnar[item][0] == pytest.approx(expected, abs=1e-12)
             assert columnar[item][1] == pytest.approx(variance, abs=1e-12)
+
+
+class _Unreducible(dict):
+    """Columns that refuse to be walked again."""
+
+    def items(self):
+        raise AssertionError("reduced the columns again")
+
+
+class TestItemStatisticsMemo:
+    """A view computes its item statistics once and hands out a read-only memo."""
+
+    @pytest.fixture(params=["in-ram", "mapped"])
+    def view(self, request, tmp_path):
+        database = make_random_database(n_transactions=30, n_items=8, seed=4)
+        if request.param == "in-ram":
+            return database.columnar()
+        return ColumnarStore.save(database, str(tmp_path / "store")).view()
+
+    def test_second_call_does_no_reduction(self, view, monkeypatch):
+        first = view.item_statistics()
+        monkeypatch.setattr(view, "_columns", _Unreducible(view._columns))
+        monkeypatch.setattr(
+            ColumnarStore, "item_statistics_at", mock.Mock(side_effect=AssertionError)
+        )
+        assert view.item_statistics() is first
+
+    def test_editing_the_returned_mapping_leaves_the_memo_intact(self, view):
+        stats = view.item_statistics()
+        snapshot = dict(stats)
+        item = next(iter(stats))
+        with pytest.raises(TypeError):
+            stats[item] = (0.0, 0.0)
+        with pytest.raises(TypeError):
+            del stats[item]
+        assert dict(view.item_statistics()) == snapshot
 
 
 class TestItemsetAlgebra:

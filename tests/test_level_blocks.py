@@ -617,9 +617,23 @@ class TestCompiledKill:
 
 
 class TestPrefixReuse:
+    """A view that keeps its levels (a served dataset's) serves a re-mine
+    from the prefix LRU; a one-shot mine's levels never enter it."""
+
+    def test_one_shot_mine_leaves_the_prefix_cache_empty(self):
+        database = make_random_database(n_transactions=120, n_items=10, density=0.5, seed=5)
+        view = database.columnar()
+        with mock.patch.object(
+            ColumnarView, "_children", side_effect=AssertionError("filled the LRU")
+        ):
+            result = mine(database, algorithm="uapriori", min_esup=0.05)
+        assert max(len(record.itemset) for record in result) >= 2  # a joined level ran
+        assert len(view._prefix_cache) == 0 and view._prefix_cache.nbytes == 0
+
     def test_second_mine_hits_every_cached_parent(self):
         database = make_random_database(n_transactions=120, n_items=10, density=0.5, seed=5)
         view = database.columnar()
+        view.keep_level_columns()
         first = mine(database, algorithm="uapriori", min_esup=0.05)
         cache = view._prefix_cache
         cached = set(cache.keys())
@@ -665,6 +679,7 @@ class TestPrefixReuse:
     def test_lower_threshold_gathers_only_the_new_children(self):
         database = make_random_database(n_transactions=80, n_items=8, density=0.5, seed=9)
         view = database.columnar()
+        view.keep_level_columns()
         mine(database, algorithm="uapriori", min_esup=0.1)
         lower = mine(database, algorithm="uapriori", min_esup=0.04)
         fresh = mine(

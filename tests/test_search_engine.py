@@ -149,11 +149,15 @@ class TestGoldenEquivalence:
 
 # -- layouts outside the captures ------------------------------------------------------
 #: (label, data, NumPy kernels): a store-mapped database, mined off its
-#: mapped planes; the in-RAM and store-mapped databases on the NumPy kernels
-#: (the fallback without a C compiler); and a database whose view is built
-#: from its columns, so it knows no unit arrays and copies every block
+#: mapped planes; a store-mapped view that keeps its levels, as a served
+#: dataset's does, and replays a second mine from its prefix LRU (the
+#: level hit path, under ``--numpy-kernels`` too); the in-RAM and
+#: store-mapped databases on the NumPy kernels (the fallback without a C
+#: compiler); and a database whose view is built from its columns, so it
+#: knows no unit arrays and copies every block
 LAYOUTS = [
     ("store-w1s1", "store", False),
+    ("store-served", "served", False),
     ("ram-numpy", "ram", True),
     ("store-numpy", "store", True),
     ("ram-column-built", "column-built", False),
@@ -182,27 +186,37 @@ class TestLayoutInvariance:
     layout the captures do not cover must replay the goldens too."""
 
     @staticmethod
-    def _data(request, layout):
-        """Fresh data for one test, so no view cache carries over between layouts."""
+    def _mined(request, layout, run):
+        """``run`` on fresh data, so no view cache carries over between layouts.
+
+        A served layout's view keeps its levels and is mined once first, so
+        the mine that is checked reads the level columns from the LRU.
+        """
         _, data, numpy = layout
         if numpy:
             request.getfixturevalue("numpy_kernels")
-        if data == "store":
-            return request.getfixturevalue("golden_store").database()
-        database = make_random_database(**GOLDENS["dataset"])
-        return _column_built(database) if data == "column-built" else database
+        if data in ("store", "served"):
+            database = request.getfixturevalue("golden_store").database()
+        else:
+            database = make_random_database(**GOLDENS["dataset"])
+        if data == "column-built":
+            database = _column_built(database)
+        if data == "served":
+            database.columnar().keep_level_columns()
+            run(database)
+        return run(database)
 
     @pytest.mark.parametrize("layout", LAYOUTS, ids=[layout[0] for layout in LAYOUTS])
     @pytest.mark.parametrize("algorithm", sorted(harness.MINER_OPTIONS))
     def test_threshold_miner_layout_invariant(self, request, algorithm, layout):
-        result = _mine_threshold(self._data(request, layout), algorithm)
+        result = self._mined(request, layout, lambda data: _mine_threshold(data, algorithm))
         key = harness.config_key(algorithm)
         assert harness.serialize_records(result) == GOLDENS["threshold_grid"][key]
 
     @pytest.mark.parametrize("layout", LAYOUTS, ids=[layout[0] for layout in LAYOUTS])
     @pytest.mark.parametrize("evaluator", harness.TOPK_EVALUATORS)
     def test_topk_layout_invariant(self, request, evaluator, layout):
-        result = _mine_topk(self._data(request, layout), evaluator)
+        result = self._mined(request, layout, lambda data: _mine_topk(data, evaluator))
         key = harness.config_key(f"topk-{evaluator}")
         assert harness.serialize_records(result) == GOLDENS["topk_grid"][key]
 

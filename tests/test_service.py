@@ -18,12 +18,14 @@ import random
 import socket
 import threading
 import time
+from unittest import mock
 
 import pytest
 
 from repro.core.miner import mine
 from repro.core.registry import algorithm_names, get_algorithm
 from repro.core.topk import mine_topk
+from repro.db.columnar import ColumnarView
 from repro.db.store import ColumnarStore
 from repro.service import (
     DatasetRegistry,
@@ -547,6 +549,33 @@ class TestServeEndToEnd:
                 assert record_keys(decode_records(second["itemsets"])) == record_keys(
                     expected.itemsets
                 )
+
+
+    @pytest.mark.parametrize("kind", ["inline", "store"])
+    def test_registered_view_keeps_its_levels(self, database, kind, tmp_path):
+        # A served dataset will be mined again, so the registry opts its
+        # view in: a second uncached mine serves every level from the
+        # prefix LRU and gathers nothing.
+        spec = _inline_spec(database)
+        if kind == "store":
+            ColumnarStore.save(database, str(tmp_path / "store"))
+            spec = {"kind": "store", "directory": str(tmp_path / "store")}
+        expected = mine(database, algorithm="uapriori", min_esup=0.02)
+        assert max(len(record.itemset) for record in expected) >= 3  # two joined levels
+        params = {"dataset": "d", "algorithm": "uapriori", "min_esup": 0.02, "cache": False}
+        line = json.dumps({"id": 1, "op": "mine", "params": params}).encode("utf-8")
+        with MiningServer(max_workers=1, max_queue=1) as server:
+            server.registry.register("d", spec)
+            first = server.handle_line(line)
+            with mock.patch.object(
+                ColumnarView, "_gather", side_effect=AssertionError("gathered again")
+            ):
+                second = server.handle_line(line)
+        assert second["result"]["cache"] == "off"
+        for reply in (first, second):
+            assert reply["ok"], reply
+            itemsets = decode_line(encode_line(reply))["result"]["itemsets"]
+            assert record_keys(decode_records(itemsets)) == record_keys(expected.itemsets)
 
 
 class TestServedStoreMatchesLibrary:
