@@ -506,14 +506,18 @@ class ColumnarView:
         (1.0, 0.5)
         """
         if self._item_stats is None:
-            self._item_stats = MappingProxyType({
-                item: (
-                    float(probs.sum()),
-                    float((probs * (1.0 - probs)).sum()),
-                )
-                for item, (_, probs) in self._columns.items()
-            })
+            self._item_stats = MappingProxyType(self._compute_item_statistics())
         return self._item_stats
+
+    def _compute_item_statistics(self) -> Dict[int, Tuple[float, float]]:
+        """The reductions behind :meth:`item_statistics`, run once per view."""
+        return {
+            item: (
+                float(probs.sum()),
+                float((probs * (1.0 - probs)).sum()),
+            )
+            for item, (_, probs) in self._columns.items()
+        }
 
     def item_probabilities(self, item: int) -> np.ndarray:
         """Dense per-transaction probability vector of a single item."""

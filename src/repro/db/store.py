@@ -39,7 +39,6 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from types import MappingProxyType
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -589,23 +588,20 @@ class MappedColumnarView(ColumnarView):
     def nnz(self) -> int:
         return self._store.nnz
 
-    def item_statistics(self) -> Mapping[int, Tuple[float, float]]:
-        """Per-item moments, read from the manifest once per view.
+    def _compute_item_statistics(self) -> Dict[int, Tuple[float, float]]:
+        """Per-item moments, read from the manifest.
 
         The manifest records ``float(probs.sum())`` / the Bernoulli variance
         sum computed at save time from the very arrays now mapped, and JSON
         round-trips IEEE doubles exactly, so the values are bitwise equal to
-        recomputing.  Like the base view's, the mapping is read-only and
-        the same on every call.
+        recomputing.
         """
-        if self._item_stats is None:
-            offsets = self._store.offsets
-            self._item_stats = MappingProxyType({
-                int(item): self._store.item_statistics_at(position)
-                for position, item in enumerate(self._store.items)
-                if offsets[position + 1] > offsets[position]
-            })
-        return self._item_stats
+        offsets = self._store.offsets
+        return {
+            int(item): self._store.item_statistics_at(position)
+            for position, item in enumerate(self._store.items)
+            if offsets[position + 1] > offsets[position]
+        }
 
 
 class StoreDatabase(UncertainDatabase):

@@ -101,16 +101,22 @@ class _WarmDataset:
     roughly their columnar footprint (16 bytes per stored unit: CSR row
     index + probability), store-backed datasets pay the nominal mapped
     charge.
+
+    A served dataset is mined again and again, so its view keeps every
+    level it gathers for the next mine, whether or not the registry warms
+    views eagerly.
     """
 
     __slots__ = ("database", "payload_nbytes")
 
     def __init__(self, database: UncertainDatabase, mapped: bool) -> None:
         self.database = database
+        view = database.columnar()
+        view.keep_level_columns()
         if mapped:
             self.payload_nbytes = MAPPED_DATASET_CHARGE_BYTES
         else:
-            self.payload_nbytes = 16 * database.columnar().nnz() + 512
+            self.payload_nbytes = 16 * view.nnz() + 512
 
 
 class DatasetRegistry:
@@ -320,11 +326,6 @@ class DatasetRegistry:
 
 
 def _warm_database(database: UncertainDatabase) -> None:
-    """Eagerly build the derived state a first mine would otherwise pay for.
-
-    A served dataset is mined again and again, so its view also keeps
-    every level it gathers for the next mine.
-    """
+    """Eagerly build the derived state a first mine would otherwise pay for."""
     view = database.columnar()
-    view.keep_level_columns()
     view.item_statistics()

@@ -551,11 +551,16 @@ class TestServeEndToEnd:
                 )
 
 
+    @pytest.mark.parametrize("rebuild", [False, True], ids=["registered", "rebuilt"])
+    @pytest.mark.parametrize("warm", [True, False], ids=["warm", "warm-off"])
     @pytest.mark.parametrize("kind", ["inline", "store"])
-    def test_registered_view_keeps_its_levels(self, database, kind, tmp_path):
+    def test_registered_view_keeps_its_levels(
+        self, database, kind, warm, rebuild, tmp_path
+    ):
         # A served dataset will be mined again, so the registry opts its
-        # view in: a second uncached mine serves every level from the
-        # prefix LRU and gathers nothing.
+        # view in — with or without eager warm-up, and again when an
+        # evicted dataset is rebuilt: a second uncached mine serves every
+        # level from the prefix LRU and gathers nothing.
         spec = _inline_spec(database)
         if kind == "store":
             ColumnarStore.save(database, str(tmp_path / "store"))
@@ -564,18 +569,22 @@ class TestServeEndToEnd:
         assert max(len(record.itemset) for record in expected) >= 3  # two joined levels
         params = {"dataset": "d", "algorithm": "uapriori", "min_esup": 0.02, "cache": False}
         line = json.dumps({"id": 1, "op": "mine", "params": params}).encode("utf-8")
-        with MiningServer(max_workers=1, max_queue=1) as server:
-            server.registry.register("d", spec)
+        registry = DatasetRegistry(warm_views=warm)
+        with MiningServer(max_workers=1, max_queue=1, registry=registry) as server:
+            registry.register("d", spec)
+            if rebuild:
+                registry._warm.clear()
             first = server.handle_line(line)
+            assert registry.rebuilds == int(rebuild)
             with mock.patch.object(
                 ColumnarView, "_gather", side_effect=AssertionError("gathered again")
             ):
                 second = server.handle_line(line)
-        assert second["result"]["cache"] == "off"
         for reply in (first, second):
             assert reply["ok"], reply
             itemsets = decode_line(encode_line(reply))["result"]["itemsets"]
             assert record_keys(decode_records(itemsets)) == record_keys(expected.itemsets)
+        assert second["result"]["cache"] == "off"
 
 
 class TestServedStoreMatchesLibrary:
