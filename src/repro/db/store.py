@@ -588,6 +588,15 @@ class MappedColumnarView(ColumnarView):
     def nnz(self) -> int:
         return self._store.nnz
 
+    def item_statistics(self) -> Mapping[int, Tuple[float, float]]:
+        """Per-item moments, read from the manifest once per view.
+
+        Memoised like the base view's; :meth:`_compute_item_statistics`
+        does the reading.  The method stays on this class so that tracing
+        by class (``perfbench/tracer.py`` looks it up here) still finds it.
+        """
+        return super().item_statistics()
+
     def _compute_item_statistics(self) -> Dict[int, Tuple[float, float]]:
         """Per-item moments, read from the manifest.
 
